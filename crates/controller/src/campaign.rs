@@ -169,7 +169,7 @@ pub trait CampaignObserver: Send + Sync {
     /// A test case finished.
     fn on_outcome(&self, _outcome: &TestOutcome) {}
 
-    /// Asked once per executed case, on the worker thread, right after the
+    /// Asked once per executed case, on the thread that ran it, right after the
     /// case's [`CampaignObserver::on_outcome`] hooks and *before* its
     /// events ship to the stream consumer.  Returning `true` halts the run
     /// exactly like a [`CancelHandle`](crate::CancelHandle) cancellation —
@@ -376,11 +376,12 @@ impl Campaign {
         &self.cases
     }
 
-    /// Starts the campaign as a streaming session: a worker pool (sized by
-    /// [`Campaign::parallelism`]) drives the [`Workload`] case by case, and
-    /// the returned [`CampaignRun`] yields [`CaseEvent`](crate::CaseEvent)s
-    /// incrementally over a bounded channel.  See [`CampaignRun`] for the
-    /// event ordering and cancellation contracts.
+    /// Starts the campaign as a streaming session: the returned
+    /// [`CampaignRun`] yields [`CaseEvent`](crate::CaseEvent)s incrementally
+    /// while it drives the [`Workload`] case by case — on the caller's
+    /// thread for a serial session, on a worker pool sized by
+    /// [`Campaign::parallelism`] otherwise.  See [`CampaignRun`] for the
+    /// execution, event ordering and cancellation contracts.
     pub fn start(self, workload: impl Workload + 'static) -> CampaignRun {
         self.start_arc(Arc::new(workload))
     }
@@ -451,9 +452,9 @@ impl fmt::Debug for Campaign {
 }
 
 /// Adapter behind [`Campaign::run_per_case`]: each case's `setup` stashes
-/// the runner-produced closure under the executing worker's thread id, and
-/// `run` — which the session always calls on the same worker thread,
-/// immediately after setup — takes it back out.
+/// the runner-produced closure under the executing thread's id, and `run` —
+/// which the session always calls on the same thread, immediately after
+/// setup — takes it back out.
 struct PerCaseWorkload<R> {
     runner: R,
     pending: parking_lot::Mutex<std::collections::HashMap<std::thread::ThreadId, CaseWorkload>>,
@@ -487,7 +488,7 @@ where
             .pending
             .lock()
             .remove(&std::thread::current().id())
-            .expect("setup stashes this case's workload on the executing worker thread");
+            .expect("setup stashes this case's workload on the executing thread");
         workload(process)
     }
 }

@@ -1,6 +1,9 @@
 //! The streaming campaign session: [`Campaign::start`] returns a
-//! [`CampaignRun`] — an iterator of [`CaseEvent`]s backed by a bounded
-//! channel — instead of blocking until every case has finished.
+//! [`CampaignRun`] — an iterator of [`CaseEvent`]s — instead of blocking
+//! until every case has finished.  A serial session runs its cases on the
+//! consumer's thread, one step per `next()`; a parallel one streams them from
+//! a worker pool over a bounded channel.  Both execute a case through the
+//! same [`run_case`] core.
 //!
 //! [`Campaign::start`]: crate::Campaign::start
 
@@ -19,7 +22,7 @@ use crate::{CampaignObserver, CampaignReport, Injector, TestCase, TestOutcome, W
 /// events of concurrent cases can be correlated.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CaseEvent {
-    /// A worker claimed the case and is about to set it up.
+    /// The case was claimed and is about to be set up.
     Started {
         /// Position in the scheduled case list.
         index: usize,
@@ -222,6 +225,25 @@ impl RunShared {
             _ => SkipReason::Cancelled,
         }
     }
+
+    /// Claims the next case for execution, or `None` once the run is
+    /// stopping or every case has been claimed.
+    fn claim(&self) -> Option<usize> {
+        if self.stop.load(Ordering::Acquire) {
+            return None;
+        }
+        let index = self.next.fetch_add(1, Ordering::Relaxed);
+        if index >= self.cases.len() {
+            return None;
+        }
+        self.states[index].store(STATE_RUNNING, Ordering::Release);
+        self.started.fetch_add(1, Ordering::AcqRel);
+        Some(index)
+    }
+
+    fn started_event(&self, index: usize) -> CaseEvent {
+        CaseEvent::Started { index, name: self.cases[index].name.clone() }
+    }
 }
 
 /// Configuration handed from the [`Campaign`](crate::Campaign) builder to
@@ -257,14 +279,25 @@ pub(crate) struct RunConfig {
 ///   subsequences above still hold, but events of different cases
 ///   interleave in completion order.
 ///
+/// # Execution
+///
+/// A serial session (`parallelism(0)` or `(1)`, or a single scheduled case)
+/// spawns no thread and opens no channel: each `next()` either claims the
+/// next case and yields its `Started` event, or runs the claimed case on
+/// the caller's thread and yields its burst.  A parallel session runs a
+/// pool of `lfi-campaign-*` worker threads that stream bursts over a
+/// bounded channel, so a slow consumer paces the workers instead of
+/// buffering unboundedly.  Either way a panicking [`Workload`] hook
+/// surfaces to the caller of `next()` or [`CampaignRun::into_report`].
+///
 /// # Cancellation contract
 ///
-/// [`CancelHandle::cancel`] (or dropping the run) prevents workers from
-/// claiming further cases; in-flight cases finish and are reported.  Events
-/// already queued are still delivered to an iterator, and the final report
-/// accounts for every scheduled case: `outcomes.len() + cases_skipped ==
-/// scheduled cases`.  The event channel is bounded, so a slow consumer
-/// paces the workers instead of buffering unboundedly.
+/// [`CancelHandle::cancel`] (or dropping the run) prevents further cases
+/// from being claimed; in-flight cases finish and are reported.  Events
+/// already produced are still delivered to an iterator, and the final
+/// report accounts for every scheduled case: `outcomes.len() +
+/// cases_skipped == scheduled cases`.  Dropping a serial run never executes
+/// a case that was claimed but not yet run.
 ///
 /// # Control-plane contract
 ///
@@ -272,23 +305,23 @@ pub(crate) struct RunConfig {
 /// into a running campaign.  Two attachment points exist, with different
 /// guarantees:
 ///
-/// * **Observer side (worker thread, deterministic).**  A
+/// * **Observer side (synchronous, deterministic).**  A
 ///   [`CampaignObserver`] sees each executed case's hooks *synchronously on
-///   the worker thread* and can stop the run via
+///   the thread that runs the case* and can stop the run via
 ///   [`CampaignObserver::should_halt`], which is honoured before the case's
-///   events ship.  Because workers run ahead of the stream consumer (up to
-///   the channel bound), this is the only attachment point where a halt
-///   decision is deterministic at `parallelism(1)`: the halt lands before
-///   the next case is claimed, so fixed-seed serial reruns halt after the
-///   identical case and a rule engine evaluated in these hooks produces a
-///   byte-identical decision log.
-/// * **Consumer side (event stream, racy by design).**  A consumer
-///   iterating the run may call [`CancelHandle::cancel`] in response to an
-///   event, but the workers have typically run ahead by then: which cases
-///   were already claimed — and therefore still finish — depends on
-///   scheduling, even at `parallelism(1)`.  Consumer-side control is
-///   appropriate for coarse interventions (budget overruns, operator
-///   stops), not for decision streams that must replay.
+///   events ship: the halt lands before the next case is claimed, so
+///   fixed-seed serial reruns halt after the identical case and a rule
+///   engine evaluated in these hooks produces a byte-identical decision
+///   log.
+/// * **Consumer side (event stream).**  A consumer iterating the run may
+///   call [`CancelHandle::cancel`] in response to an event.  In a serial
+///   session this is deterministic too: nothing runs ahead of the consumer,
+///   so a cancel issued after the k-th `Outcome` always stops the run at
+///   the same case.  Under `parallelism(n)` the workers have typically run
+///   ahead by then, and which cases were already claimed — and therefore
+///   still finish — depends on scheduling; there, consumer-side control
+///   suits coarse interventions (budget overruns, operator stops), not
+///   decision streams that must replay.
 ///
 /// Action delivery is **at most once per event**: an observer hook fires
 /// exactly once per executed case event, a skipped case fires no hooks, and
@@ -301,15 +334,32 @@ pub(crate) struct RunConfig {
 /// drained.
 pub struct CampaignRun {
     shared: Arc<RunShared>,
-    receiver: Option<Receiver<Vec<CaseEvent>>>,
-    workers: Vec<JoinHandle<()>>,
+    driver: Driver,
     slots: Vec<Option<TestOutcome>>,
     skipped: usize,
     pending: VecDeque<CaseEvent>,
 }
 
+/// Where a session's cases execute.
+enum Driver {
+    /// Serial: cases run on the consumer's thread, one step per `next()`.
+    /// `claimed` is the case whose `Started` event was yielded but which has
+    /// not run yet.
+    Inline {
+        workload: Arc<dyn Workload>,
+        claimed: Option<usize>,
+    },
+    /// Parallel: worker threads stream case bursts over a bounded channel.
+    Pooled {
+        receiver: Receiver<Vec<CaseEvent>>,
+        workers: Vec<JoinHandle<()>>,
+    },
+    /// Every scheduled case is accounted for; only queued events remain.
+    Drained,
+}
+
 impl CampaignRun {
-    /// Spawns the worker pool and returns the streaming session handle.
+    /// Sets up the session: inline for one worker, a thread pool otherwise.
     pub(crate) fn launch(config: RunConfig, workload: Arc<dyn Workload>) -> CampaignRun {
         let case_count = config.cases.len();
         let shared = Arc::new(RunShared {
@@ -328,28 +378,32 @@ impl CampaignRun {
             crashes: AtomicUsize::new(0),
             injections: AtomicUsize::new(0),
         });
-        // Each message is one case's burst of events (`Started` alone, then
-        // the post-run injections + outcome together), so the per-case
-        // channel handoffs stay constant however chatty the injection log
-        // is.  The bound paces producers against a slow consumer without
-        // ever deadlocking a worker against its own case's events.
-        let (sender, receiver) = std::sync::mpsc::sync_channel((config.workers * 4).max(16));
-        let workers = (0..config.workers)
-            .map(|worker| {
-                let shared = Arc::clone(&shared);
-                let workload = Arc::clone(&workload);
-                let sender = sender.clone();
-                std::thread::Builder::new()
-                    .name(format!("lfi-campaign-{worker}"))
-                    .spawn(move || worker_loop(&shared, workload.as_ref(), &sender))
-                    .expect("campaign worker thread spawns")
-            })
-            .collect();
-        drop(sender);
+        let driver = if config.workers <= 1 {
+            Driver::Inline { workload, claimed: None }
+        } else {
+            // Each message is one case's burst of events (`Started` alone,
+            // then the post-run injections + outcome together), so the
+            // per-case channel handoffs stay constant however chatty the
+            // injection log is.  The bound paces producers against a slow
+            // consumer without ever deadlocking a worker against its own
+            // case's events.
+            let (sender, receiver) = std::sync::mpsc::sync_channel((config.workers * 4).max(16));
+            let workers = (0..config.workers)
+                .map(|worker| {
+                    let shared = Arc::clone(&shared);
+                    let workload = Arc::clone(&workload);
+                    let sender = sender.clone();
+                    std::thread::Builder::new()
+                        .name(format!("lfi-campaign-{worker}"))
+                        .spawn(move || worker_loop(&shared, workload.as_ref(), &sender))
+                        .expect("campaign worker thread spawns")
+                })
+                .collect();
+            Driver::Pooled { receiver, workers }
+        };
         CampaignRun {
             shared,
-            receiver: Some(receiver),
-            workers,
+            driver,
             slots: (0..case_count).map(|_| None).collect(),
             skipped: 0,
             pending: VecDeque::new(),
@@ -391,22 +445,17 @@ impl CampaignRun {
     ///
     /// # Panics
     ///
-    /// Re-raises a worker thread's panic (i.e. a panicking
-    /// [`Workload`] hook), like the pre-session blocking driver did.
+    /// Re-raises a panicking [`Workload`] hook, whether it ran on this
+    /// thread (serial sessions) or on a worker thread.
     pub fn into_report(mut self) -> CampaignReport {
-        while let Some(event) = self.pending.pop_front() {
-            self.absorb_owned(event);
-        }
-        if let Some(receiver) = self.receiver.take() {
-            for burst in receiver.iter() {
-                for event in burst {
-                    self.absorb_owned(event);
-                }
-            }
-            self.finish();
+        loop {
             while let Some(event) = self.pending.pop_front() {
                 self.absorb_owned(event);
             }
+            if matches!(self.driver, Driver::Drained) {
+                break;
+            }
+            self.step();
         }
         let progress = self.progress().snapshot();
         CampaignReport {
@@ -435,14 +484,44 @@ impl CampaignRun {
         }
     }
 
+    /// Queues the next burst of events, or finishes the run when no case is
+    /// left to execute.  A serial session executes its claimed case here, on
+    /// the caller's thread.
+    fn step(&mut self) {
+        match &mut self.driver {
+            Driver::Drained => {}
+            Driver::Inline { workload, claimed } => {
+                if let Some(index) = claimed.take() {
+                    let pending = &mut self.pending;
+                    run_case(&self.shared, workload.as_ref(), index, |burst| {
+                        pending.extend(burst);
+                        true
+                    });
+                } else if let Some(index) = self.shared.claim() {
+                    *claimed = Some(index);
+                    self.pending.push_back(self.shared.started_event(index));
+                } else {
+                    self.finish();
+                }
+            }
+            Driver::Pooled { receiver, .. } => match receiver.recv() {
+                Ok(burst) => self.pending.extend(burst),
+                // Every worker dropped its sender: the run is complete.
+                Err(_) => self.finish(),
+            },
+        }
+    }
+
     /// Joins the drained workers — re-raising the first worker panic, so a
     /// panicking [`Workload`] hook surfaces to the caller instead of
     /// silently truncating the report — and synthesizes `Skipped` events
     /// for every case that was never claimed, in ascending case order.
     fn finish(&mut self) {
-        for handle in self.workers.drain(..) {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
+        if let Driver::Pooled { workers, .. } = std::mem::replace(&mut self.driver, Driver::Drained) {
+            for handle in workers {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         }
         let reason = self.shared.skip_reason();
@@ -463,16 +542,8 @@ impl Iterator for CampaignRun {
     type Item = CaseEvent;
 
     fn next(&mut self) -> Option<CaseEvent> {
-        while self.pending.is_empty() {
-            let Some(receiver) = &self.receiver else { break };
-            match receiver.recv() {
-                Ok(burst) => self.pending.extend(burst),
-                Err(_) => {
-                    // Every worker dropped its sender: the run is complete.
-                    self.receiver = None;
-                    self.finish();
-                }
-            }
+        while self.pending.is_empty() && !matches!(self.driver, Driver::Drained) {
+            self.step();
         }
         let event = self.pending.pop_front();
         if let Some(event) = &event {
@@ -484,16 +555,19 @@ impl Iterator for CampaignRun {
 
 impl Drop for CampaignRun {
     fn drop(&mut self) {
-        // Dropping mid-stream is a cancellation: stop claiming, unblock any
-        // worker parked on the bounded channel, and reap the threads.  A
-        // worker panic still surfaces (like `std::thread::scope`) unless
-        // this drop is itself part of a panic unwind.
+        // Dropping mid-stream is a cancellation: stop claiming (a serial
+        // run's claimed case never executes), unblock any worker parked on
+        // the bounded channel, and reap the threads.  A worker panic still
+        // surfaces (like `std::thread::scope`) unless this drop is itself
+        // part of a panic unwind.
         self.shared.halt(REASON_CANCELLED);
-        self.receiver = None;
-        for handle in self.workers.drain(..) {
-            if let Err(payload) = handle.join() {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(payload);
+        if let Driver::Pooled { receiver, workers } = std::mem::replace(&mut self.driver, Driver::Drained) {
+            drop(receiver);
+            for handle in workers {
+                if let Err(payload) = handle.join() {
+                    if !std::thread::panicking() {
+                        std::panic::resume_unwind(payload);
+                    }
                 }
             }
         }
@@ -522,35 +596,29 @@ fn deliver(shared: &RunShared, sender: &SyncSender<Vec<CaseEvent>>, burst: Vec<C
     true
 }
 
-/// The worker loop: claim cases, execute them through the workload, stream
-/// events.
+/// A pool worker's loop: claim cases, run them through [`run_case`], stream
+/// their bursts.
 fn worker_loop(shared: &RunShared, workload: &dyn Workload, sender: &SyncSender<Vec<CaseEvent>>) {
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let index = shared.next.fetch_add(1, Ordering::Relaxed);
-        let Some(case) = shared.cases.get(index) else { break };
-        shared.states[index].store(STATE_RUNNING, Ordering::Release);
-        shared.started.fetch_add(1, Ordering::AcqRel);
-        if !deliver(shared, sender, vec![CaseEvent::Started { index, name: case.name.clone() }]) {
-            break;
-        }
-        if !execute_case(shared, workload, sender, index, case) {
+    while let Some(index) = shared.claim() {
+        if !deliver(shared, sender, vec![shared.started_event(index)])
+            || !run_case(shared, workload, index, |burst| deliver(shared, sender, burst))
+        {
             break;
         }
     }
 }
 
-/// Executes one claimed case end to end and streams its events.  Returns
-/// `false` when the event channel is gone.
-fn execute_case(
+/// Executes one claimed case end to end — setup, interceptor preload, health
+/// check, run, log snapshot, teardown, observer hooks and stop decisions —
+/// then hands the case's burst of events to `emit` and returns what `emit`
+/// returned (`false` means the consumer is gone).
+fn run_case(
     shared: &RunShared,
     workload: &dyn Workload,
-    sender: &SyncSender<Vec<CaseEvent>>,
     index: usize,
-    case: &TestCase,
+    emit: impl FnOnce(Vec<CaseEvent>) -> bool,
 ) -> bool {
+    let case = &shared.cases[index];
     let mut process = workload.setup(case);
     let injector = Injector::with_budget(case.plan.clone(), shared.budget.clone());
     process.preload(injector.synthesize_interceptor());
@@ -560,11 +628,7 @@ fn execute_case(
     if !workload.health_check(&mut process) {
         shared.states[index].store(STATE_SKIPPED, Ordering::Release);
         shared.skipped.fetch_add(1, Ordering::AcqRel);
-        return deliver(
-            shared,
-            sender,
-            vec![CaseEvent::Skipped { index, name: case.name.clone(), reason: SkipReason::Unhealthy }],
-        );
+        return emit(vec![CaseEvent::Skipped { index, name: case.name.clone(), reason: SkipReason::Unhealthy }]);
     }
     for observer in &shared.observers {
         observer.on_test_start(case);
@@ -596,8 +660,8 @@ fn execute_case(
     }
     shared.states[index].store(STATE_DONE, Ordering::Release);
     shared.finished.fetch_add(1, Ordering::AcqRel);
-    // Stop decisions happen before the events ship, so with one worker no
-    // further case can slip in ahead of the halt (deterministic streams).
+    // Stop decisions happen before the events ship, so in a serial session
+    // no further case can slip in ahead of the halt (deterministic streams).
     if shared.stop_on_first_crash && crashed {
         shared.halt(REASON_CRASH);
     }
@@ -612,5 +676,40 @@ fn execute_case(
         burst.push(CaseEvent::Injection { index, record: record.clone() });
     }
     burst.push(CaseEvent::Outcome { index, outcome });
-    deliver(shared, sender, burst)
+    emit(burst)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Campaign, FnWorkload};
+    use lfi_runtime::{ExitStatus, Process};
+    use lfi_scenario::Plan;
+
+    fn start(cases: usize, workers: usize) -> CampaignRun {
+        Campaign::new()
+            .cases((0..cases).map(|i| TestCase::new(format!("case-{i}"), Plan::new())))
+            .parallelism(workers)
+            .start(FnWorkload::new("idle", Process::new, |_process: &mut Process| ExitStatus::Exited(0)))
+    }
+
+    #[test]
+    fn one_worker_sessions_run_inline_and_larger_ones_pool() {
+        for (cases, workers) in [(4, 0), (4, 1), (1, 8)] {
+            assert!(matches!(start(cases, workers).driver, Driver::Inline { .. }), "{cases} cases, {workers} workers");
+        }
+        assert!(matches!(start(4, 2).driver, Driver::Pooled { .. }));
+    }
+
+    #[test]
+    fn an_inline_step_either_claims_or_runs_the_claimed_case() {
+        let mut run = start(2, 1);
+        assert!(matches!(run.next(), Some(CaseEvent::Started { index: 0, .. })));
+        assert_eq!((run.progress().started, run.progress().finished), (1, 0), "claimed, not yet run");
+        assert!(matches!(run.next(), Some(CaseEvent::Outcome { index: 0, .. })));
+        assert_eq!(run.progress().finished, 1);
+        let report = run.into_report();
+        assert_eq!(report.outcomes.len(), 2);
+        assert!(report.outcomes.iter().all(|o| o.status.is_success()));
+    }
 }

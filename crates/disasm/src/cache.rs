@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use lfi_objfile::SharedObject;
 
@@ -25,14 +25,25 @@ const SHARDS: usize = 8;
 /// Because the key is a content hash there is no invalidation protocol —
 /// re-registering a *modified* library simply misses (new fingerprint) and the
 /// stale entry becomes unreachable garbage until [`DisasmCache::clear`].
-/// Lookups are lock-sharded; a concurrent miss on the same object may
-/// disassemble twice, but both threads end up sharing the first inserted
-/// entry's key, which is harmless because the results are identical.
+/// Lookups are lock-sharded, and a miss is single-flight per fingerprint:
+/// one thread disassembles while every concurrent request for the same
+/// object waits on that entry and then shares its result, so each object
+/// costs exactly one disassembler run (and one miss) however many profiler
+/// jobs race into it.
 #[derive(Debug, Default)]
 pub struct DisasmCache {
-    shards: [RwLock<HashMap<u64, Arc<ObjectDisassembly>>>; SHARDS],
+    shards: [RwLock<HashMap<u64, Arc<Slot>>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// One fingerprint's entry: the disassembly once it exists, and the lock
+/// its single in-flight disassembler holds.  A failed disassembly leaves
+/// `value` empty, so the next request retries.
+#[derive(Debug, Default)]
+struct Slot {
+    value: OnceLock<Arc<ObjectDisassembly>>,
+    filling: Mutex<()>,
 }
 
 impl DisasmCache {
@@ -41,14 +52,23 @@ impl DisasmCache {
         Self::default()
     }
 
-    fn shard(&self, fingerprint: u64) -> &RwLock<HashMap<u64, Arc<ObjectDisassembly>>> {
+    fn shard(&self, fingerprint: u64) -> &RwLock<HashMap<u64, Arc<Slot>>> {
         &self.shards[(fingerprint as usize) % SHARDS]
+    }
+
+    /// The entry for `fingerprint`, created empty on first request.
+    fn slot(&self, fingerprint: u64) -> Arc<Slot> {
+        let shard = self.shard(fingerprint);
+        if let Some(slot) = shard.read().unwrap_or_else(PoisonError::into_inner).get(&fingerprint) {
+            return Arc::clone(slot);
+        }
+        Arc::clone(shard.write().unwrap_or_else(PoisonError::into_inner).entry(fingerprint).or_default())
     }
 
     /// Returns the cached disassembly for `fingerprint`, if present.
     pub fn get(&self, fingerprint: u64) -> Option<Arc<ObjectDisassembly>> {
-        let shard = self.shard(fingerprint).read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        shard.get(&fingerprint).cloned()
+        let shard = self.shard(fingerprint).read().unwrap_or_else(PoisonError::into_inner);
+        shard.get(&fingerprint).and_then(|slot| slot.value.get().cloned())
     }
 
     /// Disassembles `object`, reusing the cached result when its fingerprint
@@ -77,19 +97,29 @@ impl DisasmCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((existing, true));
         }
+        let slot = self.slot(fingerprint);
+        // Single flight: the first thread in disassembles under `filling`;
+        // the rest wait here and find the value set.  A poisoned lock only
+        // means a disassembler panicked with `value` still empty, so the
+        // next holder simply retries.
+        let _filling = slot.filling.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(existing) = slot.value.get() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((Arc::clone(existing), true));
+        }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let disassembly = Arc::new(Disassembler::new().disassemble_object(object)?);
-        let mut shard = self.shard(fingerprint).write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Keep the first entry if another thread raced us here; the two
-        // disassemblies are identical, sharing one maximizes reuse.
-        Ok((Arc::clone(shard.entry(fingerprint).or_insert(disassembly)), false))
+        Ok((Arc::clone(slot.value.get_or_init(|| disassembly)), false))
     }
 
     /// Number of cached disassemblies.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().unwrap_or_else(std::sync::PoisonError::into_inner).len())
+            .map(|s| {
+                let shard = s.read().unwrap_or_else(PoisonError::into_inner);
+                shard.values().filter(|slot| slot.value.get().is_some()).count()
+            })
             .sum()
     }
 
@@ -111,7 +141,7 @@ impl DisasmCache {
     /// Drops every cached disassembly and resets the hit/miss counters.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+            shard.write().unwrap_or_else(PoisonError::into_inner).clear();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -165,5 +195,26 @@ mod tests {
             assert!(Arc::ptr_eq(entry, &entries[0]));
         }
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn racing_threads_disassemble_an_object_exactly_once() {
+        let cache = DisasmCache::new();
+        let obj = object("libraced.so");
+        let start = std::sync::Barrier::new(8);
+        let hits: Vec<bool> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.disassemble(&obj).unwrap().1
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 7);
+        assert_eq!(hits.iter().filter(|hit| !**hit).count(), 1);
     }
 }

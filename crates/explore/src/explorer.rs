@@ -1,5 +1,6 @@
 //! The [`Explorer`]: the generate → run → observe → refine loop.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -295,7 +296,9 @@ impl Explorer {
     /// [`lfi_core`-style facade]: crate
     pub fn new(seed_plan: &Plan, profiles: Vec<FaultProfile>) -> Self {
         let mut cells = seed_plan.compile().cells();
-        cells.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        // Each key resolves a name through the global symbol table: compute
+        // it once per cell, not twice per comparison.
+        cells.sort_by_cached_key(FaultCell::sort_key);
         cells.dedup();
         let config = ExplorerConfig::default();
         Self {
@@ -834,11 +837,18 @@ impl Explorer {
                 // are left for their own cases to rule out.
                 let pruned = &mut self.pruned_functions;
                 let tracker = &mut self.tracker;
+                tracker.frontier.reserve(self.frontier.len());
+                // A function's cells sit next to each other on the frontier,
+                // so each pruned function is recorded once, not per cell.
+                let mut last_pruned = None;
                 self.frontier.retain(|f| {
                     let reached = counts.contains_key(&f.cell.function);
                     if !reached {
-                        pruned.insert(f.cell.function);
-                        tracker.pruned_functions.insert(f.cell.function);
+                        if last_pruned != Some(f.cell.function) {
+                            pruned.insert(f.cell.function);
+                            tracker.pruned_functions.insert(f.cell.function);
+                            last_pruned = Some(f.cell.function);
+                        }
                         tracker.frontier.insert(f.cell);
                     }
                     reached
@@ -860,8 +870,7 @@ impl Explorer {
     /// stream) and takes the next batch.  Priorities ride along so cells a
     /// halted batch never executed can return to the frontier unchanged.
     fn select_batch(&mut self) -> Vec<FrontierCell> {
-        self.frontier
-            .sort_by(|a, b| b.priority.cmp(&a.priority).then_with(|| a.cell.sort_key().cmp(&b.cell.sort_key())));
+        self.frontier.sort_by_cached_key(|f| (Reverse(f.priority), f.cell.sort_key()));
         let mut take = self.config.batch_size.min(self.frontier.len());
         if let Some(budget) = self.config.case_budget {
             take = take.min(budget.saturating_sub(self.cases_executed) as usize);

@@ -18,12 +18,13 @@ use crate::metrics::MetricsSink;
 
 /// A [`CampaignObserver`] that feeds a [`RuleEngine`] from the observer
 /// hooks — the deterministic attachment point of the control-plane
-/// contract (hooks run synchronously on the campaign worker thread, so at
-/// `parallelism(1)` rules evaluate in exact case order, ahead of the
-/// stream consumer).
+/// contract (hooks run synchronously on the thread that executes the case
+/// — the consumer's own thread in a serial session, a pool worker under
+/// `parallelism(n)` — so at `parallelism(1)` rules evaluate in exact case
+/// order, before the case's events reach the stream consumer).
 ///
 /// The harness assigns case indices in hook order (hooks carry no index)
-/// and correlates a worker thread's `on_injection`/`on_outcome` hooks with
+/// and correlates a thread's `on_injection`/`on_outcome` hooks with
 /// the case its `on_test_start` announced, so per-symbol attribution works
 /// at any parallelism.  [`CampaignObserver::should_halt`] reports the
 /// engine's `Cancel`/`Pause` latches, turning a rule decision into a
@@ -139,7 +140,7 @@ impl CampaignObserver for RulesHarness {
 /// injections for the symbol even for cases already generated.
 ///
 /// The veto is decided in [`Workload::setup`] (which receives the case)
-/// and consumed by the same worker thread's next
+/// and consumed by the same executing thread's next
 /// [`Workload::health_check`] — the thread-id stash idiom the controller's
 /// per-case workloads use.
 pub struct GatedWorkload {

@@ -72,8 +72,8 @@ pub struct CompiledSideEffect {
 }
 
 impl CompiledSideEffect {
-    fn compile(effect: &SideEffect) -> Self {
-        Self { kind: effect.kind, module: Symbol::intern(&effect.module), offset: effect.offset, value: effect.value }
+    fn compile<'a>(effect: &'a SideEffect, modules: &mut LastSymbol<'a>) -> Self {
+        Self { kind: effect.kind, module: modules.intern(&effect.module), offset: effect.offset, value: effect.value }
     }
 
     /// Re-materializes the string-keyed form (report/replay path only).
@@ -247,6 +247,28 @@ impl CompiledPlan {
     }
 }
 
+/// The most recently interned name and its symbol.  Generators emit each
+/// function's entries back to back and name one module in every side
+/// effect, so remembering the last resolution skips most symbol-table
+/// lookups while compiling a large plan.
+#[derive(Default)]
+struct LastSymbol<'a> {
+    last: Option<(&'a str, Symbol)>,
+}
+
+impl<'a> LastSymbol<'a> {
+    fn intern(&mut self, name: &'a str) -> Symbol {
+        match self.last {
+            Some((last, symbol)) if last == name => symbol,
+            _ => {
+                let symbol = Symbol::intern(name);
+                self.last = Some((name, symbol));
+                symbol
+            }
+        }
+    }
+}
+
 impl Plan {
     /// Resolves every function name, stack frame and side-effect module in
     /// this plan to interned [`Symbol`]s, grouping entries per function —
@@ -262,8 +284,9 @@ impl Plan {
     /// validate them against its fault profiles first.
     pub fn compile(&self) -> CompiledPlan {
         let mut functions: Vec<CompiledFunction> = Vec::new();
+        let (mut names, mut modules) = (LastSymbol::default(), LastSymbol::default());
         for (plan_index, entry) in self.entries.iter().enumerate() {
-            let symbol = Symbol::intern(&entry.function);
+            let symbol = names.intern(&entry.function);
             let compiled = CompiledEntry {
                 plan_index,
                 inject_at_call: entry.trigger.inject_at_call,
@@ -271,7 +294,12 @@ impl Plan {
                 stack_trace: entry.trigger.stack_trace.iter().map(|frame| Symbol::intern(frame)).collect(),
                 retval: entry.action.retval,
                 errno: entry.action.errno,
-                side_effects: entry.action.side_effects.iter().map(CompiledSideEffect::compile).collect(),
+                side_effects: entry
+                    .action
+                    .side_effects
+                    .iter()
+                    .map(|effect| CompiledSideEffect::compile(effect, &mut modules))
+                    .collect(),
                 call_original: entry.action.call_original,
                 arg_modifications: entry.action.arg_modifications.clone(),
                 random_choices: entry
@@ -280,12 +308,17 @@ impl Plan {
                     .iter()
                     .map(|choice| CompiledChoice {
                         retval: choice.retval,
-                        side_effects: choice.side_effects.iter().map(CompiledSideEffect::compile).collect(),
+                        side_effects: choice
+                            .side_effects
+                            .iter()
+                            .map(|effect| CompiledSideEffect::compile(effect, &mut modules))
+                            .collect(),
                     })
                     .collect(),
             };
             let stack_sensitive = !compiled.stack_trace.is_empty();
-            match functions.iter_mut().find(|f| f.symbol == symbol) {
+            // Consecutive entries of one function hit the last slot first.
+            match functions.iter_mut().rev().find(|f| f.symbol == symbol) {
                 Some(slot) => {
                     slot.stack_sensitive |= stack_sensitive;
                     slot.entries.push(compiled);

@@ -336,3 +336,185 @@ fn progress_counters_track_the_stream() {
     let report = run.into_report();
     assert_eq!(progress.injections, report.total_injections());
 }
+
+#[test]
+fn serial_and_parallel_reports_agree_on_fixed_seed_random_plans() {
+    let run = |workers: usize| Campaign::new().cases(mixed_cases(24)).parallelism(workers).run(setup, workload);
+    let serial = run(1);
+    assert_eq!(serial, run(4));
+    assert!(serial.total_injections() > 0, "the random triggers actually fired");
+}
+
+/// The id and name of every thread that ran a workload.
+type ThreadLog = Arc<std::sync::Mutex<Vec<(std::thread::ThreadId, Option<String>)>>>;
+
+#[test]
+fn serial_sessions_run_the_workload_on_the_callers_thread() {
+    let threads = ThreadLog::default();
+    let recording = |threads: &ThreadLog| {
+        let threads = Arc::clone(threads);
+        FnWorkload::new("thread-recorder", setup, move |process: &mut Process| {
+            let current = std::thread::current();
+            threads.lock().unwrap().push((current.id(), current.name().map(str::to_owned)));
+            workload(process)
+        })
+    };
+    let caller = std::thread::current().id();
+
+    let report = Campaign::new().cases(mixed_cases(6)).parallelism(1).run_workload(recording(&threads));
+    assert_eq!(report.outcomes.len(), 6);
+    let seen = std::mem::take(&mut *threads.lock().unwrap());
+    assert_eq!(seen.len(), 6);
+    for (id, name) in &seen {
+        assert_eq!(*id, caller, "serial cases run on the consumer's thread");
+        assert!(!name.as_deref().unwrap_or("").starts_with("lfi-campaign-"), "no worker ran {name:?}");
+    }
+
+    // Streaming consumers drive serial sessions on their own thread too.
+    let events: Vec<CaseEvent> = Campaign::new().cases(mixed_cases(3)).start(recording(&threads)).collect();
+    assert_eq!(events.iter().filter(|e| matches!(e, CaseEvent::Outcome { .. })).count(), 3);
+    assert!(threads.lock().unwrap().drain(..).all(|(id, _)| id == caller));
+
+    // A parallel session still uses its worker pool.
+    Campaign::new().cases(mixed_cases(6)).parallelism(4).run_workload(recording(&threads));
+    let pooled = threads.lock().unwrap();
+    assert_eq!(pooled.len(), 6);
+    assert!(pooled.iter().all(|(_, name)| name.as_deref().unwrap_or("").starts_with("lfi-campaign-")));
+}
+
+#[test]
+fn serial_consumer_side_cancel_is_deterministic() {
+    // Nothing runs ahead of a serial consumer, so cancelling after the k-th
+    // outcome stops the run at the same case on every rerun.
+    let cancel_after = |k: usize| {
+        let mut run = Campaign::new().cases(mixed_cases(24)).parallelism(1).start(FnWorkload::new(
+            "mixed-reader",
+            setup,
+            workload,
+        ));
+        let cancel = run.cancel_handle();
+        let mut events = Vec::new();
+        let mut outcomes = 0;
+        for event in run.by_ref() {
+            if matches!(event, CaseEvent::Outcome { .. }) {
+                outcomes += 1;
+                if outcomes == k {
+                    cancel.cancel();
+                }
+            }
+            events.push(event);
+        }
+        (events, run.into_report())
+    };
+    let (first, report) = cancel_after(5);
+    for _ in 0..20 {
+        assert_eq!(cancel_after(5).0, first, "identical stream and skip tail on every rerun");
+    }
+    assert_eq!(report.outcomes.len(), 5);
+    let skips: Vec<usize> = first
+        .iter()
+        .filter_map(|e| match e {
+            CaseEvent::Skipped { index, reason, .. } => {
+                assert_eq!(*reason, SkipReason::Cancelled);
+                Some(*index)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(skips, (5..24).collect::<Vec<_>>(), "the tail starts right after the cancelling outcome");
+}
+
+#[test]
+fn cancel_from_another_thread_stops_a_serial_run() {
+    // Case 1 parks until a controller thread has cancelled the run, so the
+    // cancel lands while the case is in flight on the consumer's thread.
+    let (running_tx, running_rx) = std::sync::mpsc::channel::<()>();
+    let (cancelled_tx, cancelled_rx) = std::sync::mpsc::channel::<()>();
+    let gate = std::sync::Mutex::new((running_tx, cancelled_rx));
+    let runs = AtomicUsize::new(0);
+    let run = Campaign::new().cases(mixed_cases(8)).parallelism(1).start(FnWorkload::new(
+        "parked-reader",
+        setup,
+        move |process: &mut Process| {
+            if runs.fetch_add(1, Ordering::SeqCst) == 1 {
+                let gate = gate.lock().unwrap();
+                gate.0.send(()).unwrap();
+                gate.1.recv().unwrap();
+            }
+            workload(process)
+        },
+    ));
+    let cancel = run.cancel_handle();
+    let controller = std::thread::spawn(move || {
+        running_rx.recv().unwrap();
+        cancel.cancel();
+        cancelled_tx.send(()).unwrap();
+    });
+    let report = run.into_report();
+    controller.join().unwrap();
+    assert_eq!(report.outcomes.len(), 2, "the in-flight case finished");
+    assert_eq!(report.cases_skipped, 6, "nothing was claimed after the cancel");
+}
+
+#[test]
+fn dropping_a_serial_run_after_started_never_runs_that_case() {
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counting = {
+        let runs = Arc::clone(&runs);
+        FnWorkload::new("counting-reader", setup, move |process: &mut Process| {
+            runs.fetch_add(1, Ordering::SeqCst);
+            workload(process)
+        })
+    };
+    let mut run = Campaign::new().cases(mixed_cases(4)).parallelism(1).start(counting);
+    let mut started = 0;
+    for event in run.by_ref() {
+        if let CaseEvent::Started { index, .. } = event {
+            started += 1;
+            if started == 2 {
+                assert_eq!(index, 1);
+                break;
+            }
+        }
+    }
+    drop(run);
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "only the first case ran; the claimed second one did not");
+}
+
+/// A workload whose setup hook panics.
+struct PanickingSetup;
+
+impl Workload for PanickingSetup {
+    fn name(&self) -> &str {
+        "panicking-setup"
+    }
+
+    fn setup(&self, _case: &TestCase) -> lfi::runtime::PooledProcess {
+        panic!("setup hook bug")
+    }
+
+    fn run(&self, process: &mut Process) -> ExitStatus {
+        workload(process)
+    }
+}
+
+#[test]
+fn workload_hook_panics_reach_streaming_and_blocking_callers() {
+    let message = |payload: Box<dyn std::any::Any + Send>| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    };
+    for workers in [1usize, 4] {
+        let streamed = std::panic::catch_unwind(|| {
+            Campaign::new().cases(mixed_cases(4)).parallelism(workers).start(PanickingSetup).count()
+        });
+        assert_eq!(message(streamed.expect_err("the consumer sees the panic")), "setup hook bug", "{workers}");
+        let blocking = std::panic::catch_unwind(|| {
+            Campaign::new().cases(mixed_cases(4)).parallelism(workers).run_workload(PanickingSetup)
+        });
+        assert_eq!(message(blocking.expect_err("the caller sees the panic")), "setup hook bug", "{workers}");
+    }
+}

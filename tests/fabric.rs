@@ -4,7 +4,8 @@
 //! half-finished job into a fresh fabric.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use lfi::controller::FnWorkload;
@@ -63,6 +64,53 @@ fn flaky_reader(
     })
 }
 
+/// How long a held run waits for the test before giving up (a failing test
+/// drops its [`Hold`], which releases the run at once).
+const HOLD_LIMIT: Duration = Duration::from_secs(60);
+
+/// The test's side of a held run: the run announces itself on `parked` and
+/// then waits until `release` is sent (or dropped).
+struct Hold {
+    parked: Receiver<()>,
+    release: Sender<()>,
+}
+
+impl Hold {
+    /// Blocks until the held run has parked; the job's progress is then
+    /// pinned at exactly the runs before it.
+    fn wait_parked(&self) {
+        self.parked.recv_timeout(HOLD_LIMIT).expect("the held run parks");
+    }
+
+    /// Lets the held run (and every later one) proceed.
+    fn release(self) {
+        let _ = self.release.send(());
+    }
+}
+
+/// The named reader workload whose `hold_at`-th run (counting from 0)
+/// parks until the test releases it.  With one fabric worker this stops a
+/// job at an exact point of its progress, independent of how fast leases
+/// execute.
+fn held_reader(
+    name: &str,
+    hold_at: usize,
+) -> (FnWorkload<impl Fn() -> Process + Send + Sync, impl Fn(&mut Process) -> ExitStatus + Send + Sync>, Hold) {
+    let runs = AtomicUsize::new(0);
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let gate = Mutex::new((parked_tx, release_rx));
+    let workload = FnWorkload::new(name, reader_process, move |process: &mut Process| {
+        if runs.fetch_add(1, Ordering::SeqCst) == hold_at {
+            let gate = gate.lock().expect("only the held run takes the gate");
+            let _ = gate.0.send(());
+            let _ = gate.1.recv_timeout(HOLD_LIMIT);
+        }
+        read_four(process)
+    });
+    (workload, Hold { parked, release })
+}
+
 #[test]
 fn killed_worker_loses_no_cell_and_double_counts_none() {
     // 12 cells in leases of 4; the 6th workload run (inside the second
@@ -102,24 +150,42 @@ fn killed_worker_loses_no_cell_and_double_counts_none() {
 #[test]
 fn small_tenants_are_not_starved_by_large_ones() {
     // A 1000-cell sweep is submitted first and would monopolize a naive
-    // FIFO fleet; deficit scheduling interleaves the 10-cell smoke job.
-    let fabric = Fabric::builder()
-        .workers(2)
-        .register(FnWorkload::new("reader", reader_process, read_four))
-        .build();
+    // FIFO fleet; deficit scheduling interleaves the 10-cell smoke job.  The
+    // evidence is recorded inside the workloads: how many sweep cases had
+    // run when the smoke job's last case ran — not a status read after the
+    // smoke job's completion wakes the test, which fast leases can outrun.
+    let sweep_runs = Arc::new(AtomicUsize::new(0));
+    let sweep_at_smoke_end = Arc::new(AtomicUsize::new(usize::MAX));
+    let sweep = {
+        let sweep_runs = Arc::clone(&sweep_runs);
+        FnWorkload::new("sweep-reader", reader_process, move |process: &mut Process| {
+            sweep_runs.fetch_add(1, Ordering::SeqCst);
+            read_four(process)
+        })
+    };
+    let smoke = {
+        let smoke_runs = AtomicUsize::new(0);
+        let sweep_at_smoke_end = Arc::clone(&sweep_at_smoke_end);
+        FnWorkload::new("smoke-reader", reader_process, move |process: &mut Process| {
+            if smoke_runs.fetch_add(1, Ordering::SeqCst) + 1 == 10 {
+                sweep_at_smoke_end.store(sweep_runs.load(Ordering::SeqCst), Ordering::SeqCst);
+            }
+            read_four(process)
+        })
+    };
+    let fabric = Fabric::builder().workers(2).register(sweep).register(smoke).build();
     let big = fabric
-        .submit(JobSpec::new("sweep", "reader", read_plan(250, &[5, 9, 11, 22])))
+        .submit(JobSpec::new("sweep", "sweep-reader", read_plan(250, &[5, 9, 11, 22])))
         .expect("workload registered");
     let small = fabric
-        .submit(JobSpec::new("smoke", "reader", read_plan(10, &[5])))
+        .submit(JobSpec::new("smoke", "smoke-reader", read_plan(10, &[5])))
         .expect("workload registered");
 
     assert_eq!(fabric.wait_job(small, Duration::from_secs(60)), Some(JobState::Done));
-    let big_progress = fabric.status(big).expect("job exists").progress;
+    let big_finished = sweep_at_smoke_end.load(Ordering::SeqCst);
     assert!(
-        big_progress.finished < 500,
-        "the small job finished while the big one was at {}/1000 — fair shares, not FIFO",
-        big_progress.finished
+        big_finished < 500,
+        "the small job finished while the big one was at {big_finished}/1000 — fair shares, not FIFO"
     );
 
     // No need to run the sweep to the end: cancel is part of the contract.
@@ -186,14 +252,16 @@ fn journaled_job_survives_a_kill_and_recovers_byte_identically() {
     let spec = || JobSpec::new("resumable", "reader", read_plan(10, &[5, 9, 11, 22])).lease_batch(1);
 
     // Live fabric: journal from submission, make partial progress, quiesce,
-    // then "die" without draining or checkpointing by hand.
-    let first = Fabric::builder().workers(1).register(reader()).build();
+    // then "die" without draining or checkpointing by hand.  The seventh
+    // case holds the only worker until the job is paused, so the kill
+    // lands mid-run however fast leases execute.
+    let (held, hold) = held_reader("reader", 6);
+    let first = Fabric::builder().workers(1).register(held).build();
     let job = first.submit(spec()).expect("workload registered");
     first.journal_job(job, &path).expect("journal attaches");
-    while first.status(job).expect("job exists").progress.finished < 6 {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    hold.wait_parked();
     first.pause(job);
+    hold.release();
     assert!(first.wait_idle(Duration::from_secs(60)), "outstanding leases settle after pause");
     assert_eq!(first.journal_error(job), None);
     let live = first.checkpoint(job).expect("job exists");
@@ -247,14 +315,16 @@ fn journaled_job_survives_a_kill_and_recovers_byte_identically() {
 fn checkpoint_restores_into_a_fresh_fabric() {
     // Run a job partially, pause it, checkpoint it, and hand the XML to a
     // second fabric — the union of both runs covers every cell exactly once.
+    // The first case holds the only worker until the job is paused, so
+    // exactly its lease of 4 runs before the checkpoint.
     let spec = || JobSpec::new("resumable", "reader", read_plan(4, &[5, 9, 11])).lease_batch(4);
 
-    let first = Fabric::builder()
-        .workers(1)
-        .register(FnWorkload::new("reader", reader_process, read_four))
-        .build();
+    let (held, hold) = held_reader("reader", 0);
+    let first = Fabric::builder().workers(1).register(held).build();
     let job = first.submit(spec()).expect("workload registered");
+    hold.wait_parked();
     assert!(first.pause(job).is_some());
+    hold.release();
     assert!(first.wait_idle(Duration::from_secs(60)), "outstanding leases settle after pause");
     let parked = first.status(job).expect("job exists");
     assert!(!parked.state.is_terminal(), "paused, not finished");
@@ -264,11 +334,17 @@ fn checkpoint_restores_into_a_fresh_fabric() {
 
     let store = ExplorationStore::from_xml(&xml).expect("checkpoint parses");
     assert_eq!(store.executed.len() + store.frontier.len(), 12, "the checkpoint partitions the universe");
+    assert_eq!(store.executed.len(), 4, "exactly the held lease ran before the pause");
 
-    let second = Fabric::builder()
-        .workers(2)
-        .register(FnWorkload::new("reader", reader_process, read_four))
-        .build();
+    let second_runs = Arc::new(AtomicUsize::new(0));
+    let counted = {
+        let second_runs = Arc::clone(&second_runs);
+        FnWorkload::new("reader", reader_process, move |process: &mut Process| {
+            second_runs.fetch_add(1, Ordering::SeqCst);
+            read_four(process)
+        })
+    };
+    let second = Fabric::builder().workers(2).register(counted).build();
     let restored = second.submit_restored(spec(), &store).expect("workload registered");
     assert_eq!(second.wait_job(restored, Duration::from_secs(60)), Some(JobState::Done));
     let report = second.report(restored).expect("job exists");
@@ -276,7 +352,10 @@ fn checkpoint_restores_into_a_fresh_fabric() {
     assert_eq!(report.coverage.executed, 12, "base + resumed work covers every cell");
     assert_eq!(report.coverage.skipped, 0);
     let resumed = second.status(restored).expect("job exists");
-    assert_eq!(resumed.progress.finished + store.executed.len(), 12, "no cell ran twice");
+    // The restored job's progress counts the checkpoint's cells too; the
+    // second fabric's own runs are what shows no cell ran twice.
+    assert_eq!(resumed.progress.finished, 12);
+    assert_eq!(second_runs.load(Ordering::SeqCst) + store.executed.len(), 12, "no cell ran twice");
 
     // The stitched-together checkpoint equals one from an uninterrupted run.
     let final_xml = second.checkpoint(restored).expect("job exists").to_xml();
