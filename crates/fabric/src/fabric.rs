@@ -19,7 +19,10 @@ use lfi_store::{AckOutcome, AckRecord, Journal, Record, StoreError};
 use crate::job::{JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
 use crate::scheduler::{case_name, CellOutcome, LeaseAssignment, LeaseResult, Scheduler};
 
-/// Default number of cells per lease.
+/// Default cap on cells per lease.  Leases are sized by worker time — a
+/// job's first lease is one cell, later ones as many cells as fit a few
+/// milliseconds at the job's measured per-cell cost — and never exceed this
+/// many cells (or the job's own [`JobSpec::lease_batch`]).
 pub const DEFAULT_LEASE_BATCH: usize = 8;
 
 /// Default deadline before an unacked lease returns to its job's frontier.
@@ -202,7 +205,7 @@ impl Default for FabricBuilder {
 }
 
 impl FabricBuilder {
-    /// A builder with the defaults: two workers, batch
+    /// A builder with the defaults: two workers, lease cap
     /// [`DEFAULT_LEASE_BATCH`], deadline [`DEFAULT_LEASE_DEADLINE`].
     pub fn new() -> Self {
         Self::default()
@@ -216,8 +219,8 @@ impl FabricBuilder {
         self
     }
 
-    /// Default cells per lease for jobs that do not set their own
-    /// [`JobSpec::lease_batch`].
+    /// Default cap on cells per (time-sized) lease for jobs that do not set
+    /// their own [`JobSpec::lease_batch`].
     pub fn lease_batch(mut self, cells: usize) -> Self {
         self.lease_batch = cells.max(1);
         self
@@ -606,7 +609,8 @@ impl fmt::Debug for FabricHandle {
 }
 
 /// One worker of the fleet: pull a lease from any runnable job, run it as a
-/// single-threaded campaign, ack (or, if the workload killed us, let the
+/// single-threaded campaign, and ack it with the wall time it took, which
+/// is what the job is charged (or, if the workload killed us, let the
 /// scheduler requeue the lease).  The `catch_unwind` is the crash-safety
 /// boundary: a panicking workload takes down its lease, never the fleet.
 fn worker_loop(inner: &FabricInner) {
@@ -632,7 +636,9 @@ fn worker_loop(inner: &FabricInner) {
             }
         };
         let (job, lease) = (assignment.job, assignment.lease);
+        let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| run_lease(inner, assignment)));
+        let busy = started.elapsed();
         {
             let mut sched = lock(&inner.sched);
             match result {
@@ -641,7 +647,7 @@ fn worker_loop(inner: &FabricInner) {
                     // but only journal what the scheduler actually counted:
                     // a stale ack must not reach the journal either.
                     let ack = lock(&inner.journals).contains_key(&job.0).then(|| result_to_ack(&result));
-                    if sched.ack(job, lease, result) {
+                    if sched.ack(job, lease, result, busy) {
                         if let Some(ack) = ack {
                             journal_append(inner, &sched, job, ack);
                         }

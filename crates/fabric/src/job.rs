@@ -110,10 +110,14 @@ pub struct JobSpec {
     /// [`CompiledPlan::cells`](lfi_scenario::CompiledPlan::cells)) become
     /// the job's frontier, in process-independent sort order.
     pub plan: Plan,
-    /// Fair-share weight (≥ 1): a weight-2 job is issued twice the cells of
-    /// a weight-1 job while both have work pending.
+    /// Fair-share weight (≥ 1), a share of *worker time*: while both have
+    /// work pending, a weight-2 job gets twice the worker time of a
+    /// weight-1 job, however the two jobs' per-cell costs compare.
     pub weight: u32,
-    /// Cells per lease; `None` uses the fabric's default.
+    /// Cap on cells per lease; `None` uses the fabric's default
+    /// ([`DEFAULT_LEASE_BATCH`](crate::DEFAULT_LEASE_BATCH)).  Within the
+    /// cap, leases are sized by time: one cell first, then as many as fit a
+    /// few milliseconds at the job's measured per-cell cost.
     pub lease_batch: Option<usize>,
     /// Finish the job early (state `Done`) once a cell crashes the
     /// workload; remaining cells are counted skipped.
@@ -144,7 +148,8 @@ impl JobSpec {
         self
     }
 
-    /// Sets the cells-per-lease batch size for this job.
+    /// Caps the cells per lease for this job (leases are sized by time
+    /// within the cap).
     pub fn lease_batch(mut self, cells: usize) -> Self {
         self.lease_batch = Some(cells.max(1));
         self

@@ -9,12 +9,16 @@
 //!
 //! Three mechanisms carry the design:
 //!
-//! * **Work-stealing case leases with weighted fairness** — workers pull
-//!   batches of fault-space cells (leases) from *any* runnable job; a
-//!   deficit counter normalized by [`JobSpec::weight`] picks the next job,
-//!   so a 1000-case exhaustive sweep cannot starve a 10-case smoke job.
-//!   Each lease runs on the existing [`Campaign`](lfi_controller::Campaign)
-//!   machinery as a serial session — the fleet is the parallelism.
+//! * **Work-stealing case leases with worker-time fairness** — workers
+//!   pull batches of fault-space cells (leases) from *any* runnable job.
+//!   Each job is charged the worker time its leases take, and the job with
+//!   the least charge per unit of [`JobSpec::weight`] gets the next lease,
+//!   so a sweep of 100 ms cells cannot starve a smoke job of 10 µs ones.
+//!   Leases are sized by time too: one cell first, then as many as fit a
+//!   few milliseconds at the job's measured cost, capped by
+//!   [`JobSpec::lease_batch`].  Each lease runs on the existing
+//!   [`Campaign`](lfi_controller::Campaign) machinery as a serial session —
+//!   the fleet is the parallelism.
 //! * **Crash-safe handoff** — a lease not acked within its deadline (the
 //!   worker panicked, hung, or the process was killed) returns to the
 //!   job's frontier; late acks are discarded wholesale, so no cell is ever

@@ -134,7 +134,10 @@ pub enum Request {
     Ping,
     /// List every job (id, name, state).
     Jobs,
-    /// Submit a job.
+    /// Submit a job.  Besides `name=`, `workload=` and `plan=`, the line
+    /// carries the spec's non-default knobs: `weight=` (the job's share of
+    /// worker time), `lease-batch=` (the cap on cells per time-sized
+    /// lease), `halt-on-crash=` and `max-cases=`.
     Submit {
         /// The job to run; the plan travels as escaped XML.
         spec: JobSpec,

@@ -79,15 +79,15 @@ fn main() {
         .build();
     println!("fabric up: workloads {:?}", fabric.workload_names());
 
-    // Three tenants, submitted back to back; the deficit scheduler
-    // interleaves their leases instead of running them in order.
+    // Three tenants, submitted back to back; the scheduler shares the
+    // fleet's worker time between them instead of running them in order.
     let pidgin = fabric
         .submit(JobSpec::new("pidgin-eintr", "pidgin-login", plan_of(sweep("write", 1..=4, -1, 4))))
         .expect("pidgin-login is registered");
     let mysql = fabric
         .submit(
             JobSpec::new("mysql-enomem", "mysql-suite", plan_of(sweep("malloc", 21..=26, 0, 12)))
-                .weight(2) // the long suite gets a double share
+                .weight(2) // the long suite gets a double share of worker time
                 .halt_on_crash(),
         )
         .expect("mysql-suite is registered");

@@ -1,7 +1,7 @@
 //! Integration coverage for the campaign fabric: crash-safe lease handoff
-//! under a mid-batch worker death, weighted fairness across unequal tenants,
-//! the wire protocol over both transports, and checkpoint/restore of a
-//! half-finished job into a fresh fabric.
+//! under a mid-batch worker death, worker-time fairness across unequal
+//! tenants, the wire protocol over both transports, and checkpoint/restore
+//! of a half-finished job into a fresh fabric.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -113,9 +113,10 @@ fn held_reader(
 
 #[test]
 fn killed_worker_loses_no_cell_and_double_counts_none() {
-    // 12 cells in leases of 4; the 6th workload run (inside the second
-    // lease) kills its worker.  The lease goes unacked, its cells return to
-    // the frontier, and the job still completes.
+    // 12 cells: a one-cell probe, then leases of the cap of 4; the 6th
+    // workload run (the first of the third lease) kills its worker.  The
+    // lease goes unacked, its cells return to the frontier, and the job
+    // still completes.
     let run_to_completion = |armed: bool| {
         let fabric = Fabric::builder().workers(1).lease_batch(4).register(flaky_reader(armed, 5)).build();
         let job = fabric
@@ -194,6 +195,55 @@ fn small_tenants_are_not_starved_by_large_ones() {
     let report = fabric.report(big).expect("job exists");
     assert_eq!(report.state, JobState::Cancelled);
     assert_eq!(report.coverage.executed + report.coverage.skipped, 1000, "every cell accounted for");
+}
+
+#[test]
+fn cheap_tenant_is_served_by_worker_time_not_cell_count() {
+    // One worker.  The first tenant's cells each hold it for ~20 ms; a
+    // 32-cell tenant of microsecond cells is submitted right behind it.
+    // Charged by worker time, the cheap tenant is done after at most the
+    // expensive cell already running and the next — counted by cell, it
+    // would trail a whole lease of expensive cells per lease of its own.
+    // The expensive cells sleep rather than spin: the fabric charges the
+    // worker's wall time either way, and a sleeping cell leaves the CPU to
+    // the tests running beside this one.
+    const HOLD: Duration = Duration::from_millis(20);
+    let expensive_runs = Arc::new(AtomicUsize::new(0));
+    let expensive_at_cheap_end = Arc::new(AtomicUsize::new(usize::MAX));
+    let expensive = {
+        let expensive_runs = Arc::clone(&expensive_runs);
+        FnWorkload::new("slow-reader", reader_process, move |process: &mut Process| {
+            expensive_runs.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(HOLD);
+            read_four(process)
+        })
+    };
+    let cheap = {
+        let cheap_runs = AtomicUsize::new(0);
+        let expensive_at_cheap_end = Arc::clone(&expensive_at_cheap_end);
+        FnWorkload::new("cheap-reader", reader_process, move |process: &mut Process| {
+            if cheap_runs.fetch_add(1, Ordering::SeqCst) + 1 == 32 {
+                expensive_at_cheap_end.store(expensive_runs.load(Ordering::SeqCst), Ordering::SeqCst);
+            }
+            read_four(process)
+        })
+    };
+    let fabric = Fabric::builder().workers(1).register(expensive).register(cheap).build();
+    let slow = fabric
+        .submit(JobSpec::new("slow", "slow-reader", read_plan(8, &[5, 9])))
+        .expect("workload registered");
+    let fast = fabric
+        .submit(JobSpec::new("fast", "cheap-reader", read_plan(16, &[5, 9])))
+        .expect("workload registered");
+
+    assert_eq!(fabric.wait_job(fast, Duration::from_secs(60)), Some(JobState::Done));
+    let expensive_ran = expensive_at_cheap_end.load(Ordering::SeqCst);
+    assert!(expensive_ran <= 2, "{expensive_ran} expensive cells ran before the cheap tenant's last");
+
+    assert_eq!(fabric.cancel(slow), Some(JobState::Cancelled));
+    assert!(fabric.wait_idle(Duration::from_secs(60)));
+    let report = fabric.report(slow).expect("job exists");
+    assert_eq!(report.coverage.executed + report.coverage.skipped, 16, "every cell accounted for");
 }
 
 #[test]
@@ -316,7 +366,8 @@ fn checkpoint_restores_into_a_fresh_fabric() {
     // Run a job partially, pause it, checkpoint it, and hand the XML to a
     // second fabric — the union of both runs covers every cell exactly once.
     // The first case holds the only worker until the job is paused, so
-    // exactly its lease of 4 runs before the checkpoint.
+    // exactly the job's first lease — its one-cell probe — runs before the
+    // checkpoint.
     let spec = || JobSpec::new("resumable", "reader", read_plan(4, &[5, 9, 11])).lease_batch(4);
 
     let (held, hold) = held_reader("reader", 0);
@@ -334,7 +385,7 @@ fn checkpoint_restores_into_a_fresh_fabric() {
 
     let store = ExplorationStore::from_xml(&xml).expect("checkpoint parses");
     assert_eq!(store.executed.len() + store.frontier.len(), 12, "the checkpoint partitions the universe");
-    assert_eq!(store.executed.len(), 4, "exactly the held lease ran before the pause");
+    assert_eq!(store.executed.len(), 1, "exactly the first lease (1 cell) ran before the pause");
 
     let second_runs = Arc::new(AtomicUsize::new(0));
     let counted = {
