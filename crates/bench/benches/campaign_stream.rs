@@ -8,7 +8,7 @@
 //! * `streaming_report` — `Campaign::start(...).into_report()`, the same
 //!   path spelled out;
 //! * `streaming_drain` — `Campaign::start` with the events consumed one by
-//!   one on the session side (what an observer UI or the explorer does).
+//!   one on the session side (what a progress UI or the explorer does).
 //!
 //! The acceptance bar for the session redesign is that the streaming paths
 //! stay within a few percent of the blocking baseline: the per-case cost

@@ -11,8 +11,8 @@
 //! the dispatch corpus) through a fresh engine per iteration, so the pair
 //! isolates exactly the marginal cost of rule + machine evaluation.  The
 //! acceptance bar for the rules layer is `active <= 1.10x passive`: policy
-//! evaluation must stay in the noise next to state folding, because every
-//! campaign worker thread pays it inline on the observer hooks.
+//! evaluation must stay in the noise next to state folding, because a
+//! closed loop pays it inline on every event it reads from the stream.
 //!
 //! # Methodology
 //!
@@ -31,8 +31,8 @@ use lfi_scenario::{FaultAction, Plan, PlanEntry, Trigger};
 
 /// Campaign length: long enough that one-time engine construction (rule
 /// builders, breaker lowering, machine compilation) amortizes out and the
-/// pair compares steady-state per-event cost, which is what the observer
-/// hooks pay.
+/// pair compares steady-state per-event cost, which is what the stream
+/// consumer pays.
 const CASES: usize = 512;
 const CALLS_PER_CASE: i64 = 40;
 /// Fresh-engine replays of the recorded stream per timed iteration — each

@@ -4,11 +4,11 @@
 //! Campaigns are configured through the fluent [`Campaign`] builder: test
 //! cases (hand-made, or derived from a
 //! [`ScenarioGenerator`](lfi_scenario::generator::ScenarioGenerator)),
-//! [`CampaignObserver`] hooks, an [`ExecutionPolicy`], and a parallelism
-//! degree for running independent test cases on worker threads.  Execution
-//! is session-based: [`Campaign::start`] hands a [`Workload`] to a worker
-//! pool and returns a streaming [`CampaignRun`]; the blocking entry points
-//! ([`Campaign::run`], [`Campaign::run_per_case`],
+//! an [`ExecutionPolicy`], and a parallelism degree for running independent
+//! test cases on worker threads.  Execution is session-based:
+//! [`Campaign::start`] hands a [`Workload`] to a worker pool and returns a
+//! streaming [`CampaignRun`] — the one way to observe a running campaign;
+//! the blocking entry points ([`Campaign::run`],
 //! [`Campaign::run_workload`]) are thin collect-into-report wrappers over
 //! it.
 
@@ -23,7 +23,7 @@ use lfi_scenario::generator::ScenarioGenerator;
 use lfi_scenario::Plan;
 
 use crate::session::RunConfig;
-use crate::{CampaignRun, FnWorkload, InjectionRecord, ProgressSnapshot, TestLog, Workload};
+use crate::{CampaignRun, FnWorkload, ProgressSnapshot, TestLog, Workload};
 
 /// One fault-injection test case: a name and the scenario to apply.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,44 +148,6 @@ impl fmt::Display for CampaignReport {
     }
 }
 
-/// Hooks invoked while a campaign runs.
-///
-/// Observers may be shared across worker threads, so implementations must be
-/// `Send + Sync`; interior mutability (e.g. a mutex-guarded vector) is the
-/// expected pattern for collecting data.  For each executed test case the
-/// driver calls `on_test_start`, then `on_injection` once per injection
-/// recorded during the run (in log order, after the workload finishes), then
-/// `on_outcome`; cases skipped by a health check or a halted run fire no
-/// hooks.  With `parallelism(n)`, hooks of *different* cases interleave; the
-/// per-case ordering still holds.
-pub trait CampaignObserver: Send + Sync {
-    /// A test case is about to run.
-    fn on_test_start(&self, _case: &TestCase) {}
-
-    /// An injection was performed during `case` (reported from the injection
-    /// log once the case's workload finishes).
-    fn on_injection(&self, _case: &TestCase, _record: &InjectionRecord) {}
-
-    /// A test case finished.
-    fn on_outcome(&self, _outcome: &TestOutcome) {}
-
-    /// Asked once per executed case, on the thread that ran it, right after the
-    /// case's [`CampaignObserver::on_outcome`] hooks and *before* its
-    /// events ship to the stream consumer.  Returning `true` halts the run
-    /// exactly like a [`CancelHandle`](crate::CancelHandle) cancellation —
-    /// no further case is claimed; in-flight cases (under `parallelism(n)`)
-    /// still finish and are reported.
-    ///
-    /// Because the decision lands before the events ship, a halt at
-    /// `parallelism(1)` is deterministic: the same case always is the last
-    /// one executed, exactly like `stop_on_first_crash`.  This is the hook
-    /// closed-loop rule engines use to stop a campaign mid-flight without
-    /// racing the consumer.
-    fn should_halt(&self, _outcome: &TestOutcome) -> bool {
-        false
-    }
-}
-
 /// When a campaign stops before exhausting its test-case list.
 ///
 /// The default policy runs every case.  `max_cases` truncates the list up
@@ -233,12 +195,6 @@ impl ExecutionPolicy {
     }
 }
 
-/// A per-case workload closure: consumes the prepared process and reports
-/// how the run ended.  Boxed so case-specific state (a fresh simulated
-/// world, a request trace, …) can be captured per case — see
-/// [`Campaign::run_per_case`].
-pub type CaseWorkload = Box<dyn FnOnce(&mut Process) -> ExitStatus + Send>;
-
 /// Fluent builder for fault-injection campaigns.
 ///
 /// [`Campaign::start`] turns the builder into a streaming
@@ -279,7 +235,6 @@ pub type CaseWorkload = Box<dyn FnOnce(&mut Process) -> ExitStatus + Send>;
 #[derive(Default)]
 pub struct Campaign {
     cases: Vec<TestCase>,
-    observers: Vec<Arc<dyn CampaignObserver>>,
     policy: ExecutionPolicy,
     parallelism: usize,
     capture_calls: bool,
@@ -335,18 +290,6 @@ impl Campaign {
         self
     }
 
-    /// Attaches an observer (hooks run in registration order).
-    pub fn observer(mut self, observer: impl CampaignObserver + 'static) -> Self {
-        self.observers.push(Arc::new(observer));
-        self
-    }
-
-    /// Attaches an already-shared observer.
-    pub fn observer_arc(mut self, observer: Arc<dyn CampaignObserver>) -> Self {
-        self.observers.push(observer);
-        self
-    }
-
     /// Sets the execution policy (default: run every case).
     pub fn policy(mut self, policy: ExecutionPolicy) -> Self {
         self.policy = policy;
@@ -397,7 +340,6 @@ impl Campaign {
         CampaignRun::launch(
             RunConfig {
                 cases,
-                observers: self.observers,
                 stop_on_first_crash: self.policy.stop_on_first_crash,
                 capture_calls: self.capture_calls,
                 budget,
@@ -426,70 +368,16 @@ impl Campaign {
     {
         self.run_workload(FnWorkload::new("closure-pair", setup, workload))
     }
-
-    /// Runs the campaign with a per-case runner, for workloads that need
-    /// case-local state: the runner returns the fresh process *and* the
-    /// workload closure for that case.  A thin wrapper over
-    /// [`Campaign::start`], like [`Campaign::run`].
-    pub fn run_per_case<R>(self, runner: R) -> CampaignReport
-    where
-        R: Fn(&TestCase) -> (Process, CaseWorkload) + Send + Sync + 'static,
-    {
-        self.run_workload(PerCaseWorkload::new(runner))
-    }
 }
 
 impl fmt::Debug for Campaign {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Campaign")
             .field("cases", &self.cases.len())
-            .field("observers", &self.observers.len())
             .field("policy", &self.policy)
             .field("parallelism", &self.parallelism)
             .field("capture_calls", &self.capture_calls)
             .finish()
-    }
-}
-
-/// Adapter behind [`Campaign::run_per_case`]: each case's `setup` stashes
-/// the runner-produced closure under the executing thread's id, and `run` —
-/// which the session always calls on the same thread, immediately after
-/// setup — takes it back out.
-struct PerCaseWorkload<R> {
-    runner: R,
-    pending: parking_lot::Mutex<std::collections::HashMap<std::thread::ThreadId, CaseWorkload>>,
-}
-
-impl<R> PerCaseWorkload<R>
-where
-    R: Fn(&TestCase) -> (Process, CaseWorkload) + Send + Sync,
-{
-    fn new(runner: R) -> Self {
-        Self { runner, pending: parking_lot::Mutex::new(std::collections::HashMap::new()) }
-    }
-}
-
-impl<R> Workload for PerCaseWorkload<R>
-where
-    R: Fn(&TestCase) -> (Process, CaseWorkload) + Send + Sync,
-{
-    fn name(&self) -> &str {
-        "per-case-runner"
-    }
-
-    fn setup(&self, case: &TestCase) -> lfi_runtime::PooledProcess {
-        let (process, workload) = (self.runner)(case);
-        self.pending.lock().insert(std::thread::current().id(), workload);
-        process.into()
-    }
-
-    fn run(&self, process: &mut Process) -> ExitStatus {
-        let workload = self
-            .pending
-            .lock()
-            .remove(&std::thread::current().id())
-            .expect("setup stashes this case's workload on the executing thread");
-        workload(process)
     }
 }
 
@@ -501,7 +389,6 @@ mod tests {
     use lfi_runtime::{NativeLibrary, Signal};
     use lfi_scenario::generator::{Exhaustive, Filtered};
     use lfi_scenario::{FaultAction, PlanEntry, Trigger};
-    use std::sync::Mutex;
 
     fn libc() -> NativeLibrary {
         NativeLibrary::builder("libc.so.6")
@@ -589,47 +476,6 @@ mod tests {
         assert!(!replay.is_empty());
         let report2 = Campaign::new().case(TestCase::new("replay", replay)).run(setup, workload);
         assert_eq!(report2.outcomes[0].status, ExitStatus::Crashed(Signal::Abort));
-    }
-
-    /// Records every hook invocation with its case name.
-    #[derive(Default)]
-    struct EventLog {
-        events: Mutex<Vec<String>>,
-    }
-
-    impl CampaignObserver for Arc<EventLog> {
-        fn on_test_start(&self, case: &TestCase) {
-            self.events.lock().unwrap().push(format!("start:{}", case.name));
-        }
-
-        fn on_injection(&self, case: &TestCase, record: &InjectionRecord) {
-            self.events.lock().unwrap().push(format!("inject:{}:{}", case.name, record.function));
-        }
-
-        fn on_outcome(&self, outcome: &TestOutcome) {
-            self.events.lock().unwrap().push(format!("outcome:{}:{}", outcome.name, outcome.status));
-        }
-    }
-
-    #[test]
-    fn observers_see_start_injection_outcome_in_order() {
-        let log = Arc::new(EventLog::default());
-        let report = Campaign::new().cases(standard_cases()).observer(Arc::clone(&log)).run(setup, workload);
-        assert_eq!(report.outcomes.len(), 3);
-        let events = log.events.lock().unwrap().clone();
-        assert_eq!(
-            events,
-            vec![
-                "start:baseline",
-                "outcome:baseline:exited with status 0",
-                "start:fail-read",
-                "inject:fail-read:read",
-                "outcome:fail-read:exited with status 1",
-                "start:short-read",
-                "inject:short-read:read",
-                "outcome:short-read:killed by SIGABRT",
-            ]
-        );
     }
 
     #[test]
@@ -819,21 +665,6 @@ mod tests {
         assert_eq!(report.outcomes.len(), 2);
         assert_eq!(report.failures().count(), 1); // read() -> -1
         assert_eq!(report.crashes().count(), 1); // read() -> 4 => huge malloc
-    }
-
-    #[test]
-    fn per_case_runners_carry_case_local_state() {
-        let report = Campaign::new().cases(standard_cases()).parallelism(2).run_per_case(|case| {
-            // Case-local state: the workload closure owns the case name.
-            let name = case.name.clone();
-            let case_workload: CaseWorkload = Box::new(move |process| {
-                let _ = name; // a stand-in for a per-case world
-                workload(process)
-            });
-            (setup(), case_workload)
-        });
-        assert_eq!(report.outcomes.len(), 3);
-        assert_eq!(report.crashes().count(), 1);
     }
 
     #[test]

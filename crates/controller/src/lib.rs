@@ -15,12 +15,13 @@
 //!   (§5's start script + workload pair), with the [`FnWorkload`] closure
 //!   adapter and the [`WorkloadRegistry`] for named lookup.
 //! * [`Campaign`] — the fluent campaign builder: test cases (hand-made or
-//!   from a [`lfi_scenario::generator::ScenarioGenerator`]),
-//!   [`CampaignObserver`] hooks, an [`ExecutionPolicy`], and parallel
-//!   test-case execution over independent processes.  [`Campaign::start`]
-//!   returns a streaming [`CampaignRun`] session of [`CaseEvent`]s with a
-//!   [`CancelHandle`] and live [`RunProgress`] counters; the blocking
-//!   `run*` entry points are thin wrappers over it.
+//!   from a [`lfi_scenario::generator::ScenarioGenerator`]), an
+//!   [`ExecutionPolicy`], and parallel test-case execution over independent
+//!   processes.  [`Campaign::start`] returns a streaming [`CampaignRun`]
+//!   session of [`CaseEvent`]s with a [`CancelHandle`] and live
+//!   [`RunProgress`] counters.  That stream is the one way to observe a
+//!   campaign: closed-loop controllers consume it and cancel through the
+//!   handle.  The blocking `run*` entry points are thin wrappers over it.
 //! * [`stubsrc`] — the generated C stub text, for parity with the paper's
 //!   Figure 3 pipeline.
 #![forbid(unsafe_code)]
@@ -33,7 +34,7 @@ mod session;
 pub mod stubsrc;
 mod workload;
 
-pub use campaign::{Campaign, CampaignObserver, CampaignReport, CaseWorkload, ExecutionPolicy, TestCase, TestOutcome};
+pub use campaign::{Campaign, CampaignReport, ExecutionPolicy, TestCase, TestOutcome};
 pub use injector::{Injector, RefinementFinding, INTERCEPTOR_LIBRARY_NAME};
 pub use log::{InjectionRecord, TestLog};
 pub use session::{CampaignRun, CancelHandle, CaseEvent, ProgressSnapshot, RunProgress, SkipReason};

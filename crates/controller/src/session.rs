@@ -13,7 +13,7 @@ use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::{CampaignObserver, CampaignReport, Injector, TestCase, TestOutcome, Workload};
+use crate::{CampaignReport, Injector, TestCase, TestOutcome, Workload};
 
 /// One incremental event from a running campaign session.
 ///
@@ -31,8 +31,8 @@ pub enum CaseEvent {
     },
     /// One injection performed during the case.  Injection events are
     /// reported *after* the case's workload finishes (the log is drained
-    /// post-hoc, exactly like the [`CampaignObserver::on_injection`] hook),
-    /// in log order, immediately before the case's `Outcome` event.
+    /// post-hoc), in log order, immediately before the case's `Outcome`
+    /// event.
     Injection {
         /// Position in the scheduled case list.
         index: usize,
@@ -193,7 +193,6 @@ impl RunProgress {
 /// State shared between the session handle, its workers and cancel handles.
 struct RunShared {
     cases: Vec<TestCase>,
-    observers: Vec<Arc<dyn CampaignObserver>>,
     stop_on_first_crash: bool,
     capture_calls: bool,
     budget: Option<Arc<AtomicUsize>>,
@@ -250,7 +249,6 @@ impl RunShared {
 /// [`CampaignRun::launch`].
 pub(crate) struct RunConfig {
     pub cases: Vec<TestCase>,
-    pub observers: Vec<Arc<dyn CampaignObserver>>,
     pub stop_on_first_crash: bool,
     pub capture_calls: bool,
     pub budget: Option<Arc<AtomicUsize>>,
@@ -268,7 +266,7 @@ pub(crate) struct RunConfig {
 ///   log order, reported after the workload finishes), then exactly one
 ///   `Outcome`.
 /// * A case vetoed by [`Workload::health_check`] emits `Started` then
-///   `Skipped` (reason [`SkipReason::Unhealthy`]) — no observer hooks fire.
+///   `Skipped` (reason [`SkipReason::Unhealthy`]) and nothing else.
 /// * Cases never claimed before the run stopped emit a single `Skipped`
 ///   event each; these are delivered after every worker has drained, in
 ///   ascending case order.
@@ -302,33 +300,23 @@ pub(crate) struct RunConfig {
 /// # Control-plane contract
 ///
 /// Closed-loop controllers (the `lfi-rules` engine) feed decisions back
-/// into a running campaign.  Two attachment points exist, with different
-/// guarantees:
+/// into a running campaign through one attachment point: the consumer of
+/// this event stream.  A consumer may call [`CancelHandle::cancel`] in
+/// response to any event.  In a serial session this is deterministic:
+/// nothing runs ahead of the consumer, so a cancel issued on the k-th
+/// `Outcome` always stops the run after that case, and a rule engine fed
+/// from the stream of a fixed-seed serial rerun produces a byte-identical
+/// decision log.  Under `parallelism(n)` the workers have typically run
+/// ahead by then, and which cases were already claimed — and therefore
+/// still finish — depends on scheduling; there, consumer-side control
+/// suits coarse interventions (budget overruns, operator stops), not
+/// decision streams that must replay.
 ///
-/// * **Observer side (synchronous, deterministic).**  A
-///   [`CampaignObserver`] sees each executed case's hooks *synchronously on
-///   the thread that runs the case* and can stop the run via
-///   [`CampaignObserver::should_halt`], which is honoured before the case's
-///   events ship: the halt lands before the next case is claimed, so
-///   fixed-seed serial reruns halt after the identical case and a rule
-///   engine evaluated in these hooks produces a byte-identical decision
-///   log.
-/// * **Consumer side (event stream).**  A consumer iterating the run may
-///   call [`CancelHandle::cancel`] in response to an event.  In a serial
-///   session this is deterministic too: nothing runs ahead of the consumer,
-///   so a cancel issued after the k-th `Outcome` always stops the run at
-///   the same case.  Under `parallelism(n)` the workers have typically run
-///   ahead by then, and which cases were already claimed — and therefore
-///   still finish — depends on scheduling; there, consumer-side control
-///   suits coarse interventions (budget overruns, operator stops), not
-///   decision streams that must replay.
-///
-/// Action delivery is **at most once per event**: an observer hook fires
-/// exactly once per executed case event, a skipped case fires no hooks, and
-/// a halted run delivers no further `Started` events — so a controller
-/// keyed on the event sequence can never double-apply a decision.
-/// Cancellation (either side) composes with the ordering contract above:
-/// the final report still accounts for every scheduled case, and
+/// Action delivery is **at most once per event**: each event is yielded
+/// once, and a stopped run yields no further `Started` events — so a
+/// controller keyed on the event sequence can never double-apply a
+/// decision.  Cancellation composes with the ordering contract above: the
+/// final report still accounts for every scheduled case, and
 /// [`CampaignReport::progress`] carries the authoritative execution
 /// counters even when the consumer stopped reading before the stream
 /// drained.
@@ -365,7 +353,6 @@ impl CampaignRun {
         let shared = Arc::new(RunShared {
             states: (0..case_count).map(|_| AtomicU8::new(STATE_PENDING)).collect(),
             cases: config.cases,
-            observers: config.observers,
             stop_on_first_crash: config.stop_on_first_crash,
             capture_calls: config.capture_calls,
             budget: config.budget,
@@ -609,7 +596,7 @@ fn worker_loop(shared: &RunShared, workload: &dyn Workload, sender: &SyncSender<
 }
 
 /// Executes one claimed case end to end — setup, interceptor preload, health
-/// check, run, log snapshot, teardown, observer hooks and stop decisions —
+/// check, run, log snapshot, teardown and stop decisions —
 /// then hands the case's burst of events to `emit` and returns what `emit`
 /// returned (`false` means the consumer is gone).
 fn run_case(
@@ -630,9 +617,6 @@ fn run_case(
         shared.skipped.fetch_add(1, Ordering::AcqRel);
         return emit(vec![CaseEvent::Skipped { index, name: case.name.clone(), reason: SkipReason::Unhealthy }]);
     }
-    for observer in &shared.observers {
-        observer.on_test_start(case);
-    }
     let status = workload.run(&mut process);
     // The dropped counter must be read before the drain resets it.
     let calls_dropped = if shared.capture_calls { process.state().call_log_dropped() } else { 0 };
@@ -641,19 +625,10 @@ fn run_case(
     // Teardown runs after the log snapshot, so its library calls never
     // pollute the case's record.
     workload.teardown(&mut process);
-    for observer in &shared.observers {
-        for record in &log.injections {
-            observer.on_injection(case, record);
-        }
-    }
     let replay = log.replay_plan();
     let injections = log.injection_count();
     let outcome = TestOutcome { name: case.name.clone(), status, log, replay, calls, calls_dropped };
-    for observer in &shared.observers {
-        observer.on_outcome(&outcome);
-    }
     let crashed = outcome.status.is_crash();
-    let observer_halt = shared.observers.iter().any(|observer| observer.should_halt(&outcome));
     shared.injections.fetch_add(injections, Ordering::AcqRel);
     if crashed {
         shared.crashes.fetch_add(1, Ordering::AcqRel);
@@ -664,9 +639,6 @@ fn run_case(
     // no further case can slip in ahead of the halt (deterministic streams).
     if shared.stop_on_first_crash && crashed {
         shared.halt(REASON_CRASH);
-    }
-    if observer_halt {
-        shared.halt(REASON_CANCELLED);
     }
     if shared.budget.as_ref().is_some_and(|pool| pool.load(Ordering::Acquire) == 0) {
         shared.halt(REASON_BUDGET);

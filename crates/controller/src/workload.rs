@@ -61,7 +61,7 @@ pub trait Workload: Send + Sync {
     /// Whether the prepared process is fit to run.  Returning `false` skips
     /// the case (a `Skipped` event with
     /// [`SkipReason::Unhealthy`](crate::SkipReason::Unhealthy)) without
-    /// invoking [`Workload::run`] or any observer hook.  Prefer passive
+    /// invoking [`Workload::run`].  Prefer passive
     /// checks (e.g. symbol resolution): library *calls* made here are
     /// intercepted and would shift the case's call ordinals.
     fn health_check(&self, _process: &mut Process) -> bool {

@@ -331,10 +331,10 @@ impl Lfi {
 
     /// Profiles the named libraries, runs the generator, and returns a
     /// [`Campaign`] pre-populated with one test case per generated plan
-    /// entry — attach observers, an execution policy and a parallelism
-    /// degree, then hand a [`Workload`](lfi_controller::Workload) to
-    /// [`Campaign::start`] for a streaming session (or [`Campaign::run`]
-    /// for the blocking report).
+    /// entry — set an execution policy and a parallelism degree, then hand
+    /// a [`Workload`](lfi_controller::Workload) to [`Campaign::start`] for
+    /// a streaming session of case events (or [`Campaign::run`] for the
+    /// blocking report).
     ///
     /// # Errors
     ///
@@ -371,8 +371,8 @@ impl Lfi {
     /// [`RuleSet`] instead of the built-in crash-adjacent heuristic.  Rules
     /// evaluate live on the campaign's event stream (the control-plane
     /// contract pinned in [`lfi_rules`]); frontier-shaping decisions —
-    /// escalate, mute, re-weight — apply between batches, and `Mute` also
-    /// vetoes in-flight cases through the gated workload.  Drive it with
+    /// escalate, mute, re-weight — apply between batches, and a `Mute`,
+    /// `Pause` or `Cancel` also cancels the rest of its batch.  Drive it with
     /// [`ClosedLoop::run_workload`] or batch by batch with
     /// [`ClosedLoop::step_workload`], then read
     /// [`ClosedLoop::decision_log`] for the byte-stable audit trail.

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use lfi_controller::{
-    Campaign, CampaignObserver, CampaignReport, CaseEvent, ExecutionPolicy, FnWorkload, TestCase, TestOutcome, Workload,
+    Campaign, CampaignReport, CaseEvent, ExecutionPolicy, FnWorkload, TestCase, TestOutcome, Workload,
 };
 use lfi_intern::Symbol;
 use lfi_profile::FaultProfile;
@@ -279,9 +279,6 @@ pub struct Explorer {
     /// Frontier cells parked by [`Explorer::mute`], restored verbatim (with
     /// their priorities) by [`Explorer::unmute`].
     parked: Vec<FrontierCell>,
-    /// Observers attached to every batch campaign (probe included).  Not
-    /// persisted in the [`ExplorationStore`] — re-attach after a resume.
-    observers: Vec<Arc<dyn CampaignObserver>>,
     /// What mutated since the last [`Explorer::take_delta`].
     tracker: DeltaTracker,
 }
@@ -322,7 +319,6 @@ impl Explorer {
             escalation_enabled: true,
             muted: HashSet::new(),
             parked: Vec::new(),
-            observers: Vec::new(),
             tracker: DeltaTracker::default(),
         }
     }
@@ -366,7 +362,6 @@ impl Explorer {
             escalation_enabled: true,
             muted: HashSet::new(),
             parked: Vec::new(),
-            observers: Vec::new(),
             tracker: DeltaTracker::default(),
         }
     }
@@ -541,17 +536,6 @@ impl Explorer {
     /// refinement, so crash neighborhoods are expanded exactly once.
     pub fn escalation(mut self, enabled: bool) -> Self {
         self.escalation_enabled = enabled;
-        self
-    }
-
-    /// Attaches a [`CampaignObserver`] to every batch campaign this explorer
-    /// runs (the probe included).  Hooks fire on the campaign worker
-    /// threads, per the observer contract; at `parallelism(1)` they fire in
-    /// deterministic case order.  Observers are runtime-only state: they are
-    /// not captured by [`Explorer::store`], so re-attach after
-    /// [`Explorer::resume`].
-    pub fn attach_observer(mut self, observer: Arc<dyn CampaignObserver>) -> Self {
-        self.observers.push(observer);
         self
     }
 
@@ -770,6 +754,22 @@ impl Explorer {
     /// [`Workload`], consuming the batch campaign's event stream as it runs
     /// (mid-batch crash halts and time-budget cancellation).
     pub fn step_workload(&mut self, workload: &Arc<dyn Workload>) -> Option<CampaignReport> {
+        self.step_with(workload, |_| true)
+    }
+
+    /// [`Explorer::step_workload`] that hands every event of the batch's
+    /// campaign session — the probe's included — to `on_event` as it
+    /// streams.  Returning `false` cancels the batch: no further case
+    /// starts, a case already running finishes and its events still reach
+    /// `on_event`, and the cells whose cases never ran go back to the
+    /// frontier.  At `parallelism(1)` the cancel lands before the next case
+    /// starts, so a fixed-seed rerun stops at the same case.  This is how a
+    /// closed-loop controller watches and steers an exploration.
+    pub fn step_with(
+        &mut self,
+        workload: &Arc<dyn Workload>,
+        mut on_event: impl FnMut(&CaseEvent) -> bool,
+    ) -> Option<CampaignReport> {
         if self.finished() {
             return None;
         }
@@ -779,9 +779,9 @@ impl Explorer {
             if cells.is_empty() {
                 return None;
             }
-            self.run_batch(cells, workload, started)
+            self.run_batch(cells, workload, started, &mut on_event)
         } else {
-            self.run_probe(workload)
+            self.run_probe(workload, started, &mut on_event)
         };
         self.elapsed += started.elapsed();
         self.batch_index += 1;
@@ -812,12 +812,14 @@ impl Explorer {
     /// from the frontier wholesale; cells beyond a function's observed call
     /// depth are deprioritized (not pruned — injections can lengthen retry
     /// loops).
-    fn run_probe(&mut self, workload: &Arc<dyn Workload>) -> CampaignReport {
-        let mut campaign = Campaign::new().case(TestCase::new(PROBE_CASE_NAME, Plan::new())).capture_call_log(true);
-        for observer in &self.observers {
-            campaign = campaign.observer_arc(Arc::clone(observer));
-        }
-        let report = campaign.start_arc(Arc::clone(workload)).into_report();
+    fn run_probe(
+        &mut self,
+        workload: &Arc<dyn Workload>,
+        started: Instant,
+        on_event: &mut dyn FnMut(&CaseEvent) -> bool,
+    ) -> CampaignReport {
+        let campaign = Campaign::new().case(TestCase::new(PROBE_CASE_NAME, Plan::new())).capture_call_log(true);
+        let (report, _, _) = self.run_session(campaign, workload, started, on_event);
         if let Some(outcome) = report.outcomes.first() {
             self.cases_executed += 1;
             let mut counts: HashMap<Symbol, u64> = HashMap::new();
@@ -909,19 +911,18 @@ impl Explorer {
     /// Runs one batch of cells as a streaming campaign session and folds
     /// every outcome back into coverage, clusters, pruning and escalation.
     ///
-    /// The event stream is consumed live: with [`Explorer::halt_on_crash`]
-    /// the campaign's stop-on-first-crash policy halts scheduling inside the
-    /// batch, and a spent [`Explorer::time_budget`] cancels the session
-    /// mid-flight (in-flight cases still finish and are folded in).  For
-    /// determinism, outcomes are *folded* in case order after the stream
-    /// drains — completion order under `parallelism(n)` never leaks into the
-    /// coverage, cluster or frontier state.  Cells whose cases were skipped
-    /// return to the frontier with their original priority.
+    /// With [`Explorer::halt_on_crash`] the campaign's stop-on-first-crash
+    /// policy halts scheduling inside the batch.  For determinism, outcomes
+    /// are *folded* in case order after the stream drains — completion order
+    /// under `parallelism(n)` never leaks into the coverage, cluster or
+    /// frontier state.  Cells whose cases were skipped return to the
+    /// frontier with their original priority.
     fn run_batch(
         &mut self,
         cells: Vec<FrontierCell>,
         workload: &Arc<dyn Workload>,
         started: Instant,
+        on_event: &mut dyn FnMut(&CaseEvent) -> bool,
     ) -> CampaignReport {
         let cases: Vec<TestCase> = cells
             .iter()
@@ -931,36 +932,49 @@ impl Explorer {
         if self.config.halt_on_crash {
             policy = policy.stop_on_first_crash();
         }
-        let mut campaign = Campaign::new().cases(cases).policy(policy).parallelism(self.config.parallelism);
-        for observer in &self.observers {
-            campaign = campaign.observer_arc(Arc::clone(observer));
+        let campaign = Campaign::new().cases(cases).policy(policy).parallelism(self.config.parallelism);
+        let (report, executed, skipped) = self.run_session(campaign, workload, started, on_event);
+        // Outcomes sit in case order, which is ascending executed-index order.
+        for (index, outcome) in executed.into_iter().zip(&report.outcomes) {
+            self.consume(cells[index].cell, outcome);
         }
-        let mut run = campaign.start_arc(Arc::clone(workload));
-        let cancel = run.cancel_handle();
-        let mut outcomes: Vec<(usize, TestOutcome)> = Vec::new();
-        let mut skipped: Vec<usize> = Vec::new();
-        for event in run.by_ref() {
-            match event {
-                CaseEvent::Outcome { index, outcome } => outcomes.push((index, outcome)),
-                CaseEvent::Skipped { index, .. } => skipped.push(index),
-                _ => {}
-            }
-            if let Some(budget) = self.config.time_budget {
-                if self.elapsed + started.elapsed() >= budget {
-                    cancel.cancel();
-                }
-            }
-        }
-        let report = run.into_report();
-        outcomes.sort_by_key(|(index, _)| *index);
-        for (index, outcome) in &outcomes {
-            self.consume(cells[*index].cell, outcome);
-        }
-        skipped.sort_unstable();
         for index in skipped {
             self.restore(cells[index]);
         }
         report
+    }
+
+    /// The one session loop behind the probe and the frontier batches.  It
+    /// streams the campaign's events to `on_event` and cancels the session
+    /// when `on_event` returns `false` or [`Explorer::time_budget`] is spent
+    /// (in-flight cases still finish).  Returns the report with the indices
+    /// of the executed and the skipped cases, each ascending.
+    fn run_session(
+        &self,
+        campaign: Campaign,
+        workload: &Arc<dyn Workload>,
+        started: Instant,
+        on_event: &mut dyn FnMut(&CaseEvent) -> bool,
+    ) -> (CampaignReport, Vec<usize>, Vec<usize>) {
+        let mut run = campaign.start_arc(Arc::clone(workload));
+        let cancel = run.cancel_handle();
+        let mut executed = Vec::new();
+        let mut skipped = Vec::new();
+        for event in run.by_ref() {
+            match &event {
+                CaseEvent::Outcome { index, .. } => executed.push(*index),
+                CaseEvent::Skipped { index, .. } => skipped.push(*index),
+                _ => {}
+            }
+            let keep_going = on_event(&event);
+            let over_time = self.config.time_budget.is_some_and(|budget| self.elapsed + started.elapsed() >= budget);
+            if !keep_going || over_time {
+                cancel.cancel();
+            }
+        }
+        executed.sort_unstable();
+        skipped.sort_unstable();
+        (run.into_report(), executed, skipped)
     }
 
     /// Puts a cell a halted batch never executed back on the frontier at

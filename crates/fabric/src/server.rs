@@ -2,7 +2,7 @@
 //! in-process duplex transport, a `std::net::TcpListener` front end, and
 //! the [`FabricClient`] that speaks both.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -165,17 +165,43 @@ impl FabricHandle {
     }
 }
 
+/// The longest request line a TCP peer may send, newline excluded.  A peer
+/// that goes over it gets an `error` response and the connection closes,
+/// so no connection makes the server buffer without bound.  The largest
+/// request the repository sends — an exhaustive libc `submit` with its plan
+/// escaped — is well under a tenth of this.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// One TCP connection: newline-delimited requests answered in order.
 fn serve_connection(handle: &FabricHandle, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let mut writer = write_half;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let Ok(mut writer) = stream.try_clone() else { return };
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match reader.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        }
+        if line.len() > MAX_LINE_BYTES {
+            let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            let _ = writeln!(writer, "{}", Response::Error { message }.encode());
+            // Close gracefully: send FIN after the response, then discard a
+            // bounded tail for a moment, because closing a socket with
+            // unread input resets it and may cost the peer the response.
+            let _ = writer.shutdown(std::net::Shutdown::Write);
+            let _ = writer.set_read_timeout(Some(Duration::from_millis(200)));
+            let _ = std::io::copy(&mut reader.take(MAX_LINE_BYTES as u64), &mut std::io::sink());
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&line) else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let response = handle.handle_line(&line);
+        let response = handle.handle_line(line);
         if writer.write_all(response.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
             break;
         }

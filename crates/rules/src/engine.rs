@@ -54,7 +54,8 @@ pub enum Action {
     /// Shift the priority of the symbol's pending frontier cells by the
     /// given delta.
     Reweight(i32),
-    /// Pause the campaign (fabric jobs park; observer-driven runs halt).
+    /// Pause the campaign (fabric jobs park; a [`ClosedLoop`](crate::ClosedLoop)
+    /// cancels the rest of its batch and runs no further batch).
     Pause,
     /// Cancel the campaign via its `CancelHandle`/job control.
     Cancel,
@@ -380,9 +381,10 @@ impl RuleEngine {
 
     /// Folds one [`CaseEvent`], returning the decisions it triggered.
     ///
-    /// Observer-fed streams never contain `Skipped` events (skipped cases
-    /// fire no observer hooks); stream-fed engines fold them as pure
-    /// bookkeeping.
+    /// A `Skipped` event folds as pure bookkeeping.  A driver whose skipped
+    /// cases are not part of the campaign's record (a
+    /// [`ClosedLoop`](crate::ClosedLoop) returns their cells to the
+    /// frontier) simply does not pass them in.
     pub fn observe(&mut self, event: &CaseEvent) -> &[Decision] {
         match event {
             CaseEvent::Started { index, name } => self.case_started(*index, name),

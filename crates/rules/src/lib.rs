@@ -33,11 +33,13 @@
 //! * [`MetricsSink`] — structured counter/gauge/histogram points with
 //!   labels, exported as NDJSON for the `BENCH_*.json` tooling.
 //!
-//! Drivers connect the engine to the two event sources: [`RulesHarness`] +
-//! [`ClosedLoop`] attach to [`Explorer`](lfi_explore::Explorer) batch
-//! campaigns through [`CampaignObserver`](lfi_controller::CampaignObserver)
-//! hooks, and [`JobMonitor`] polls a fabric job's `events`/`status` wire
-//! verbs through [`JobControl`].
+//! Drivers connect the engine to the two event sources, and both read a
+//! stream: [`ClosedLoop`] folds each [`Explorer`](lfi_explore::Explorer)
+//! batch's `CaseEvent`s as they arrive (through
+//! [`Explorer::step_with`](lfi_explore::Explorer::step_with)) and cancels
+//! the batch when a decision needs it, and [`JobMonitor`] polls a fabric
+//! job's `events`/`status` wire verbs through [`JobControl`].  Each owns
+//! its [`RuleEngine`] by value.
 //!
 //! # Determinism contract (pinned)
 //!
@@ -64,7 +66,7 @@ pub mod metrics;
 pub mod state;
 
 pub use condition::{Cmp, Condition, EvalContext, MachineContext, Metric};
-pub use driver::{ClosedLoop, GatedWorkload, RulesHarness};
+pub use driver::ClosedLoop;
 pub use engine::{Action, Decision, Rule, RuleEngine, RuleScope, RuleSet};
 pub use fabric::{JobControl, JobMonitor};
 pub use machine::{CircuitBreaker, StateMachine, Transition, BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN};

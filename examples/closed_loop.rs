@@ -101,14 +101,15 @@ fn main() {
         );
     }
 
-    let harness = closed.harness();
     println!("\n== decision log (byte-identical across fixed-seed reruns) ==");
     print!("{}", closed.decision_log());
-    let muted: Vec<&str> = harness.with_engine(|engine| engine.muted().collect());
+    closed.engine_mut().export_vitals();
+    let engine = closed.engine();
+    let muted: Vec<&str> = engine.muted().collect();
     println!("\nmuted symbols: {muted:?}");
 
     println!("\n== metrics (NDJSON) ==");
-    for line in harness.metrics().to_ndjson().lines() {
+    for line in engine.sink().to_ndjson().lines() {
         if line.contains("rules/") || line.contains("breaker/") || line.contains("campaign/crashes") {
             println!("{line}");
         }
@@ -121,6 +122,6 @@ fn main() {
     let log = closed.decision_log();
     assert!(log.contains("machine/circuit-breaker:Closed->Open"), "breaker tripped:\n{log}");
     assert!(log.contains("rule/escalate-on-crash"), "escalation fired:\n{log}");
-    assert!(harness.is_muted("malloc") || harness.halted(), "malloc benched or campaign stopped");
-    assert!(harness.decision_count() > 0);
+    assert!(engine.is_muted("malloc") || engine.halted(), "malloc benched or campaign stopped");
+    assert!(!engine.decisions().is_empty());
 }

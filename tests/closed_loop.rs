@@ -3,16 +3,20 @@
 //! heuristic switched off, and the pinned control-plane contract holds —
 //! fixed-seed serial runs produce byte-identical decision logs, a tripped
 //! circuit breaker provably suppresses further injections for its symbol,
-//! and rule-driven escalation finds the seeded libc crash within the
-//! built-in heuristic's case budget.
+//! a mute that lands mid-batch cancels the rest of its batch, and
+//! rule-driven escalation finds the seeded libc crash within the built-in
+//! heuristic's case budget.
+
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 use lfi::asm::{FaultSpec, FunctionSpec, LibraryCompiler, LibrarySpec};
-use lfi::controller::FnWorkload;
+use lfi::controller::{FnWorkload, TestCase, Workload};
 use lfi::corpus::{build_kernel, build_libc_scaled};
 use lfi::isa::Platform;
 use lfi::profiler::ProfilerOptions;
 use lfi::rules::{Action, CircuitBreaker, ClosedLoop, Condition, Metric, Rule, RuleSet};
-use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
+use lfi::runtime::{ExitStatus, NativeLibrary, PooledProcess, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
 use lfi::Lfi;
 
@@ -89,16 +93,109 @@ fn drive(lfi: &Lfi) -> (ClosedLoop, lfi::explore::ExplorationReport) {
     (closed, report)
 }
 
+/// `libcrashy.so`: `flaky` crashes under every injected fault — two
+/// distinct crash clusters (SIGSEGV and SIGABRT) — while `steady` fails
+/// cleanly.
+fn lfi_over_crashy() -> Lfi {
+    let mut lfi = Lfi::with_options(ProfilerOptions::with_heuristics());
+    lfi.add_library(
+        LibraryCompiler::new()
+            .compile(
+                &LibrarySpec::new("libcrashy.so", Platform::LinuxX86)
+                    .function(FunctionSpec::scalar("steady", 1).success(0).fault(FaultSpec::returning(-1)))
+                    .function(
+                        FunctionSpec::scalar("flaky", 1)
+                            .success(0)
+                            .fault(FaultSpec::returning(-2))
+                            .fault(FaultSpec::returning(-3))
+                            .fault(FaultSpec::returning(-4))
+                            .fault(FaultSpec::returning(-5)),
+                    ),
+            )
+            .object,
+    );
+    lfi
+}
+
+/// The signal a `flaky` fault with return value `retval` crashes with.
+fn flaky_signal(retval: i64) -> Option<Signal> {
+    match retval {
+        -2 | -4 => Some(Signal::Segv),
+        -3 | -5 => Some(Signal::Abort),
+        _ => None,
+    }
+}
+
+/// The application over `libcrashy.so`.
+fn crashy_app() -> Arc<dyn Workload> {
+    let runtime = NativeLibrary::builder("libcrashy.so")
+        .function("steady", |_| 0)
+        .function("flaky", |_| 0)
+        .build();
+    FnWorkload::shared(
+        "crashy-app",
+        move || {
+            let mut process = Process::new();
+            process.load(runtime.clone());
+            process
+        },
+        |process: &mut Process| {
+            let _ = process.call("steady", &[1]);
+            // Four calls so every fault ordinal the generator planned fires.
+            for _ in 0..4 {
+                let result = process.call("flaky", &[1]).unwrap_or(0);
+                if let Some(signal) = flaky_signal(result) {
+                    return ExitStatus::Crashed(signal);
+                }
+                if result < 0 {
+                    return ExitStatus::Exited(1);
+                }
+            }
+            ExitStatus::Exited(0)
+        },
+    )
+}
+
+/// One fixed-seed breaker-driven exploration over `libcrashy.so`, whose
+/// mute lands mid-batch.
+fn drive_breaker(app: &Arc<dyn Workload>) -> (ClosedLoop, lfi::explore::ExplorationReport) {
+    let set = RuleSet::new().machine(CircuitBreaker::tripping_after(2).cooldown(1000));
+    let mut closed = lfi_over_crashy()
+        .rules(&Exhaustive, &["libcrashy.so"], set)
+        .unwrap()
+        .configure(|e| e.seed(7).batch_size(8).parallelism(1));
+    let report = closed.run_workload(app);
+    (closed, report)
+}
+
+/// The decision log and the NDJSON metrics (vitals refreshed first).
+fn logs(closed: &mut ClosedLoop) -> (String, String) {
+    closed.engine_mut().export_vitals();
+    (closed.decision_log(), closed.engine().sink().to_ndjson())
+}
+
 #[test]
 fn decision_log_is_byte_identical_across_fixed_seed_reruns() {
     let lfi = lfi_over_libc();
-    let (first_loop, _) = drive(&lfi);
-    let (second_loop, _) = drive(&lfi);
-    let first = first_loop.decision_log();
+    let (mut first_loop, _) = drive(&lfi);
+    let (mut second_loop, _) = drive(&lfi);
+    let (first, first_metrics) = logs(&mut first_loop);
+    let (second, second_metrics) = logs(&mut second_loop);
     assert!(!first.is_empty(), "the seeded crash fires the escalation rule");
-    assert_eq!(first, second_loop.decision_log(), "pinned contract: byte-identical logs");
+    assert_eq!(first, second, "pinned contract: byte-identical logs");
     // The metrics sink is as reproducible as the log.
-    assert_eq!(first_loop.harness().metrics().to_ndjson(), second_loop.harness().metrics().to_ndjson());
+    assert_eq!(first_metrics, second_metrics);
+
+    // The same holds on the circuit-breaker fixture, whose mute lands
+    // mid-batch and cancels the rest of it.
+    let app = crashy_app();
+    let (mut first_loop, _) = drive_breaker(&app);
+    let (mut second_loop, _) = drive_breaker(&app);
+    let (first, first_metrics) = logs(&mut first_loop);
+    let (second, second_metrics) = logs(&mut second_loop);
+    assert!(first.contains("action=mute"), "log:\n{first}");
+    assert_eq!(first, second, "pinned contract: byte-identical logs");
+    assert_eq!(first_metrics, second_metrics);
 }
 
 #[test]
@@ -136,77 +233,99 @@ fn rule_driven_escalation_stays_within_the_builtin_heuristic_budget() {
 
 #[test]
 fn tripped_breaker_suppresses_further_injections_for_the_symbol() {
-    // `flaky` crashes under every injected fault — two distinct crash
-    // clusters (SIGSEGV and SIGABRT) — while `steady` fails cleanly.
-    let mut lfi = Lfi::with_options(ProfilerOptions::with_heuristics());
-    lfi.add_library(
-        LibraryCompiler::new()
-            .compile(
-                &LibrarySpec::new("libcrashy.so", Platform::LinuxX86)
-                    .function(FunctionSpec::scalar("steady", 1).success(0).fault(FaultSpec::returning(-1)))
-                    .function(
-                        FunctionSpec::scalar("flaky", 1)
-                            .success(0)
-                            .fault(FaultSpec::returning(-2))
-                            .fault(FaultSpec::returning(-3))
-                            .fault(FaultSpec::returning(-4))
-                            .fault(FaultSpec::returning(-5)),
-                    ),
-            )
-            .object,
-    );
-    let runtime = NativeLibrary::builder("libcrashy.so")
-        .function("steady", |_| 0)
-        .function("flaky", |_| 0)
-        .build();
-    let app = FnWorkload::shared(
-        "crashy-app",
-        move || {
-            let mut process = Process::new();
-            process.load(runtime.clone());
-            process
-        },
-        |process: &mut Process| {
-            let _ = process.call("steady", &[1]);
-            // Four calls so every fault ordinal the generator planned fires.
-            for _ in 0..4 {
-                match process.call("flaky", &[1]) {
-                    Ok(-2) | Ok(-4) => return ExitStatus::Crashed(Signal::Segv),
-                    Ok(-3) | Ok(-5) => return ExitStatus::Crashed(Signal::Abort),
-                    Ok(n) if n < 0 => return ExitStatus::Exited(1),
-                    _ => {}
-                }
-            }
-            ExitStatus::Exited(0)
-        },
-    );
-
-    let set = RuleSet::new().machine(CircuitBreaker::tripping_after(2).cooldown(1000));
-    let mut closed = lfi
-        .rules(&Exhaustive, &["libcrashy.so"], set)
-        .unwrap()
-        .configure(|e| e.seed(7).batch_size(8));
-    let report = closed.run_workload(&app);
+    let (closed, report) = drive_breaker(&crashy_app());
 
     // The breaker tripped on the second distinct cluster and muted `flaky`.
     let log = closed.decision_log();
     assert!(log.contains("machine/circuit-breaker:Closed->Open"), "log:\n{log}");
     assert!(log.contains("sym=flaky") && log.contains("action=mute"), "log:\n{log}");
-    let harness = closed.harness();
-    assert!(harness.is_muted("flaky"));
-    assert!(!harness.is_muted("steady"));
+    let engine = closed.engine();
+    assert!(engine.is_muted("flaky"));
+    assert!(!engine.is_muted("steady"));
 
     // Suppression is provable: of `flaky`'s four fault cells, at most three
     // ran before the trip (both clusters appear within any three of them),
     // and the rest were parked, not executed.  `steady` was untouched.
-    let (flaky_injections, steady_injections) = harness.with_engine(|engine| {
-        let flaky = engine.state().symbol_named("flaky").map(|s| s.injections).unwrap_or(0);
-        let steady = engine.state().symbol_named("steady").map(|s| s.injections).unwrap_or(0);
-        (flaky, steady)
-    });
+    let flaky_injections = engine.state().symbol_named("flaky").map(|s| s.injections).unwrap_or(0);
+    let steady_injections = engine.state().symbol_named("steady").map(|s| s.injections).unwrap_or(0);
     assert!((2..=3).contains(&flaky_injections), "{flaky_injections} flaky injections");
     assert_eq!(steady_injections, 1, "the healthy symbol keeps running");
     assert!(closed.explorer().parked_len() >= 1, "unexecuted flaky cells are parked");
     assert!(report.cases_executed >= 4, "probe + steady + the pre-trip flaky cases");
     assert!(closed.explorer().is_muted(lfi::intern::Symbol::intern("flaky")));
+}
+
+/// Records the name of every case the wrapped workload sets up, in order.
+struct StartLog {
+    inner: Arc<dyn Workload>,
+    started: Mutex<Vec<String>>,
+}
+
+impl Workload for StartLog {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn setup(&self, case: &TestCase) -> PooledProcess {
+        self.started.lock().unwrap().push(case.name.clone());
+        self.inner.setup(case)
+    }
+
+    fn run(&self, process: &mut Process) -> ExitStatus {
+        self.inner.run(process)
+    }
+}
+
+/// The batch number of an explorer case name (`b003-…` → 3; the probe is 0).
+fn batch_of(case: &str) -> usize {
+    case.strip_prefix('b')
+        .and_then(|rest| rest.get(..3))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(0)
+}
+
+/// The return value an explorer case name injects (`…-r-3-e-` → -3).
+fn retval_of(case: &str) -> i64 {
+    let tail = &case[case.find("-r").expect("retval field") + 2..];
+    tail[..tail.find("-e").expect("errno field")].parse().expect("numeric retval")
+}
+
+#[test]
+fn a_mute_landing_mid_batch_cancels_the_rest_of_the_batch() {
+    let log = Arc::new(StartLog { inner: crashy_app(), started: Mutex::new(Vec::new()) });
+    let app: Arc<dyn Workload> = Arc::clone(&log) as _;
+    let (closed, exploration) = drive_breaker(&app);
+    assert!(closed.engine().is_muted("flaky"));
+    let started = log.started.lock().unwrap().clone();
+
+    // The deciding case is the `flaky` case that brings the second distinct
+    // crash signal; its outcome is the event the breaker trips on.
+    let mut signals = HashSet::new();
+    let deciding = started
+        .iter()
+        .position(|case| {
+            case.contains("-flaky-") && signals.insert(flaky_signal(retval_of(case))) && signals.len() == 2
+        })
+        .expect("the breaker's second crash cluster");
+    assert!(
+        started[deciding + 1..].iter().all(|case| !case.contains("-flaky-")),
+        "no case injecting the muted function starts after the deciding event: {started:?}"
+    );
+
+    // The batch stops right after the deciding case ...
+    let batch = batch_of(&started[deciding]);
+    assert!(started[deciding + 1..].iter().all(|case| batch_of(case) > batch), "{started:?}");
+    let report = &exploration.batches[batch];
+    assert!(report.cases_skipped > 0, "the mute landed mid-batch");
+    assert_eq!(report.outcomes.last().map(|o| o.name.as_str()), Some(started[deciding].as_str()));
+
+    // ... and its unexecuted `steady` cell went back to the frontier and
+    // ran, once, in a later batch, while `flaky`'s unexecuted cells stay
+    // parked.
+    let steady: Vec<&String> = started.iter().filter(|case| case.contains("-steady-")).collect();
+    assert_eq!(steady.len(), 1, "{started:?}");
+    assert!(batch_of(steady[0]) > batch, "{started:?}");
+    let flaky_runs = started.iter().filter(|case| case.contains("-flaky-")).count();
+    assert_eq!(closed.explorer().parked_len(), 4 - flaky_runs);
+    assert_eq!(closed.explorer().frontier_len(), 0);
 }

@@ -1,18 +1,24 @@
 //! Integration coverage for the campaign fabric: crash-safe lease handoff
 //! under a mid-batch worker death, worker-time fairness across unequal
-//! tenants, the wire protocol over both transports, and checkpoint/restore
-//! of a half-finished job into a fresh fabric.
+//! tenants, the wire protocol over both transports, the bound on wire
+//! lines, and checkpoint/restore of a half-finished job into a fresh fabric.
 
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use lfi::controller::FnWorkload;
+use lfi::corpus::{build_kernel, build_libc_scaled};
 use lfi::explore::ExplorationStore;
-use lfi::fabric::{Fabric, JobEventKind, JobSpec, JobState};
+use lfi::fabric::{Fabric, FabricClient, JobEventKind, JobSpec, JobState, Request, Response, MAX_LINE_BYTES};
+use lfi::isa::Platform;
+use lfi::profiler::ProfilerOptions;
 use lfi::runtime::{ExitStatus, NativeLibrary, Process};
+use lfi::scenario::generator::Exhaustive;
 use lfi::scenario::{FaultAction, Plan, PlanEntry, Trigger};
+use lfi::Lfi;
 
 fn reader_process() -> Process {
     let mut process = Process::new();
@@ -289,6 +295,49 @@ fn wire_protocol_round_trips_over_duplex_and_tcp() {
     guard.stop();
     let reports = fabric.drain();
     assert_eq!(reports.len(), 2);
+}
+
+#[test]
+fn oversize_wire_lines_get_an_error_and_the_server_keeps_serving() {
+    // The largest request the repository sends — an exhaustive libc-120
+    // submit, plan escaped — fits the bound with room to spare.
+    let mut lfi = Lfi::with_options(ProfilerOptions::with_heuristics());
+    lfi.add_library(build_libc_scaled(Platform::LinuxX86, 120).compiled.object);
+    lfi.set_kernel(build_kernel(Platform::LinuxX86));
+    let plan = lfi.scenario(&Exhaustive, &["libc.so.6"]).expect("libc profiles");
+    let spec = JobSpec::new("libc-120-exhaustive", "reader", plan);
+    let submit = Request::Submit { spec: spec.clone() }.encode();
+    assert!(submit.len() * 4 <= MAX_LINE_BYTES, "a {}-byte submit line", submit.len());
+
+    let fabric = Fabric::builder()
+        .workers(0)
+        .register(FnWorkload::new("reader", reader_process, read_four))
+        .build();
+    let guard = fabric
+        .serve_tcp(std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port"))
+        .expect("server");
+
+    // One byte over the bound: an `error` response, then the server closes.
+    let mut peer = std::net::TcpStream::connect(guard.addr()).expect("connect");
+    let mut oversize = vec![b'x'; MAX_LINE_BYTES + 1];
+    oversize.push(b'\n');
+    peer.write_all(&oversize).expect("send the oversize line");
+    let mut reader = BufReader::new(peer);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("a response line");
+    match Response::parse(reply.trim_end()) {
+        Ok(Response::Error { message }) => assert!(message.contains("exceeds"), "{message}"),
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    assert_eq!(reader.read(&mut [0u8; 16]).expect("orderly close"), 0, "the server closed the connection");
+
+    // Other connections are still served, the big submit included.
+    let mut client = FabricClient::tcp(guard.addr()).expect("connect again");
+    client.ping().expect("pong after the oversize peer");
+    let job = client.submit(spec).expect("the exhaustive submit fits");
+    assert_eq!(client.status(job).expect("status").progress.finished, 0);
+    guard.stop();
+    drop(client);
 }
 
 #[test]
