@@ -2,9 +2,9 @@
 //!
 //! * `inline_loop`    — the pre-session baseline: a hand-rolled serial loop
 //!   (setup + interceptor + workload per case) with no threads, channel or
-//!   events — what the old blocking `Campaign::run` compiled down to;
-//! * `blocking_run`   — `Campaign::run`, now a thin wrapper that collects
-//!   the event stream into a report;
+//!   events — what the old blocking campaign driver compiled down to;
+//! * `blocking_run`   — `Campaign::run_workload`, a thin wrapper that
+//!   collects the event stream into a report;
 //! * `streaming_report` — `Campaign::start(...).into_report()`, the same
 //!   path spelled out;
 //! * `streaming_drain` — `Campaign::start` with the events consumed one by
@@ -86,9 +86,8 @@ fn bench_campaign_stream(c: &mut Criterion) {
 
     group.bench_function("inline_loop_arena", |b| {
         // The same serial loop with per-case setup drawn from a process
-        // arena: the pooled process is restored (not rebuilt) between cases,
-        // and the plan's single deterministic entry compiles to the
-        // specialized stub — the post-PR per-case floor.
+        // arena: the pooled process is restored (not rebuilt) between
+        // cases — the per-case floor.
         let arena = ProcessArena::new(setup);
         arena.prewarm(1);
         b.iter(|| {
@@ -110,7 +109,10 @@ fn bench_campaign_stream(c: &mut Criterion) {
 
     group.bench_function("blocking_run", |b| {
         b.iter(|| {
-            let report = Campaign::new().cases(cases()).run(setup, workload);
+            let report =
+                Campaign::new()
+                    .cases(cases())
+                    .run_workload(FnWorkload::new("dispatch-corpus", setup, workload));
             assert_eq!(report.outcomes.len(), CASES);
             black_box(report.total_injections())
         })

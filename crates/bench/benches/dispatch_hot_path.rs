@@ -40,18 +40,6 @@ fn passthrough_plan() -> Plan {
     })
 }
 
-fn general_passthrough_plan() -> Plan {
-    // A second never-firing entry on the same function defeats stub
-    // specialization, so this plan measures the pre-specialization general
-    // stub (per-call entry walk) on identical traffic to `passthrough`,
-    // which now compiles to the deterministic baked-in stub.
-    passthrough_plan().entry(PlanEntry {
-        function: "read".into(),
-        trigger: Trigger::on_call(u64::MAX - 1),
-        action: FaultAction::return_value(-2),
-    })
-}
-
 fn triggered_plan() -> Plan {
     // Probability 1.0: the fault (retval + errno) is applied on every call,
     // exercising the full decide-and-apply path including the log append.
@@ -94,11 +82,6 @@ fn bench_dispatch_hot_path(c: &mut Criterion) {
         b.iter(|| run_calls(&mut process))
     });
 
-    group.bench_function("passthrough_general", |b| {
-        let (mut process, _injector) = intercepted_process(general_passthrough_plan());
-        b.iter(|| run_calls(&mut process))
-    });
-
     group.bench_function("triggered", |b| {
         let (mut process, injector) = intercepted_process(triggered_plan());
         b.iter(|| {
@@ -129,10 +112,9 @@ fn bench_dispatch_hot_path(c: &mut Criterion) {
 
     let mut process = Process::new();
     process.load(libc());
-    per_call_summary("uninstrumented      ", &mut process);
-    per_call_summary("passthrough (spec)  ", &mut intercepted_process(passthrough_plan()).0);
-    per_call_summary("passthrough (general)", &mut intercepted_process(general_passthrough_plan()).0);
-    per_call_summary("triggered           ", &mut intercepted_process(triggered_plan()).0);
+    per_call_summary("uninstrumented", &mut process);
+    per_call_summary("passthrough   ", &mut intercepted_process(passthrough_plan()).0);
+    per_call_summary("triggered     ", &mut intercepted_process(triggered_plan()).0);
 }
 
 criterion_group!(benches, bench_dispatch_hot_path);

@@ -13,6 +13,7 @@
 //! within a quarter of the exhaustive campaign's cases.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use lfi_controller::FnWorkload;
 use lfi_core::Lfi;
 use lfi_corpus::{build_kernel, build_libc_scaled};
 use lfi_isa::Platform;
@@ -70,7 +71,7 @@ fn explore_to_crash(lfi: &Lfi) -> u64 {
         .seed(2009)
         .batch_size(12)
         .halt_on_crash(true);
-    explorer.run(setup, workload);
+    explorer.run_workload(&FnWorkload::shared("log-writer", setup, workload));
     assert!(explorer.crash_found());
     explorer.cases_executed()
 }
@@ -92,7 +93,7 @@ fn bench_explorer_convergence(c: &mut Criterion) {
             let campaign = lfi.campaign(&Exhaustive, &["libc.so.6"]).unwrap();
             let report = campaign
                 .policy(lfi_controller::ExecutionPolicy::run_all().stop_on_first_crash())
-                .run(setup, workload);
+                .run_workload(FnWorkload::new("log-writer", setup, workload));
             assert!(report.crashes().count() > 0, "the exhaustive sweep finds the crash too");
             black_box(report.outcomes.len())
         })
@@ -100,8 +101,9 @@ fn bench_explorer_convergence(c: &mut Criterion) {
 
     // A mid-run store (two batches in) for the serialization tax.
     let mut killed = lfi.explore(&Exhaustive, &["libc.so.6"]).unwrap().seed(2009).batch_size(12);
+    let writer = FnWorkload::shared("log-writer", setup, workload);
     for _ in 0..2 {
-        killed.step(setup, workload).unwrap();
+        killed.step_workload(&writer).unwrap();
     }
     let store = killed.store();
     group.bench_function("store-roundtrip", |b| {

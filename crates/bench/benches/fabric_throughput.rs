@@ -5,8 +5,8 @@
 //!   fabric with four workers; the worker-time scheduler interleaves their
 //!   leases over the shared fleet;
 //! * `back_to_back`      — the same 48 cells as three sequential
-//!   `Campaign::run` calls at parallelism 4, i.e. what three tenants would
-//!   pay queuing for the machine one after another;
+//!   `Campaign::run_workload` calls at parallelism 4, i.e. what three
+//!   tenants would pay queuing for the machine one after another;
 //! * `skewed_small_job`  — one worker; a tenant of 5 ms cells is submitted
 //!   ahead of a tenant of 32 cheap cells; time from submission until the
 //!   cheap tenant is `Done`;
@@ -133,7 +133,10 @@ fn bench_fabric_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut executed = 0usize;
             for _ in 0..JOBS {
-                let report = Campaign::new().cases(job_cases()).parallelism(WORKERS).run(setup, workload);
+                let report = Campaign::new()
+                    .cases(job_cases())
+                    .parallelism(WORKERS)
+                    .run_workload(FnWorkload::new("reader", setup, workload));
                 executed += report.outcomes.len();
             }
             assert_eq!(executed, JOBS * CELLS_PER_JOB as usize);

@@ -8,9 +8,8 @@
 //! test cases on worker threads.  Execution is session-based:
 //! [`Campaign::start`] hands a [`Workload`] to a worker pool and returns a
 //! streaming [`CampaignRun`] — the one way to observe a running campaign;
-//! the blocking entry points ([`Campaign::run`],
-//! [`Campaign::run_workload`]) are thin collect-into-report wrappers over
-//! it.
+//! the blocking [`Campaign::run_workload`] is a thin collect-into-report
+//! wrapper over it.
 
 use std::fmt;
 use std::sync::atomic::AtomicUsize;
@@ -18,12 +17,12 @@ use std::sync::Arc;
 
 use lfi_intern::Symbol;
 use lfi_profile::FaultProfile;
-use lfi_runtime::{ExitStatus, Process};
+use lfi_runtime::ExitStatus;
 use lfi_scenario::generator::ScenarioGenerator;
 use lfi_scenario::Plan;
 
 use crate::session::RunConfig;
-use crate::{CampaignRun, FnWorkload, ProgressSnapshot, TestLog, Workload};
+use crate::{CampaignRun, ProgressSnapshot, TestLog, Workload};
 
 /// One fault-injection test case: a name and the scenario to apply.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,10 +197,11 @@ impl ExecutionPolicy {
 /// Fluent builder for fault-injection campaigns.
 ///
 /// [`Campaign::start`] turns the builder into a streaming
-/// [`CampaignRun`] session; [`Campaign::run`] is the blocking shorthand:
+/// [`CampaignRun`] session; [`Campaign::run_workload`] is the blocking
+/// shorthand:
 ///
 /// ```
-/// use lfi_controller::{Campaign, ExecutionPolicy, TestCase};
+/// use lfi_controller::{Campaign, ExecutionPolicy, FnWorkload, TestCase};
 /// use lfi_runtime::{ExitStatus, NativeLibrary, Process};
 /// use lfi_scenario::{FaultAction, Plan, PlanEntry, Trigger};
 ///
@@ -218,7 +218,8 @@ impl ExecutionPolicy {
 ///     .case(case)
 ///     .policy(ExecutionPolicy::run_all())
 ///     .parallelism(2)
-///     .run(
+///     .run_workload(FnWorkload::new(
+///         "echo",
 ///         || {
 ///             let mut process = Process::new();
 ///             process.load(NativeLibrary::builder("libc.so.6").function("read", |ctx| ctx.arg(2)).build());
@@ -228,7 +229,7 @@ impl ExecutionPolicy {
 ///             Ok(n) if n >= 0 => ExitStatus::Exited(0),
 ///             _ => ExitStatus::Exited(1),
 ///         },
-///     );
+///     ));
 /// assert_eq!(report.outcomes.len(), 2);
 /// assert_eq!(report.failures().count(), 1);
 /// ```
@@ -297,7 +298,7 @@ impl Campaign {
     }
 
     /// Runs up to `workers` test cases concurrently, each on its own
-    /// [`Process`] (0 and 1 both mean serial).  Outcomes are reported in
+    /// [`Process`](lfi_runtime::Process) (0 and 1 both mean serial).  Outcomes are reported in
     /// test-case order regardless of completion order.
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers;
@@ -355,19 +356,6 @@ impl Campaign {
     pub fn run_workload(self, workload: impl Workload + 'static) -> CampaignReport {
         self.start(workload).into_report()
     }
-
-    /// Runs the campaign with a shared setup/workload closure pair: `setup`
-    /// builds a fresh process per case (the developer-provided start script
-    /// of §5), `workload` exercises it.  A thin wrapper that adapts the pair
-    /// through [`FnWorkload`] and collects [`Campaign::start`]'s stream into
-    /// a report.
-    pub fn run<S, W>(self, setup: S, workload: W) -> CampaignReport
-    where
-        S: Fn() -> Process + Send + Sync + 'static,
-        W: Fn(&mut Process) -> ExitStatus + Send + Sync + 'static,
-    {
-        self.run_workload(FnWorkload::new("closure-pair", setup, workload))
-    }
 }
 
 impl fmt::Debug for Campaign {
@@ -384,9 +372,9 @@ impl fmt::Debug for Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CaseEvent, SkipReason};
+    use crate::{CaseEvent, FnWorkload, SkipReason};
     use lfi_profile::{ErrorReturn, FunctionProfile};
-    use lfi_runtime::{NativeLibrary, Signal};
+    use lfi_runtime::{NativeLibrary, Process, Signal};
     use lfi_scenario::generator::{Exhaustive, Filtered};
     use lfi_scenario::{FaultAction, PlanEntry, Trigger};
 
@@ -401,6 +389,10 @@ mod tests {
         let mut process = Process::new();
         process.load(libc());
         process
+    }
+
+    fn toy() -> impl Workload {
+        FnWorkload::new("toy-reader", setup, workload)
     }
 
     /// A toy workload: read a header, allocate that many bytes, crash with
@@ -444,7 +436,7 @@ mod tests {
     fn campaign_separates_clean_runs_failures_and_crashes() {
         let campaign = Campaign::new().cases(standard_cases());
         assert_eq!(campaign.case_list().len(), 3);
-        let report = campaign.run(setup, workload);
+        let report = campaign.run_workload(toy());
         assert_eq!(report.outcomes.len(), 3);
         assert!(report.outcomes[0].status.is_success());
         assert_eq!(report.outcomes[1].status, ExitStatus::Exited(1));
@@ -471,10 +463,10 @@ mod tests {
                 action: FaultAction::return_value(4),
             }),
         );
-        let report = Campaign::new().case(crash_case).run(setup, workload);
+        let report = Campaign::new().case(crash_case).run_workload(toy());
         let replay = report.outcomes[0].replay.clone();
         assert!(!replay.is_empty());
-        let report2 = Campaign::new().case(TestCase::new("replay", replay)).run(setup, workload);
+        let report2 = Campaign::new().case(TestCase::new("replay", replay)).run_workload(toy());
         assert_eq!(report2.outcomes[0].status, ExitStatus::Crashed(Signal::Abort));
     }
 
@@ -493,8 +485,8 @@ mod tests {
                 )
             })
             .collect();
-        let serial = Campaign::new().cases(cases.clone()).run(setup, workload);
-        let parallel = Campaign::new().cases(cases).parallelism(8).run(setup, workload);
+        let serial = Campaign::new().cases(cases.clone()).run_workload(toy());
+        let parallel = Campaign::new().cases(cases).parallelism(8).run_workload(toy());
         // Outcomes are slot-ordered, so the full reports match exactly.
         assert_eq!(serial, parallel);
         assert_eq!(serial.outcomes.len(), 24);
@@ -527,8 +519,11 @@ mod tests {
             }
             ExitStatus::Exited(failures)
         };
-        let serial = Campaign::new().cases(cases.clone()).parallelism(1).run(setup, workload);
-        let parallel = Campaign::new().cases(cases).parallelism(4).run(setup, workload);
+        let run = |workers: usize| {
+            let workload = FnWorkload::new("repeat-reader", setup, workload);
+            Campaign::new().cases(cases.clone()).parallelism(workers).run_workload(workload)
+        };
+        let (serial, parallel) = (run(1), run(4));
         assert_eq!(serial, parallel);
         assert!(serial.total_injections() > 0, "the random triggers actually fired");
     }
@@ -538,13 +533,13 @@ mod tests {
         let report = Campaign::new()
             .cases(standard_cases())
             .policy(ExecutionPolicy::run_all().stop_on_first_crash())
-            .run(setup, workload);
+            .run_workload(toy());
         // standard cases crash only in case 3; a crash-first ordering:
         let crash_first = vec![standard_cases().remove(2), standard_cases().remove(0), standard_cases().remove(1)];
         let stopped = Campaign::new()
             .cases(crash_first)
             .policy(ExecutionPolicy::run_all().stop_on_first_crash())
-            .run(setup, workload);
+            .run_workload(toy());
         assert_eq!(report.outcomes.len(), 3, "crash in the last case stops nothing");
         assert_eq!(report.cases_skipped, 0);
         assert_eq!(stopped.outcomes.len(), 1, "crash in the first case stops the rest");
@@ -560,7 +555,7 @@ mod tests {
         let capped = Campaign::new()
             .cases(standard_cases())
             .policy(ExecutionPolicy::run_all().max_cases(2))
-            .run(setup, workload);
+            .run_workload(toy());
         assert_eq!(capped.outcomes.len(), 2);
         // max_cases trims up front; the trimmed case was never scheduled.
         assert_eq!(capped.cases_skipped, 0);
@@ -568,7 +563,7 @@ mod tests {
         let budgeted = Campaign::new()
             .cases(standard_cases())
             .policy(ExecutionPolicy::run_all().injection_budget(1))
-            .run(setup, workload);
+            .run_workload(toy());
         // baseline injects 0, fail-read drains the budget of 1, short-read
         // never runs — and is accounted for as skipped.
         assert_eq!(budgeted.outcomes.len(), 2);
@@ -608,7 +603,7 @@ mod tests {
                 .cases(cases.clone())
                 .policy(ExecutionPolicy::run_all().injection_budget(12))
                 .parallelism(workers)
-                .run(setup, hammer);
+                .run_workload(FnWorkload::new("hammer", setup, hammer));
             assert_eq!(report.total_injections(), 12, "parallelism({workers}) overshot the injection budget");
             assert_eq!(report.outcomes.len() + report.cases_skipped, 12, "every scheduled case is accounted for");
         }
@@ -616,7 +611,7 @@ mod tests {
 
     #[test]
     fn capture_call_log_drains_each_cases_dispatch_stream() {
-        let report = Campaign::new().cases(standard_cases()).capture_call_log(true).run(setup, workload);
+        let report = Campaign::new().cases(standard_cases()).capture_call_log(true).run_workload(toy());
         // Every case's workload starts with read; the baseline and fail-read
         // cases proceed to malloc, the short-read crash also calls malloc.
         for outcome in &report.outcomes {
@@ -626,19 +621,23 @@ mod tests {
         // The per-function call totals ride along in the test log.
         assert_eq!(report.outcomes[1].log.calls_to("read"), 1);
         // Without capture the stream stays empty.
-        let quiet = Campaign::new().cases(standard_cases()).run(setup, workload);
+        let quiet = Campaign::new().cases(standard_cases()).run_workload(toy());
         assert!(quiet.outcomes.iter().all(|o| o.calls.is_empty() && o.calls_dropped == 0));
 
         // A capacity-bounded log surfaces its truncation in the outcome, so
         // consumers never mistake a truncated stream for a complete one.
-        let truncated = Campaign::new().case(TestCase::new("tiny-log", Plan::new())).capture_call_log(true).run(
-            || {
-                let mut process = setup();
-                process.state_mut().set_call_log_capacity(1);
-                process
-            },
-            workload,
-        );
+        let truncated = Campaign::new()
+            .case(TestCase::new("tiny-log", Plan::new()))
+            .capture_call_log(true)
+            .run_workload(FnWorkload::new(
+                "tiny-log-reader",
+                || {
+                    let mut process = setup();
+                    process.state_mut().set_call_log_capacity(1);
+                    process
+                },
+                workload,
+            ));
         assert_eq!(truncated.outcomes[0].calls.len(), 1);
         assert_eq!(truncated.outcomes[0].calls_dropped, 1, "read recorded, malloc dropped");
     }
@@ -661,27 +660,15 @@ mod tests {
         // single-fault case injects on its workload's first call.
         assert!(campaign.case_list().iter().all(|c| c.plan.entries[0].trigger.inject_at_call == Some(1)));
 
-        let report = campaign.run(setup, workload);
+        let report = campaign.run_workload(toy());
         assert_eq!(report.outcomes.len(), 2);
         assert_eq!(report.failures().count(), 1); // read() -> -1
         assert_eq!(report.crashes().count(), 1); // read() -> 4 => huge malloc
     }
 
     #[test]
-    fn run_workload_drives_a_named_workload() {
-        let report =
-            Campaign::new()
-                .cases(standard_cases())
-                .run_workload(FnWorkload::new("toy-reader", setup, workload));
-        assert_eq!(report.outcomes.len(), 3);
-        assert_eq!(report.crashes().count(), 1);
-    }
-
-    #[test]
     fn start_streams_events_and_reports_progress() {
-        let mut run = Campaign::new()
-            .cases(standard_cases())
-            .start(FnWorkload::new("toy-reader", setup, workload));
+        let mut run = Campaign::new().cases(standard_cases()).start(toy());
         assert_eq!(run.case_count(), 3);
         let events: Vec<CaseEvent> = run.by_ref().collect();
         // 3 Started + 2 Injection + 3 Outcome events, per-case ordering.
@@ -700,7 +687,7 @@ mod tests {
         assert!(format!("{run:?}").contains("cases: 3"));
         let report = run.into_report();
         assert_eq!(report.outcomes.len(), 3);
-        assert_eq!(report, Campaign::new().cases(standard_cases()).run(setup, workload));
+        assert_eq!(report, Campaign::new().cases(standard_cases()).run_workload(toy()));
     }
 
     #[test]
@@ -743,7 +730,7 @@ mod tests {
         let mut run = Campaign::new()
             .cases((0..64).map(|i| TestCase::new(format!("case-{i:02}"), Plan::new())))
             .parallelism(4)
-            .start(FnWorkload::new("toy-reader", setup, workload));
+            .start(toy());
         let _ = run.next();
         drop(run); // must not hang on the bounded channel
     }
@@ -774,9 +761,11 @@ mod tests {
     fn worker_panics_propagate_to_the_blocking_caller() {
         // A panicking Workload hook must surface like it did under the old
         // inline driver — never a silently truncated report.
-        let _ = Campaign::new()
-            .cases(standard_cases())
-            .run(setup, |_process: &mut Process| panic!("workload bug"));
+        let _ = Campaign::new().cases(standard_cases()).run_workload(FnWorkload::new(
+            "buggy",
+            setup,
+            |_process: &mut Process| panic!("workload bug"),
+        ));
     }
 
     #[test]

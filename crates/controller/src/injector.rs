@@ -8,12 +8,6 @@
 //! behind per-slot locks.  The one injector-wide lock guards only the
 //! injection log, and is taken only when a trigger actually fires —
 //! pass-through traffic on different functions never contends.
-//!
-//! Stubs are additionally *specialized* at synthesis time: a slot whose plan
-//! entries reduce to a single deterministic `(nth-call, retval, errno)` fault
-//! (the shape every exploration [`FaultCell`](lfi_scenario::FaultCell)
-//! compiles to) gets a stub with those parameters baked in, so its hot
-//! pass-through path never walks entries or branches on trigger kinds.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -26,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use lfi_intern::Symbol;
 use lfi_profile::{FaultProfile, SideEffectKind};
 use lfi_runtime::{CallContext, NativeLibrary};
-use lfi_scenario::{CompiledEntry, CompiledFunction, CompiledSideEffect, Plan, StubSpecialization};
+use lfi_scenario::{CompiledEntry, CompiledFunction, CompiledSideEffect, Plan};
 
 use crate::{InjectionRecord, TestLog};
 
@@ -70,9 +64,9 @@ struct InjectorShared {
 struct FunctionSlot {
     function: CompiledFunction,
     /// Calls intercepted so far — the `call_count` static of the paper's
-    /// stub.  Hoisted out of the slot lock so specialized stubs (and the
-    /// counting half of the general stub) dispatch on a single atomic
-    /// increment; each intercepted call still observes a unique ordinal.
+    /// stub.  Hoisted out of the slot lock so counting is a single atomic
+    /// increment and [`Injector::log`] reads it without locking; each
+    /// intercepted call still observes a unique ordinal.
     calls: AtomicU64,
     state: Mutex<SlotState>,
 }
@@ -241,25 +235,11 @@ impl Injector {
     /// and libaprutil interceptors simultaneously); they do not interfere
     /// because stubs are keyed purely by function symbol.  Each stub captures
     /// its slot index, so per-call dispatch performs no name lookup at all.
-    ///
-    /// Stubs are specialized per slot at synthesis time (see
-    /// [`StubSpecialization`]): a function whose entries reduce to one
-    /// deterministic `(nth-call, retval, errno)` fault gets a stub with those
-    /// parameters baked in, whose miss path is a single counter bump and
-    /// compare; every other entry mix gets the general entry-walking stub.
     pub fn synthesize_interceptor_named(&self, library_name: &str) -> NativeLibrary {
         let mut builder = NativeLibrary::builder(library_name);
         for (slot_index, slot) in self.shared.slots.iter().enumerate() {
             let engine = self.clone();
-            builder = match slot.function.specialization() {
-                StubSpecialization::DeterministicFault { ordinal, retval, errno } => builder
-                    .function_sym(slot.function.symbol, move |ctx| {
-                        engine.deterministic_stub(slot_index, ordinal, retval, errno, ctx)
-                    }),
-                StubSpecialization::General => {
-                    builder.function_sym(slot.function.symbol, move |ctx| engine.stub_body(slot_index, ctx))
-                }
-            };
+            builder = builder.function_sym(slot.function.symbol, move |ctx| engine.stub_body(slot_index, ctx));
         }
         builder.build()
     }
@@ -343,44 +323,6 @@ impl Injector {
             }
             Some(decision) => self.apply(slot_index, decision, ctx),
         }
-    }
-
-    /// The specialized stub for a [`StubSpecialization::DeterministicFault`]
-    /// slot: the trigger parameters are baked in at synthesis time, so the
-    /// pass-through path is one atomic counter bump and one compare — no
-    /// entry walk, no trigger-kind branching, no slot lock.  Behaviour
-    /// (counters, budget, log records, observed returns) is identical to the
-    /// general stub running the same single-entry plan.
-    fn deterministic_stub(
-        &self,
-        slot_index: usize,
-        ordinal: u64,
-        retval: Option<i64>,
-        errno: Option<i64>,
-        ctx: &mut CallContext<'_>,
-    ) -> i64 {
-        let slot = &self.shared.slots[slot_index];
-        let call_number = slot.calls.fetch_add(1, Ordering::Relaxed) + 1;
-        if call_number != ordinal || !self.try_consume_budget() {
-            let result = ctx.call_next().unwrap_or(0);
-            self.record_observed(slot_index, result);
-            return result;
-        }
-        if let Some(errno) = errno {
-            ctx.set_errno(errno);
-        }
-        let stack = ctx.stack().to_vec();
-        self.shared.log.lock().push(RawInjection {
-            slot: slot_index as u32,
-            entry: 0,
-            choice: None,
-            call_number,
-            retval,
-            errno,
-            call_original: false,
-            stack,
-        });
-        retval.unwrap_or(0)
     }
 
     /// Evaluates the slot's triggers for one intercepted call.  Holds only
@@ -889,11 +831,10 @@ mod tests {
     }
 
     #[test]
-    fn specialized_and_general_stubs_are_observably_identical() {
-        // The same deterministic fault, expressed two ways: alone (compiles
-        // to the specialized stub) and alongside a never-firing second entry
-        // (defeats specialization, runs the general entry walk).  Results,
-        // errno, logs and observed returns must not differ.
+    fn a_never_firing_sibling_entry_changes_no_observable() {
+        // The same deterministic fault, alone and alongside a never-firing
+        // second entry on the same function.  Results, errno, logs and
+        // observed returns must not differ.
         let fault = PlanEntry {
             function: "read".into(),
             trigger: Trigger::on_call(3),
@@ -904,31 +845,26 @@ mod tests {
             trigger: Trigger::on_call(u64::MAX),
             action: FaultAction::return_value(-2),
         };
-        let specialized = Plan::new().entry(fault.clone());
-        let general = Plan::new().entry(fault).entry(never);
-        assert_ne!(
-            specialized.compile().functions[0].specialization(),
-            general.compile().functions[0].specialization(),
-            "the two plans must exercise different stub shapes"
-        );
+        let single = Plan::new().entry(fault.clone());
+        let with_sibling = Plan::new().entry(fault).entry(never);
 
         let drive = |plan: Plan| {
             let (mut process, injector) = process_with(plan);
             let results: Vec<i64> = (0..6).map(|_| process.call("read", &[3, 0, 64]).unwrap()).collect();
             (results, process.state().errno(), injector.log(), injector.observed_returns())
         };
-        let (results_s, errno_s, log_s, observed_s) = drive(specialized);
-        let (results_g, errno_g, log_g, observed_g) = drive(general);
-        assert_eq!(results_s, results_g);
-        assert_eq!(errno_s, errno_g);
-        assert_eq!(log_s.injections, log_g.injections);
-        assert_eq!(log_s.intercepted_calls, log_g.intercepted_calls);
-        assert_eq!(log_s.calls_per_function, log_g.calls_per_function);
-        assert_eq!(observed_s, observed_g);
+        let (results_s, errno_s, log_s, observed_s) = drive(single);
+        let (results_w, errno_w, log_w, observed_w) = drive(with_sibling);
+        assert_eq!(results_s, results_w);
+        assert_eq!(errno_s, errno_w);
+        assert_eq!(log_s.injections, log_w.injections);
+        assert_eq!(log_s.intercepted_calls, log_w.intercepted_calls);
+        assert_eq!(log_s.calls_per_function, log_w.calls_per_function);
+        assert_eq!(observed_s, observed_w);
     }
 
     #[test]
-    fn specialized_stub_honours_the_shared_budget_and_reset() {
+    fn a_single_entry_slot_honours_the_shared_budget_and_reset() {
         // One token across two deterministic single-entry plans: only the
         // first trigger to fire injects; the other call passes through.
         let budget = Arc::new(AtomicUsize::new(1));
@@ -952,7 +888,7 @@ mod tests {
         // The pass-through miss still fed the observation record.
         assert_eq!(write_injector.observed_returns()["write"][&8], 1);
 
-        // reset() rewinds the specialized stub's atomic counter too.
+        // reset() rewinds the slot's atomic call counter.
         read_injector.reset();
         assert_eq!(read_injector.log().intercepted_calls, 0);
         budget.store(1, Ordering::SeqCst);

@@ -2,7 +2,6 @@ use std::fmt;
 
 use lfi_intern::Symbol;
 use lfi_profile::SideEffect;
-use serde::{Deserialize, Serialize};
 
 use lfi_scenario::{FaultAction, Plan, PlanEntry, Trigger};
 
@@ -14,7 +13,7 @@ use lfi_scenario::{FaultAction, Plan, PlanEntry, Trigger};
 /// hot path that records them never allocates a string; names are resolved
 /// when a report is rendered ([`TestLog::to_text`]) or via
 /// [`InjectionRecord::function_name`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InjectionRecord {
     /// Intercepted function.
     pub function: Symbol,
@@ -45,7 +44,7 @@ impl InjectionRecord {
 }
 
 /// The log produced by one fault-injection run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TestLog {
     /// Every injection, in the order it happened.
     pub injections: Vec<InjectionRecord>,

@@ -69,8 +69,7 @@ pub trait Workload: Send + Sync {
     }
 }
 
-/// Adapter that turns the classic `(setup, run)` closure pair into a
-/// [`Workload`], so pre-trait call sites keep working:
+/// Adapter that turns a `(setup, run)` closure pair into a [`Workload`]:
 ///
 /// ```
 /// use lfi_controller::{Campaign, FnWorkload, TestCase};

@@ -333,8 +333,8 @@ impl Lfi {
     /// [`Campaign`] pre-populated with one test case per generated plan
     /// entry — set an execution policy and a parallelism degree, then hand
     /// a [`Workload`](lfi_controller::Workload) to [`Campaign::start`] for
-    /// a streaming session of case events (or [`Campaign::run`] for the
-    /// blocking report).
+    /// a streaming session of case events (or [`Campaign::run_workload`]
+    /// for the blocking report).
     ///
     /// # Errors
     ///
@@ -350,8 +350,8 @@ impl Lfi {
     /// [`Explorer`] whose fault-space universe is the generated plan's cell
     /// set and whose crash escalation draws sibling errnos from the fresh
     /// profiles — the adaptive counterpart of [`Lfi::campaign`].  Configure
-    /// (seed, batch size, budgets), then call [`Explorer::run`] or drive it
-    /// batch by batch with [`Explorer::step`], snapshotting
+    /// (seed, batch size, budgets), then call [`Explorer::run_workload`] or
+    /// drive it batch by batch with [`Explorer::step_workload`], snapshotting
     /// [`Explorer::store`] for kill-safe resumption.
     ///
     /// # Errors
@@ -438,6 +438,7 @@ impl Lfi {
 mod tests {
     use super::*;
     use lfi_asm::{FaultSpec, FunctionSpec, LibraryCompiler, LibrarySpec};
+    use lfi_controller::FnWorkload;
     use lfi_isa::Platform;
     use lfi_runtime::{ExitStatus, NativeLibrary, Process};
     use lfi_scenario::generator::Filtered;
@@ -668,7 +669,7 @@ mod tests {
         let runtime = NativeLibrary::builder("libdemo.so").function("a", |_| 0).function("b", |_| 0).build();
         // A workload that crashes when b() fails with -3 and merely errors
         // on every other injected fault, as one shared Workload object.
-        let workload = lfi_controller::FnWorkload::shared(
+        let workload = FnWorkload::shared(
             "demo-ab",
             move || {
                 let mut process = Process::new();
@@ -716,7 +717,7 @@ mod tests {
         let fabric = lfi
             .fabric()
             .workers(1)
-            .register(lfi_controller::FnWorkload::new(
+            .register(FnWorkload::new(
                 "demo-ab",
                 move || {
                     let mut process = Process::new();
@@ -756,7 +757,8 @@ mod tests {
         let runtime = NativeLibrary::builder("libdemo.so").function("a", |_| 0).function("b", |_| 0).build();
         let campaign = lfi.campaign(&Exhaustive, &["libdemo.so"]).unwrap();
         assert_eq!(campaign.case_list().len(), 3);
-        let report = campaign.parallelism(3).run(
+        let report = campaign.parallelism(3).run_workload(FnWorkload::new(
+            "demo",
             move || {
                 let mut process = Process::new();
                 process.load(runtime.clone());
@@ -776,7 +778,7 @@ mod tests {
                     ExitStatus::Exited(0)
                 }
             },
-        );
+        ));
         assert_eq!(report.outcomes.len(), 3);
         assert_eq!(report.failures().count(), 3);
         assert_eq!(report.total_injections(), 3);

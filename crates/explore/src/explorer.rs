@@ -9,12 +9,10 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lfi_controller::{
-    Campaign, CampaignReport, CaseEvent, ExecutionPolicy, FnWorkload, TestCase, TestOutcome, Workload,
-};
+use lfi_controller::{Campaign, CampaignReport, CaseEvent, ExecutionPolicy, TestCase, TestOutcome, Workload};
 use lfi_intern::Symbol;
 use lfi_profile::FaultProfile;
-use lfi_runtime::{ExitStatus, Process, Signal};
+use lfi_runtime::{ExitStatus, Signal};
 use lfi_scenario::{FaultCell, Plan};
 
 use crate::{ExplorationDelta, ExplorationStore};
@@ -152,7 +150,7 @@ pub struct CoverageSummary {
     pub frontier_remaining: usize,
 }
 
-/// The aggregate result of an exploration ([`Explorer::run`]).
+/// The aggregate result of an exploration ([`Explorer::run_workload`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationReport {
     /// One campaign report per executed batch (the probe is batch 0).
@@ -478,8 +476,8 @@ impl Explorer {
     // -- configuration ------------------------------------------------------
 
     /// Sets the RNG seed (part of the determinism contract; default 0).
-    /// Configure before the first [`Explorer::step`] — the RNG stream
-    /// restarts from the new seed.
+    /// Configure before the first [`Explorer::step_workload`] — the RNG
+    /// stream restarts from the new seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self.rng = StdRng::seed_from_u64(seed);
@@ -522,9 +520,10 @@ impl Explorer {
         self
     }
 
-    /// Bounds the total wall-clock time spent in [`Explorer::step`].  Note
-    /// this is the one knob that trades away strict determinism: where the
-    /// cutoff lands depends on the machine.
+    /// Bounds the total wall-clock time spent in
+    /// [`Explorer::step_workload`].  Note this is the one knob that trades
+    /// away strict determinism: where the cutoff lands depends on the
+    /// machine.
     pub fn time_budget(mut self, budget: Duration) -> Self {
         self.config.time_budget = Some(budget);
         self
@@ -588,8 +587,8 @@ impl Explorer {
         }
     }
 
-    /// True when no further [`Explorer::step`] will run: the frontier is
-    /// exhausted, a budget is spent, or (with
+    /// True when no further [`Explorer::step_workload`] will run: the
+    /// frontier is exhausted, a budget is spent, or (with
     /// [`Explorer::halt_on_crash`]) a crash was found.
     pub fn finished(&self) -> bool {
         if self.config.halt_on_crash && self.crash_found {
@@ -713,19 +712,6 @@ impl Explorer {
 
     // -- the loop -----------------------------------------------------------
 
-    /// Runs the whole exploration: the probe batch, then frontier batches
-    /// until [`Explorer::finished`].  `setup` builds a fresh process per
-    /// case, `workload` exercises it — the same pair a
-    /// [`Campaign::run`] takes; the pair is adapted through [`FnWorkload`]
-    /// and driven by [`Explorer::run_workload`].
-    pub fn run<S, W>(&mut self, setup: S, workload: W) -> ExplorationReport
-    where
-        S: Fn() -> Process + Send + Sync + 'static,
-        W: Fn(&mut Process) -> ExitStatus + Send + Sync + 'static,
-    {
-        self.run_workload(&FnWorkload::shared("explorer-closures", setup, workload))
-    }
-
     /// Runs the whole exploration over a shared [`Workload`] (e.g. one from
     /// a `WorkloadRegistry`): the probe batch, then frontier batches until
     /// [`Explorer::finished`].
@@ -735,19 +721,6 @@ impl Explorer {
             batches.push(report);
         }
         self.report(batches)
-    }
-
-    /// Runs exactly one batch (the probe first, then one frontier batch per
-    /// call) and returns its campaign report, or `None` when
-    /// [`Explorer::finished`].  Snapshot [`Explorer::store`] between steps
-    /// to make the exploration killable.  The closure-pair twin of
-    /// [`Explorer::step_workload`].
-    pub fn step<S, W>(&mut self, setup: S, workload: W) -> Option<CampaignReport>
-    where
-        S: Fn() -> Process + Send + Sync + 'static,
-        W: Fn(&mut Process) -> ExitStatus + Send + Sync + 'static,
-    {
-        self.step_workload(&FnWorkload::shared("explorer-closures", setup, workload))
     }
 
     /// Runs exactly one batch of the exploration over a shared
@@ -789,7 +762,7 @@ impl Explorer {
     }
 
     /// Assembles the aggregate report from per-batch campaign reports (the
-    /// ones [`Explorer::step`] returned).
+    /// ones [`Explorer::step_workload`] returned).
     pub fn report(&self, batches: Vec<CampaignReport>) -> ExplorationReport {
         ExplorationReport {
             batches,
@@ -1120,8 +1093,9 @@ impl fmt::Debug for Explorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lfi_controller::FnWorkload;
     use lfi_profile::{ErrorReturn, FunctionProfile};
-    use lfi_runtime::NativeLibrary;
+    use lfi_runtime::{NativeLibrary, Process};
     use lfi_scenario::{Exhaustive, ScenarioGenerator};
 
     /// Profiles for a toy libc: `read` fails with -1 or returns a short
@@ -1165,6 +1139,10 @@ mod tests {
         ExitStatus::Exited(0)
     }
 
+    fn toy() -> Arc<dyn Workload> {
+        FnWorkload::shared("toy-reader", setup, workload)
+    }
+
     fn explorer() -> Explorer {
         let profiles = profiles();
         let plan = Exhaustive.generate(&profiles);
@@ -1176,7 +1154,7 @@ mod tests {
         let mut explorer = explorer();
         assert_eq!(explorer.universe_len(), 4);
         assert_eq!(explorer.frontier_len(), 4);
-        let report = explorer.run(setup, workload);
+        let report = explorer.run_workload(&toy());
         assert!(explorer.finished());
 
         // unused_fn was pruned by the probe and never executed.
@@ -1209,15 +1187,15 @@ mod tests {
 
     #[test]
     fn same_seed_same_batches() {
-        let a = explorer().run(setup, workload);
-        let b = explorer().run(setup, workload);
+        let a = explorer().run_workload(&toy());
+        let b = explorer().run_workload(&toy());
         assert_eq!(a, b);
         // A different seed still finds the same clusters here (the space is
         // tiny), but the report need not be batch-for-batch identical.
         let c = {
             let profiles = profiles();
             let plan = Exhaustive.generate(&profiles);
-            Explorer::new(&plan, profiles).seed(99).batch_size(4).run(setup, workload)
+            Explorer::new(&plan, profiles).seed(99).batch_size(4).run_workload(&toy())
         };
         assert_eq!(c.clusters.len(), a.clusters.len());
     }
@@ -1225,7 +1203,7 @@ mod tests {
     #[test]
     fn halt_on_crash_and_budgets_bound_the_loop() {
         let mut halted = explorer().halt_on_crash(true);
-        let report = halted.run(setup, workload);
+        let report = halted.run_workload(&toy());
         assert!(halted.crash_found());
         assert!(halted.finished());
         assert!(report.cases_executed < 5, "halts before exhausting the frontier");
@@ -1242,7 +1220,7 @@ mod tests {
         assert_eq!(coverage.executed + skipped_in_batch, 3, "every scheduled cell is accounted for");
 
         let mut capped = explorer().case_budget(2);
-        let report = capped.run(setup, workload);
+        let report = capped.run_workload(&toy());
         assert_eq!(report.cases_executed, 2, "probe + one case");
         assert!(capped.finished());
 
@@ -1250,13 +1228,13 @@ mod tests {
         // with a budget of 1 every batch is capped at one cell, so the run
         // performs exactly one injection even though batch_size is 4.
         let mut strangled = explorer().injection_budget(1);
-        let report = strangled.run(setup, workload);
+        let report = strangled.run_workload(&toy());
         assert_eq!(report.injections_performed, 1);
         assert!(report.batches.iter().all(|b| b.outcomes.len() <= 1));
         assert!(strangled.finished());
 
         let mut timed = explorer().time_budget(Duration::ZERO);
-        let report = timed.run(setup, workload);
+        let report = timed.run_workload(&toy());
         assert_eq!(report.cases_executed, 0, "a zero time budget is spent before the probe");
         assert!(timed.finished());
     }
@@ -1266,7 +1244,7 @@ mod tests {
         // Full run, collecting every batch report.
         let mut full = explorer();
         let mut full_reports = Vec::new();
-        while let Some(report) = full.step(setup, workload) {
+        while let Some(report) = full.step_workload(&toy()) {
             full_reports.push(report);
         }
 
@@ -1274,12 +1252,12 @@ mod tests {
         let mut killed = explorer();
         let mut killed_reports = Vec::new();
         for _ in 0..2 {
-            killed_reports.push(killed.step(setup, workload).unwrap());
+            killed_reports.push(killed.step_workload(&toy()).unwrap());
         }
         let xml = killed.store().to_xml();
         let store = crate::ExplorationStore::from_xml(&xml).unwrap();
         let mut resumed = Explorer::resume(profiles(), &store);
-        while let Some(report) = resumed.step(setup, workload) {
+        while let Some(report) = resumed.step_workload(&toy()) {
             killed_reports.push(report);
         }
 
@@ -1300,7 +1278,7 @@ mod tests {
         let mut live = explorer();
         let mut shadow = live.store();
         assert!(live.take_delta().is_empty(), "nothing has mutated yet");
-        while live.step(setup, workload).is_some() {
+        while live.step_workload(&toy()).is_some() {
             let delta = live.take_delta();
             delta.apply(&mut shadow);
             assert_eq!(shadow, live.store(), "snapshot + deltas == live store after every step");
@@ -1315,7 +1293,7 @@ mod tests {
         // External control mutations are tracked too.
         let mut controlled = explorer();
         let mut shadow = controlled.store();
-        controlled.step(setup, workload).unwrap();
+        controlled.step_workload(&toy()).unwrap();
         let read = controlled.store().frontier[0].cell.function;
         controlled.reweight(read, 7);
         controlled.mute(read);

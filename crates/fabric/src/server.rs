@@ -145,12 +145,20 @@ impl FabricHandle {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             let handle = handle.clone();
-                            let worker = std::thread::Builder::new()
+                            // A connection thread that fails to spawn drops
+                            // its stream, so that peer sees the connection
+                            // close while the acceptor keeps serving.
+                            let Ok(worker) = std::thread::Builder::new()
                                 .name("lfi-fabric-conn".into())
                                 .spawn(move || serve_connection(&handle, stream))
-                                .expect("connection thread spawns");
+                            else {
+                                continue;
+                            };
                             let mut guard =
                                 accept_connections.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                            // Connections whose peers have closed are done;
+                            // forget them so the list tracks live ones only.
+                            guard.retain(|connection| !connection.is_finished());
                             guard.push(worker);
                         }
                         Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
@@ -691,5 +699,25 @@ impl std::fmt::Debug for FabricClient {
             Transport::Tcp { .. } => "tcp",
         };
         f.debug_struct("FabricClient").field("transport", &transport).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Fabric;
+
+    #[test]
+    fn closed_connections_do_not_accumulate_handles() {
+        let fabric = Fabric::builder().workers(0).build();
+        let guard = fabric.handle().serve_tcp(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+        for _ in 0..64 {
+            let mut client = FabricClient::tcp(guard.addr()).unwrap();
+            client.ping().unwrap();
+        }
+        // Each accept prunes the connections whose peers have closed, so
+        // only the last few can still be listed.
+        let live = guard.connections.lock().unwrap().len();
+        assert!(live <= 8, "{live} connection handles kept after 64 sequential connections");
     }
 }

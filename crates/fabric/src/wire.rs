@@ -1,9 +1,8 @@
 //! The line-delimited wire protocol: one request per line, one response
 //! per line, tokens as `key=value` pairs with percent-escaped values.
 //!
-//! The vendored serde shims are API-parity no-ops, so — exactly like the
-//! scenario XML dialect — encoding is hand-rolled and fully round-trip
-//! tested.  The grammar is deliberately trivial to speak from `netcat`:
+//! Exactly like the scenario XML dialect, encoding is hand-rolled and fully
+//! round-trip tested.  The grammar is deliberately trivial to speak from `netcat`:
 //!
 //! ```text
 //! submit name=smoke workload=pidgin-login plan=%3Cplan%3E...%3C/plan%3E

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod decoded;
 pub mod encode;
 mod error;
 mod inst;
@@ -43,7 +42,6 @@ mod platform;
 mod reg;
 pub mod vm;
 
-pub use decoded::{DecodedBody, ExecutionController, RunForever, StepBudget};
 pub use error::IsaError;
 pub use inst::{BinAluOp, Cond, Inst, Operand};
 pub use loc::Loc;

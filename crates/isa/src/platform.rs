@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Loc, Reg};
 
 /// The platforms the LFI paper evaluates on (§6.3): Linux/x86, Windows/x86 and
@@ -13,7 +11,7 @@ use crate::{Loc, Reg};
 /// base for position-independent data access.  This mirrors the paper's
 /// observation that the CFG analyses are ABI-independent while the *locations*
 /// of interest are ABI-specific.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// Linux on IA-32: return value in `r0` (the `eax` analogue), PIC base in
     /// `r3` (the `ebx` analogue), arguments on the stack.
@@ -76,7 +74,7 @@ impl fmt::Display for Platform {
 /// analysis — *where the return value is placed* — plus, for side-effect
 /// analysis, which register is the position-independent-code base and where
 /// the `errno` thread-local slot lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Abi {
     platform: Platform,
     return_reg: Reg,

@@ -184,36 +184,6 @@ impl Vm {
     /// within the step limit, falls off the end of its body, or calls a
     /// symbol the environment cannot resolve.
     pub fn run(&self, body: &[Inst], args: &[i64], env: &mut dyn CallEnv) -> Result<ExecOutcome, IsaError> {
-        self.run_reference(body, args, env)
-    }
-
-    /// Compiles `body` for the fast dispatch loop under this interpreter's
-    /// platform ABI.  See [`crate::DecodedBody`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IsaError::JumpOutOfRange`] for a static jump target outside
-    /// the body.
-    pub fn compile(&self, body: &[Inst]) -> Result<crate::DecodedBody, IsaError> {
-        crate::DecodedBody::compile(self.platform, body)
-    }
-
-    /// Runs a pre-compiled body under this interpreter's step limit —
-    /// outcome-identical to [`Vm::run`] on the source instructions.
-    ///
-    /// # Errors
-    ///
-    /// Same dynamic errors as [`Vm::run`].
-    pub fn run_decoded(
-        &self,
-        body: &crate::DecodedBody,
-        args: &[i64],
-        env: &mut dyn CallEnv,
-    ) -> Result<ExecOutcome, IsaError> {
-        body.run(args, env, &mut crate::StepBudget::new(self.options.step_limit))
-    }
-
-    fn run_reference(&self, body: &[Inst], args: &[i64], env: &mut dyn CallEnv) -> Result<ExecOutcome, IsaError> {
         let abi = self.platform.abi();
         let mut regs = [0i64; Reg::COUNT as usize];
         let mut stack: HashMap<i32, i64> = HashMap::new();
@@ -420,6 +390,23 @@ mod tests {
         let vm = Vm::new(Platform::LinuxX86);
         assert_eq!(vm.run(&body, &[0], &mut ConstEnv::default()).unwrap().return_value, 0);
         assert_eq!(vm.run(&body, &[1], &mut ConstEnv::default()).unwrap().return_value, 5);
+
+        // Arguments as ALU source, Cmp operands and Mov source; a write to an
+        // argument slot is discarded.  Returns arg0 + arg1 via either branch.
+        let body = vec![
+            Inst::MovImm { dst: Loc::Arg(0), imm: 99 },
+            Inst::Mov { dst: Loc::Reg(Reg(1)), src: Loc::Arg(0) },
+            Inst::Alu { op: BinAluOp::Add, dst: Loc::Reg(Reg(1)), src: Operand::Loc(Loc::Arg(1)) },
+            Inst::Cmp { a: Loc::Arg(0), b: Operand::Loc(Loc::Arg(1)) },
+            Inst::JmpCond { cond: Cond::Gt, target: 6 },
+            Inst::Nop,
+            Inst::Mov { dst: abi_ret(), src: Loc::Reg(Reg(1)) },
+            Inst::Ret,
+        ];
+        let taken = vm.run(&body, &[7, 3], &mut ConstEnv::default()).unwrap();
+        assert_eq!((taken.return_value, taken.steps), (10, 7));
+        let fallthrough = vm.run(&body, &[3, 7], &mut ConstEnv::default()).unwrap();
+        assert_eq!((fallthrough.return_value, fallthrough.steps), (10, 8));
     }
 
     #[test]
@@ -470,6 +457,16 @@ mod tests {
         let vm = Vm::with_options(Platform::LinuxX86, VmOptions { step_limit: 64 });
         let err = vm.run(&body, &[], &mut ConstEnv::default()).unwrap_err();
         assert_eq!(err, IsaError::StepLimitExceeded { limit: 64 });
+
+        // A body that returns on its n-th instruction runs under a limit of
+        // exactly n, and fails under n - 1.
+        let body = vec![Inst::Nop, Inst::MovImm { dst: abi_ret(), imm: 3 }, Inst::Ret];
+        let exact = Vm::with_options(Platform::LinuxX86, VmOptions { step_limit: 3 });
+        let out = exact.run(&body, &[], &mut ConstEnv::default()).unwrap();
+        assert_eq!((out.return_value, out.steps), (3, 3));
+        let short = Vm::with_options(Platform::LinuxX86, VmOptions { step_limit: 2 });
+        let err = short.run(&body, &[], &mut ConstEnv::default()).unwrap_err();
+        assert_eq!(err, IsaError::StepLimitExceeded { limit: 2 });
     }
 
     #[test]
@@ -534,6 +531,18 @@ mod tests {
             let out = Vm::new(Platform::LinuxX86).run(&body, &[], &mut ConstEnv::default()).unwrap();
             assert_eq!(out.return_value, expected, "{op:?}");
         }
+
+        // Stack slots as ALU operands: written slots round-trip, unwritten
+        // ones read zero.
+        let body = vec![
+            Inst::MovImm { dst: Loc::Stack(-8), imm: 11 },
+            Inst::Mov { dst: Loc::Stack(4), src: Loc::Stack(-8) },
+            Inst::Alu { op: BinAluOp::Add, dst: Loc::Stack(4), src: Operand::Loc(Loc::Stack(-16)) },
+            Inst::Mov { dst: r, src: Loc::Stack(4) },
+            Inst::Ret,
+        ];
+        let out = Vm::new(Platform::LinuxX86).run(&body, &[], &mut ConstEnv::default()).unwrap();
+        assert_eq!(out.return_value, 11);
     }
 
     #[test]
@@ -547,5 +556,28 @@ mod tests {
         let out = Vm::new(Platform::LinuxX86).run(&body, &[], &mut ConstEnv::default()).unwrap();
         assert_eq!(out.tls_writes.get(&0x10), Some(&5));
         assert_eq!(out.global_writes.get(&0x20), Some(&6));
+
+        // `Loc::Global(off)` and a PIC-relative store to `off` are one slot:
+        // the store overwrites the direct write and a PIC load reads it back.
+        let body = vec![
+            Inst::MovImm { dst: Loc::Global(0x40), imm: 5 },
+            Inst::LeaPicBase { dst: Reg(5) },
+            Inst::Store { base: Reg(5), offset: 0x40, src: Operand::Imm(9) },
+            Inst::Load { dst: Reg(1), base: Reg(5), offset: 0x40 },
+            Inst::Mov { dst: abi_ret(), src: Loc::Reg(Reg(1)) },
+            Inst::Ret,
+        ];
+        let out = Vm::new(Platform::LinuxX86).run(&body, &[], &mut ConstEnv::default()).unwrap();
+        assert_eq!(out.return_value, 9);
+        assert_eq!(out.global_writes.get(&0x40), Some(&9));
+
+        // A load through a non-PIC base reads zero.
+        let body = vec![
+            Inst::MovImm { dst: abi_ret(), imm: 1 },
+            Inst::Load { dst: Platform::LinuxX86.abi().return_reg(), base: Reg(2), offset: 0x40 },
+            Inst::Ret,
+        ];
+        let out = Vm::new(Platform::LinuxX86).run(&body, &[], &mut ConstEnv::default()).unwrap();
+        assert_eq!(out.return_value, 0);
     }
 }

@@ -146,62 +146,6 @@ pub struct CompiledFunction {
     pub entries: Vec<CompiledEntry>,
 }
 
-/// How tightly a synthesized stub can be specialized for one intercepted
-/// function, decided once at plan-compile time.
-///
-/// The overwhelmingly common plan shape — both in the §6.1 campaigns and in
-/// the exploration engine, whose [`FaultCell`]s are deterministic by
-/// construction — is a single `(function, nth-call, retval, errno)` entry.
-/// For that shape the stub does not need to walk entries or branch on
-/// trigger kinds per call: the trigger parameters can be baked into the stub
-/// at synthesis time, reducing the pass-through path to one counter bump and
-/// one compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StubSpecialization {
-    /// Exactly one entry, with a deterministic nth-call trigger and a plain
-    /// return-value/errno fault (no probability, stack-trace frames, random
-    /// choices, side effects, argument rewrites or pass-through): the stub
-    /// bakes `(ordinal, retval, errno)` in and every miss is a branch-lean
-    /// counter bump.
-    DeterministicFault {
-        /// The 1-based call ordinal the fault fires on.
-        ordinal: u64,
-        /// The injected return value (`None` injects the default 0).
-        retval: Option<i64>,
-        /// The errno set alongside, if any.
-        errno: Option<i64>,
-    },
-    /// Any other entry mix: the stub evaluates the compiled entries per call.
-    General,
-}
-
-impl CompiledFunction {
-    /// The stub shape this function's entries admit — see
-    /// [`StubSpecialization`].  Interceptor synthesis calls this once per
-    /// slot; the decision never changes after compilation because compiled
-    /// entries are immutable.
-    pub fn specialization(&self) -> StubSpecialization {
-        if let [entry] = self.entries.as_slice() {
-            let plain = entry.probability.is_none()
-                && entry.stack_trace.is_empty()
-                && entry.random_choices.is_empty()
-                && entry.side_effects.is_empty()
-                && entry.arg_modifications.is_empty()
-                && !entry.call_original;
-            if plain {
-                if let Some(ordinal) = entry.inject_at_call {
-                    return StubSpecialization::DeterministicFault {
-                        ordinal,
-                        retval: entry.retval,
-                        errno: entry.errno,
-                    };
-                }
-            }
-        }
-        StubSpecialization::General
-    }
-}
-
 /// A [`Plan`] with every name resolved to a [`Symbol`] and entries grouped
 /// by intercepted function — see the module docs.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -382,68 +326,6 @@ mod tests {
 
         assert!(compiled.function(Symbol::intern("close_not_in_plan")).is_none());
         assert_eq!(CompiledPlan::default().functions.len(), 0);
-    }
-
-    #[test]
-    fn specialization_admits_only_plain_single_deterministic_entries() {
-        let deterministic = |function: &str| PlanEntry {
-            function: function.into(),
-            trigger: Trigger::on_call(7),
-            action: FaultAction::return_value(-1).with_errno(9),
-        };
-        let compiled = Plan::new().entry(deterministic("read")).compile();
-        assert_eq!(
-            compiled.functions[0].specialization(),
-            StubSpecialization::DeterministicFault { ordinal: 7, retval: Some(-1), errno: Some(9) }
-        );
-
-        // Every disqualifier falls back to the general stub: a second entry
-        // on the same function, a probabilistic or stack-trace trigger, a
-        // random-choice pool, side effects, argument rewrites, pass-through,
-        // or the absence of a call-count trigger.
-        let general_plans = vec![
-            Plan::new().entry(deterministic("read")).entry(deterministic("read")),
-            Plan::new().entry(PlanEntry {
-                function: "read".into(),
-                trigger: Trigger::with_probability(0.5),
-                action: FaultAction::return_value(-1),
-            }),
-            Plan::new().entry(PlanEntry {
-                function: "read".into(),
-                trigger: Trigger::on_call(1).frame("caller"),
-                action: FaultAction::return_value(-1),
-            }),
-            Plan::new().entry(PlanEntry {
-                function: "read".into(),
-                trigger: Trigger::on_call(1),
-                action: FaultAction { random_choices: vec![ErrorReturn::bare(-2)], ..FaultAction::default() },
-            }),
-            Plan::new().entry(PlanEntry {
-                function: "read".into(),
-                trigger: Trigger::on_call(1),
-                action: FaultAction {
-                    retval: Some(-1),
-                    side_effects: vec![SideEffect::tls("libc.so.6", 0x10, 4)],
-                    ..FaultAction::default()
-                },
-            }),
-            Plan::new().entry(PlanEntry {
-                function: "read".into(),
-                trigger: Trigger::on_call(1),
-                action: FaultAction::default().passthrough().modify_arg(2, ArgOp::Sub, 10),
-            }),
-        ];
-        for plan in general_plans {
-            let compiled = plan.compile();
-            assert_eq!(compiled.functions[0].specialization(), StubSpecialization::General, "{plan:?}");
-        }
-
-        // A probability-free trigger with no ordinal (never fires) is also
-        // general: there is no (nth-call) parameter to bake in.
-        let monitoring = Plan::new()
-            .entry(PlanEntry { function: "read".into(), trigger: Trigger::default(), action: FaultAction::default() })
-            .compile();
-        assert_eq!(monitoring.functions[0].specialization(), StubSpecialization::General);
     }
 
     #[test]

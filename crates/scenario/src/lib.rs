@@ -41,9 +41,7 @@ pub mod generator;
 mod plan;
 pub mod ready_made;
 
-pub use compiled::{
-    CompiledChoice, CompiledEntry, CompiledFunction, CompiledPlan, CompiledSideEffect, FaultCell, StubSpecialization,
-};
+pub use compiled::{CompiledChoice, CompiledEntry, CompiledFunction, CompiledPlan, CompiledSideEffect, FaultCell};
 pub use error::ScenarioError;
 pub use generator::{Composite, Exhaustive, Filtered, Random, ReadyMade, ScenarioGenerator, TriggerLoad};
 pub use lfi_intern::Symbol;

@@ -2,13 +2,12 @@ use std::fmt;
 
 use lfi_profile::xml::{self, XmlElement};
 use lfi_profile::{ErrorReturn, SideEffect, SideEffectKind};
-use serde::{Deserialize, Serialize};
 
 use crate::errno::{errno_name, parse_errno};
 use crate::ScenarioError;
 
 /// Operation applied by an argument modification (`<modify op="..">`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArgOp {
     /// Replace the argument with the value.
     Set,
@@ -62,7 +61,7 @@ impl fmt::Display for ArgOp {
 /// One `<modify argument=".." op=".." value=".." />` element: rewrite an
 /// argument before (optionally) passing the call through to the original
 /// function, like the paper's "subtract 10 from the byte count" example.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArgModification {
     /// Index of the argument to rewrite (0-based).
     pub argument: u8,
@@ -73,7 +72,7 @@ pub struct ArgModification {
 }
 
 /// The condition part of a `<trigger, fault>` tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trigger {
     /// Fire on the n-th call to the function (1-based), if set.
     pub inject_at_call: Option<u64>,
@@ -103,7 +102,7 @@ impl Trigger {
 }
 
 /// The fault part of a `<trigger, fault>` tuple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultAction {
     /// Return value to inject (`None` leaves the return value untouched,
     /// useful for pure argument-modification entries).
@@ -147,7 +146,7 @@ impl FaultAction {
 }
 
 /// One `<function …>` entry in a plan: a trigger paired with a fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanEntry {
     /// Name of the intercepted function.
     pub function: String,
@@ -159,7 +158,7 @@ pub struct PlanEntry {
 
 /// A fault injection scenario ("faultload", §4): a set of `<trigger, fault>`
 /// tuples plus an optional seed for random triggers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Plan {
     /// The plan entries, evaluated in order on every intercepted call.
     pub entries: Vec<PlanEntry>,

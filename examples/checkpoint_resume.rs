@@ -6,6 +6,7 @@
 //!
 //! Run with `cargo run --example checkpoint_resume`.
 
+use lfi::controller::FnWorkload;
 use lfi::corpus::{build_kernel, build_libc_scaled};
 use lfi::isa::Platform;
 use lfi::profiler::ProfilerOptions;
@@ -64,11 +65,12 @@ fn main() {
 
     // Phase 1: explore with a write-ahead journal — a full snapshot at
     // creation, then one delta record per batch.
+    let writer = FnWorkload::shared("log-writer", setup, workload);
     let mut explorer = lfi.explore(&Exhaustive, &["libc.so.6"]).unwrap().seed(77).batch_size(6);
     let mut journal = ExplorationJournal::create(&journal_path, &explorer.store()).unwrap();
     let mut batches = 0u32;
     for _ in 0..3 {
-        let report = explorer.step(setup, workload).expect("the exploration has more than three batches");
+        let report = explorer.step_workload(&writer).expect("the exploration has more than three batches");
         journal.append_delta(&explorer.take_delta()).unwrap();
         batches += 1;
         println!(
@@ -99,7 +101,7 @@ fn main() {
     let mut journal = recovered;
     journal.compact().unwrap();
     let mut crash_batch = None;
-    while let Some(_report) = resumed.step(setup, workload) {
+    while let Some(_report) = resumed.step_workload(&writer) {
         journal.append_delta(&resumed.take_delta()).unwrap();
         batches += 1;
         if crash_batch.is_none() && resumed.crash_found() {

@@ -222,7 +222,10 @@ fn cancel_handle_is_idempotent_and_inert_after_drain() {
 
 #[test]
 fn blocking_run_equals_the_collected_stream() {
-    let blocking = Campaign::new().cases(mixed_cases(10)).run(setup, workload);
+    let blocking =
+        Campaign::new()
+            .cases(mixed_cases(10))
+            .run_workload(FnWorkload::new("mixed-reader", setup, workload));
     let streamed = Campaign::new()
         .cases(mixed_cases(10))
         .start(FnWorkload::new("mixed-reader", setup, workload))
@@ -339,7 +342,13 @@ fn progress_counters_track_the_stream() {
 
 #[test]
 fn serial_and_parallel_reports_agree_on_fixed_seed_random_plans() {
-    let run = |workers: usize| Campaign::new().cases(mixed_cases(24)).parallelism(workers).run(setup, workload);
+    let run = |workers: usize| {
+        Campaign::new().cases(mixed_cases(24)).parallelism(workers).run_workload(FnWorkload::new(
+            "mixed-reader",
+            setup,
+            workload,
+        ))
+    };
     let serial = run(1);
     assert_eq!(serial, run(4));
     assert!(serial.total_injections() > 0, "the random triggers actually fired");

@@ -209,7 +209,7 @@ fn rule_driven_escalation_stays_within_the_builtin_heuristic_budget() {
         .seed(2009)
         .batch_size(12)
         .halt_on_crash(true);
-    let yardstick = builtin.run(setup, workload);
+    let yardstick = builtin.run_workload(&FnWorkload::shared("log-writer", setup, workload));
     assert!(builtin.crash_found());
 
     // The same exploration, heuristic off, refinement supplied by rules.

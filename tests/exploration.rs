@@ -4,6 +4,9 @@
 //! `ExplorationStore` resume must reproduce the identical remaining batch
 //! sequence.
 
+use std::sync::Arc;
+
+use lfi::controller::{FnWorkload, Workload};
 use lfi::corpus::{build_kernel, build_libc_scaled};
 use lfi::explore::ExplorationStore;
 use lfi::isa::Platform;
@@ -63,6 +66,10 @@ fn workload(process: &mut Process) -> ExitStatus {
     ExitStatus::Exited(0)
 }
 
+fn writer() -> Arc<dyn Workload> {
+    FnWorkload::shared("log-writer", setup, workload)
+}
+
 #[test]
 fn explorer_finds_the_seeded_crash_in_a_quarter_of_the_exhaustive_budget() {
     let lfi = lfi_over_libc();
@@ -75,7 +82,7 @@ fn explorer_finds_the_seeded_crash_in_a_quarter_of_the_exhaustive_budget() {
         .batch_size(12)
         .halt_on_crash(true);
     assert_eq!(explorer.universe_len(), exhaustive_cases, "same fault space, adaptive order");
-    let report = explorer.run(setup, workload);
+    let report = explorer.run_workload(&writer());
 
     assert!(explorer.crash_found(), "the seeded (close, EIO, call 2) cell crashes the writer");
     let crash = report.crash_clusters().next().expect("one crash cluster");
@@ -100,11 +107,12 @@ fn explorer_finds_the_seeded_crash_in_a_quarter_of_the_exhaustive_budget() {
 fn mid_run_kill_and_store_resume_reproduce_identical_batches() {
     let lfi = lfi_over_libc();
     let build = || lfi.explore(&Exhaustive, &["libc.so.6"]).unwrap().seed(77).batch_size(6);
+    let writer = writer();
 
     // The uninterrupted run, batch report by batch report.
     let mut full = build();
     let mut full_reports = Vec::new();
-    while let Some(report) = full.step(setup, workload) {
+    while let Some(report) = full.step_workload(&writer) {
         full_reports.push(report);
     }
     assert!(full_reports.len() > 3, "enough batches to kill one mid-run");
@@ -114,13 +122,13 @@ fn mid_run_kill_and_store_resume_reproduce_identical_batches() {
     let mut killed = build();
     let mut killed_reports = Vec::new();
     for _ in 0..3 {
-        killed_reports.push(killed.step(setup, workload).unwrap());
+        killed_reports.push(killed.step_workload(&writer).unwrap());
     }
     let xml = killed.store().to_xml();
     drop(killed);
     let store = ExplorationStore::from_xml(&xml).unwrap();
     let mut resumed = lfi.resume_exploration(&store, &["libc.so.6"]).unwrap();
-    while let Some(report) = resumed.step(setup, workload) {
+    while let Some(report) = resumed.step_workload(&writer) {
         killed_reports.push(report);
     }
 

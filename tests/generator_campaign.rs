@@ -3,7 +3,7 @@
 //! max_entries interplay must shape the campaign's case list and its report,
 //! not just the raw plan.
 
-use lfi::controller::Campaign;
+use lfi::controller::{Campaign, FnWorkload, Workload};
 use lfi::profile::{ErrorReturn, FaultProfile, FunctionProfile};
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::{Composite, Exhaustive, Filtered, Random, ScenarioGenerator};
@@ -51,6 +51,10 @@ fn workload(process: &mut Process) -> ExitStatus {
     ExitStatus::Exited(0)
 }
 
+fn reader() -> impl Workload {
+    FnWorkload::new("reader", setup, workload)
+}
+
 #[test]
 fn filtered_allow_deny_cap_shape_the_campaign() {
     let profiles = profiles();
@@ -60,7 +64,7 @@ fn filtered_allow_deny_cap_shape_the_campaign() {
     let campaign = Campaign::from_generator(&generator, &profiles);
     assert_eq!(campaign.case_list().len(), 2, "read's two faults");
     assert!(campaign.case_list().iter().all(|case| case.plan.entries[0].function == "read"));
-    let report = campaign.run(setup, workload);
+    let report = campaign.run_workload(reader());
     assert_eq!(report.outcomes.len(), 2);
     assert_eq!(report.failures().count(), 1, "read -> -1 is handled");
     assert_eq!(report.crashes().count(), 1, "read -> 4 provokes the fatal malloc");
@@ -71,7 +75,7 @@ fn filtered_allow_deny_cap_shape_the_campaign() {
     let campaign = Campaign::from_generator(&capped, &profiles);
     assert_eq!(campaign.case_list().len(), 2);
     assert!(campaign.case_list().iter().all(|case| case.plan.entries[0].function == "write"));
-    let report = campaign.run(setup, workload);
+    let report = campaign.run_workload(reader());
     assert_eq!(report.failures().count(), 2);
     assert_eq!(report.crashes().count(), 0);
 
@@ -80,7 +84,7 @@ fn filtered_allow_deny_cap_shape_the_campaign() {
     let empty = Filtered::new(Exhaustive).allow(["read"]).deny(["read"]);
     let campaign = Campaign::from_generator(&empty, &profiles);
     assert_eq!(campaign.case_list().len(), 0);
-    assert_eq!(campaign.run(setup, workload).outcomes.len(), 0);
+    assert_eq!(campaign.run_workload(reader()).outcomes.len(), 0);
 }
 
 #[test]
@@ -102,13 +106,13 @@ fn composite_of_filtered_generators_feeds_one_campaign() {
     // trigger stays reproducible case by case.
     assert!(campaign.case_list().iter().all(|case| case.plan.seed == Some(31)));
 
-    let report = campaign.run(setup, workload);
+    let report = campaign.run_workload(reader());
     assert_eq!(report.outcomes.len(), 2);
     // read -> -1 and write -> {-1,-2} (p=1.0) both fail cleanly.
     assert_eq!(report.failures().count(), 2);
     assert_eq!(report.total_injections(), 2);
 
     // The same composite runs identically twice (fixed seed end to end).
-    let again = Campaign::from_generator(&generator, &profiles).run(setup, workload);
+    let again = Campaign::from_generator(&generator, &profiles).run_workload(reader());
     assert_eq!(again, report);
 }

@@ -9,6 +9,7 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
+use lfi::controller::FnWorkload;
 use lfi::corpus::{build_kernel, build_libc_scaled};
 use lfi::explore::{CrashCluster, ExplorationDelta, ExplorationStore, FrontierCell, FunctionCoverage, OutcomeClass};
 use lfi::intern::Symbol;
@@ -292,11 +293,12 @@ fn journaled_explorer_kill_and_resume_reproduces_the_uninterrupted_run() {
     let journal_path = dir.join("exploration.lfij");
     let lfi = lfi_over_libc();
     let build = || lfi.explore(&Exhaustive, &["libc.so.6"]).unwrap().seed(77).batch_size(6);
+    let writer = FnWorkload::shared("log-writer", setup, workload);
 
     // The uninterrupted run, batch report by batch report.
     let mut full = build();
     let mut full_reports = Vec::new();
-    while let Some(report) = full.step(setup, workload) {
+    while let Some(report) = full.step_workload(&writer) {
         full_reports.push(report);
     }
     assert!(full_reports.len() > 3, "enough batches to kill one mid-run");
@@ -306,7 +308,7 @@ fn journaled_explorer_kill_and_resume_reproduces_the_uninterrupted_run() {
     let mut journal = ExplorationJournal::create(&journal_path, &live.store()).unwrap();
     let mut reports = Vec::new();
     for _ in 0..3 {
-        reports.push(live.step(setup, workload).unwrap());
+        reports.push(live.step_workload(&writer).unwrap());
         journal.append_delta(&live.take_delta()).unwrap();
     }
     assert_eq!(journal.deltas_since_snapshot(), 3, "one O(delta) record per batch, no compaction yet");
@@ -324,7 +326,7 @@ fn journaled_explorer_kill_and_resume_reproduces_the_uninterrupted_run() {
 
     // Resuming from the recovered store finishes the run identically.
     let mut resumed = lfi.resume_exploration(recovered.state(), &["libc.so.6"]).unwrap();
-    while let Some(report) = resumed.step(setup, workload) {
+    while let Some(report) = resumed.step_workload(&writer) {
         reports.push(report);
     }
     assert_eq!(reports, full_reports, "journaled kill+resume reproduces the identical batch sequence");
