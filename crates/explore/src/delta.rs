@@ -20,14 +20,15 @@ use std::collections::HashSet;
 use lfi_intern::Symbol;
 use lfi_scenario::FaultCell;
 
-use crate::explorer::{CrashCluster, FrontierCell, FunctionCoverage};
+use crate::explorer::FrontierCell;
+use crate::ledger::{cluster_slot, sort_clusters, CrashCluster, FunctionCoverage};
 use crate::ExplorationStore;
 
 /// The state changes of one exploration step (or any span between two
 /// [`Explorer::take_delta`](crate::Explorer::take_delta) calls).
 ///
 /// Every collection is sorted by the process-independent cell/name key
-/// (clusters keep discovery order), so a delta's serialized form is
+/// (clusters by their cluster key), so a delta's serialized form is
 /// byte-deterministic across runs and processes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExplorationDelta {
@@ -60,7 +61,7 @@ pub struct ExplorationDelta {
     /// touched.
     pub coverage: Vec<(Symbol, FunctionCoverage)>,
     /// Absolute replacement entries for every cluster the span touched, in
-    /// discovery order (new clusters appended in the order they appeared).
+    /// key order.
     pub clusters: Vec<CrashCluster>,
 }
 
@@ -117,14 +118,15 @@ impl ExplorationDelta {
                 Err(index) => store.coverage.insert(index, (*symbol, function.clone())),
             }
         }
+        if !self.clusters.is_empty() {
+            // Stores written before clusters were kept in key order list
+            // them in discovery order; sorting is a no-op on any other.
+            sort_clusters(&mut store.clusters);
+        }
         for cluster in &self.clusters {
-            match store
-                .clusters
-                .iter_mut()
-                .find(|c| c.function == cluster.function && c.stack == cluster.stack && c.outcome == cluster.outcome)
-            {
-                Some(existing) => *existing = cluster.clone(),
-                None => store.clusters.push(cluster.clone()),
+            match cluster_slot(&store.clusters, cluster.function, &cluster.stack, cluster.outcome) {
+                Ok(index) => store.clusters[index] = cluster.clone(),
+                Err(index) => store.clusters.insert(index, cluster.clone()),
             }
         }
     }

@@ -12,9 +12,9 @@ use rand::{Rng, SeedableRng};
 use lfi_controller::{Campaign, CampaignReport, CaseEvent, ExecutionPolicy, TestCase, TestOutcome, Workload};
 use lfi_intern::Symbol;
 use lfi_profile::FaultProfile;
-use lfi_runtime::{ExitStatus, Signal};
 use lfi_scenario::{FaultCell, Plan};
 
+use crate::ledger::{change, cluster_slot, CellResult, CrashCluster, FaultLedger, FunctionCoverage, OutcomeClass};
 use crate::{ExplorationDelta, ExplorationStore};
 
 /// Name of the injection-free probe case every exploration starts with.
@@ -31,95 +31,6 @@ pub const ESCALATED: i32 = 100;
 /// can lengthen a retry loop, so "beyond the baseline depth" is a hint, not
 /// proof of unreachability).
 const DEPRIORITIZED: i32 = -50;
-
-/// How a test-case run ended, folded to the classes crash clustering keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OutcomeClass {
-    /// The workload exited with status 0.
-    Success,
-    /// The workload exited with the given non-zero status.
-    Failure(i32),
-    /// The workload was killed by a signal.
-    Crash(Signal),
-}
-
-impl OutcomeClass {
-    /// Classifies an exit status.
-    pub fn of(status: ExitStatus) -> Self {
-        match status {
-            ExitStatus::Exited(0) => OutcomeClass::Success,
-            ExitStatus::Exited(code) => OutcomeClass::Failure(code),
-            ExitStatus::Crashed(signal) => OutcomeClass::Crash(signal),
-        }
-    }
-
-    /// True for signal deaths.
-    pub fn is_crash(self) -> bool {
-        matches!(self, OutcomeClass::Crash(_))
-    }
-}
-
-impl fmt::Display for OutcomeClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OutcomeClass::Success => f.write_str("success"),
-            OutcomeClass::Failure(code) => write!(f, "exit:{code}"),
-            OutcomeClass::Crash(signal) => write!(f, "crash:{signal}"),
-        }
-    }
-}
-
-impl OutcomeClass {
-    /// Parses the [`fmt::Display`] form back (used by the XML store).
-    pub fn parse(text: &str) -> Option<Self> {
-        match text {
-            "success" => Some(OutcomeClass::Success),
-            "crash:SIGABRT" => Some(OutcomeClass::Crash(Signal::Abort)),
-            "crash:SIGSEGV" => Some(OutcomeClass::Crash(Signal::Segv)),
-            _ => text.strip_prefix("exit:")?.parse().ok().map(OutcomeClass::Failure),
-        }
-    }
-}
-
-/// One cluster of deduplicated non-success outcomes, keyed by (injected
-/// symbol, observed stack at injection time, outcome class) — the unit the
-/// paper's "pinpoint bugs or weak spots" reporting works in.  Every further
-/// outcome with the same key only bumps `count`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrashCluster {
-    /// The function whose injected fault produced the outcome.
-    pub function: Symbol,
-    /// The call stack observed when the fault was injected, innermost frame
-    /// last (empty when the case failed without its injection firing).
-    pub stack: Vec<Symbol>,
-    /// The outcome class (crash signal or exit code).
-    pub outcome: OutcomeClass,
-    /// How many outcomes were folded into this cluster.
-    pub count: u64,
-    /// The first cell that produced the cluster (its replay coordinates).
-    pub example: FaultCell,
-    /// The name of the first test case that produced the cluster.
-    pub example_case: String,
-}
-
-impl CrashCluster {
-    /// True when the cluster is a signal death (not just a non-zero exit).
-    pub fn is_crash(&self) -> bool {
-        self.outcome.is_crash()
-    }
-}
-
-/// Per-function coverage accounting.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FunctionCoverage {
-    /// The deepest intercepted-call count observed for this function in any
-    /// case so far (from the probe's dispatch call log, then per-case
-    /// injector call totals).
-    pub observed_calls: u64,
-    /// Cells of this function whose injection actually fired, as
-    /// (ordinal, retval, errno) — the *triggered* half of the coverage map.
-    pub triggered: BTreeSet<(u64, i64, Option<i64>)>,
-}
 
 /// One pending cell of the exploration frontier, with its priority.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,7 +70,8 @@ pub struct ExplorationReport {
     pub cases_executed: u64,
     /// Total injections performed.
     pub injections_performed: u64,
-    /// The deduplicated non-success clusters, in discovery order.
+    /// The deduplicated non-success clusters, in key order (function name,
+    /// stack frame names, outcome class).
     pub clusters: Vec<CrashCluster>,
     /// Aggregate coverage numbers.
     pub coverage: CoverageSummary,
@@ -207,7 +119,7 @@ impl Default for ExplorerConfig {
 struct DeltaTracker {
     /// Cells whose frontier presence or priority may have changed.
     frontier: HashSet<FaultCell>,
-    /// Cells executed in the span (each cell is consumed at most once).
+    /// Cells executed in the span (the ledger folds each cell once).
     executed: Vec<FaultCell>,
     /// Cells proven unreachable in the span.
     unreached: HashSet<FaultCell>,
@@ -215,9 +127,8 @@ struct DeltaTracker {
     pruned_functions: HashSet<Symbol>,
     /// Functions whose coverage entry mutated in the span.
     coverage: HashSet<Symbol>,
-    /// Indices of clusters created or bumped in the span (cluster indices
-    /// are stable: the table only appends).
-    clusters: BTreeSet<usize>,
+    /// Keys of the clusters created or bumped in the span.
+    clusters: HashSet<(Symbol, Vec<Symbol>, OutcomeClass)>,
 }
 
 /// The coverage-guided exploration engine — see the [crate docs](crate) for
@@ -252,20 +163,17 @@ pub struct Explorer {
     profiles: Vec<FaultProfile>,
     /// Size of the enumerated seed universe (for coverage reporting).
     universe: usize,
+    /// Executed cells, coverage, clusters and counters.
+    ledger: FaultLedger,
+    // The frontier policy: what runs next, and what never needs to.
     frontier: Vec<FrontierCell>,
-    executed: HashSet<FaultCell>,
     unreached: HashSet<FaultCell>,
     pruned_functions: HashSet<Symbol>,
-    coverage: HashMap<Symbol, FunctionCoverage>,
-    clusters: Vec<CrashCluster>,
     config: ExplorerConfig,
     rng: StdRng,
     rng_draws: u64,
     batch_index: u64,
     probe_done: bool,
-    crash_found: bool,
-    cases_executed: u64,
-    injections_performed: u64,
     elapsed: Duration,
     /// Whether [`Explorer::consume`] runs the built-in crash-adjacent
     /// escalation heuristic (default).  A closed-loop driver disables it and
@@ -299,20 +207,15 @@ impl Explorer {
         Self {
             profiles,
             universe: cells.len(),
+            ledger: FaultLedger::default(),
             frontier: cells.into_iter().map(|cell| FrontierCell { cell, priority: 0 }).collect(),
-            executed: HashSet::new(),
             unreached: HashSet::new(),
             pruned_functions: HashSet::new(),
-            coverage: HashMap::new(),
-            clusters: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed),
             rng_draws: 0,
             config,
             batch_index: 0,
             probe_done: false,
-            crash_found: false,
-            cases_executed: 0,
-            injections_performed: 0,
             elapsed: Duration::ZERO,
             escalation_enabled: true,
             muted: HashSet::new(),
@@ -334,12 +237,10 @@ impl Explorer {
         Self {
             profiles,
             universe: store.universe,
+            ledger: FaultLedger::from_store(store),
             frontier: store.frontier.clone(),
-            executed: store.executed.iter().copied().collect(),
             unreached: store.unreached.iter().copied().collect(),
             pruned_functions: store.pruned_functions.iter().copied().collect(),
-            coverage: store.coverage.iter().cloned().collect(),
-            clusters: store.clusters.clone(),
             config: ExplorerConfig {
                 seed: store.seed,
                 batch_size: store.batch_size,
@@ -353,9 +254,6 @@ impl Explorer {
             rng_draws: store.rng_draws,
             batch_index: store.batch_index,
             probe_done: store.probe_done,
-            crash_found: store.crash_found,
-            cases_executed: store.cases_executed,
-            injections_performed: store.injections_performed,
             elapsed: Duration::from_millis(store.elapsed_ms),
             escalation_enabled: true,
             muted: HashSet::new(),
@@ -369,16 +267,10 @@ impl Explorer {
     /// process restores with [`ExplorationStore::from_xml`] +
     /// [`Explorer::resume`].
     pub fn store(&self) -> ExplorationStore {
-        let by_name = |a: &FaultCell, b: &FaultCell| a.sort_key().cmp(&b.sort_key());
-        let mut executed: Vec<FaultCell> = self.executed.iter().copied().collect();
-        executed.sort_by(by_name);
         let mut unreached: Vec<FaultCell> = self.unreached.iter().copied().collect();
-        unreached.sort_by(by_name);
+        unreached.sort_by_cached_key(FaultCell::sort_key);
         let mut pruned_functions: Vec<Symbol> = self.pruned_functions.iter().copied().collect();
         pruned_functions.sort_by_key(|s| s.as_str());
-        let mut coverage: Vec<(Symbol, FunctionCoverage)> =
-            self.coverage.iter().map(|(s, c)| (*s, c.clone())).collect();
-        coverage.sort_by_key(|(s, _)| s.as_str());
         // Parked (muted) cells rejoin the frontier in the snapshot: mute
         // state is runtime-only and a resumed explorer starts with nothing
         // muted, so nothing is silently lost across a restore.  The snapshot
@@ -388,7 +280,7 @@ impl Explorer {
         // frontier match the snapshot byte for byte.
         let mut frontier: Vec<FrontierCell> = self.frontier.iter().chain(self.parked.iter()).cloned().collect();
         frontier.sort_by(|a, b| b.priority.cmp(&a.priority).then_with(|| a.cell.sort_key().cmp(&b.cell.sort_key())));
-        ExplorationStore {
+        let mut store = ExplorationStore {
             seed: self.config.seed,
             batch_size: self.config.batch_size,
             parallelism: self.config.parallelism,
@@ -400,17 +292,14 @@ impl Explorer {
             batch_index: self.batch_index,
             rng_draws: self.rng_draws,
             probe_done: self.probe_done,
-            crash_found: self.crash_found,
-            cases_executed: self.cases_executed,
-            injections_performed: self.injections_performed,
             elapsed_ms: self.elapsed.as_millis() as u64,
             frontier,
-            executed,
             unreached,
             pruned_functions,
-            coverage,
-            clusters: self.clusters.clone(),
-        }
+            ..ExplorationStore::default()
+        };
+        self.ledger.write_into(&mut store);
+        store
     }
 
     /// Drains everything that mutated since the last `take_delta` call (or
@@ -447,21 +336,22 @@ impl Explorer {
         let mut coverage: Vec<(Symbol, FunctionCoverage)> = tracker
             .coverage
             .into_iter()
-            .filter_map(|symbol| self.coverage.get(&symbol).map(|c| (symbol, c.clone())))
+            .filter_map(|symbol| self.ledger.coverage(symbol).map(|c| (symbol, c.clone())))
             .collect();
         coverage.sort_by_key(|(s, _)| s.as_str());
-        let clusters: Vec<CrashCluster> = tracker
+        let clusters = self.ledger.clusters();
+        let touched: BTreeSet<usize> = tracker
             .clusters
-            .into_iter()
-            .filter_map(|index| self.clusters.get(index).cloned())
+            .iter()
+            .filter_map(|(function, stack, outcome)| cluster_slot(clusters, *function, stack, *outcome).ok())
             .collect();
         ExplorationDelta {
             batch_index: self.batch_index,
             rng_draws: self.rng_draws,
             probe_done: self.probe_done,
-            crash_found: self.crash_found,
-            cases_executed: self.cases_executed,
-            injections_performed: self.injections_performed,
+            crash_found: self.crash_found(),
+            cases_executed: self.cases_executed(),
+            injections_performed: self.injections_performed(),
             elapsed_ms: self.elapsed.as_millis() as u64,
             frontier_remove,
             frontier_upsert,
@@ -469,7 +359,7 @@ impl Explorer {
             unreached,
             pruned_functions,
             coverage,
-            clusters,
+            clusters: touched.into_iter().map(|index| clusters[index].clone()).collect(),
         }
     }
 
@@ -552,12 +442,12 @@ impl Explorer {
 
     /// Test cases executed so far (probe included).
     pub fn cases_executed(&self) -> u64 {
-        self.cases_executed
+        self.ledger.cases()
     }
 
     /// Injections performed so far.
     pub fn injections_performed(&self) -> u64 {
-        self.injections_performed
+        self.ledger.injections()
     }
 
     /// Batches executed so far (the probe is batch 0).
@@ -567,20 +457,21 @@ impl Explorer {
 
     /// True once any batch produced a signal death.
     pub fn crash_found(&self) -> bool {
-        self.crash_found
+        self.ledger.crashes() > 0
     }
 
-    /// The deduplicated non-success clusters, in discovery order.
+    /// The deduplicated non-success clusters, in key order (function name,
+    /// stack frame names, outcome class).
     pub fn clusters(&self) -> &[CrashCluster] {
-        &self.clusters
+        self.ledger.clusters()
     }
 
     /// Aggregate coverage numbers so far.
     pub fn coverage_summary(&self) -> CoverageSummary {
         CoverageSummary {
             universe: self.universe,
-            executed: self.executed.len(),
-            triggered: self.coverage.values().map(|c| c.triggered.len()).sum(),
+            executed: self.ledger.executed_len(),
+            triggered: self.ledger.triggered_len(),
             unreached: self.unreached.len(),
             pruned_functions: self.pruned_functions.len(),
             frontier_remaining: self.frontier.len(),
@@ -591,13 +482,13 @@ impl Explorer {
     /// frontier is exhausted, a budget is spent, or (with
     /// [`Explorer::halt_on_crash`]) a crash was found.
     pub fn finished(&self) -> bool {
-        if self.config.halt_on_crash && self.crash_found {
+        if self.config.halt_on_crash && self.crash_found() {
             return true;
         }
-        if self.config.case_budget.is_some_and(|budget| self.cases_executed >= budget) {
+        if self.config.case_budget.is_some_and(|budget| self.cases_executed() >= budget) {
             return true;
         }
-        if self.config.injection_budget.is_some_and(|budget| self.injections_performed >= budget) {
+        if self.config.injection_budget.is_some_and(|budget| self.injections_performed() >= budget) {
             return true;
         }
         if self.config.time_budget.is_some_and(|budget| self.elapsed >= budget) {
@@ -643,14 +534,26 @@ impl Explorer {
     /// as an externally drivable action (rule engines call this for
     /// `EscalateSiblings` decisions).
     pub fn escalate_cell(&mut self, cell: FaultCell) {
-        self.escalate(cell);
+        for candidate in self.adjacent_cells(cell) {
+            self.raise_cell(candidate, ESCALATED);
+        }
     }
 
     /// Puts a single cell on the frontier at (at least) `priority`, unless
     /// it already ran or was proven unreachable.  Cells of muted functions
-    /// are parked instead of scheduled.
+    /// are parked instead of scheduled.  Cells a halted batch never ran
+    /// come back through here with their original priority.
     pub fn raise_cell(&mut self, cell: FaultCell, priority: i32) {
-        self.raise(cell, priority);
+        if self.ledger.is_executed(&cell) || self.unreached.contains(&cell) {
+            return;
+        }
+        self.tracker.frontier.insert(cell);
+        let lane = if self.muted.contains(&cell.function) { &mut self.parked } else { &mut self.frontier };
+        if let Some(existing) = lane.iter_mut().find(|f| f.cell == cell) {
+            existing.priority = existing.priority.max(priority);
+            return;
+        }
+        lane.push(FrontierCell { cell, priority });
     }
 
     /// Mutes a function: parks all of its pending frontier cells (keeping
@@ -683,7 +586,7 @@ impl Explorer {
             !hit
         });
         for cell in restored {
-            self.restore(cell);
+            self.raise_cell(cell.cell, cell.priority);
         }
     }
 
@@ -766,9 +669,9 @@ impl Explorer {
     pub fn report(&self, batches: Vec<CampaignReport>) -> ExplorationReport {
         ExplorationReport {
             batches,
-            cases_executed: self.cases_executed,
-            injections_performed: self.injections_performed,
-            clusters: self.clusters.clone(),
+            cases_executed: self.cases_executed(),
+            injections_performed: self.injections_performed(),
+            clusters: self.clusters().to_vec(),
             coverage: self.coverage_summary(),
         }
     }
@@ -794,16 +697,12 @@ impl Explorer {
         let campaign = Campaign::new().case(TestCase::new(PROBE_CASE_NAME, Plan::new())).capture_call_log(true);
         let (report, _, _) = self.run_session(campaign, workload, started, on_event);
         if let Some(outcome) = report.outcomes.first() {
-            self.cases_executed += 1;
             let mut counts: HashMap<Symbol, u64> = HashMap::new();
             for &symbol in &outcome.calls {
                 *counts.entry(symbol).or_insert(0) += 1;
             }
-            for (&symbol, &count) in &counts {
-                let coverage = self.coverage.entry(symbol).or_default();
-                coverage.observed_calls = coverage.observed_calls.max(count);
-                self.tracker.coverage.insert(symbol);
-            }
+            self.ledger.apply_probe(&counts);
+            self.tracker.coverage.extend(counts.keys().copied());
             if outcome.calls_dropped == 0 {
                 // A complete call log proves absence: prune every cell of a
                 // function the workload never dispatched.  A truncated log
@@ -848,13 +747,13 @@ impl Explorer {
         self.frontier.sort_by_cached_key(|f| (Reverse(f.priority), f.cell.sort_key()));
         let mut take = self.config.batch_size.min(self.frontier.len());
         if let Some(budget) = self.config.case_budget {
-            take = take.min(budget.saturating_sub(self.cases_executed) as usize);
+            take = take.min(budget.saturating_sub(self.cases_executed()) as usize);
         }
         if let Some(budget) = self.config.injection_budget {
             // Each cell case injects at most once (a single call-count
             // trigger), so capping the batch at the remaining budget makes
             // the injection bound exact, not just checked between batches.
-            take = take.min(budget.saturating_sub(self.injections_performed) as usize);
+            take = take.min(budget.saturating_sub(self.injections_performed()) as usize);
         }
         // Partial Fisher–Yates: only the `take` selected positions draw from
         // the RNG stream (each drawn uniformly from the rest of its
@@ -899,7 +798,7 @@ impl Explorer {
     ) -> CampaignReport {
         let cases: Vec<TestCase> = cells
             .iter()
-            .map(|f| TestCase::new(self.case_name(&f.cell), Plan::new().entry(f.cell.plan_entry())))
+            .map(|f| TestCase::new(f.cell.case_name(), Plan::new().entry(f.cell.plan_entry())))
             .collect();
         let mut policy = ExecutionPolicy::run_all();
         if self.config.halt_on_crash {
@@ -912,7 +811,7 @@ impl Explorer {
             self.consume(cells[index].cell, outcome);
         }
         for index in skipped {
-            self.restore(cells[index]);
+            self.raise_cell(cells[index].cell, cells[index].priority);
         }
         report
     }
@@ -950,53 +849,18 @@ impl Explorer {
         (run.into_report(), executed, skipped)
     }
 
-    /// Puts a cell a halted batch never executed back on the frontier at
-    /// (at least) its original priority — unless something already ruled it
-    /// out or re-raised it in the meantime.
-    fn restore(&mut self, cell: FrontierCell) {
-        if self.executed.contains(&cell.cell) || self.unreached.contains(&cell.cell) {
-            return;
-        }
-        self.tracker.frontier.insert(cell.cell);
-        let lane = if self.muted.contains(&cell.cell.function) {
-            &mut self.parked
-        } else {
-            &mut self.frontier
-        };
-        if let Some(existing) = lane.iter_mut().find(|f| f.cell == cell.cell) {
-            existing.priority = existing.priority.max(cell.priority);
-            return;
-        }
-        lane.push(cell);
-    }
-
-    /// The stable, human-greppable name of a cell's test case.
-    fn case_name(&self, cell: &FaultCell) -> String {
-        let errno = cell.errno.map_or_else(|| "-".to_owned(), |e| e.to_string());
-        format!(
-            "b{:03}-{}-c{}-r{}-e{}",
-            self.batch_index,
-            cell.function.as_str(),
-            cell.call_ordinal,
-            cell.retval,
-            errno
-        )
-    }
-
-    /// Folds one case outcome into the exploration state.
+    /// Folds one case outcome into the ledger, then lets the frontier
+    /// policy react: an injection that never fired prunes its function's
+    /// deeper cells, and a crash escalates its neighbours.
     fn consume(&mut self, cell: FaultCell, outcome: &TestOutcome) {
-        self.executed.insert(cell);
-        self.tracker.executed.push(cell);
-        self.tracker.coverage.insert(cell.function);
-        self.cases_executed += 1;
         let calls = outcome.log.calls_to_sym(cell.function);
-        let coverage = self.coverage.entry(cell.function).or_default();
-        coverage.observed_calls = coverage.observed_calls.max(calls);
-        let injected = outcome.log.injection_count() as u64;
-        self.injections_performed += injected;
-        if injected > 0 {
-            coverage.triggered.insert((cell.call_ordinal, cell.retval, cell.errno));
-        } else {
+        let result = CellResult { observed_calls: calls, ..CellResult::of(outcome) };
+        let changed = self.ledger.apply(cell, &result);
+        if changed & change::EXECUTED != 0 {
+            self.tracker.executed.push(cell);
+            self.tracker.coverage.insert(cell.function);
+        }
+        if result.injections == 0 {
             // The planned injection never fired: the workload made only
             // `calls` calls to the function, so every pending cell of the
             // same function beyond that depth is unreachable too — prune
@@ -1016,64 +880,12 @@ impl Explorer {
                 !dead
             });
         }
-        let class = OutcomeClass::of(outcome.status);
-        if class != OutcomeClass::Success {
-            let stack = outcome.log.injections.first().map(|r| r.stack.clone()).unwrap_or_default();
-            self.cluster(cell, &outcome.name, stack, class);
+        if result.outcome.is_crash() && self.escalation_enabled {
+            self.escalate_cell(cell);
         }
-        if class.is_crash() {
-            self.crash_found = true;
-            if self.escalation_enabled {
-                self.escalate(cell);
-            }
+        if changed & change::CLUSTER != 0 {
+            self.tracker.clusters.insert((cell.function, result.stack, result.outcome));
         }
-    }
-
-    /// Deduplicates a non-success outcome into the cluster table.
-    fn cluster(&mut self, cell: FaultCell, case: &str, stack: Vec<Symbol>, outcome: OutcomeClass) {
-        if let Some(index) = self
-            .clusters
-            .iter()
-            .position(|c| c.function == cell.function && c.stack == stack && c.outcome == outcome)
-        {
-            self.clusters[index].count += 1;
-            self.tracker.clusters.insert(index);
-            return;
-        }
-        self.tracker.clusters.insert(self.clusters.len());
-        self.clusters.push(CrashCluster {
-            function: cell.function,
-            stack,
-            outcome,
-            count: 1,
-            example: cell,
-            example_case: case.to_owned(),
-        });
-    }
-
-    /// Raises the priority of every cell adjacent to a crash: the
-    /// neighbouring call ordinals with the same fault, and the sibling
-    /// (retval, errno) pairs the profiles list for the function, at the same
-    /// ordinal.  Cells not yet on the frontier are added.
-    fn escalate(&mut self, cell: FaultCell) {
-        for candidate in self.adjacent_cells(cell) {
-            self.raise(candidate, ESCALATED);
-        }
-    }
-
-    /// Puts a cell on the frontier at (at least) the given priority, unless
-    /// it already ran.  Cells of muted functions are parked instead.
-    fn raise(&mut self, cell: FaultCell, priority: i32) {
-        if self.executed.contains(&cell) || self.unreached.contains(&cell) {
-            return;
-        }
-        self.tracker.frontier.insert(cell);
-        let lane = if self.muted.contains(&cell.function) { &mut self.parked } else { &mut self.frontier };
-        if let Some(existing) = lane.iter_mut().find(|f| f.cell == cell) {
-            existing.priority = existing.priority.max(priority);
-            return;
-        }
-        lane.push(FrontierCell { cell, priority });
     }
 }
 
@@ -1082,10 +894,10 @@ impl fmt::Debug for Explorer {
         f.debug_struct("Explorer")
             .field("universe", &self.universe)
             .field("frontier", &self.frontier.len())
-            .field("executed", &self.executed.len())
-            .field("clusters", &self.clusters.len())
+            .field("executed", &self.ledger.executed_len())
+            .field("clusters", &self.ledger.clusters().len())
             .field("batch_index", &self.batch_index)
-            .field("cases_executed", &self.cases_executed)
+            .field("cases_executed", &self.ledger.cases())
             .finish()
     }
 }
@@ -1095,7 +907,7 @@ mod tests {
     use super::*;
     use lfi_controller::FnWorkload;
     use lfi_profile::{ErrorReturn, FunctionProfile};
-    use lfi_runtime::{NativeLibrary, Process};
+    use lfi_runtime::{ExitStatus, NativeLibrary, Process, Signal};
     use lfi_scenario::{Exhaustive, ScenarioGenerator};
 
     /// Profiles for a toy libc: `read` fails with -1 or returns a short
@@ -1152,6 +964,7 @@ mod tests {
     #[test]
     fn exploration_prunes_probes_and_clusters() {
         let mut explorer = explorer();
+        assert!(format!("{explorer:?}").contains("universe: 4"));
         assert_eq!(explorer.universe_len(), 4);
         assert_eq!(explorer.frontier_len(), 4);
         let report = explorer.run_workload(&toy());
@@ -1300,22 +1113,5 @@ mod tests {
         controlled.unmute(read);
         controlled.take_delta().apply(&mut shadow);
         assert_eq!(shadow, controlled.store());
-    }
-
-    #[test]
-    fn outcome_classes_render_and_parse() {
-        for class in [
-            OutcomeClass::Success,
-            OutcomeClass::Failure(3),
-            OutcomeClass::Crash(Signal::Abort),
-            OutcomeClass::Crash(Signal::Segv),
-        ] {
-            assert_eq!(OutcomeClass::parse(&class.to_string()), Some(class));
-        }
-        assert_eq!(OutcomeClass::parse("melted"), None);
-        assert_eq!(OutcomeClass::of(ExitStatus::Exited(0)), OutcomeClass::Success);
-        assert_eq!(OutcomeClass::of(ExitStatus::Exited(7)), OutcomeClass::Failure(7));
-        assert!(OutcomeClass::of(ExitStatus::Crashed(Signal::Segv)).is_crash());
-        assert!(format!("{:?}", explorer()).contains("universe: 4"));
     }
 }

@@ -1,0 +1,413 @@
+//! The [`FaultLedger`]: the one fold from a cell's outcome to results, and
+//! the outcome, cluster and coverage types it folds into.
+
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::fmt;
+
+use lfi_controller::TestOutcome;
+use lfi_intern::Symbol;
+use lfi_runtime::{ExitStatus, Signal};
+use lfi_scenario::FaultCell;
+
+use crate::ExplorationStore;
+
+/// How a test-case run ended, folded to the classes crash clustering keys on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum OutcomeClass {
+    /// The workload exited with status 0.
+    Success,
+    /// The workload exited with the given non-zero status.
+    Failure(i32),
+    /// The workload was killed by a signal.
+    Crash(Signal),
+}
+
+impl OutcomeClass {
+    /// Classifies an exit status.
+    pub fn of(status: ExitStatus) -> Self {
+        match status {
+            ExitStatus::Exited(0) => OutcomeClass::Success,
+            ExitStatus::Exited(code) => OutcomeClass::Failure(code),
+            ExitStatus::Crashed(signal) => OutcomeClass::Crash(signal),
+        }
+    }
+
+    /// True for signal deaths.
+    pub fn is_crash(self) -> bool {
+        matches!(self, OutcomeClass::Crash(_))
+    }
+
+    /// Parses the [`fmt::Display`] form back (used by the XML store).
+    pub fn parse(text: &str) -> Option<Self> {
+        match text {
+            "success" => Some(OutcomeClass::Success),
+            "crash:SIGABRT" => Some(OutcomeClass::Crash(Signal::Abort)),
+            "crash:SIGSEGV" => Some(OutcomeClass::Crash(Signal::Segv)),
+            _ => text.strip_prefix("exit:")?.parse().ok().map(OutcomeClass::Failure),
+        }
+    }
+}
+
+impl fmt::Display for OutcomeClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OutcomeClass::Success => f.write_str("success"),
+            OutcomeClass::Failure(code) => write!(f, "exit:{code}"),
+            OutcomeClass::Crash(signal) => write!(f, "crash:{signal}"),
+        }
+    }
+}
+
+/// One cluster of deduplicated non-success outcomes, keyed by (injected
+/// symbol, observed stack at injection time, outcome class) — the unit the
+/// paper's "pinpoint bugs or weak spots" reporting works in.  Every further
+/// outcome with the same key only bumps `count`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CrashCluster {
+    /// The function whose injected fault produced the outcome.
+    pub function: Symbol,
+    /// The call stack observed when the fault was injected, innermost frame
+    /// last (empty when the case failed without its injection firing).
+    pub stack: Vec<Symbol>,
+    /// The outcome class (crash signal or exit code).
+    pub outcome: OutcomeClass,
+    /// How many outcomes were folded into this cluster.
+    pub count: u64,
+    /// The member cell that sorts first by [`FaultCell::sort_key`] (its
+    /// replay coordinates) — the same cell whatever order members arrived
+    /// in.
+    pub example: FaultCell,
+    /// The test-case name of `example` ([`FaultCell::case_name`]).
+    pub example_case: String,
+}
+
+impl CrashCluster {
+    /// True when the cluster is a signal death (not just a non-zero exit).
+    pub fn is_crash(&self) -> bool {
+        self.outcome.is_crash()
+    }
+}
+
+/// Per-function coverage accounting.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FunctionCoverage {
+    /// The deepest intercepted-call count observed for this function in any
+    /// case so far (from the probe's dispatch call log, then per-case
+    /// injector call totals).
+    pub observed_calls: u64,
+    /// Cells of this function whose injection actually fired, as
+    /// (ordinal, retval, errno) — the *triggered* half of the coverage map.
+    pub triggered: BTreeSet<(u64, i64, Option<i64>)>,
+}
+
+/// What one executed cell came back with: everything the ledger folds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellResult {
+    /// How the cell's case ended.
+    pub outcome: OutcomeClass,
+    /// Injections the case performed (its planned one fired when > 0).
+    pub injections: u64,
+    /// Calls the case made to the cell's function (0 when unknown).
+    pub observed_calls: u64,
+    /// The call stack of the case's first injection (empty when none fired).
+    pub stack: Vec<Symbol>,
+}
+
+impl CellResult {
+    /// The result of a finished case, with `observed_calls` left at 0 for
+    /// callers that cannot reproduce it.
+    pub fn of(outcome: &TestOutcome) -> Self {
+        CellResult {
+            outcome: OutcomeClass::of(outcome.status),
+            injections: outcome.injection_count() as u64,
+            observed_calls: 0,
+            stack: outcome.log.injections.first().map(|r| r.stack.clone()).unwrap_or_default(),
+        }
+    }
+}
+
+/// Bits of the change mask [`FaultLedger::apply`] returns.
+pub mod change {
+    /// The cell was new: it joined the executed set, the counters and its
+    /// function's coverage entry.
+    pub const EXECUTED: u8 = 1 << 0;
+    /// A cluster was created or bumped.
+    pub const CLUSTER: u8 = 1 << 1;
+}
+
+/// The cluster order: function name, then stack frame names, then outcome
+/// class — process-independent, like [`FaultCell::sort_key`].
+fn cluster_order(cluster: &CrashCluster, function: Symbol, stack: &[Symbol], outcome: OutcomeClass) -> Ordering {
+    cluster
+        .function
+        .as_str()
+        .cmp(function.as_str())
+        .then_with(|| cluster.stack.iter().map(|s| s.as_str()).cmp(stack.iter().map(|s| s.as_str())))
+        .then_with(|| cluster.outcome.cmp(&outcome))
+}
+
+/// Where the cluster keyed (`function`, `stack`, `outcome`) sits in a
+/// key-ordered cluster list: `Ok` at its index, `Err` where it belongs.
+pub(crate) fn cluster_slot(
+    clusters: &[CrashCluster],
+    function: Symbol,
+    stack: &[Symbol],
+    outcome: OutcomeClass,
+) -> Result<usize, usize> {
+    clusters.binary_search_by(|c| cluster_order(c, function, stack, outcome))
+}
+
+/// Puts clusters in key order (a no-op on lists this crate wrote).
+pub(crate) fn sort_clusters(clusters: &mut [CrashCluster]) {
+    clusters.sort_by(|a, b| cluster_order(a, b.function, &b.stack, b.outcome));
+}
+
+/// The executed cells of a fault space and what they produced: the
+/// executed set, per-function coverage, the deduplicated outcome clusters
+/// and the case, injection, crash and failure counters.
+///
+/// The explorer is a ledger plus a frontier policy; a fabric job is a
+/// ledger plus a lease book, so both report the same cells the same way.
+/// The fold does not depend on order: coverage is a max and a set union,
+/// counters are sums, and clusters sit in key order and name their smallest
+/// member cell as the example.  Two front ends that execute the same cells
+/// in any order, across any checkpoint/restore boundary, arrive at the same
+/// ledger.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FaultLedger {
+    executed: HashSet<FaultCell>,
+    coverage: HashMap<Symbol, FunctionCoverage>,
+    /// A flat map in cluster key order.
+    clusters: Vec<CrashCluster>,
+    cases: u64,
+    injections: u64,
+    crashes: u64,
+    failures: u64,
+}
+
+impl FaultLedger {
+    /// The ledger a snapshot recorded: executed set, coverage, clusters
+    /// (put in key order), and the case and injection counters.  Crash and
+    /// failure counts are the sizes of the crash and failure clusters.
+    pub fn from_store(store: &ExplorationStore) -> Self {
+        let mut clusters = store.clusters.clone();
+        sort_clusters(&mut clusters);
+        let count = |crash: bool| clusters.iter().filter(|c| c.is_crash() == crash).map(|c| c.count).sum();
+        Self {
+            executed: store.executed.iter().copied().collect(),
+            coverage: store.coverage.iter().cloned().collect(),
+            crashes: count(true),
+            failures: count(false),
+            clusters,
+            cases: store.cases_executed,
+            injections: store.injections_performed,
+        }
+    }
+
+    /// Writes the ledger's half of a snapshot: executed cells and coverage
+    /// sorted by name, clusters in key order, and the counters.
+    pub fn write_into(&self, store: &mut ExplorationStore) {
+        store.executed = self.executed.iter().copied().collect();
+        store.executed.sort_by_cached_key(FaultCell::sort_key);
+        store.coverage = self.coverage.iter().map(|(s, c)| (*s, c.clone())).collect();
+        store.coverage.sort_by_key(|(s, _)| s.as_str());
+        store.clusters = self.clusters.clone();
+        store.cases_executed = self.cases;
+        store.injections_performed = self.injections;
+        store.crash_found = self.crashes > 0;
+    }
+
+    /// Folds one executed cell in and returns what changed (bits of
+    /// [`change`]).  A cell the ledger has already seen changes nothing and
+    /// returns 0.
+    pub fn apply(&mut self, cell: FaultCell, result: &CellResult) -> u8 {
+        if !self.executed.insert(cell) {
+            return 0;
+        }
+        self.cases += 1;
+        self.injections += result.injections;
+        let coverage = self.coverage.entry(cell.function).or_default();
+        coverage.observed_calls = coverage.observed_calls.max(result.observed_calls);
+        if result.injections > 0 {
+            coverage.triggered.insert((cell.call_ordinal, cell.retval, cell.errno));
+        }
+        match result.outcome {
+            OutcomeClass::Success => return change::EXECUTED,
+            OutcomeClass::Crash(_) => self.crashes += 1,
+            OutcomeClass::Failure(_) => self.failures += 1,
+        }
+        match cluster_slot(&self.clusters, cell.function, &result.stack, result.outcome) {
+            Ok(index) => {
+                let cluster = &mut self.clusters[index];
+                cluster.count += 1;
+                if cell.sort_key() < cluster.example.sort_key() {
+                    cluster.example = cell;
+                    cluster.example_case = cell.case_name();
+                }
+            }
+            Err(index) => self.clusters.insert(
+                index,
+                CrashCluster {
+                    function: cell.function,
+                    stack: result.stack.clone(),
+                    outcome: result.outcome,
+                    count: 1,
+                    example: cell,
+                    example_case: cell.case_name(),
+                },
+            ),
+        }
+        change::EXECUTED | change::CLUSTER
+    }
+
+    /// Folds an injection-free baseline case: counts it and raises each
+    /// function's observed call depth to what the case's call log showed.
+    pub fn apply_probe(&mut self, calls: &HashMap<Symbol, u64>) {
+        self.cases += 1;
+        for (&symbol, &count) in calls {
+            let coverage = self.coverage.entry(symbol).or_default();
+            coverage.observed_calls = coverage.observed_calls.max(count);
+        }
+    }
+
+    /// True once `cell` has been folded in.
+    pub fn is_executed(&self, cell: &FaultCell) -> bool {
+        self.executed.contains(cell)
+    }
+
+    /// Cells folded in.
+    pub fn executed_len(&self) -> usize {
+        self.executed.len()
+    }
+
+    /// Cells whose injection fired, over all functions.
+    pub fn triggered_len(&self) -> usize {
+        self.coverage.values().map(|c| c.triggered.len()).sum()
+    }
+
+    /// The coverage entry of `function`, if any case touched it.
+    pub fn coverage(&self, function: Symbol) -> Option<&FunctionCoverage> {
+        self.coverage.get(&function)
+    }
+
+    /// The deduplicated non-success clusters, in key order (function name,
+    /// stack frame names, outcome class).
+    pub fn clusters(&self) -> &[CrashCluster] {
+        &self.clusters
+    }
+
+    /// Cases folded in (cells plus baseline probes).
+    pub fn cases(&self) -> u64 {
+        self.cases
+    }
+
+    /// Injections performed over all folded cells.
+    pub fn injections(&self) -> u64 {
+        self.injections
+    }
+
+    /// Folded cells whose workload died on a signal.
+    pub fn crashes(&self) -> u64 {
+        self.crashes
+    }
+
+    /// Folded cells whose workload exited non-zero without crashing.
+    pub fn failures(&self) -> u64 {
+        self.failures
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(ordinal: u64, errno: i64) -> FaultCell {
+        FaultCell { function: Symbol::intern("read"), call_ordinal: ordinal, retval: -1, errno: Some(errno) }
+    }
+
+    fn failed(stack: &[&str]) -> CellResult {
+        CellResult {
+            outcome: OutcomeClass::Failure(1),
+            injections: 1,
+            observed_calls: 0,
+            stack: stack.iter().map(|s| Symbol::intern(s)).collect(),
+        }
+    }
+
+    #[test]
+    fn the_fold_does_not_depend_on_order() {
+        let results = [
+            (cell(3, 5), failed(&["main", "read"])),
+            (cell(1, 9), failed(&["main", "read"])),
+            (cell(2, 5), failed(&["init", "read"])),
+            (cell(1, 5), CellResult { outcome: OutcomeClass::Success, ..failed(&[]) }),
+            (cell(4, 5), CellResult { outcome: OutcomeClass::Crash(Signal::Segv), ..failed(&["main", "read"]) }),
+        ];
+        let mut forward = FaultLedger::default();
+        for (cell, result) in &results {
+            assert_ne!(forward.apply(*cell, result) & change::EXECUTED, 0);
+        }
+        let mut backward = FaultLedger::default();
+        for (cell, result) in results.iter().rev() {
+            backward.apply(*cell, result);
+        }
+        assert_eq!(forward, backward);
+
+        // Clusters sit in key order and name their smallest member.
+        let keys: Vec<(Vec<&str>, OutcomeClass)> = forward
+            .clusters()
+            .iter()
+            .map(|c| (c.stack.iter().map(|s| s.as_str()).collect(), c.outcome))
+            .collect();
+        assert_eq!(
+            keys,
+            vec![
+                (vec!["init", "read"], OutcomeClass::Failure(1)),
+                (vec!["main", "read"], OutcomeClass::Failure(1)),
+                (vec!["main", "read"], OutcomeClass::Crash(Signal::Segv)),
+            ]
+        );
+        assert_eq!(forward.clusters()[1].count, 2);
+        assert_eq!(forward.clusters()[1].example, cell(1, 9));
+        assert_eq!(forward.clusters()[1].example_case, "read-c1-r-1-e9");
+        assert_eq!((forward.cases(), forward.injections(), forward.crashes(), forward.failures()), (5, 5, 1, 3));
+        assert_eq!(forward.triggered_len(), 5);
+
+        // A cell already folded in changes nothing.
+        assert_eq!(forward.apply(cell(3, 5), &failed(&["other"])), 0);
+        assert_eq!(forward, backward);
+    }
+
+    #[test]
+    fn outcome_classes_render_and_parse() {
+        for class in [
+            OutcomeClass::Success,
+            OutcomeClass::Failure(3),
+            OutcomeClass::Crash(Signal::Abort),
+            OutcomeClass::Crash(Signal::Segv),
+        ] {
+            assert_eq!(OutcomeClass::parse(&class.to_string()), Some(class));
+        }
+        assert_eq!(OutcomeClass::parse("melted"), None);
+        assert_eq!(OutcomeClass::of(ExitStatus::Exited(0)), OutcomeClass::Success);
+        assert_eq!(OutcomeClass::of(ExitStatus::Exited(7)), OutcomeClass::Failure(7));
+        assert!(OutcomeClass::of(ExitStatus::Crashed(Signal::Segv)).is_crash());
+    }
+
+    #[test]
+    fn the_store_round_trip_is_lossless() {
+        let mut ledger = FaultLedger::default();
+        ledger.apply_probe(&HashMap::from([(Symbol::intern("read"), 4)]));
+        ledger.apply(cell(2, 5), &failed(&["main", "read"]));
+        ledger.apply(cell(6, 5), &CellResult { injections: 0, observed_calls: 4, ..failed(&[]) });
+        let mut store = ExplorationStore::default();
+        ledger.write_into(&mut store);
+        assert_eq!(store.cases_executed, 3);
+        assert!(!store.crash_found);
+        assert_eq!(FaultLedger::from_store(&store), ledger);
+        let read = ledger.coverage(Symbol::intern("read")).unwrap();
+        assert_eq!((read.observed_calls, read.triggered.len()), (4, 1));
+        assert_eq!(cluster_slot(ledger.clusters(), Symbol::intern("read"), &[], OutcomeClass::Failure(1)), Ok(0));
+    }
+}

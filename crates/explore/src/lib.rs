@@ -33,6 +33,10 @@
 //! * **Coverage** — which (function, errno, nth-call) cells were actually
 //!   *triggered*, versus merely planned, computed from the per-case
 //!   injection logs and per-function intercepted-call totals.
+//! * **One fold** — a [`FaultLedger`] turns each executed cell's outcome
+//!   into coverage, clusters and counters, independently of order.  The
+//!   [`Explorer`] is a ledger plus a frontier policy; `lfi-fabric` jobs
+//!   wrap the same ledger in a lease book, so both report alike.
 //! * **Pruning** — a probe run's dispatch call log removes cells for
 //!   functions the workload never reaches; a planned cell whose injection
 //!   did not fire prunes its function's deeper call ordinals.
@@ -50,11 +54,12 @@
 
 mod delta;
 mod explorer;
+mod ledger;
 mod store;
 
 pub use delta::ExplorationDelta;
 pub use explorer::{
-    CoverageSummary, CrashCluster, ExplorationReport, Explorer, FrontierCell, FunctionCoverage, OutcomeClass,
-    DEFAULT_BATCH_SIZE, ESCALATED, PROBE_CASE_NAME,
+    CoverageSummary, ExplorationReport, Explorer, FrontierCell, DEFAULT_BATCH_SIZE, ESCALATED, PROBE_CASE_NAME,
 };
+pub use ledger::{change, CellResult, CrashCluster, FaultLedger, FunctionCoverage, OutcomeClass};
 pub use store::ExplorationStore;

@@ -10,7 +10,8 @@ use lfi_profile::xml::{self, XmlElement};
 use lfi_profile::ProfileError;
 use lfi_scenario::FaultCell;
 
-use crate::explorer::{CrashCluster, FrontierCell, FunctionCoverage, OutcomeClass};
+use crate::explorer::FrontierCell;
+use crate::ledger::{CrashCluster, FunctionCoverage, OutcomeClass};
 
 /// The complete serializable state of an [`Explorer`](crate::Explorer):
 /// configuration, budgets, the frontier *in scheduling order*, the coverage
@@ -18,7 +19,7 @@ use crate::explorer::{CrashCluster, FrontierCell, FunctionCoverage, OutcomeClass
 /// cluster table, and the RNG stream position.  `to_xml`/`from_xml` are a
 /// lossless round trip, so `Explorer::resume` continues with exactly the
 /// remaining batch sequence of the snapshotted run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExplorationStore {
     /// RNG seed of the exploration.
     pub seed: u64,
@@ -62,7 +63,8 @@ pub struct ExplorationStore {
     pub pruned_functions: Vec<Symbol>,
     /// Per-function coverage, sorted by name.
     pub coverage: Vec<(Symbol, FunctionCoverage)>,
-    /// Crash clusters, in discovery order.
+    /// Crash clusters, in key order (function name, stack frame names,
+    /// outcome class).
     pub clusters: Vec<CrashCluster>,
 }
 
@@ -364,7 +366,7 @@ mod tests {
                 outcome: OutcomeClass::Crash(Signal::Segv),
                 count: 2,
                 example: cell("close", 1, -1, Some(5)),
-                example_case: "b001-close-c1-r-1-e5".into(),
+                example_case: "close-c1-r-1-e5".into(),
             }],
         }
     }

@@ -12,12 +12,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lfi_controller::{Campaign, CaseEvent, ExecutionPolicy, TestCase, Workload, WorkloadRegistry};
-use lfi_explore::{ExplorationStore, OutcomeClass};
+use lfi_explore::{CellResult, ExplorationStore};
 use lfi_scenario::Plan;
 use lfi_store::{AckOutcome, AckRecord, Journal, Record, StoreError};
 
 use crate::job::{JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
-use crate::scheduler::{case_name, CellOutcome, LeaseAssignment, LeaseResult, Scheduler};
+use crate::scheduler::{LeaseAssignment, LeaseResult, Scheduler};
 
 /// Default cap on cells per lease.  Leases are sized by worker time — a
 /// job's first lease is one cell, later ones as many cells as fit a few
@@ -112,7 +112,8 @@ struct JobJournal {
 
 /// The journaled twin of a worker's [`LeaseResult`]: the per-cell outcomes
 /// and the skipped cells, without the transient event stream (the event
-/// ring is runtime observability, not durable state).
+/// ring is runtime observability, not durable state).  `triggered` and
+/// `case` are derived from the injection count and the cell.
 fn result_to_ack(result: &LeaseResult) -> AckRecord {
     AckRecord {
         outcomes: result
@@ -121,10 +122,10 @@ fn result_to_ack(result: &LeaseResult) -> AckRecord {
             .map(|(cell, outcome)| AckOutcome {
                 cell: *cell,
                 outcome: outcome.outcome,
-                injections: outcome.injections as u64,
-                triggered: outcome.triggered,
+                injections: outcome.injections,
+                triggered: outcome.injections > 0,
                 stack: outcome.stack.clone(),
-                case: outcome.case.clone(),
+                case: cell.case_name(),
             })
             .collect(),
         skipped: result.skipped.clone(),
@@ -140,16 +141,13 @@ fn ack_to_result(ack: AckRecord) -> LeaseResult {
             .outcomes
             .into_iter()
             .map(|outcome| {
-                (
-                    outcome.cell,
-                    CellOutcome {
-                        outcome: outcome.outcome,
-                        injections: outcome.injections as usize,
-                        triggered: outcome.triggered,
-                        stack: outcome.stack,
-                        case: outcome.case,
-                    },
-                )
+                let result = CellResult {
+                    outcome: outcome.outcome,
+                    injections: outcome.injections,
+                    observed_calls: 0,
+                    stack: outcome.stack,
+                };
+                (outcome.cell, result)
             })
             .collect(),
         skipped: ack.skipped,
@@ -669,7 +667,7 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
     let cells = assignment.cells;
     let cases: Vec<TestCase> = cells
         .iter()
-        .map(|cell| TestCase::new(case_name(cell), Plan { entries: vec![cell.plan_entry()], seed: assignment.seed }))
+        .map(|cell| TestCase::new(cell.case_name(), Plan { entries: vec![cell.plan_entry()], seed: assignment.seed }))
         .collect();
     let mut policy = ExecutionPolicy::run_all();
     if assignment.halt_on_crash {
@@ -685,40 +683,29 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
     }
 
     let mut result = LeaseResult::default();
-    let mut stacks: Vec<Vec<lfi_intern::Symbol>> = vec![Vec::new(); cells.len()];
     for event in run {
         match event {
-            CaseEvent::Started { index, name } => {
+            CaseEvent::Started { name, .. } => {
                 result.events.push(JobEventKind::Started { case: name });
-                let _ = index;
             }
             CaseEvent::Injection { index, record } => {
-                if stacks[index].is_empty() {
-                    stacks[index] = record.stack.clone();
-                }
                 result.events.push(JobEventKind::Injection {
-                    case: case_name(&cells[index]),
+                    case: cells[index].case_name(),
                     function: record.function_name().to_owned(),
                     retval: record.retval,
                     errno: record.errno,
                 });
             }
             CaseEvent::Outcome { index, outcome } => {
-                let class = OutcomeClass::of(outcome.status);
-                let injections = outcome.injection_count();
-                result
-                    .events
-                    .push(JobEventKind::Finished { case: outcome.name.clone(), outcome: class, injections });
-                result.outcomes.push((
-                    cells[index],
-                    CellOutcome {
-                        outcome: class,
-                        injections,
-                        triggered: injections > 0,
-                        stack: std::mem::take(&mut stacks[index]),
-                        case: outcome.name,
-                    },
-                ));
+                // Observed calls stay 0: a journal replay could not
+                // reproduce them, and recovery must match the live job.
+                let cell_result = CellResult::of(&outcome);
+                result.events.push(JobEventKind::Finished {
+                    case: outcome.name,
+                    outcome: cell_result.outcome,
+                    injections: cell_result.injections as usize,
+                });
+                result.outcomes.push((cells[index], cell_result));
             }
             CaseEvent::Skipped { index, name, .. } => {
                 result.events.push(JobEventKind::Skipped { case: name });

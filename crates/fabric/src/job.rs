@@ -271,9 +271,10 @@ pub struct JobCoverage {
 }
 
 /// The final (or interim) result of a job: coverage plus the deduplicated
-/// outcome clusters, both derived by folding the per-cell results in
-/// process-independent cell order — so a run interrupted by worker deaths
-/// and an uninterrupted run produce byte-identical reports.
+/// outcome clusters, read off the job's
+/// [`FaultLedger`](lfi_explore::FaultLedger), whose fold does not depend on
+/// ack order — so a run interrupted by worker deaths or a checkpoint and an
+/// uninterrupted run produce byte-identical reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// The job's id.
@@ -286,7 +287,7 @@ pub struct JobReport {
     pub coverage: JobCoverage,
     /// Deduplicated non-success clusters, keyed like
     /// [`CrashCluster`](lfi_explore::CrashCluster) (function, stack,
-    /// outcome class), in sorted-cell discovery order.
+    /// outcome class), in key order.
     pub clusters: Vec<CrashCluster>,
 }
 

@@ -25,8 +25,9 @@
 //!   lost or double-counted.  A job's complete state serializes as a
 //!   standard [`ExplorationStore`](lfi_explore::ExplorationStore)
 //!   checkpoint ([`FabricHandle::checkpoint`] /
-//!   [`FabricHandle::submit_restored`]), folded in process-independent
-//!   cell order so interrupted and clean runs are byte-identical; and a
+//!   [`FabricHandle::submit_restored`]), folded by an order-independent
+//!   [`FaultLedger`](lfi_explore::FaultLedger) so interrupted and clean
+//!   runs are byte-identical; and a
 //!   job can attach an `lfi-store` write-ahead journal
 //!   ([`FabricHandle::journal_job`] / [`FabricHandle::recover_job`]) that
 //!   appends one CRC-framed ack record per lease, so recovering a killed

@@ -1,6 +1,8 @@
-//! The multi-tenant scheduler: per-job frontiers, worker-time fair
-//! sharing, time-sized leases, crash-safe lease accounting, and the fold
-//! from acked cells to checkpoints and reports.
+//! The multi-tenant scheduler: per-job lease books, worker-time fair
+//! sharing, time-sized leases and crash-safe lease accounting.  Each job is
+//! a [`FaultLedger`] — the fold from acked cells to coverage and clusters
+//! that the explorer uses too — plus a lease book: pending, outstanding and
+//! skipped cells.
 //!
 //! Fairness is by worker time, not by cell count — per-cell costs of real
 //! tenants differ by orders of magnitude.  Each job carries a charge: a
@@ -29,8 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lfi_controller::{CancelHandle, ProgressSnapshot, Workload};
-use lfi_explore::{CrashCluster, ExplorationStore, FrontierCell, FunctionCoverage, OutcomeClass};
-use lfi_intern::Symbol;
+use lfi_explore::{CellResult, ExplorationStore, FaultLedger, FrontierCell};
 use lfi_scenario::FaultCell;
 
 use crate::job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
@@ -57,16 +58,6 @@ fn nanos(duration: Duration) -> u64 {
     u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The deterministic, cell-derived test-case name: stable across lease
-/// re-issues, worker deaths and checkpoint restores, so reports and
-/// clusters of an interrupted run are byte-identical to a clean one.
-pub(crate) fn case_name(cell: &FaultCell) -> String {
-    match cell.errno {
-        Some(errno) => format!("{}-c{}-r{}-e{}", cell.function.as_str(), cell.call_ordinal, cell.retval, errno),
-        None => format!("{}-c{}-r{}", cell.function.as_str(), cell.call_ordinal, cell.retval),
-    }
-}
-
 /// One lease handed to a worker: a batch of cells plus everything needed to
 /// run them without touching the scheduler.
 pub(crate) struct LeaseAssignment {
@@ -78,21 +69,11 @@ pub(crate) struct LeaseAssignment {
     pub halt_on_crash: bool,
 }
 
-/// What one executed (or partially executed) cell came back with.
-#[derive(Debug, Clone)]
-pub(crate) struct CellOutcome {
-    pub outcome: OutcomeClass,
-    pub injections: usize,
-    pub triggered: bool,
-    pub stack: Vec<Symbol>,
-    pub case: String,
-}
-
 /// Everything a worker reports when acking a lease.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LeaseResult {
     pub events: Vec<JobEventKind>,
-    pub outcomes: Vec<(FaultCell, CellOutcome)>,
+    pub outcomes: Vec<(FaultCell, CellResult)>,
     pub skipped: Vec<FaultCell>,
 }
 
@@ -134,47 +115,18 @@ impl EventBuffer {
     }
 }
 
-/// Already-executed state carried over from a restored
-/// [`ExplorationStore`] checkpoint.
-struct RestoredBase {
-    executed: Vec<FaultCell>,
-    executed_set: HashSet<FaultCell>,
-    skipped: Vec<FaultCell>,
-    coverage: Vec<(Symbol, FunctionCoverage)>,
-    clusters: Vec<CrashCluster>,
-    injections: u64,
-    crashes: u64,
-    failures: u64,
-}
-
-impl RestoredBase {
-    fn from_store(store: &ExplorationStore) -> Self {
-        let crashes = store.clusters.iter().filter(|c| c.is_crash()).map(|c| c.count).sum();
-        let failures = store.clusters.iter().filter(|c| !c.is_crash()).map(|c| c.count).sum();
-        Self {
-            executed_set: store.executed.iter().copied().collect(),
-            executed: store.executed.clone(),
-            skipped: store.unreached.clone(),
-            coverage: store.coverage.clone(),
-            clusters: store.clusters.clone(),
-            injections: store.injections_performed,
-            crashes,
-            failures,
-        }
-    }
-}
-
 /// One job's complete scheduler-side state.
 struct JobRecord {
     spec: JobSpec,
     workload: Arc<dyn Workload>,
     state: JobState,
     cases_total: usize,
+    /// Acked cells, coverage, clusters and counters.
+    ledger: FaultLedger,
+    // The lease book: cells pending, out on lease, and counted skipped.
     frontier: VecDeque<FaultCell>,
     outstanding: HashMap<u64, OutstandingLease>,
-    done: HashMap<FaultCell, CellOutcome>,
     skipped: HashSet<FaultCell>,
-    base: Option<RestoredBase>,
     /// Cells leased cumulatively (re-issues count) — the `started` counter.
     started: u64,
     /// Worker time charged to the job: measured time of acked leases plus
@@ -190,10 +142,6 @@ struct JobRecord {
 }
 
 impl JobRecord {
-    fn already_executed(&self, cell: &FaultCell) -> bool {
-        self.done.contains_key(cell) || self.base.as_ref().is_some_and(|b| b.executed_set.contains(cell))
-    }
-
     fn runnable(&self) -> bool {
         matches!(self.state, JobState::Queued | JobState::Running) && !self.frontier.is_empty()
     }
@@ -249,7 +197,7 @@ impl JobRecord {
     /// crash-halt, repeated-panic failure).
     fn skip_frontier(&mut self) {
         while let Some(cell) = self.frontier.pop_front() {
-            self.events.push(JobEventKind::Skipped { case: case_name(&cell) });
+            self.events.push(JobEventKind::Skipped { case: cell.case_name() });
             self.skipped.insert(cell);
         }
     }
@@ -272,84 +220,6 @@ impl JobRecord {
         if self.state == JobState::Running && self.frontier.is_empty() && self.outstanding.is_empty() {
             self.set_state(JobState::Done);
         }
-    }
-
-    fn crashes(&self) -> u64 {
-        let new = self.done.values().filter(|o| o.outcome.is_crash()).count() as u64;
-        new + self.base.as_ref().map_or(0, |b| b.crashes)
-    }
-
-    fn failures(&self) -> u64 {
-        let new = self.done.values().filter(|o| matches!(o.outcome, OutcomeClass::Failure(_))).count() as u64;
-        new + self.base.as_ref().map_or(0, |b| b.failures)
-    }
-
-    fn executed_count(&self) -> usize {
-        self.done.len() + self.base.as_ref().map_or(0, |b| b.executed.len())
-    }
-
-    fn injections(&self) -> u64 {
-        let new: u64 = self.done.values().map(|o| o.injections as u64).sum();
-        new + self.base.as_ref().map_or(0, |b| b.injections)
-    }
-
-    fn skipped_count(&self) -> usize {
-        self.skipped.len() + self.base.as_ref().map_or(0, |b| b.skipped.len())
-    }
-
-    /// The done cells in process-independent order — the spine every
-    /// deterministic fold (clusters, coverage, checkpoints) walks.
-    fn done_cells_sorted(&self) -> Vec<FaultCell> {
-        let mut cells: Vec<FaultCell> = self.done.keys().copied().collect();
-        cells.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        cells
-    }
-
-    /// Base clusters plus the acked cells folded in sorted-cell order.
-    fn merged_clusters(&self) -> Vec<CrashCluster> {
-        let mut clusters: Vec<CrashCluster> = self.base.as_ref().map_or_else(Vec::new, |b| b.clusters.clone());
-        for cell in self.done_cells_sorted() {
-            let outcome = &self.done[&cell];
-            if outcome.outcome == OutcomeClass::Success {
-                continue;
-            }
-            match clusters
-                .iter_mut()
-                .find(|c| c.function == cell.function && c.stack == outcome.stack && c.outcome == outcome.outcome)
-            {
-                Some(cluster) => cluster.count += 1,
-                None => clusters.push(CrashCluster {
-                    function: cell.function,
-                    stack: outcome.stack.clone(),
-                    outcome: outcome.outcome,
-                    count: 1,
-                    example: cell,
-                    example_case: outcome.case.clone(),
-                }),
-            }
-        }
-        clusters
-    }
-
-    /// Base coverage plus the triggered acked cells, sorted by function
-    /// name.
-    fn merged_coverage(&self) -> Vec<(Symbol, FunctionCoverage)> {
-        let mut map: BTreeMap<&'static str, (Symbol, FunctionCoverage)> = BTreeMap::new();
-        if let Some(base) = &self.base {
-            for (symbol, function) in &base.coverage {
-                map.insert(symbol.as_str(), (*symbol, function.clone()));
-            }
-        }
-        for (cell, outcome) in &self.done {
-            if !outcome.triggered {
-                continue;
-            }
-            let entry = map
-                .entry(cell.function.as_str())
-                .or_insert_with(|| (cell.function, FunctionCoverage::default()));
-            entry.1.triggered.insert((cell.call_ordinal, cell.retval, cell.errno));
-        }
-        map.into_values().collect()
     }
 }
 
@@ -382,21 +252,21 @@ impl Scheduler {
         if let Some(max) = spec.max_cases {
             cells.truncate(max);
         }
-        self.admit(spec, workload, cells, None)
+        self.admit(spec, workload, cells, FaultLedger::default(), HashSet::new())
     }
 
     /// Admits a job resuming from a checkpoint: the store's frontier (in
-    /// its scheduling order) is the pending work, its executed/coverage/
-    /// cluster state is carried over as the base the new cells fold onto.
+    /// its scheduling order) is the pending work, its ledger and skipped
+    /// cells carry over, and later acks fold into that ledger.
     pub fn submit_restored(&mut self, spec: JobSpec, workload: Arc<dyn Workload>, store: &ExplorationStore) -> JobId {
-        let base = RestoredBase::from_store(store);
+        let ledger = FaultLedger::from_store(store);
         let cells: Vec<FaultCell> = store
             .frontier
             .iter()
             .map(|entry| entry.cell)
-            .filter(|cell| !base.executed_set.contains(cell))
+            .filter(|cell| !ledger.is_executed(cell))
             .collect();
-        self.admit(spec, workload, cells, Some(base))
+        self.admit(spec, workload, cells, ledger, store.unreached.iter().copied().collect())
     }
 
     fn admit(
@@ -404,22 +274,21 @@ impl Scheduler {
         spec: JobSpec,
         workload: Arc<dyn Workload>,
         cells: Vec<FaultCell>,
-        base: Option<RestoredBase>,
+        ledger: FaultLedger,
+        skipped: HashSet<FaultCell>,
     ) -> JobId {
         let id = JobId(self.next_job);
         self.next_job += 1;
         let floor = self.vtime_floor();
-        let base_executed = base.as_ref().map_or(0, |b| b.executed.len());
         let mut record = JobRecord {
-            cases_total: cells.len() + base_executed + base.as_ref().map_or(0, |b| b.skipped.len()),
+            cases_total: cells.len() + ledger.executed_len() + skipped.len(),
+            ledger,
             frontier: cells.into(),
             spec,
             workload,
             state: JobState::Queued,
             outstanding: HashMap::new(),
-            done: HashMap::new(),
-            skipped: HashSet::new(),
-            base,
+            skipped,
             started: 0,
             charged_ns: 0,
             cell_ns: None,
@@ -539,9 +408,7 @@ impl Scheduler {
         let mut crash_halt = false;
         for (cell, outcome) in result.outcomes {
             crash_halt |= record.spec.halt_on_crash && outcome.outcome.is_crash();
-            if !record.already_executed(&cell) {
-                record.done.insert(cell, outcome);
-            }
+            record.ledger.apply(cell, &outcome);
         }
         if record.state == JobState::Cancelled || record.state == JobState::Failed {
             for cell in result.skipped {
@@ -554,7 +421,7 @@ impl Scheduler {
             record.skip_frontier();
             record.set_state(JobState::Done);
         } else {
-            record.requeue_cells(result.skipped.into_iter().filter(|c| !record.done.contains_key(c)).collect());
+            record.requeue_cells(result.skipped.into_iter().filter(|c| !record.ledger.is_executed(c)).collect());
         }
         record.maybe_complete();
         true
@@ -702,13 +569,13 @@ impl Scheduler {
             outstanding: record.outstanding.values().map(|l| l.cells.len()).sum(),
             progress: ProgressSnapshot {
                 started: record.started as usize,
-                finished: record.executed_count(),
-                skipped: record.skipped_count(),
-                crashes: record.crashes() as usize,
-                injections: record.injections() as usize,
+                finished: record.ledger.executed_len(),
+                skipped: record.skipped.len(),
+                crashes: record.ledger.crashes() as usize,
+                injections: record.ledger.injections() as usize,
             },
             requeued: record.requeued,
-            clusters: record.merged_clusters().len(),
+            clusters: record.ledger.clusters().len(),
         })
     }
 
@@ -725,9 +592,9 @@ impl Scheduler {
     }
 
     /// Serializes a job's complete state as an [`ExplorationStore`] — the
-    /// crash-safe handoff format.  The fold walks acked cells in
-    /// process-independent sort order, so a run interrupted by worker
-    /// deaths checkpoints byte-identically to an uninterrupted one.
+    /// crash-safe handoff format.  The ledger's fold does not depend on ack
+    /// order, so a run interrupted by worker deaths or a checkpoint/restore
+    /// checkpoints byte-identically to an uninterrupted one.
     pub fn checkpoint(&self, job: JobId) -> Option<ExplorationStore> {
         let record = self.jobs.get(&job.0)?;
         let mut frontier: Vec<FrontierCell> =
@@ -737,59 +604,41 @@ impl Scheduler {
         for id in lease_ids {
             frontier.extend(record.outstanding[&id].cells.iter().map(|cell| FrontierCell { cell: *cell, priority: 0 }));
         }
-        let mut executed = record.done_cells_sorted();
-        if let Some(base) = &record.base {
-            executed.extend(base.executed.iter().copied());
-            executed.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-            executed.dedup();
-        }
         let mut unreached: Vec<FaultCell> = record.skipped.iter().copied().collect();
-        unreached.extend(record.base.as_ref().map_or(&[][..], |b| &b.skipped).iter().copied());
-        unreached.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        unreached.dedup();
-        Some(ExplorationStore {
+        unreached.sort_by_cached_key(FaultCell::sort_key);
+        let mut store = ExplorationStore {
             seed: record.spec.plan.seed.unwrap_or(0),
             batch_size: record.spec.lease_batch.unwrap_or(self.default_lease_batch),
             parallelism: 1,
             halt_on_crash: record.spec.halt_on_crash,
             case_budget: record.spec.max_cases.map(|max| max as u64),
-            injection_budget: None,
-            time_budget_ms: None,
             universe: record.cases_total,
-            batch_index: 0,
-            rng_draws: 0,
             probe_done: true,
-            crash_found: record.crashes() > 0,
-            cases_executed: record.executed_count() as u64,
-            injections_performed: record.injections(),
-            elapsed_ms: 0,
             frontier,
-            executed,
             unreached,
-            pruned_functions: Vec::new(),
-            coverage: record.merged_coverage(),
-            clusters: record.merged_clusters(),
-        })
+            ..ExplorationStore::default()
+        };
+        record.ledger.write_into(&mut store);
+        Some(store)
     }
 
-    /// The job's coverage/cluster report, derived by the same deterministic
-    /// fold as [`Scheduler::checkpoint`].
+    /// The job's coverage/cluster report, read off its ledger.
     pub fn report(&self, job: JobId) -> Option<JobReport> {
         let record = self.jobs.get(&job.0)?;
-        let coverage = record.merged_coverage();
+        let ledger = &record.ledger;
         Some(JobReport {
             id: job,
             name: record.spec.name.clone(),
             state: record.state,
             coverage: JobCoverage {
                 universe: record.cases_total,
-                executed: record.executed_count(),
-                triggered: coverage.iter().map(|(_, f)| f.triggered.len()).sum(),
-                crashes: record.crashes() as usize,
-                failures: record.failures() as usize,
-                skipped: record.skipped_count(),
+                executed: ledger.executed_len(),
+                triggered: ledger.triggered_len(),
+                crashes: ledger.crashes() as usize,
+                failures: ledger.failures() as usize,
+                skipped: record.skipped.len(),
             },
-            clusters: record.merged_clusters(),
+            clusters: ledger.clusters().to_vec(),
         })
     }
 
@@ -827,6 +676,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use lfi_controller::FnWorkload;
+    use lfi_explore::OutcomeClass;
     use lfi_runtime::ExitStatus;
     use lfi_runtime::Process;
     use lfi_scenario::{FaultAction, Plan, PlanEntry, Trigger};
@@ -855,18 +705,27 @@ mod tests {
                 .map(|cell| {
                     (
                         *cell,
-                        CellOutcome {
+                        CellResult {
                             outcome: OutcomeClass::Success,
                             injections: 1,
-                            triggered: true,
+                            observed_calls: 0,
                             stack: Vec::new(),
-                            case: case_name(cell),
                         },
                     )
                 })
                 .collect(),
             skipped: Vec::new(),
         }
+    }
+
+    /// Every cell fails the same way: one cluster, whichever cells ran.
+    fn failure_result(cells: &[FaultCell]) -> LeaseResult {
+        let mut result = success_result(cells);
+        for (_, outcome) in &mut result.outcomes {
+            outcome.outcome = OutcomeClass::Failure(1);
+            outcome.stack = vec![lfi_intern::Symbol::intern("main"), lfi_intern::Symbol::intern("read")];
+        }
+        result
     }
 
     /// Synthetic worker time of one cell in the tests below.
@@ -1202,6 +1061,54 @@ mod tests {
         let final_store = resumed.checkpoint(job2).unwrap();
         assert_eq!(final_store.executed.len(), 12);
         assert!(final_store.frontier.is_empty());
+    }
+
+    #[test]
+    fn a_checkpoint_taken_with_the_example_cell_on_lease_restores_byte_identically() {
+        let spec = JobSpec::new("job", "noop", plan_with_cells("read", 1..=4));
+        let now = Instant::now();
+        let finish = |sched: &mut Scheduler, job: JobId| {
+            while let Some(lease) = sched.next_lease(now) {
+                assert!(sched.ack(job, lease.lease, failure_result(&lease.cells), busy(&lease.cells)));
+            }
+        };
+        let mut clean = Scheduler::new(4, Duration::from_secs(60));
+        let job = clean.submit(spec.clone(), noop_workload());
+        finish(&mut clean, job);
+        let expected = clean.checkpoint(job).unwrap();
+        assert_eq!(expected.clusters.len(), 1);
+        assert_eq!(expected.clusters[0].count, 4);
+        assert_eq!(expected.clusters[0].example_case, "read-c1-r-1-e5");
+
+        // c1 goes out on lease and stays there while c2 is acked, then the
+        // job is checkpointed and restored.
+        let mut live = Scheduler::new(4, Duration::from_secs(60));
+        let job = live.submit(spec.clone(), noop_workload());
+        let c1 = live.next_lease(now).unwrap();
+        let c2 = live.next_lease(now).unwrap();
+        assert_eq!((c1.cells[0].call_ordinal, c2.cells.len(), c2.cells[0].call_ordinal), (1, 1, 2));
+        assert!(live.ack(job, c2.lease, failure_result(&c2.cells), busy(&c2.cells)));
+        let snapshot = live.checkpoint(job).unwrap();
+        let mut restored = Scheduler::new(4, Duration::from_secs(60));
+        let job2 = restored.submit_restored(spec.clone(), noop_workload(), &snapshot);
+        finish(&mut restored, job2);
+        assert_eq!(restored.checkpoint(job2).unwrap().to_xml(), expected.to_xml());
+
+        // The same snapshot as a compacted journal head: the live job goes
+        // on, and recovery replays the acks journaled after the snapshot.
+        let mut acks = vec![failure_result(&c1.cells)];
+        assert!(live.ack(job, c1.lease, acks[0].clone(), busy(&c1.cells)));
+        while let Some(lease) = live.next_lease(now) {
+            acks.push(failure_result(&lease.cells));
+            assert!(live.ack(job, lease.lease, failure_result(&lease.cells), busy(&lease.cells)));
+        }
+        assert_eq!(live.checkpoint(job).unwrap().to_xml(), expected.to_xml());
+        let mut replayed = Scheduler::new(4, Duration::from_secs(60));
+        let job3 = replayed.submit_restored(spec, noop_workload(), &snapshot);
+        for ack in acks {
+            assert!(replayed.replay_ack(job3, ack));
+        }
+        assert_eq!(replayed.checkpoint(job3).unwrap().to_xml(), expected.to_xml());
     }
 
     #[test]

@@ -104,9 +104,13 @@ pub struct SymbolStats {
     pub last_crash_cell: Option<FaultCell>,
 }
 
-/// Cluster identity: (injected symbol, stack at injection, outcome class) —
-/// the same key [`lfi_explore::CrashCluster`] dedupes on.  `None` symbol
-/// means the case ended without any injection firing.
+/// Cluster identity as the rules see it: (symbol, stack, outcome class) of
+/// the case's *last* injection, with a `None` symbol and an empty stack when
+/// no injection fired.  [`lfi_explore::FaultLedger`] keys its clusters on
+/// the *first* injection of the case's planned cell instead, so the two
+/// counts can differ.  The rules cannot reuse the ledger: they decide in
+/// the middle of a batch, before the explorer folds its outcomes, and a
+/// fabric job's wire events carry no cell and no stack.
 type ClusterKey = (Option<Symbol>, Vec<Symbol>, OutcomeClass);
 
 /// The rolling campaign vitals a rule set evaluates against.

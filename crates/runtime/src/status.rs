@@ -1,7 +1,7 @@
 use std::fmt;
 
 /// The signals the simulated applications can die with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Signal {
     /// `SIGABRT` — e.g. a failed allocation assertion (the Pidgin crash in
     /// §6.1).

@@ -45,6 +45,17 @@ impl FaultCell {
         (self.function.as_str(), self.call_ordinal, self.retval, self.errno.unwrap_or(i64::MIN))
     }
 
+    /// The cell's test-case name, e.g. `read-c2-r-1-e5` (no `-e` part when
+    /// the cell carries no errno).  It depends on the cell alone, so the
+    /// explorer and the fabric name a cell's case the same, whatever batch,
+    /// lease or restore it ran in.
+    pub fn case_name(&self) -> String {
+        match self.errno {
+            Some(errno) => format!("{}-c{}-r{}-e{errno}", self.function.as_str(), self.call_ordinal, self.retval),
+            None => format!("{}-c{}-r{}", self.function.as_str(), self.call_ordinal, self.retval),
+        }
+    }
+
     /// Materializes the cell as a single-fault plan entry (a call-count
     /// trigger with the cell's return value and errno).
     pub fn plan_entry(&self) -> PlanEntry {
@@ -387,5 +398,8 @@ mod tests {
         let bare = FaultCell { function: Symbol::intern("read"), call_ordinal: 3, retval: 0, errno: None };
         assert_eq!(bare.plan_entry().action.errno, None);
         assert_eq!(bare.sort_key().3, i64::MIN);
+        // Case names carry the errno only when the cell has one.
+        assert_eq!(cells[1].case_name(), "close-c2-r-1-e5");
+        assert_eq!(bare.case_name(), "read-c3-r0");
     }
 }

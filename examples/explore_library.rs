@@ -93,7 +93,7 @@ fn main() {
     println!("\n== outcome clusters ==");
     for cluster in &report.clusters {
         println!(
-            "  {} x{} via {}() cell (call #{}, retval {}, errno {:?}) — first seen in {}",
+            "  {} x{} via {}() cell (call #{}, retval {}, errno {:?}) — e.g. {}",
             cluster.outcome,
             cluster.count,
             cluster.function,

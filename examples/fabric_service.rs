@@ -167,7 +167,7 @@ fn main() {
         );
         for cluster in &report.clusters {
             println!(
-                "    {} x{} via {}() (call #{}, errno {:?}) — first seen in {}",
+                "    {} x{} via {}() (call #{}, errno {:?}) — e.g. {}",
                 cluster.outcome,
                 cluster.count,
                 cluster.function,

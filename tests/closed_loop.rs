@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex};
 use lfi::asm::{FaultSpec, FunctionSpec, LibraryCompiler, LibrarySpec};
 use lfi::controller::{FnWorkload, TestCase, Workload};
 use lfi::corpus::{build_kernel, build_libc_scaled};
+use lfi::explore::ExplorationReport;
 use lfi::isa::Platform;
 use lfi::profiler::ProfilerOptions;
 use lfi::rules::{Action, CircuitBreaker, ClosedLoop, Condition, Metric, Rule, RuleSet};
@@ -276,18 +277,20 @@ impl Workload for StartLog {
     }
 }
 
-/// The batch number of an explorer case name (`b003-…` → 3; the probe is 0).
-fn batch_of(case: &str) -> usize {
-    case.strip_prefix('b')
-        .and_then(|rest| rest.get(..3))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(0)
+/// The batch that ran a case (the probe is batch 0): each cell runs at most
+/// once, so its case name appears in exactly one batch report.
+fn batch_of(exploration: &ExplorationReport, case: &str) -> usize {
+    exploration
+        .batches
+        .iter()
+        .position(|batch| batch.outcomes.iter().any(|outcome| outcome.name == case))
+        .expect("every started case ran to an outcome")
 }
 
-/// The return value an explorer case name injects (`…-r-3-e-` → -3).
+/// The return value a cell's case name injects (`flaky-c1-r-3` → -3).
 fn retval_of(case: &str) -> i64 {
     let tail = &case[case.find("-r").expect("retval field") + 2..];
-    tail[..tail.find("-e").expect("errno field")].parse().expect("numeric retval")
+    tail[..tail.find("-e").unwrap_or(tail.len())].parse().expect("numeric retval")
 }
 
 #[test]
@@ -304,17 +307,17 @@ fn a_mute_landing_mid_batch_cancels_the_rest_of_the_batch() {
     let deciding = started
         .iter()
         .position(|case| {
-            case.contains("-flaky-") && signals.insert(flaky_signal(retval_of(case))) && signals.len() == 2
+            case.starts_with("flaky-") && signals.insert(flaky_signal(retval_of(case))) && signals.len() == 2
         })
         .expect("the breaker's second crash cluster");
     assert!(
-        started[deciding + 1..].iter().all(|case| !case.contains("-flaky-")),
+        started[deciding + 1..].iter().all(|case| !case.starts_with("flaky-")),
         "no case injecting the muted function starts after the deciding event: {started:?}"
     );
 
     // The batch stops right after the deciding case ...
-    let batch = batch_of(&started[deciding]);
-    assert!(started[deciding + 1..].iter().all(|case| batch_of(case) > batch), "{started:?}");
+    let batch = batch_of(&exploration, &started[deciding]);
+    assert!(started[deciding + 1..].iter().all(|case| batch_of(&exploration, case) > batch), "{started:?}");
     let report = &exploration.batches[batch];
     assert!(report.cases_skipped > 0, "the mute landed mid-batch");
     assert_eq!(report.outcomes.last().map(|o| o.name.as_str()), Some(started[deciding].as_str()));
@@ -322,10 +325,10 @@ fn a_mute_landing_mid_batch_cancels_the_rest_of_the_batch() {
     // ... and its unexecuted `steady` cell went back to the frontier and
     // ran, once, in a later batch, while `flaky`'s unexecuted cells stay
     // parked.
-    let steady: Vec<&String> = started.iter().filter(|case| case.contains("-steady-")).collect();
+    let steady: Vec<&String> = started.iter().filter(|case| case.starts_with("steady-")).collect();
     assert_eq!(steady.len(), 1, "{started:?}");
-    assert!(batch_of(steady[0]) > batch, "{started:?}");
-    let flaky_runs = started.iter().filter(|case| case.contains("-flaky-")).count();
+    assert!(batch_of(&exploration, steady[0]) > batch, "{started:?}");
+    let flaky_runs = started.iter().filter(|case| case.starts_with("flaky-")).count();
     assert_eq!(closed.explorer().parked_len(), 4 - flaky_runs);
     assert_eq!(closed.explorer().frontier_len(), 0);
 }
