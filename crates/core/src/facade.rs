@@ -1,5 +1,7 @@
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use lfi_controller::Campaign;
 use lfi_explore::{ExplorationStore, Explorer};
@@ -8,7 +10,7 @@ use lfi_profile::{FaultProfile, ProfileKey, ProfileStore};
 use lfi_profiler::{LibraryProfileReport, Profiler, ProfilerError, ProfilerOptions, ProfilingStats};
 use lfi_rules::{ClosedLoop, RuleSet};
 use lfi_scenario::generator::{Exhaustive, Random, ScenarioGenerator};
-use lfi_scenario::{Plan, ScenarioError};
+use lfi_scenario::{FaultSpace, Plan, ScenarioError};
 
 /// Errors surfaced by the [`Lfi`] facade: profiling failures and scenario
 /// generator misconfiguration.
@@ -51,6 +53,98 @@ impl From<ScenarioError> for LfiError {
     }
 }
 
+/// One memoized profile set: the named libraries' profiles, copied once out
+/// of the store's handles, and the fault spaces derived from them per
+/// [`ScenarioGenerator::cache_key`].
+#[derive(Clone)]
+struct ProfileSet {
+    /// The store's handles the profiles were copied from: the set is valid
+    /// only while the store still holds these very profiles.
+    handles: Vec<Arc<FaultProfile>>,
+    profiles: Arc<[FaultProfile]>,
+    spaces: HashMap<u64, FaultSpace>,
+}
+
+/// What the facade derives from its [`ProfileStore`], memoized: the store is
+/// the database and the fault space the derived artifact, asked for instead
+/// of rebuilt.  Sets are keyed by the [`ProfileKey`]s of the named
+/// libraries, in call order.
+#[derive(Default)]
+struct SpaceMemo {
+    sets: Mutex<HashMap<Vec<ProfileKey>, ProfileSet>>,
+}
+
+impl SpaceMemo {
+    /// The sets.  Every update is a single map operation, so a thread that
+    /// panicked while holding the lock cannot have left them half-updated.
+    fn lock(&self) -> MutexGuard<'_, HashMap<Vec<ProfileKey>, ProfileSet>> {
+        self.sets.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The shared profiles behind `handles`: the memoized copy when the set
+    /// under `keys` was copied from these very handles, a fresh one (which
+    /// replaces it) otherwise.
+    fn profiles(&self, keys: &[ProfileKey], handles: Vec<Arc<FaultProfile>>) -> Arc<[FaultProfile]> {
+        let mut sets = self.lock();
+        if let Some(set) = sets.get(keys) {
+            if set.handles.iter().map(Arc::as_ptr).eq(handles.iter().map(Arc::as_ptr)) {
+                return Arc::clone(&set.profiles);
+            }
+        }
+        let profiles: Arc<[FaultProfile]> = handles.iter().map(|profile| FaultProfile::clone(profile)).collect();
+        let set = ProfileSet { handles, profiles: Arc::clone(&profiles), spaces: HashMap::new() };
+        sets.insert(keys.to_vec(), set);
+        profiles
+    }
+
+    /// The set under `keys`, if it still holds `profiles`.
+    fn set_of<'a>(
+        sets: &'a mut HashMap<Vec<ProfileKey>, ProfileSet>,
+        keys: &[ProfileKey],
+        profiles: &Arc<[FaultProfile]>,
+    ) -> Option<&'a mut ProfileSet> {
+        sets.get_mut(keys).filter(|set| Arc::ptr_eq(&set.profiles, profiles))
+    }
+
+    /// The space memoized for `profiles` under the generator's key, or
+    /// `build`'s (run outside the lock), memoized unless the set was
+    /// replaced meanwhile.
+    fn space(
+        &self,
+        keys: &[ProfileKey],
+        profiles: &Arc<[FaultProfile]>,
+        generator: u64,
+        build: impl FnOnce() -> FaultSpace,
+    ) -> FaultSpace {
+        let memoized =
+            Self::set_of(&mut self.lock(), keys, profiles).and_then(|set| set.spaces.get(&generator).cloned());
+        if let Some(space) = memoized {
+            return space;
+        }
+        let space = build();
+        if let Some(set) = Self::set_of(&mut self.lock(), keys, profiles) {
+            set.spaces.insert(generator, space.clone());
+        }
+        space
+    }
+
+    fn clear(&self) {
+        self.lock().clear();
+    }
+}
+
+impl Clone for SpaceMemo {
+    fn clone(&self) -> Self {
+        Self { sets: Mutex::new(self.lock().clone()) }
+    }
+}
+
+impl fmt::Debug for SpaceMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpaceMemo").field("profile_sets", &self.lock().len()).finish()
+    }
+}
+
 /// The top-level LFI facade: "profile the target application's shared
 /// libraries … then conduct fault injection experiments using various fault
 /// scenarios" (§2).
@@ -60,7 +154,28 @@ impl From<ScenarioError> for LfiError {
 /// every registered library's content fingerprint, the profiler options and
 /// the kernel image — so campaigns and repeated
 /// [`Lfi::profile`]/[`Lfi::profiles_of`] calls replay prior results instead
-/// of re-analyzing.  Scenario generation is pluggable through
+/// of re-analyzing.
+///
+/// Next to the store, `Lfi` memoizes what explorations derive from it: the
+/// named libraries' profiles as one shared `Arc<[FaultProfile]>`, and per
+/// generator the [`FaultSpace`] of its plan over them.  [`Lfi::explore`],
+/// [`Lfi::rules`] and [`Lfi::resume_exploration`] start from the memo, so
+/// a repeat call neither copies a profile nor regenerates, compiles or
+/// sorts a plan.  The contract:
+/// - a profile set is keyed by the named libraries' store keys, in call
+///   order, and is used only while the store still holds the very profiles
+///   it was copied from;
+/// - a space is keyed by [`ScenarioGenerator::cache_key`]; a generator
+///   returning `None` ([`Random`], `Filtered`, `Composite`) is generated
+///   anew on every call;
+/// - every named library resolves through the store before the memo is
+///   consulted, so an unknown library is an error even after a call over
+///   the others was memoized;
+/// - [`Lfi::add_library`] and [`Lfi::set_kernel`] with new content,
+///   [`Lfi::load_profile_store`] and [`Lfi::load_profile_store_file`] clear
+///   the memo along with the store.
+///
+/// Scenario generation is pluggable through
 /// [`ScenarioGenerator`] ([`Lfi::scenario`]), and [`Lfi::campaign`] hands the
 /// generated faultload straight to a fluent [`Campaign`] builder whose
 /// `start` turns a [`Workload`](lfi_controller::Workload) into a streaming
@@ -114,6 +229,7 @@ impl From<ScenarioError> for LfiError {
 pub struct Lfi {
     profiler: Profiler,
     store: ProfileStore,
+    memo: SpaceMemo,
 }
 
 impl Lfi {
@@ -125,7 +241,7 @@ impl Lfi {
 
     /// Creates a facade with explicit profiler options.
     pub fn with_options(options: ProfilerOptions) -> Self {
-        Self { profiler: Profiler::with_options(options), store: ProfileStore::new() }
+        Self { profiler: Profiler::with_options(options), ..Self::default() }
     }
 
     /// Registers a library binary of the target application.
@@ -137,6 +253,7 @@ impl Lfi {
     pub fn add_library(&mut self, object: SharedObject) {
         if self.profiler.add_library(object) {
             self.store.clear();
+            self.memo.clear();
         }
     }
 
@@ -145,6 +262,7 @@ impl Lfi {
     pub fn set_kernel(&mut self, object: SharedObject) {
         if self.profiler.set_kernel(object) {
             self.store.clear();
+            self.memo.clear();
         }
     }
 
@@ -167,6 +285,7 @@ impl Lfi {
     /// is safe: any changed dependency misses.
     pub fn load_profile_store(&mut self, store: ProfileStore) {
         self.store = store;
+        self.memo.clear();
     }
 
     /// Saves the profile store to `path` in the `lfi-store` binary snapshot
@@ -192,6 +311,7 @@ impl Lfi {
     /// format; truncated or hostile input never panics.
     pub fn load_profile_store_file(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), lfi_store::StoreError> {
         self.store = lfi_store::load_profile_store(path)?;
+        self.memo.clear();
         Ok(())
     }
 
@@ -313,7 +433,48 @@ impl Lfi {
     ///
     /// Fails when any named library is unknown or cannot be disassembled.
     pub fn profiles_of(&self, libraries: &[&str]) -> Result<Vec<FaultProfile>, ProfilerError> {
-        libraries.iter().map(|name| self.profile(name).map(|report| report.profile)).collect()
+        Ok(self.shared_profiles(libraries)?.1.to_vec())
+    }
+
+    /// The named libraries' profiles as one shared slice, with their store
+    /// keys.  Every library resolves through the store first, in order —
+    /// profiling on a miss — so an unknown or broken library fails here
+    /// exactly as in [`Lfi::profiles_of`], before any memo lookup.  The
+    /// slice comes from the memo while the store still holds the profiles
+    /// it was copied from.
+    fn shared_profiles(&self, libraries: &[&str]) -> Result<(Vec<ProfileKey>, Arc<[FaultProfile]>), ProfilerError> {
+        let mut keys = Vec::with_capacity(libraries.len());
+        let mut handles = Vec::with_capacity(libraries.len());
+        for &library in libraries {
+            let Some(key) = self.profile_key(library) else {
+                return Err(ProfilerError::UnknownLibrary { name: library.to_owned() });
+            };
+            let handle = match self.store.get(&key) {
+                Some(stored) => stored,
+                None => self.store.insert(key.clone(), self.profiler.profile_library(library)?.profile),
+            };
+            keys.push(key);
+            handles.push(handle);
+        }
+        let profiles = self.memo.profiles(&keys, handles);
+        Ok((keys, profiles))
+    }
+
+    /// The profiles of `libraries` and the fault space of `generator`'s
+    /// plan over them.  A generator with a
+    /// [`cache_key`](ScenarioGenerator::cache_key) gets the space built once
+    /// per profile set; one without is generated and enumerated every call.
+    fn fault_space<G>(&self, generator: &G, libraries: &[&str]) -> Result<(Arc<[FaultProfile]>, FaultSpace), LfiError>
+    where
+        G: ScenarioGenerator + ?Sized,
+    {
+        let (keys, profiles) = self.shared_profiles(libraries)?;
+        let build = || FaultSpace::from_plan(&generator.generate(&profiles));
+        let space = match generator.cache_key() {
+            Some(key) => self.memo.space(&keys, &profiles, key, build),
+            None => build(),
+        };
+        Ok((profiles, space))
     }
 
     /// Profiles the named libraries and runs any [`ScenarioGenerator`] over
@@ -326,7 +487,7 @@ impl Lfi {
     where
         G: ScenarioGenerator + ?Sized,
     {
-        Ok(generator.generate(&self.profiles_of(libraries)?))
+        Ok(generator.generate(&self.shared_profiles(libraries)?.1))
     }
 
     /// Profiles the named libraries, runs the generator, and returns a
@@ -343,13 +504,15 @@ impl Lfi {
     where
         G: ScenarioGenerator + ?Sized,
     {
-        Ok(Campaign::from_generator(generator, &self.profiles_of(libraries)?))
+        Ok(Campaign::from_generator(generator, &self.shared_profiles(libraries)?.1))
     }
 
     /// Profiles the named libraries, runs the generator, and returns an
-    /// [`Explorer`] whose fault-space universe is the generated plan's cell
-    /// set and whose crash escalation draws sibling errnos from the fresh
-    /// profiles — the adaptive counterpart of [`Lfi::campaign`].  Configure
+    /// [`Explorer`] whose universe is the generated plan's [`FaultSpace`]
+    /// and whose crash escalation draws sibling errnos from the profiles —
+    /// the adaptive counterpart of [`Lfi::campaign`].  Profiles and space
+    /// come from the facade's memo (see [`Lfi`]), so a repeat call costs
+    /// only the explorer's own frontier.  Configure
     /// (seed, batch size, budgets), then call [`Explorer::run_workload`] or
     /// drive it batch by batch with [`Explorer::step_workload`], snapshotting
     /// [`Explorer::store`] for kill-safe resumption.
@@ -361,9 +524,8 @@ impl Lfi {
     where
         G: ScenarioGenerator + ?Sized,
     {
-        let profiles = self.profiles_of(libraries)?;
-        let plan = generator.generate(&profiles);
-        Ok(Explorer::new(&plan, profiles))
+        let (profiles, space) = self.fault_space(generator, libraries)?;
+        Ok(Explorer::from_space(&space, profiles))
     }
 
     /// Profiles the named libraries, runs the generator, and returns a
@@ -384,9 +546,8 @@ impl Lfi {
     where
         G: ScenarioGenerator + ?Sized,
     {
-        let profiles = self.profiles_of(libraries)?;
-        let plan = generator.generate(&profiles);
-        Ok(ClosedLoop::new(Explorer::new(&plan, profiles), set))
+        let (profiles, space) = self.fault_space(generator, libraries)?;
+        Ok(ClosedLoop::new(Explorer::from_space(&space, profiles), set))
     }
 
     /// Rebuilds an [`Explorer`] from a persisted [`ExplorationStore`]
@@ -397,7 +558,7 @@ impl Lfi {
     ///
     /// Fails when any named library is unknown or cannot be disassembled.
     pub fn resume_exploration(&self, store: &ExplorationStore, libraries: &[&str]) -> Result<Explorer, LfiError> {
-        Ok(Explorer::resume(self.profiles_of(libraries)?, store))
+        Ok(Explorer::resume(self.shared_profiles(libraries)?.1, store))
     }
 
     /// A [`FabricBuilder`](lfi_fabric::FabricBuilder) for the long-running
@@ -406,8 +567,9 @@ impl Lfi {
     /// named jobs — each a plan from [`Lfi::scenario`] — over one shared
     /// work-stealing worker fleet with crash-safe lease handoff.
     ///
-    /// The facade itself stays per-call stateless here: plans come from the
-    /// profiling pipeline above, the fabric owns the execution side.
+    /// The fabric owns the execution side and the facade keeps no state for
+    /// it: a job's plan comes from the profiling pipeline above, and the
+    /// fabric enumerates its [`FaultSpace`] at submit time.
     pub fn fabric(&self) -> lfi_fabric::FabricBuilder {
         lfi_fabric::Fabric::builder()
     }
@@ -704,6 +866,128 @@ mod tests {
 
         assert!(lfi.explore(&Exhaustive, &["libmissing.so"]).is_err());
         assert!(lfi.resume_exploration(&store, &["libmissing.so"]).is_err());
+    }
+
+    /// Whether two spaces share one allocation, i.e. one was not rebuilt.
+    fn same_space(a: &(Arc<[FaultProfile]>, FaultSpace), b: &(Arc<[FaultProfile]>, FaultSpace)) -> bool {
+        std::ptr::eq(a.1.cells(), b.1.cells()) && Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// An exhaustive planner under a cache key of its own.
+    struct Rekeyed(u64);
+
+    impl ScenarioGenerator for Rekeyed {
+        fn name(&self) -> &str {
+            "rekeyed"
+        }
+
+        fn generate(&self, profiles: &[FaultProfile]) -> Plan {
+            Exhaustive.generate(profiles)
+        }
+
+        fn cache_key(&self) -> Option<u64> {
+            Some(self.0)
+        }
+    }
+
+    #[test]
+    fn the_fault_space_is_built_once_per_profile_set_and_generator() {
+        const LIBS: &[&str] = &["libdemo.so"];
+        let mut lfi = Lfi::with_options(ProfilerOptions::with_heuristics());
+        lfi.add_library(demo());
+        let exhaustive = |lfi: &Lfi| lfi.fault_space(&Exhaustive, LIBS).unwrap();
+        let first = exhaustive(&lfi);
+        assert_eq!(first.1.len(), 3);
+        assert!(same_space(&exhaustive(&lfi), &first), "a repeat call hits");
+
+        // The forwarding impls reach the same entry.
+        assert!(same_space(&lfi.fault_space(&Box::new(Exhaustive), LIBS).unwrap(), &first));
+        assert!(same_space(&lfi.fault_space(&&Exhaustive, LIBS).unwrap(), &first));
+        assert_eq!(lfi.explore(&Box::new(Exhaustive), LIBS).unwrap().universe_len(), 3);
+        assert_eq!(lfi.explore(&&Exhaustive, LIBS).unwrap().universe_len(), 3);
+        assert!(same_space(&exhaustive(&lfi), &first));
+
+        // A different key builds its own space, and keeps it.
+        let rekeyed = lfi.fault_space(&Rekeyed(1), LIBS).unwrap();
+        assert_eq!(rekeyed.1, first.1);
+        assert!(!same_space(&rekeyed, &first));
+        assert!(Arc::ptr_eq(&rekeyed.0, &first.0), "one profile set under both keys");
+        assert!(same_space(&lfi.fault_space(&Rekeyed(1), LIBS).unwrap(), &rekeyed));
+        assert!(same_space(&exhaustive(&lfi), &first));
+
+        // Generators without a key are never memoized.
+        let random = Random::new(0.5, 1).unwrap();
+        let filtered = Filtered::new(Exhaustive).allow(["b"]);
+        let composite = lfi_scenario::Composite::new().push(Exhaustive);
+        let uncached: [&dyn ScenarioGenerator; 3] = [&random, &filtered, &composite];
+        for generator in uncached {
+            let once = lfi.fault_space(generator, LIBS).unwrap();
+            let twice = lfi.fault_space(generator, LIBS).unwrap();
+            assert_eq!(once.1, twice.1);
+            assert!(!std::ptr::eq(once.1.cells(), twice.1.cells()), "{} is rebuilt", generator.name());
+        }
+
+        // Re-registering identical content keeps the memo; new content
+        // rebuilds it.
+        lfi.add_library(demo());
+        assert!(same_space(&exhaustive(&lfi), &first));
+        lfi.add_library(
+            LibraryCompiler::new()
+                .compile(
+                    &LibrarySpec::new("libdemo.so", Platform::LinuxX86)
+                        .function(FunctionSpec::scalar("a", 1).success(0).fault(FaultSpec::returning(-9))),
+                )
+                .object,
+        );
+        let modified = exhaustive(&lfi);
+        assert!(!same_space(&modified, &first));
+        assert_eq!(modified.1.len(), 1);
+        assert!(same_space(&exhaustive(&lfi), &modified));
+
+        // A new kernel rebuilds it.
+        lfi.set_kernel(lfi_corpus::build_kernel(Platform::LinuxX86));
+        let kernel = exhaustive(&lfi);
+        assert!(!same_space(&kernel, &modified));
+        assert!(same_space(&exhaustive(&lfi), &kernel));
+
+        // Loading a store rebuilds it, even one sharing the current
+        // store's profiles.
+        lfi.load_profile_store(lfi.profile_store().clone());
+        let loaded = exhaustive(&lfi);
+        assert!(!same_space(&loaded, &kernel));
+        assert!(same_space(&exhaustive(&lfi), &loaded));
+
+        let path = std::env::temp_dir().join(format!("lfi-facade-memo-{}.lfis", std::process::id()));
+        lfi.save_profile_store(&path).unwrap();
+        lfi.load_profile_store_file(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let from_file = exhaustive(&lfi);
+        assert!(!same_space(&from_file, &loaded));
+        assert!(same_space(&exhaustive(&lfi), &from_file));
+
+        // So does a store cleared behind the facade's back: the memo serves
+        // only the profiles the store still holds.
+        lfi.profile_store().clear();
+        let recomputed = exhaustive(&lfi);
+        assert!(!same_space(&recomputed, &from_file));
+        assert_eq!(recomputed.1, from_file.1);
+    }
+
+    #[test]
+    fn a_memo_hit_never_skips_an_error() {
+        let mut lfi = Lfi::new();
+        lfi.add_library(demo());
+        lfi.explore(&Exhaustive, &["libdemo.so"]).unwrap();
+        let unknown = LfiError::Profiler(ProfilerError::UnknownLibrary { name: "nope.so".into() });
+        for libraries in [&["libdemo.so", "nope.so"], &["nope.so", "libdemo.so"]] {
+            assert_eq!(lfi.explore(&Exhaustive, libraries).unwrap_err(), unknown);
+            assert_eq!(lfi.rules(&Exhaustive, libraries, RuleSet::new()).unwrap_err(), unknown);
+            assert_eq!(lfi.scenario(&Exhaustive, libraries).unwrap_err(), unknown);
+            assert_eq!(LfiError::from(lfi.profiles_of(libraries).unwrap_err()), unknown);
+        }
+        let store = lfi.explore(&Exhaustive, &["libdemo.so"]).unwrap().store();
+        assert_eq!(lfi.resume_exploration(&store, &["libdemo.so", "nope.so"]).unwrap_err(), unknown);
+        assert!(lfi.explore(&Exhaustive, &["libdemo.so"]).is_ok(), "the memo survives the errors");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use lfi_controller::{Campaign, CampaignReport, CaseEvent, ExecutionPolicy, TestCase, TestOutcome, Workload};
 use lfi_intern::Symbol;
 use lfi_profile::FaultProfile;
-use lfi_scenario::{FaultCell, Plan};
+use lfi_scenario::{FaultCell, FaultSpace, Plan};
 
 use crate::ledger::{change, cluster_slot, CellResult, CrashCluster, FaultLedger, FunctionCoverage, OutcomeClass};
 use crate::{ExplorationDelta, ExplorationStore};
@@ -160,7 +160,9 @@ struct DeltaTracker {
 /// budgets are exact counters and preserve the contract, and at the default
 /// `parallelism(1)` the halt point is deterministic too.
 pub struct Explorer {
-    profiles: Vec<FaultProfile>,
+    /// The profiles crash escalation draws sibling errnos from, shared
+    /// (the facade hands every explorer over one profile set the same ones).
+    profiles: Arc<[FaultProfile]>,
     /// Size of the enumerated seed universe (for coverage reporting).
     universe: usize,
     /// Executed cells, coverage, clusters and counters.
@@ -192,23 +194,24 @@ pub struct Explorer {
 impl Explorer {
     /// Creates an explorer over the cells of a seed plan (normally the
     /// output of a [`ScenarioGenerator`](lfi_scenario::ScenarioGenerator)
-    /// over `profiles` — the [`lfi_core`-style facade] wires exactly that).
-    /// The profiles stay with the explorer: crash escalation draws sibling
-    /// errnos from their per-function error sets.
-    ///
-    /// [`lfi_core`-style facade]: crate
-    pub fn new(seed_plan: &Plan, profiles: Vec<FaultProfile>) -> Self {
-        let mut cells = seed_plan.compile().cells();
-        // Each key resolves a name through the global symbol table: compute
-        // it once per cell, not twice per comparison.
-        cells.sort_by_cached_key(FaultCell::sort_key);
-        cells.dedup();
+    /// over `profiles`): [`Explorer::from_space`] over
+    /// [`FaultSpace::from_plan`].
+    pub fn new(seed_plan: &Plan, profiles: impl Into<Arc<[FaultProfile]>>) -> Self {
+        Self::from_space(&FaultSpace::from_plan(seed_plan), profiles)
+    }
+
+    /// Creates an explorer whose universe is `space`, every cell on the
+    /// frontier at priority 0 in the space's order.  The profiles stay with
+    /// the explorer: crash escalation draws sibling errnos from their
+    /// per-function error sets.  The facade builds the space once per
+    /// profile set and generator and hands every explorer the same one.
+    pub fn from_space(space: &FaultSpace, profiles: impl Into<Arc<[FaultProfile]>>) -> Self {
         let config = ExplorerConfig::default();
         Self {
-            profiles,
-            universe: cells.len(),
+            profiles: profiles.into(),
+            universe: space.len(),
             ledger: FaultLedger::default(),
-            frontier: cells.into_iter().map(|cell| FrontierCell { cell, priority: 0 }).collect(),
+            frontier: space.cells().iter().map(|&cell| FrontierCell { cell, priority: 0 }).collect(),
             unreached: HashSet::new(),
             pruned_functions: HashSet::new(),
             rng: StdRng::seed_from_u64(config.seed),
@@ -229,13 +232,13 @@ impl Explorer {
     /// coverage, clusters, budgets, and the RNG stream advanced to its
     /// recorded position.  `profiles` must be the same profiles the original
     /// exploration ran over for escalation to propose the same siblings.
-    pub fn resume(profiles: Vec<FaultProfile>, store: &ExplorationStore) -> Self {
+    pub fn resume(profiles: impl Into<Arc<[FaultProfile]>>, store: &ExplorationStore) -> Self {
         let mut rng = StdRng::seed_from_u64(store.seed);
         for _ in 0..store.rng_draws {
             let _: u64 = rng.gen();
         }
         Self {
-            profiles,
+            profiles: profiles.into(),
             universe: store.universe,
             ledger: FaultLedger::from_store(store),
             frontier: store.frontier.clone(),
@@ -511,7 +514,7 @@ impl Explorer {
         }
         candidates.push(FaultCell { call_ordinal: cell.call_ordinal + 1, ..cell });
         let name = cell.function.as_str();
-        for profile in &self.profiles {
+        for profile in self.profiles.iter() {
             let Some(function) = profile.function(name) else {
                 continue;
             };

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use lfi_controller::{CancelHandle, ProgressSnapshot, Workload};
 use lfi_explore::{CellResult, ExplorationStore, FaultLedger, FrontierCell};
-use lfi_scenario::FaultCell;
+use lfi_scenario::{FaultCell, FaultSpace};
 
 use crate::job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
 
@@ -243,15 +243,13 @@ impl Scheduler {
         }
     }
 
-    /// Admits a job: enumerates the plan's deterministic cells in
-    /// process-independent order, truncates at `max_cases`, and queues it.
+    /// Admits a job: takes the plan's [`FaultSpace`] — the same cells, in
+    /// the same order, as an explorer's universe — truncates it at
+    /// `max_cases`, and queues it.
     pub fn submit(&mut self, spec: JobSpec, workload: Arc<dyn Workload>) -> JobId {
-        let mut cells = spec.plan.compile().cells();
-        cells.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        cells.dedup();
-        if let Some(max) = spec.max_cases {
-            cells.truncate(max);
-        }
+        let space = FaultSpace::from_plan(&spec.plan);
+        let cases = spec.max_cases.unwrap_or(usize::MAX).min(space.len());
+        let cells = space.cells()[..cases].to_vec();
         self.admit(spec, workload, cells, FaultLedger::default(), HashSet::new())
     }
 

@@ -179,8 +179,11 @@ impl CompiledPlan {
     /// cell and are skipped; an entry's errno falls back to its first TLS
     /// side-effect value (the errno channel of §3.2).
     ///
-    /// This is the fault-space view `lfi-explore` builds its coverage
-    /// accounting and exploration frontier on.
+    /// Cells come out in plan order and may repeat; [`FaultSpace`] sorts and
+    /// deduplicates them into the universe `lfi-explore` and `lfi-fabric`
+    /// walk.
+    ///
+    /// [`FaultSpace`]: crate::FaultSpace
     pub fn cells(&self) -> Vec<FaultCell> {
         let mut cells = Vec::new();
         for function in &self.functions {

@@ -60,6 +60,20 @@ pub trait ScenarioGenerator {
 
     /// Generates the faultload over the given profiles.
     fn generate(&self, profiles: &[FaultProfile]) -> Plan;
+
+    /// A key under which what this generator derives from a profile set may
+    /// be memoized, or `None` (the default) for "never cache".
+    ///
+    /// Two generators that return the same `Some(key)` must generate the
+    /// same plan from the same profiles, whatever their type.  Return
+    /// `Some` only when the plan is a pure function of the profiles and the
+    /// key: a generator whose output depends on parameters the key does not
+    /// capture — or on a wrapped generator, as for [`Filtered`] and
+    /// [`Composite`] — keeps `None`.  [`ScenarioGenerator::name`] is no
+    /// key: every [`Filtered`] is named `"filtered"`, whatever it wraps.
+    fn cache_key(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl<G: ScenarioGenerator + ?Sized> ScenarioGenerator for &G {
@@ -74,6 +88,10 @@ impl<G: ScenarioGenerator + ?Sized> ScenarioGenerator for &G {
     fn generate(&self, profiles: &[FaultProfile]) -> Plan {
         (**self).generate(profiles)
     }
+
+    fn cache_key(&self) -> Option<u64> {
+        (**self).cache_key()
+    }
 }
 
 impl<G: ScenarioGenerator + ?Sized> ScenarioGenerator for Box<G> {
@@ -87,6 +105,10 @@ impl<G: ScenarioGenerator + ?Sized> ScenarioGenerator for Box<G> {
 
     fn generate(&self, profiles: &[FaultProfile]) -> Plan {
         (**self).generate(profiles)
+    }
+
+    fn cache_key(&self) -> Option<u64> {
+        (**self).cache_key()
     }
 }
 
@@ -109,6 +131,10 @@ fn validated_probability(probability: f64) -> Result<f64, ScenarioError> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Exhaustive;
 
+/// The exhaustive generator's cache key: an arbitrary constant (`"exhaust"`
+/// in ASCII) that a user generator is unlikely to pick by accident.
+const EXHAUSTIVE_CACHE_KEY: u64 = 0x0074_7375_6168_7865;
+
 impl ScenarioGenerator for Exhaustive {
     fn name(&self) -> &str {
         "exhaustive"
@@ -116,6 +142,11 @@ impl ScenarioGenerator for Exhaustive {
 
     fn description(&self) -> String {
         "exhaustive: one call-count trigger per profiled error value".to_owned()
+    }
+
+    /// The exhaustive plan has no parameters: one key covers it.
+    fn cache_key(&self) -> Option<u64> {
+        Some(EXHAUSTIVE_CACHE_KEY)
     }
 
     fn generate(&self, profiles: &[FaultProfile]) -> Plan {
@@ -716,6 +747,29 @@ mod tests {
         // A Filtered over a reference works too (no ownership required).
         let filtered = Filtered::new(&Exhaustive).max_entries(1);
         assert_eq!(filtered.generate(std::slice::from_ref(&profile)).len(), 1);
+    }
+
+    #[test]
+    fn only_the_exhaustive_generator_is_cacheable() {
+        let key = Exhaustive.cache_key();
+        assert!(key.is_some());
+        // The forwarding impls forward the key.
+        fn key_of<G: ScenarioGenerator>(generator: G) -> Option<u64> {
+            generator.cache_key()
+        }
+        let by_ref: &Exhaustive = &Exhaustive;
+        let by_ref_ref: &&Exhaustive = &by_ref;
+        assert_eq!(key_of(by_ref), key);
+        assert_eq!(key_of(by_ref_ref), key);
+        assert_eq!(key_of(Box::new(Exhaustive)), key);
+        let boxed: Box<dyn ScenarioGenerator> = Box::new(Exhaustive);
+        assert_eq!(boxed.cache_key(), key);
+        // Parameterized and wrapping generators never cache.
+        assert_eq!(Random::new(0.5, 1).unwrap().cache_key(), None);
+        assert_eq!(Filtered::new(Exhaustive).cache_key(), None);
+        assert_eq!(Composite::new().push(Exhaustive).cache_key(), None);
+        assert_eq!(ReadyMade::file_io().cache_key(), None);
+        assert_eq!(TriggerLoad::new(["read"], 1, 1).cache_key(), None);
     }
 
     #[test]

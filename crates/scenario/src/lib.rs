@@ -5,8 +5,9 @@
 //! argument modifications).  This crate defines the plan data model
 //! ([`Plan`]), its XML dialect (round-tripping the exact snippets shown in
 //! the paper), the pluggable scenario generators ([`generator`], built around
-//! the [`ScenarioGenerator`] trait), and the ready-made libc scenarios of §4
-//! ([`ready_made`]).
+//! the [`ScenarioGenerator`] trait), the ready-made libc scenarios of §4
+//! ([`ready_made`]), and the [`FaultSpace`] — a plan's sorted, deduplicated
+//! fault cells, which the explorer and the fabric both walk.
 //!
 //! ```
 //! use lfi_profile::{ErrorReturn, FaultProfile, FunctionProfile};
@@ -40,12 +41,14 @@ mod error;
 pub mod generator;
 mod plan;
 pub mod ready_made;
+mod space;
 
 pub use compiled::{CompiledChoice, CompiledEntry, CompiledFunction, CompiledPlan, CompiledSideEffect, FaultCell};
 pub use error::ScenarioError;
 pub use generator::{Composite, Exhaustive, Filtered, Random, ReadyMade, ScenarioGenerator, TriggerLoad};
 pub use lfi_intern::Symbol;
 pub use plan::{ArgModification, ArgOp, FaultAction, Plan, PlanEntry, Trigger};
+pub use space::FaultSpace;
 
 #[cfg(test)]
 mod tests {
