@@ -345,11 +345,10 @@ mod tests {
         // every 29th malloc fails.
         let interceptor = NativeLibrary::builder("inject.so")
             .function("write", {
-                let count = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
+                let count = std::sync::atomic::AtomicU64::new(0);
                 move |ctx| {
-                    let mut count = count.lock();
-                    *count += 1;
-                    if (*count).is_multiple_of(13) {
+                    let count = count.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                    if count.is_multiple_of(13) {
                         ctx.set_errno(5);
                         -1
                     } else {
@@ -358,11 +357,10 @@ mod tests {
                 }
             })
             .function("fsync", {
-                let count = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
+                let count = std::sync::atomic::AtomicU64::new(0);
                 move |ctx| {
-                    let mut count = count.lock();
-                    *count += 1;
-                    if (*count).is_multiple_of(3) {
+                    let count = count.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                    if count.is_multiple_of(3) {
                         ctx.set_errno(28);
                         -1
                     } else {
@@ -371,11 +369,10 @@ mod tests {
                 }
             })
             .function("malloc", {
-                let count = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
+                let count = std::sync::atomic::AtomicU64::new(0);
                 move |ctx| {
-                    let mut count = count.lock();
-                    *count += 1;
-                    if (*count).is_multiple_of(29) {
+                    let count = count.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                    if count.is_multiple_of(29) {
                         ctx.set_errno(12);
                         0
                     } else {

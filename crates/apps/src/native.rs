@@ -10,9 +10,7 @@
 //! failure, `0` from `malloc` when allocation fails.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use lfi_runtime::{NativeLibrary, Process};
 
@@ -124,6 +122,13 @@ impl SimWorld {
 /// A handle to shared world state, cloneable into library closures.
 pub type World = Arc<Mutex<SimWorld>>;
 
+/// Locks a world, riding through poisoning: a workload that panics inside a
+/// library call leaves the world usable, and an arena's reset hook rewinds
+/// it before the next case.
+pub(crate) fn lock_world(world: &World) -> MutexGuard<'_, SimWorld> {
+    world.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Burns a calibrated amount of CPU, standing in for the application-level
 /// work (parsing, templating, buffer-pool management, kernel I/O) a real
 /// request performs between library calls.  Without it the simulated requests
@@ -148,19 +153,19 @@ pub fn native_libc(world: &World) -> NativeLibrary {
     NativeLibrary::builder("libc.so.6")
         .function("open", {
             let world = w(world);
-            move |_| world.lock().open_stream()
+            move |_| lock_world(&world).open_stream()
         })
         .function("pipe", {
             let world = w(world);
-            move |_| world.lock().open_stream()
+            move |_| lock_world(&world).open_stream()
         })
         .function("socket", {
             let world = w(world);
-            move |_| world.lock().open_stream()
+            move |_| lock_world(&world).open_stream()
         })
         .function("read", {
             let world = w(world);
-            move |ctx| match world.lock().read_value(ctx.arg(0)) {
+            move |ctx| match lock_world(&world).read_value(ctx.arg(0)) {
                 Some(value) => value,
                 None => {
                     ctx.set_errno(11); // EAGAIN: nothing buffered
@@ -170,7 +175,7 @@ pub fn native_libc(world: &World) -> NativeLibrary {
         })
         .function("recv", {
             let world = w(world);
-            move |ctx| match world.lock().read_value(ctx.arg(0)) {
+            move |ctx| match lock_world(&world).read_value(ctx.arg(0)) {
                 Some(value) => value,
                 None => {
                     ctx.set_errno(11);
@@ -181,7 +186,7 @@ pub fn native_libc(world: &World) -> NativeLibrary {
         .function("write", {
             let world = w(world);
             move |ctx| {
-                if world.lock().write_value(ctx.arg(0), ctx.arg(1)) {
+                if lock_world(&world).write_value(ctx.arg(0), ctx.arg(1)) {
                     ctx.arg(2).max(1)
                 } else {
                     ctx.set_errno(9); // EBADF
@@ -192,7 +197,7 @@ pub fn native_libc(world: &World) -> NativeLibrary {
         .function("send", {
             let world = w(world);
             move |ctx| {
-                if world.lock().write_value(ctx.arg(0), ctx.arg(1)) {
+                if lock_world(&world).write_value(ctx.arg(0), ctx.arg(1)) {
                     ctx.arg(2).max(1)
                 } else {
                     ctx.set_errno(9);
@@ -203,7 +208,7 @@ pub fn native_libc(world: &World) -> NativeLibrary {
         .function("close", {
             let world = w(world);
             move |ctx| {
-                if world.lock().close_stream(ctx.arg(0)) {
+                if lock_world(&world).close_stream(ctx.arg(0)) {
                     0
                 } else {
                     ctx.set_errno(9);
@@ -213,23 +218,23 @@ pub fn native_libc(world: &World) -> NativeLibrary {
         })
         .function("malloc", {
             let world = w(world);
-            move |ctx| world.lock().allocate(ctx.arg(0))
+            move |ctx| lock_world(&world).allocate(ctx.arg(0))
         })
         .function("calloc", {
             let world = w(world);
-            move |ctx| world.lock().allocate(ctx.arg(0) * ctx.arg(1).max(1))
+            move |ctx| lock_world(&world).allocate(ctx.arg(0) * ctx.arg(1).max(1))
         })
         .function("free", {
             let world = w(world);
             move |ctx| {
-                world.lock().release(ctx.arg(1));
+                lock_world(&world).release(ctx.arg(1));
                 0
             }
         })
         .function("fsync", {
             let world = w(world);
             move |_| {
-                world.lock().fsyncs += 1;
+                lock_world(&world).fsyncs += 1;
                 0
             }
         })
@@ -243,11 +248,11 @@ pub fn native_libc(world: &World) -> NativeLibrary {
         .constant("getpid", 4242)
         .function("readdir", {
             let world = w(world);
-            move |ctx| world.lock().read_value(ctx.arg(0)).unwrap_or(0)
+            move |ctx| lock_world(&world).read_value(ctx.arg(0)).unwrap_or(0)
         })
         .function("readdir64", {
             let world = w(world);
-            move |ctx| world.lock().read_value(ctx.arg(0)).unwrap_or(0)
+            move |ctx| lock_world(&world).read_value(ctx.arg(0)).unwrap_or(0)
         })
         .build()
 }
@@ -335,7 +340,7 @@ mod tests {
         assert_eq!(p2, 0);
         process.call("free", &[p1, 512]).unwrap();
         assert_ne!(process.call("malloc", &[600]).unwrap(), 0);
-        assert_eq!(world.lock().heap_used(), 600);
+        assert_eq!(lock_world(&world).heap_used(), 600);
     }
 
     #[test]
@@ -347,7 +352,7 @@ mod tests {
         assert_eq!(process.call("apr_file_read", &[fd]).unwrap(), 5);
         assert_ne!(process.call("apr_palloc", &[64]).unwrap(), 0);
         assert_eq!(process.call("fsync", &[fd]).unwrap(), 0);
-        assert_eq!(world.lock().fsyncs, 1);
+        assert_eq!(lock_world(&world).fsyncs, 1);
     }
 
     #[test]

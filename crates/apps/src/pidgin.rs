@@ -118,11 +118,10 @@ mod tests {
         let mut process = base_process(&world, false);
         let drop_second_write = NativeLibrary::builder("inject.so")
             .function("write", {
-                let counter = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
+                let counter = std::sync::atomic::AtomicU64::new(0);
                 move |ctx| {
-                    let mut count = counter.lock();
-                    *count += 1;
-                    if *count == 2 {
+                    let count = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                    if count == 2 {
                         ctx.set_errno(4);
                         -1
                     } else {
@@ -143,11 +142,10 @@ mod tests {
         let mut process = base_process(&world, false);
         let drop_first_write = NativeLibrary::builder("inject.so")
             .function("write", {
-                let counter = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
+                let counter = std::sync::atomic::AtomicU64::new(0);
                 move |ctx| {
-                    let mut count = counter.lock();
-                    *count += 1;
-                    if *count == 1 {
+                    let count = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                    if count == 1 {
                         ctx.set_errno(4);
                         -1
                     } else {

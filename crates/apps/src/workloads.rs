@@ -20,7 +20,7 @@ use lfi_runtime::{ExitStatus, PooledProcess, PreparedProcess, Process, ProcessAr
 use crate::apache::ab::run_ab;
 use crate::apache::{ApacheServer, RequestKind};
 use crate::mysql::MysqlServer;
-use crate::native::{base_process, new_world};
+use crate::native::{base_process, lock_world, new_world};
 use crate::pidgin::PidginApp;
 
 /// Builds the arena shared by an app workload's cases: every pooled process
@@ -30,7 +30,7 @@ fn app_arena(with_apr: bool) -> ProcessArena {
     ProcessArena::new(move || {
         let world = new_world();
         let process = base_process(&world, with_apr);
-        PreparedProcess::with_reset(process, move |_| world.lock().reset())
+        PreparedProcess::with_reset(process, move |_| lock_world(&world).reset())
     })
 }
 

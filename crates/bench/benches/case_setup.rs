@@ -16,7 +16,9 @@ fn arena() -> ProcessArena {
     ProcessArena::new(|| {
         let world = new_world();
         let process = base_process(&world, true);
-        PreparedProcess::with_reset(process, move |_| world.lock().reset())
+        PreparedProcess::with_reset(process, move |_| {
+            world.lock().unwrap_or_else(std::sync::PoisonError::into_inner).reset()
+        })
     })
 }
 

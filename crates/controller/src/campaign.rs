@@ -12,7 +12,6 @@
 //! wrapper over it.
 
 use std::fmt;
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use lfi_intern::Symbol;
@@ -77,10 +76,7 @@ pub struct CampaignReport {
     /// Outcomes, in test-case order.
     pub outcomes: Vec<TestOutcome>,
     /// Scheduled cases that never executed: the run was cancelled, halted by
-    /// `stop_on_first_crash`, starved by an exhausted injection budget, or a
-    /// case failed its workload's health check.  Cases trimmed up front by
-    /// `ExecutionPolicy::max_cases` are *not* counted — they were never
-    /// scheduled.
+    /// `stop_on_first_crash`, or a case failed its workload's health check.
     pub cases_skipped: usize,
     /// The run's final execution counters.  On a cleanly drained run these
     /// agree with the outcome list; on a run that ended via cancellation
@@ -149,19 +145,14 @@ impl fmt::Display for CampaignReport {
 
 /// When a campaign stops before exhausting its test-case list.
 ///
-/// The default policy runs every case.  `max_cases` truncates the list up
-/// front; `stop_on_first_crash` stops the campaign after the case that
-/// triggers it (with `parallelism(n)`, cases already in flight still finish
-/// and are reported).  `injection_budget` is a *hard* bound: the remaining
-/// budget lives in one atomic shared by every case's injector, so even
-/// concurrent workers cannot collectively perform more injections than the
-/// budget allows — once the pool is empty, in-flight cases finish with all
-/// further triggers demoted to pass-throughs, and no new case is scheduled.
+/// The default policy runs every case.  `stop_on_first_crash` stops the
+/// campaign after the case that triggers it (with `parallelism(n)`, cases
+/// already in flight still finish and are reported).  Case and injection
+/// limits belong to the front ends that size the case list: the explorer's
+/// `injection_budget` and a fabric job's `max_cases`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutionPolicy {
     stop_on_first_crash: bool,
-    max_cases: Option<usize>,
-    injection_budget: Option<usize>,
 }
 
 impl ExecutionPolicy {
@@ -173,23 +164,6 @@ impl ExecutionPolicy {
     /// Stop scheduling new cases once a case crashes.
     pub fn stop_on_first_crash(mut self) -> Self {
         self.stop_on_first_crash = true;
-        self
-    }
-
-    /// Run at most `max` test cases.
-    pub fn max_cases(mut self, max: usize) -> Self {
-        self.max_cases = Some(max);
-        self
-    }
-
-    /// Caps the whole campaign at `budget` injections.  The budget is a
-    /// shared atomic token pool: every firing trigger in every case (on any
-    /// worker thread) consumes one token, an empty pool turns further
-    /// triggers into pass-throughs, and the scheduler stops claiming new
-    /// cases once the pool is dry — so the cap holds exactly even under
-    /// [`Campaign::parallelism`].
-    pub fn injection_budget(mut self, budget: usize) -> Self {
-        self.injection_budget = Some(budget);
         self
     }
 }
@@ -333,17 +307,12 @@ impl Campaign {
     /// [`Campaign::start`] for a workload that is already shared (e.g. one
     /// pulled from a [`WorkloadRegistry`](crate::WorkloadRegistry)).
     pub fn start_arc(self, workload: Arc<dyn Workload>) -> CampaignRun {
-        let limit = self.policy.max_cases.map_or(self.cases.len(), |max| max.min(self.cases.len()));
-        let mut cases = self.cases;
-        cases.truncate(limit);
-        let workers = self.parallelism.clamp(1, cases.len().max(1));
-        let budget = self.policy.injection_budget.map(|budget| Arc::new(AtomicUsize::new(budget)));
+        let workers = self.parallelism.clamp(1, self.cases.len().max(1));
         CampaignRun::launch(
             RunConfig {
-                cases,
+                cases: self.cases,
                 stop_on_first_crash: self.policy.stop_on_first_crash,
                 capture_calls: self.capture_calls,
-                budget,
                 workers,
             },
             workload,
@@ -548,65 +517,6 @@ mod tests {
         assert_eq!(stopped.cases_skipped, 2);
         assert!(stopped.to_text().contains("cases skipped: 2"));
         assert!(stopped.to_string().contains("2 skipped"));
-    }
-
-    #[test]
-    fn max_cases_and_injection_budget_bound_the_run() {
-        let capped = Campaign::new()
-            .cases(standard_cases())
-            .policy(ExecutionPolicy::run_all().max_cases(2))
-            .run_workload(toy());
-        assert_eq!(capped.outcomes.len(), 2);
-        // max_cases trims up front; the trimmed case was never scheduled.
-        assert_eq!(capped.cases_skipped, 0);
-
-        let budgeted = Campaign::new()
-            .cases(standard_cases())
-            .policy(ExecutionPolicy::run_all().injection_budget(1))
-            .run_workload(toy());
-        // baseline injects 0, fail-read drains the budget of 1, short-read
-        // never runs — and is accounted for as skipped.
-        assert_eq!(budgeted.outcomes.len(), 2);
-        assert_eq!(budgeted.total_injections(), 1);
-        assert_eq!(budgeted.cases_skipped, 1);
-    }
-
-    #[test]
-    fn injection_budget_is_a_hard_bound_under_parallelism() {
-        // Regression test: the budget used to be checked only *after* a case
-        // finished, so n concurrent workers could each run a full case and
-        // collectively overshoot the budget by up to (n-1) cases' worth of
-        // injections.  The budget is now a token pool shared by every case's
-        // injector: with 12 cases of 5 injections each (60 available) and a
-        // budget of 12, any parallelism degree must land on exactly 12.
-        let cases: Vec<TestCase> = (0..12)
-            .map(|i| {
-                let mut plan = Plan::new().with_seed(42 + i);
-                for call in 1..=5 {
-                    plan = plan.entry(PlanEntry {
-                        function: "read".into(),
-                        trigger: Trigger::on_call(call),
-                        action: FaultAction::return_value(-1).with_errno(5),
-                    });
-                }
-                TestCase::new(format!("budget-{i:02}"), plan)
-            })
-            .collect();
-        let hammer = |process: &mut Process| {
-            for _ in 0..5 {
-                let _ = process.call("read", &[3, 0, 8]);
-            }
-            ExitStatus::Exited(0)
-        };
-        for workers in [1, 4, 8] {
-            let report = Campaign::new()
-                .cases(cases.clone())
-                .policy(ExecutionPolicy::run_all().injection_budget(12))
-                .parallelism(workers)
-                .run_workload(FnWorkload::new("hammer", setup, hammer));
-            assert_eq!(report.total_injections(), 12, "parallelism({workers}) overshot the injection budget");
-            assert_eq!(report.outcomes.len() + report.cases_skipped, 12, "every scheduled case is accounted for");
-        }
     }
 
     #[test]

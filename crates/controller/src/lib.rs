@@ -35,7 +35,7 @@ pub mod stubsrc;
 mod workload;
 
 pub use campaign::{Campaign, CampaignReport, ExecutionPolicy, TestCase, TestOutcome};
-pub use injector::{Injector, RefinementFinding, INTERCEPTOR_LIBRARY_NAME};
+pub use injector::{Injector, INTERCEPTOR_LIBRARY_NAME};
 pub use log::{InjectionRecord, TestLog};
 pub use session::{CampaignRun, CancelHandle, CaseEvent, ProgressSnapshot, RunProgress, SkipReason};
 pub use workload::{FnWorkload, Workload, WorkloadRegistry};

@@ -18,8 +18,8 @@ use crate::{CampaignReport, Injector, TestCase, TestOutcome, Workload};
 /// One incremental event from a running campaign session.
 ///
 /// `index` is the case's position in the scheduled case list (the list the
-/// campaign was built with, truncated by `ExecutionPolicy::max_cases`), so
-/// events of concurrent cases can be correlated.
+/// campaign was built with), so events of concurrent cases can be
+/// correlated.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CaseEvent {
     /// The case was claimed and is about to be set up.
@@ -78,8 +78,6 @@ pub enum SkipReason {
     /// `ExecutionPolicy::stop_on_first_crash` halted the run after an
     /// earlier case crashed.
     CrashHalt,
-    /// The campaign-wide injection budget was exhausted.
-    BudgetExhausted,
     /// The workload's [`Workload::health_check`] vetoed the prepared
     /// process.
     Unhealthy,
@@ -89,7 +87,6 @@ pub enum SkipReason {
 const REASON_NONE: u8 = 0;
 const REASON_CANCELLED: u8 = 1;
 const REASON_CRASH: u8 = 2;
-const REASON_BUDGET: u8 = 3;
 
 // Per-case scheduling states.
 const STATE_PENDING: u8 = 0;
@@ -141,7 +138,7 @@ impl std::fmt::Debug for CancelHandle {
 /// safe to poll from any thread while the run streams.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunProgress {
-    /// Cases scheduled (after `max_cases` truncation).
+    /// Cases scheduled: the campaign's whole case list.
     pub cases: usize,
     /// Cases a worker has claimed so far.
     pub started: usize,
@@ -195,7 +192,6 @@ struct RunShared {
     cases: Vec<TestCase>,
     stop_on_first_crash: bool,
     capture_calls: bool,
-    budget: Option<Arc<AtomicUsize>>,
     next: AtomicUsize,
     stop: AtomicBool,
     stop_reason: AtomicU8,
@@ -220,7 +216,6 @@ impl RunShared {
     fn skip_reason(&self) -> SkipReason {
         match self.stop_reason.load(Ordering::Acquire) {
             REASON_CRASH => SkipReason::CrashHalt,
-            REASON_BUDGET => SkipReason::BudgetExhausted,
             _ => SkipReason::Cancelled,
         }
     }
@@ -251,7 +246,6 @@ pub(crate) struct RunConfig {
     pub cases: Vec<TestCase>,
     pub stop_on_first_crash: bool,
     pub capture_calls: bool,
-    pub budget: Option<Arc<AtomicUsize>>,
     pub workers: usize,
 }
 
@@ -355,7 +349,6 @@ impl CampaignRun {
             cases: config.cases,
             stop_on_first_crash: config.stop_on_first_crash,
             capture_calls: config.capture_calls,
-            budget: config.budget,
             next: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             stop_reason: AtomicU8::new(REASON_NONE),
@@ -420,7 +413,7 @@ impl CampaignRun {
         self.progress().snapshot()
     }
 
-    /// Number of scheduled cases (after `max_cases` truncation).
+    /// Number of scheduled cases.
     pub fn case_count(&self) -> usize {
         self.shared.cases.len()
     }
@@ -607,7 +600,7 @@ fn run_case(
 ) -> bool {
     let case = &shared.cases[index];
     let mut process = workload.setup(case);
-    let injector = Injector::with_budget(case.plan.clone(), shared.budget.clone());
+    let injector = Injector::new(case.plan.clone());
     process.preload(injector.synthesize_interceptor());
     if shared.capture_calls {
         process.set_call_log_enabled(true);
@@ -635,13 +628,11 @@ fn run_case(
     }
     shared.states[index].store(STATE_DONE, Ordering::Release);
     shared.finished.fetch_add(1, Ordering::AcqRel);
-    // Stop decisions happen before the events ship, so in a serial session
-    // no further case can slip in ahead of the halt (deterministic streams).
+    // The stop decision happens before the events ship, so in a serial
+    // session no further case can slip in ahead of the halt (deterministic
+    // streams).
     if shared.stop_on_first_crash && crashed {
         shared.halt(REASON_CRASH);
-    }
-    if shared.budget.as_ref().is_some_and(|pool| pool.load(Ordering::Acquire) == 0) {
-        shared.halt(REASON_BUDGET);
     }
     let mut burst: Vec<CaseEvent> = Vec::with_capacity(outcome.log.injections.len() + 1);
     for record in &outcome.log.injections {

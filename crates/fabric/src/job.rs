@@ -121,8 +121,8 @@ pub struct JobSpec {
     /// Finish the job early (state `Done`) once a cell crashes the
     /// workload; remaining cells are counted skipped.
     pub halt_on_crash: bool,
-    /// Truncates the enumerated frontier up front, like
-    /// `ExecutionPolicy::max_cases`.
+    /// Truncates the enumerated frontier up front: at most this many cells
+    /// are queued.
     pub max_cases: Option<usize>,
 }
 

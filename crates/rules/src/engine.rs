@@ -272,6 +272,12 @@ struct CompiledMachine {
     masks: Vec<u16>,
     /// Instances currently sitting in each state.
     counts: Vec<usize>,
+    /// Instances that transitioned in the last sweep.  Their new state's
+    /// out-guards have not been evaluated yet, and may already hold with no
+    /// further change bit ever reported (an `Always` guard, or a threshold
+    /// the entering event already met), so a non-zero count forces the
+    /// next sweep regardless of masks.
+    fresh: usize,
 }
 
 impl CompiledMachine {
@@ -297,7 +303,7 @@ impl CompiledMachine {
             masks[from] |= machine.transitions[index].when.change_mask();
         }
         let counts = vec![0; names.len()];
-        CompiledMachine { names, by_state, masks, counts }
+        CompiledMachine { names, by_state, masks, counts, fresh: 0 }
     }
 }
 
@@ -439,7 +445,9 @@ impl RuleEngine {
     /// exactly the pinned declaration-order contract.  Guards whose inputs
     /// provably did not change (see [`Condition::change_mask`]) and whose
     /// last verdict was false are skipped — a pure optimization that never
-    /// alters the decision log.
+    /// alters the decision log.  A machine instance that just transitioned
+    /// has no verdict for its new state yet, so its machine is swept on the
+    /// next fold whatever that fold changed.
     fn evaluate(&mut self, changed: u16) -> &[Decision] {
         let before = self.decisions.len();
         if self.set.is_empty() {
@@ -556,7 +564,7 @@ impl RuleEngine {
             }
             let machine = &self.set.machines[machine_index];
             let compiled = &self.compiled[machine_index];
-            let sweep = self.instances[machine_index].len() < symbol_count || {
+            let sweep = compiled.fresh > 0 || self.instances[machine_index].len() < symbol_count || {
                 let mut mask = 0u16;
                 for (state, &count) in compiled.counts.iter().enumerate() {
                     if count > 0 {
@@ -567,6 +575,10 @@ impl RuleEngine {
             };
             if !sweep {
                 continue;
+            }
+            if compiled.fresh > 0 {
+                self.compiled[machine_index].fresh = 0;
+                wake_dirty = true;
             }
             for (position, (symbol, stats)) in self.state.symbols().enumerate() {
                 if halted {
@@ -602,9 +614,10 @@ impl RuleEngine {
                     instance.state = to;
                     instance.entered_at_event = event_seq;
                     instance.crashes_at_entry = crashes;
-                    let counts = &mut self.compiled[machine_index].counts;
-                    counts[from] -= 1;
-                    counts[to] += 1;
+                    let compiled = &mut self.compiled[machine_index];
+                    compiled.counts[from] -= 1;
+                    compiled.counts[to] += 1;
+                    compiled.fresh += 1;
                     wake_dirty = true;
                     if cancels(&machine.transitions[transition_index].actions) {
                         halted = true;
@@ -647,7 +660,8 @@ impl RuleEngine {
 
         // Rebuild the wake mask when its inputs moved: a quiet source
         // (verdict cached false) wakes only on its own dependencies;
-        // anything that might fire or refire wakes on every fold.
+        // anything that might fire or refire — a machine with a fresh
+        // transition included — wakes on every fold.
         if wake_dirty {
             let mut wake = 0u16;
             for (rule_index, rule) in self.set.rules.iter().enumerate() {
@@ -658,6 +672,9 @@ impl RuleEngine {
                 wake |= if quiet { self.rule_masks[rule_index] } else { change::ALL };
             }
             for compiled in &self.compiled {
+                if compiled.fresh > 0 {
+                    wake |= change::ALL;
+                }
                 for (state, &count) in compiled.counts.iter().enumerate() {
                     if count > 0 {
                         wake |= compiled.masks[state];
@@ -932,6 +949,47 @@ mod tests {
         assert_eq!(log_a, log_b);
         assert_eq!(metrics_a, metrics_b);
         assert!(!log_a.is_empty());
+    }
+
+    #[test]
+    fn a_guard_that_already_holds_on_entry_fires_on_the_next_event() {
+        // A --crashes>=1--> B --crashes>=1--> C: the crash that moves the
+        // instance to B already satisfies B's out-guard, so the next event
+        // (which moves no crash counter) must carry it on to C.
+        let crashed = Condition::at_least(Metric::Crashes, 1.0);
+        let set = RuleSet::new().machine(
+            StateMachine::new("chain", "A").transition("A", "B", crashed.clone(), []).transition(
+                "B",
+                "C",
+                crashed,
+                [Action::EmitMetric { name: "reached-c".into(), value: 1.0 }],
+            ),
+        );
+        let mut engine = RuleEngine::new(set);
+        crash_case(&mut engine, 0, "read", Signal::Segv);
+        assert_eq!(engine.machine_state("chain", "read"), Some("B"));
+        engine.case_started(1, "case");
+        assert_eq!(engine.machine_state("chain", "read"), Some("C"), "{}", engine.decision_log());
+        assert_eq!(engine.decisions()[0].event_seq, 4);
+    }
+
+    #[test]
+    fn an_always_guard_out_of_a_later_state_fires() {
+        // `Always` reads no counter (change mask 0), so only the fresh-state
+        // rule can ever sweep the instance once it sits in B.
+        let set = RuleSet::new().machine(
+            StateMachine::new("relay", "A")
+                .transition("A", "B", Condition::at_least(Metric::Injections, 1.0), [])
+                .transition("B", "C", Condition::Always, [Action::EmitMetric { name: "relayed".into(), value: 1.0 }]),
+        );
+        let mut engine = RuleEngine::new(set);
+        engine.case_started(0, "case");
+        engine.injection(0, &record("read", 1, 5));
+        assert_eq!(engine.machine_state("relay", "read"), Some("B"));
+        engine.outcome(0, &outcome(ExitStatus::Exited(0)));
+        assert_eq!(engine.machine_state("relay", "read"), Some("C"), "{}", engine.decision_log());
+        let log = engine.decision_log();
+        assert!(log.contains("evt=3 src=machine/relay:B->C sym=read"), "{log}");
     }
 
     #[test]

@@ -737,19 +737,24 @@ mod tests {
         process.push_frame("refresh_files");
         // During the call the stack is [refresh_files, checked_read, read];
         // verify via an interceptor that captures it.
-        let seen = std::sync::Arc::new(parking_lot::Mutex::new(Vec::<Symbol>::new()));
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::<Symbol>::new()));
         let seen_clone = std::sync::Arc::clone(&seen);
         process.preload(
             NativeLibrary::builder("spy.so")
                 .function("read", move |ctx| {
-                    *seen_clone.lock() = ctx.stack().to_vec();
+                    *seen_clone.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = ctx.stack().to_vec();
                     ctx.call_next().unwrap()
                 })
                 .build(),
         );
         assert_eq!(process.call("checked_read", &[1, 0, 8]).unwrap(), 8);
         process.pop_frame();
-        let frames: Vec<&str> = seen.lock().iter().map(|s| s.as_str()).collect();
+        let frames: Vec<&str> = seen
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .iter()
+            .map(|s| s.as_str())
+            .collect();
         assert_eq!(frames, vec!["refresh_files", "checked_read", "read"]);
         assert!(process.state().stack().is_empty());
         assert!(process.state().stack_names().is_empty());

@@ -26,7 +26,9 @@ fn arena() -> ProcessArena {
     ProcessArena::new(|| {
         let world = new_world();
         let process = base_process(&world, false);
-        PreparedProcess::with_reset(process, move |_| world.lock().reset())
+        PreparedProcess::with_reset(process, move |_| {
+            world.lock().unwrap_or_else(std::sync::PoisonError::into_inner).reset()
+        })
     })
 }
 
