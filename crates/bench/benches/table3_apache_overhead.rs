@@ -2,6 +2,8 @@
 //! installed triggers, for the static-HTML and PHP workloads.  The Criterion
 //! series *is* the table: one benchmark id per (workload, trigger count).
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lfi_apps::apache::ab::run_ab;
 use lfi_apps::apache::{most_called_functions, ApacheServer, RequestKind};
@@ -20,7 +22,12 @@ fn bench_table3(c: &mut Criterion) {
     profiler.add_library(lfi_corpus::libc::build_apr_scaled(platform, 40).compiled.object);
     profiler.add_library(lfi_corpus::libc::build_aprutil_scaled(platform, 30).compiled.object);
     profiler.set_kernel(build_kernel(platform));
-    let profiles: Vec<_> = profiler.profile_all().unwrap().into_iter().map(|r| r.profile).collect();
+    let profiles: Vec<_> = profiler
+        .profile_all()
+        .unwrap()
+        .into_iter()
+        .map(|r| Arc::unwrap_or_clone(r.profile))
+        .collect();
 
     let mut group = c.benchmark_group("table3_apache_overhead");
     group.sample_size(10);

@@ -1,6 +1,8 @@
 //! Table 4 bench: MySQL + SysBench-OLTP throughput as a function of the
 //! number of installed triggers, for read-only and read/write transactions.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lfi_apps::mysql::sysbench::{run_oltp, OltpMode};
 use lfi_apps::mysql::MysqlServer;
@@ -17,7 +19,7 @@ fn bench_table4(c: &mut Criterion) {
     let mut profiler = Profiler::with_options(ProfilerOptions::with_heuristics());
     profiler.add_library(build_libc_scaled(platform, 80).compiled.object);
     profiler.set_kernel(build_kernel(platform));
-    let profiles = vec![profiler.profile_library("libc.so.6").unwrap().profile];
+    let profiles = vec![Arc::unwrap_or_clone(profiler.profile_library("libc.so.6").unwrap().profile)];
     let top = ["send", "malloc", "free", "write", "read", "recv", "fsync", "open", "close", "socket"];
 
     let mut group = c.benchmark_group("table4_mysql_overhead");

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 use lfi_apps::apache::ab::run_ab;
@@ -622,7 +623,7 @@ fn apache_profiles() -> Vec<FaultProfile> {
         .profile_all()
         .expect("apache libraries profile")
         .into_iter()
-        .map(|r| r.profile)
+        .map(|r| Arc::unwrap_or_clone(r.profile))
         .collect()
 }
 
@@ -683,7 +684,7 @@ pub fn table4_mysql_overhead(transactions: u64, seed: u64) -> OverheadResult {
     let mut profiler = Profiler::with_options(ProfilerOptions::with_heuristics());
     profiler.add_library(build_libc_scaled(platform, 80).compiled.object);
     profiler.set_kernel(build_kernel(platform));
-    let profiles = vec![profiler.profile_library("libc.so.6").expect("libc profiles").profile];
+    let profiles = vec![Arc::unwrap_or_clone(profiler.profile_library("libc.so.6").expect("libc profiles").profile)];
     let top: Vec<&str> = vec!["send", "malloc", "free", "write", "read", "recv", "fsync", "open", "close", "socket"];
 
     // Untimed end-to-end warm-up pass (see `table3_apache_overhead`).
@@ -863,7 +864,7 @@ pub fn pidgin_bug_hunt(max_attempts: usize, seed: u64) -> PidginHuntResult {
     let mut profiler = Profiler::with_options(ProfilerOptions::with_heuristics());
     profiler.add_library(build_libc_scaled(platform, 80).compiled.object);
     profiler.set_kernel(build_kernel(platform));
-    let libc_profile = profiler.profile_library("libc.so.6").expect("libc profiles").profile;
+    let libc_profile = Arc::unwrap_or_clone(profiler.profile_library("libc.so.6").expect("libc profiles").profile);
 
     // One test case per seed, as an automated campaign would generate them.
     // Faultloads are generated in batches so a crash found early (the
@@ -941,7 +942,7 @@ pub fn mysql_coverage(cases: usize, seed: u64) -> MysqlCoverageResult {
     let mut profiler = Profiler::with_options(ProfilerOptions::with_heuristics());
     profiler.add_library(build_libc_scaled(platform, 80).compiled.object);
     profiler.set_kernel(build_kernel(platform));
-    let libc_profile = profiler.profile_library("libc.so.6").expect("libc profiles").profile;
+    let libc_profile = Arc::unwrap_or_clone(profiler.profile_library("libc.so.6").expect("libc profiles").profile);
 
     // Baseline run.
     let world = new_world();

@@ -369,16 +369,16 @@ impl Lfi {
         Some(ProfileKey::new(library, Some(object.platform().to_string()), hash))
     }
 
-    /// A report replayed from the store: the stored profile with stats that
-    /// say so (`served_from_store`, zero analysis time).
-    fn replay_report(&self, library: &str, profile: &FaultProfile) -> LibraryProfileReport {
+    /// A report replayed from the store: the stored profile's handle with
+    /// stats that say so (`served_from_store`, zero analysis time).
+    fn replay_report(&self, library: &str, profile: Arc<FaultProfile>) -> LibraryProfileReport {
         let stats = ProfilingStats {
             functions_analyzed: profile.function_count(),
             code_size_bytes: self.profiler.library(library).map_or(0, SharedObject::code_size),
             served_from_store: true,
             ..ProfilingStats::default()
         };
-        LibraryProfileReport { profile: profile.clone(), stats }
+        LibraryProfileReport { profile, stats }
     }
 
     /// Profiles one registered library, replaying the [`ProfileStore`] when
@@ -392,10 +392,10 @@ impl Lfi {
             return Err(ProfilerError::UnknownLibrary { name: library.to_owned() });
         };
         if let Some(stored) = self.store.get(&key) {
-            return Ok(self.replay_report(library, &stored));
+            return Ok(self.replay_report(library, stored));
         }
         let report = self.profiler.profile_library(library)?;
-        self.store.insert(key, report.profile.clone());
+        self.store.insert(key, Arc::clone(&report.profile));
         Ok(report)
     }
 
@@ -413,14 +413,14 @@ impl Lfi {
         for (slot, name) in names.iter().enumerate() {
             let key = self.profile_key(name).expect("library_names() yields registered libraries");
             if let Some(stored) = self.store.get(&key) {
-                reports[slot] = Some(self.replay_report(name, &stored));
+                reports[slot] = Some(self.replay_report(name, stored));
             } else {
                 missing.push(name);
                 missing_slots.push((slot, key));
             }
         }
         for ((slot, key), report) in missing_slots.into_iter().zip(self.profiler.profile_many(&missing)?) {
-            self.store.insert(key, report.profile.clone());
+            self.store.insert(key, Arc::clone(&report.profile));
             reports[slot] = Some(report);
         }
         Ok(reports.into_iter().map(|r| r.expect("every slot filled")).collect())
@@ -754,6 +754,66 @@ mod tests {
         lfi.save_exploration(&checkpoint, &store).unwrap();
         assert_eq!(lfi.load_exploration(&checkpoint).unwrap(), store);
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reports_share_the_stored_profile_instead_of_copying_it() {
+        let other = || {
+            LibraryCompiler::new()
+                .compile(
+                    &LibrarySpec::new("libother.so", Platform::LinuxX86)
+                        .function(FunctionSpec::scalar("c", 2).success(0).fault(FaultSpec::returning(-4))),
+                )
+                .object
+        };
+        let mut lfi = Lfi::new();
+        lfi.add_library(demo());
+        lfi.add_library(other());
+
+        // A cold report's handle is the one the store keeps and replays.
+        let cold = lfi.profile("libdemo.so").unwrap();
+        assert!(!cold.stats.served_from_store);
+        let warm = lfi.profile("libdemo.so").unwrap();
+        let again = lfi.profile("libdemo.so").unwrap();
+        assert!(warm.stats.served_from_store);
+        assert!(Arc::ptr_eq(&warm.profile, &cold.profile));
+        assert!(Arc::ptr_eq(&again.profile, &warm.profile));
+
+        // The same for profile_all, including the library it profiled cold.
+        let mixed = lfi.profile_all().unwrap();
+        assert_eq!(mixed.iter().map(|r| r.stats.served_from_store).collect::<Vec<_>>(), [true, false]);
+        assert!(Arc::ptr_eq(&mixed[0].profile, &cold.profile));
+        let first = lfi.profile_all().unwrap();
+        let second = lfi.profile_all().unwrap();
+        for ((mixed, first), second) in mixed.iter().zip(&first).zip(&second) {
+            assert!(first.stats.served_from_store && second.stats.served_from_store);
+            assert!(Arc::ptr_eq(&first.profile, &mixed.profile));
+            assert!(Arc::ptr_eq(&second.profile, &first.profile));
+        }
+
+        // A store loaded from a file replays profiles equal to a cold
+        // re-profile, and shares them across warm calls just the same.
+        let dir = std::env::temp_dir().join(format!("lfi-facade-share-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("profiles.lfis");
+        lfi.save_profile_store(&path).unwrap();
+        let mut restored = Lfi::new();
+        restored.add_library(demo());
+        restored.add_library(other());
+        restored.load_profile_store_file(&path).unwrap();
+        let mut fresh = Lfi::new();
+        fresh.add_library(demo());
+        fresh.add_library(other());
+        let replayed = restored.profile_all().unwrap();
+        let reprofiled = fresh.profile_all().unwrap();
+        assert_eq!(replayed.len(), reprofiled.len());
+        for (replayed, reprofiled) in replayed.iter().zip(&reprofiled) {
+            assert!(replayed.stats.served_from_store && !reprofiled.stats.served_from_store);
+            assert_eq!(replayed.profile, reprofiled.profile);
+        }
+        let rewarmed = restored.profile_all().unwrap();
+        assert!(replayed.iter().zip(&rewarmed).all(|(a, b)| Arc::ptr_eq(&a.profile, &b.profile)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -394,7 +394,7 @@ mod tests {
     fn profile(library: &CorpusLibrary) -> lfi_profile::FaultProfile {
         let mut profiler = Profiler::with_options(ProfilerOptions::with_heuristics());
         profiler.add_library(library.compiled.object.clone());
-        profiler.profile_library(library.name()).unwrap().profile
+        std::sync::Arc::unwrap_or_clone(profiler.profile_library(library.name()).unwrap().profile)
     }
 
     #[test]

@@ -114,7 +114,8 @@ impl FabricHandle {
 
     /// Serves the protocol over TCP: one accept loop thread, one thread
     /// per connection, newline-delimited requests until the peer closes.
-    /// Returns a guard that stops the accept loop when dropped.
+    /// Returns a guard that, when dropped, stops the accept loop and shuts
+    /// down every open connection.
     ///
     /// ```no_run
     /// use lfi_fabric::{Fabric, FabricClient};
@@ -134,7 +135,7 @@ impl FabricHandle {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let connections: Arc<Mutex<Vec<Connection>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_stop = Arc::clone(&stop);
         let accept_connections = Arc::clone(&connections);
         let handle = self.clone();
@@ -145,9 +146,11 @@ impl FabricHandle {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             let handle = handle.clone();
-                            // A connection thread that fails to spawn drops
-                            // its stream, so that peer sees the connection
-                            // close while the acceptor keeps serving.
+                            // A connection whose stream cannot be cloned or
+                            // whose thread fails to spawn drops its stream,
+                            // so that peer sees the connection close while
+                            // the acceptor keeps serving.
+                            let Ok(peer) = stream.try_clone() else { continue };
                             let Ok(worker) = std::thread::Builder::new()
                                 .name("lfi-fabric-conn".into())
                                 .spawn(move || serve_connection(&handle, stream))
@@ -158,8 +161,8 @@ impl FabricHandle {
                                 accept_connections.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                             // Connections whose peers have closed are done;
                             // forget them so the list tracks live ones only.
-                            guard.retain(|connection| !connection.is_finished());
-                            guard.push(worker);
+                            guard.retain(|connection| !connection.worker.is_finished());
+                            guard.push(Connection { peer, worker });
                         }
                         Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(10));
@@ -217,9 +220,17 @@ fn serve_connection(handle: &FabricHandle, stream: TcpStream) {
     }
 }
 
+/// One served TCP connection: a handle on its stream, to shut it down from
+/// outside, and the thread that answers it.
+struct Connection {
+    peer: TcpStream,
+    worker: JoinHandle<()>,
+}
+
 /// Keeps a [`FabricHandle::serve_tcp`] accept loop alive; dropping it
-/// stops accepting and joins the server threads (connections must be
-/// closed by their peers first).
+/// stops accepting, shuts down every open connection (a peer that is
+/// still connected sees its connection close) and joins the server
+/// threads.
 ///
 /// ```no_run
 /// use lfi_fabric::Fabric;
@@ -227,14 +238,14 @@ fn serve_connection(handle: &FabricHandle, stream: TcpStream) {
 /// let fabric = Fabric::builder().build();
 /// let guard = fabric.handle().serve_tcp(std::net::TcpListener::bind("127.0.0.1:0")?)?;
 /// println!("serving on {}", guard.addr());
-/// drop(guard); // stops accepting, joins the server threads
+/// drop(guard); // stops accepting, closes connections, joins the threads
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub struct ServerGuard {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    connections: Arc<Mutex<Vec<Connection>>>,
 }
 
 impl ServerGuard {
@@ -273,7 +284,10 @@ impl Drop for ServerGuard {
         let connections =
             std::mem::take(&mut *self.connections.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
         for connection in connections {
-            let _ = connection.join();
+            // Unblocks the connection thread's read, which then sees the
+            // end of the stream and returns.
+            let _ = connection.peer.shutdown(std::net::Shutdown::Both);
+            let _ = connection.worker.join();
         }
     }
 }

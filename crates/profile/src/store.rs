@@ -93,9 +93,10 @@ impl ProfileStore {
     }
 
     /// Stores `profile` under `key`, replacing any previous entry, and
-    /// returns the shared handle.
-    pub fn insert(&self, key: ProfileKey, profile: FaultProfile) -> Arc<FaultProfile> {
-        let profile = Arc::new(profile);
+    /// returns the shared handle.  An `Arc` is stored as is, so a caller
+    /// that keeps a handle to the profile shares it with the store.
+    pub fn insert(&self, key: ProfileKey, profile: impl Into<Arc<FaultProfile>>) -> Arc<FaultProfile> {
+        let profile = profile.into();
         let mut entries = self.entries.write().unwrap_or_else(std::sync::PoisonError::into_inner);
         entries.insert(key, Arc::clone(&profile));
         profile

@@ -61,8 +61,11 @@ pub struct ProfilingStats {
 /// The result of profiling one library.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LibraryProfileReport {
-    /// The generated fault profile.
-    pub profile: FaultProfile,
+    /// The generated fault profile, as a shared handle: `lfi_core::Lfi`
+    /// stores this very `Arc` and replays it on a store hit, so neither
+    /// profiling nor replay copies the profile.  Use
+    /// [`Arc::unwrap_or_clone`] for an owned copy.
+    pub profile: Arc<FaultProfile>,
     /// Profiling statistics.
     pub stats: ProfilingStats,
 }
@@ -396,7 +399,7 @@ impl Profiler {
                 stats.resolution_cache_misses += output.counters.resolution_misses;
                 profile.push_function(output.function);
             }
-            reports.push(LibraryProfileReport { profile, stats });
+            reports.push(LibraryProfileReport { profile: Arc::new(profile), stats });
         }
         Ok(reports)
     }

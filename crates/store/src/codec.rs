@@ -1,16 +1,17 @@
 //! Binary encode/decode of the persisted domain types.
 //!
 //! Writes go through the `bytes` shim's `BufMut`; reads go through a
-//! checked [`Reader`] over `Buf` that verifies `remaining()` before every
-//! access, so hostile or truncated payloads surface as
-//! [`StoreError::corrupt`] with a byte offset — never a panic.
+//! checked [`Reader`], a cursor over the borrowed payload slice that
+//! checks the bytes remaining before every access, so hostile or truncated
+//! payloads surface as [`StoreError::corrupt`] with a byte offset — never a
+//! panic — and decoding copies only the decoded values, never the payload.
 //!
 //! Everything is little-endian.  Strings are `u32` length + UTF-8 bytes;
 //! options are a presence byte; collections are a `u32` count followed by
 //! the elements.  [`Symbol`]s are persisted by *name* (and re-interned on
 //! load), so files are portable across processes and interning orders.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use lfi_explore::{CrashCluster, ExplorationDelta, ExplorationStore, FrontierCell, FunctionCoverage, OutcomeClass};
 use lfi_intern::Symbol;
@@ -19,48 +20,57 @@ use lfi_scenario::FaultCell;
 
 use crate::{AckOutcome, AckRecord, ProfileEntry, StoreError};
 
-/// A bounds-checked read cursor: every accessor validates `remaining()`
-/// first and reports the byte offset (within the payload) on failure.
-pub(crate) struct Reader {
-    buf: Bytes,
-    len: usize,
+/// A bounds-checked read cursor over a borrowed payload: every accessor
+/// validates the bytes remaining first and reports the byte offset (within
+/// the payload) on failure.  It never copies the payload.
+pub(crate) struct Reader<'a> {
+    payload: &'a [u8],
+    pos: usize,
 }
 
-impl Reader {
-    pub fn new(payload: &[u8]) -> Self {
-        Self { buf: Bytes::copy_from_slice(payload), len: payload.len() }
+impl<'a> Reader<'a> {
+    pub fn new(payload: &'a [u8]) -> Self {
+        Self { payload, pos: 0 }
     }
 
     /// Offset of the next unread byte.
     pub fn offset(&self) -> u64 {
-        (self.len - self.buf.remaining()) as u64
+        self.pos as u64
     }
 
-    fn need(&self, bytes: usize, what: &str) -> Result<(), StoreError> {
-        if self.buf.remaining() < bytes {
+    fn remaining(&self) -> usize {
+        self.payload.len() - self.pos
+    }
+
+    /// The next `bytes` bytes, consumed.
+    fn take(&mut self, bytes: usize, what: &str) -> Result<&'a [u8], StoreError> {
+        if self.remaining() < bytes {
             return Err(StoreError::corrupt(self.offset(), format!("truncated while reading {what}")));
         }
-        Ok(())
+        let taken = &self.payload[self.pos..self.pos + bytes];
+        self.pos += bytes;
+        Ok(taken)
+    }
+
+    /// The next `N` bytes as an array, consumed.
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], StoreError> {
+        Ok(self.take(N, what)?.try_into().expect("take returns exactly N bytes"))
     }
 
     pub fn u8(&mut self, what: &str) -> Result<u8, StoreError> {
-        self.need(1, what)?;
-        Ok(self.buf.get_u8())
+        Ok(self.take(1, what)?[0])
     }
 
     pub fn u32(&mut self, what: &str) -> Result<u32, StoreError> {
-        self.need(4, what)?;
-        Ok(self.buf.get_u32_le())
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     pub fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
-        self.need(8, what)?;
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     pub fn i64(&mut self, what: &str) -> Result<i64, StoreError> {
-        self.need(8, what)?;
-        Ok(self.buf.get_i64_le())
+        Ok(i64::from_le_bytes(self.array(what)?))
     }
 
     pub fn flag(&mut self, what: &str) -> Result<bool, StoreError> {
@@ -84,26 +94,21 @@ impl Reader {
     /// length can never trigger a huge allocation.
     pub fn count(&mut self, min_element: usize, what: &str) -> Result<usize, StoreError> {
         let count = self.u32(what)? as usize;
-        if count.saturating_mul(min_element.max(1)) > self.buf.remaining() {
+        if count.saturating_mul(min_element.max(1)) > self.remaining() {
             return Err(StoreError::corrupt(self.offset() - 4, format!("impossible {what} count {count}")));
         }
         Ok(count)
     }
 
-    /// Reads a length-prefixed string as a borrowed `&str` (zero-copy) and
-    /// hands it to `with` before advancing past it.
-    fn str_with<T>(&mut self, what: &str, with: impl FnOnce(&str) -> T) -> Result<T, StoreError> {
+    /// Reads a length-prefixed string as a borrowed `&str` (zero-copy).
+    fn str(&mut self, what: &str) -> Result<&'a str, StoreError> {
         let len = self.u32(what)? as usize;
-        self.need(len, what)?;
-        let text = std::str::from_utf8(&self.buf.chunk()[..len])
-            .map_err(|_| StoreError::corrupt(self.offset(), format!("non-UTF-8 {what}")))?;
-        let value = with(text);
-        self.buf.advance(len);
-        Ok(value)
+        let start = self.offset();
+        std::str::from_utf8(self.take(len, what)?).map_err(|_| StoreError::corrupt(start, format!("non-UTF-8 {what}")))
     }
 
     pub fn string(&mut self, what: &str) -> Result<String, StoreError> {
-        self.str_with(what, str::to_owned)
+        Ok(self.str(what)?.to_owned())
     }
 
     pub fn opt_string(&mut self, what: &str) -> Result<Option<String>, StoreError> {
@@ -111,12 +116,12 @@ impl Reader {
     }
 
     pub fn symbol(&mut self, what: &str) -> Result<Symbol, StoreError> {
-        self.str_with(what, Symbol::intern)
+        Ok(Symbol::intern(self.str(what)?))
     }
 
     /// The payload must be fully consumed — trailing garbage is corruption.
     pub fn finish(self) -> Result<(), StoreError> {
-        if self.buf.remaining() != 0 {
+        if self.remaining() != 0 {
             return Err(StoreError::corrupt(self.offset(), "trailing bytes after record payload"));
         }
         Ok(())
@@ -507,14 +512,17 @@ fn get_profile(r: &mut Reader) -> Result<FaultProfile, StoreError> {
     let mut profile = FaultProfile::new(library);
     profile.platform = platform;
     let functions = r.count(8, "profile functions")?;
+    profile.functions.reserve_exact(functions);
     for _ in 0..functions {
         let name = r.string("function name")?;
         let mut function = FunctionProfile::new(name);
         let errors = r.count(12, "error returns")?;
+        function.error_returns.reserve_exact(errors);
         for _ in 0..errors {
             let retval = r.i64("error retval")?;
             let mut error = ErrorReturn::bare(retval);
             let effects = r.count(17, "side effects")?;
+            error.side_effects.reserve_exact(effects);
             for _ in 0..effects {
                 let kind = match r.u8("side-effect kind")? {
                     0 => SideEffectKind::Tls,

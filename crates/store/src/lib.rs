@@ -9,7 +9,8 @@
 //!
 //! * **A versioned, checksummed record format** ([`mod@format`]) — magic +
 //!   format version per file, CRC-32 per record — encoding the profile and
-//!   exploration stores compactly (zero-copy via the `bytes` shim).
+//!   exploration stores compactly (decoded in place from the file's
+//!   bytes, without copying the payload).
 //!   Decoding never panics on hostile bytes: every failure is a
 //!   [`StoreError`] naming the path, byte offset and detected format.
 //! * **A write-ahead journal** ([`Journal`], [`ExplorationJournal`]) —
@@ -117,12 +118,17 @@ fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
     fs::read(path).map_err(|e| StoreError::io(e).with_path(path))
 }
 
-/// Decodes a single-record binary snapshot file, checking header and kind.
-fn read_snapshot(path: &Path, expect: format::RecordKind) -> Result<Vec<u8>, StoreError> {
+/// Decodes a single-record binary snapshot file, checking header and kind,
+/// by handing `decode` the record's payload in place.
+fn read_snapshot<T>(
+    path: &Path,
+    expect: format::RecordKind,
+    decode: impl FnOnce(&[u8]) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
     let data = read_file(path)?;
     let start = format::check_header(&data).map_err(|e| e.with_path(path))?;
     match format::read_frame(&data, start) {
-        format::Frame::Record { kind, payload, .. } if kind == expect => Ok(payload.to_vec()),
+        format::Frame::Record { kind, payload, .. } if kind == expect => decode(payload).map_err(|e| e.with_path(path)),
         format::Frame::Record { kind, .. } => Err(StoreError::corrupt(
             start as u64,
             format!(
@@ -156,10 +162,7 @@ pub fn save_profile_store(path: impl AsRef<Path>, store: &ProfileStore) -> Resul
 pub fn load_profile_store(path: impl AsRef<Path>) -> Result<ProfileStore, StoreError> {
     let path = path.as_ref();
     match sniff_format(path)? {
-        StoreFormat::Binary => {
-            let payload = read_snapshot(path, format::RecordKind::ProfileSnapshot)?;
-            decode_profile_store(&payload).map_err(|e| e.with_path(path))
-        }
+        StoreFormat::Binary => read_snapshot(path, format::RecordKind::ProfileSnapshot, decode_profile_store),
         StoreFormat::Xml => {
             let text = String::from_utf8(read_file(path)?).map_err(|e| {
                 StoreError::corrupt(e.utf8_error().valid_up_to() as u64, "non-UTF-8 XML document")

@@ -12,6 +12,8 @@
 //!
 //! Run with `cargo run --example pidgin_bug_hunt`.
 
+use std::sync::Arc;
+
 use lfi::apps::workloads;
 use lfi::controller::{Campaign, CaseEvent, TestCase};
 use lfi::core::experiments;
@@ -30,7 +32,7 @@ fn main() {
     let mut profiler = Profiler::with_options(ProfilerOptions::with_heuristics());
     profiler.add_library(build_libc_scaled(platform, 80).compiled.object);
     profiler.set_kernel(build_kernel(platform));
-    let libc_profile = profiler.profile_library("libc.so.6").expect("libc profiles").profile;
+    let libc_profile = Arc::unwrap_or_clone(profiler.profile_library("libc.so.6").expect("libc profiles").profile);
 
     // The application under test comes from the workload registry: a fresh
     // simulated world and process per case, the login sequence as `run`.

@@ -5,6 +5,8 @@
 //!
 //! Run with `cargo run --example profile_library`.
 
+use std::sync::Arc;
+
 use lfi::core::experiments;
 use lfi::corpus::{build_kernel, build_libc_scaled, libc_errno_documentation};
 use lfi::isa::Platform;
@@ -54,7 +56,7 @@ fn main() {
     println!("\n{}", experiments::render_doc_mismatches(&findings));
 
     // And the profile itself, as XML, for two functions.
-    let mut narrowed = report.profile.clone();
+    let mut narrowed = Arc::unwrap_or_clone(report.profile);
     narrowed.retain_functions(&["close", "read"]);
     println!("== profile excerpt (XML) ==\n{}", narrowed.to_xml());
 }

@@ -53,7 +53,7 @@ fn profile_scenario_inject_log_replay_pipeline() {
     // read from disk).
     let xml = report.profile.to_xml();
     let parsed = FaultProfile::from_xml(&xml).unwrap();
-    assert_eq!(parsed, report.profile);
+    assert_eq!(parsed, *report.profile);
 
     // Generate the exhaustive scenario and check it drives injections.
     let plan = lfi.exhaustive_scenario(&["libdemo.so"]).unwrap();

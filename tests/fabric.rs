@@ -1,7 +1,8 @@
 //! Integration coverage for the campaign fabric: crash-safe lease handoff
 //! under a mid-batch worker death, worker-time fairness across unequal
 //! tenants, the wire protocol over both transports, the bound on wire
-//! lines, and checkpoint/restore of a half-finished job into a fresh fabric.
+//! lines, server shutdown with peers still connected, and
+//! checkpoint/restore of a half-finished job into a fresh fabric.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -338,6 +339,29 @@ fn oversize_wire_lines_get_an_error_and_the_server_keeps_serving() {
     assert_eq!(client.status(job).expect("status").progress.finished, 0);
     guard.stop();
     drop(client);
+}
+
+/// Dropping the server guard closes connections whose peers are still
+/// connected instead of waiting for them to hang up.
+#[test]
+fn dropping_the_server_guard_closes_connected_peers() {
+    let fabric = Fabric::builder().workers(0).build();
+    let guard = fabric
+        .serve_tcp(std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port"))
+        .expect("server");
+    let mut client = FabricClient::tcp(guard.addr()).expect("connect");
+    client.ping().expect("pong");
+
+    let (dropped_tx, dropped_rx) = mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(guard);
+        let _ = dropped_tx.send(());
+    });
+    dropped_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the guard drops while a peer is connected");
+    dropper.join().expect("dropping the guard does not panic");
+    assert!(client.ping().is_err(), "the server closed the connection");
 }
 
 #[test]

@@ -14,7 +14,7 @@ use lfi::corpus::{build_kernel, build_libc_scaled};
 use lfi::explore::{CrashCluster, ExplorationDelta, ExplorationStore, FrontierCell, FunctionCoverage, OutcomeClass};
 use lfi::intern::Symbol;
 use lfi::isa::Platform;
-use lfi::profile::{ProfileKey, ProfileStore};
+use lfi::profile::{ErrorReturn, FaultProfile, FunctionProfile, ProfileKey, ProfileStore, SideEffect};
 use lfi::profiler::ProfilerOptions;
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
@@ -228,6 +228,105 @@ fn compaction_preserves_state_and_shrinks_the_journal() {
     assert_eq!(records.len(), 1);
     assert!(matches!(records[0], Record::ExplorationSnapshot(_)));
 
+    fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Profile-snapshot decoder error contract
+// ---------------------------------------------------------------------------
+
+/// Two libraries whose error returns carry side effects of all three kinds.
+fn small_profile_store() -> ProfileStore {
+    let store = ProfileStore::new();
+    let mut a = FaultProfile::new("liba.so").with_platform("Linux/x86");
+    let mut open = FunctionProfile::new("a_open");
+    let mut error = ErrorReturn::bare(-1);
+    error.side_effects.push(SideEffect::tls("liba_runtime_state.so", 0x10, 2));
+    error.side_effects.push(SideEffect::global("liba_runtime_state.so", 0x20, 1));
+    open.error_returns.push(error);
+    open.error_returns.push(ErrorReturn::bare(0));
+    a.push_function(open);
+    a.push_function(FunctionProfile::new("a_noop"));
+    store.insert(ProfileKey::new("liba.so", Some("Linux/x86".to_owned()), 0xA), a);
+
+    let mut b = FaultProfile::new("libb.so");
+    let mut read = FunctionProfile::new("b_read");
+    let mut error = ErrorReturn::bare(-5);
+    error.side_effects.push(SideEffect::output_arg("libb.so", 1, -1));
+    read.error_returns.push(error);
+    b.push_function(read);
+    store.insert(ProfileKey::new("libb.so", None, 0xB), b);
+    store
+}
+
+fn corrupt_message(error: &lfi::store::StoreError) -> &str {
+    match &error.kind {
+        lfi::store::StoreErrorKind::Corrupt { message } => message,
+        other => panic!("expected a corruption error, got {other:?}"),
+    }
+}
+
+/// A damaged profile snapshot is always an error that points inside the
+/// bytes it was given: every truncated payload, every flipped byte of the
+/// saved file, and a fixed set of cuts and bad bytes whose offsets and
+/// messages are part of the decoder's contract.
+#[test]
+fn profile_snapshot_decoder_errors_keep_their_offsets_and_messages() {
+    let store = small_profile_store();
+    let payload = lfi::store::encode_profile_store(&store);
+    assert_eq!(lfi::store::decode_profile_store(&payload).unwrap(), store);
+
+    for cut in 0..payload.len() {
+        let error = lfi::store::decode_profile_store(&payload[..cut]).unwrap_err();
+        let offset = error.offset.unwrap_or_else(|| panic!("no offset at cut {cut}: {error}"));
+        assert!(offset <= cut as u64, "offset {offset} beyond the {cut}-byte prefix: {error}");
+    }
+
+    // Fixed cuts: inside the entry count, after an entry count the bytes
+    // cannot hold, inside the second entry's library-name length and its
+    // body, and at the second side-effect kind byte.
+    for (cut, offset, message) in [
+        (2, 0, "truncated while reading profile entries"),
+        (10, 0, "impossible profile entries count 2"),
+        (196, 194, "truncated while reading entry library"),
+        (200, 198, "truncated while reading entry library"),
+        (130, 130, "truncated while reading side-effect kind"),
+    ] {
+        let error = lfi::store::decode_profile_store(&payload[..cut]).unwrap_err();
+        assert_eq!((error.offset, corrupt_message(&error)), (Some(offset), message), "cut {cut}");
+    }
+    // Fixed bad bytes: the first side-effect kind, and the first byte of
+    // the second entry's library name.
+    for (at, byte, message) in [(92, 7, "unknown side-effect kind 7"), (198, 0xFF, "non-UTF-8 entry library")] {
+        let mut bytes = payload.clone();
+        bytes[at] = byte;
+        let error = lfi::store::decode_profile_store(&bytes).unwrap_err();
+        assert_eq!((error.offset, corrupt_message(&error)), (Some(at as u64), message), "byte {at}");
+    }
+
+    let dir = temp_dir("lfi-store-flip");
+    let path = dir.join("profiles.lfis");
+    lfi::store::save_profile_store(&path, &store).unwrap();
+    assert_eq!(lfi::store::load_profile_store(&path).unwrap(), store);
+    let file = fs::read(&path).unwrap();
+    let flipped = dir.join("flipped.lfis");
+    // The header's reserved u16 (bytes 6..8) is not validated, so a flip
+    // there must load the very same store; any other flip is an error.
+    let reserved = 6..format::HEADER_LEN;
+    for at in 0..file.len() {
+        for mask in [0x01, 0x80, 0xFF] {
+            let mut bytes = file.clone();
+            bytes[at] ^= mask;
+            fs::write(&flipped, &bytes).unwrap();
+            let loaded = lfi::store::load_profile_store(&flipped);
+            if reserved.contains(&at) {
+                assert_eq!(loaded.unwrap(), store, "reserved byte {at} flipped with {mask:#04x}");
+                continue;
+            }
+            let error = loaded.expect_err(&format!("flipping byte {at} with {mask:#04x} must not load"));
+            assert!(error.to_string().contains("flipped.lfis"), "error must name the path: {error}");
+        }
+    }
     fs::remove_dir_all(&dir).ok();
 }
 
