@@ -113,12 +113,16 @@ impl Default for ExplorerConfig {
 
 /// Accumulates *which* parts of the exploration state mutated since the
 /// last [`Explorer::take_delta`] call.  Tracking is always on — every mark
-/// is an O(1) set insert bounded by what the span touched, and the tracked
-/// keys are resolved to absolute values only when the delta is taken.
+/// is an O(1) insert or push bounded by what the span touched, and the
+/// tracked keys are resolved to absolute values only when the delta is
+/// taken.  Muting touches no cell, so it marks nothing.
 #[derive(Debug, Default)]
 struct DeltaTracker {
     /// Cells whose frontier presence or priority may have changed.
     frontier: HashSet<FaultCell>,
+    /// Cells the probe pruned wholesale, each pushed once (unhashed: a
+    /// probe prunes most of the universe, and most runs never take a delta).
+    pruned: Vec<FaultCell>,
     /// Cells executed in the span (the ledger folds each cell once).
     executed: Vec<FaultCell>,
     /// Cells proven unreachable in the span.
@@ -167,7 +171,8 @@ pub struct Explorer {
     universe: usize,
     /// Executed cells, coverage, clusters and counters.
     ledger: FaultLedger,
-    // The frontier policy: what runs next, and what never needs to.
+    // The frontier policy: what runs next, and what never needs to.  Every
+    // pending cell is on `frontier`, muted or not.
     frontier: Vec<FrontierCell>,
     unreached: HashSet<FaultCell>,
     pruned_functions: HashSet<Symbol>,
@@ -181,12 +186,9 @@ pub struct Explorer {
     /// escalation heuristic (default).  A closed-loop driver disables it and
     /// re-expresses escalation as rules over [`Explorer::escalate_cell`].
     escalation_enabled: bool,
-    /// Muted functions: their frontier cells are parked and no new cells of
-    /// theirs are scheduled until [`Explorer::unmute`].
+    /// Muted functions: their frontier cells stay pending but no batch
+    /// selects them until [`Explorer::unmute`].
     muted: HashSet<Symbol>,
-    /// Frontier cells parked by [`Explorer::mute`], restored verbatim (with
-    /// their priorities) by [`Explorer::unmute`].
-    parked: Vec<FrontierCell>,
     /// What mutated since the last [`Explorer::take_delta`].
     tracker: DeltaTracker,
 }
@@ -222,7 +224,6 @@ impl Explorer {
             elapsed: Duration::ZERO,
             escalation_enabled: true,
             muted: HashSet::new(),
-            parked: Vec::new(),
             tracker: DeltaTracker::default(),
         }
     }
@@ -246,7 +247,7 @@ impl Explorer {
             pruned_functions: store.pruned_functions.iter().copied().collect(),
             config: ExplorerConfig {
                 seed: store.seed,
-                batch_size: store.batch_size,
+                batch_size: store.batch_size.max(1),
                 parallelism: store.parallelism,
                 halt_on_crash: store.halt_on_crash,
                 case_budget: store.case_budget,
@@ -260,7 +261,6 @@ impl Explorer {
             elapsed: Duration::from_millis(store.elapsed_ms),
             escalation_enabled: true,
             muted: HashSet::new(),
-            parked: Vec::new(),
             tracker: DeltaTracker::default(),
         }
     }
@@ -274,14 +274,14 @@ impl Explorer {
         unreached.sort_by_cached_key(FaultCell::sort_key);
         let mut pruned_functions: Vec<Symbol> = self.pruned_functions.iter().copied().collect();
         pruned_functions.sort_by_key(|s| s.as_str());
-        // Parked (muted) cells rejoin the frontier in the snapshot: mute
-        // state is runtime-only and a resumed explorer starts with nothing
-        // muted, so nothing is silently lost across a restore.  The snapshot
-        // is canonicalized to scheduling order (priority descending, then
-        // the total cell key): `select_batch` re-derives exactly this order
-        // anyway, and a canonical order is what lets a delta-rebuilt
-        // frontier match the snapshot byte for byte.
-        let mut frontier: Vec<FrontierCell> = self.frontier.iter().chain(self.parked.iter()).cloned().collect();
+        // Muted cells are pending like any other: mute state is runtime-only
+        // and a resumed explorer starts with nothing muted, so nothing is
+        // silently lost across a restore.  The snapshot is canonicalized to
+        // scheduling order (priority descending, then the total cell key):
+        // `select_batch` re-derives exactly this order among unmuted cells,
+        // and a canonical order is what lets a delta-rebuilt frontier match
+        // the snapshot byte for byte.
+        let mut frontier = self.frontier.clone();
         frontier.sort_by(|a, b| b.priority.cmp(&a.priority).then_with(|| a.cell.sort_key().cmp(&b.cell.sort_key())));
         let mut store = ExplorationStore {
             seed: self.config.seed,
@@ -312,23 +312,25 @@ impl Explorer {
     /// Contract: applying the returned delta to the [`Explorer::store`]
     /// snapshot taken at the previous `take_delta` point reproduces the
     /// current [`Explorer::store`] exactly (byte-identical through either
-    /// serialization), and the cost of the delta is proportional to what
-    /// the span touched, not to the total state.
+    /// serialization).  The delta's *size* is proportional to what the span
+    /// touched, not to the total state; taking it still maps every pending
+    /// cell once, to classify the touched ones.
     pub fn take_delta(&mut self) -> ExplorationDelta {
         let tracker = std::mem::take(&mut self.tracker);
         let by_key = |a: &FaultCell, b: &FaultCell| a.sort_key().cmp(&b.sort_key());
-        let pending: HashMap<FaultCell, i32> =
-            self.frontier.iter().chain(self.parked.iter()).map(|f| (f.cell, f.priority)).collect();
+        let pending: HashMap<FaultCell, i32> = self.frontier.iter().map(|f| (f.cell, f.priority)).collect();
+        let mut touched = tracker.pruned;
+        touched.extend(tracker.frontier);
+        touched.sort_by_cached_key(FaultCell::sort_key);
+        touched.dedup();
         let mut frontier_remove = Vec::new();
         let mut frontier_upsert = Vec::new();
-        for cell in tracker.frontier {
+        for cell in touched {
             match pending.get(&cell) {
                 Some(&priority) => frontier_upsert.push(FrontierCell { cell, priority }),
                 None => frontier_remove.push(cell),
             }
         }
-        frontier_remove.sort_by(by_key);
-        frontier_upsert.sort_by(|a, b| a.cell.sort_key().cmp(&b.cell.sort_key()));
         let mut executed = tracker.executed;
         executed.sort_by(by_key);
         executed.dedup();
@@ -438,9 +440,10 @@ impl Explorer {
         self.universe
     }
 
-    /// Cells still pending on the frontier.
+    /// Cells still pending on the frontier, muted functions' cells
+    /// excluded (those count in [`Explorer::parked_len`]).
     pub fn frontier_len(&self) -> usize {
-        self.frontier.len()
+        self.frontier.len() - self.parked_len()
     }
 
     /// Test cases executed so far (probe included).
@@ -477,7 +480,7 @@ impl Explorer {
             triggered: self.ledger.triggered_len(),
             unreached: self.unreached.len(),
             pruned_functions: self.pruned_functions.len(),
-            frontier_remaining: self.frontier.len(),
+            frontier_remaining: self.frontier_len(),
         }
     }
 
@@ -497,7 +500,7 @@ impl Explorer {
         if self.config.time_budget.is_some_and(|budget| self.elapsed >= budget) {
             return true;
         }
-        self.probe_done && self.frontier.is_empty()
+        self.probe_done && self.frontier_len() == 0
     }
 
     // -- external control (closed loop) -------------------------------------
@@ -543,54 +546,33 @@ impl Explorer {
     }
 
     /// Puts a single cell on the frontier at (at least) `priority`, unless
-    /// it already ran or was proven unreachable.  Cells of muted functions
-    /// are parked instead of scheduled.  Cells a halted batch never ran
-    /// come back through here with their original priority.
+    /// it already ran or was proven unreachable.  A muted function's cell
+    /// joins the frontier too, but waits there until its function is
+    /// unmuted.  Cells a halted batch never ran come back through here with
+    /// their original priority.
     pub fn raise_cell(&mut self, cell: FaultCell, priority: i32) {
         if self.ledger.is_executed(&cell) || self.unreached.contains(&cell) {
             return;
         }
         self.tracker.frontier.insert(cell);
-        let lane = if self.muted.contains(&cell.function) { &mut self.parked } else { &mut self.frontier };
-        if let Some(existing) = lane.iter_mut().find(|f| f.cell == cell) {
+        if let Some(existing) = self.frontier.iter_mut().find(|f| f.cell == cell) {
             existing.priority = existing.priority.max(priority);
             return;
         }
-        lane.push(FrontierCell { cell, priority });
+        self.frontier.push(FrontierCell { cell, priority });
     }
 
-    /// Mutes a function: parks all of its pending frontier cells (keeping
-    /// their priorities) and diverts any later
-    /// [`Explorer::raise_cell`]/escalation of its cells to the parking lot,
-    /// so no further case injecting into the function is scheduled until
-    /// [`Explorer::unmute`].
+    /// Mutes a function: its pending cells keep their place and priority on
+    /// the frontier (pruning and reweighting still reach them), but no
+    /// batch selects a cell of the function until [`Explorer::unmute`].
     pub fn mute(&mut self, function: Symbol) {
         self.muted.insert(function);
-        let parked = &mut self.parked;
-        self.frontier.retain(|f| {
-            let hit = f.cell.function == function;
-            if hit {
-                parked.push(*f);
-            }
-            !hit
-        });
     }
 
-    /// Lifts a [`Explorer::mute`], restoring the function's parked cells to
-    /// the frontier with the priorities they were parked with.
+    /// Lifts a [`Explorer::mute`]: the function's pending cells are
+    /// selectable again, at their current priorities.
     pub fn unmute(&mut self, function: Symbol) {
         self.muted.remove(&function);
-        let mut restored = Vec::new();
-        self.parked.retain(|f| {
-            let hit = f.cell.function == function;
-            if hit {
-                restored.push(*f);
-            }
-            !hit
-        });
-        for cell in restored {
-            self.raise_cell(cell.cell, cell.priority);
-        }
     }
 
     /// True while `function` is muted.
@@ -598,17 +580,18 @@ impl Explorer {
         self.muted.contains(&function)
     }
 
-    /// Cells currently parked by mutes.
+    /// Pending cells of muted functions: held back from selection until
+    /// their function is unmuted.
     pub fn parked_len(&self) -> usize {
-        self.parked.len()
+        self.frontier.iter().filter(|f| self.muted.contains(&f.cell.function)).count()
     }
 
     /// Shifts the priority of every pending frontier cell of `function` by
-    /// `delta` (parked cells included, so a muted generator keeps its
-    /// weighting when unmuted).
+    /// `delta` (a muted function's cells included, so a muted generator
+    /// keeps its weighting when unmuted).
     pub fn reweight(&mut self, function: Symbol, delta: i32) {
         let tracker = &mut self.tracker;
-        for f in self.frontier.iter_mut().chain(self.parked.iter_mut()) {
+        for f in &mut self.frontier {
             if f.cell.function == function {
                 f.priority = f.priority.saturating_add(delta);
                 tracker.frontier.insert(f.cell);
@@ -714,7 +697,6 @@ impl Explorer {
                 // are left for their own cases to rule out.
                 let pruned = &mut self.pruned_functions;
                 let tracker = &mut self.tracker;
-                tracker.frontier.reserve(self.frontier.len());
                 // A function's cells sit next to each other on the frontier,
                 // so each pruned function is recorded once, not per cell.
                 let mut last_pruned = None;
@@ -726,7 +708,7 @@ impl Explorer {
                             tracker.pruned_functions.insert(f.cell.function);
                             last_pruned = Some(f.cell.function);
                         }
-                        tracker.frontier.insert(f.cell);
+                        tracker.pruned.push(f.cell);
                     }
                     reached
                 });
@@ -742,13 +724,17 @@ impl Explorer {
         report
     }
 
-    /// Orders the frontier (priority first, then the process-independent
-    /// cell key, ties within a priority class shuffled from the tracked RNG
-    /// stream) and takes the next batch.  Priorities ride along so cells a
-    /// halted batch never executed can return to the frontier unchanged.
+    /// Orders the frontier (muted functions' cells last, then priority, then
+    /// the process-independent cell key, ties within a priority class
+    /// shuffled from the tracked RNG stream) and takes the next batch from
+    /// the unmuted prefix.  Priorities ride along so cells a halted batch
+    /// never executed can return to the frontier unchanged.
     fn select_batch(&mut self) -> Vec<FrontierCell> {
-        self.frontier.sort_by_cached_key(|f| (Reverse(f.priority), f.cell.sort_key()));
-        let mut take = self.config.batch_size.min(self.frontier.len());
+        let muted = &self.muted;
+        self.frontier
+            .sort_by_cached_key(|f| (muted.contains(&f.cell.function), Reverse(f.priority), f.cell.sort_key()));
+        let live = self.frontier.partition_point(|f| !muted.contains(&f.cell.function));
+        let mut take = self.config.batch_size.min(live);
         if let Some(budget) = self.config.case_budget {
             take = take.min(budget.saturating_sub(self.cases_executed()) as usize);
         }
@@ -764,10 +750,10 @@ impl Explorer {
         // batch size, not with the frontier size — a resume replays at most
         // one draw per case ever scheduled.
         let mut start = 0;
-        while start < self.frontier.len() && start < take {
+        while start < take {
             let priority = self.frontier[start].priority;
             let mut end = start + 1;
-            while end < self.frontier.len() && self.frontier[end].priority == priority {
+            while end < live && self.frontier[end].priority == priority {
                 end += 1;
             }
             for i in start..end.min(take) {
@@ -896,7 +882,7 @@ impl fmt::Debug for Explorer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Explorer")
             .field("universe", &self.universe)
-            .field("frontier", &self.frontier.len())
+            .field("frontier", &self.frontier_len())
             .field("executed", &self.ledger.executed_len())
             .field("clusters", &self.ledger.clusters().len())
             .field("batch_index", &self.batch_index)
@@ -1087,6 +1073,31 @@ mod tests {
         final_a.elapsed_ms = 0;
         final_b.elapsed_ms = 0;
         assert_eq!(final_a, final_b);
+    }
+
+    #[test]
+    fn a_store_with_batch_size_zero_resumes_with_one_cell_batches() {
+        let mut killed = explorer();
+        killed.step_workload(&toy()).unwrap();
+        let xml = killed.store().to_xml().replace(r#"batch-size="4""#, r#"batch-size="0""#);
+        let store = crate::ExplorationStore::from_xml(&xml).unwrap();
+        assert_eq!(store.batch_size, 0);
+        let mut resumed = Explorer::resume(profiles(), &store);
+        assert!(!resumed.finished());
+        let batch = resumed.step_workload(&toy()).expect("a pending frontier runs a batch");
+        assert_eq!(batch.outcomes.len(), 1, "clamped to the setter's minimum of one cell");
+    }
+
+    #[test]
+    fn a_function_muted_before_the_probe_is_still_pruned() {
+        let unused = Symbol::intern("unused_fn");
+        let mut explorer = explorer();
+        explorer.mute(unused);
+        explorer.run_workload(&toy());
+        let store = explorer.store();
+        assert!(store.pruned_functions.contains(&unused));
+        assert_eq!(explorer.parked_len(), 0, "the never-called function has no cell left to hold back");
+        assert!(store.frontier.iter().all(|f| f.cell.function != unused));
     }
 
     #[test]

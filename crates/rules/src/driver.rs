@@ -20,9 +20,9 @@ use crate::engine::{Action, RuleEngine, RuleSet};
 /// the batch stops after the deciding case on every fixed-seed rerun.
 /// After each batch the accumulated frontier-shaping decisions are applied
 /// to the explorer (`EscalateSiblings` → [`Explorer::escalate_cell`],
-/// `Mute`/`Unmute` → frontier parking, `Reweight` → priority shifts); a
-/// mute parks the muted function's cells, the ones its cancel returned to
-/// the frontier included.
+/// `Mute`/`Unmute` → [`Explorer::mute`]/[`Explorer::unmute`], `Reweight` →
+/// priority shifts); a mute holds back every pending cell of the muted
+/// function, the ones its cancel returned to the frontier included.
 pub struct ClosedLoop {
     explorer: Explorer,
     engine: RuleEngine,

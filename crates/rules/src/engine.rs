@@ -49,7 +49,8 @@ pub enum Action {
     EscalateSiblings,
     /// Stop generating and executing cases that inject into the symbol.
     Mute,
-    /// Lift a [`Action::Mute`], restoring the symbol's parked frontier.
+    /// Lift a [`Action::Mute`], making the symbol's pending frontier cells
+    /// selectable again.
     Unmute,
     /// Shift the priority of the symbol's pending frontier cells by the
     /// given delta.

@@ -76,8 +76,8 @@ impl StateMachine {
 ///  HalfOpen ──────────────────────────────▶ Closed    (stay unmuted)
 /// ```
 ///
-/// While Open, the symbol is muted: the explorer parks its frontier cells
-/// and gated workloads veto cases that would inject into it, so no further
+/// While Open, the symbol is muted: the explorer selects none of its frontier
+/// cells and gated workloads veto cases that would inject into it, so no further
 /// injections reach the symbol (the "provably suppresses" guarantee the
 /// closed-loop tests pin).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

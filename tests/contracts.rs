@@ -23,6 +23,12 @@
 //! - `cases_executed`: the explorer counts its injection-free probe case.
 //! - `unreached` and `pruned_functions` are frontier policy, which only the
 //!   explorer has.
+//!
+//! **Frontier control ≡ snapshot.**  Any interleaving of batches, mutes,
+//! unmutes, reweights, raised cells and taken deltas keeps the incremental
+//! checkpoint exact (the first snapshot plus every delta taken equals the
+//! live store, byte for byte), never runs a cell of a function muted when
+//! its batch started, and replays identically.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,11 +36,12 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use lfi::asm::{FaultSpec, FunctionSpec, LibraryCompiler, LibrarySpec};
-use lfi::controller::{FnWorkload, Workload};
+use lfi::controller::{CampaignReport, FnWorkload, Workload};
 use lfi::explore::{ExplorationStore, Explorer, FunctionCoverage};
 use lfi::fabric::{Fabric, JobSpec, JobState};
 use lfi::intern::Symbol;
 use lfi::isa::Platform;
+use lfi::profile::FaultProfile;
 use lfi::profiler::ProfilerOptions;
 use lfi::rules::{Action, CircuitBreaker, ClosedLoop, Condition, Metric, Rule, RuleSet};
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
@@ -268,5 +275,108 @@ proptest! {
             prop_assert_eq!(&queued, &universe);
         }
         prop_assert_eq!(universe.as_slice(), space.cells());
+    }
+}
+
+/// One frontier-control call on an explorer.  Function and cell operands are
+/// indices, taken modulo what the drawn library has.
+#[derive(Debug, Clone, Copy)]
+enum Control {
+    Step,
+    Mute(usize),
+    Unmute(usize),
+    Reweight(usize, i32),
+    /// A universe cell, its call ordinal pushed `.1` deeper, at a priority.
+    Raise(usize, u64, i32),
+    TakeDelta,
+}
+
+fn control() -> impl Strategy<Value = Control> {
+    prop_oneof![
+        Just(Control::Step),
+        Just(Control::Step),
+        (0usize..4).prop_map(Control::Mute),
+        (0usize..4).prop_map(Control::Unmute),
+        (0usize..4, -60i32..=60).prop_map(|(f, delta)| Control::Reweight(f, delta)),
+        (0usize..64, 0u64..=2, -60i32..=120).prop_map(|(c, deeper, priority)| Control::Raise(c, deeper, priority)),
+        Just(Control::TakeDelta),
+    ]
+}
+
+/// A fresh explorer over the drawn library, driven through `controls`.
+/// Deltas are taken at each `TakeDelta`, and after every control too when
+/// `delta_every_control` is set; each one must bring the shadow snapshot
+/// to the live store's bytes.  Returns the batch reports and the final
+/// store bytes.
+fn play(
+    plan: &Plan,
+    profiles: &Arc<[FaultProfile]>,
+    workload: &Arc<dyn Workload>,
+    (seed, batch): (u64, usize),
+    controls: &[Control],
+    delta_every_control: bool,
+) -> (Vec<CampaignReport>, String) {
+    let mut explorer = Explorer::new(plan, Arc::clone(profiles)).seed(seed).batch_size(batch);
+    let cells = FaultSpace::from_plan(plan).cells().to_vec();
+    let mut functions: Vec<Symbol> = cells.iter().map(|cell| cell.function).collect();
+    functions.dedup();
+    let mut shadow = explorer.store();
+    let mut reports = Vec::new();
+    for &control in controls {
+        match control {
+            Control::Step => {
+                let muted: Vec<String> =
+                    functions.iter().filter(|&&f| explorer.is_muted(f)).map(|f| format!("{f}-c")).collect();
+                if let Some(report) = explorer.step_workload(workload) {
+                    for outcome in &report.outcomes {
+                        let ran_muted = muted.iter().any(|prefix| outcome.name.starts_with(prefix.as_str()));
+                        assert!(!ran_muted, "{} ran while its function was muted", outcome.name);
+                    }
+                    reports.push(report);
+                }
+            }
+            Control::Mute(f) => explorer.mute(functions[f % functions.len()]),
+            Control::Unmute(f) => explorer.unmute(functions[f % functions.len()]),
+            Control::Reweight(f, delta) => explorer.reweight(functions[f % functions.len()], delta),
+            Control::Raise(c, deeper, priority) => {
+                let cell = cells[c % cells.len()];
+                explorer.raise_cell(FaultCell { call_ordinal: cell.call_ordinal + deeper, ..cell }, priority);
+            }
+            Control::TakeDelta => {}
+        }
+        if delta_every_control || matches!(control, Control::TakeDelta) {
+            explorer.take_delta().apply(&mut shadow);
+            assert_eq!(shadow.to_xml(), explorer.store().to_xml(), "snapshot + deltas after {control:?}");
+        }
+        assert_eq!(explorer.frontier_len() + explorer.parked_len(), explorer.store().frontier.len());
+    }
+    explorer.take_delta().apply(&mut shadow);
+    assert_eq!(shadow.to_xml(), explorer.store().to_xml(), "snapshot + deltas at the end");
+    (reports, store_bytes(&explorer))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn frontier_control_interleavings_keep_the_snapshot_exact(
+        faults in prop::collection::vec(prop::collection::btree_set(-5i64..=-1, 1..4), 1..4),
+        calls in 1u64..=3,
+        crash_pick in 0usize..64,
+        seed in any::<u64>(),
+        batch in 1usize..=4,
+        controls in prop::collection::vec(control(), 1..40),
+    ) {
+        let faults: Vec<Vec<i64>> = faults.into_iter().map(|set| set.into_iter().collect()).collect();
+        let lfi = drawn_facade(&faults);
+        let plan = lfi.exhaustive_scenario(&[DRAWN]).unwrap();
+        let profiles: Arc<[FaultProfile]> = lfi.profiles_of(&[DRAWN]).unwrap().into();
+        let space = FaultSpace::from_plan(&plan);
+        let workload = drawn_workload(faults.len(), calls, space.cells()[crash_pick % space.len()]);
+
+        let config = (seed, batch);
+        let spans = play(&plan, &profiles, &workload, config, &controls, false);
+        let every = play(&plan, &profiles, &workload, config, &controls, true);
+        prop_assert_eq!(spans, every, "taking deltas changes nothing, and a rerun replays identically");
     }
 }
