@@ -8,22 +8,36 @@
 //! * `xml_load`       — format-sniffing load of the XML file (baseline);
 //! * `delta_append`   — one O(delta) journal append (a 32-cell batch);
 //! * `fold_delta`     — the typed append: frame write + in-memory fold;
-//! * `compact`        — rewriting the journal as one fresh snapshot.
+//! * `compact`        — rewriting the journal as one fresh snapshot;
+//! * `fabric_ack_append` — per 8-cell lease of a journaled 10k-cell fabric
+//!   job on one worker: its no-op cases, the scheduler ack, the delta
+//!   append, and the compactions amortized over the leases between them;
+//! * `fabric_recover` — opening and recovering that job's journal with 32
+//!   appended 8-cell leases into a fabric.
 //!
 //! CI gates the two tentpole ratios: `binary_load * 5 <= xml_load` (binary
 //! decode beats XML parse by 5x) and `delta_append * 10 <= snapshot_write`
 //! (incremental checkpoints are at least 10x cheaper than full snapshots).
 
+use std::time::{Duration, Instant};
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use lfi_controller::FnWorkload;
 use lfi_corpus::{survey_profiles, SurveyConfig};
 use lfi_explore::{ExplorationDelta, ExplorationStore, FrontierCell, FunctionCoverage};
+use lfi_fabric::{Fabric, JobSpec, JobState};
 use lfi_intern::Symbol;
-use lfi_scenario::FaultCell;
+use lfi_runtime::{ExitStatus, Process};
+use lfi_scenario::{FaultCell, Plan};
 use lfi_store::{load_exploration, save_exploration, ExplorationJournal, Journal, Record};
 
 const CORPUS_FUNCTIONS: usize = 10_000;
 const DELTA_BATCH: usize = 32;
-
+/// The fabric benches' job size, lease size and journaled leases.
+const FABRIC_CELLS: usize = 10_000;
+const FABRIC_LEASE: usize = 8;
+const FABRIC_RECORDS: usize = 32;
+/// The fabric benches' job size, lease size and journaled leases.
 /// An exploration store shaped like a campaign over the scaled survey
 /// corpus: one frontier cell per profiled function, coverage entries for a
 /// quarter of them.
@@ -100,6 +114,43 @@ fn one_batch_delta(store: &ExplorationStore) -> ExplorationDelta {
         coverage: store.coverage.first().cloned().into_iter().collect(),
         clusters: Vec::new(),
     }
+}
+
+/// The fabric job the two journal benches run: the survey store's cells at
+/// call ordinals 1 and 2, the first [`FABRIC_CELLS`] of them, in leases of
+/// [`FABRIC_LEASE`].
+fn fabric_spec(store: &ExplorationStore) -> JobSpec {
+    let plan = store
+        .frontier
+        .iter()
+        .flat_map(|entry| [entry.cell, FaultCell { call_ordinal: 2, ..entry.cell }])
+        .fold(Plan::new(), |plan, cell| plan.entry(cell.plan_entry()));
+    JobSpec::new("survey", "noop", plan).max_cases(FABRIC_CELLS).lease_batch(FABRIC_LEASE)
+}
+
+/// A fabric over the no-op workload: every case is as cheap as a case gets,
+/// so what a lease costs beyond its cases is the ack path.
+fn noop_fabric(workers: usize) -> Fabric {
+    Fabric::builder()
+        .workers(workers)
+        .register(FnWorkload::new("noop", Process::new, |_| ExitStatus::Exited(0)))
+        .build()
+}
+
+/// One journaled lease: the delta the fabric appends once `cells` ran
+/// clean with no injection fired, `done` cells having run before them.
+fn lease_record(cells: &[FaultCell], done: usize) -> Record {
+    let mut coverage: Vec<(Symbol, FunctionCoverage)> =
+        cells.iter().map(|cell| (cell.function, FunctionCoverage::default())).collect();
+    coverage.dedup_by_key(|(function, _)| *function);
+    Record::ExplorationDelta(ExplorationDelta {
+        probe_done: true,
+        cases_executed: (done + cells.len()) as u64,
+        frontier_remove: cells.to_vec(),
+        executed: cells.to_vec(),
+        coverage,
+        ..ExplorationDelta::default()
+    })
 }
 
 fn bench_store_scale(c: &mut Criterion) {
@@ -183,6 +234,45 @@ fn bench_store_scale(c: &mut Criterion) {
         b.iter(|| {
             journal.compact().unwrap();
             black_box(())
+        })
+    });
+
+    let spec = fabric_spec(&store);
+    group.bench_function("fabric_ack_append", |b| {
+        // The journal is attached on an inert fabric and recovered into a
+        // working one, so no lease runs before journaling starts.
+        let path = dir.join("ack.journal");
+        b.iter_custom(|_| {
+            let inert = noop_fabric(0);
+            let staged = inert.submit(spec.clone()).unwrap();
+            inert.journal_job(staged, &path).unwrap();
+            drop(inert);
+            let fabric = noop_fabric(1);
+            let started = Instant::now();
+            let job = fabric.recover_job(spec.clone(), &path).unwrap();
+            assert_eq!(fabric.wait_job(job, Duration::from_secs(600)), Some(JobState::Done));
+            started.elapsed() / (FABRIC_CELLS / FABRIC_LEASE) as u32
+        })
+    });
+
+    group.bench_function("fabric_recover", |b| {
+        let path = dir.join("recover.journal");
+        let inert = noop_fabric(0);
+        let staged = inert.submit(spec.clone()).unwrap();
+        let snapshot = inert.checkpoint(staged).unwrap();
+        let cells: Vec<FaultCell> = snapshot.frontier.iter().map(|f| f.cell).collect();
+        let mut journal = Journal::create(&path, &Record::ExplorationSnapshot(snapshot)).unwrap();
+        for (index, lease) in cells.chunks(FABRIC_LEASE).take(FABRIC_RECORDS).enumerate() {
+            journal.append(&lease_record(lease, index * FABRIC_LEASE)).unwrap();
+        }
+        drop(journal);
+        b.iter_custom(|_| {
+            let fabric = noop_fabric(0);
+            let started = Instant::now();
+            let job = fabric.recover_job(spec.clone(), &path).unwrap();
+            let took = started.elapsed();
+            assert_eq!(fabric.status(job).unwrap().progress.finished, FABRIC_LEASE * FABRIC_RECORDS);
+            took
         })
     });
 

@@ -1,7 +1,7 @@
 //! The [`Explorer`]: the generate → run → observe → refine loop.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,7 +14,7 @@ use lfi_intern::Symbol;
 use lfi_profile::FaultProfile;
 use lfi_scenario::{FaultCell, FaultSpace, Plan};
 
-use crate::ledger::{change, cluster_slot, CellResult, CrashCluster, FaultLedger, FunctionCoverage, OutcomeClass};
+use crate::ledger::{CellResult, CrashCluster, FaultLedger, LedgerMarks};
 use crate::{ExplorationDelta, ExplorationStore};
 
 /// Name of the injection-free probe case every exploration starts with.
@@ -123,16 +123,12 @@ struct DeltaTracker {
     /// Cells the probe pruned wholesale, each pushed once (unhashed: a
     /// probe prunes most of the universe, and most runs never take a delta).
     pruned: Vec<FaultCell>,
-    /// Cells executed in the span (the ledger folds each cell once).
-    executed: Vec<FaultCell>,
     /// Cells proven unreachable in the span.
     unreached: HashSet<FaultCell>,
     /// Functions pruned wholesale in the span.
     pruned_functions: HashSet<Symbol>,
-    /// Functions whose coverage entry mutated in the span.
-    coverage: HashSet<Symbol>,
-    /// Keys of the clusters created or bumped in the span.
-    clusters: HashSet<(Symbol, Vec<Symbol>, OutcomeClass)>,
+    /// Executed cells, coverage entries and clusters the span touched.
+    ledger: LedgerMarks,
 }
 
 /// The coverage-guided exploration engine — see the [crate docs](crate) for
@@ -317,7 +313,6 @@ impl Explorer {
     /// cell once, to classify the touched ones.
     pub fn take_delta(&mut self) -> ExplorationDelta {
         let tracker = std::mem::take(&mut self.tracker);
-        let by_key = |a: &FaultCell, b: &FaultCell| a.sort_key().cmp(&b.sort_key());
         let pending: HashMap<FaultCell, i32> = self.frontier.iter().map(|f| (f.cell, f.priority)).collect();
         let mut touched = tracker.pruned;
         touched.extend(tracker.frontier);
@@ -331,40 +326,20 @@ impl Explorer {
                 None => frontier_remove.push(cell),
             }
         }
-        let mut executed = tracker.executed;
-        executed.sort_by(by_key);
-        executed.dedup();
         let mut unreached: Vec<FaultCell> = tracker.unreached.into_iter().collect();
-        unreached.sort_by(by_key);
+        unreached.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         let mut pruned_functions: Vec<Symbol> = tracker.pruned_functions.into_iter().collect();
         pruned_functions.sort_by_key(|s| s.as_str());
-        let mut coverage: Vec<(Symbol, FunctionCoverage)> = tracker
-            .coverage
-            .into_iter()
-            .filter_map(|symbol| self.ledger.coverage(symbol).map(|c| (symbol, c.clone())))
-            .collect();
-        coverage.sort_by_key(|(s, _)| s.as_str());
-        let clusters = self.ledger.clusters();
-        let touched: BTreeSet<usize> = tracker
-            .clusters
-            .iter()
-            .filter_map(|(function, stack, outcome)| cluster_slot(clusters, *function, stack, *outcome).ok())
-            .collect();
         ExplorationDelta {
             batch_index: self.batch_index,
             rng_draws: self.rng_draws,
             probe_done: self.probe_done,
-            crash_found: self.crash_found(),
-            cases_executed: self.cases_executed(),
-            injections_performed: self.injections_performed(),
             elapsed_ms: self.elapsed.as_millis() as u64,
             frontier_remove,
             frontier_upsert,
-            executed,
             unreached,
             pruned_functions,
-            coverage,
-            clusters: touched.into_iter().map(|index| clusters[index].clone()).collect(),
+            ..tracker.ledger.resolve(&self.ledger)
         }
     }
 
@@ -688,7 +663,7 @@ impl Explorer {
                 *counts.entry(symbol).or_insert(0) += 1;
             }
             self.ledger.apply_probe(&counts);
-            self.tracker.coverage.extend(counts.keys().copied());
+            self.tracker.ledger.mark_coverage(counts.keys().copied());
             if outcome.calls_dropped == 0 {
                 // A complete call log proves absence: prune every cell of a
                 // function the workload never dispatched.  A truncated log
@@ -845,10 +820,7 @@ impl Explorer {
         let calls = outcome.log.calls_to_sym(cell.function);
         let result = CellResult { observed_calls: calls, ..CellResult::of(outcome) };
         let changed = self.ledger.apply(cell, &result);
-        if changed & change::EXECUTED != 0 {
-            self.tracker.executed.push(cell);
-            self.tracker.coverage.insert(cell.function);
-        }
+        self.tracker.ledger.mark(cell, &result, changed);
         if result.injections == 0 {
             // The planned injection never fired: the workload made only
             // `calls` calls to the function, so every pending cell of the
@@ -872,9 +844,6 @@ impl Explorer {
         if result.outcome.is_crash() && self.escalation_enabled {
             self.escalate_cell(cell);
         }
-        if changed & change::CLUSTER != 0 {
-            self.tracker.clusters.insert((cell.function, result.stack, result.outcome));
-        }
     }
 }
 
@@ -894,6 +863,7 @@ impl fmt::Debug for Explorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::OutcomeClass;
     use lfi_controller::FnWorkload;
     use lfi_profile::{ErrorReturn, FunctionProfile};
     use lfi_runtime::{ExitStatus, NativeLibrary, Process, Signal};

@@ -10,7 +10,7 @@ use lfi_intern::Symbol;
 use lfi_runtime::{ExitStatus, Signal};
 use lfi_scenario::FaultCell;
 
-use crate::ExplorationStore;
+use crate::{ExplorationDelta, ExplorationStore};
 
 /// How a test-case run ended, folded to the classes crash clustering keys on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -315,6 +315,73 @@ impl FaultLedger {
     /// Folded cells whose workload exited non-zero without crashing.
     pub fn failures(&self) -> u64 {
         self.failures
+    }
+}
+
+/// What a span of [`FaultLedger::apply`] calls touched, by key: the cells
+/// newly executed, the functions whose coverage entry moved, and the
+/// clusters created or bumped.  [`LedgerMarks::resolve`] turns the keys
+/// into the ledger half of an [`ExplorationDelta`] — the half the explorer
+/// and a fabric job share; each front end adds its own frontier half.
+#[derive(Debug, Default)]
+pub struct LedgerMarks {
+    /// Cells executed in the span (the ledger folds each cell once).
+    executed: Vec<FaultCell>,
+    /// Functions whose coverage entry mutated in the span.
+    coverage: HashSet<Symbol>,
+    /// Keys of the clusters created or bumped in the span.
+    clusters: HashSet<(Symbol, Vec<Symbol>, OutcomeClass)>,
+}
+
+impl LedgerMarks {
+    /// Records what folding `cell`'s `result` changed, given the mask
+    /// [`FaultLedger::apply`] returned for it.
+    pub fn mark(&mut self, cell: FaultCell, result: &CellResult, changed: u8) {
+        if changed & change::EXECUTED != 0 {
+            self.executed.push(cell);
+            self.coverage.insert(cell.function);
+        }
+        if changed & change::CLUSTER != 0 {
+            self.clusters.insert((cell.function, result.stack.clone(), result.outcome));
+        }
+    }
+
+    /// Marks coverage entries touched outside a cell fold (a baseline
+    /// probe, see [`FaultLedger::apply_probe`]).
+    pub fn mark_coverage(&mut self, functions: impl IntoIterator<Item = Symbol>) {
+        self.coverage.extend(functions);
+    }
+
+    /// Resolves the marks against `ledger`, the ledger they were taken on:
+    /// the newly executed cells, the absolute entry of every marked
+    /// coverage record and cluster, and the absolute case, injection and
+    /// crash counters, all in their canonical orders.  The frontier fields
+    /// and the explorer's own counters are left at their defaults for the
+    /// caller to fill.
+    pub fn resolve(self, ledger: &FaultLedger) -> ExplorationDelta {
+        let mut executed = self.executed;
+        executed.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        executed.dedup();
+        let mut coverage: Vec<(Symbol, FunctionCoverage)> = self
+            .coverage
+            .into_iter()
+            .filter_map(|symbol| ledger.coverage(symbol).map(|c| (symbol, c.clone())))
+            .collect();
+        coverage.sort_by_key(|(s, _)| s.as_str());
+        let touched: BTreeSet<usize> = self
+            .clusters
+            .iter()
+            .filter_map(|(function, stack, outcome)| cluster_slot(&ledger.clusters, *function, stack, *outcome).ok())
+            .collect();
+        ExplorationDelta {
+            crash_found: ledger.crashes > 0,
+            cases_executed: ledger.cases,
+            injections_performed: ledger.injections,
+            executed,
+            coverage,
+            clusters: touched.into_iter().map(|index| ledger.clusters[index].clone()).collect(),
+            ..ExplorationDelta::default()
+        }
     }
 }
 

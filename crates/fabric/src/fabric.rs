@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use lfi_controller::{Campaign, CaseEvent, ExecutionPolicy, TestCase, Workload, WorkloadRegistry};
 use lfi_explore::{CellResult, ExplorationStore};
 use lfi_scenario::Plan;
-use lfi_store::{AckOutcome, AckRecord, Journal, Record, StoreError};
+use lfi_store::{Journal, Record, StoreError};
 
 use crate::job::{JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
 use crate::scheduler::{LeaseAssignment, LeaseResult, Scheduler};
@@ -31,7 +31,7 @@ pub const DEFAULT_LEASE_DEADLINE: Duration = Duration::from_secs(60);
 /// How long an idle worker parks before re-checking deadlines and flags.
 const WORKER_PARK: Duration = Duration::from_millis(25);
 
-/// Ack records a job's journal accumulates before an append compacts it
+/// Delta records a job's journal accumulates before an append compacts it
 /// back into a single fresh checkpoint snapshot.
 const JOURNAL_COMPACT_EVERY: u64 = 32;
 
@@ -49,7 +49,7 @@ pub enum FabricError {
         /// The unresolved id.
         job: JobId,
     },
-    /// A journal file could not be created, recovered or replayed.
+    /// A journal file could not be created or recovered.
     Journal {
         /// The journal path involved.
         path: PathBuf,
@@ -75,7 +75,7 @@ impl std::error::Error for FabricError {}
 struct FabricInner {
     sched: Mutex<Scheduler>,
     registry: Mutex<WorkloadRegistry>,
-    /// Per-job write-ahead ack journals (`lfi-store` files).  Lock order:
+    /// Per-job write-ahead delta journals (`lfi-store` files).  Lock order:
     /// `sched` strictly before `journals` — every acquisition of this mutex
     /// happens while `sched` is held, so append/compact can never interleave
     /// with a checkpoint of a half-acked state.
@@ -102,7 +102,7 @@ impl FabricInner {
     }
 }
 
-/// One job's open ack journal plus its health.  A persistence failure
+/// One job's open delta journal plus its health.  A persistence failure
 /// mid-run is recorded here — workers never panic over journal IO — and
 /// surfaced through [`FabricHandle::journal_error`].
 struct JobJournal {
@@ -110,65 +110,26 @@ struct JobJournal {
     error: Option<StoreError>,
 }
 
-/// The journaled twin of a worker's [`LeaseResult`]: the per-cell outcomes
-/// and the skipped cells, without the transient event stream (the event
-/// ring is runtime observability, not durable state).  `triggered` and
-/// `case` are derived from the injection count and the cell.
-fn result_to_ack(result: &LeaseResult) -> AckRecord {
-    AckRecord {
-        outcomes: result
-            .outcomes
-            .iter()
-            .map(|(cell, outcome)| AckOutcome {
-                cell: *cell,
-                outcome: outcome.outcome,
-                injections: outcome.injections,
-                triggered: outcome.injections > 0,
-                stack: outcome.stack.clone(),
-                case: cell.case_name(),
-            })
-            .collect(),
-        skipped: result.skipped.clone(),
-    }
-}
-
-/// The inverse of [`result_to_ack`], for recovery replay.  Events are
-/// empty by design: replay reconstructs durable state, not the ring.
-fn ack_to_result(ack: AckRecord) -> LeaseResult {
-    LeaseResult {
-        events: Vec::new(),
-        outcomes: ack
-            .outcomes
-            .into_iter()
-            .map(|outcome| {
-                let result = CellResult {
-                    outcome: outcome.outcome,
-                    injections: outcome.injections,
-                    observed_calls: 0,
-                    stack: outcome.stack,
-                };
-                (outcome.cell, result)
-            })
-            .collect(),
-        skipped: ack.skipped,
-    }
-}
-
-/// Appends one ack to `job`'s journal, if it has one, compacting back to a
-/// fresh checkpoint snapshot every [`JOURNAL_COMPACT_EVERY`] acks.  Called
-/// with the scheduler lock held (see the lock-order note on
-/// [`FabricInner::journals`]) so the ack landing in the scheduler and the
-/// ack landing in the journal are one atomic step.  IO failures park the
-/// journal in an error state instead of panicking the worker.
-fn journal_append(inner: &FabricInner, sched: &Scheduler, job: JobId, ack: AckRecord) {
+/// Appends what changed in `job`'s checkpoint since its last append to its
+/// journal, if it has one and anything changed, compacting back to a fresh
+/// checkpoint snapshot every [`JOURNAL_COMPACT_EVERY`] deltas.  Called with
+/// the scheduler lock held (see the lock-order note on
+/// [`FabricInner::journals`]) right after every scheduler call that marks a
+/// job — ack, cancel, worker panic, lease expiry — so the change landing in
+/// the scheduler and in the journal are one atomic step.  IO failures park
+/// the journal in an error state instead of panicking the worker.
+fn journal_delta(inner: &FabricInner, sched: &mut Scheduler, job: JobId) {
     let mut journals = lock(&inner.journals);
     let Some(entry) = journals.get_mut(&job.0) else {
         return;
     };
-    if entry.error.is_some() {
+    let Some(delta) = sched.take_delta(job) else {
+        return;
+    };
+    if entry.error.is_some() || delta.is_empty() {
         return;
     }
-    let appended = entry.journal.append(&Record::Ack(ack)).and_then(|()| {
+    let appended = entry.journal.append(&Record::ExplorationDelta(delta)).and_then(|()| {
         if entry.journal.appended() < JOURNAL_COMPACT_EVERY {
             return Ok(());
         }
@@ -409,7 +370,10 @@ impl FabricHandle {
     /// Cancels a job (idempotent): pending cells are skipped, in-flight
     /// leases are cancelled through their campaign handles.
     pub fn cancel(&self, job: JobId) -> Option<JobState> {
-        let state = lock(&self.inner.sched).cancel(job);
+        let mut sched = lock(&self.inner.sched);
+        let state = sched.cancel(job);
+        journal_delta(&self.inner, &mut sched, job);
+        drop(sched);
         self.inner.notify();
         state
     }
@@ -438,11 +402,14 @@ impl FabricHandle {
 
     /// Attaches a write-ahead journal to `job` at `path`: the file opens
     /// with the job's full checkpoint snapshot, and from then on every
-    /// acked lease appends one O(lease) ack record — so keeping the job
-    /// recoverable costs the delta, not a full re-checkpoint.  The journal
-    /// compacts itself back to a single fresh snapshot periodically.
+    /// change to the job's durable state — an acked lease, a cancel, a
+    /// lease skipped by a dead worker or an expiry — appends one O(change)
+    /// [`ExplorationDelta`](lfi_explore::ExplorationDelta) record, the
+    /// record an explorer journals too.  Keeping the job recoverable costs
+    /// the delta, not a full re-checkpoint.  The journal compacts itself
+    /// back to a single fresh snapshot periodically.
     ///
-    /// [`FabricHandle::recover_job`] in a later process replays the file
+    /// [`FabricHandle::recover_job`] in a later process folds the file
     /// back into an equivalent job.  Journaling from submission (before the
     /// first lease) makes recovery byte-identical to a live checkpoint;
     /// attaching mid-run inherits the same contract as
@@ -456,9 +423,11 @@ impl FabricHandle {
     pub fn journal_job(&self, job: JobId, path: impl AsRef<Path>) -> Result<(), FabricError> {
         let path = path.as_ref();
         // Hold the scheduler lock across snapshot + registration so no ack
-        // can land between the checkpoint and the journal starting.
-        let sched = lock(&self.inner.sched);
+        // can land between the checkpoint and the journal starting; the
+        // snapshot includes every change marked so far.
+        let mut sched = lock(&self.inner.sched);
         let store = sched.checkpoint(job).ok_or(FabricError::UnknownJob { job })?;
+        sched.take_delta(job);
         let journal = Journal::create(path, &Record::ExplorationSnapshot(store))
             .map_err(|error| FabricError::Journal { path: path.to_path_buf(), message: error.to_string() })?;
         lock(&self.inner.journals).insert(job.0, JobJournal { journal, error: None });
@@ -468,11 +437,12 @@ impl FabricHandle {
 
     /// Recovers a job from a journal written by
     /// [`FabricHandle::journal_job`] — typically in a previous process that
-    /// was killed mid-run.  The journal's durable tail (a torn final append
-    /// is truncated) is replayed: the leading snapshot seeds the job via
-    /// the restore path, then every ack record folds through the same
-    /// scheduler transition the live ack took.  The recovered job continues
-    /// journaling to the same file.
+    /// was killed mid-run.  The journal's durable records (a torn final
+    /// append is truncated) fold into one checkpoint exactly as an
+    /// explorer's journal does — the leading snapshot plus every delta —
+    /// and the job resumes from it through
+    /// [`submit_restored`](FabricHandle::submit_restored), continuing to
+    /// journal to the same file.
     ///
     /// Cells that were leased but never acked at kill time are still in
     /// the frontier — they were never durably executed, so they run again.
@@ -481,29 +451,14 @@ impl FabricHandle {
     ///
     /// [`FabricError::UnknownWorkload`] when the spec's workload name is
     /// not registered; [`FabricError::Journal`] when the file cannot be
-    /// read or is not a fabric job journal.
+    /// read or is not an exploration journal.
     pub fn recover_job(&self, spec: JobSpec, path: impl AsRef<Path>) -> Result<JobId, FabricError> {
         let path = path.as_ref();
-        let journal_error = |message: String| FabricError::Journal { path: path.to_path_buf(), message };
         let workload = self.resolve(&spec)?;
-        let (journal, records) = Journal::open(path).map_err(|error| journal_error(error.to_string()))?;
-        let mut records = records.into_iter();
-        let snapshot = match records.next() {
-            Some(Record::ExplorationSnapshot(store)) => store,
-            _ => return Err(journal_error("journal does not start with an exploration snapshot".into())),
-        };
-        let mut acks = Vec::new();
-        for record in records {
-            match record {
-                Record::Ack(ack) => acks.push(ack),
-                _ => return Err(journal_error("foreign record kind in job journal".into())),
-            }
-        }
+        let (journal, store) = Journal::open_exploration(path)
+            .map_err(|error| FabricError::Journal { path: path.to_path_buf(), message: error.to_string() })?;
         let mut sched = lock(&self.inner.sched);
-        let job = sched.submit_restored(spec, workload, &snapshot);
-        for ack in acks {
-            sched.replay_ack(job, ack_to_result(ack));
-        }
+        let job = sched.submit_restored(spec, workload, &store);
         lock(&self.inner.journals).insert(job.0, JobJournal { journal, error: None });
         drop(sched);
         self.inner.notify();
@@ -619,7 +574,11 @@ fn worker_loop(inner: &FabricInner) {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                sched.expire(Instant::now());
+                if sched.expire(Instant::now()) > 0 {
+                    // An expiry may have marked any journaled job.
+                    let journaled: Vec<u64> = lock(&inner.journals).keys().copied().collect();
+                    journaled.into_iter().for_each(|job| journal_delta(inner, &mut sched, JobId(job)));
+                }
                 if let Some(assignment) = sched.next_lease(Instant::now()) {
                     break assignment;
                 }
@@ -640,21 +599,10 @@ fn worker_loop(inner: &FabricInner) {
         {
             let mut sched = lock(&inner.sched);
             match result {
-                Ok(result) => {
-                    // Convert before acking (the ack consumes the result),
-                    // but only journal what the scheduler actually counted:
-                    // a stale ack must not reach the journal either.
-                    let ack = lock(&inner.journals).contains_key(&job.0).then(|| result_to_ack(&result));
-                    if sched.ack(job, lease, result, busy) {
-                        if let Some(ack) = ack {
-                            journal_append(inner, &sched, job, ack);
-                        }
-                    }
-                }
-                Err(_) => {
-                    sched.requeue_panic(job, lease);
-                }
+                Ok(result) => sched.ack(job, lease, result, busy),
+                Err(_) => sched.requeue_panic(job, lease),
             };
+            journal_delta(inner, &mut sched, job);
         }
         inner.notify();
     }
@@ -697,8 +645,8 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
                 });
             }
             CaseEvent::Outcome { index, outcome } => {
-                // Observed calls stay 0: a journal replay could not
-                // reproduce them, and recovery must match the live job.
+                // Observed calls stay 0: the fabric runs no baseline probe,
+                // the explorer's source of a function's call depth.
                 let cell_result = CellResult::of(&outcome);
                 result.events.push(JobEventKind::Finished {
                     case: outcome.name,

@@ -30,9 +30,11 @@
 //!   runs are byte-identical; and a
 //!   job can attach an `lfi-store` write-ahead journal
 //!   ([`FabricHandle::journal_job`] / [`FabricHandle::recover_job`]) that
-//!   appends one CRC-framed ack record per lease, so recovering a killed
-//!   process replays O(acks) deltas instead of rewriting a full
-//!   checkpoint per batch.
+//!   appends one CRC-framed
+//!   [`ExplorationDelta`](lfi_explore::ExplorationDelta) per change — the
+//!   record an explorer journals — so keeping a job recoverable costs the
+//!   delta instead of a full checkpoint per batch, and recovery is the
+//!   explorer's snapshot + delta fold.
 //! * **A wire protocol** — a line-delimited request/response surface
 //!   ([`Request`]/[`Response`]) served over an in-process duplex transport
 //!   ([`FabricHandle::connect`]) and plain TCP

@@ -16,7 +16,13 @@
 //! waits behind history.  Leases are sized by time too: a job's first
 //! lease is one cell, then as many cells as fit [`LEASE_TARGET`] at the
 //! job's estimate, capped by its lease batch.  None of this is durable —
-//! replayed acks charge nothing.
+//! a recovered job starts with its cost unknown, like a new one.
+//!
+//! Each job also marks what changed in its checkpoint since the last
+//! [`Scheduler::take_delta`]: the cells that left the frontier (executed or
+//! skipped), the newly skipped cells, and what the ledger reported
+//! changing.  The fabric journals those deltas, so a job's journal holds
+//! exactly what an explorer's does.
 //!
 //! The scheduler is a plain synchronous state machine — every method runs
 //! under the fabric's one mutex, takes `now` (and, for acks, the measured
@@ -31,7 +37,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lfi_controller::{CancelHandle, ProgressSnapshot, Workload};
-use lfi_explore::{CellResult, ExplorationStore, FaultLedger, FrontierCell};
+use lfi_explore::{CellResult, ExplorationDelta, ExplorationStore, FaultLedger, FrontierCell, LedgerMarks};
 use lfi_scenario::{FaultCell, FaultSpace};
 
 use crate::job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
@@ -115,6 +121,20 @@ impl EventBuffer {
     }
 }
 
+/// What changed in a job's checkpoint since the last
+/// [`Scheduler::take_delta`].  A requeue moves cells between pending and
+/// outstanding, which the checkpoint does not tell apart, so it marks
+/// nothing.
+#[derive(Default)]
+struct CheckpointMarks {
+    /// Frontier cells that left it: executed, or moved to `skipped`.
+    left: Vec<FaultCell>,
+    /// Cells newly moved to `skipped` (the checkpoint's `unreached`).
+    skipped: Vec<FaultCell>,
+    /// Executed cells, coverage entries and clusters the ledger changed.
+    ledger: LedgerMarks,
+}
+
 /// One job's complete scheduler-side state.
 struct JobRecord {
     spec: JobSpec,
@@ -139,6 +159,7 @@ struct JobRecord {
     requeued: u64,
     panics: u64,
     events: EventBuffer,
+    marks: CheckpointMarks,
 }
 
 impl JobRecord {
@@ -193,12 +214,20 @@ impl JobRecord {
         }
     }
 
+    /// Moves a pending or leased cell to the skipped set.
+    fn skip(&mut self, cell: FaultCell) {
+        self.marks.left.push(cell);
+        if self.skipped.insert(cell) {
+            self.marks.skipped.push(cell);
+        }
+    }
+
     /// Moves every pending frontier cell to the skipped set (cancel,
     /// crash-halt, repeated-panic failure).
     fn skip_frontier(&mut self) {
         while let Some(cell) = self.frontier.pop_front() {
             self.events.push(JobEventKind::Skipped { case: cell.case_name() });
-            self.skipped.insert(cell);
+            self.skip(cell);
         }
     }
 
@@ -293,6 +322,7 @@ impl Scheduler {
             requeued: 0,
             panics: 0,
             events: EventBuffer::default(),
+            marks: CheckpointMarks::default(),
         };
         record.lift_to(floor);
         record.events.push(JobEventKind::State(JobState::Queued));
@@ -381,23 +411,15 @@ impl Scheduler {
     /// `false`), which is what makes re-execution safe: only the ack that
     /// still holds the lease counts.
     pub fn ack(&mut self, job: JobId, lease: u64, result: LeaseResult, busy: Duration) -> bool {
-        self.settle(job, lease, result, Some(busy))
-    }
-
-    /// The body of [`Scheduler::ack`] and [`Scheduler::replay_ack`]; `busy`
-    /// is `None` for a replayed ack, which charges nothing.
-    fn settle(&mut self, job: JobId, lease: u64, result: LeaseResult, busy: Option<Duration>) -> bool {
         let Some(record) = self.jobs.get_mut(&job.0) else {
             return false;
         };
-        if record.take_lease(lease).is_none() {
+        let Some(entry) = record.take_lease(lease) else {
             return false;
-        }
-        if let Some(busy) = busy {
-            record.charged_ns = record.charged_ns.saturating_add(nanos(busy));
-            if !result.outcomes.is_empty() {
-                record.cell_ns = Some(nanos(busy) / result.outcomes.len() as u64);
-            }
+        };
+        record.charged_ns = record.charged_ns.saturating_add(nanos(busy));
+        if !result.outcomes.is_empty() {
+            record.cell_ns = Some(nanos(busy) / result.outcomes.len() as u64);
         }
         record.panics = 0;
         for kind in result.events {
@@ -406,53 +428,25 @@ impl Scheduler {
         let mut crash_halt = false;
         for (cell, outcome) in result.outcomes {
             crash_halt |= record.spec.halt_on_crash && outcome.outcome.is_crash();
-            record.ledger.apply(cell, &outcome);
+            let changed = record.ledger.apply(cell, &outcome);
+            record.marks.ledger.mark(cell, &outcome, changed);
         }
+        let mut requeued = Vec::new();
         if record.state == JobState::Cancelled || record.state == JobState::Failed {
-            for cell in result.skipped {
-                record.skipped.insert(cell);
-            }
+            result.skipped.into_iter().for_each(|cell| record.skip(cell));
         } else if crash_halt {
-            for cell in result.skipped {
-                record.skipped.insert(cell);
-            }
+            result.skipped.into_iter().for_each(|cell| record.skip(cell));
             record.skip_frontier();
             record.set_state(JobState::Done);
         } else {
-            record.requeue_cells(result.skipped.into_iter().filter(|c| !record.ledger.is_executed(c)).collect());
+            requeued = result.skipped.into_iter().filter(|c| !record.ledger.is_executed(c)).collect();
         }
+        // Every leased cell that is not going back to pending has left the
+        // frontier.
+        record.marks.left.extend(entry.cells.into_iter().filter(|cell| !requeued.contains(cell)));
+        record.requeue_cells(requeued);
         record.maybe_complete();
         true
-    }
-
-    /// Replays a journaled lease acknowledgement during recovery:
-    /// synthesizes the outstanding lease the journal entry implies (its
-    /// cells leave the frontier exactly as the live issue removed them, in
-    /// one pass) and folds the result through the body of
-    /// [`Scheduler::ack`], so a recovered job steps through the very states
-    /// the live job did.  Replaying acks in journal order reproduces the
-    /// live frontier even when concurrent workers acked out of issue order,
-    /// because requeues always go to the *front* in ack order.  Replay
-    /// charges no worker time: the deficit is not durable state.
-    pub fn replay_ack(&mut self, job: JobId, result: LeaseResult) -> bool {
-        let lease = self.next_lease;
-        self.next_lease += 1;
-        let Some(record) = self.jobs.get_mut(&job.0) else {
-            return false;
-        };
-        let mut leased: Vec<FaultCell> = Vec::with_capacity(result.outcomes.len() + result.skipped.len());
-        leased.extend(result.outcomes.iter().map(|(cell, _)| *cell));
-        leased.extend(result.skipped.iter().copied());
-        let leased_set: HashSet<FaultCell> = leased.iter().copied().collect();
-        record.frontier.retain(|cell| !leased_set.contains(cell));
-        record.started += leased.len() as u64;
-        if record.state == JobState::Queued {
-            record.set_state(JobState::Running);
-        }
-        record
-            .outstanding
-            .insert(lease, OutstandingLease { cells: leased, charge_ns: 0, deadline: Instant::now(), cancel: None });
-        self.settle(job, lease, result, None)
     }
 
     /// A worker died (panicked) holding a lease: every cell of the lease
@@ -469,9 +463,7 @@ impl Scheduler {
         };
         record.panics += 1;
         if record.state.is_terminal() {
-            for cell in entry.cells {
-                record.skipped.insert(cell);
-            }
+            entry.cells.into_iter().for_each(|cell| record.skip(cell));
             return true;
         }
         record.requeue_cells(entry.cells);
@@ -501,9 +493,7 @@ impl Scheduler {
                     handle.cancel();
                 }
                 if record.state.is_terminal() {
-                    for cell in lease.cells {
-                        record.skipped.insert(cell);
-                    }
+                    lease.cells.into_iter().for_each(|cell| record.skip(cell));
                 } else {
                     record.requeue_cells(lease.cells);
                 }
@@ -590,18 +580,21 @@ impl Scheduler {
     }
 
     /// Serializes a job's complete state as an [`ExplorationStore`] — the
-    /// crash-safe handoff format.  The ledger's fold does not depend on ack
-    /// order, so a run interrupted by worker deaths or a checkpoint/restore
+    /// crash-safe handoff format.  Pending and leased cells form the
+    /// frontier in cell-key order, the order an explorer's store and a
+    /// delta's merge use.  The ledger's fold does not depend on ack order,
+    /// so a run interrupted by worker deaths or a checkpoint/restore
     /// checkpoints byte-identically to an uninterrupted one.
     pub fn checkpoint(&self, job: JobId) -> Option<ExplorationStore> {
         let record = self.jobs.get(&job.0)?;
-        let mut frontier: Vec<FrontierCell> =
-            record.frontier.iter().map(|cell| FrontierCell { cell: *cell, priority: 0 }).collect();
-        let mut lease_ids: Vec<u64> = record.outstanding.keys().copied().collect();
-        lease_ids.sort_unstable();
-        for id in lease_ids {
-            frontier.extend(record.outstanding[&id].cells.iter().map(|cell| FrontierCell { cell: *cell, priority: 0 }));
-        }
+        let leased = record.outstanding.values().flat_map(|lease| lease.cells.iter());
+        let mut frontier: Vec<FrontierCell> = record
+            .frontier
+            .iter()
+            .chain(leased)
+            .map(|cell| FrontierCell { cell: *cell, priority: 0 })
+            .collect();
+        frontier.sort_by_cached_key(|entry| entry.cell.sort_key());
         let mut unreached: Vec<FaultCell> = record.skipped.iter().copied().collect();
         unreached.sort_by_cached_key(FaultCell::sort_key);
         let mut store = ExplorationStore {
@@ -618,6 +611,21 @@ impl Scheduler {
         };
         record.ledger.write_into(&mut store);
         Some(store)
+    }
+
+    /// Drains what changed in `job`'s checkpoint since the last call (or
+    /// since admission) into one [`ExplorationDelta`].  Contract: applying
+    /// it to the [`Scheduler::checkpoint`] taken at the previous call
+    /// reproduces the current checkpoint byte for byte.
+    pub fn take_delta(&mut self, job: JobId) -> Option<ExplorationDelta> {
+        let record = self.jobs.get_mut(&job.0)?;
+        let marks = std::mem::take(&mut record.marks);
+        let mut frontier_remove = marks.left;
+        frontier_remove.sort_by_cached_key(FaultCell::sort_key);
+        frontier_remove.dedup();
+        let mut unreached = marks.skipped;
+        unreached.sort_by_cached_key(FaultCell::sort_key);
+        Some(ExplorationDelta { probe_done: true, frontier_remove, unreached, ..marks.ledger.resolve(&record.ledger) })
     }
 
     /// The job's coverage/cluster report, read off its ledger.
@@ -678,6 +686,7 @@ mod tests {
     use lfi_runtime::ExitStatus;
     use lfi_runtime::Process;
     use lfi_scenario::{FaultAction, Plan, PlanEntry, Trigger};
+    use proptest::prelude::*;
 
     fn noop_workload() -> Arc<dyn Workload> {
         FnWorkload::shared("noop", Process::new, |_| ExitStatus::Exited(0))
@@ -897,24 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn replayed_acks_charge_nothing() {
-        let mut sched = Scheduler::new(4, Duration::from_secs(60));
-        let now = Instant::now();
-        let spec = JobSpec::new("job", "noop", plan_with_cells("read", 1..=12));
-        let job = sched.submit(spec.clone(), noop_workload());
-        let initial = sched.checkpoint(job).unwrap();
-        let probe = sched.next_lease(now).unwrap();
-        assert!(sched.ack(job, probe.lease, success_result(&probe.cells), Duration::from_millis(3)));
-
-        let mut replayed = Scheduler::new(4, Duration::from_secs(60));
-        let job2 = replayed.submit_restored(spec, noop_workload(), &initial);
-        assert!(replayed.replay_ack(job2, success_result(&probe.cells)));
-        assert_eq!(charged(&replayed, job2), 0);
-        assert_eq!(replayed.jobs[&job2.0].cell_ns, None, "replay leaves the cost unknown");
-        assert_eq!(replayed.next_lease(now).unwrap().cells.len(), 1, "so the next lease is a probe");
-    }
-
-    #[test]
     fn late_job_starts_at_the_current_virtual_time() {
         let mut sched = Scheduler::new(4, Duration::from_secs(60));
         let now = Instant::now();
@@ -1088,58 +1079,140 @@ mod tests {
         assert!(live.ack(job, c2.lease, failure_result(&c2.cells), busy(&c2.cells)));
         let snapshot = live.checkpoint(job).unwrap();
         let mut restored = Scheduler::new(4, Duration::from_secs(60));
-        let job2 = restored.submit_restored(spec.clone(), noop_workload(), &snapshot);
+        let job2 = restored.submit_restored(spec, noop_workload(), &snapshot);
         finish(&mut restored, job2);
         assert_eq!(restored.checkpoint(job2).unwrap().to_xml(), expected.to_xml());
-
-        // The same snapshot as a compacted journal head: the live job goes
-        // on, and recovery replays the acks journaled after the snapshot.
-        let mut acks = vec![failure_result(&c1.cells)];
-        assert!(live.ack(job, c1.lease, acks[0].clone(), busy(&c1.cells)));
-        while let Some(lease) = live.next_lease(now) {
-            acks.push(failure_result(&lease.cells));
-            assert!(live.ack(job, lease.lease, failure_result(&lease.cells), busy(&lease.cells)));
-        }
-        assert_eq!(live.checkpoint(job).unwrap().to_xml(), expected.to_xml());
-        let mut replayed = Scheduler::new(4, Duration::from_secs(60));
-        let job3 = replayed.submit_restored(spec, noop_workload(), &snapshot);
-        for ack in acks {
-            assert!(replayed.replay_ack(job3, ack));
-        }
-        assert_eq!(replayed.checkpoint(job3).unwrap().to_xml(), expected.to_xml());
     }
 
-    #[test]
-    fn replayed_acks_in_journal_order_reconstruct_the_live_fold() {
-        // Live run: after the one-cell probe, two concurrent leases of 4
-        // acked out of issue order — the second lease comes back fully
-        // skipped (its cells requeue to the front), then the first lands
-        // successfully.
-        let mut sched = Scheduler::new(4, Duration::from_secs(60));
-        let now = Instant::now();
-        let spec = JobSpec::new("job", "noop", plan_with_cells("read", 1..=12));
-        let job = sched.submit(spec.clone(), noop_workload());
-        let initial = sched.checkpoint(job).unwrap();
-        let probe = sched.next_lease(now).unwrap();
-        assert!(sched.ack(job, probe.lease, success_result(&probe.cells), busy(&probe.cells)));
-        let first = sched.next_lease(now).unwrap();
-        let second = sched.next_lease(now).unwrap();
-        assert_eq!((first.cells.len(), second.cells.len()), (4, 4));
-        let skip_second = LeaseResult { skipped: second.cells.clone(), ..LeaseResult::default() };
-        assert!(sched.ack(job, second.lease, skip_second.clone(), Duration::ZERO));
-        assert!(sched.ack(job, first.lease, success_result(&first.cells), busy(&first.cells)));
-        let live = sched.checkpoint(job).unwrap();
+    /// One scheduler call of the delta-contract property below.  Lease
+    /// operands are indices, taken modulo the leases outstanding (or, for
+    /// a stale ack, the leases already returned).
+    #[derive(Debug, Clone, Copy)]
+    enum Call {
+        Lease,
+        /// Ack a lease: its first `.1` cells (mod its size + 1) ran, with
+        /// outcomes salted by `.2`; the rest come back skipped.
+        Ack(usize, usize, u64),
+        Stale(usize),
+        Expire,
+        Panic(usize),
+        Cancel,
+        Pause,
+        Resume,
+    }
 
-        // Recovery: restore from the submit-time snapshot, then replay the
-        // three acks in the order they were journaled.
-        let mut replayed = Scheduler::new(4, Duration::from_secs(60));
-        let job2 = replayed.submit_restored(spec, noop_workload(), &initial);
-        assert!(replayed.replay_ack(job2, success_result(&probe.cells)));
-        assert!(replayed.replay_ack(job2, skip_second));
-        assert!(replayed.replay_ack(job2, success_result(&first.cells)));
-        assert_eq!(replayed.checkpoint(job2).unwrap(), live, "replay reproduces frontier order and done set");
-        assert_eq!(replayed.snapshot(job2).unwrap().progress.finished, 5);
-        assert!(!replayed.replay_ack(JobId(99), LeaseResult::default()), "unknown job replays nothing");
+    fn call() -> impl Strategy<Value = Call> {
+        prop_oneof![
+            Just(Call::Lease),
+            Just(Call::Lease),
+            (0usize..3, 0usize..=8, 0u64..4).prop_map(|(lease, ran, salt)| Call::Ack(lease, ran, salt)),
+            (0usize..3, Just(8usize), 0u64..4).prop_map(|(lease, ran, salt)| Call::Ack(lease, ran, salt)),
+            (0usize..4).prop_map(Call::Stale),
+            Just(Call::Expire),
+            (0usize..3).prop_map(Call::Panic),
+            Just(Call::Cancel),
+            Just(Call::Pause),
+            Just(Call::Resume),
+        ]
+    }
+
+    /// A cell's outcome, picked by its ordinal and a salt: a success, a
+    /// failure or a crash whose injection fired, or a success whose did not.
+    fn drawn_outcome(cell: &FaultCell, salt: u64) -> CellResult {
+        let main = lfi_intern::Symbol::intern("main");
+        let (outcome, injections, stack) = match (cell.call_ordinal + salt) % 4 {
+            0 => (OutcomeClass::Success, 1, Vec::new()),
+            1 => (OutcomeClass::Failure(1), 1, vec![main, cell.function]),
+            2 => (OutcomeClass::Crash(lfi_runtime::Signal::Segv), 1, vec![main]),
+            _ => (OutcomeClass::Success, 0, Vec::new()),
+        };
+        CellResult { outcome, injections, observed_calls: 0, stack }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any interleaving of leases, acks (all run, partly or wholly
+        /// skipped, stale), expiries, worker panics, cancel and
+        /// pause/resume, with up to three leases in flight, keeps the delta
+        /// contract after every call: the first checkpoint plus every delta
+        /// taken equals the live checkpoint byte for byte, and restoring
+        /// that fold checkpoints equal to the live job with its cost unknown
+        /// and nothing charged.
+        #[test]
+        fn deltas_fold_to_the_live_checkpoint_after_every_call(
+            reads in 1u64..=6,
+            writes in 0u64..=4,
+            cap in 1usize..=4,
+            halt in any::<bool>(),
+            calls in prop::collection::vec(call(), 1..40),
+        ) {
+            let mut plan = plan_with_cells("read", 1..=reads);
+            plan.entries.extend(plan_with_cells("write", 1..=writes).entries);
+            let mut spec = JobSpec::new("job", "noop", plan).lease_batch(cap);
+            if halt {
+                spec = spec.halt_on_crash();
+            }
+            let base = Instant::now();
+            let mut sched = Scheduler::new(4, Duration::from_secs(60));
+            let job = sched.submit(spec.clone(), noop_workload());
+            let mut shadow = sched.checkpoint(job).unwrap();
+            let mut leases: Vec<(u64, Vec<FaultCell>)> = Vec::new();
+            let mut returned: Vec<(u64, Vec<FaultCell>)> = Vec::new();
+            for (step, &call) in calls.iter().enumerate() {
+                let now = base + Duration::from_secs(step as u64);
+                match call {
+                    Call::Lease if leases.len() < 3 => {
+                        if let Some(lease) = sched.next_lease(now) {
+                            leases.push((lease.lease, lease.cells));
+                        }
+                    }
+                    Call::Lease => {}
+                    Call::Ack(index, ran, salt) if !leases.is_empty() => {
+                        let (lease, cells) = leases.remove(index % leases.len());
+                        let ran = ran % (cells.len() + 1);
+                        let result = LeaseResult {
+                            events: Vec::new(),
+                            outcomes: cells[..ran].iter().map(|cell| (*cell, drawn_outcome(cell, salt))).collect(),
+                            skipped: cells[ran..].to_vec(),
+                        };
+                        prop_assert!(sched.ack(job, lease, result, busy(&cells)));
+                        returned.push((lease, cells));
+                    }
+                    Call::Stale(index) if !returned.is_empty() => {
+                        let (lease, cells) = &returned[index % returned.len()];
+                        prop_assert!(!sched.ack(job, *lease, success_result(cells), busy(cells)), "stale");
+                    }
+                    Call::Expire => {
+                        prop_assert_eq!(sched.expire(now + Duration::from_secs(3600)), leases.len());
+                        returned.append(&mut leases);
+                    }
+                    Call::Panic(index) if !leases.is_empty() => {
+                        let (lease, cells) = leases.remove(index % leases.len());
+                        prop_assert!(sched.requeue_panic(job, lease));
+                        returned.push((lease, cells));
+                    }
+                    Call::Cancel => {
+                        sched.cancel(job);
+                    }
+                    Call::Pause => {
+                        sched.pause(job);
+                    }
+                    Call::Resume => {
+                        sched.resume(job);
+                    }
+                    Call::Ack(..) | Call::Stale(_) | Call::Panic(_) => {}
+                }
+                let live = sched.checkpoint(job).unwrap().to_xml();
+                sched.take_delta(job).unwrap().apply(&mut shadow);
+                prop_assert_eq!(&shadow.to_xml(), &live, "snapshot + deltas after {:?}", call);
+                let mut restored = Scheduler::new(4, Duration::from_secs(60));
+                let id = restored.submit_restored(spec.clone(), noop_workload(), &shadow);
+                prop_assert_eq!(&restored.checkpoint(id).unwrap().to_xml(), &live, "restored after {:?}", call);
+                prop_assert_eq!((charged(&restored, id), restored.jobs[&id.0].cell_ns), (0, None));
+            }
+            prop_assert!(sched.take_delta(JobId(job.0 + 1)).is_none(), "an unknown job has no delta");
+        }
     }
 
     #[test]

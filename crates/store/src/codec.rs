@@ -18,7 +18,7 @@ use lfi_intern::Symbol;
 use lfi_profile::{ErrorReturn, FaultProfile, FunctionProfile, ProfileKey, ProfileStore, SideEffect, SideEffectKind};
 use lfi_scenario::FaultCell;
 
-use crate::{AckOutcome, AckRecord, ProfileEntry, StoreError};
+use crate::{ProfileEntry, StoreError};
 
 /// A bounds-checked read cursor over a borrowed payload: every accessor
 /// validates the bytes remaining first and reports the byte offset (within
@@ -433,50 +433,6 @@ pub fn decode_exploration_delta(payload: &[u8]) -> Result<ExplorationDelta, Stor
     };
     r.finish()?;
     Ok(delta)
-}
-
-// -- fabric acks ------------------------------------------------------------
-
-/// Encodes an [`AckRecord`] payload.
-pub fn encode_ack(ack: &AckRecord) -> Vec<u8> {
-    let mut out = BytesMut::with_capacity(64);
-    out.put_u32_le(ack.outcomes.len() as u32);
-    for outcome in &ack.outcomes {
-        put_cell(&mut out, &outcome.cell);
-        put_outcome(&mut out, outcome.outcome);
-        out.put_u64_le(outcome.injections);
-        put_flag(&mut out, outcome.triggered);
-        out.put_u32_le(outcome.stack.len() as u32);
-        for frame in &outcome.stack {
-            put_string(&mut out, frame.as_str());
-        }
-        put_string(&mut out, &outcome.case);
-    }
-    put_cells(&mut out, &ack.skipped);
-    out.to_vec()
-}
-
-/// Decodes an [`AckRecord`] payload.
-pub fn decode_ack(payload: &[u8]) -> Result<AckRecord, StoreError> {
-    let mut r = Reader::new(payload);
-    let count = r.count(38, "ack outcomes")?;
-    let mut outcomes = Vec::with_capacity(count);
-    for _ in 0..count {
-        let cell = get_cell(&mut r)?;
-        let outcome = get_outcome(&mut r)?;
-        let injections = r.u64("ack injections")?;
-        let triggered = r.flag("ack triggered")?;
-        let frames = r.count(4, "ack stack")?;
-        let mut stack = Vec::with_capacity(frames);
-        for _ in 0..frames {
-            stack.push(r.symbol("ack stack frame")?);
-        }
-        let case = r.string("ack case name")?;
-        outcomes.push(AckOutcome { cell, outcome, injections, triggered, stack, case });
-    }
-    let skipped = get_cells(&mut r, "ack skipped cells")?;
-    r.finish()?;
-    Ok(AckRecord { outcomes, skipped })
 }
 
 // -- profiles ---------------------------------------------------------------

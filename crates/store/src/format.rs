@@ -17,7 +17,7 @@
 pub const MAGIC: [u8; 4] = *b"LFIS";
 
 /// The format version this build reads and writes.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Size of the file header in bytes.
 pub const HEADER_LEN: usize = 8;
@@ -27,7 +27,9 @@ pub const FRAME_LEN: usize = 9;
 
 /// Record kind tags.  Unknown tags are treated as corruption, which is
 /// what lets a future version extend the set: an old reader stops cleanly
-/// at the first record it does not understand.
+/// at the first record it does not understand.  The explorer and the
+/// fabric both journal a leading exploration snapshot followed by
+/// exploration deltas; profile stores use the other two kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum RecordKind {
@@ -35,8 +37,7 @@ pub enum RecordKind {
     ExplorationSnapshot = 1,
     /// An [`ExplorationDelta`](lfi_explore::ExplorationDelta).
     ExplorationDelta = 2,
-    /// A fabric lease acknowledgement ([`AckRecord`](crate::AckRecord)).
-    Ack = 3,
+    // Tag 3 held version 1's fabric ack record: retired, never reuse.
     /// A full [`ProfileStore`](lfi_profile::ProfileStore) snapshot.
     ProfileSnapshot = 4,
     /// A single profile insertion ([`ProfileEntry`](crate::ProfileEntry)).
@@ -49,7 +50,6 @@ impl RecordKind {
         match tag {
             1 => Some(RecordKind::ExplorationSnapshot),
             2 => Some(RecordKind::ExplorationDelta),
-            3 => Some(RecordKind::Ack),
             4 => Some(RecordKind::ProfileSnapshot),
             5 => Some(RecordKind::ProfileInsert),
             _ => None,
@@ -217,11 +217,11 @@ mod tests {
     fn frames_round_trip_and_tears_are_detected() {
         let mut data = Vec::new();
         write_header(&mut data);
-        write_frame(&mut data, RecordKind::Ack, b"hello");
+        write_frame(&mut data, RecordKind::ProfileInsert, b"hello");
         let start = check_header(&data).unwrap();
         match read_frame(&data, start) {
             Frame::Record { kind, payload, next } => {
-                assert_eq!(kind, RecordKind::Ack);
+                assert_eq!(kind, RecordKind::ProfileInsert);
                 assert_eq!(payload, b"hello");
                 assert!(matches!(read_frame(&data, next), Frame::End));
             }

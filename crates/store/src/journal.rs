@@ -3,7 +3,7 @@
 //!
 //! ```text
 //!   create ──► [header][Snapshot]
-//!   append ──► [header][Snapshot][Delta][Delta][Ack]...        (O(delta))
+//!   append ──► [header][Snapshot][Delta][Delta][Delta]...      (O(delta))
 //!   compact ─► write [header][Snapshot'] to path.tmp, fsync, rename
 //!   open ───► read records until the first bad frame, truncate there
 //! ```
@@ -30,7 +30,8 @@ pub const DEFAULT_COMPACT_EVERY: u64 = 64;
 
 /// An open append-only record journal.  The typed wrappers
 /// ([`ExplorationJournal`]) layer state-tracking and compaction policy on
-/// top; the fabric drives this type directly for its ack log.
+/// top; the fabric drives this type directly for its job journals, whose
+/// deltas it folds itself.
 pub struct Journal {
     path: PathBuf,
     file: File,
@@ -74,33 +75,31 @@ impl Journal {
     /// Hostile bytes never panic: a bad header or version is an error, a
     /// bad record is simply where durability ends.
     pub fn open(path: impl AsRef<Path>) -> Result<(Journal, Vec<Record>), StoreError> {
+        let (journal, records) = Self::open_located(path.as_ref())?;
+        Ok((journal, records.into_iter().map(|(_, record)| record).collect()))
+    }
+
+    /// Opens an exploration journal — a leading [`ExplorationStore`]
+    /// snapshot followed by [`ExplorationDelta`] records, as an
+    /// [`ExplorationJournal`] or a fabric job writes it — and folds its
+    /// durable records into the store they describe (see
+    /// [`Journal::open`] for the torn-tail handling).
+    pub fn open_exploration(path: impl AsRef<Path>) -> Result<(Journal, ExplorationStore), StoreError> {
         let path = path.as_ref();
+        let (journal, records) = Self::open_located(path)?;
+        let state = fold_exploration(records).map_err(|e| e.with_path(path))?;
+        Ok((journal, state))
+    }
+
+    /// [`Journal::open`], keeping each record's byte offset for errors.
+    fn open_located(path: &Path) -> Result<(Journal, Vec<(usize, Record)>), StoreError> {
         let mut data = Vec::new();
         File::open(path)
             .and_then(|mut f| f.read_to_end(&mut data))
             .map_err(|e| StoreError::io(e).with_path(path))?;
-        let start = format::check_header(&data).map_err(|e| e.with_path(path))?;
-        let mut records = Vec::new();
-        let mut offset = start;
-        loop {
-            match format::read_frame(&data, offset) {
-                Frame::End => break,
-                Frame::Torn => break,
-                Frame::Record { kind, payload, next } => {
-                    match Record::decode(kind, payload) {
-                        Ok(record) => {
-                            records.push(record);
-                            offset = next;
-                        }
-                        // A CRC-valid but undecodable payload still means
-                        // the tail is not usable state; stop before it.
-                        Err(_) => break,
-                    }
-                }
-            }
-        }
+        let (records, end) = durable_records(&data).map_err(|e| e.with_path(path))?;
         let file = OpenOptions::new().write(true).open(path).map_err(|e| StoreError::io(e).with_path(path))?;
-        file.set_len(offset as u64).map_err(|e| StoreError::io(e).with_path(path))?;
+        file.set_len(end as u64).map_err(|e| StoreError::io(e).with_path(path))?;
         let file = OpenOptions::new()
             .append(true)
             .open(path)
@@ -182,26 +181,7 @@ impl ExplorationJournal {
     /// durable delta folded in.  Torn tails are truncated (see
     /// [`Journal::open`]).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        let (journal, records) = Journal::open(path)?;
-        let mut records = records.into_iter();
-        let mut state = match records.next() {
-            Some(Record::ExplorationSnapshot(store)) => store,
-            _ => {
-                return Err(StoreError::corrupt(
-                    crate::format::HEADER_LEN as u64,
-                    "journal does not start with an exploration snapshot",
-                )
-                .with_path(path))
-            }
-        };
-        for record in records {
-            match record {
-                Record::ExplorationDelta(delta) => delta.apply(&mut state),
-                Record::ExplorationSnapshot(store) => state = store,
-                _ => return Err(StoreError::corrupt(0, "foreign record kind in exploration journal").with_path(path)),
-            }
-        }
+        let (journal, state) = Journal::open_exploration(path)?;
         Ok(Self { journal, state, compact_every: DEFAULT_COMPACT_EVERY })
     }
 
@@ -245,12 +225,50 @@ impl ExplorationJournal {
     }
 }
 
-/// Re-exported for typed journal headers.
+/// Decodes a store file's durable records, each with the byte offset of
+/// its frame, and the offset where durability ends: the first frame that
+/// fails validation or decoding (a CRC-valid but undecodable payload is not
+/// usable state either).
+pub(crate) fn durable_records(data: &[u8]) -> Result<(Vec<(usize, Record)>, usize), StoreError> {
+    let mut offset = format::check_header(data)?;
+    let mut records = Vec::new();
+    while let Frame::Record { kind, payload, next } = format::read_frame(data, offset) {
+        let Ok(record) = Record::decode(kind, payload) else {
+            break;
+        };
+        records.push((offset, record));
+        offset = next;
+    }
+    Ok((records, offset))
+}
+
+/// The one exploration fold: a snapshot record sets the state, each delta
+/// record applies to it.  Errors name the offending record's byte offset.
+pub(crate) fn fold_exploration(records: Vec<(usize, Record)>) -> Result<ExplorationStore, StoreError> {
+    let mut state: Option<ExplorationStore> = None;
+    for (offset, record) in records {
+        match (record, state.as_mut()) {
+            (Record::ExplorationSnapshot(store), _) => state = Some(store),
+            (Record::ExplorationDelta(delta), Some(state)) => delta.apply(state),
+            (Record::ExplorationDelta(_), None) => {
+                return Err(StoreError::corrupt(offset as u64, "delta before any snapshot"))
+            }
+            (record, _) => {
+                return Err(StoreError::corrupt(
+                    offset as u64,
+                    format!("{} record in an exploration journal", record.kind_name()),
+                ))
+            }
+        }
+    }
+    state.ok_or_else(|| StoreError::corrupt(format::HEADER_LEN as u64, "no durable exploration snapshot record"))
+}
+
+/// The human-readable name of a record kind.
 pub(crate) fn record_kind_name(kind: RecordKind) -> &'static str {
     match kind {
         RecordKind::ExplorationSnapshot => "exploration-snapshot",
         RecordKind::ExplorationDelta => "exploration-delta",
-        RecordKind::Ack => "ack",
         RecordKind::ProfileSnapshot => "profile-snapshot",
         RecordKind::ProfileInsert => "profile-insert",
     }
@@ -264,7 +282,6 @@ impl Record {
                 (RecordKind::ExplorationSnapshot, codec::encode_exploration_store(store))
             }
             Record::ExplorationDelta(delta) => (RecordKind::ExplorationDelta, codec::encode_exploration_delta(delta)),
-            Record::Ack(ack) => (RecordKind::Ack, codec::encode_ack(ack)),
             Record::ProfileSnapshot(store) => (RecordKind::ProfileSnapshot, codec::encode_profile_store(store)),
             Record::ProfileInsert(entry) => (RecordKind::ProfileInsert, codec::encode_profile_entry(entry)),
         }
@@ -275,7 +292,6 @@ impl Record {
         let record = match kind {
             RecordKind::ExplorationSnapshot => Record::ExplorationSnapshot(codec::decode_exploration_store(payload)?),
             RecordKind::ExplorationDelta => Record::ExplorationDelta(codec::decode_exploration_delta(payload)?),
-            RecordKind::Ack => Record::Ack(codec::decode_ack(payload)?),
             RecordKind::ProfileSnapshot => Record::ProfileSnapshot(codec::decode_profile_store(payload)?),
             RecordKind::ProfileInsert => Record::ProfileInsert(codec::decode_profile_entry(payload)?),
         };
@@ -291,7 +307,6 @@ impl Record {
         match self {
             Record::ExplorationSnapshot(_) => RecordKind::ExplorationSnapshot,
             Record::ExplorationDelta(_) => RecordKind::ExplorationDelta,
-            Record::Ack(_) => RecordKind::Ack,
             Record::ProfileSnapshot(_) => RecordKind::ProfileSnapshot,
             Record::ProfileInsert(_) => RecordKind::ProfileInsert,
         }

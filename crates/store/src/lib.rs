@@ -14,11 +14,11 @@
 //!   Decoding never panics on hostile bytes: every failure is a
 //!   [`StoreError`] naming the path, byte offset and detected format.
 //! * **A write-ahead journal** ([`Journal`], [`ExplorationJournal`]) —
-//!   full-snapshot records plus O(delta) records
-//!   ([`ExplorationDelta`](lfi_explore::ExplorationDelta) from the
-//!   explorer's batch loop, [`AckRecord`]s from the fabric scheduler) —
-//!   with periodic compaction and torn-tail recovery: a kill mid-append
-//!   loses at most the record being written.
+//!   full-snapshot records plus O(delta)
+//!   [`ExplorationDelta`](lfi_explore::ExplorationDelta) records, which the
+//!   explorer's batch loop and the fabric scheduler both append — with
+//!   periodic compaction and torn-tail recovery: a kill mid-append loses at
+//!   most the record being written.
 //! * **Format-sniffing file helpers** ([`load_profile_store`],
 //!   [`load_exploration`], …) — load paths accept either format by magic,
 //!   so binary adoption never breaks an XML workflow.
@@ -38,14 +38,12 @@ use std::fs;
 use std::io::Read;
 use std::path::Path;
 
-use lfi_explore::{ExplorationStore, OutcomeClass};
-use lfi_intern::Symbol;
+use lfi_explore::ExplorationStore;
 use lfi_profile::{FaultProfile, ProfileKey, ProfileStore};
-use lfi_scenario::FaultCell;
 
 pub use codec::{
-    decode_ack, decode_exploration_delta, decode_exploration_store, decode_profile_entry, decode_profile_store,
-    encode_ack, encode_exploration_delta, encode_exploration_store, encode_profile_entry, encode_profile_store,
+    decode_exploration_delta, decode_exploration_store, decode_profile_entry, decode_profile_store,
+    encode_exploration_delta, encode_exploration_store, encode_profile_entry, encode_profile_store,
 };
 pub use error::{StoreError, StoreErrorKind, StoreFormat};
 pub use journal::{ExplorationJournal, Journal, DEFAULT_COMPACT_EVERY};
@@ -57,42 +55,10 @@ pub enum Record {
     ExplorationSnapshot(ExplorationStore),
     /// One exploration step's state changes.
     ExplorationDelta(lfi_explore::ExplorationDelta),
-    /// One fabric lease acknowledgement.
-    Ack(AckRecord),
     /// A full profile-store snapshot.
     ProfileSnapshot(ProfileStore),
     /// One profile insertion.
     ProfileInsert(ProfileEntry),
-}
-
-/// One executed cell inside an [`AckRecord`] — the journaled twin of the
-/// fabric scheduler's per-cell outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AckOutcome {
-    /// The executed fault-space cell.
-    pub cell: FaultCell,
-    /// How its test case ended.
-    pub outcome: OutcomeClass,
-    /// Injections the case performed.
-    pub injections: u64,
-    /// Whether the cell's planned injection fired.
-    pub triggered: bool,
-    /// The call stack observed at injection time.
-    pub stack: Vec<Symbol>,
-    /// The deterministic case name.
-    pub case: String,
-}
-
-/// One journaled lease acknowledgement: every cell the lease ran
-/// (`outcomes`, in fold order) or returned unexecuted (`skipped`, in
-/// requeue order).  Together with the leading snapshot, replaying these
-/// through the fabric scheduler reconstructs a job's durable state.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AckRecord {
-    /// Executed cells and their outcomes, in the worker's fold order.
-    pub outcomes: Vec<AckOutcome>,
-    /// Leased cells returned unexecuted, in requeue order.
-    pub skipped: Vec<FaultCell>,
 }
 
 /// One profile-store insertion: the key and the profile stored under it.
@@ -186,31 +152,9 @@ pub fn save_exploration(path: impl AsRef<Path>, store: &ExplorationStore) -> Res
 pub fn load_exploration(path: impl AsRef<Path>) -> Result<ExplorationStore, StoreError> {
     let path = path.as_ref();
     match sniff_format(path)? {
-        StoreFormat::Binary => {
-            let data = read_file(path)?;
-            let start = format::check_header(&data).map_err(|e| e.with_path(path))?;
-            let mut state: Option<ExplorationStore> = None;
-            let mut offset = start;
-            while let format::Frame::Record { kind, payload, next } = format::read_frame(&data, offset) {
-                match Record::decode(kind, payload) {
-                    Ok(Record::ExplorationSnapshot(store)) => state = Some(store),
-                    Ok(Record::ExplorationDelta(delta)) => match state.as_mut() {
-                        Some(state) => delta.apply(state),
-                        None => {
-                            return Err(StoreError::corrupt(offset as u64, "delta before any snapshot").with_path(path))
-                        }
-                    },
-                    Ok(_) => {
-                        return Err(StoreError::corrupt(offset as u64, "not an exploration store file").with_path(path))
-                    }
-                    Err(_) => break,
-                }
-                offset = next;
-            }
-            state.ok_or_else(|| {
-                StoreError::corrupt(start as u64, "no durable exploration snapshot record").with_path(path)
-            })
-        }
+        StoreFormat::Binary => journal::durable_records(&read_file(path)?)
+            .and_then(|(records, _)| journal::fold_exploration(records))
+            .map_err(|e| e.with_path(path)),
         StoreFormat::Xml => {
             let text = String::from_utf8(read_file(path)?).map_err(|e| {
                 StoreError::corrupt(e.utf8_error().valid_up_to() as u64, "non-UTF-8 XML document")

@@ -13,13 +13,15 @@
 //! report the same executed set, triggered coverage, clusters (every field,
 //! example cell and case name included) and injection count — however the
 //! fabric's leases were sized, split across workers or acked out of order.
+//! Both journal the same records, a snapshot plus deltas, so their journals
+//! recover to the same fold too.
 //!
 //! The plans are drawn so that both front ends run every cell: each cell's
 //! ordinal is within the four `read` calls the workload makes, so every
 //! injection fires, the explorer's probe reaches `read`, and nothing is
 //! pruned.  Known gaps, which the test pins instead of comparing:
 //! - `observed_calls`: the explorer records the deepest call count it saw;
-//!   the fabric writes 0, because a journal replay could not reproduce it.
+//!   the fabric writes 0, because it runs no baseline probe.
 //! - `cases_executed`: the explorer counts its injection-free probe case.
 //! - `unreached` and `pruned_functions` are frontier policy, which only the
 //!   explorer has.
@@ -30,6 +32,7 @@
 //! live store, byte for byte), never runs a cell of a function muted when
 //! its batch started, and replays identically.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,6 +50,7 @@ use lfi::rules::{Action, CircuitBreaker, ClosedLoop, Condition, Metric, Rule, Ru
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
 use lfi::scenario::{FaultAction, FaultCell, FaultSpace, Plan, PlanEntry, Trigger};
+use lfi::store::ExplorationJournal;
 use lfi::Lfi;
 
 fn reader_process() -> Process {
@@ -144,6 +148,84 @@ proptest! {
             prop_assert_eq!(fabric.cases_executed + 1, explored.cases_executed, "the explorer's probe");
             prop_assert!(fabric.coverage.iter().all(|(_, coverage)| coverage.observed_calls == 0));
         }
+    }
+}
+
+/// A fresh path in a per-process temp dir, one per call.
+fn journal_path(name: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!("lfi-contracts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir.join(format!("{name}-{}.journal", NEXT.fetch_add(1, Ordering::Relaxed)))
+}
+
+/// Runs `plan` on a 1-worker fabric journaling from submission; returns
+/// the live checkpoint and what the journal recovers to.
+fn journal_fabric(plan: &Plan, lease: usize) -> (ExplorationStore, ExplorationStore) {
+    let path = journal_path("fabric");
+    let fabric = Fabric::builder()
+        .workers(1)
+        .lease_batch(lease)
+        .register(FnWorkload::new("reader", reader_process, read_four))
+        .build();
+    let job = fabric
+        .submit(JobSpec::new("contract", "reader", plan.clone()))
+        .expect("workload registered");
+    fabric.journal_job(job, &path).expect("journal attaches");
+    assert_eq!(fabric.wait_job(job, Duration::from_secs(60)), Some(JobState::Done));
+    assert_eq!(fabric.journal_error(job), None);
+    let live = fabric.checkpoint(job).expect("job exists");
+    drop(fabric);
+    let recovered = ExplorationJournal::open(&path).expect("fabric journal recovers").state().clone();
+    std::fs::remove_file(&path).ok();
+    (live, recovered)
+}
+
+/// Runs `plan` on an explorer that journals a delta after every batch;
+/// returns the live store and what the journal recovers to.
+fn journal_explorer(plan: &Plan, batch: usize) -> (ExplorationStore, ExplorationStore) {
+    let path = journal_path("explorer");
+    let workload: Arc<dyn Workload> = FnWorkload::shared("reader", reader_process, read_four);
+    let mut explorer = Explorer::new(plan, Vec::new()).escalation(false).batch_size(batch);
+    let mut journal = ExplorationJournal::create(&path, &explorer.store()).expect("journal creates");
+    while explorer.step_workload(&workload).is_some() {
+        journal.append_delta(&explorer.take_delta()).expect("delta appends");
+    }
+    drop(journal);
+    let recovered = ExplorationJournal::open(&path).expect("explorer journal recovers").state().clone();
+    std::fs::remove_file(&path).ok();
+    (explorer.store(), recovered)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The fabric ≡ explorer oracle, through their journals: a fabric job
+    /// and an explorer journal the same record kinds, and both files
+    /// recover through `ExplorationJournal::open` to the same fold, up to
+    /// the gaps pinned above.
+    #[test]
+    fn the_fabric_and_the_explorer_journal_the_same_cells_alike(
+        cells in prop::collection::btree_set(
+            (1u64..=4, prop_oneof![Just(None), Just(Some(4)), Just(Some(5)), Just(Some(9))]),
+            1..11,
+        ),
+        lease in 1usize..=4,
+    ) {
+        let cells: Vec<(u64, Option<i64>)> = cells.into_iter().collect();
+        let plan = plan_of(&cells);
+        let (explored, explorer_journal) = journal_explorer(&plan, lease);
+        let (fabric, fabric_journal) = journal_fabric(&plan, lease);
+        prop_assert_eq!(&explorer_journal.to_xml(), &ExplorationStore { elapsed_ms: explorer_journal.elapsed_ms, ..explored }.to_xml());
+        prop_assert_eq!(&fabric_journal.to_xml(), &fabric.to_xml());
+        prop_assert_eq!(fabric_journal.executed.len(), cells.len(), "every cell runs");
+        prop_assert_eq!(&fabric_journal.executed, &explorer_journal.executed);
+        prop_assert_eq!(triggered(&fabric_journal), triggered(&explorer_journal));
+        prop_assert_eq!(&fabric_journal.clusters, &explorer_journal.clusters);
+        prop_assert_eq!(fabric_journal.injections_performed, explorer_journal.injections_performed);
+        // The known gaps, pinned.
+        prop_assert_eq!(fabric_journal.cases_executed + 1, explorer_journal.cases_executed, "the explorer's probe");
+        prop_assert!(fabric_journal.coverage.iter().all(|(_, coverage)| coverage.observed_calls == 0));
     }
 }
 

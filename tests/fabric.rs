@@ -1,8 +1,9 @@
 //! Integration coverage for the campaign fabric: crash-safe lease handoff
 //! under a mid-batch worker death, worker-time fairness across unequal
 //! tenants, the wire protocol over both transports, the bound on wire
-//! lines, server shutdown with peers still connected, and
-//! checkpoint/restore of a half-finished job into a fresh fabric.
+//! lines, server shutdown with peers still connected, journal recovery of
+//! killed and cancelled jobs, and checkpoint/restore of a half-finished job
+//! into a fresh fabric.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -430,6 +431,41 @@ fn journaled_job_survives_a_kill_and_recovers_byte_identically() {
     let clean_job = clean.submit(spec()).expect("workload registered");
     assert_eq!(clean.wait_job(clean_job, Duration::from_secs(60)), Some(JobState::Done));
     assert_eq!(clean.checkpoint(clean_job).expect("job exists").to_xml(), final_xml);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_cancelled_journaled_job_recovers_its_skipped_cells_as_skipped() {
+    let dir = std::env::temp_dir().join(format!("lfi-fabric-cancel-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("cancelled.journal");
+    let spec = || JobSpec::new("cancelled", "reader", read_plan(10, &[5, 9, 11, 22])).lease_batch(1);
+
+    // The seventh case holds the only worker while the job is cancelled:
+    // the 33 pending cells are skipped at once, and the held lease lands
+    // afterwards as the seventh executed cell.
+    let (held, hold) = held_reader("reader", 6);
+    let live_fabric = Fabric::builder().workers(1).register(held).build();
+    let job = live_fabric.submit(spec()).expect("workload registered");
+    live_fabric.journal_job(job, &path).expect("journal attaches");
+    hold.wait_parked();
+    assert_eq!(live_fabric.cancel(job), Some(JobState::Cancelled));
+    hold.release();
+    assert!(live_fabric.wait_idle(Duration::from_secs(60)), "the held lease settles after the cancel");
+    assert_eq!(live_fabric.journal_error(job), None);
+    let live = live_fabric.checkpoint(job).expect("job exists");
+    assert_eq!((live.frontier.len(), live.executed.len(), live.unreached.len()), (0, 7, 33));
+    drop(live_fabric);
+
+    // Recovery reproduces the cancel: the skipped cells stay skipped
+    // instead of coming back as pending work.
+    let inert = Fabric::builder()
+        .workers(0)
+        .register(FnWorkload::new("reader", reader_process, read_four))
+        .build();
+    let recovered = inert.recover_job(spec(), &path).expect("journal recovers");
+    assert_eq!(inert.checkpoint(recovered).expect("job exists").to_xml(), live.to_xml());
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,8 +1,9 @@
 //! The lfi-store durability contracts, end to end: XML → binary → XML
 //! byte-identity for arbitrary stores, torn-tail recovery at *every* byte
 //! offset of a killed append, hostile-bytes robustness (never panic, always
-//! a `StoreError` naming path/offset/format), and a journaled explorer
-//! kill + resume that reproduces the uninterrupted run batch for batch.
+//! a `StoreError` naming path/offset/format), refusal of version-1 files,
+//! and a journaled explorer kill + resume that reproduces the uninterrupted
+//! run batch for batch.
 
 use std::fs;
 use std::path::PathBuf;
@@ -231,6 +232,44 @@ fn compaction_preserves_state_and_shrinks_the_journal() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A version-1 file — the format whose fabric journals held ack records —
+/// is refused by every reader with the unsupported-version error, before
+/// anything truncates it.
+#[test]
+fn version_one_files_are_refused_and_left_untouched() {
+    let dir = temp_dir("lfi-store-v1");
+    let path = dir.join("v1.lfij");
+    let mut journal = ExplorationJournal::create(&path, &base_store()).unwrap();
+    journal.append_delta(&delta_one()).unwrap();
+    drop(journal);
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    // A torn tail that a v2 open would truncate.
+    bytes.extend_from_slice(&[2, 0xFF]);
+    fs::write(&path, &bytes).unwrap();
+
+    let unsupported = |error: lfi::store::StoreError| {
+        assert!(
+            matches!(error.kind, lfi::store::StoreErrorKind::UnsupportedVersion { found: 1 }),
+            "expected the unsupported-version error, got {error}"
+        );
+        assert!(error.to_string().contains("v1.lfij"), "error must name the path: {error}");
+    };
+    unsupported(Journal::open(&path).unwrap_err());
+    unsupported(lfi::store::load_exploration(&path).unwrap_err());
+    unsupported(ExplorationJournal::open(&path).unwrap_err());
+    let fabric = lfi::fabric::Fabric::builder()
+        .workers(0)
+        .register(FnWorkload::new("reader", setup, workload))
+        .build();
+    let spec = lfi::fabric::JobSpec::new("v1", "reader", lfi::scenario::Plan::new());
+    let error = fabric.recover_job(spec, &path).unwrap_err().to_string();
+    assert!(error.contains("unsupported store format version 1"), "{error}");
+    assert_eq!(fs::read(&path).unwrap(), bytes, "no reader touched the file");
+
+    fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Profile-snapshot decoder error contract
 // ---------------------------------------------------------------------------
@@ -264,6 +303,27 @@ fn corrupt_message(error: &lfi::store::StoreError) -> &str {
         lfi::store::StoreErrorKind::Corrupt { message } => message,
         other => panic!("expected a corruption error, got {other:?}"),
     }
+}
+
+/// Both exploration readers share one fold: a record of another kind is
+/// the same error, at that record's own byte offset.
+#[test]
+fn a_foreign_record_is_reported_at_its_offset_by_both_exploration_readers() {
+    let dir = temp_dir("lfi-store-foreign");
+    let path = dir.join("foreign.lfij");
+    let mut journal = Journal::create(&path, &Record::ExplorationSnapshot(base_store())).unwrap();
+    let foreign_at = fs::metadata(&path).unwrap().len();
+    journal.append(&Record::ProfileSnapshot(small_profile_store())).unwrap();
+    drop(journal);
+
+    let loaded = lfi::store::load_exploration(&path).unwrap_err();
+    let opened = ExplorationJournal::open(&path).unwrap_err();
+    for error in [&loaded, &opened] {
+        assert_eq!(error.offset, Some(foreign_at));
+        assert_eq!(corrupt_message(error), "profile-snapshot record in an exploration journal");
+    }
+
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// A damaged profile snapshot is always an error that points inside the
@@ -568,7 +628,6 @@ proptest! {
         let _ = lfi::store::decode_exploration_delta(&bytes);
         let _ = lfi::store::decode_profile_store(&bytes);
         let _ = lfi::store::decode_profile_entry(&bytes);
-        let _ = lfi::store::decode_ack(&bytes);
         let text = String::from_utf8_lossy(&bytes);
         let _ = lfi::store::exploration_from_xml(&text);
         let _ = lfi::store::profile_store_from_xml(&text);
