@@ -589,7 +589,6 @@ mod tests {
         assert!(events.iter().all(|e| !matches!(e, CaseEvent::Skipped { .. })));
         assert_eq!(events[2].index(), 1);
         let progress = run.progress();
-        assert_eq!(progress.cases, 3);
         assert_eq!(progress.finished, 3);
         assert_eq!(progress.crashes, 1);
         assert_eq!(progress.injections, 2);

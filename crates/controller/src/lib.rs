@@ -19,7 +19,7 @@
 //!   [`ExecutionPolicy`], and parallel test-case execution over independent
 //!   processes.  [`Campaign::start`] returns a streaming [`CampaignRun`]
 //!   session of [`CaseEvent`]s with a [`CancelHandle`] and live
-//!   [`RunProgress`] counters.  That stream is the one way to observe a
+//!   [`ProgressSnapshot`] counters.  That stream is the one way to observe a
 //!   campaign: closed-loop controllers consume it and cancel through the
 //!   handle.  The blocking `run*` entry points are thin wrappers over it.
 //! * [`stubsrc`] — the generated C stub text, for parity with the paper's
@@ -37,7 +37,7 @@ mod workload;
 pub use campaign::{Campaign, CampaignReport, ExecutionPolicy, TestCase, TestOutcome};
 pub use injector::{Injector, INTERCEPTOR_LIBRARY_NAME};
 pub use log::{InjectionRecord, TestLog};
-pub use session::{CampaignRun, CancelHandle, CaseEvent, ProgressSnapshot, RunProgress, SkipReason};
+pub use session::{CampaignRun, CancelHandle, CaseEvent, ProgressSnapshot, SkipReason};
 pub use workload::{FnWorkload, Workload, WorkloadRegistry};
 
 #[cfg(test)]

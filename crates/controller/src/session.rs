@@ -134,31 +134,11 @@ impl std::fmt::Debug for CancelHandle {
     }
 }
 
-/// Live progress counters of a [`CampaignRun`], read from shared atomics —
-/// safe to poll from any thread while the run streams.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunProgress {
-    /// Cases scheduled: the campaign's whole case list.
-    pub cases: usize,
-    /// Cases a worker has claimed so far.
-    pub started: usize,
-    /// Cases that ran to an outcome.
-    pub finished: usize,
-    /// Cases skipped (health-check vetoes plus never-claimed cases counted
-    /// once the stream drains).
-    pub skipped: usize,
-    /// Finished cases whose workload crashed.
-    pub crashes: usize,
-    /// Injections performed across all finished cases.
-    pub injections: usize,
-}
-
 /// The five execution counters of a run as one plain value — what a status
-/// RPC or a progress line actually wants, without the [`RunProgress::cases`]
-/// denominator (which is configuration, not progress) and without
-/// hand-assembling five atomic loads at every call site.  Produced by
-/// [`RunProgress::snapshot`] / [`CampaignRun::snapshot`]; aggregators (like
-/// the `lfi-fabric` job service) fold per-lease runs into one of these.
+/// RPC or a progress line wants.  [`CampaignRun::progress`] reads them from
+/// shared atomics, safe to poll from any thread while the run streams (the
+/// denominator is [`CampaignRun::case_count`]); aggregators (like the
+/// `lfi-fabric` job service) fold per-lease runs into one of these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgressSnapshot {
     /// Cases a worker has claimed so far.
@@ -172,19 +152,6 @@ pub struct ProgressSnapshot {
     pub crashes: usize,
     /// Injections performed across all finished cases.
     pub injections: usize,
-}
-
-impl RunProgress {
-    /// The execution counters as a plain [`ProgressSnapshot`].
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        ProgressSnapshot {
-            started: self.started,
-            finished: self.finished,
-            skipped: self.skipped,
-            crashes: self.crashes,
-            injections: self.injections,
-        }
-    }
 }
 
 /// State shared between the session handle, its workers and cancel handles.
@@ -396,21 +363,14 @@ impl CampaignRun {
     }
 
     /// Live progress counters (readable while the run streams).
-    pub fn progress(&self) -> RunProgress {
-        RunProgress {
-            cases: self.shared.cases.len(),
+    pub fn progress(&self) -> ProgressSnapshot {
+        ProgressSnapshot {
             started: self.shared.started.load(Ordering::Acquire),
             finished: self.shared.finished.load(Ordering::Acquire),
             skipped: self.shared.skipped.load(Ordering::Acquire),
             crashes: self.shared.crashes.load(Ordering::Acquire),
             injections: self.shared.injections.load(Ordering::Acquire),
         }
-    }
-
-    /// The execution counters as one plain value — shorthand for
-    /// `self.progress().snapshot()`.
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        self.progress().snapshot()
     }
 
     /// Number of scheduled cases.
@@ -437,7 +397,7 @@ impl CampaignRun {
             }
             self.step();
         }
-        let progress = self.progress().snapshot();
+        let progress = self.progress();
         CampaignReport {
             outcomes: std::mem::take(&mut self.slots).into_iter().flatten().collect(),
             cases_skipped: self.skipped,

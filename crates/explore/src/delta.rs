@@ -124,7 +124,7 @@ impl ExplorationDelta {
             sort_clusters(&mut store.clusters);
         }
         for cluster in &self.clusters {
-            match cluster_slot(&store.clusters, cluster.function, &cluster.stack, cluster.outcome) {
+            match cluster_slot(&store.clusters, &cluster.key()) {
                 Ok(index) => store.clusters[index] = cluster.clone(),
                 Err(index) => store.clusters.insert(index, cluster.clone()),
             }

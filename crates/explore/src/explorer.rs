@@ -9,7 +9,9 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lfi_controller::{Campaign, CampaignReport, CaseEvent, ExecutionPolicy, TestCase, TestOutcome, Workload};
+use lfi_controller::{
+    Campaign, CampaignReport, CaseEvent, ExecutionPolicy, SkipReason, TestCase, TestOutcome, Workload,
+};
 use lfi_intern::Symbol;
 use lfi_profile::FaultProfile;
 use lfi_scenario::{FaultCell, FaultSpace, Plan};
@@ -140,7 +142,8 @@ struct DeltaTracker {
 /// stop-on-first-crash policy) and [`Explorer::time_budget`] cancels a
 /// too-long batch mid-flight instead of only being checked at batch
 /// boundaries.  Cells whose cases were skipped by such a halt return to the
-/// frontier with their original priority, so nothing is silently lost.
+/// frontier with their original priority, so nothing is silently lost.  A
+/// case the workload's health check vetoed ends its cell as unreached.
 ///
 /// # Determinism contract
 ///
@@ -751,8 +754,9 @@ impl Explorer {
     /// policy halts scheduling inside the batch.  For determinism, outcomes
     /// are *folded* in case order after the stream drains — completion order
     /// under `parallelism(n)` never leaks into the coverage, cluster or
-    /// frontier state.  Cells whose cases were skipped return to the
-    /// frontier with their original priority.
+    /// frontier state.  Cells whose cases were cancelled or crash-halted
+    /// return to the frontier with their original priority; a cell whose
+    /// case the health check vetoed is unreached.
     fn run_batch(
         &mut self,
         cells: Vec<FrontierCell>,
@@ -774,8 +778,16 @@ impl Explorer {
         for (index, outcome) in executed.into_iter().zip(&report.outcomes) {
             self.consume(cells[index].cell, outcome);
         }
-        for index in skipped {
-            self.raise_cell(cells[index].cell, cells[index].priority);
+        for (index, reason) in skipped {
+            let FrontierCell { cell, priority } = cells[index];
+            if reason == SkipReason::Unhealthy {
+                // The workload vetoed the case's process, and would veto a
+                // rerun alike: the cell ends here.
+                self.unreached.insert(cell);
+                self.tracker.unreached.insert(cell);
+            } else {
+                self.raise_cell(cell, priority);
+            }
         }
         report
     }
@@ -784,14 +796,15 @@ impl Explorer {
     /// streams the campaign's events to `on_event` and cancels the session
     /// when `on_event` returns `false` or [`Explorer::time_budget`] is spent
     /// (in-flight cases still finish).  Returns the report with the indices
-    /// of the executed and the skipped cases, each ascending.
+    /// of the executed cases and of the skipped ones with their reasons,
+    /// each ascending.
     fn run_session(
         &self,
         campaign: Campaign,
         workload: &Arc<dyn Workload>,
         started: Instant,
         on_event: &mut dyn FnMut(&CaseEvent) -> bool,
-    ) -> (CampaignReport, Vec<usize>, Vec<usize>) {
+    ) -> (CampaignReport, Vec<usize>, Vec<(usize, SkipReason)>) {
         let mut run = campaign.start_arc(Arc::clone(workload));
         let cancel = run.cancel_handle();
         let mut executed = Vec::new();
@@ -799,7 +812,7 @@ impl Explorer {
         for event in run.by_ref() {
             match &event {
                 CaseEvent::Outcome { index, .. } => executed.push(*index),
-                CaseEvent::Skipped { index, .. } => skipped.push(*index),
+                CaseEvent::Skipped { index, reason, .. } => skipped.push((*index, *reason)),
                 _ => {}
             }
             let keep_going = on_event(&event);
@@ -809,7 +822,7 @@ impl Explorer {
             }
         }
         executed.sort_unstable();
-        skipped.sort_unstable();
+        skipped.sort_unstable_by_key(|&(index, _)| index);
         (run.into_report(), executed, skipped)
     }
 

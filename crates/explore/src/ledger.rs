@@ -1,6 +1,7 @@
 //! The [`FaultLedger`]: the one fold from a cell's outcome to results, and
 //! the outcome, cluster and coverage types it folds into.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -59,10 +60,33 @@ impl fmt::Display for OutcomeClass {
     }
 }
 
-/// One cluster of deduplicated non-success outcomes, keyed by (injected
-/// symbol, observed stack at injection time, outcome class) — the unit the
-/// paper's "pinpoint bugs or weak spots" reporting works in.  Every further
-/// outcome with the same key only bumps `count`.
+/// Cluster identity, the one definition every outcome fold shares: the
+/// planned cell's function, the call stack of the case's first injection
+/// (empty when none fired), and the outcome class.  [`FaultLedger`],
+/// [`LedgerMarks`] and the rules engine's campaign state all key on it, so
+/// they count the same clusters for the same cells.  The stack is borrowed
+/// from the [`CellResult`] it came from until a fold needs to keep it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ClusterKey<'a> {
+    /// The planned cell's function.
+    pub function: Symbol,
+    /// The call stack of the case's first injection, innermost frame last.
+    pub stack: Cow<'a, [Symbol]>,
+    /// How the case ended (never [`OutcomeClass::Success`]).
+    pub outcome: OutcomeClass,
+}
+
+impl ClusterKey<'_> {
+    /// The key with its stack owned, to keep past the result it came from.
+    pub fn into_owned(self) -> ClusterKey<'static> {
+        ClusterKey { function: self.function, stack: Cow::Owned(self.stack.into_owned()), outcome: self.outcome }
+    }
+}
+
+/// One cluster of deduplicated non-success outcomes, keyed by
+/// [`ClusterKey`] — the unit the paper's "pinpoint bugs or weak spots"
+/// reporting works in.  Every further outcome with the same key only bumps
+/// `count`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashCluster {
     /// The function whose injected fault produced the outcome.
@@ -86,6 +110,11 @@ impl CrashCluster {
     /// True when the cluster is a signal death (not just a non-zero exit).
     pub fn is_crash(&self) -> bool {
         self.outcome.is_crash()
+    }
+
+    /// The cluster's key, borrowing its stack.
+    pub fn key(&self) -> ClusterKey<'_> {
+        ClusterKey { function: self.function, stack: Cow::Borrowed(&self.stack), outcome: self.outcome }
     }
 }
 
@@ -125,6 +154,16 @@ impl CellResult {
             stack: outcome.log.injections.first().map(|r| r.stack.clone()).unwrap_or_default(),
         }
     }
+
+    /// The cluster `cell`'s result joins, borrowing the result's stack;
+    /// `None` for a success, which joins no cluster.
+    pub fn cluster_key(&self, cell: FaultCell) -> Option<ClusterKey<'_>> {
+        (self.outcome != OutcomeClass::Success).then(|| ClusterKey {
+            function: cell.function,
+            stack: Cow::Borrowed(&self.stack),
+            outcome: self.outcome,
+        })
+    }
 }
 
 /// Bits of the change mask [`FaultLedger::apply`] returns.
@@ -138,29 +177,23 @@ pub mod change {
 
 /// The cluster order: function name, then stack frame names, then outcome
 /// class — process-independent, like [`FaultCell::sort_key`].
-fn cluster_order(cluster: &CrashCluster, function: Symbol, stack: &[Symbol], outcome: OutcomeClass) -> Ordering {
-    cluster
-        .function
+fn cluster_order(a: &ClusterKey, b: &ClusterKey) -> Ordering {
+    a.function
         .as_str()
-        .cmp(function.as_str())
-        .then_with(|| cluster.stack.iter().map(|s| s.as_str()).cmp(stack.iter().map(|s| s.as_str())))
-        .then_with(|| cluster.outcome.cmp(&outcome))
+        .cmp(b.function.as_str())
+        .then_with(|| a.stack.iter().map(|s| s.as_str()).cmp(b.stack.iter().map(|s| s.as_str())))
+        .then_with(|| a.outcome.cmp(&b.outcome))
 }
 
-/// Where the cluster keyed (`function`, `stack`, `outcome`) sits in a
-/// key-ordered cluster list: `Ok` at its index, `Err` where it belongs.
-pub(crate) fn cluster_slot(
-    clusters: &[CrashCluster],
-    function: Symbol,
-    stack: &[Symbol],
-    outcome: OutcomeClass,
-) -> Result<usize, usize> {
-    clusters.binary_search_by(|c| cluster_order(c, function, stack, outcome))
+/// Where the cluster keyed `key` sits in a key-ordered cluster list: `Ok`
+/// at its index, `Err` where it belongs.
+pub(crate) fn cluster_slot(clusters: &[CrashCluster], key: &ClusterKey) -> Result<usize, usize> {
+    clusters.binary_search_by(|c| cluster_order(&c.key(), key))
 }
 
 /// Puts clusters in key order (a no-op on lists this crate wrote).
 pub(crate) fn sort_clusters(clusters: &mut [CrashCluster]) {
-    clusters.sort_by(|a, b| cluster_order(a, b.function, &b.stack, b.outcome));
+    clusters.sort_by(|a, b| cluster_order(&a.key(), &b.key()));
 }
 
 /// The executed cells of a fault space and what they produced: the
@@ -232,12 +265,15 @@ impl FaultLedger {
         if result.injections > 0 {
             coverage.triggered.insert((cell.call_ordinal, cell.retval, cell.errno));
         }
-        match result.outcome {
-            OutcomeClass::Success => return change::EXECUTED,
-            OutcomeClass::Crash(_) => self.crashes += 1,
-            OutcomeClass::Failure(_) => self.failures += 1,
+        let Some(key) = result.cluster_key(cell) else {
+            return change::EXECUTED;
+        };
+        if key.outcome.is_crash() {
+            self.crashes += 1;
+        } else {
+            self.failures += 1;
         }
-        match cluster_slot(&self.clusters, cell.function, &result.stack, result.outcome) {
+        match cluster_slot(&self.clusters, &key) {
             Ok(index) => {
                 let cluster = &mut self.clusters[index];
                 cluster.count += 1;
@@ -249,9 +285,9 @@ impl FaultLedger {
             Err(index) => self.clusters.insert(
                 index,
                 CrashCluster {
-                    function: cell.function,
-                    stack: result.stack.clone(),
-                    outcome: result.outcome,
+                    function: key.function,
+                    stack: key.stack.into_owned(),
+                    outcome: key.outcome,
                     count: 1,
                     example: cell,
                     example_case: cell.case_name(),
@@ -330,7 +366,7 @@ pub struct LedgerMarks {
     /// Functions whose coverage entry mutated in the span.
     coverage: HashSet<Symbol>,
     /// Keys of the clusters created or bumped in the span.
-    clusters: HashSet<(Symbol, Vec<Symbol>, OutcomeClass)>,
+    clusters: HashSet<ClusterKey<'static>>,
 }
 
 impl LedgerMarks {
@@ -341,8 +377,8 @@ impl LedgerMarks {
             self.executed.push(cell);
             self.coverage.insert(cell.function);
         }
-        if changed & change::CLUSTER != 0 {
-            self.clusters.insert((cell.function, result.stack.clone(), result.outcome));
+        if let Some(key) = result.cluster_key(cell).filter(|_| changed & change::CLUSTER != 0) {
+            self.clusters.insert(key.into_owned());
         }
     }
 
@@ -368,11 +404,8 @@ impl LedgerMarks {
             .filter_map(|symbol| ledger.coverage(symbol).map(|c| (symbol, c.clone())))
             .collect();
         coverage.sort_by_key(|(s, _)| s.as_str());
-        let touched: BTreeSet<usize> = self
-            .clusters
-            .iter()
-            .filter_map(|(function, stack, outcome)| cluster_slot(&ledger.clusters, *function, stack, *outcome).ok())
-            .collect();
+        let touched: BTreeSet<usize> =
+            self.clusters.iter().filter_map(|key| cluster_slot(&ledger.clusters, key).ok()).collect();
         ExplorationDelta {
             crash_found: ledger.crashes > 0,
             cases_executed: ledger.cases,
@@ -475,6 +508,6 @@ mod tests {
         assert_eq!(FaultLedger::from_store(&store), ledger);
         let read = ledger.coverage(Symbol::intern("read")).unwrap();
         assert_eq!((read.observed_calls, read.triggered.len()), (4, 1));
-        assert_eq!(cluster_slot(ledger.clusters(), Symbol::intern("read"), &[], OutcomeClass::Failure(1)), Ok(0));
+        assert_eq!(cluster_slot(ledger.clusters(), &failed(&[]).cluster_key(cell(6, 5)).unwrap()), Ok(0));
     }
 }

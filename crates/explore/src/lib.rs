@@ -61,5 +61,7 @@ pub use delta::ExplorationDelta;
 pub use explorer::{
     CoverageSummary, ExplorationReport, Explorer, FrontierCell, DEFAULT_BATCH_SIZE, ESCALATED, PROBE_CASE_NAME,
 };
-pub use ledger::{change, CellResult, CrashCluster, FaultLedger, FunctionCoverage, LedgerMarks, OutcomeClass};
+pub use ledger::{
+    change, CellResult, ClusterKey, CrashCluster, FaultLedger, FunctionCoverage, LedgerMarks, OutcomeClass,
+};
 pub use store::ExplorationStore;

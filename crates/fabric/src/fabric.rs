@@ -11,7 +11,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lfi_controller::{Campaign, CaseEvent, ExecutionPolicy, TestCase, Workload, WorkloadRegistry};
+use lfi_controller::{Campaign, CaseEvent, ExecutionPolicy, SkipReason, TestCase, Workload, WorkloadRegistry};
 use lfi_explore::{CellResult, ExplorationStore};
 use lfi_scenario::Plan;
 use lfi_store::{Journal, Record, StoreError};
@@ -652,12 +652,16 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
                     case: outcome.name,
                     outcome: cell_result.outcome,
                     injections: cell_result.injections as usize,
+                    stack: cell_result.stack.clone(),
                 });
                 result.outcomes.push((cells[index], cell_result));
             }
-            CaseEvent::Skipped { index, name, .. } => {
+            CaseEvent::Skipped { index, name, reason } => {
                 result.events.push(JobEventKind::Skipped { case: name });
-                result.skipped.push(cells[index]);
+                match reason {
+                    SkipReason::Unhealthy => result.unhealthy.push(cells[index]),
+                    SkipReason::Cancelled | SkipReason::CrashHalt => result.skipped.push(cells[index]),
+                }
             }
         }
     }

@@ -6,6 +6,7 @@ use std::fmt;
 
 use lfi_controller::ProgressSnapshot;
 use lfi_explore::{CrashCluster, OutcomeClass};
+use lfi_intern::Symbol;
 use lfi_scenario::Plan;
 
 /// Identifier of a submitted job, unique within one fabric (ids are handed
@@ -177,9 +178,16 @@ pub struct JobEvent {
     pub kind: JobEventKind,
 }
 
-/// What a [`JobEvent`] reports.  Case-level kinds are re-keyed by case
-/// *name* (cell-derived, stable across lease re-issues) instead of the
-/// within-lease indices [`CaseEvent`](lfi_controller::CaseEvent) uses.
+/// What a [`JobEvent`] reports.  Case-level kinds are keyed by case *name*
+/// instead of the within-lease indices
+/// [`CaseEvent`](lfi_controller::CaseEvent) uses.  The name is the cell's
+/// [`FaultCell::case_name`](lfi_scenario::FaultCell::case_name), stable
+/// across lease re-issues, and
+/// [`FaultCell::parse`](lfi_scenario::FaultCell::parse) recovers the cell
+/// from it.  A `Finished` event with its parsed cell carries what the job's
+/// [`FaultLedger`](lfi_explore::FaultLedger) folds for the case (every
+/// [`CellResult`](lfi_explore::CellResult) field but the observed calls),
+/// so a monitor keys the case's cluster as the job's report does.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobEventKind {
     /// The job changed lifecycle state.
@@ -209,10 +217,14 @@ pub enum JobEventKind {
         outcome: OutcomeClass,
         /// Injections performed during the case.
         injections: usize,
+        /// The call stack of the case's first injection, innermost frame
+        /// last (empty when none fired).
+        stack: Vec<Symbol>,
     },
-    /// A case inside a lease was skipped (job cancelled or crash-halted
-    /// mid-lease); its cell returns to the frontier unless the job is
-    /// terminal.
+    /// A case inside a lease was skipped.  A cell the job's cancel or crash
+    /// halt stopped mid-lease returns to the frontier unless the job is
+    /// terminal; a cell whose case the workload's health check vetoed is
+    /// skipped for good.
     Skipped {
         /// Cell-derived case name.
         case: String,

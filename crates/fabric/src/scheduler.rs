@@ -80,7 +80,11 @@ pub(crate) struct LeaseAssignment {
 pub(crate) struct LeaseResult {
     pub events: Vec<JobEventKind>,
     pub outcomes: Vec<(FaultCell, CellResult)>,
+    /// Cells cancelled or crash-halted before they ran.
     pub skipped: Vec<FaultCell>,
+    /// Cells whose case the workload's health check vetoed: a rerun would
+    /// be vetoed alike, so they are skipped for good.
+    pub unhealthy: Vec<FaultCell>,
 }
 
 /// A lease that has been issued but not acked.
@@ -181,8 +185,8 @@ impl JobRecord {
     /// The deficit without the issue-time charges of outstanding leases:
     /// what the job has been measured to use.
     fn settled_deficit(&self) -> u64 {
-        let in_flight: u64 = self.outstanding.values().map(|lease| lease.charge_ns).sum();
-        self.charged_ns.saturating_sub(in_flight) / self.weight()
+        let on_lease: u64 = self.outstanding.values().map(|lease| lease.charge_ns).sum();
+        self.charged_ns.saturating_sub(on_lease) / self.weight()
     }
 
     /// Lifts the job's virtual time to at least `floor` (admission into, or
@@ -405,8 +409,9 @@ impl Scheduler {
 
     /// Acks a lease that kept a worker `busy` for that long: trues the
     /// lease's charge up to `busy` and re-estimates the job's per-cell cost,
-    /// folds its outcomes in, requeues its skipped cells, and completes the
-    /// job if this was the last outstanding work.  A stale ack — the lease
+    /// folds its outcomes in, requeues its skipped cells (a vetoed cell is
+    /// skipped for good), and completes the job if this was the last
+    /// outstanding work.  A stale ack — the lease
     /// already expired and was re-issued — is discarded wholesale (returns
     /// `false`), which is what makes re-execution safe: only the ack that
     /// still holds the lease counts.
@@ -431,6 +436,7 @@ impl Scheduler {
             let changed = record.ledger.apply(cell, &outcome);
             record.marks.ledger.mark(cell, &outcome, changed);
         }
+        result.unhealthy.into_iter().for_each(|cell| record.skip(cell));
         let mut requeued = Vec::new();
         if record.state == JobState::Cancelled || record.state == JobState::Failed {
             result.skipped.into_iter().for_each(|cell| record.skip(cell));
@@ -721,7 +727,7 @@ mod tests {
                     )
                 })
                 .collect(),
-            skipped: Vec::new(),
+            ..LeaseResult::default()
         }
     }
 
@@ -1175,6 +1181,7 @@ mod tests {
                             events: Vec::new(),
                             outcomes: cells[..ran].iter().map(|cell| (*cell, drawn_outcome(cell, salt))).collect(),
                             skipped: cells[ran..].to_vec(),
+                            ..LeaseResult::default()
                         };
                         prop_assert!(sched.ack(job, lease, result, busy(&cells)));
                         returned.push((lease, cells));

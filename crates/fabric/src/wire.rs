@@ -17,6 +17,7 @@
 use std::fmt;
 
 use lfi_explore::OutcomeClass;
+use lfi_intern::Symbol;
 
 use crate::job::{JobEvent, JobEventKind, JobId, JobSnapshot, JobSpec, JobState};
 use lfi_scenario::Plan;
@@ -398,8 +399,15 @@ fn encode_event(event: &JobEvent) -> String {
             retval.map_or_else(|| "x".into(), |v| v.to_string()),
             errno.map_or_else(|| "x".into(), |v| v.to_string()),
         ),
-        JobEventKind::Finished { case, outcome, injections } => {
-            format!("{},finished,{},{},{injections}", event.seq, escape(case), escape(&outcome.to_string()))
+        JobEventKind::Finished { case, outcome, injections, stack } => {
+            let frames: Vec<String> = stack.iter().map(|frame| escape(frame.as_str())).collect();
+            format!(
+                "{},finished,{},{},{injections},{}",
+                event.seq,
+                escape(case),
+                escape(&outcome.to_string()),
+                frames.join(":")
+            )
         }
         JobEventKind::Skipped { case } => format!("{},skipped,{}", event.seq, escape(case)),
         JobEventKind::Requeued { cells } => format!("{},requeued,{cells}", event.seq),
@@ -442,6 +450,15 @@ fn decode_event(text: &str) -> Result<JobEvent, WireError> {
                 outcome: OutcomeClass::parse(&outcome_text)
                     .ok_or_else(|| WireError::malformed(format!("unknown outcome class {outcome_text:?}")))?,
                 injections: number("injections", arg(4)?)?,
+                // A trailing field: lines from encoders that predate it
+                // decode with an empty stack.
+                stack: match parts.get(5) {
+                    Some(frames) if !frames.is_empty() => frames
+                        .split(':')
+                        .map(|frame| unescape(frame).map(|frame| Symbol::intern(&frame)))
+                        .collect::<Result<_, _>>()?,
+                    _ => Vec::new(),
+                },
             }
         }
         "skipped" => JobEventKind::Skipped { case: unescape(arg(2)?)? },
@@ -691,6 +708,7 @@ mod tests {
                             case: "write-c2-r-1-e4".into(),
                             outcome: OutcomeClass::Crash(Signal::Abort),
                             injections: 1,
+                            stack: vec![Symbol::intern("flush"), Symbol::intern("write")],
                         },
                     },
                     JobEvent { seq: 4, kind: JobEventKind::Skipped { case: "write-c3-r-1-e4".into() } },
@@ -707,7 +725,12 @@ mod tests {
             let line = response.encode();
             assert!(!line.contains('\n'));
             assert_eq!(Response::parse(&line).unwrap(), response, "{line}");
-        }
+        } // A `finished` line from before the stack field has an empty stack.
+        let older = Response::parse("events job=1 next=1 list=0,finished,read-c1-r-1,exit%3A1,0").unwrap();
+        let Response::Events { events, .. } = older else {
+            panic!("{older:?}")
+        };
+        assert!(matches!(&events[0].kind, JobEventKind::Finished { stack, .. } if stack.is_empty()));
     }
 
     #[test]

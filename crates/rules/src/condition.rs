@@ -448,35 +448,33 @@ impl fmt::Display for Condition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::planned_cell;
     use lfi_controller::{InjectionRecord, TestLog, TestOutcome};
+    use lfi_explore::CellResult;
     use lfi_runtime::{ExitStatus, Signal};
     use lfi_scenario::Plan;
 
     fn crash(state: &mut CampaignState, index: usize, function: &str) {
-        state.fold_started(index, "case");
-        state.fold_injection(
-            index,
-            &InjectionRecord {
-                function: Symbol::intern(function),
-                call_number: index as u64 + 1,
-                retval: Some(-1),
-                errno: Some(5),
-                side_effects: Vec::new(),
-                call_original: false,
-                stack: Vec::new(),
-            },
-        );
-        state.fold_outcome(
-            index,
-            &TestOutcome {
-                name: "case".into(),
-                status: ExitStatus::Crashed(Signal::Segv),
-                log: TestLog::default(),
-                replay: Plan::default(),
-                calls: Vec::new(),
-                calls_dropped: 0,
-            },
-        );
+        let record = InjectionRecord {
+            function: Symbol::intern(function),
+            call_number: index as u64 + 1,
+            retval: Some(-1),
+            errno: Some(5),
+            side_effects: Vec::new(),
+            call_original: false,
+            stack: Vec::new(),
+        };
+        state.fold_started();
+        state.fold_injection(record.function);
+        let outcome = TestOutcome {
+            name: "case".into(),
+            status: ExitStatus::Crashed(Signal::Segv),
+            log: TestLog { injections: vec![record], ..TestLog::default() },
+            replay: Plan::default(),
+            calls: Vec::new(),
+            calls_dropped: 0,
+        };
+        state.fold_finished(planned_cell(&outcome), &CellResult::of(&outcome));
     }
 
     #[test]

@@ -25,7 +25,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use lfi_controller::{CaseEvent, InjectionRecord, TestOutcome};
+use lfi_controller::{CaseEvent, TestOutcome};
+use lfi_explore::CellResult;
 use lfi_intern::Symbol;
 use lfi_scenario::FaultCell;
 
@@ -323,6 +324,20 @@ enum Firing {
     },
 }
 
+/// The cell a finished case ran: the one its name renders
+/// ([`FaultCell::parse`]), else the coordinates of its first injection,
+/// else `None`.
+pub(crate) fn planned_cell(outcome: &TestOutcome) -> Option<FaultCell> {
+    FaultCell::parse(&outcome.name).or_else(|| {
+        outcome.log.injections.first().map(|record| FaultCell {
+            function: record.function,
+            call_ordinal: record.call_number,
+            retval: record.retval.unwrap_or(0),
+            errno: record.errno,
+        })
+    })
+}
+
 /// True when the action list contains [`Action::Cancel`] — the sweep stops
 /// evaluating at the same point the emitted Cancel will freeze the engine.
 fn cancels(actions: &[Action]) -> bool {
@@ -386,7 +401,10 @@ impl RuleEngine {
         }
     }
 
-    /// Folds one [`CaseEvent`], returning the decisions it triggered.
+    /// Folds one [`CaseEvent`], returning the decisions it triggered.  An
+    /// `Outcome` folds as [`RuleEngine::finished`] with the case's planned
+    /// cell and its [`CellResult`], the inputs the
+    /// [`FaultLedger`](lfi_explore::FaultLedger) folds.
     ///
     /// A `Skipped` event folds as pure bookkeeping.  A driver whose skipped
     /// cases are not part of the campaign's record (a
@@ -394,46 +412,40 @@ impl RuleEngine {
     /// frontier) simply does not pass them in.
     pub fn observe(&mut self, event: &CaseEvent) -> &[Decision] {
         match event {
-            CaseEvent::Started { index, name } => self.case_started(*index, name),
-            CaseEvent::Injection { index, record } => self.injection(*index, record),
-            CaseEvent::Outcome { index, outcome } => self.outcome(*index, outcome),
-            CaseEvent::Skipped { index, name, .. } => self.skip(*index, name),
+            CaseEvent::Started { .. } => self.started(),
+            CaseEvent::Injection { record, .. } => self.injection(record.function),
+            CaseEvent::Outcome { outcome, .. } => self.finished(planned_cell(outcome), &CellResult::of(outcome)),
+            CaseEvent::Skipped { .. } => self.skipped(),
         }
     }
 
-    /// Folds a case-start event.
-    pub fn case_started(&mut self, index: usize, name: &str) -> &[Decision] {
-        if self.halted {
-            return &[];
-        }
-        let changed = self.state.fold_started(index, name);
-        self.evaluate(changed)
+    /// Folds a case start.
+    pub fn started(&mut self) -> &[Decision] {
+        self.fold(CampaignState::fold_started)
     }
 
-    /// Folds an injection event.
-    pub fn injection(&mut self, index: usize, record: &InjectionRecord) -> &[Decision] {
-        if self.halted {
-            return &[];
-        }
-        let changed = self.state.fold_injection(index, record);
-        self.evaluate(changed)
+    /// Folds an injection into `function`.
+    pub fn injection(&mut self, function: Symbol) -> &[Decision] {
+        self.fold(|state| state.fold_injection(function))
     }
 
-    /// Folds an outcome event.
-    pub fn outcome(&mut self, index: usize, outcome: &TestOutcome) -> &[Decision] {
-        if self.halted {
-            return &[];
-        }
-        let changed = self.state.fold_outcome(index, outcome);
-        self.evaluate(changed)
+    /// Folds a finished case: its cell (`None` when unknown) and result.
+    pub fn finished(&mut self, cell: Option<FaultCell>, result: &CellResult) -> &[Decision] {
+        self.fold(|state| state.fold_finished(cell, result))
     }
 
-    /// Folds a skip event.
-    pub fn skip(&mut self, index: usize, name: &str) -> &[Decision] {
+    /// Folds a skipped case.
+    pub fn skipped(&mut self) -> &[Decision] {
+        self.fold(CampaignState::fold_skipped)
+    }
+
+    /// Folds one event into the state unless the engine is halted, then
+    /// evaluates.
+    fn fold(&mut self, fold: impl FnOnce(&mut CampaignState) -> u16) -> &[Decision] {
         if self.halted {
             return &[];
         }
-        let changed = self.state.fold_skipped(index, name);
+        let changed = fold(&mut self.state);
         self.evaluate(changed)
     }
 
@@ -819,7 +831,7 @@ mod tests {
     use super::*;
     use crate::condition::{Cmp, Metric};
     use crate::machine::{CircuitBreaker, BREAKER_CLOSED, BREAKER_OPEN};
-    use lfi_controller::TestLog;
+    use lfi_controller::{InjectionRecord, TestLog};
     use lfi_runtime::{ExitStatus, Signal};
     use lfi_scenario::Plan;
 
@@ -835,21 +847,26 @@ mod tests {
         }
     }
 
-    fn outcome(status: ExitStatus) -> TestOutcome {
+    fn outcome(status: ExitStatus, injections: Vec<InjectionRecord>) -> TestOutcome {
         TestOutcome {
             name: "case".into(),
             status,
-            log: TestLog::default(),
+            log: TestLog { injections, ..TestLog::default() },
             replay: Plan::default(),
             calls: Vec::new(),
             calls_dropped: 0,
         }
     }
 
-    fn crash_case(engine: &mut RuleEngine, index: usize, function: &str, signal: Signal) {
-        engine.case_started(index, "case");
-        engine.injection(index, &record(function, 1, 5));
-        engine.outcome(index, &outcome(ExitStatus::Crashed(signal)));
+    fn finish(engine: &mut RuleEngine, outcome: &TestOutcome) {
+        engine.finished(planned_cell(outcome), &CellResult::of(outcome));
+    }
+
+    fn crash_case(engine: &mut RuleEngine, function: &str, signal: Signal) {
+        let record = record(function, 1, 5);
+        engine.started();
+        engine.injection(record.function);
+        finish(engine, &outcome(ExitStatus::Crashed(signal), vec![record]));
     }
 
     #[test]
@@ -863,9 +880,9 @@ mod tests {
             .once(),
         );
         let mut engine = RuleEngine::new(set);
-        crash_case(&mut engine, 0, "read", Signal::Segv);
-        crash_case(&mut engine, 1, "read", Signal::Segv);
-        crash_case(&mut engine, 2, "write", Signal::Abort);
+        crash_case(&mut engine, "read", Signal::Segv);
+        crash_case(&mut engine, "read", Signal::Segv);
+        crash_case(&mut engine, "write", Signal::Abort);
 
         let escalations: Vec<_> = engine.decisions().iter().filter(|d| d.action == Action::EscalateSiblings).collect();
         assert_eq!(escalations.len(), 2, "{}", engine.decision_log());
@@ -890,13 +907,13 @@ mod tests {
             )
             .rule(Rule::global("stop", Condition::at_least(Metric::Crashes, 2.0), [Action::Cancel]));
         let mut engine = RuleEngine::new(set);
-        crash_case(&mut engine, 0, "read", Signal::Segv);
+        crash_case(&mut engine, "read", Signal::Segv);
         assert!(!engine.halted());
-        crash_case(&mut engine, 1, "read", Signal::Segv);
+        crash_case(&mut engine, "read", Signal::Segv);
         assert!(engine.halted());
         let log_at_cancel = engine.decision_log();
         // Frozen: later events change nothing.
-        crash_case(&mut engine, 2, "read", Signal::Segv);
+        crash_case(&mut engine, "read", Signal::Segv);
         assert_eq!(engine.decision_log(), log_at_cancel);
         assert_eq!(engine.state().cases_finished, 2);
         // Cooldown 2: with 6 events folded, "tick" fired on events 1 and 4.
@@ -908,14 +925,14 @@ mod tests {
     fn breaker_trips_on_distinct_crash_clusters_and_mutes() {
         let set = RuleSet::new().machine(CircuitBreaker::tripping_after(2).cooldown(1000));
         let mut engine = RuleEngine::new(set);
-        crash_case(&mut engine, 0, "close", Signal::Segv);
+        crash_case(&mut engine, "close", Signal::Segv);
         assert_eq!(engine.machine_state("circuit-breaker", "close"), Some(BREAKER_CLOSED));
         assert!(!engine.is_muted("close"));
         // Same (symbol, stack, class) → same cluster → still closed.
-        crash_case(&mut engine, 1, "close", Signal::Segv);
+        crash_case(&mut engine, "close", Signal::Segv);
         assert_eq!(engine.machine_state("circuit-breaker", "close"), Some(BREAKER_CLOSED));
         // A second distinct cluster (different signal) trips it.
-        crash_case(&mut engine, 2, "close", Signal::Abort);
+        crash_case(&mut engine, "close", Signal::Abort);
         assert_eq!(engine.machine_state("circuit-breaker", "close"), Some(BREAKER_OPEN));
         assert!(engine.is_muted("close"));
         assert_eq!(engine.sink().counter("breaker/tripped", &[("symbol", "close")]), Some(1.0));
@@ -939,9 +956,9 @@ mod tests {
         };
         let run = || {
             let mut engine = RuleEngine::new(build());
-            crash_case(&mut engine, 0, "close", Signal::Segv);
-            crash_case(&mut engine, 1, "read", Signal::Abort);
-            crash_case(&mut engine, 2, "close", Signal::Abort);
+            crash_case(&mut engine, "close", Signal::Segv);
+            crash_case(&mut engine, "read", Signal::Abort);
+            crash_case(&mut engine, "close", Signal::Abort);
             engine.export_vitals();
             (engine.decision_log(), engine.sink().to_ndjson())
         };
@@ -967,9 +984,9 @@ mod tests {
             ),
         );
         let mut engine = RuleEngine::new(set);
-        crash_case(&mut engine, 0, "read", Signal::Segv);
+        crash_case(&mut engine, "read", Signal::Segv);
         assert_eq!(engine.machine_state("chain", "read"), Some("B"));
-        engine.case_started(1, "case");
+        engine.started();
         assert_eq!(engine.machine_state("chain", "read"), Some("C"), "{}", engine.decision_log());
         assert_eq!(engine.decisions()[0].event_seq, 4);
     }
@@ -984,10 +1001,11 @@ mod tests {
                 .transition("B", "C", Condition::Always, [Action::EmitMetric { name: "relayed".into(), value: 1.0 }]),
         );
         let mut engine = RuleEngine::new(set);
-        engine.case_started(0, "case");
-        engine.injection(0, &record("read", 1, 5));
+        let read = record("read", 1, 5);
+        engine.started();
+        engine.injection(read.function);
         assert_eq!(engine.machine_state("relay", "read"), Some("B"));
-        engine.outcome(0, &outcome(ExitStatus::Exited(0)));
+        finish(&mut engine, &outcome(ExitStatus::Exited(0), vec![read]));
         assert_eq!(engine.machine_state("relay", "read"), Some("C"), "{}", engine.decision_log());
         let log = engine.decision_log();
         assert!(log.contains("evt=3 src=machine/relay:B->C sym=read"), "{log}");
@@ -999,9 +1017,9 @@ mod tests {
             Rule::global("pause-on-crash", Condition::threshold(Metric::Crashes, Cmp::Ge, 1.0), [Action::Pause]).once(),
         );
         let mut engine = RuleEngine::new(set);
-        crash_case(&mut engine, 0, "read", Signal::Segv);
+        crash_case(&mut engine, "read", Signal::Segv);
         assert!(engine.paused() && !engine.halted());
-        crash_case(&mut engine, 1, "read", Signal::Segv);
+        crash_case(&mut engine, "read", Signal::Segv);
         assert_eq!(engine.state().cases_finished, 2);
         engine.clear_pause();
         assert!(!engine.paused());

@@ -1,117 +1,45 @@
 //! Closed-loop control over fabric jobs: a [`JobMonitor`] polls a job's
-//! event stream through the same `events`/`status` verbs the wire protocol
-//! exposes, feeds a [`RuleEngine`], and applies `Pause`/`Cancel` decisions
-//! through the job controls.
-//!
-//! The [`JobControl`] trait abstracts the two control surfaces — an
-//! in-process [`FabricHandle`] and a TCP [`FabricClient`] — so the same
-//! monitor drives a local fleet or a remote campaign service.
+//! event stream through a [`FabricClient`] — the wire protocol's `events`
+//! and `status` verbs — feeds a [`RuleEngine`], and applies `Pause`/`Cancel`
+//! decisions through the client's job controls.  The same monitor drives a
+//! local fleet ([`FabricHandle::connect`](lfi_fabric::FabricHandle::connect))
+//! or a remote campaign service ([`FabricClient::tcp`]).
 
-use std::collections::HashMap;
-
-use lfi_controller::{InjectionRecord, TestLog, TestOutcome};
-use lfi_explore::OutcomeClass;
-use lfi_fabric::{FabricClient, FabricHandle, JobEvent, JobEventKind, JobId, JobSnapshot, JobState};
+use lfi_explore::CellResult;
+use lfi_fabric::{FabricClient, JobEvent, JobEventKind, JobId};
 use lfi_intern::Symbol;
-use lfi_runtime::ExitStatus;
-use lfi_scenario::Plan;
+use lfi_scenario::FaultCell;
 
 use crate::engine::{Action, Decision, RuleEngine, RuleSet};
 
-/// The slice of job control a [`JobMonitor`] needs: the `events` and
-/// `status` read verbs plus the `pause`/`cancel` controls.  Implemented
-/// for [`FabricHandle`] (in-process) and [`FabricClient`] (wire); all
-/// methods return `None`/`false` for unknown jobs or transport errors, so
-/// a monitor degrades to read-nothing/apply-nothing instead of panicking.
-pub trait JobControl {
-    /// Events with `seq > after`, bounded by `max`; returns the next
-    /// cursor and the page.
-    fn job_events(&mut self, job: JobId, after: u64, max: usize) -> Option<(u64, Vec<JobEvent>)>;
-
-    /// A point-in-time snapshot of the job.
-    fn job_status(&mut self, job: JobId) -> Option<JobSnapshot>;
-
-    /// Pauses the job; `true` when the transition was applied.
-    fn pause_job(&mut self, job: JobId) -> bool;
-
-    /// Resumes a paused job; `true` when the transition was applied.
-    fn resume_job(&mut self, job: JobId) -> bool;
-
-    /// Cancels the job; `true` when the transition was applied.
-    fn cancel_job(&mut self, job: JobId) -> bool;
-}
-
-impl JobControl for FabricHandle {
-    fn job_events(&mut self, job: JobId, after: u64, max: usize) -> Option<(u64, Vec<JobEvent>)> {
-        FabricHandle::events(self, job, after, max)
-    }
-
-    fn job_status(&mut self, job: JobId) -> Option<JobSnapshot> {
-        FabricHandle::status(self, job)
-    }
-
-    fn pause_job(&mut self, job: JobId) -> bool {
-        FabricHandle::pause(self, job) == Some(JobState::Paused)
-    }
-
-    fn resume_job(&mut self, job: JobId) -> bool {
-        matches!(FabricHandle::resume(self, job), Some(JobState::Running | JobState::Queued))
-    }
-
-    fn cancel_job(&mut self, job: JobId) -> bool {
-        FabricHandle::cancel(self, job) == Some(JobState::Cancelled)
-    }
-}
-
-impl JobControl for FabricClient {
-    fn job_events(&mut self, job: JobId, after: u64, max: usize) -> Option<(u64, Vec<JobEvent>)> {
-        FabricClient::events(self, job, after, max).ok()
-    }
-
-    fn job_status(&mut self, job: JobId) -> Option<JobSnapshot> {
-        FabricClient::status(self, job).ok()
-    }
-
-    fn pause_job(&mut self, job: JobId) -> bool {
-        FabricClient::pause(self, job).ok() == Some(JobState::Paused)
-    }
-
-    fn resume_job(&mut self, job: JobId) -> bool {
-        matches!(FabricClient::resume(self, job).ok(), Some(JobState::Running | JobState::Queued))
-    }
-
-    fn cancel_job(&mut self, job: JobId) -> bool {
-        FabricClient::cancel(self, job).ok() == Some(JobState::Cancelled)
-    }
-}
-
 /// Drives a per-job [`RuleEngine`] from a fabric job's event stream.
 ///
-/// [`JobMonitor::poll`] pulls the next page of events after the cursor,
-/// folds each into the engine (wire events are re-keyed by case name; the
-/// monitor assigns dense indices and synthesizes the injection records the
-/// engine's state fold expects), then applies any `Pause`/`Cancel`
-/// decisions through the [`JobControl`] and refreshes the `job/*` status
-/// gauges in the engine's sink.
+/// [`JobMonitor::poll`] pulls the next page of events after the cursor and
+/// folds each into the engine.  A `Finished` event folds the cell its case
+/// name parses to ([`FaultCell::parse`]) with the [`CellResult`] the event
+/// carries, so the engine keys clusters as the job's
+/// [`FaultLedger`](lfi_explore::FaultLedger) does.  The monitor then applies
+/// any `Pause`/`Cancel` decisions through the client and refreshes the
+/// `job/*` status gauges in the engine's sink.  Transport errors read as an
+/// empty page, so a monitor degrades to read-nothing/apply-nothing instead
+/// of panicking.
 ///
 /// Determinism note: the job event stream is already serialized (dense
 /// `seq`), so rule evaluation order is exact regardless of poll timing —
 /// polling more or less often changes *when* decisions apply, never *what*
 /// the decision log contains up to a given event seq.
 #[derive(Debug)]
-pub struct JobMonitor<C: JobControl> {
-    control: C,
+pub struct JobMonitor {
+    client: FabricClient,
     job: JobId,
     cursor: u64,
     engine: RuleEngine,
-    /// Dense case indices for the name-keyed wire events.
-    case_index: HashMap<String, usize>,
 }
 
-impl<C: JobControl> JobMonitor<C> {
-    /// Monitors `job` through `control`, evaluating `set`.
-    pub fn new(control: C, job: JobId, set: RuleSet) -> Self {
-        JobMonitor { control, job, cursor: 0, engine: RuleEngine::new(set), case_index: HashMap::new() }
+impl JobMonitor {
+    /// Monitors `job` through `client`, evaluating `set`.
+    pub fn new(client: FabricClient, job: JobId, set: RuleSet) -> Self {
+        JobMonitor { client, job, cursor: 0, engine: RuleEngine::new(set) }
     }
 
     /// The monitored job.
@@ -135,16 +63,11 @@ impl<C: JobControl> JobMonitor<C> {
         &mut self.engine
     }
 
-    /// Releases the control handle.
-    pub fn into_control(self) -> C {
-        self.control
-    }
-
     /// Pulls up to `max` events, folds them, applies control decisions,
     /// and refreshes status gauges.  Returns how many events were folded;
     /// `0` means the cursor is at the stream head (or the job is unknown).
     pub fn poll(&mut self, max: usize) -> usize {
-        let Some((next, events)) = self.control.job_events(self.job, self.cursor, max) else {
+        let Ok((next, events)) = self.client.events(self.job, self.cursor, max) else {
             return 0;
         };
         self.cursor = next;
@@ -154,18 +77,19 @@ impl<C: JobControl> JobMonitor<C> {
             self.fold(event);
         }
         let new: Vec<Decision> = self.engine.decisions()[before..].to_vec();
+        // A refused transition (the job already ended) changes nothing.
         for decision in &new {
             match decision.action {
                 Action::Pause => {
-                    self.control.pause_job(self.job);
+                    let _ = self.client.pause(self.job);
                 }
                 Action::Cancel => {
-                    self.control.cancel_job(self.job);
+                    let _ = self.client.cancel(self.job);
                 }
                 _ => {}
             }
         }
-        if let Some(snapshot) = self.control.job_status(self.job) {
+        if let Ok(snapshot) = self.client.status(self.job) {
             let sink = self.engine.sink_mut();
             sink.gauge("job/pending", &[], snapshot.pending as f64);
             sink.gauge("job/outstanding", &[], snapshot.outstanding as f64);
@@ -181,12 +105,6 @@ impl<C: JobControl> JobMonitor<C> {
         folded
     }
 
-    /// Index for a case name, assigned densely on first sight.
-    fn index_of(&mut self, case: &str) -> usize {
-        let next = self.case_index.len();
-        *self.case_index.entry(case.to_owned()).or_insert(next)
-    }
-
     /// Folds one wire event into the engine.
     fn fold(&mut self, event: JobEvent) {
         match event.kind {
@@ -194,48 +112,20 @@ impl<C: JobControl> JobMonitor<C> {
                 let sink = self.engine.sink_mut();
                 sink.incr("job/state_changes", &[("state", &state.to_string())], 1.0);
             }
-            JobEventKind::Started { case } => {
-                let index = self.index_of(&case);
-                self.engine.case_started(index, &case);
+            JobEventKind::Started { .. } => {
+                self.engine.started();
             }
-            JobEventKind::Injection { case, function, retval, errno } => {
-                let index = self.index_of(&case);
-                // The wire strips call ordinals and stacks; synthesize the
-                // record the state fold expects.  Cluster keys degrade to
-                // (symbol, empty stack, class) — coarser than in-process
-                // clustering but stable.
-                let record = InjectionRecord {
-                    function: Symbol::intern(&function),
-                    call_number: 1,
-                    retval,
-                    errno,
-                    side_effects: Vec::new(),
-                    call_original: retval.is_none(),
-                    stack: Vec::new(),
-                };
-                self.engine.injection(index, &record);
+            JobEventKind::Injection { function, .. } => {
+                self.engine.injection(Symbol::intern(&function));
             }
-            JobEventKind::Finished { case, outcome, injections } => {
-                let index = self.index_of(&case);
-                let status = match outcome {
-                    OutcomeClass::Success => ExitStatus::Exited(0),
-                    OutcomeClass::Failure(code) => ExitStatus::Exited(code),
-                    OutcomeClass::Crash(signal) => ExitStatus::Crashed(signal),
-                };
-                let synthesized = TestOutcome {
-                    name: case,
-                    status,
-                    log: TestLog::default(),
-                    replay: Plan::default(),
-                    calls: Vec::new(),
-                    calls_dropped: 0,
-                };
-                let _ = injections; // already folded per Injection event
-                self.engine.outcome(index, &synthesized);
+            JobEventKind::Finished { case, outcome, injections, stack } => {
+                // The fabric runs no baseline probe, so observed calls are
+                // unknown — and no cluster key reads them.
+                let result = CellResult { outcome, injections: injections as u64, observed_calls: 0, stack };
+                self.engine.finished(FaultCell::parse(&case), &result);
             }
-            JobEventKind::Skipped { case } => {
-                let index = self.index_of(&case);
-                self.engine.skip(index, &case);
+            JobEventKind::Skipped { .. } => {
+                self.engine.skipped();
             }
             JobEventKind::Requeued { cells } => {
                 self.engine.sink_mut().incr("job/requeued_cells", &[], cells as f64);

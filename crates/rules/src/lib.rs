@@ -33,13 +33,19 @@
 //! * [`MetricsSink`] — structured counter/gauge/histogram points with
 //!   labels, exported as NDJSON for the `BENCH_*.json` tooling.
 //!
-//! Drivers connect the engine to the two event sources, and both read a
-//! stream: [`ClosedLoop`] folds each [`Explorer`](lfi_explore::Explorer)
-//! batch's `CaseEvent`s as they arrive (through
-//! [`Explorer::step_with`](lfi_explore::Explorer::step_with)) and cancels
-//! the batch when a decision needs it, and [`JobMonitor`] polls a fabric
-//! job's `events`/`status` wire verbs through [`JobControl`].  Each owns
-//! its [`RuleEngine`] by value.
+//! The engine folds what the [`FaultLedger`](lfi_explore::FaultLedger)
+//! folds: a finished case is its planned [`FaultCell`](lfi_scenario::FaultCell)
+//! plus its [`CellResult`](lfi_explore::CellResult), and clusters are keyed by
+//! the ledger's [`ClusterKey`](lfi_explore::ClusterKey).  So a rule that reads
+//! `clusters` sees the counts the explorer and a fabric job report for the
+//! same cells.  Drivers connect the engine to the two event sources, and
+//! both read a stream: [`ClosedLoop`] folds each
+//! [`Explorer`](lfi_explore::Explorer) batch's `CaseEvent`s as they arrive
+//! (through [`Explorer::step_with`](lfi_explore::Explorer::step_with)) and
+//! cancels the batch when a decision needs it, and [`JobMonitor`] polls a
+//! fabric job's `events`/`status` wire verbs through a
+//! [`FabricClient`](lfi_fabric::FabricClient).  Each owns its [`RuleEngine`]
+//! by value.
 //!
 //! # Determinism contract (pinned)
 //!
@@ -68,7 +74,7 @@ pub mod state;
 pub use condition::{Cmp, Condition, EvalContext, MachineContext, Metric};
 pub use driver::ClosedLoop;
 pub use engine::{Action, Decision, Rule, RuleEngine, RuleScope, RuleSet};
-pub use fabric::{JobControl, JobMonitor};
+pub use fabric::JobMonitor;
 pub use machine::{CircuitBreaker, StateMachine, Transition, BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN};
 pub use metrics::{HistogramPoint, MetricKind, MetricPoint, MetricsSink};
 pub use state::{CampaignState, Sample, SymbolStats, HISTORY_WINDOW};

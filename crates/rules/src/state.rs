@@ -7,8 +7,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
-use lfi_controller::{InjectionRecord, TestOutcome};
-use lfi_explore::OutcomeClass;
+use lfi_explore::{CellResult, ClusterKey, OutcomeClass};
 use lfi_intern::Symbol;
 use lfi_scenario::FaultCell;
 
@@ -75,14 +74,14 @@ pub struct Sample {
     pub entropy: f64,
 }
 
-/// Per-symbol rollup, attributed from each outcome's injection log.
+/// Per-symbol rollup.
 ///
-/// A case that injected faults into several functions counts once for each
-/// distinct function; a case whose plan never fired (no injections) counts
-/// toward the global totals only.
+/// A finished case whose injection fired counts toward its cell's function;
+/// a case whose injection never fired counts toward the global totals only.
+/// Injections count toward the function they were performed on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SymbolStats {
-    /// Cases whose injection log named this symbol.
+    /// Finished cases whose cell's injection into this symbol fired.
     pub cases_finished: u64,
     /// ... of which exited 0.
     pub successes: u64,
@@ -103,15 +102,6 @@ pub struct SymbolStats {
     /// [`Action::EscalateSiblings`](crate::Action::EscalateSiblings) expand.
     pub last_crash_cell: Option<FaultCell>,
 }
-
-/// Cluster identity as the rules see it: (symbol, stack, outcome class) of
-/// the case's *last* injection, with a `None` symbol and an empty stack when
-/// no injection fired.  [`lfi_explore::FaultLedger`] keys its clusters on
-/// the *first* injection of the case's planned cell instead, so the two
-/// counts can differ.  The rules cannot reuse the ledger: they decide in
-/// the middle of a batch, before the explorer folds its outcomes, and a
-/// fabric job's wire events carry no cell and no stack.
-type ClusterKey = (Option<Symbol>, Vec<Symbol>, OutcomeClass);
 
 /// The rolling campaign vitals a rule set evaluates against.
 ///
@@ -150,13 +140,14 @@ pub struct CampaignState {
     /// Name-sorted `(symbol, dense index)` pairs — the pinned, interning-
     /// order-independent iteration order of [`CampaignState::symbols`].
     order: Vec<(Symbol, usize)>,
-    /// Deduplicated non-success cluster keys.
-    clusters: HashSet<ClusterKey>,
+    /// The keys of the clusters seen so far, keyed as the explorer's and
+    /// a fabric job's [`FaultLedger`](lfi_explore::FaultLedger) key them.
+    /// A set of keys, not a whole ledger: a plain campaign stream can
+    /// finish one cell twice with different outcomes, and the ledger folds
+    /// each cell once, so it would drop the second outcome's cluster.
+    clusters: HashSet<ClusterKey<'static>>,
     /// Crash-class subset size of `clusters` (cached count).
     crash_cluster_count: u64,
-    /// Injection records of the case currently in flight, keyed by case
-    /// index, drained when its outcome arrives.
-    in_flight: BTreeMap<usize, Vec<InjectionRecord>>,
     /// Bounded per-event history for window metrics.
     history: VecDeque<Sample>,
 }
@@ -167,28 +158,31 @@ impl CampaignState {
         Self::default()
     }
 
-    /// Folds a `Started` event; returns the [`change`] bits it moved.
-    pub fn fold_started(&mut self, _index: usize, _name: &str) -> u16 {
+    /// Folds a case start; returns the [`change`] bits it moved.
+    pub fn fold_started(&mut self) -> u16 {
         self.cases_started += 1;
         self.advance();
         change::EVENTS | change::CASES_STARTED
     }
 
-    /// Folds an `Injection` event; returns the [`change`] bits it moved.
-    pub fn fold_injection(&mut self, index: usize, record: &InjectionRecord) -> u16 {
+    /// Folds an injection into `function`; returns the [`change`] bits it
+    /// moved.
+    pub fn fold_injection(&mut self, function: Symbol) -> u16 {
         self.injections += 1;
-        let stats = self.track(record.function);
-        stats.injections += 1;
-        self.in_flight.entry(index).or_default().push(record.clone());
+        self.track(function).injections += 1;
         self.advance();
         change::EVENTS | change::INJECTIONS
     }
 
-    /// Folds an `Outcome` event; returns the [`change`] bits it moved.
-    pub fn fold_outcome(&mut self, index: usize, outcome: &TestOutcome) -> u16 {
+    /// Folds a finished case: the cell it ran (`None` when no cell is
+    /// known, as for a baseline case) and its result.  A case with a cell
+    /// joins the cluster [`CellResult::cluster_key`] names, and counts
+    /// toward the cell's function when its injection fired.  Returns the
+    /// [`change`] bits it moved.
+    pub fn fold_finished(&mut self, cell: Option<FaultCell>, result: &CellResult) -> u16 {
         let mut changed = change::EVENTS | change::CASES_FINISHED | change::ENTROPY;
         self.cases_finished += 1;
-        let class = OutcomeClass::of(outcome.status);
+        let class = result.outcome;
         match class {
             OutcomeClass::Success => {
                 self.successes += 1;
@@ -209,24 +203,9 @@ impl CampaignState {
         }
         *histogram_entry += 1;
 
-        // Attribute via the event-stream injection records when we have
-        // them (engine fed per-event), else via the outcome's own log.
-        let records = match self.in_flight.remove(&index) {
-            Some(records) if !records.is_empty() => records,
-            _ => outcome.log.injections.clone(),
-        };
-
-        let mut symbols: BTreeMap<&'static str, (Symbol, &InjectionRecord)> = BTreeMap::new();
-        for record in &records {
-            symbols.entry(record.function.as_str()).or_insert((record.function, record));
-        }
-
-        // Cluster key: last injection's (symbol, stack), like the explorer.
-        let cluster_key: ClusterKey = match records.last() {
-            Some(last) => (Some(last.function), last.stack.clone(), class),
-            None => (None, Vec::new(), class),
-        };
-        let new_cluster = !matches!(class, OutcomeClass::Success) && self.clusters.insert(cluster_key);
+        let new_cluster = cell
+            .and_then(|cell| result.cluster_key(cell))
+            .is_some_and(|key| self.clusters.insert(key.into_owned()));
         if new_cluster {
             changed |= change::CLUSTERS;
             if class.is_crash() {
@@ -235,10 +214,8 @@ impl CampaignState {
             }
         }
 
-        for (symbol, record) in symbols.values() {
-            let symbol = *symbol;
-            let class_label = class.to_string();
-            let stats = self.track(symbol);
+        if let Some(cell) = cell.filter(|_| result.injections > 0) {
+            let stats = self.track(cell.function);
             stats.cases_finished += 1;
             match class {
                 OutcomeClass::Success => stats.successes += 1,
@@ -247,7 +224,7 @@ impl CampaignState {
             }
             // A symbol can see a class for the first time even when the
             // campaign already has — the distinct bit must cover both.
-            if stats.distinct_outcomes.insert(class_label) {
+            if stats.distinct_outcomes.insert(class.to_string()) {
                 changed |= change::DISTINCT;
             }
             if new_cluster {
@@ -257,22 +234,16 @@ impl CampaignState {
                 }
             }
             if class.is_crash() {
-                stats.last_crash_cell = Some(FaultCell {
-                    function: symbol,
-                    call_ordinal: record.call_number,
-                    retval: record.retval.unwrap_or(0),
-                    errno: record.errno,
-                });
+                stats.last_crash_cell = Some(cell);
             }
         }
         self.advance();
         changed
     }
 
-    /// Folds a `Skipped` event; returns the [`change`] bits it moved.
-    pub fn fold_skipped(&mut self, index: usize, _name: &str) -> u16 {
+    /// Folds a skipped case; returns the [`change`] bits it moved.
+    pub fn fold_skipped(&mut self) -> u16 {
         self.cases_skipped += 1;
-        self.in_flight.remove(&index);
         self.advance();
         change::EVENTS | change::CASES_SKIPPED
     }
@@ -410,7 +381,8 @@ impl CampaignState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lfi_controller::TestLog;
+    use crate::engine::planned_cell;
+    use lfi_controller::{InjectionRecord, TestLog, TestOutcome};
     use lfi_runtime::ExitStatus;
     use lfi_scenario::Plan;
 
@@ -437,21 +409,26 @@ mod tests {
         }
     }
 
+    fn finish(state: &mut CampaignState, outcome: &TestOutcome) -> u16 {
+        state.fold_finished(planned_cell(outcome), &CellResult::of(outcome))
+    }
+
     #[test]
     fn folds_counters_clusters_and_symbols() {
         let mut state = CampaignState::new();
-        state.fold_started(0, "case-0");
-        state.fold_injection(0, &record("read", 1, -1, Some(5)));
+        let read = record("read", 1, -1, Some(5));
+        state.fold_started();
+        state.fold_injection(read.function);
         let changed =
-            state.fold_outcome(0, &outcome("case-0", ExitStatus::Crashed(lfi_runtime::Signal::Segv), Vec::new()));
+            finish(&mut state, &outcome("case-0", ExitStatus::Crashed(lfi_runtime::Signal::Segv), vec![read]));
         assert_ne!(changed & change::CRASHES, 0);
         assert_ne!(changed & change::CRASH_CLUSTERS, 0);
         assert_ne!(changed & change::DISTINCT, 0);
         assert_eq!(changed & change::SUCCESSES, 0);
 
-        state.fold_started(1, "case-1");
-        state.fold_outcome(1, &outcome("case-1", ExitStatus::Exited(0), Vec::new()));
-        state.fold_skipped(2, "case-2");
+        state.fold_started();
+        finish(&mut state, &outcome("case-1", ExitStatus::Exited(0), Vec::new()));
+        state.fold_skipped();
 
         assert_eq!(state.events_seen, 6);
         assert_eq!(state.cases_started, 2);
@@ -477,10 +454,11 @@ mod tests {
     #[test]
     fn same_cluster_key_counts_once() {
         let mut state = CampaignState::new();
-        for index in 0..3 {
-            state.fold_started(index, "case");
-            state.fold_injection(index, &record("close", 2, -1, Some(5)));
-            state.fold_outcome(index, &outcome("case", ExitStatus::Crashed(lfi_runtime::Signal::Segv), Vec::new()));
+        for _ in 0..3 {
+            let close = record("close", 2, -1, Some(5));
+            state.fold_started();
+            state.fold_injection(close.function);
+            finish(&mut state, &outcome("case", ExitStatus::Crashed(lfi_runtime::Signal::Segv), vec![close]));
         }
         assert_eq!(state.crashes, 3);
         assert_eq!(state.crash_clusters(), 1);
@@ -488,15 +466,17 @@ mod tests {
 
         // A different errno produces a different record but the same
         // (symbol, stack, class) key — still one cluster, like the explorer.
-        state.fold_started(3, "case");
-        state.fold_injection(3, &record("close", 2, -1, Some(13)));
-        state.fold_outcome(3, &outcome("case", ExitStatus::Crashed(lfi_runtime::Signal::Segv), Vec::new()));
+        let close = record("close", 2, -1, Some(13));
+        state.fold_started();
+        state.fold_injection(close.function);
+        finish(&mut state, &outcome("case", ExitStatus::Crashed(lfi_runtime::Signal::Segv), vec![close]));
         assert_eq!(state.crash_clusters(), 1);
 
         // A different signal is a new cluster.
-        state.fold_started(4, "case");
-        state.fold_injection(4, &record("close", 2, -1, Some(5)));
-        state.fold_outcome(4, &outcome("case", ExitStatus::Crashed(lfi_runtime::Signal::Abort), Vec::new()));
+        let close = record("close", 2, -1, Some(5));
+        state.fold_started();
+        state.fold_injection(close.function);
+        finish(&mut state, &outcome("case", ExitStatus::Crashed(lfi_runtime::Signal::Abort), vec![close]));
         assert_eq!(state.crash_clusters(), 2);
         assert_eq!(state.symbol_named("close").unwrap().crash_clusters, 2);
     }
@@ -504,9 +484,9 @@ mod tests {
     #[test]
     fn window_rates_difference_history() {
         let mut state = CampaignState::new();
-        for index in 0..10 {
-            state.fold_started(index, "case");
-            state.fold_outcome(index, &outcome("case", ExitStatus::Exited(0), Vec::new()));
+        for _ in 0..10 {
+            state.fold_started();
+            finish(&mut state, &outcome("case", ExitStatus::Exited(0), Vec::new()));
         }
         // 20 events folded, 10 finishes: finish rate over any full window
         // is 0.5 per event.

@@ -147,6 +147,7 @@ fn events(rng: &mut Stream) -> Vec<CaseEvent> {
             continue;
         }
         events.push(CaseEvent::Started { index, name: name.clone() });
+        let mut injections = Vec::new();
         for call in 0..rng.below(3) {
             let function = *rng.pick(&SYMBOLS);
             let record = InjectionRecord {
@@ -158,7 +159,8 @@ fn events(rng: &mut Stream) -> Vec<CaseEvent> {
                 call_original: false,
                 stack: Vec::new(),
             };
-            events.push(CaseEvent::Injection { index, record });
+            events.push(CaseEvent::Injection { index, record: record.clone() });
+            injections.push(record);
         }
         let status = match rng.below(4) {
             0 => ExitStatus::Exited(0),
@@ -169,7 +171,7 @@ fn events(rng: &mut Stream) -> Vec<CaseEvent> {
         let outcome = TestOutcome {
             name,
             status,
-            log: TestLog::default(),
+            log: TestLog { injections, ..TestLog::default() },
             replay: Plan::default(),
             calls: Vec::new(),
             calls_dropped: 0,

@@ -50,10 +50,35 @@ impl FaultCell {
     /// explorer and the fabric name a cell's case the same, whatever batch,
     /// lease or restore it ran in.
     pub fn case_name(&self) -> String {
-        match self.errno {
-            Some(errno) => format!("{}-c{}-r{}-e{errno}", self.function.as_str(), self.call_ordinal, self.retval),
-            None => format!("{}-c{}-r{}", self.function.as_str(), self.call_ordinal, self.retval),
-        }
+        case_name(self.function.as_str(), self.call_ordinal, self.retval, self.errno)
+    }
+
+    /// The exact inverse of [`FaultCell::case_name`]: the cell a case name
+    /// names, or `None` when `name` is not a name `case_name` renders (a
+    /// baseline case, a hand-made case name, a truncated one).  The
+    /// function is interned only once the whole name has checked out.
+    ///
+    /// ```
+    /// use lfi_scenario::FaultCell;
+    ///
+    /// let cell = FaultCell::parse("read-c2-r-1-e5").unwrap();
+    /// assert_eq!((cell.function.as_str(), cell.call_ordinal, cell.retval, cell.errno), ("read", 2, -1, Some(5)));
+    /// assert_eq!(FaultCell::parse("probe-baseline"), None);
+    /// ```
+    pub fn parse(name: &str) -> Option<FaultCell> {
+        let (head, errno) = match name.rsplit_once("-e").map(|(head, errno)| (head, errno.parse().ok())) {
+            Some((head, Some(errno))) => (head, Some(errno)),
+            _ => (name, None),
+        };
+        let (head, retval) = head.rsplit_once("-r")?;
+        let (function, ordinal) = head.rsplit_once("-c")?;
+        let (call_ordinal, retval) = (ordinal.parse().ok()?, retval.parse().ok()?);
+        (!function.is_empty() && case_name(function, call_ordinal, retval, errno) == name).then(|| FaultCell {
+            function: Symbol::intern(function),
+            call_ordinal,
+            retval,
+            errno,
+        })
     }
 
     /// Materializes the cell as a single-fault plan entry (a call-count
@@ -64,6 +89,15 @@ impl FaultCell {
             action = action.with_errno(errno);
         }
         PlanEntry { function: self.function.as_str().to_owned(), trigger: Trigger::on_call(self.call_ordinal), action }
+    }
+}
+
+/// A cell's test-case name: `{function}-c{ordinal}-r{retval}`, then
+/// `-e{errno}` when the cell carries an errno.
+fn case_name(function: &str, call_ordinal: u64, retval: i64, errno: Option<i64>) -> String {
+    match errno {
+        Some(errno) => format!("{function}-c{call_ordinal}-r{retval}-e{errno}"),
+        None => format!("{function}-c{call_ordinal}-r{retval}"),
     }
 }
 

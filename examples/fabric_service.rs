@@ -1,7 +1,8 @@
 //! The campaign fabric as a long-running service: three tenants share one
 //! work-stealing worker fleet — the §6.1 Pidgin login and MySQL suite from
 //! the apps registry plus an explore-style sweep of a log-structured writer
-//! — while a wire client watches over TCP and every job's state stays
+//! — while a wire client watches over TCP, a rules monitor reads one job's
+//! event stream over its own TCP client, and every job's state stays
 //! checkpointable as a resumable `ExplorationStore`.
 //!
 //! Run with `cargo run --example fabric_service`.
@@ -12,6 +13,7 @@ use lfi::apps::workloads;
 use lfi::controller::FnWorkload;
 use lfi::explore::OutcomeClass;
 use lfi::fabric::{FabricClient, JobEventKind, JobId, JobSpec};
+use lfi::rules::{Action, Cmp, Condition, JobMonitor, Metric, Rule, RuleSet};
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::{FaultAction, Plan, PlanEntry, Trigger};
 use lfi::Lfi;
@@ -148,6 +150,22 @@ fn main() {
         checkpoint.executed.len(),
         checkpoint.frontier.len(),
         checkpoint.to_xml().len(),
+    );
+
+    // A rules monitor on the writer sweep, over a TCP client of its own:
+    // one `emit` decision for every event that lands a crash.
+    let crash_landed = Condition::RateOfChange { metric: Metric::Crashes, window: 1, cmp: Cmp::Gt, value: 0.0 };
+    let count = Action::EmitMetric { name: "writer/crashes".into(), value: 1.0 };
+    let set = RuleSet::new().rule(Rule::global("count-crashes", crash_landed, [count]));
+    let mut monitor = JobMonitor::new(FabricClient::tcp(guard.addr()).expect("connect"), writer, set);
+    while monitor.poll(64) > 0 {}
+    let engine = monitor.engine();
+    println!(
+        "writer-sweep monitor: {} decisions over {} events, {} crashes in {} clusters",
+        engine.decisions().len(),
+        monitor.cursor(),
+        engine.state().crashes,
+        engine.state().clusters(),
     );
     guard.stop();
 

@@ -108,8 +108,8 @@ fn main() {
             CaseEvent::Skipped { index, name, reason } => println!("  case {index} skipped ({reason:?}): {name}"),
         }
     }
-    let snapshot = run.snapshot();
-    println!("progress: {}/{} finished, {} injections", snapshot.finished, run.case_count(), snapshot.injections);
+    let progress = run.progress();
+    println!("progress: {}/{} finished, {} injections", progress.finished, run.case_count(), progress.injections);
 
     let report = run.into_report();
     println!("== campaign report ==\n{}", report.to_text());

@@ -331,7 +331,6 @@ fn progress_counters_track_the_stream() {
     assert_eq!(run.case_count(), 12);
     for _ in run.by_ref() {}
     let progress = run.progress();
-    assert_eq!(progress.cases, 12);
     assert_eq!(progress.started, 12);
     assert_eq!(progress.finished, 12);
     assert_eq!(progress.skipped, 0);

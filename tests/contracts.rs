@@ -26,6 +26,14 @@
 //! - `unreached` and `pruned_functions` are frontier policy, which only the
 //!   explorer has.
 //!
+//! **Rules ≡ ledger.**  A rule engine folds what the `FaultLedger` folds —
+//! a finished case's planned cell and its `CellResult` — and keys clusters
+//! by the ledger's `ClusterKey`.  So a `ClosedLoop` over an explorer counts
+//! the explorer's clusters, and a `JobMonitor` over a fabric job counts the
+//! job report's, even when the baseline fails and a fault fires under two
+//! stacks.  Their decision logs are not compared: the explorer's batch
+//! order is not the fabric's lease order.
+//!
 //! **Frontier control ≡ snapshot.**  Any interleaving of batches, mutes,
 //! unmutes, reweights, raised cells and taken deltas keeps the incremental
 //! checkpoint exact (the first snapshot plus every delta taken equals the
@@ -46,7 +54,7 @@ use lfi::intern::Symbol;
 use lfi::isa::Platform;
 use lfi::profile::FaultProfile;
 use lfi::profiler::ProfilerOptions;
-use lfi::rules::{Action, CircuitBreaker, ClosedLoop, Condition, Metric, Rule, RuleSet};
+use lfi::rules::{Action, CircuitBreaker, ClosedLoop, Condition, JobMonitor, Metric, Rule, RuleSet};
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
 use lfi::scenario::{FaultAction, FaultCell, FaultSpace, Plan, PlanEntry, Trigger};
@@ -227,6 +235,55 @@ proptest! {
         prop_assert_eq!(fabric_journal.cases_executed + 1, explorer_journal.cases_executed, "the explorer's probe");
         prop_assert!(fabric_journal.coverage.iter().all(|(_, coverage)| coverage.observed_calls == 0));
     }
+}
+
+/// `read` straight from libc and through libwrap's `fetch`, so a `read`
+/// fault fires under two stacks.
+fn wrapped_reader() -> Process {
+    let mut process = reader_process();
+    process.load(
+        NativeLibrary::builder("libwrap.so")
+            .function("fetch", |ctx| ctx.call("read", &[3, 0, 8]).unwrap_or(-1))
+            .build(),
+    );
+    process
+}
+
+/// One direct `read`, one through `fetch`; exits 1 whatever they return,
+/// so the baseline fails too.
+fn read_direct_and_wrapped(process: &mut Process) -> ExitStatus {
+    let _ = process.call("read", &[3, 0, 8]);
+    let _ = process.call("fetch", &[]);
+    ExitStatus::Exited(1)
+}
+
+#[test]
+fn the_rules_count_the_clusters_the_ledger_counts() {
+    // Four `read` cells over two call sites, and a failing baseline that
+    // the explorer's probe runs but no ledger clusters.
+    let plan = plan_of(&[(1, Some(5)), (1, Some(9)), (2, Some(5)), (2, Some(9))]);
+    let workload = FnWorkload::shared("wrapped-reader", wrapped_reader, read_direct_and_wrapped);
+    let mut closed = ClosedLoop::new(Explorer::new(&plan, Vec::new()), RuleSet::new());
+    closed.run_workload(&workload);
+    let ledger = closed.explorer().clusters();
+    let crashes = |clusters: &[lfi::explore::CrashCluster]| clusters.iter().filter(|c| c.is_crash()).count() as u64;
+    let explorer_state = closed.engine().state();
+    assert_eq!(explorer_state.clusters(), ledger.len() as u64, "the closed loop counts the explorer's ledger");
+    assert_eq!(explorer_state.crash_clusters(), crashes(ledger));
+
+    let fabric = Fabric::builder().workers(1).register_arc(workload).build();
+    let job = fabric
+        .submit(JobSpec::new("oracle", "wrapped-reader", plan))
+        .expect("workload registered");
+    assert_eq!(fabric.wait_job(job, Duration::from_secs(60)), Some(JobState::Done));
+    let mut monitor = JobMonitor::new(fabric.connect(), job, RuleSet::new());
+    while monitor.poll(64) > 0 {}
+    let report = fabric.report(job).expect("job exists");
+    let job_state = monitor.engine().state();
+    assert_eq!(job_state.clusters(), report.clusters.len() as u64, "the monitor counts the job's report");
+    assert_eq!(job_state.crash_clusters(), crashes(&report.clusters));
+
+    assert_eq!((ledger.len(), report.clusters.len()), (2, 2), "one cluster per call site");
 }
 
 const DRAWN: &str = "libdrawn.so";

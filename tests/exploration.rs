@@ -6,13 +6,14 @@
 
 use std::sync::Arc;
 
-use lfi::controller::{FnWorkload, Workload};
+use lfi::controller::{FnWorkload, TestCase, Workload};
 use lfi::corpus::{build_kernel, build_libc_scaled};
-use lfi::explore::ExplorationStore;
+use lfi::explore::{ExplorationStore, Explorer};
 use lfi::isa::Platform;
 use lfi::profiler::ProfilerOptions;
-use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
+use lfi::runtime::{ExitStatus, NativeLibrary, PooledProcess, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
+use lfi::scenario::{FaultAction, Plan, PlanEntry, Trigger};
 use lfi::Lfi;
 
 const LIBC_EXPORTS: usize = 120;
@@ -143,4 +144,45 @@ fn mid_run_kill_and_store_resume_reproduce_identical_batches() {
     assert_eq!(summary.frontier_remaining, 0);
     assert!(summary.triggered > 0);
     assert!(summary.executed < summary.universe / 4, "pruning keeps execution well under the universe");
+}
+
+/// The log writer with a health check that vetoes every prepared process.
+struct Vetoed;
+
+impl Workload for Vetoed {
+    fn name(&self) -> &str {
+        "vetoed-writer"
+    }
+
+    fn setup(&self, _case: &TestCase) -> PooledProcess {
+        setup().into()
+    }
+
+    fn run(&self, process: &mut Process) -> ExitStatus {
+        workload(process)
+    }
+
+    fn health_check(&self, _process: &mut Process) -> bool {
+        false
+    }
+}
+
+#[test]
+fn a_vetoed_cell_ends_as_unreached_instead_of_running_again() {
+    let plan = (1..=3).fold(Plan::new(), |plan, ordinal| {
+        plan.entry(PlanEntry {
+            function: "write".into(),
+            trigger: Trigger::on_call(ordinal),
+            action: FaultAction::return_value(-1).with_errno(28),
+        })
+    });
+    let vetoed: Arc<dyn Workload> = Arc::new(Vetoed);
+    let mut explorer = Explorer::new(&plan, Vec::new());
+    // The probe, then one batch that every veto ends.
+    let batches = std::iter::from_fn(|| explorer.step_workload(&vetoed)).take(100).count();
+    assert_eq!(batches, 2, "a vetoed cell is not scheduled again");
+    assert!(explorer.finished());
+    let store = explorer.store();
+    assert_eq!((store.executed.len(), store.unreached.len(), store.frontier.len()), (0, 3, 0));
+    assert_eq!(explorer.take_delta().unreached, store.unreached, "the next delta records the vetoed cells");
 }

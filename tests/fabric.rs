@@ -11,13 +11,14 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use lfi::controller::FnWorkload;
+use lfi::controller::{FnWorkload, TestCase, Workload};
 use lfi::corpus::{build_kernel, build_libc_scaled};
 use lfi::explore::ExplorationStore;
 use lfi::fabric::{Fabric, FabricClient, JobEventKind, JobSpec, JobState, Request, Response, MAX_LINE_BYTES};
 use lfi::isa::Platform;
 use lfi::profiler::ProfilerOptions;
-use lfi::runtime::{ExitStatus, NativeLibrary, Process};
+use lfi::rules::{Action, Condition, JobMonitor, Metric, Rule, RuleSet};
+use lfi::runtime::{ExitStatus, NativeLibrary, PooledProcess, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
 use lfi::scenario::{FaultAction, Plan, PlanEntry, Trigger};
 use lfi::Lfi;
@@ -104,6 +105,15 @@ fn held_reader(
     name: &str,
     hold_at: usize,
 ) -> (FnWorkload<impl Fn() -> Process + Send + Sync, impl Fn(&mut Process) -> ExitStatus + Send + Sync>, Hold) {
+    held(name, hold_at, read_four)
+}
+
+/// [`held_reader`] over any `run`.
+fn held(
+    name: &str,
+    hold_at: usize,
+    run: fn(&mut Process) -> ExitStatus,
+) -> (FnWorkload<impl Fn() -> Process + Send + Sync, impl Fn(&mut Process) -> ExitStatus + Send + Sync>, Hold) {
     let runs = AtomicUsize::new(0);
     let (parked_tx, parked) = mpsc::channel();
     let (release, release_rx) = mpsc::channel::<()>();
@@ -114,7 +124,7 @@ fn held_reader(
             let _ = gate.0.send(());
             let _ = gate.1.recv_timeout(HOLD_LIMIT);
         }
-        read_four(process)
+        run(process)
     });
     (workload, Hold { parked, release })
 }
@@ -527,4 +537,86 @@ fn checkpoint_restores_into_a_fresh_fabric() {
     let clean_job = clean.submit(spec()).expect("workload registered");
     assert_eq!(clean.wait_job(clean_job, Duration::from_secs(60)), Some(JobState::Done));
     assert_eq!(clean.checkpoint(clean_job).expect("job exists").to_xml(), final_xml);
+}
+
+/// The reader with a health check that vetoes every prepared process.
+struct VetoedReader;
+
+impl Workload for VetoedReader {
+    fn name(&self) -> &str {
+        "vetoed-reader"
+    }
+
+    fn setup(&self, _case: &TestCase) -> PooledProcess {
+        reader_process().into()
+    }
+
+    fn run(&self, process: &mut Process) -> ExitStatus {
+        read_four(process)
+    }
+
+    fn health_check(&self, _process: &mut Process) -> bool {
+        false
+    }
+}
+
+#[test]
+fn a_vetoed_cell_is_skipped_for_good_instead_of_leased_again() {
+    let fabric = Fabric::builder().workers(1).register(VetoedReader).build();
+    let job = fabric
+        .submit(JobSpec::new("vetoed", "vetoed-reader", read_plan(3, &[5])))
+        .expect("workload registered");
+    assert_eq!(fabric.wait_job(job, Duration::from_secs(10)), Some(JobState::Done));
+    let snapshot = fabric.status(job).expect("job exists");
+    assert_eq!((snapshot.progress.started, snapshot.requeued), (3, 0), "each cell is leased once");
+    let checkpoint = fabric.checkpoint(job).expect("job exists");
+    assert_eq!((checkpoint.executed.len(), checkpoint.unreached.len(), checkpoint.frontier.len()), (0, 3, 0));
+}
+
+/// Like [`read_four`], but a third read failing with EIO crashes the case.
+fn read_four_crashing_on_the_third_eio(process: &mut Process) -> ExitStatus {
+    for call in 1..=4 {
+        if process.call("read", &[3, 0, 8]).unwrap_or(-1) < 0 {
+            return match (call, process.state().errno()) {
+                (3, 5) => ExitStatus::Crashed(Signal::Segv),
+                _ => ExitStatus::Exited(1),
+            };
+        }
+    }
+    ExitStatus::Exited(0)
+}
+
+#[test]
+fn a_job_monitor_controls_its_job_and_names_the_crashing_cell() {
+    // Eight one-cell leases in cell order: the fifth run, read-c3-r-1-e5,
+    // crashes, and the sixth parks while the monitor reads the stream.
+    let watch = |control: Action| {
+        let (workload, hold) = held("reader", 5, read_four_crashing_on_the_third_eio);
+        let fabric = Fabric::builder().workers(1).register(workload).build();
+        let job = fabric
+            .submit(JobSpec::new("watched", "reader", read_plan(4, &[5, 9])).lease_batch(1))
+            .expect("workload registered");
+        hold.wait_parked();
+        let set = RuleSet::new()
+            .rule(
+                Rule::per_symbol(
+                    "escalate",
+                    Condition::at_least(Metric::CrashClusters, 1.0),
+                    [Action::EscalateSiblings],
+                )
+                .once(),
+            )
+            .rule(Rule::global("control", Condition::at_least(Metric::Crashes, 1.0), [control]).once());
+        let mut monitor = JobMonitor::new(fabric.connect(), job, set);
+        while monitor.poll(64) > 0 {}
+        let state = fabric.status(job).expect("job exists").state;
+        hold.release();
+        (state, monitor.engine().decision_log())
+    };
+
+    let (state, log) = watch(Action::Pause);
+    assert_eq!(state, JobState::Paused, "{log}");
+    assert!(log.contains("sym=read action=escalate-siblings cell=read@3 ret=-1 errno=5"), "{log}");
+    let (state, log) = watch(Action::Cancel);
+    assert_eq!(state, JobState::Cancelled, "{log}");
 }

@@ -13,7 +13,7 @@ use lfi::isa::{BinAluOp, Cond, Inst, Loc, Operand, Platform, Reg};
 use lfi::objfile::{ObjectBuilder, ReturnType, SharedObject, Storage};
 use lfi::profile::{ErrorReturn, FaultProfile, FunctionProfile, ProfileKey, ProfileStore, SideEffect};
 use lfi::profiler::Profiler;
-use lfi::scenario::{ArgOp, FaultAction, Plan, PlanEntry, Trigger};
+use lfi::scenario::{ArgOp, FaultAction, FaultCell, Plan, PlanEntry, Trigger};
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -467,4 +467,80 @@ proptest! {
         let expected: BTreeSet<i64> = static_values.union(&doc_values).copied().collect();
         prop_assert_eq!(combined_values, expected);
     }
+}
+
+fn arb_errno() -> impl Strategy<Value = Option<i64>> {
+    prop_oneof![Just(None), any::<i64>().prop_map(Some)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `FaultCell::parse` is the exact inverse of `case_name`, for negative
+    /// return values and errnos, with and without an errno, and for
+    /// identifiers with digits and underscores.
+    #[test]
+    fn fault_cell_names_parse_back_to_their_cells(
+        function in "[a-z_][a-z0-9_]{0,12}",
+        call_ordinal in any::<u64>(),
+        retval in any::<i64>(),
+        errno in arb_errno(),
+    ) {
+        let cell = FaultCell { function: lfi::intern::Symbol::intern(&function), call_ordinal, retval, errno };
+        prop_assert_eq!(FaultCell::parse(&cell.case_name()), Some(cell));
+    }
+
+    /// A name that fails the grammar parses to `None` and interns nothing:
+    /// every truncation of a case name is either `None` or the name of the
+    /// cell it parses to, and a name that does not render back identically
+    /// (a leading zero, a `+` sign) is `None`.
+    #[test]
+    fn names_outside_the_case_grammar_do_not_parse(
+        suffix in "[a-z0-9_]{1,8}",
+        call_ordinal in 1u64..100_000,
+        retval in any::<i64>(),
+        errno in arb_errno(),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        use lfi::intern::Symbol;
+        let function = format!("Unparsed_{suffix}");
+        let name = match errno {
+            Some(errno) => format!("{function}-c{call_ordinal}-r{retval}-e{errno}"),
+            None => format!("{function}-c{call_ordinal}-r{retval}"),
+        };
+        let truncated = &name[..cut.index(name.len())];
+        let rest = &name[function.len() + 2..];
+        for bad in [format!("{function}-c0{rest}"), format!("{function}-c+{rest}")] {
+            prop_assert_eq!(FaultCell::parse(&bad), None, "{}", bad);
+        }
+        // An earlier case may have parsed, and so interned, the same name.
+        let interned = Symbol::lookup(&function);
+        match FaultCell::parse(truncated) {
+            Some(cell) => prop_assert_eq!(cell.case_name(), truncated),
+            None => prop_assert_eq!(Symbol::lookup(&function), interned, "{} interned its function", truncated),
+        }
+    }
+}
+
+#[test]
+fn case_names_that_name_no_cell_do_not_parse() {
+    for name in [
+        "probe-baseline",
+        "case-3",
+        "read",
+        "read-c2",
+        "read-c2-r",
+        "read-c2-r-1-e",
+        "-c1-r-1",
+        "read-c-1-r-1",
+        "read-c1-r-0",
+        "read-c1-r-1-e05",
+        "read-c1-r-1-e5x",
+    ] {
+        assert_eq!(FaultCell::parse(name), None, "{name}");
+    }
+    assert_eq!(
+        FaultCell::parse("my-read-c2-r-1-e-4").map(|cell| cell.case_name()).as_deref(),
+        Some("my-read-c2-r-1-e-4")
+    );
 }
