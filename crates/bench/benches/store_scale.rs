@@ -4,6 +4,8 @@
 //!
 //! * `snapshot_write` — full binary exploration snapshot to disk;
 //! * `binary_load`    — format-sniffing load of that snapshot;
+//! * `profile_load`   — format-sniffing load of the corpus's binary profile
+//!   store snapshot (the warm-start decode), checked against the saved store;
 //! * `xml_write`      — the same store serialized as XML (baseline);
 //! * `xml_load`       — format-sniffing load of the XML file (baseline);
 //! * `delta_append`   — one O(delta) journal append (a 32-cell batch);
@@ -27,9 +29,12 @@ use lfi_corpus::{survey_profiles, SurveyConfig};
 use lfi_explore::{ExplorationDelta, ExplorationStore, FrontierCell, FunctionCoverage};
 use lfi_fabric::{Fabric, JobSpec, JobState};
 use lfi_intern::Symbol;
+use lfi_profile::{ProfileKey, ProfileStore};
 use lfi_runtime::{ExitStatus, Process};
 use lfi_scenario::{FaultCell, Plan};
-use lfi_store::{load_exploration, save_exploration, ExplorationJournal, Journal, Record};
+use lfi_store::{
+    load_exploration, load_profile_store, save_exploration, save_profile_store, ExplorationJournal, Journal, Record,
+};
 
 const CORPUS_FUNCTIONS: usize = 10_000;
 const DELTA_BATCH: usize = 32;
@@ -88,6 +93,16 @@ fn survey_exploration_store() -> ExplorationStore {
         coverage,
         clusters: Vec::new(),
     }
+}
+
+/// The scaled survey corpus's profiles as a profile store, one entry per
+/// library.
+fn survey_profile_store() -> ProfileStore {
+    let store = ProfileStore::new();
+    for (index, profile) in survey_profiles(SurveyConfig::scaled(CORPUS_FUNCTIONS)).into_iter().enumerate() {
+        store.insert(ProfileKey::new(profile.library.clone(), profile.platform.clone(), index as u64), profile);
+    }
+    store
 }
 
 /// One batch's delta against the big store: `DELTA_BATCH` cells leave the
@@ -182,6 +197,22 @@ fn bench_store_scale(c: &mut Criterion) {
             let loaded = load_exploration(black_box(&binary_path)).unwrap();
             assert_eq!(loaded.universe, store.universe);
             black_box(loaded)
+        })
+    });
+
+    let profiles = survey_profile_store();
+    let profiles_path = dir.join("profiles.lfis");
+    save_profile_store(&profiles_path, &profiles).unwrap();
+    group.bench_function("profile_load", |b| {
+        b.iter_custom(|iters| {
+            let mut took = Duration::ZERO;
+            for _ in 0..iters {
+                let started = Instant::now();
+                let loaded = load_profile_store(black_box(&profiles_path)).unwrap();
+                took += started.elapsed();
+                assert!(loaded == profiles, "the loaded profile store equals the saved one");
+            }
+            took
         })
     });
 

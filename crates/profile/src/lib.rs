@@ -7,7 +7,9 @@
 //! that is both human-readable and easy to parse"; this crate defines the
 //! data model ([`FaultProfile`]) and a faithful XML round-trip for it, plus
 //! the small in-tree XML reader/writer ([`xml`]) shared with the scenario
-//! language in `lfi-scenario`.
+//! language in `lfi-scenario`.  It also holds the bounded worker pool
+//! ([`run_pooled`]) on which the profiler analyzes functions and `lfi-store`
+//! decodes a profile snapshot's entries.
 //!
 //! ```
 //! use lfi_profile::{ErrorReturn, FaultProfile, FunctionProfile, SideEffect, SideEffectKind};
@@ -30,11 +32,13 @@
 #![warn(missing_docs)]
 
 mod error;
+mod pool;
 mod profile;
 mod store;
 pub mod xml;
 
 pub use error::ProfileError;
+pub use pool::run_pooled;
 pub use profile::{ErrorReturn, FaultProfile, FunctionProfile, SideEffect, SideEffectKind};
 pub use store::{ProfileKey, ProfileStore};
 

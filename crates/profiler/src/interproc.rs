@@ -10,15 +10,14 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lfi_disasm::{FunctionDisassembly, ObjectDisassembly};
 use lfi_intern::Symbol;
 use lfi_isa::Inst;
 use lfi_objfile::{SharedObject, SymbolDef, SymbolId};
-use lfi_profile::{ErrorReturn, FaultProfile, FunctionProfile};
+use lfi_profile::{run_pooled, ErrorReturn, FaultProfile, FunctionProfile};
 
 use crate::analysis_db::{AnalysisDb, ResolvedReturns};
 use crate::arg_constraints::{analyze_arg_constraints, FunctionArgConstraints};
@@ -424,42 +423,6 @@ impl Profiler {
         }
         returns
     }
-}
-
-/// Runs `count` independent jobs through a bounded worker pool capped at
-/// `available_parallelism()` and returns the results in job order.  A slot is
-/// `None` only if the worker that claimed it died without storing a result
-/// (job bodies that can panic should wrap themselves in `catch_unwind` and
-/// return the error as a value instead).  With one core — or one job — the
-/// jobs run inline on the caller's thread, no spawn at all.
-fn run_pooled<T, F>(count: usize, run: F) -> Vec<Option<T>>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    let slots: Vec<OnceLock<T>> = (0..count).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let drain = || loop {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        if index >= count {
-            break;
-        }
-        let _ = slots[index].set(run(index));
-    };
-    let workers = std::thread::available_parallelism().map_or(1, usize::from).min(count);
-    if workers <= 1 {
-        drain();
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
-            // An escaped panic kills one worker; the others keep draining and
-            // the dead worker's claimed slot surfaces as `None`.
-            for handle in handles {
-                let _ = handle.join();
-            }
-        });
-    }
-    slots.into_iter().map(OnceLock::into_inner).collect()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -15,7 +15,9 @@ use bytes::{BufMut, BytesMut};
 
 use lfi_explore::{CrashCluster, ExplorationDelta, ExplorationStore, FrontierCell, FunctionCoverage, OutcomeClass};
 use lfi_intern::Symbol;
-use lfi_profile::{ErrorReturn, FaultProfile, FunctionProfile, ProfileKey, ProfileStore, SideEffect, SideEffectKind};
+use lfi_profile::{
+    run_pooled, ErrorReturn, FaultProfile, FunctionProfile, ProfileKey, ProfileStore, SideEffect, SideEffectKind,
+};
 use lfi_scenario::FaultCell;
 
 use crate::{ProfileEntry, StoreError};
@@ -30,7 +32,13 @@ pub(crate) struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     pub fn new(payload: &'a [u8]) -> Self {
-        Self { payload, pos: 0 }
+        Self::at(payload, 0)
+    }
+
+    /// A cursor positioned at byte `pos` of `payload`, so the offsets its
+    /// errors report stay relative to the whole payload.
+    fn at(payload: &'a [u8], pos: usize) -> Self {
+        Self { payload, pos }
     }
 
     /// Offset of the next unread byte.
@@ -105,6 +113,12 @@ impl<'a> Reader<'a> {
         let len = self.u32(what)? as usize;
         let start = self.offset();
         std::str::from_utf8(self.take(len, what)?).map_err(|_| StoreError::corrupt(start, format!("non-UTF-8 {what}")))
+    }
+
+    /// Steps over a length-prefixed string without checking its UTF-8.
+    fn skip_str(&mut self, what: &str) -> Result<(), StoreError> {
+        let len = self.u32(what)? as usize;
+        self.take(len, what).map(drop)
     }
 
     pub fn string(&mut self, what: &str) -> Result<String, StoreError> {
@@ -340,7 +354,7 @@ pub fn encode_exploration_store(store: &ExplorationStore) -> Vec<u8> {
     }
     put_coverage(&mut out, &store.coverage);
     put_clusters(&mut out, &store.clusters);
-    out.to_vec()
+    out.into()
 }
 
 /// Decodes an [`ExplorationStore`] snapshot payload.
@@ -402,7 +416,7 @@ pub fn encode_exploration_delta(delta: &ExplorationDelta) -> Vec<u8> {
     }
     put_coverage(&mut out, &delta.coverage);
     put_clusters(&mut out, &delta.clusters);
-    out.to_vec()
+    out.into()
 }
 
 /// Decodes an [`ExplorationDelta`] payload.
@@ -519,7 +533,7 @@ fn get_profile_entry(r: &mut Reader) -> Result<ProfileEntry, StoreError> {
 pub fn encode_profile_entry(entry: &ProfileEntry) -> Vec<u8> {
     let mut out = BytesMut::with_capacity(128);
     put_profile_entry(&mut out, entry);
-    out.to_vec()
+    out.into()
 }
 
 /// Decodes a [`ProfileEntry`] payload.
@@ -542,18 +556,199 @@ pub fn encode_profile_store(store: &ProfileStore) -> Vec<u8> {
         out.put_u64_le(key.code_hash);
         put_profile(&mut out, profile);
     }
-    out.to_vec()
+    out.into()
+}
+
+/// Steps over one profile entry: the same reads and bounds checks as
+/// [`get_profile_entry`], minus the UTF-8 checks and the allocations.  The
+/// scan only decides which entries go to the pool: an entry it fails to
+/// delimit decodes in order instead, so it never changes a decode's result.
+fn skip_profile_entry(r: &mut Reader) -> Result<(), StoreError> {
+    r.skip_str("entry library")?;
+    if r.flag("entry platform")? {
+        r.skip_str("entry platform")?;
+    }
+    r.take(8, "entry code hash")?;
+    r.skip_str("profile library")?;
+    if r.flag("profile platform")? {
+        r.skip_str("profile platform")?;
+    }
+    for _ in 0..r.count(8, "profile functions")? {
+        r.skip_str("function name")?;
+        for _ in 0..r.count(12, "error returns")? {
+            r.take(8, "error retval")?;
+            for _ in 0..r.count(17, "side effects")? {
+                r.take(1, "side-effect kind")?;
+                r.skip_str("side-effect module")?;
+                r.take(12, "side-effect offset and value")?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Decodes a full [`ProfileStore`] snapshot payload.
+///
+/// A sequential scan first delimits every entry; the entries then decode on
+/// the shared worker pool ([`run_pooled`]), each through a cursor
+/// positioned in the whole payload (error offsets stay payload-relative),
+/// and enter the store in entry order (a duplicated key resolves to the
+/// later entry).  The result is exactly the one-entry-at-a-time loop's: the
+/// first failing entry in entry order reports the error, and entries from
+/// the one the scan could not delimit onwards decode in order after all
+/// before them decoded cleanly.
 pub fn decode_profile_store(payload: &[u8]) -> Result<ProfileStore, StoreError> {
     let mut r = Reader::new(payload);
     let count = r.count(21, "profile entries")?;
-    let store = ProfileStore::new();
+    let mut extents = Vec::with_capacity(count);
     for _ in 0..count {
+        let start = r.pos;
+        if skip_profile_entry(&mut r).is_err() {
+            r.pos = start;
+            break;
+        }
+        extents.push(start..r.pos);
+    }
+    let decoded = run_pooled(extents.len(), |index| {
+        let extent = &extents[index];
+        let mut entry_reader = Reader::at(payload, extent.start);
+        let entry = get_profile_entry(&mut entry_reader)?;
+        if entry_reader.pos != extent.end {
+            return Err(StoreError::corrupt(entry_reader.offset(), "profile entry does not end where the scan did"));
+        }
+        Ok(entry)
+    });
+    let store = ProfileStore::new();
+    for entry in decoded {
+        let entry = entry.expect("decoding a profile entry never panics")?;
+        store.insert(entry.key, entry.profile);
+    }
+    // The entry the scan could not delimit, and every one after it, decode
+    // in order from where the scan stopped, as the sequential loop would.
+    for _ in extents.len()..count {
         let entry = get_profile_entry(&mut r)?;
         store.insert(entry.key, entry.profile);
     }
     r.finish()?;
     Ok(store)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The one-entry-at-a-time loop the pooled decoder must agree with.
+    fn decode_profile_store_sequentially(payload: &[u8]) -> Result<ProfileStore, StoreError> {
+        let mut r = Reader::new(payload);
+        let count = r.count(21, "profile entries")?;
+        let store = ProfileStore::new();
+        for _ in 0..count {
+            let entry = get_profile_entry(&mut r)?;
+            store.insert(entry.key, entry.profile);
+        }
+        r.finish()?;
+        Ok(store)
+    }
+
+    fn entry(library: &str, platform: Option<&str>, code_hash: u64, functions: usize) -> ProfileEntry {
+        let mut profile = FaultProfile::new(library);
+        profile.platform = platform.map(str::to_owned);
+        for index in 0..functions {
+            let mut function = FunctionProfile::new(format!("{library}_fn{index}"));
+            let mut error = ErrorReturn::bare(-1 - index as i64);
+            error.side_effects.push(SideEffect {
+                kind: [SideEffectKind::Tls, SideEffectKind::Global, SideEffectKind::OutputArg][index % 3],
+                module: "libstate.so".to_owned(),
+                offset: 0x10 * index as u32,
+                value: index as i64,
+            });
+            function.error_returns.push(error);
+            function.error_returns.push(ErrorReturn::bare(0));
+            profile.push_function(function);
+        }
+        ProfileEntry {
+            key: ProfileKey { library: library.to_owned(), platform: profile.platform.clone(), code_hash },
+            profile,
+        }
+    }
+
+    /// A snapshot payload holding `entries` in the given order.
+    fn payload_of(entries: &[ProfileEntry]) -> Vec<u8> {
+        let mut out = BytesMut::with_capacity(256);
+        out.put_u32_le(entries.len() as u32);
+        for entry in entries {
+            put_profile_entry(&mut out, entry);
+        }
+        out.into()
+    }
+
+    fn three_entries() -> Vec<ProfileEntry> {
+        vec![
+            entry("liba.so", Some("Linux/x86"), 0xA, 2),
+            entry("libb.so", None, 0xB, 1),
+            entry("libc.so", None, 0xC, 3),
+        ]
+    }
+
+    /// The pooled and the sequential decoder agree on `payload`: the same
+    /// store, or the same error offset and message.
+    fn assert_agrees(payload: &[u8], context: &str) {
+        match (decode_profile_store(payload), decode_profile_store_sequentially(payload)) {
+            (Ok(pooled), Ok(reference)) => assert_eq!(pooled, reference, "{context}"),
+            (Err(pooled), Err(reference)) => {
+                assert_eq!((pooled.offset, pooled.to_string()), (reference.offset, reference.to_string()), "{context}")
+            }
+            (pooled, reference) => panic!("{context}: pooled {pooled:?}, sequential {reference:?}"),
+        }
+    }
+
+    #[test]
+    fn pooled_decode_matches_the_sequential_loop_on_every_cut_and_flip() {
+        let payload = payload_of(&three_entries());
+        assert_agrees(&payload, "intact");
+        assert_eq!(decode_profile_store(&payload).unwrap().len(), 3);
+        for cut in 0..payload.len() {
+            assert_agrees(&payload[..cut], &format!("cut {cut}"));
+        }
+        for at in 0..payload.len() {
+            for mask in [0x01, 0x02, 0x80, 0xFF] {
+                let mut bytes = payload.clone();
+                bytes[at] ^= mask;
+                assert_agrees(&bytes, &format!("byte {at} flipped with {mask:#04x}"));
+            }
+        }
+        let mut trailing = payload;
+        trailing.push(0);
+        assert_agrees(&trailing, "trailing byte");
+    }
+
+    /// The first failing entry in entry order reports the error, even when
+    /// a later entry is the one the scan cannot delimit.
+    #[test]
+    fn an_earlier_entry_error_outranks_a_later_truncation() {
+        let entries = three_entries();
+        let mut payload = payload_of(&entries);
+        // Entry 0's library name starts after the entry count and its length.
+        payload[8] = 0xFF;
+        let entry_two = payload.len() - payload_of(&entries[2..]).len() + 4;
+        payload.truncate(entry_two + 10);
+        let error = decode_profile_store(&payload).unwrap_err();
+        assert_eq!(
+            (error.offset, error.to_string()),
+            (Some(8), "corrupt store data: non-UTF-8 entry library [format: binary] [offset: 8]".to_owned())
+        );
+        assert_agrees(&payload, "utf-8 in entry 0, entry 2 truncated");
+    }
+
+    #[test]
+    fn a_duplicated_key_resolves_to_the_later_entry() {
+        let first = entry("liba.so", None, 0xA, 1);
+        let mut last = entry("liba.so", None, 0xA, 2);
+        last.profile.functions[0].name = "replaced".to_owned();
+        let payload = payload_of(&[first, entry("libb.so", None, 0xB, 1), last.clone()]);
+        let store = decode_profile_store(&payload).unwrap();
+        assert_eq!(store.len(), 2);
+        assert_eq!(*store.get(&last.key).unwrap(), last.profile);
+        assert_agrees(&payload, "duplicated key");
+    }
 }

@@ -114,12 +114,34 @@ pub fn write_header(out: &mut Vec<u8>) {
     out.extend_from_slice(&0u16.to_le_bytes());
 }
 
+/// The frame header of a record carrying `payload`: kind, length, CRC.
+pub(crate) fn frame_header(kind: RecordKind, payload: &[u8]) -> [u8; FRAME_LEN] {
+    let mut header = [0u8; FRAME_LEN];
+    header[0] = kind as u8;
+    header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[5..].copy_from_slice(&record_crc(kind, payload).to_le_bytes());
+    header
+}
+
 /// Appends one framed record to `out`.
 pub fn write_frame(out: &mut Vec<u8>, kind: RecordKind, payload: &[u8]) {
-    out.push(kind as u8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&record_crc(kind, payload).to_le_bytes());
+    out.extend_from_slice(&frame_header(kind, payload));
     out.extend_from_slice(payload);
+}
+
+/// Writes a whole single-record file — header, then one framed record — to
+/// `file`, handing it the payload in place rather than copying it into a
+/// file-sized buffer first.
+pub(crate) fn write_single_record(
+    file: &mut impl std::io::Write,
+    kind: RecordKind,
+    payload: &[u8],
+) -> std::io::Result<()> {
+    let mut head = Vec::with_capacity(HEADER_LEN + FRAME_LEN);
+    write_header(&mut head);
+    head.extend_from_slice(&frame_header(kind, payload));
+    file.write_all(&head)?;
+    file.write_all(payload)
 }
 
 /// Result of [`read_frame`]: a validated record, the torn tail, or the

@@ -54,17 +54,14 @@ impl Journal {
     /// the given first record — normally a snapshot.
     pub fn create(path: impl AsRef<Path>, first: &Record) -> Result<Journal, StoreError> {
         let path = path.as_ref();
-        let mut bytes = Vec::new();
-        format::write_header(&mut bytes);
         let (kind, payload) = first.encode();
-        format::write_frame(&mut bytes, kind, &payload);
         let mut file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
             .open(path)
             .map_err(|e| StoreError::io(e).with_path(path))?;
-        file.write_all(&bytes).map_err(|e| StoreError::io(e).with_path(path))?;
+        format::write_single_record(&mut file, kind, &payload).map_err(|e| StoreError::io(e).with_path(path))?;
         file.sync_all().map_err(|e| StoreError::io(e).with_path(path))?;
         Ok(Journal { path: path.to_path_buf(), file, appended: 0 })
     }
@@ -122,10 +119,7 @@ impl Journal {
     /// Rewrites the journal as header + `snapshot` alone (temp file +
     /// fsync + atomic rename), resetting the append counter.
     pub fn compact(&mut self, snapshot: &Record) -> Result<(), StoreError> {
-        let mut bytes = Vec::new();
-        format::write_header(&mut bytes);
         let (kind, payload) = snapshot.encode();
-        format::write_frame(&mut bytes, kind, &payload);
         let tmp = self.path.with_extension("tmp");
         let mut file = OpenOptions::new()
             .create(true)
@@ -133,7 +127,7 @@ impl Journal {
             .truncate(true)
             .open(&tmp)
             .map_err(|e| StoreError::io(e).with_path(&tmp))?;
-        file.write_all(&bytes).map_err(|e| StoreError::io(e).with_path(&tmp))?;
+        format::write_single_record(&mut file, kind, &payload).map_err(|e| StoreError::io(e).with_path(&tmp))?;
         file.sync_all().map_err(|e| StoreError::io(e).with_path(&tmp))?;
         std::fs::rename(&tmp, &self.path).map_err(|e| StoreError::io(e).with_path(&self.path))?;
         self.file = OpenOptions::new()

@@ -13,6 +13,11 @@
 //!   bytes, without copying the payload).
 //!   Decoding never panics on hostile bytes: every failure is a
 //!   [`StoreError`] naming the path, byte offset and detected format.
+//!   A profile snapshot's entries decode in parallel on the worker pool
+//!   the profiler shares ([`lfi_profile::run_pooled`]) after one
+//!   sequential scan delimits them, with exactly the sequential loop's
+//!   result: the first failing entry in entry order reports the error
+//!   (see [`decode_profile_store`]).
 //! * **A write-ahead journal** ([`Journal`], [`ExplorationJournal`]) —
 //!   full-snapshot records plus O(delta)
 //!   [`ExplorationDelta`](lfi_explore::ExplorationDelta) records, which the
@@ -76,7 +81,16 @@ pub fn sniff_format(path: impl AsRef<Path>) -> Result<StoreFormat, StoreError> {
     let mut magic = [0u8; 4];
     let mut file = fs::File::open(path).map_err(|e| StoreError::io(e).with_path(path))?;
     let read = file.read(&mut magic).map_err(|e| StoreError::io(e).with_path(path))?;
-    Ok(if read == 4 && magic == format::MAGIC { StoreFormat::Binary } else { StoreFormat::Xml })
+    Ok(sniff_bytes(&magic[..read]))
+}
+
+/// The format a file's leading bytes announce.
+fn sniff_bytes(data: &[u8]) -> StoreFormat {
+    if data.starts_with(&format::MAGIC) {
+        StoreFormat::Binary
+    } else {
+        StoreFormat::Xml
+    }
 }
 
 /// Reads a whole file, with path context on failure.
@@ -84,17 +98,24 @@ fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
     fs::read(path).map_err(|e| StoreError::io(e).with_path(path))
 }
 
-/// Decodes a single-record binary snapshot file, checking header and kind,
-/// by handing `decode` the record's payload in place.
+/// Takes a file's bytes as XML text, without copying them.
+fn xml_text(data: Vec<u8>) -> Result<String, StoreError> {
+    String::from_utf8(data).map_err(|e| StoreError {
+        format: Some(StoreFormat::Xml),
+        ..StoreError::corrupt(e.utf8_error().valid_up_to() as u64, "non-UTF-8 XML document")
+    })
+}
+
+/// Decodes a single-record binary snapshot file's bytes, checking header
+/// and kind, by handing `decode` the record's payload in place.
 fn read_snapshot<T>(
-    path: &Path,
+    data: &[u8],
     expect: format::RecordKind,
     decode: impl FnOnce(&[u8]) -> Result<T, StoreError>,
 ) -> Result<T, StoreError> {
-    let data = read_file(path)?;
-    let start = format::check_header(&data).map_err(|e| e.with_path(path))?;
-    match format::read_frame(&data, start) {
-        format::Frame::Record { kind, payload, .. } if kind == expect => decode(payload).map_err(|e| e.with_path(path)),
+    let start = format::check_header(data)?;
+    match format::read_frame(data, start) {
+        format::Frame::Record { kind, payload, .. } if kind == expect => decode(payload),
         format::Frame::Record { kind, .. } => Err(StoreError::corrupt(
             start as u64,
             format!(
@@ -102,18 +123,16 @@ fn read_snapshot<T>(
                 journal::record_kind_name(expect),
                 journal::record_kind_name(kind)
             ),
-        )
-        .with_path(path)),
-        _ => Err(StoreError::corrupt(start as u64, "damaged or truncated snapshot record").with_path(path)),
+        )),
+        _ => Err(StoreError::corrupt(start as u64, "damaged or truncated snapshot record")),
     }
 }
 
 /// Writes a single-record binary snapshot file (header + one record).
 fn write_snapshot(path: &Path, kind: format::RecordKind, payload: &[u8]) -> Result<(), StoreError> {
-    let mut bytes = Vec::with_capacity(format::HEADER_LEN + format::FRAME_LEN + payload.len());
-    format::write_header(&mut bytes);
-    format::write_frame(&mut bytes, kind, payload);
-    fs::write(path, bytes).map_err(|e| StoreError::io(e).with_path(path))
+    fs::File::create(path)
+        .and_then(|mut file| format::write_single_record(&mut file, kind, payload))
+        .map_err(|e| StoreError::io(e).with_path(path))
 }
 
 /// Saves a [`ProfileStore`] as a binary snapshot file.
@@ -127,17 +146,12 @@ pub fn save_profile_store(path: impl AsRef<Path>, store: &ProfileStore) -> Resul
 /// detected format; truncated or hostile input never panics.
 pub fn load_profile_store(path: impl AsRef<Path>) -> Result<ProfileStore, StoreError> {
     let path = path.as_ref();
-    match sniff_format(path)? {
-        StoreFormat::Binary => read_snapshot(path, format::RecordKind::ProfileSnapshot, decode_profile_store),
-        StoreFormat::Xml => {
-            let text = String::from_utf8(read_file(path)?).map_err(|e| {
-                StoreError::corrupt(e.utf8_error().valid_up_to() as u64, "non-UTF-8 XML document")
-                    .with_format(StoreFormat::Xml)
-                    .with_path(path)
-            })?;
-            ProfileStore::from_xml(&text).map_err(|e| StoreError::xml(e).with_path(path))
-        }
+    let data = read_file(path)?;
+    match sniff_bytes(&data) {
+        StoreFormat::Binary => read_snapshot(&data, format::RecordKind::ProfileSnapshot, decode_profile_store),
+        StoreFormat::Xml => xml_text(data).and_then(|text| ProfileStore::from_xml(&text).map_err(StoreError::xml)),
     }
+    .map_err(|e| e.with_path(path))
 }
 
 /// Saves an [`ExplorationStore`] as a binary snapshot file.
@@ -151,19 +165,14 @@ pub fn save_exploration(path: impl AsRef<Path>, store: &ExplorationStore) -> Res
 /// truncated in memory, the file left untouched).
 pub fn load_exploration(path: impl AsRef<Path>) -> Result<ExplorationStore, StoreError> {
     let path = path.as_ref();
-    match sniff_format(path)? {
-        StoreFormat::Binary => journal::durable_records(&read_file(path)?)
-            .and_then(|(records, _)| journal::fold_exploration(records))
-            .map_err(|e| e.with_path(path)),
-        StoreFormat::Xml => {
-            let text = String::from_utf8(read_file(path)?).map_err(|e| {
-                StoreError::corrupt(e.utf8_error().valid_up_to() as u64, "non-UTF-8 XML document")
-                    .with_format(StoreFormat::Xml)
-                    .with_path(path)
-            })?;
-            ExplorationStore::from_xml(&text).map_err(|e| StoreError::xml(e).with_path(path))
+    let data = read_file(path)?;
+    match sniff_bytes(&data) {
+        StoreFormat::Binary => {
+            journal::durable_records(&data).and_then(|(records, _)| journal::fold_exploration(records))
         }
+        StoreFormat::Xml => xml_text(data).and_then(|text| ExplorationStore::from_xml(&text).map_err(StoreError::xml)),
     }
+    .map_err(|e| e.with_path(path))
 }
 
 /// Parses an [`ExplorationStore`] from XML text, wrapping failures in a

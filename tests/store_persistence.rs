@@ -305,6 +305,38 @@ fn corrupt_message(error: &lfi::store::StoreError) -> &str {
     }
 }
 
+/// The format-sniffing loaders read each file once and still name the path
+/// and the format they detected in every error.
+#[test]
+fn load_errors_name_the_path_and_the_detected_format() {
+    let dir = temp_dir("lfi-store-sniff");
+    let binary = dir.join("damaged.lfis");
+    lfi::store::save_profile_store(&binary, &small_profile_store()).unwrap();
+    let mut bytes = fs::read(&binary).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01;
+    fs::write(&binary, &bytes).unwrap();
+    let not_utf8 = dir.join("latin1.xml");
+    fs::write(&not_utf8, b"<profile-store>\xE9</profile-store>").unwrap();
+    let malformed = dir.join("malformed.xml");
+    fs::write(&malformed, "<profile-store>").unwrap();
+
+    for (path, format) in [
+        (&binary, lfi::store::StoreFormat::Binary),
+        (&not_utf8, lfi::store::StoreFormat::Xml),
+        (&malformed, lfi::store::StoreFormat::Xml),
+    ] {
+        assert_eq!(lfi::store::sniff_format(path).unwrap(), format);
+        for error in
+            [lfi::store::load_profile_store(path).unwrap_err(), lfi::store::load_exploration(path).unwrap_err()]
+        {
+            assert_eq!(error.format, Some(format), "{error}");
+            assert_eq!(error.path.as_deref(), Some(path.as_path()), "{error}");
+            assert!(error.to_string().contains(&format!("[format: {format}]")), "{error}");
+        }
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// Both exploration readers share one fold: a record of another kind is
 /// the same error, at that record's own byte offset.
 #[test]
