@@ -77,7 +77,6 @@ fn survey_exploration_store() -> ExplorationStore {
         halt_on_crash: false,
         case_budget: None,
         injection_budget: None,
-        time_budget_ms: None,
         universe,
         batch_index: 12,
         rng_draws: 4096,
@@ -85,7 +84,6 @@ fn survey_exploration_store() -> ExplorationStore {
         crash_found: false,
         cases_executed: 3000,
         injections_performed: 2500,
-        elapsed_ms: 90_000,
         frontier,
         executed: Vec::new(),
         unreached: Vec::new(),
@@ -110,8 +108,7 @@ fn survey_profile_store() -> ProfileStore {
 /// carry absolute values, so re-applying the same delta each iteration is
 /// idempotent — exactly what the append benchmark wants.
 fn one_batch_delta(store: &ExplorationStore) -> ExplorationDelta {
-    let batch: Vec<FaultCell> = store.frontier.iter().take(DELTA_BATCH).map(|f| f.cell).collect();
-    let mut executed = batch.clone();
+    let mut executed: Vec<FaultCell> = store.frontier.iter().take(DELTA_BATCH).map(|f| f.cell).collect();
     executed.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     ExplorationDelta {
         batch_index: store.batch_index + 1,
@@ -120,8 +117,6 @@ fn one_batch_delta(store: &ExplorationStore) -> ExplorationDelta {
         crash_found: false,
         cases_executed: store.cases_executed + DELTA_BATCH as u64,
         injections_performed: store.injections_performed + DELTA_BATCH as u64,
-        elapsed_ms: store.elapsed_ms + 450,
-        frontier_remove: batch,
         frontier_upsert: Vec::new(),
         executed,
         unreached: Vec::new(),
@@ -161,7 +156,6 @@ fn lease_record(cells: &[FaultCell], done: usize) -> Record {
     Record::ExplorationDelta(ExplorationDelta {
         probe_done: true,
         cases_executed: (done + cells.len()) as u64,
-        frontier_remove: cells.to_vec(),
         executed: cells.to_vec(),
         coverage,
         ..ExplorationDelta::default()

@@ -747,7 +747,7 @@ mod tests {
         let store = lfi_explore::ExplorationStore::from_xml(
             "<exploration-store seed=\"7\" batch-size=\"4\" parallelism=\"1\" halt-on-crash=\"false\" \
              universe=\"0\" batch-index=\"0\" rng-draws=\"0\" probe-done=\"false\" crash-found=\"false\" \
-             cases-executed=\"0\" injections-performed=\"0\" elapsed-ms=\"0\"><budget /><frontier />\
+             cases-executed=\"0\" injections-performed=\"0\"><budget /><frontier />\
              <executed /><unreached /><pruned /><coverage /><clusters /></exploration-store>",
         )
         .unwrap();

@@ -21,7 +21,7 @@ use lfi_intern::Symbol;
 use lfi_scenario::FaultCell;
 
 use crate::explorer::FrontierCell;
-use crate::ledger::{cluster_slot, sort_clusters, CrashCluster, FunctionCoverage};
+use crate::ledger::{cluster_slot, CrashCluster, FunctionCoverage};
 use crate::ExplorationStore;
 
 /// The state changes of one exploration step (or any span between two
@@ -44,18 +44,15 @@ pub struct ExplorationDelta {
     pub cases_executed: u64,
     /// Absolute injections-performed counter after the span.
     pub injections_performed: u64,
-    /// Absolute wall-clock counter after the span, milliseconds.
-    pub elapsed_ms: u64,
-    /// Cells no longer pending (drained into a batch, pruned, or executed).
-    pub frontier_remove: Vec<FaultCell>,
     /// Cells pending after the span whose presence or priority changed,
     /// with their absolute final priorities.
     pub frontier_upsert: Vec<FrontierCell>,
-    /// Cells newly executed in the span.
+    /// Cells newly executed in the span (off the frontier).
     pub executed: Vec<FaultCell>,
-    /// Cells newly proven unreachable in the span.
+    /// Cells newly proven unreachable in the span (off the frontier).
     pub unreached: Vec<FaultCell>,
-    /// Functions newly pruned wholesale in the span.
+    /// Functions newly pruned wholesale in the span (every cell of theirs
+    /// off the frontier).
     pub pruned_functions: Vec<Symbol>,
     /// Absolute replacement entries for every coverage record the span
     /// touched.
@@ -68,8 +65,7 @@ pub struct ExplorationDelta {
 impl ExplorationDelta {
     /// True when the span changed nothing.
     pub fn is_empty(&self) -> bool {
-        self.frontier_remove.is_empty()
-            && self.frontier_upsert.is_empty()
+        self.frontier_upsert.is_empty()
             && self.executed.is_empty()
             && self.unreached.is_empty()
             && self.pruned_functions.is_empty()
@@ -88,21 +84,28 @@ impl ExplorationDelta {
         store.crash_found = self.crash_found;
         store.cases_executed = self.cases_executed;
         store.injections_performed = self.injections_performed;
-        store.elapsed_ms = self.elapsed_ms;
 
+        // A delta names no removed cell: a cell leaves the frontier only by
+        // running (`executed`), by being proven unreachable (`unreached`),
+        // or with its whole function (`pruned_functions`), and a cell whose
+        // priority changed is dropped and re-merged (`frontier_upsert`).
+        //
         // The store's collections are kept in their canonical orders
         // (frontier: priority descending then cell key; everything else:
         // sorted by name/cell key), so a delta folds in with linear merge
         // passes — O(store + delta) with no re-sort of untouched entries.
-        if !self.frontier_remove.is_empty() || !self.frontier_upsert.is_empty() {
-            let mut dropped: HashSet<FaultCell> = self.frontier_remove.iter().copied().collect();
-            dropped.extend(self.frontier_upsert.iter().map(|entry| entry.cell));
-            store.frontier.retain(|entry| !dropped.contains(&entry.cell));
-            if !self.frontier_upsert.is_empty() {
-                let mut added = self.frontier_upsert.clone();
-                added.sort_by(frontier_order);
-                store.frontier = merge_sorted(std::mem::take(&mut store.frontier), added, frontier_order);
-            }
+        let upserts = self.frontier_upsert.iter().map(|entry| entry.cell);
+        let dropped: HashSet<FaultCell> = self.executed.iter().chain(&self.unreached).copied().chain(upserts).collect();
+        if !dropped.is_empty() || !self.pruned_functions.is_empty() {
+            let pruned: HashSet<Symbol> = self.pruned_functions.iter().copied().collect();
+            store
+                .frontier
+                .retain(|entry| !dropped.contains(&entry.cell) && !pruned.contains(&entry.cell.function));
+        }
+        if !self.frontier_upsert.is_empty() {
+            let mut added = self.frontier_upsert.clone();
+            added.sort_by(frontier_order);
+            store.frontier = merge_sorted(std::mem::take(&mut store.frontier), added, frontier_order);
         }
 
         merge_cells(&mut store.executed, &self.executed);
@@ -117,11 +120,6 @@ impl ExplorationDelta {
                 Ok(index) => store.coverage[index].1 = function.clone(),
                 Err(index) => store.coverage.insert(index, (*symbol, function.clone())),
             }
-        }
-        if !self.clusters.is_empty() {
-            // Stores written before clusters were kept in key order list
-            // them in discovery order; sorting is a no-op on any other.
-            sort_clusters(&mut store.clusters);
         }
         for cluster in &self.clusters {
             match cluster_slot(&store.clusters, &cluster.key()) {

@@ -191,7 +191,7 @@ pub(crate) fn cluster_slot(clusters: &[CrashCluster], key: &ClusterKey) -> Resul
     clusters.binary_search_by(|c| cluster_order(&c.key(), key))
 }
 
-/// Puts clusters in key order (a no-op on lists this crate wrote).
+/// Puts clusters in key order (a no-op on lists this build wrote).
 pub(crate) fn sort_clusters(clusters: &mut [CrashCluster]) {
     clusters.sort_by(|a, b| cluster_order(&a.key(), &b.key()));
 }
@@ -221,11 +221,11 @@ pub struct FaultLedger {
 
 impl FaultLedger {
     /// The ledger a snapshot recorded: executed set, coverage, clusters
-    /// (put in key order), and the case and injection counters.  Crash and
-    /// failure counts are the sizes of the crash and failure clusters.
+    /// (in the key order [`ExplorationStore::clusters`] keeps), and the case
+    /// and injection counters.  Crash and failure counts are the sizes of
+    /// the crash and failure clusters.
     pub fn from_store(store: &ExplorationStore) -> Self {
-        let mut clusters = store.clusters.clone();
-        sort_clusters(&mut clusters);
+        let clusters = store.clusters.clone();
         let count = |crash: bool| clusters.iter().filter(|c| c.is_crash() == crash).map(|c| c.count).sum();
         Self {
             executed: store.executed.iter().copied().collect(),

@@ -43,8 +43,10 @@
 //! * **Escalation** — cells adjacent to a crash (neighbouring call indices,
 //!   sibling errnos from the profiler's per-function error sets) jump to the
 //!   front of the frontier.
-//! * **Budgets** — a global case/injection/time budget bounds the whole
-//!   exploration.
+//! * **Budgets** — a global case/injection budget bounds the whole
+//!   exploration.  The explorer keeps no clock, so a fixed-seed rerun
+//!   writes the same store; a wall-clock bound is the caller's, through
+//!   [`Explorer::step_with`]'s cancel.
 //! * **Resumability** — the complete exploration state (frontier, coverage,
 //!   cluster table, RNG stream position) round-trips through an XML
 //!   [`ExplorationStore`], so a killed exploration resumes deterministically

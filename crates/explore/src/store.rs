@@ -11,7 +11,7 @@ use lfi_profile::ProfileError;
 use lfi_scenario::FaultCell;
 
 use crate::explorer::FrontierCell;
-use crate::ledger::{CrashCluster, FunctionCoverage, OutcomeClass};
+use crate::ledger::{sort_clusters, CrashCluster, FunctionCoverage, OutcomeClass};
 
 /// The complete serializable state of an [`Explorer`](crate::Explorer):
 /// configuration, budgets, the frontier *in scheduling order*, the coverage
@@ -34,8 +34,6 @@ pub struct ExplorationStore {
     pub case_budget: Option<u64>,
     /// Total-injection bound, if any.
     pub injection_budget: Option<u64>,
-    /// Wall-clock bound in milliseconds, if any.
-    pub time_budget_ms: Option<u64>,
     /// Size of the enumerated seed universe.
     pub universe: usize,
     /// Batches executed so far.
@@ -50,8 +48,6 @@ pub struct ExplorationStore {
     pub cases_executed: u64,
     /// Injections performed so far.
     pub injections_performed: u64,
-    /// Wall-clock time spent so far, milliseconds.
-    pub elapsed_ms: u64,
     /// Pending cells, in scheduling order, with priorities.
     pub frontier: Vec<FrontierCell>,
     /// Cells already run, sorted by cell key.
@@ -64,7 +60,10 @@ pub struct ExplorationStore {
     /// Per-function coverage, sorted by name.
     pub coverage: Vec<(Symbol, FunctionCoverage)>,
     /// Crash clusters, in key order (function name, stack frame names,
-    /// outcome class).
+    /// outcome class).  Every writer keeps this order and every reader
+    /// relies on it: the ledger and a delta's fold find clusters by binary
+    /// search.  [`ExplorationStore::from_xml`] sorts what it parses, since a
+    /// hand-edited file can list clusters in any order.
     pub clusters: Vec<CrashCluster>,
 }
 
@@ -127,8 +126,7 @@ impl ExplorationStore {
             .attr("probe-done", self.probe_done)
             .attr("crash-found", self.crash_found)
             .attr("cases-executed", self.cases_executed)
-            .attr("injections-performed", self.injections_performed)
-            .attr("elapsed-ms", self.elapsed_ms);
+            .attr("injections-performed", self.injections_performed);
 
         let mut budget = XmlElement::new("budget");
         if let Some(cases) = self.case_budget {
@@ -136,9 +134,6 @@ impl ExplorationStore {
         }
         if let Some(injections) = self.injection_budget {
             budget = budget.attr("injections", injections);
-        }
-        if let Some(time_ms) = self.time_budget_ms {
-            budget = budget.attr("time-ms", time_ms);
         }
         root = root.child(budget);
 
@@ -266,7 +261,7 @@ impl ExplorationStore {
             })
             .transpose()?
             .unwrap_or_default();
-        let clusters = root
+        let mut clusters = root
             .first_child("clusters")
             .map(|element| {
                 element
@@ -297,6 +292,7 @@ impl ExplorationStore {
             })
             .transpose()?
             .unwrap_or_default();
+        sort_clusters(&mut clusters);
         Ok(ExplorationStore {
             seed: attr_number(&root, "seed")?,
             batch_size: attr_number(&root, "batch-size")?,
@@ -304,7 +300,6 @@ impl ExplorationStore {
             halt_on_crash: attr_flag(&root, "halt-on-crash"),
             case_budget: budget.map(|b| attr_number_opt(b, "cases")).transpose()?.flatten(),
             injection_budget: budget.map(|b| attr_number_opt(b, "injections")).transpose()?.flatten(),
-            time_budget_ms: budget.map(|b| attr_number_opt(b, "time-ms")).transpose()?.flatten(),
             universe: attr_number(&root, "universe")?,
             batch_index: attr_number(&root, "batch-index")?,
             rng_draws: attr_number(&root, "rng-draws")?,
@@ -312,7 +307,6 @@ impl ExplorationStore {
             crash_found: attr_flag(&root, "crash-found"),
             cases_executed: attr_number(&root, "cases-executed")?,
             injections_performed: attr_number(&root, "injections-performed")?,
-            elapsed_ms: attr_number(&root, "elapsed-ms")?,
             frontier,
             executed: cells_of("executed")?,
             unreached: cells_of("unreached")?,
@@ -343,7 +337,6 @@ mod tests {
             halt_on_crash: true,
             case_budget: Some(100),
             injection_budget: None,
-            time_budget_ms: Some(60_000),
             universe: 42,
             batch_index: 3,
             rng_draws: 17,
@@ -351,7 +344,6 @@ mod tests {
             crash_found: true,
             cases_executed: 20,
             injections_performed: 18,
-            elapsed_ms: 12,
             frontier: vec![
                 FrontierCell { cell: cell("read", 2, -1, Some(5)), priority: 100 },
                 FrontierCell { cell: cell("write", 1, -1, None), priority: -50 },
@@ -388,7 +380,6 @@ mod tests {
     fn optional_budgets_and_errnos_round_trip() {
         let mut store = sample_store();
         store.case_budget = None;
-        store.time_budget_ms = None;
         store.injection_budget = Some(3);
         store.frontier[0].cell.errno = None;
         store.clusters[0].example.errno = None;
@@ -397,6 +388,18 @@ mod tests {
         store.crash_found = false;
         let parsed = ExplorationStore::from_xml(&store.to_xml()).unwrap();
         assert_eq!(parsed, store);
+    }
+
+    #[test]
+    fn clusters_parse_into_key_order() {
+        let mut store = sample_store();
+        let function = Symbol::intern("write");
+        let example = FaultCell { function, ..store.clusters[0].example };
+        let write = CrashCluster { function, example, ..store.clusters[0].clone() };
+        store.clusters.insert(0, write);
+        let parsed = ExplorationStore::from_xml(&store.to_xml()).unwrap();
+        store.clusters.reverse();
+        assert_eq!(parsed, store, "close sorts before write");
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! a recovered job starts with its cost unknown, like a new one.
 //!
 //! Each job also marks what changed in its checkpoint since the last
-//! [`Scheduler::take_delta`]: the cells that left the frontier (executed or
-//! skipped), the newly skipped cells, and what the ledger reported
-//! changing.  The fabric journals those deltas, so a job's journal holds
-//! exactly what an explorer's does.
+//! [`Scheduler::take_delta`]: the newly skipped cells and what the ledger
+//! reported changing.  A cell leaves the checkpoint's frontier only by
+//! being executed or skipped, so the delta's fold derives the removals.
+//! The fabric journals those deltas, so a job's journal holds exactly what
+//! an explorer's does.
 //!
 //! The scheduler is a plain synchronous state machine — every method runs
 //! under the fabric's one mutex, takes `now` (and, for acks, the measured
@@ -131,8 +132,6 @@ impl EventBuffer {
 /// nothing.
 #[derive(Default)]
 struct CheckpointMarks {
-    /// Frontier cells that left it: executed, or moved to `skipped`.
-    left: Vec<FaultCell>,
     /// Cells newly moved to `skipped` (the checkpoint's `unreached`).
     skipped: Vec<FaultCell>,
     /// Executed cells, coverage entries and clusters the ledger changed.
@@ -220,7 +219,6 @@ impl JobRecord {
 
     /// Moves a pending or leased cell to the skipped set.
     fn skip(&mut self, cell: FaultCell) {
-        self.marks.left.push(cell);
         if self.skipped.insert(cell) {
             self.marks.skipped.push(cell);
         }
@@ -419,9 +417,9 @@ impl Scheduler {
         let Some(record) = self.jobs.get_mut(&job.0) else {
             return false;
         };
-        let Some(entry) = record.take_lease(lease) else {
+        if record.take_lease(lease).is_none() {
             return false;
-        };
+        }
         record.charged_ns = record.charged_ns.saturating_add(nanos(busy));
         if !result.outcomes.is_empty() {
             record.cell_ns = Some(nanos(busy) / result.outcomes.len() as u64);
@@ -447,9 +445,6 @@ impl Scheduler {
         } else {
             requeued = result.skipped.into_iter().filter(|c| !record.ledger.is_executed(c)).collect();
         }
-        // Every leased cell that is not going back to pending has left the
-        // frontier.
-        record.marks.left.extend(entry.cells.into_iter().filter(|cell| !requeued.contains(cell)));
         record.requeue_cells(requeued);
         record.maybe_complete();
         true
@@ -626,12 +621,9 @@ impl Scheduler {
     pub fn take_delta(&mut self, job: JobId) -> Option<ExplorationDelta> {
         let record = self.jobs.get_mut(&job.0)?;
         let marks = std::mem::take(&mut record.marks);
-        let mut frontier_remove = marks.left;
-        frontier_remove.sort_by_cached_key(FaultCell::sort_key);
-        frontier_remove.dedup();
         let mut unreached = marks.skipped;
         unreached.sort_by_cached_key(FaultCell::sort_key);
-        Some(ExplorationDelta { probe_done: true, frontier_remove, unreached, ..marks.ledger.resolve(&record.ledger) })
+        Some(ExplorationDelta { probe_done: true, unreached, ..marks.ledger.resolve(&record.ledger) })
     }
 
     /// The job's coverage/cluster report, read off its ledger.

@@ -3,7 +3,7 @@
 //! the [`FabricClient`] that speaks both.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -132,7 +132,6 @@ impl FabricHandle {
     ///
     /// Propagates listener configuration failures.
     pub fn serve_tcp(&self, listener: TcpListener) -> std::io::Result<ServerGuard> {
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let connections: Arc<Mutex<Vec<Connection>>> = Arc::new(Mutex::new(Vec::new()));
@@ -142,8 +141,14 @@ impl FabricHandle {
         let acceptor = std::thread::Builder::new()
             .name("lfi-fabric-accept".into())
             .spawn(move || {
-                while !accept_stop.load(Ordering::Acquire) {
-                    match listener.accept() {
+                // `accept` blocks; `ServerGuard::stop` wakes it with a
+                // connection of its own, which is dropped here unserved.
+                loop {
+                    let accepted = listener.accept();
+                    if accept_stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
                             let handle = handle.clone();
                             // A connection whose stream cannot be cloned or
@@ -163,9 +168,6 @@ impl FabricHandle {
                             // forget them so the list tracks live ones only.
                             guard.retain(|connection| !connection.worker.is_finished());
                             guard.push(Connection { peer, worker });
-                        }
-                        Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
                         }
                         Err(_) => break,
                     }
@@ -262,7 +264,10 @@ impl ServerGuard {
         self.addr
     }
 
-    /// Stops the accept loop (idempotent; also done on drop).
+    /// Stops the accept loop (idempotent; also done on drop).  The loop
+    /// blocks in `accept`, so this wakes it with one connection to the
+    /// server's own port (over loopback when the listener is bound to an
+    /// unspecified address), which the loop drops unserved.
     ///
     /// ```no_run
     /// # let fabric = lfi_fabric::Fabric::builder().build();
@@ -272,6 +277,12 @@ impl ServerGuard {
     /// ```
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() });
+        }
+        // Refused once the loop has exited and dropped the listener.
+        let _ = TcpStream::connect(wake);
     }
 }
 

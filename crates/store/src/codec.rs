@@ -336,7 +336,6 @@ pub fn encode_exploration_store(store: &ExplorationStore) -> Vec<u8> {
     put_flag(&mut out, store.halt_on_crash);
     put_opt_u64(&mut out, store.case_budget);
     put_opt_u64(&mut out, store.injection_budget);
-    put_opt_u64(&mut out, store.time_budget_ms);
     out.put_u64_le(store.universe as u64);
     out.put_u64_le(store.batch_index);
     out.put_u64_le(store.rng_draws);
@@ -344,7 +343,6 @@ pub fn encode_exploration_store(store: &ExplorationStore) -> Vec<u8> {
     put_flag(&mut out, store.crash_found);
     out.put_u64_le(store.cases_executed);
     out.put_u64_le(store.injections_performed);
-    out.put_u64_le(store.elapsed_ms);
     put_frontier(&mut out, &store.frontier);
     put_cells(&mut out, &store.executed);
     put_cells(&mut out, &store.unreached);
@@ -367,7 +365,6 @@ pub fn decode_exploration_store(payload: &[u8]) -> Result<ExplorationStore, Stor
         halt_on_crash: r.flag("halt_on_crash")?,
         case_budget: r.opt_u64("case budget")?,
         injection_budget: r.opt_u64("injection budget")?,
-        time_budget_ms: r.opt_u64("time budget")?,
         universe: r.u64("universe")? as usize,
         batch_index: r.u64("batch index")?,
         rng_draws: r.u64("rng draws")?,
@@ -375,7 +372,6 @@ pub fn decode_exploration_store(payload: &[u8]) -> Result<ExplorationStore, Stor
         crash_found: r.flag("crash_found")?,
         cases_executed: r.u64("cases executed")?,
         injections_performed: r.u64("injections performed")?,
-        elapsed_ms: r.u64("elapsed ms")?,
         frontier: get_frontier(&mut r, "frontier")?,
         executed: get_cells(&mut r, "executed cells")?,
         unreached: get_cells(&mut r, "unreached cells")?,
@@ -396,7 +392,10 @@ pub fn decode_exploration_store(payload: &[u8]) -> Result<ExplorationStore, Stor
 
 // -- exploration delta ------------------------------------------------------
 
-/// Encodes an [`ExplorationDelta`] payload.
+/// Encodes an [`ExplorationDelta`] payload: the absolute counters, then
+/// the frontier upserts, executed and unreached cells, pruned functions,
+/// coverage entries and clusters.  Removed frontier cells are not written:
+/// [`ExplorationDelta::apply`] derives them.
 pub fn encode_exploration_delta(delta: &ExplorationDelta) -> Vec<u8> {
     let mut out = BytesMut::with_capacity(128);
     out.put_u64_le(delta.batch_index);
@@ -405,8 +404,6 @@ pub fn encode_exploration_delta(delta: &ExplorationDelta) -> Vec<u8> {
     put_flag(&mut out, delta.crash_found);
     out.put_u64_le(delta.cases_executed);
     out.put_u64_le(delta.injections_performed);
-    out.put_u64_le(delta.elapsed_ms);
-    put_cells(&mut out, &delta.frontier_remove);
     put_frontier(&mut out, &delta.frontier_upsert);
     put_cells(&mut out, &delta.executed);
     put_cells(&mut out, &delta.unreached);
@@ -429,8 +426,6 @@ pub fn decode_exploration_delta(payload: &[u8]) -> Result<ExplorationDelta, Stor
         crash_found: r.flag("crash_found")?,
         cases_executed: r.u64("cases executed")?,
         injections_performed: r.u64("injections performed")?,
-        elapsed_ms: r.u64("elapsed ms")?,
-        frontier_remove: get_cells(&mut r, "frontier removals")?,
         frontier_upsert: get_frontier(&mut r, "frontier upserts")?,
         executed: get_cells(&mut r, "executed cells")?,
         unreached: get_cells(&mut r, "unreached cells")?,

@@ -16,8 +16,12 @@
 /// The four magic bytes every `lfi-store` file starts with.
 pub const MAGIC: [u8; 4] = *b"LFIS";
 
-/// The format version this build reads and writes.
-pub const FORMAT_VERSION: u16 = 2;
+/// The format version this build reads and writes.  Version 3 dropped the
+/// wall-clock fields of exploration snapshots and deltas and a delta's list
+/// of removed frontier cells (the fold derives it); version 2 dropped
+/// version 1's fabric ack record.  A file of any other version gets the
+/// unsupported-version error before anything reads or truncates it.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Size of the file header in bytes.
 pub const HEADER_LEN: usize = 8;

@@ -1,7 +1,7 @@
 //! The lfi-store durability contracts, end to end: XML → binary → XML
 //! byte-identity for arbitrary stores, torn-tail recovery at *every* byte
 //! offset of a killed append, hostile-bytes robustness (never panic, always
-//! a `StoreError` naming path/offset/format), refusal of version-1 files,
+//! a `StoreError` naming path/offset/format), refusal of older versions,
 //! and a journaled explorer kill + resume that reproduces the uninterrupted
 //! run batch for batch.
 
@@ -47,7 +47,6 @@ fn base_store() -> ExplorationStore {
         halt_on_crash: false,
         case_budget: Some(500),
         injection_budget: None,
-        time_budget_ms: None,
         universe: 5,
         batch_index: 0,
         rng_draws: 3,
@@ -55,7 +54,6 @@ fn base_store() -> ExplorationStore {
         crash_found: false,
         cases_executed: 1,
         injections_performed: 0,
-        elapsed_ms: 2,
         frontier: vec![
             FrontierCell { cell: cell("read", 1, Some(5)), priority: 0 },
             FrontierCell { cell: cell("write", 1, Some(28)), priority: -1 },
@@ -81,8 +79,6 @@ fn delta_one() -> ExplorationDelta {
         crash_found: false,
         cases_executed: 3,
         injections_performed: 2,
-        elapsed_ms: 11,
-        frontier_remove: vec![cell("read", 1, Some(5)), cell("write", 1, Some(28))],
         frontier_upsert: vec![],
         executed: vec![cell("read", 1, Some(5)), cell("write", 1, Some(28))],
         unreached: vec![],
@@ -104,8 +100,6 @@ fn delta_two() -> ExplorationDelta {
         crash_found: true,
         cases_executed: 4,
         injections_performed: 3,
-        elapsed_ms: 23,
-        frontier_remove: vec![cell("close", 2, Some(5))],
         frontier_upsert: vec![FrontierCell { cell: cell("close", 1, Some(5)), priority: 100 }],
         executed: vec![cell("close", 2, Some(5))],
         unreached: vec![],
@@ -234,7 +228,8 @@ fn compaction_preserves_state_and_shrinks_the_journal() {
 
 /// A version-1 file — the format whose fabric journals held ack records —
 /// is refused by every reader with the unsupported-version error, before
-/// anything truncates it.
+/// anything truncates it.  So is a version-2 file, whose stores and deltas
+/// carried wall-clock fields and deltas listed their frontier removals.
 #[test]
 fn version_one_files_are_refused_and_left_untouched() {
     let dir = temp_dir("lfi-store-v1");
@@ -265,6 +260,12 @@ fn version_one_files_are_refused_and_left_untouched() {
     let spec = lfi::fabric::JobSpec::new("v1", "reader", lfi::scenario::Plan::new());
     let error = fabric.recover_job(spec, &path).unwrap_err().to_string();
     assert!(error.contains("unsupported store format version 1"), "{error}");
+    assert_eq!(fs::read(&path).unwrap(), bytes, "no reader touched the file");
+
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+    let error = ExplorationJournal::open(&path).unwrap_err();
+    assert!(matches!(error.kind, lfi::store::StoreErrorKind::UnsupportedVersion { found: 2 }), "{error}");
     assert_eq!(fs::read(&path).unwrap(), bytes, "no reader touched the file");
 
     fs::remove_dir_all(&dir).ok();
@@ -571,8 +572,7 @@ fn arb_cluster() -> impl Strategy<Value = CrashCluster> {
 
 fn arb_exploration_store() -> impl Strategy<Value = ExplorationStore> {
     let config = (any::<u64>(), 1usize..32, 1usize..8, any::<bool>());
-    let budgets =
-        (proptest::option::of(1u64..10_000), proptest::option::of(1u64..10_000), proptest::option::of(1u64..100_000));
+    let budgets = (proptest::option::of(1u64..10_000), proptest::option::of(1u64..10_000));
     let progress = (0u64..50, 0u64..5_000, any::<bool>(), any::<bool>(), 0u64..10_000);
     let cells = (
         proptest::collection::vec((arb_cell(), -5i32..5), 0..8),
@@ -587,13 +587,18 @@ fn arb_exploration_store() -> impl Strategy<Value = ExplorationStore> {
     (config, budgets, progress, cells, folds).prop_map(
         |(
             (seed, batch_size, parallelism, halt_on_crash),
-            (case_budget, injection_budget, time_budget_ms),
+            (case_budget, injection_budget),
             (batch_index, rng_draws, probe_done, crash_found, cases_executed),
             (frontier, executed, unreached, pruned),
-            (coverage, clusters),
+            (coverage, mut clusters),
         )| {
             // Coverage is keyed by function name: dedup through a map.
             let coverage: std::collections::BTreeMap<String, FunctionCoverage> = coverage.into_iter().collect();
+            // Every store keeps its clusters in key order.
+            clusters.sort_by_cached_key(|c| {
+                let stack: Vec<String> = c.stack.iter().map(|s| s.as_str().to_owned()).collect();
+                (c.function.as_str().to_owned(), stack, c.outcome)
+            });
             ExplorationStore {
                 seed,
                 batch_size,
@@ -601,7 +606,6 @@ fn arb_exploration_store() -> impl Strategy<Value = ExplorationStore> {
                 halt_on_crash,
                 case_budget,
                 injection_budget,
-                time_budget_ms,
                 universe: frontier.len() + executed.len() + 7,
                 batch_index,
                 rng_draws,
@@ -609,7 +613,6 @@ fn arb_exploration_store() -> impl Strategy<Value = ExplorationStore> {
                 crash_found,
                 cases_executed,
                 injections_performed: cases_executed / 2,
-                elapsed_ms: cases_executed * 3,
                 frontier: frontier.into_iter().map(|(cell, priority)| FrontierCell { cell, priority }).collect(),
                 executed,
                 unreached,
