@@ -20,8 +20,8 @@ use std::collections::HashSet;
 use lfi_intern::Symbol;
 use lfi_scenario::FaultCell;
 
-use crate::explorer::FrontierCell;
 use crate::ledger::{cluster_slot, CrashCluster, FunctionCoverage};
+use crate::state::FrontierCell;
 use crate::ExplorationStore;
 
 /// The state changes of one exploration step (or any span between two
@@ -131,8 +131,8 @@ impl ExplorationDelta {
 }
 
 /// The frontier's scheduling order: priority descending, then the total
-/// cell key — the same order `Explorer::store` emits.
-fn frontier_order(a: &FrontierCell, b: &FrontierCell) -> std::cmp::Ordering {
+/// cell key — the order a snapshot's frontier is written in.
+pub(crate) fn frontier_order(a: &FrontierCell, b: &FrontierCell) -> std::cmp::Ordering {
     b.priority.cmp(&a.priority).then_with(|| a.cell.sort_key().cmp(&b.cell.sort_key()))
 }
 
@@ -164,24 +164,7 @@ fn merge_cells(into: &mut Vec<FaultCell>, new: &[FaultCell]) {
         return;
     }
     let mut added = new.to_vec();
-    added.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-    added.dedup();
-    let old = std::mem::take(into);
-    into.reserve(old.len() + added.len());
-    let (mut old, mut added) = (old.into_iter().peekable(), added.into_iter().peekable());
-    loop {
-        match (old.peek(), added.peek()) {
-            (Some(a), Some(b)) => match a.sort_key().cmp(&b.sort_key()) {
-                std::cmp::Ordering::Less => into.push(old.next().unwrap()),
-                std::cmp::Ordering::Greater => into.push(added.next().unwrap()),
-                std::cmp::Ordering::Equal => {
-                    into.push(old.next().unwrap());
-                    added.next();
-                }
-            },
-            (Some(_), None) => into.push(old.next().unwrap()),
-            (None, Some(_)) => into.push(added.next().unwrap()),
-            (None, None) => break,
-        }
-    }
+    added.sort_by_cached_key(FaultCell::sort_key);
+    *into = merge_sorted(std::mem::take(into), added, |a, b| a.sort_key().cmp(&b.sort_key()));
+    into.dedup();
 }

@@ -8,13 +8,14 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lfi_controller::{Campaign, CampaignReport, CaseEvent, ExecutionPolicy, SkipReason, TestCase, Workload};
+use lfi_controller::{Campaign, CampaignReport, CaseEvent, TestCase, Workload};
 use lfi_intern::Symbol;
 use lfi_profile::FaultProfile;
 use lfi_scenario::{FaultCell, FaultSpace, Plan};
 
-use crate::ledger::{CellResult, CrashCluster, FaultLedger, LedgerMarks};
-use crate::{ExplorationDelta, ExplorationStore};
+use crate::ledger::{CellResult, CrashCluster};
+use crate::run::{run_cells, run_session};
+use crate::{ExplorationDelta, ExplorationState, ExplorationStore};
 
 /// Name of the injection-free probe case every exploration starts with.
 pub const PROBE_CASE_NAME: &str = "probe-baseline";
@@ -30,16 +31,6 @@ pub const ESCALATED: i32 = 100;
 /// can lengthen a retry loop, so "beyond the baseline depth" is a hint, not
 /// proof of unreachability).
 const DEPRIORITIZED: i32 = -50;
-
-/// One pending cell of the exploration frontier, with its priority.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FrontierCell {
-    /// The pending fault-space cell.
-    pub cell: FaultCell,
-    /// Scheduling priority: higher runs earlier; ties are shuffled by the
-    /// explorer's seeded RNG stream.
-    pub priority: i32,
-}
 
 /// Aggregate coverage numbers for reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,25 +99,6 @@ impl Default for ExplorerConfig {
     }
 }
 
-/// Accumulates *which* parts of the exploration state mutated since the
-/// last [`Explorer::take_delta`] call.  Tracking is always on — every mark
-/// is an O(1) insert or push bounded by what the span touched, and the
-/// tracked keys are resolved to absolute values only when the delta is
-/// taken.  Muting touches no cell, so it marks nothing.  A cell leaving the
-/// frontier is not marked as such: it left because it ran, was proven
-/// unreachable or had its function pruned, and the delta records that.
-#[derive(Debug, Default)]
-struct DeltaTracker {
-    /// Cells raised or reweighted on the frontier.
-    frontier: HashSet<FaultCell>,
-    /// Cells proven unreachable in the span.
-    unreached: HashSet<FaultCell>,
-    /// Functions pruned wholesale in the span.
-    pruned_functions: HashSet<Symbol>,
-    /// Executed cells, coverage entries and clusters the span touched.
-    ledger: LedgerMarks,
-}
-
 /// The coverage-guided exploration engine — see the [crate docs](crate) for
 /// the loop it closes.
 ///
@@ -160,15 +132,9 @@ pub struct Explorer {
     /// The profiles crash escalation draws sibling errnos from, shared
     /// (the facade hands every explorer over one profile set the same ones).
     profiles: Arc<[FaultProfile]>,
-    /// Size of the enumerated seed universe (for coverage reporting).
-    universe: usize,
-    /// Executed cells, coverage, clusters and counters.
-    ledger: FaultLedger,
-    // The frontier policy: what runs next, and what never needs to.  Every
-    // pending cell is on `frontier`, muted or not.
-    frontier: Vec<FrontierCell>,
-    unreached: HashSet<FaultCell>,
-    pruned_functions: HashSet<Symbol>,
+    /// The frontier book: every pending cell, muted or not, the unreached
+    /// ones, the ledger, and what changed since the last delta.
+    state: ExplorationState,
     config: ExplorerConfig,
     rng: StdRng,
     rng_draws: u64,
@@ -181,8 +147,6 @@ pub struct Explorer {
     /// Muted functions: their frontier cells stay pending but no batch
     /// selects them until [`Explorer::unmute`].
     muted: HashSet<Symbol>,
-    /// What mutated since the last [`Explorer::take_delta`].
-    tracker: DeltaTracker,
 }
 
 impl Explorer {
@@ -203,11 +167,7 @@ impl Explorer {
         let config = ExplorerConfig::default();
         Self {
             profiles: profiles.into(),
-            universe: space.len(),
-            ledger: FaultLedger::default(),
-            frontier: space.cells().iter().map(|&cell| FrontierCell { cell, priority: 0 }).collect(),
-            unreached: HashSet::new(),
-            pruned_functions: HashSet::new(),
+            state: ExplorationState::new(space.cells(), space.len()),
             rng: StdRng::seed_from_u64(config.seed),
             rng_draws: 0,
             config,
@@ -215,7 +175,6 @@ impl Explorer {
             probe_done: false,
             escalation_enabled: true,
             muted: HashSet::new(),
-            tracker: DeltaTracker::default(),
         }
     }
 
@@ -231,11 +190,7 @@ impl Explorer {
         }
         Self {
             profiles: profiles.into(),
-            universe: store.universe,
-            ledger: FaultLedger::from_store(store),
-            frontier: store.frontier.clone(),
-            unreached: store.unreached.iter().copied().collect(),
-            pruned_functions: store.pruned_functions.iter().copied().collect(),
+            state: ExplorationState::from_store(store),
             config: ExplorerConfig {
                 seed: store.seed,
                 batch_size: store.batch_size.max(1),
@@ -250,7 +205,6 @@ impl Explorer {
             probe_done: store.probe_done,
             escalation_enabled: true,
             muted: HashSet::new(),
-            tracker: DeltaTracker::default(),
         }
     }
 
@@ -259,19 +213,9 @@ impl Explorer {
     /// process restores with [`ExplorationStore::from_xml`] +
     /// [`Explorer::resume`].
     pub fn store(&self) -> ExplorationStore {
-        let mut unreached: Vec<FaultCell> = self.unreached.iter().copied().collect();
-        unreached.sort_by_cached_key(FaultCell::sort_key);
-        let mut pruned_functions: Vec<Symbol> = self.pruned_functions.iter().copied().collect();
-        pruned_functions.sort_by_key(|s| s.as_str());
         // Muted cells are pending like any other: mute state is runtime-only
         // and a resumed explorer starts with nothing muted, so nothing is
-        // silently lost across a restore.  The snapshot is canonicalized to
-        // scheduling order (priority descending, then the total cell key):
-        // `select_batch` re-derives exactly this order among unmuted cells,
-        // and a canonical order is what lets a delta-rebuilt frontier match
-        // the snapshot byte for byte.
-        let mut frontier = self.frontier.clone();
-        frontier.sort_by(|a, b| b.priority.cmp(&a.priority).then_with(|| a.cell.sort_key().cmp(&b.cell.sort_key())));
+        // silently lost across a restore.
         let mut store = ExplorationStore {
             seed: self.config.seed,
             batch_size: self.config.batch_size,
@@ -279,52 +223,27 @@ impl Explorer {
             halt_on_crash: self.config.halt_on_crash,
             case_budget: self.config.case_budget,
             injection_budget: self.config.injection_budget,
-            universe: self.universe,
             batch_index: self.batch_index,
             rng_draws: self.rng_draws,
             probe_done: self.probe_done,
-            frontier,
-            unreached,
-            pruned_functions,
             ..ExplorationStore::default()
         };
-        self.ledger.write_into(&mut store);
+        self.state.write_into(&mut store);
         store
     }
 
     /// Drains everything that mutated since the last `take_delta` call (or
     /// since construction/resume) into one [`ExplorationDelta`] — the
     /// incremental-checkpoint primitive behind the `lfi-store` journal.
-    ///
-    /// Contract: applying the returned delta to the [`Explorer::store`]
-    /// snapshot taken at the previous `take_delta` point reproduces the
-    /// current [`Explorer::store`] exactly (byte-identical through either
-    /// serialization).  The delta's *size* is proportional to what the span
-    /// touched, not to the total state; taking it still scans the pending
-    /// cells once, for the touched ones' priorities.
+    /// Applying it to the [`Explorer::store`] taken at the previous call
+    /// reproduces the current one byte for byte (see
+    /// [`ExplorationState::take_delta`]).
     pub fn take_delta(&mut self) -> ExplorationDelta {
-        // The fold drops a cell from the frontier when the delta names it
-        // executed or unreached, which holds because no pending cell is.
-        debug_assert!(self
-            .frontier
-            .iter()
-            .all(|f| !self.ledger.is_executed(&f.cell) && !self.unreached.contains(&f.cell)));
-        let tracker = std::mem::take(&mut self.tracker);
-        let mut frontier_upsert: Vec<FrontierCell> =
-            self.frontier.iter().filter(|f| tracker.frontier.contains(&f.cell)).copied().collect();
-        frontier_upsert.sort_by_cached_key(|f| f.cell.sort_key());
-        let mut unreached: Vec<FaultCell> = tracker.unreached.into_iter().collect();
-        unreached.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        let mut pruned_functions: Vec<Symbol> = tracker.pruned_functions.into_iter().collect();
-        pruned_functions.sort_by_key(|s| s.as_str());
         ExplorationDelta {
             batch_index: self.batch_index,
             rng_draws: self.rng_draws,
             probe_done: self.probe_done,
-            frontier_upsert,
-            unreached,
-            pruned_functions,
-            ..tracker.ledger.resolve(&self.ledger)
+            ..self.state.take_delta()
         }
     }
 
@@ -388,23 +307,23 @@ impl Explorer {
 
     /// Cells enumerated from the seed plan.
     pub fn universe_len(&self) -> usize {
-        self.universe
+        self.state.universe()
     }
 
     /// Cells still pending on the frontier, muted functions' cells
     /// excluded (those count in [`Explorer::parked_len`]).
     pub fn frontier_len(&self) -> usize {
-        self.frontier.len() - self.parked_len()
+        self.state.pending().len() - self.parked_len()
     }
 
     /// Test cases executed so far (probe included).
     pub fn cases_executed(&self) -> u64 {
-        self.ledger.cases()
+        self.state.ledger().cases()
     }
 
     /// Injections performed so far.
     pub fn injections_performed(&self) -> u64 {
-        self.ledger.injections()
+        self.state.ledger().injections()
     }
 
     /// Batches executed so far (the probe is batch 0).
@@ -414,23 +333,23 @@ impl Explorer {
 
     /// True once any batch produced a signal death.
     pub fn crash_found(&self) -> bool {
-        self.ledger.crashes() > 0
+        self.state.ledger().crashes() > 0
     }
 
     /// The deduplicated non-success clusters, in key order (function name,
     /// stack frame names, outcome class).
     pub fn clusters(&self) -> &[CrashCluster] {
-        self.ledger.clusters()
+        self.state.ledger().clusters()
     }
 
     /// Aggregate coverage numbers so far.
     pub fn coverage_summary(&self) -> CoverageSummary {
         CoverageSummary {
-            universe: self.universe,
-            executed: self.ledger.executed_len(),
-            triggered: self.ledger.triggered_len(),
-            unreached: self.unreached.len(),
-            pruned_functions: self.pruned_functions.len(),
+            universe: self.state.universe(),
+            executed: self.state.ledger().executed_len(),
+            triggered: self.state.ledger().triggered_len(),
+            unreached: self.state.unreached_len(),
+            pruned_functions: self.state.pruned_len(),
             frontier_remaining: self.frontier_len(),
         }
     }
@@ -499,15 +418,7 @@ impl Explorer {
     /// unmuted.  Cells a halted batch never ran come back through here with
     /// their original priority.
     pub fn raise_cell(&mut self, cell: FaultCell, priority: i32) {
-        if self.ledger.is_executed(&cell) || self.unreached.contains(&cell) {
-            return;
-        }
-        self.tracker.frontier.insert(cell);
-        if let Some(existing) = self.frontier.iter_mut().find(|f| f.cell == cell) {
-            existing.priority = existing.priority.max(priority);
-            return;
-        }
-        self.frontier.push(FrontierCell { cell, priority });
+        self.state.raise(cell, priority);
     }
 
     /// Mutes a function: its pending cells keep their place and priority on
@@ -531,20 +442,15 @@ impl Explorer {
     /// Pending cells of muted functions: held back from selection until
     /// their function is unmuted.
     pub fn parked_len(&self) -> usize {
-        self.frontier.iter().filter(|f| self.muted.contains(&f.cell.function)).count()
+        self.state.pending().filter(|f| self.muted.contains(&f.cell.function)).count()
     }
 
     /// Shifts the priority of every pending frontier cell of `function` by
     /// `delta` (a muted function's cells included, so a muted generator
     /// keeps its weighting when unmuted).
     pub fn reweight(&mut self, function: Symbol, delta: i32) {
-        let tracker = &mut self.tracker;
-        for f in &mut self.frontier {
-            if f.cell.function == function {
-                f.priority = f.priority.saturating_add(delta);
-                tracker.frontier.insert(f.cell);
-            }
-        }
+        self.state
+            .reweight(|cell| cell.function == function, |priority| priority.saturating_add(delta));
     }
 
     // -- the loop -----------------------------------------------------------
@@ -602,7 +508,7 @@ impl Explorer {
             if cells.is_empty() {
                 return None;
             }
-            self.run_batch(cells, workload, &mut on_event)
+            self.run_batch(&cells, workload, &mut on_event)
         } else {
             self.run_probe(workload, &mut on_event)
         };
@@ -622,13 +528,6 @@ impl Explorer {
         }
     }
 
-    /// One tracked draw from the seeded RNG stream — the only randomness the
-    /// explorer uses, so the stream position in the store is exact.
-    fn rng_u64(&mut self) -> u64 {
-        self.rng_draws += 1;
-        self.rng.gen()
-    }
-
     /// The injection-free probe: one baseline case with the dispatch call
     /// log captured.  Functions the workload never dispatches are pruned
     /// from the frontier wholesale; cells beyond a function's observed call
@@ -640,40 +539,23 @@ impl Explorer {
         on_event: &mut dyn FnMut(&CaseEvent) -> bool,
     ) -> CampaignReport {
         let campaign = Campaign::new().case(TestCase::new(PROBE_CASE_NAME, Plan::new())).capture_call_log(true);
-        let (report, _, _) = Self::run_session(campaign, workload, on_event);
+        let (report, _, _) = run_session(campaign.start_arc(Arc::clone(workload)), on_event);
         if let Some(outcome) = report.outcomes.first() {
             let mut counts: HashMap<Symbol, u64> = HashMap::new();
             for &symbol in &outcome.calls {
                 *counts.entry(symbol).or_insert(0) += 1;
             }
-            self.ledger.apply_probe(&counts);
-            self.tracker.ledger.mark_coverage(counts.keys().copied());
+            self.state.fold_probe(&counts);
             if outcome.calls_dropped == 0 {
                 // A complete call log proves absence: prune every cell of a
                 // function the workload never dispatched.  A truncated log
                 // (bounded capacity overflowed) proves nothing about absent
                 // functions, so wholesale pruning is skipped and those cells
                 // are left for their own cases to rule out.
-                let pruned = &mut self.pruned_functions;
-                let tracker = &mut self.tracker;
-                // A function's cells sit next to each other on the frontier,
-                // so each pruned function is recorded once, not per cell.
-                let mut last_pruned = None;
-                self.frontier.retain(|f| {
-                    let reached = counts.contains_key(&f.cell.function);
-                    if !reached && last_pruned != Some(f.cell.function) {
-                        pruned.insert(f.cell.function);
-                        tracker.pruned_functions.insert(f.cell.function);
-                        last_pruned = Some(f.cell.function);
-                    }
-                    reached
-                });
-                for f in &mut self.frontier {
-                    if f.cell.call_ordinal > counts.get(&f.cell.function).copied().unwrap_or(0) {
-                        f.priority = f.priority.min(DEPRIORITIZED);
-                        self.tracker.frontier.insert(f.cell);
-                    }
-                }
+                self.state.prune(|function| counts.contains_key(&function));
+                let depth = |cell: &FaultCell| counts.get(&cell.function).copied().unwrap_or(0);
+                self.state
+                    .reweight(|cell| cell.call_ordinal > depth(cell), |priority| priority.min(DEPRIORITIZED));
             }
         }
         self.probe_done = true;
@@ -683,14 +565,9 @@ impl Explorer {
     /// Orders the frontier (muted functions' cells last, then priority, then
     /// the process-independent cell key, ties within a priority class
     /// shuffled from the tracked RNG stream) and takes the next batch from
-    /// the unmuted prefix.  Priorities ride along so cells a halted batch
-    /// never executed can return to the frontier unchanged.
-    fn select_batch(&mut self) -> Vec<FrontierCell> {
-        let muted = &self.muted;
-        self.frontier
-            .sort_by_cached_key(|f| (muted.contains(&f.cell.function), Reverse(f.priority), f.cell.sort_key()));
-        let live = self.frontier.partition_point(|f| !muted.contains(&f.cell.function));
-        let mut take = self.config.batch_size.min(live);
+    /// the unmuted prefix.
+    fn select_batch(&mut self) -> Vec<FaultCell> {
+        let mut take = self.config.batch_size;
         if let Some(budget) = self.config.case_budget {
             take = take.min(budget.saturating_sub(self.cases_executed()) as usize);
         }
@@ -700,29 +577,36 @@ impl Explorer {
             // the injection bound exact, not just checked between batches.
             take = take.min(budget.saturating_sub(self.injections_performed()) as usize);
         }
+        let muted = &self.muted;
+        let pending = self.state.pending_mut();
+        pending.sort_by_cached_key(|f| (muted.contains(&f.cell.function), Reverse(f.priority), f.cell.sort_key()));
+        let live = pending.partition_point(|f| !muted.contains(&f.cell.function));
+        let take = take.min(live);
         // Partial Fisher–Yates: only the `take` selected positions draw from
         // the RNG stream (each drawn uniformly from the rest of its
         // equal-priority run), so the tracked draw count grows with the
         // batch size, not with the frontier size — a resume replays at most
-        // one draw per case ever scheduled.
+        // one draw per case ever scheduled.  This is the explorer's only
+        // randomness, so the stream position in the store is exact.
         let mut start = 0;
         while start < take {
-            let priority = self.frontier[start].priority;
+            let priority = pending[start].priority;
             let mut end = start + 1;
-            while end < live && self.frontier[end].priority == priority {
+            while end < live && pending[end].priority == priority {
                 end += 1;
             }
             for i in start..end.min(take) {
-                let j = i + (self.rng_u64() as usize) % (end - i);
-                self.frontier.swap(i, j);
+                self.rng_draws += 1;
+                let j = i + (self.rng.gen::<u64>() as usize) % (end - i);
+                pending.swap(i, j);
             }
             start = end;
         }
-        self.frontier.drain(..take).collect()
+        self.state.take(take)
     }
 
-    /// Runs one batch of cells as a streaming campaign session, folds every
-    /// outcome into the ledger, then lets the frontier policy react to each
+    /// Runs one batch of cells through [`run_cells`], folds every outcome
+    /// into the ledger, then lets the frontier policy react to each
     /// (pruning and escalation).
     ///
     /// With [`Explorer::halt_on_crash`] the campaign's stop-on-first-crash
@@ -730,82 +614,33 @@ impl Explorer {
     /// are *folded* in case order after the stream drains — completion order
     /// under `parallelism(n)` never leaks into the coverage, cluster or
     /// frontier state.  Cells whose cases were cancelled or crash-halted
-    /// return to the frontier with their original priority; a cell whose
-    /// case the health check vetoed is unreached.
+    /// return to the frontier at their priority; a cell whose case the
+    /// health check vetoed is unreached.
     fn run_batch(
         &mut self,
-        cells: Vec<FrontierCell>,
+        cells: &[FaultCell],
         workload: &Arc<dyn Workload>,
         on_event: &mut dyn FnMut(&CaseEvent) -> bool,
     ) -> CampaignReport {
-        let cases: Vec<TestCase> = cells
-            .iter()
-            .map(|f| TestCase::new(f.cell.case_name(), Plan::new().entry(f.cell.plan_entry())))
-            .collect();
-        let mut policy = ExecutionPolicy::run_all();
-        if self.config.halt_on_crash {
-            policy = policy.stop_on_first_crash();
-        }
-        let campaign = Campaign::new().cases(cases).policy(policy).parallelism(self.config.parallelism);
-        let (report, executed, skipped) = Self::run_session(campaign, workload, on_event);
+        let (halt, parallelism) = (self.config.halt_on_crash, self.config.parallelism);
+        let run = run_cells(cells, workload, None, halt, parallelism, |_| {}, on_event);
         // The whole batch is folded in before the frontier policy reacts to
         // any of it, so an escalation never raises a cell this batch ran or
         // vetoed: a pending cell is never executed or unreached, which is
         // what lets a delta leave its frontier removals implicit.
-        // Outcomes sit in case order, which is ascending executed-index order.
-        let mut results = Vec::with_capacity(executed.len());
-        for (index, outcome) in executed.into_iter().zip(&report.outcomes) {
-            let cell = cells[index].cell;
-            let calls = outcome.log.calls_to_sym(cell.function);
-            let result = CellResult { observed_calls: calls, ..CellResult::of(outcome) };
-            let changed = self.ledger.apply(cell, &result);
-            self.tracker.ledger.mark(cell, &result, changed);
-            results.push((cell, result));
+        for (cell, result) in &run.outcomes {
+            self.state.fold(*cell, result);
         }
-        let (vetoed, returned): (Vec<_>, Vec<_>) =
-            skipped.into_iter().partition(|&(_, reason)| reason == SkipReason::Unhealthy);
-        for (index, _) in vetoed {
+        for &cell in &run.vetoed {
             // The workload vetoed the case's process, and would veto a rerun
             // alike: the cell ends here.
-            self.unreached.insert(cells[index].cell);
-            self.tracker.unreached.insert(cells[index].cell);
+            self.state.retire(cell);
         }
-        for (cell, result) in &results {
+        for (cell, result) in &run.outcomes {
             self.react(*cell, result);
         }
-        for (index, _) in returned {
-            self.raise_cell(cells[index].cell, cells[index].priority);
-        }
-        report
-    }
-
-    /// The one session loop behind the probe and the frontier batches.  It
-    /// streams the campaign's events to `on_event` and cancels the session
-    /// when `on_event` returns `false` (in-flight cases still finish).
-    /// Returns the report with the indices of the executed cases and of the
-    /// skipped ones with their reasons, each ascending.
-    fn run_session(
-        campaign: Campaign,
-        workload: &Arc<dyn Workload>,
-        on_event: &mut dyn FnMut(&CaseEvent) -> bool,
-    ) -> (CampaignReport, Vec<usize>, Vec<(usize, SkipReason)>) {
-        let mut run = campaign.start_arc(Arc::clone(workload));
-        let cancel = run.cancel_handle();
-        let mut executed = Vec::new();
-        let mut skipped = Vec::new();
-        for event in run.by_ref() {
-            match &event {
-                CaseEvent::Outcome { index, .. } => executed.push(*index),
-                CaseEvent::Skipped { index, reason, .. } => skipped.push((*index, *reason)),
-                _ => {}
-            }
-            if !on_event(&event) {
-                cancel.cancel();
-            }
-        }
-        executed.sort_unstable();
-        skipped.sort_unstable_by_key(|&(index, _)| index);
-        (run.into_report(), executed, skipped)
+        self.state.give_back(&run.returned);
+        run.report
     }
 
     /// The frontier policy's reaction to one folded outcome: an injection
@@ -818,18 +653,9 @@ impl Explorer {
             // of the same function beyond that depth is unreachable too —
             // prune them, and *record* them as unreached so a later crash
             // escalation cannot resurrect a cell already proven dead.
-            self.unreached.insert(cell);
-            self.tracker.unreached.insert(cell);
-            let unreached = &mut self.unreached;
-            let tracker = &mut self.tracker;
-            self.frontier.retain(|f| {
-                let dead = f.cell.function == cell.function && f.cell.call_ordinal > result.observed_calls;
-                if dead {
-                    unreached.insert(f.cell);
-                    tracker.unreached.insert(f.cell);
-                }
-                !dead
-            });
+            self.state.retire(cell);
+            self.state
+                .retire_pending(|f| f.function == cell.function && f.call_ordinal > result.observed_calls);
         }
         if result.outcome.is_crash() && self.escalation_enabled {
             self.escalate_cell(cell);
@@ -840,12 +666,12 @@ impl Explorer {
 impl fmt::Debug for Explorer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Explorer")
-            .field("universe", &self.universe)
+            .field("universe", &self.state.universe())
             .field("frontier", &self.frontier_len())
-            .field("executed", &self.ledger.executed_len())
-            .field("clusters", &self.ledger.clusters().len())
+            .field("executed", &self.state.ledger().executed_len())
+            .field("clusters", &self.state.ledger().clusters().len())
             .field("batch_index", &self.batch_index)
-            .field("cases_executed", &self.ledger.cases())
+            .field("cases_executed", &self.state.ledger().cases())
             .finish()
     }
 }

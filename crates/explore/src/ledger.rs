@@ -11,7 +11,7 @@ use lfi_intern::Symbol;
 use lfi_runtime::{ExitStatus, Signal};
 use lfi_scenario::FaultCell;
 
-use crate::{ExplorationDelta, ExplorationStore};
+use crate::ExplorationStore;
 
 /// How a test-case run ended, folded to the classes crash clustering keys on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -62,9 +62,10 @@ impl fmt::Display for OutcomeClass {
 
 /// Cluster identity, the one definition every outcome fold shares: the
 /// planned cell's function, the call stack of the case's first injection
-/// (empty when none fired), and the outcome class.  [`FaultLedger`],
-/// [`LedgerMarks`] and the rules engine's campaign state all key on it, so
-/// they count the same clusters for the same cells.  The stack is borrowed
+/// (empty when none fired), and the outcome class.  [`FaultLedger`], the
+/// [`ExplorationState`](crate::ExplorationState)'s delta marks and the rules
+/// engine's campaign state all key on it, so they count the same clusters
+/// for the same cells.  The stack is borrowed
 /// from the [`CellResult`] it came from until a fold needs to keep it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ClusterKey<'a> {
@@ -166,15 +167,6 @@ impl CellResult {
     }
 }
 
-/// Bits of the change mask [`FaultLedger::apply`] returns.
-pub mod change {
-    /// The cell was new: it joined the executed set, the counters and its
-    /// function's coverage entry.
-    pub const EXECUTED: u8 = 1 << 0;
-    /// A cluster was created or bumped.
-    pub const CLUSTER: u8 = 1 << 1;
-}
-
 /// The cluster order: function name, then stack frame names, then outcome
 /// class — process-independent, like [`FaultCell::sort_key`].
 fn cluster_order(a: &ClusterKey, b: &ClusterKey) -> Ordering {
@@ -200,8 +192,9 @@ pub(crate) fn sort_clusters(clusters: &mut [CrashCluster]) {
 /// executed set, per-function coverage, the deduplicated outcome clusters
 /// and the case, injection, crash and failure counters.
 ///
-/// The explorer is a ledger plus a frontier policy; a fabric job is a
-/// ledger plus a lease book, so both report the same cells the same way.
+/// Both front ends keep it inside an
+/// [`ExplorationState`](crate::ExplorationState), so both report the same
+/// cells the same way.
 /// The fold does not depend on order: coverage is a max and a set union,
 /// counters are sums, and clusters sit in key order and name their smallest
 /// member cell as the example.  Two front ends that execute the same cells
@@ -251,12 +244,13 @@ impl FaultLedger {
         store.crash_found = self.crashes > 0;
     }
 
-    /// Folds one executed cell in and returns what changed (bits of
-    /// [`change`]).  A cell the ledger has already seen changes nothing and
-    /// returns 0.
-    pub fn apply(&mut self, cell: FaultCell, result: &CellResult) -> u8 {
+    /// Folds one executed cell in; returns whether it was new.  A cell the
+    /// ledger has already seen changes nothing.  A new cell joins the
+    /// executed set, the counters and its function's coverage entry, and a
+    /// new non-success cell creates or bumps its cluster.
+    pub fn apply(&mut self, cell: FaultCell, result: &CellResult) -> bool {
         if !self.executed.insert(cell) {
-            return 0;
+            return false;
         }
         self.cases += 1;
         self.injections += result.injections;
@@ -266,7 +260,7 @@ impl FaultLedger {
             coverage.triggered.insert((cell.call_ordinal, cell.retval, cell.errno));
         }
         let Some(key) = result.cluster_key(cell) else {
-            return change::EXECUTED;
+            return true;
         };
         if key.outcome.is_crash() {
             self.crashes += 1;
@@ -294,7 +288,7 @@ impl FaultLedger {
                 },
             ),
         }
-        change::EXECUTED | change::CLUSTER
+        true
     }
 
     /// Folds an injection-free baseline case: counts it and raises each
@@ -354,70 +348,6 @@ impl FaultLedger {
     }
 }
 
-/// What a span of [`FaultLedger::apply`] calls touched, by key: the cells
-/// newly executed, the functions whose coverage entry moved, and the
-/// clusters created or bumped.  [`LedgerMarks::resolve`] turns the keys
-/// into the ledger half of an [`ExplorationDelta`] — the half the explorer
-/// and a fabric job share; each front end adds its own frontier half.
-#[derive(Debug, Default)]
-pub struct LedgerMarks {
-    /// Cells executed in the span (the ledger folds each cell once).
-    executed: Vec<FaultCell>,
-    /// Functions whose coverage entry mutated in the span.
-    coverage: HashSet<Symbol>,
-    /// Keys of the clusters created or bumped in the span.
-    clusters: HashSet<ClusterKey<'static>>,
-}
-
-impl LedgerMarks {
-    /// Records what folding `cell`'s `result` changed, given the mask
-    /// [`FaultLedger::apply`] returned for it.
-    pub fn mark(&mut self, cell: FaultCell, result: &CellResult, changed: u8) {
-        if changed & change::EXECUTED != 0 {
-            self.executed.push(cell);
-            self.coverage.insert(cell.function);
-        }
-        if let Some(key) = result.cluster_key(cell).filter(|_| changed & change::CLUSTER != 0) {
-            self.clusters.insert(key.into_owned());
-        }
-    }
-
-    /// Marks coverage entries touched outside a cell fold (a baseline
-    /// probe, see [`FaultLedger::apply_probe`]).
-    pub fn mark_coverage(&mut self, functions: impl IntoIterator<Item = Symbol>) {
-        self.coverage.extend(functions);
-    }
-
-    /// Resolves the marks against `ledger`, the ledger they were taken on:
-    /// the newly executed cells, the absolute entry of every marked
-    /// coverage record and cluster, and the absolute case, injection and
-    /// crash counters, all in their canonical orders.  The frontier fields
-    /// and the explorer's own counters are left at their defaults for the
-    /// caller to fill.
-    pub fn resolve(self, ledger: &FaultLedger) -> ExplorationDelta {
-        let mut executed = self.executed;
-        executed.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        executed.dedup();
-        let mut coverage: Vec<(Symbol, FunctionCoverage)> = self
-            .coverage
-            .into_iter()
-            .filter_map(|symbol| ledger.coverage(symbol).map(|c| (symbol, c.clone())))
-            .collect();
-        coverage.sort_by_key(|(s, _)| s.as_str());
-        let touched: BTreeSet<usize> =
-            self.clusters.iter().filter_map(|key| cluster_slot(&ledger.clusters, key).ok()).collect();
-        ExplorationDelta {
-            crash_found: ledger.crashes > 0,
-            cases_executed: ledger.cases,
-            injections_performed: ledger.injections,
-            executed,
-            coverage,
-            clusters: touched.into_iter().map(|index| ledger.clusters[index].clone()).collect(),
-            ..ExplorationDelta::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,7 +376,7 @@ mod tests {
         ];
         let mut forward = FaultLedger::default();
         for (cell, result) in &results {
-            assert_ne!(forward.apply(*cell, result) & change::EXECUTED, 0);
+            assert!(forward.apply(*cell, result));
         }
         let mut backward = FaultLedger::default();
         for (cell, result) in results.iter().rev() {
@@ -475,7 +405,7 @@ mod tests {
         assert_eq!(forward.triggered_len(), 5);
 
         // A cell already folded in changes nothing.
-        assert_eq!(forward.apply(cell(3, 5), &failed(&["other"])), 0);
+        assert!(!forward.apply(cell(3, 5), &failed(&["other"])));
         assert_eq!(forward, backward);
     }
 

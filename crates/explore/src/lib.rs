@@ -33,10 +33,13 @@
 //! * **Coverage** — which (function, errno, nth-call) cells were actually
 //!   *triggered*, versus merely planned, computed from the per-case
 //!   injection logs and per-function intercepted-call totals.
-//! * **One fold** — a [`FaultLedger`] turns each executed cell's outcome
-//!   into coverage, clusters and counters, independently of order.  The
-//!   [`Explorer`] is a ledger plus a frontier policy; `lfi-fabric` jobs
-//!   wrap the same ledger in a lease book, so both report alike.
+//! * **One fold, one frontier book** — a [`FaultLedger`] turns each
+//!   executed cell's outcome into coverage, clusters and counters,
+//!   independently of order.  An [`ExplorationState`] keeps it with the
+//!   pending, out, unreached and pruned cells, and writes stores and
+//!   deltas.  The [`Explorer`] is that state plus a frontier policy;
+//!   `lfi-fabric` jobs wrap the same state in a lease book, and both run
+//!   their cells through [`run_cells`], so both report alike.
 //! * **Pruning** — a probe run's dispatch call log removes cells for
 //!   functions the workload never reaches; a planned cell whose injection
 //!   did not fire prunes its function's deeper call ordinals.
@@ -57,13 +60,13 @@
 mod delta;
 mod explorer;
 mod ledger;
+mod run;
+mod state;
 mod store;
 
 pub use delta::ExplorationDelta;
-pub use explorer::{
-    CoverageSummary, ExplorationReport, Explorer, FrontierCell, DEFAULT_BATCH_SIZE, ESCALATED, PROBE_CASE_NAME,
-};
-pub use ledger::{
-    change, CellResult, ClusterKey, CrashCluster, FaultLedger, FunctionCoverage, LedgerMarks, OutcomeClass,
-};
+pub use explorer::{CoverageSummary, ExplorationReport, Explorer, DEFAULT_BATCH_SIZE, ESCALATED, PROBE_CASE_NAME};
+pub use ledger::{CellResult, ClusterKey, CrashCluster, FaultLedger, FunctionCoverage, OutcomeClass};
+pub use run::{run_cells, CellRun};
+pub use state::{ExplorationState, FrontierCell};
 pub use store::ExplorationStore;

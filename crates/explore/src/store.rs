@@ -10,8 +10,8 @@ use lfi_profile::xml::{self, XmlElement};
 use lfi_profile::ProfileError;
 use lfi_scenario::FaultCell;
 
-use crate::explorer::FrontierCell;
 use crate::ledger::{sort_clusters, CrashCluster, FunctionCoverage, OutcomeClass};
+use crate::state::FrontierCell;
 
 /// The complete serializable state of an [`Explorer`](crate::Explorer):
 /// configuration, budgets, the frontier *in scheduling order*, the coverage

@@ -11,9 +11,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lfi_controller::{Campaign, CaseEvent, ExecutionPolicy, SkipReason, TestCase, Workload, WorkloadRegistry};
-use lfi_explore::{CellResult, ExplorationStore};
-use lfi_scenario::Plan;
+use lfi_controller::{CancelHandle, CaseEvent, Workload, WorkloadRegistry};
+use lfi_explore::{run_cells, CellResult, ExplorationStore};
 use lfi_store::{Journal, Record, StoreError};
 
 use crate::job::{JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
@@ -608,62 +607,42 @@ fn worker_loop(inner: &FabricInner) {
     }
 }
 
-/// Runs one lease's cells as a `parallelism(1)` campaign over the job's
-/// workload (the fabric's fleet *is* the parallelism) and folds the event
-/// stream into the ack payload.
+/// Runs one lease's cells through [`run_cells`] on this worker alone (the
+/// fabric's fleet *is* the parallelism) and turns its event stream into the
+/// ack payload.
 fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
-    let cells = assignment.cells;
-    let cases: Vec<TestCase> = cells
-        .iter()
-        .map(|cell| TestCase::new(cell.case_name(), Plan { entries: vec![cell.plan_entry()], seed: assignment.seed }))
-        .collect();
-    let mut policy = ExecutionPolicy::run_all();
-    if assignment.halt_on_crash {
-        policy = policy.stop_on_first_crash();
-    }
-    let run = Campaign::new().cases(cases).policy(policy).parallelism(1).start_arc(assignment.workload);
-    // Hand the run's cancel handle to the scheduler so a job cancel (or a
+    let LeaseAssignment { job, lease, cells, workload, seed, halt_on_crash } = assignment;
+    let mut events = Vec::new();
+    // The run's cancel handle goes to the scheduler, so a job cancel (or a
     // lease expiry) stops this run at its next case boundary.  If the lease
-    // already went stale, stop immediately — the work would be discarded.
-    let handle = run.cancel_handle();
-    if !lock(&inner.sched).attach_cancel(assignment.job, assignment.lease, handle.clone()) {
-        handle.cancel();
-    }
-
-    let mut result = LeaseResult::default();
-    for event in run {
-        match event {
-            CaseEvent::Started { name, .. } => {
-                result.events.push(JobEventKind::Started { case: name });
-            }
-            CaseEvent::Injection { index, record } => {
-                result.events.push(JobEventKind::Injection {
-                    case: cells[index].case_name(),
-                    function: record.function_name().to_owned(),
-                    retval: record.retval,
-                    errno: record.errno,
-                });
-            }
-            CaseEvent::Outcome { index, outcome } => {
-                // Observed calls stay 0: the fabric runs no baseline probe,
-                // the explorer's source of a function's call depth.
-                let cell_result = CellResult::of(&outcome);
-                result.events.push(JobEventKind::Finished {
-                    case: outcome.name,
-                    outcome: cell_result.outcome,
-                    injections: cell_result.injections as usize,
-                    stack: cell_result.stack.clone(),
-                });
-                result.outcomes.push((cells[index], cell_result));
-            }
-            CaseEvent::Skipped { index, name, reason } => {
-                result.events.push(JobEventKind::Skipped { case: name });
-                match reason {
-                    SkipReason::Unhealthy => result.unhealthy.push(cells[index]),
-                    SkipReason::Cancelled | SkipReason::CrashHalt => result.skipped.push(cells[index]),
+    // already went stale, stop before the first case: the work would be
+    // discarded.
+    let attach = |handle: &CancelHandle| {
+        if !lock(&inner.sched).attach_cancel(job, lease, handle.clone()) {
+            handle.cancel();
+        }
+    };
+    let run = run_cells(&cells, &workload, seed, halt_on_crash, 1, attach, |event| {
+        events.push(match event {
+            CaseEvent::Started { name, .. } => JobEventKind::Started { case: name.clone() },
+            CaseEvent::Injection { index, record } => JobEventKind::Injection {
+                case: cells[*index].case_name(),
+                function: record.function_name().to_owned(),
+                retval: record.retval,
+                errno: record.errno,
+            },
+            CaseEvent::Outcome { outcome, .. } => {
+                let result = CellResult::of(outcome);
+                JobEventKind::Finished {
+                    case: outcome.name.clone(),
+                    outcome: result.outcome,
+                    injections: result.injections as usize,
+                    stack: result.stack,
                 }
             }
-        }
-    }
-    result
+            CaseEvent::Skipped { name, .. } => JobEventKind::Skipped { case: name.clone() },
+        });
+        true
+    });
+    LeaseResult { events, outcomes: run.outcomes, skipped: run.returned, unhealthy: run.vetoed }
 }

@@ -39,8 +39,8 @@
 //!   ([`Request`]/[`Response`]) served over an in-process duplex transport
 //!   ([`FabricHandle::connect`]) and plain TCP
 //!   ([`FabricHandle::serve_tcp`], request lines bounded by
-//!   [`MAX_LINE_BYTES`]), so progress snapshots and event streams are
-//!   observable from outside the process.
+//!   [`MAX_LINE_BYTES`], peers by [`MAX_CONNECTIONS`]), so progress
+//!   snapshots and event streams are observable from outside the process.
 //!
 //! ```
 //! use lfi_fabric::{Fabric, JobSpec};
@@ -87,7 +87,7 @@ mod wire;
 
 pub use fabric::{Fabric, FabricBuilder, FabricError, FabricHandle, DEFAULT_LEASE_BATCH, DEFAULT_LEASE_DEADLINE};
 pub use job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
-pub use server::{FabricClient, ServerGuard, MAX_LINE_BYTES};
+pub use server::{FabricClient, ServerGuard, MAX_CONNECTIONS, MAX_LINE_BYTES};
 pub use wire::{escape, unescape, Request, Response, WireError};
 
 #[cfg(test)]

@@ -1,8 +1,12 @@
 //! The multi-tenant scheduler: per-job lease books, worker-time fair
 //! sharing, time-sized leases and crash-safe lease accounting.  Each job is
-//! a [`FaultLedger`] — the fold from acked cells to coverage and clusters
-//! that the explorer uses too — plus a lease book: pending, outstanding and
-//! skipped cells.
+//! an [`ExplorationState`] — the explorer's frontier book: pending, leased
+//! and skipped cells and the ledger of acked ones — plus a lease book, a
+//! fairness charge and an event buffer.  A lease takes cells off the front
+//! of the pending queue, an ack folds them, and an expiry, a worker panic
+//! or a mid-lease halt gives them back to the front.  No randomness and no
+//! frontier policy (probe, pruning, escalation): a job runs every planned
+//! cell in the plan's order.
 //!
 //! Fairness is by worker time, not by cell count — per-cell costs of real
 //! tenants differ by orders of magnitude.  Each job carries a charge: a
@@ -15,15 +19,16 @@
 //! among the runnable jobs, so it neither jumps the queue for hours nor
 //! waits behind history.  Leases are sized by time too: a job's first
 //! lease is one cell, then as many cells as fit [`LEASE_TARGET`] at the
-//! job's estimate, capped by its lease batch.  None of this is durable —
-//! a recovered job starts with its cost unknown, like a new one.
+//! job's estimate, capped by its lease batch.  A cell whose lease expires
+//! [`MAX_JOB_PANICS`] times is skipped.  None of this is durable — a
+//! recovered job starts with its cost unknown and its strikes cleared,
+//! like a new one.
 //!
-//! Each job also marks what changed in its checkpoint since the last
-//! [`Scheduler::take_delta`]: the newly skipped cells and what the ledger
-//! reported changing.  A cell leaves the checkpoint's frontier only by
-//! being executed or skipped, so the delta's fold derives the removals.
-//! The fabric journals those deltas, so a job's journal holds exactly what
-//! an explorer's does.
+//! [`Scheduler::checkpoint`], [`Scheduler::take_delta`] and
+//! [`Scheduler::submit_restored`] run the explorer's store, delta and
+//! restore code, so a job's journal holds exactly what an explorer's does.
+//! A checkpoint lists leased cells in its frontier: a requeue changes
+//! nothing in it, and a delta never removes a leased cell.
 //!
 //! The scheduler is a plain synchronous state machine — every method runs
 //! under the fabric's one mutex, takes `now` (and, for acks, the measured
@@ -33,12 +38,12 @@
 //! calls: [`Scheduler::next_lease`], [`Scheduler::ack`],
 //! [`Scheduler::requeue_panic`].
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lfi_controller::{CancelHandle, ProgressSnapshot, Workload};
-use lfi_explore::{CellResult, ExplorationDelta, ExplorationStore, FaultLedger, FrontierCell, LedgerMarks};
+use lfi_explore::{CellResult, ExplorationDelta, ExplorationState, ExplorationStore};
 use lfi_scenario::{FaultCell, FaultSpace};
 
 use crate::job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
@@ -46,7 +51,8 @@ use crate::job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnaps
 /// How many events a job's ring buffer retains before the oldest fall off.
 const EVENT_BUFFER_CAP: usize = 4096;
 
-/// A worker that panics this many times on one job marks the job `Failed`.
+/// A worker that panics this many times on one job marks the job `Failed`,
+/// and a cell whose lease expires this many times is skipped.
 const MAX_JOB_PANICS: u64 = 3;
 
 /// Worker time one lease aims for once its job's per-cell cost is known:
@@ -126,30 +132,19 @@ impl EventBuffer {
     }
 }
 
-/// What changed in a job's checkpoint since the last
-/// [`Scheduler::take_delta`].  A requeue moves cells between pending and
-/// outstanding, which the checkpoint does not tell apart, so it marks
-/// nothing.
-#[derive(Default)]
-struct CheckpointMarks {
-    /// Cells newly moved to `skipped` (the checkpoint's `unreached`).
-    skipped: Vec<FaultCell>,
-    /// Executed cells, coverage entries and clusters the ledger changed.
-    ledger: LedgerMarks,
-}
-
 /// One job's complete scheduler-side state.
 struct JobRecord {
     spec: JobSpec,
     workload: Arc<dyn Workload>,
     state: JobState,
-    cases_total: usize,
-    /// Acked cells, coverage, clusters and counters.
-    ledger: FaultLedger,
-    // The lease book: cells pending, out on lease, and counted skipped.
-    frontier: VecDeque<FaultCell>,
+    /// Pending, leased and skipped cells, the ledger of acked ones, and
+    /// what changed since the last delta.  A skipped cell is the
+    /// checkpoint's unreached.
+    exploration: ExplorationState,
+    // The lease book: the cells out on each lease, and per cell the leases
+    // that expired holding it.
     outstanding: HashMap<u64, OutstandingLease>,
-    skipped: HashSet<FaultCell>,
+    expiries: HashMap<FaultCell, u64>,
     /// Cells leased cumulatively (re-issues count) — the `started` counter.
     started: u64,
     /// Worker time charged to the job: measured time of acked leases plus
@@ -162,12 +157,11 @@ struct JobRecord {
     requeued: u64,
     panics: u64,
     events: EventBuffer,
-    marks: CheckpointMarks,
 }
 
 impl JobRecord {
     fn runnable(&self) -> bool {
-        matches!(self.state, JobState::Queued | JobState::Running) && !self.frontier.is_empty()
+        matches!(self.state, JobState::Queued | JobState::Running) && self.exploration.pending().len() > 0
     }
 
     fn weight(&self) -> u64 {
@@ -217,38 +211,27 @@ impl JobRecord {
         }
     }
 
-    /// Moves a pending or leased cell to the skipped set.
-    fn skip(&mut self, cell: FaultCell) {
-        if self.skipped.insert(cell) {
-            self.marks.skipped.push(cell);
-        }
-    }
-
-    /// Moves every pending frontier cell to the skipped set (cancel,
-    /// crash-halt, repeated-panic failure).
+    /// Skips every pending cell (cancel, crash-halt, repeated-panic
+    /// failure).
     fn skip_frontier(&mut self) {
-        while let Some(cell) = self.frontier.pop_front() {
+        for cell in self.exploration.retire_pending(|_| true) {
             self.events.push(JobEventKind::Skipped { case: cell.case_name() });
-            self.skip(cell);
         }
     }
 
-    /// Returns a lease's cells to the *front* of the frontier, preserving
+    /// Returns leased cells to the *front* of the frontier, preserving
     /// their order, and counts the requeue.
-    fn requeue_cells(&mut self, cells: Vec<FaultCell>) {
-        if cells.is_empty() {
-            return;
-        }
-        self.requeued += cells.len() as u64;
-        self.events.push(JobEventKind::Requeued { cells: cells.len() });
-        for cell in cells.into_iter().rev() {
-            self.frontier.push_front(cell);
+    fn requeue_cells(&mut self, cells: &[FaultCell]) {
+        let back = self.exploration.give_back(cells);
+        if back > 0 {
+            self.requeued += back as u64;
+            self.events.push(JobEventKind::Requeued { cells: back });
         }
     }
 
     /// Done when nothing is pending and nothing is out on lease.
     fn maybe_complete(&mut self) {
-        if self.state == JobState::Running && self.frontier.is_empty() && self.outstanding.is_empty() {
+        if self.state == JobState::Running && self.exploration.pending().len() == 0 && self.outstanding.is_empty() {
             self.set_state(JobState::Done);
         }
     }
@@ -280,55 +263,37 @@ impl Scheduler {
     pub fn submit(&mut self, spec: JobSpec, workload: Arc<dyn Workload>) -> JobId {
         let space = FaultSpace::from_plan(&spec.plan);
         let cases = spec.max_cases.unwrap_or(usize::MAX).min(space.len());
-        let cells = space.cells()[..cases].to_vec();
-        self.admit(spec, workload, cells, FaultLedger::default(), HashSet::new())
+        self.admit(spec, workload, ExplorationState::new(&space.cells()[..cases], cases))
     }
 
     /// Admits a job resuming from a checkpoint: the store's frontier (in
     /// its scheduling order) is the pending work, its ledger and skipped
     /// cells carry over, and later acks fold into that ledger.
     pub fn submit_restored(&mut self, spec: JobSpec, workload: Arc<dyn Workload>, store: &ExplorationStore) -> JobId {
-        let ledger = FaultLedger::from_store(store);
-        let cells: Vec<FaultCell> = store
-            .frontier
-            .iter()
-            .map(|entry| entry.cell)
-            .filter(|cell| !ledger.is_executed(cell))
-            .collect();
-        self.admit(spec, workload, cells, ledger, store.unreached.iter().copied().collect())
+        self.admit(spec, workload, ExplorationState::from_store(store))
     }
 
-    fn admit(
-        &mut self,
-        spec: JobSpec,
-        workload: Arc<dyn Workload>,
-        cells: Vec<FaultCell>,
-        ledger: FaultLedger,
-        skipped: HashSet<FaultCell>,
-    ) -> JobId {
+    fn admit(&mut self, spec: JobSpec, workload: Arc<dyn Workload>, exploration: ExplorationState) -> JobId {
         let id = JobId(self.next_job);
         self.next_job += 1;
         let floor = self.vtime_floor();
         let mut record = JobRecord {
-            cases_total: cells.len() + ledger.executed_len() + skipped.len(),
-            ledger,
-            frontier: cells.into(),
             spec,
             workload,
             state: JobState::Queued,
+            exploration,
             outstanding: HashMap::new(),
-            skipped,
+            expiries: HashMap::new(),
             started: 0,
             charged_ns: 0,
             cell_ns: None,
             requeued: 0,
             panics: 0,
             events: EventBuffer::default(),
-            marks: CheckpointMarks::default(),
         };
         record.lift_to(floor);
         record.events.push(JobEventKind::State(JobState::Queued));
-        if record.frontier.is_empty() {
+        if record.exploration.pending().len() == 0 {
             record.set_state(JobState::Done);
         }
         self.jobs.insert(id.0, record);
@@ -362,7 +327,7 @@ impl Scheduler {
             .map(|(id, _)| *id)?;
         let record = self.jobs.get_mut(&id).expect("picked job exists");
         let batch = record.lease_cells(record.spec.lease_batch.unwrap_or(self.default_lease_batch).max(1));
-        let cells: Vec<FaultCell> = (0..batch).map_while(|_| record.frontier.pop_front()).collect();
+        let cells = record.exploration.take(batch);
         let charge_ns = record.cell_ns.unwrap_or(nanos(UNKNOWN_CELL_CHARGE)).saturating_mul(cells.len() as u64);
         record.started += cells.len() as u64;
         record.charged_ns = record.charged_ns.saturating_add(charge_ns);
@@ -429,23 +394,20 @@ impl Scheduler {
             record.events.push(kind);
         }
         let mut crash_halt = false;
-        for (cell, outcome) in result.outcomes {
+        for (cell, outcome) in &result.outcomes {
             crash_halt |= record.spec.halt_on_crash && outcome.outcome.is_crash();
-            let changed = record.ledger.apply(cell, &outcome);
-            record.marks.ledger.mark(cell, &outcome, changed);
+            record.exploration.fold(*cell, outcome);
         }
-        result.unhealthy.into_iter().for_each(|cell| record.skip(cell));
-        let mut requeued = Vec::new();
+        result.unhealthy.into_iter().for_each(|cell| record.exploration.retire(cell));
         if record.state == JobState::Cancelled || record.state == JobState::Failed {
-            result.skipped.into_iter().for_each(|cell| record.skip(cell));
+            result.skipped.into_iter().for_each(|cell| record.exploration.retire(cell));
         } else if crash_halt {
-            result.skipped.into_iter().for_each(|cell| record.skip(cell));
+            result.skipped.into_iter().for_each(|cell| record.exploration.retire(cell));
             record.skip_frontier();
             record.set_state(JobState::Done);
         } else {
-            requeued = result.skipped.into_iter().filter(|c| !record.ledger.is_executed(c)).collect();
+            record.requeue_cells(&result.skipped);
         }
-        record.requeue_cells(requeued);
         record.maybe_complete();
         true
     }
@@ -464,10 +426,10 @@ impl Scheduler {
         };
         record.panics += 1;
         if record.state.is_terminal() {
-            entry.cells.into_iter().for_each(|cell| record.skip(cell));
+            entry.cells.into_iter().for_each(|cell| record.exploration.retire(cell));
             return true;
         }
-        record.requeue_cells(entry.cells);
+        record.requeue_cells(&entry.cells);
         if record.panics >= MAX_JOB_PANICS {
             record.skip_frontier();
             record.set_state(JobState::Failed);
@@ -478,7 +440,10 @@ impl Scheduler {
 
     /// Expires every lease whose deadline has passed: its cells return to
     /// the front of the owning job's frontier, its charge is refunded, and a
-    /// late ack becomes stale.  Returns how many leases expired.
+    /// late ack becomes stale.  A cell whose lease has now expired
+    /// [`MAX_JOB_PANICS`] times is skipped instead of leased again, so a
+    /// case that never returns cannot take the fleet one worker at a time.
+    /// Returns how many leases expired.
     pub fn expire(&mut self, now: Instant) -> usize {
         let mut expired = 0;
         for record in self.jobs.values_mut() {
@@ -494,9 +459,19 @@ impl Scheduler {
                     handle.cancel();
                 }
                 if record.state.is_terminal() {
-                    lease.cells.into_iter().for_each(|cell| record.skip(cell));
+                    lease.cells.into_iter().for_each(|cell| record.exploration.retire(cell));
                 } else {
-                    record.requeue_cells(lease.cells);
+                    let (struck, back): (Vec<FaultCell>, Vec<FaultCell>) = lease.cells.into_iter().partition(|cell| {
+                        let strikes = record.expiries.entry(*cell).or_insert(0);
+                        *strikes += 1;
+                        *strikes >= MAX_JOB_PANICS
+                    });
+                    for cell in struck {
+                        record.events.push(JobEventKind::Skipped { case: cell.case_name() });
+                        record.exploration.retire(cell);
+                    }
+                    record.requeue_cells(&back);
+                    record.maybe_complete();
                 }
                 expired += 1;
             }
@@ -553,18 +528,18 @@ impl Scheduler {
             name: record.spec.name.clone(),
             workload: record.spec.workload.clone(),
             state: record.state,
-            cases: record.cases_total,
-            pending: record.frontier.len(),
+            cases: record.exploration.universe(),
+            pending: record.exploration.pending().len(),
             outstanding: record.outstanding.values().map(|l| l.cells.len()).sum(),
             progress: ProgressSnapshot {
                 started: record.started as usize,
-                finished: record.ledger.executed_len(),
-                skipped: record.skipped.len(),
-                crashes: record.ledger.crashes() as usize,
-                injections: record.ledger.injections() as usize,
+                finished: record.exploration.ledger().executed_len(),
+                skipped: record.exploration.unreached_len(),
+                crashes: record.exploration.ledger().crashes() as usize,
+                injections: record.exploration.ledger().injections() as usize,
             },
             requeued: record.requeued,
-            clusters: record.ledger.clusters().len(),
+            clusters: record.exploration.ledger().clusters().len(),
         })
     }
 
@@ -581,36 +556,24 @@ impl Scheduler {
     }
 
     /// Serializes a job's complete state as an [`ExplorationStore`] — the
-    /// crash-safe handoff format.  Pending and leased cells form the
-    /// frontier in cell-key order, the order an explorer's store and a
-    /// delta's merge use.  The ledger's fold does not depend on ack order,
-    /// so a run interrupted by worker deaths or a checkpoint/restore
-    /// checkpoints byte-identically to an uninterrupted one.
+    /// crash-safe handoff format, written by the explorer's code.  Pending
+    /// and leased cells form the frontier in cell-key order, the order an
+    /// explorer's store and a delta's merge use.  The ledger's fold does not
+    /// depend on ack order, so a run interrupted by worker deaths or a
+    /// checkpoint/restore checkpoints byte-identically to an uninterrupted
+    /// one.
     pub fn checkpoint(&self, job: JobId) -> Option<ExplorationStore> {
         let record = self.jobs.get(&job.0)?;
-        let leased = record.outstanding.values().flat_map(|lease| lease.cells.iter());
-        let mut frontier: Vec<FrontierCell> = record
-            .frontier
-            .iter()
-            .chain(leased)
-            .map(|cell| FrontierCell { cell: *cell, priority: 0 })
-            .collect();
-        frontier.sort_by_cached_key(|entry| entry.cell.sort_key());
-        let mut unreached: Vec<FaultCell> = record.skipped.iter().copied().collect();
-        unreached.sort_by_cached_key(FaultCell::sort_key);
         let mut store = ExplorationStore {
             seed: record.spec.plan.seed.unwrap_or(0),
             batch_size: record.spec.lease_batch.unwrap_or(self.default_lease_batch),
             parallelism: 1,
             halt_on_crash: record.spec.halt_on_crash,
             case_budget: record.spec.max_cases.map(|max| max as u64),
-            universe: record.cases_total,
             probe_done: true,
-            frontier,
-            unreached,
             ..ExplorationStore::default()
         };
-        record.ledger.write_into(&mut store);
+        record.exploration.write_into(&mut store);
         Some(store)
     }
 
@@ -620,27 +583,24 @@ impl Scheduler {
     /// reproduces the current checkpoint byte for byte.
     pub fn take_delta(&mut self, job: JobId) -> Option<ExplorationDelta> {
         let record = self.jobs.get_mut(&job.0)?;
-        let marks = std::mem::take(&mut record.marks);
-        let mut unreached = marks.skipped;
-        unreached.sort_by_cached_key(FaultCell::sort_key);
-        Some(ExplorationDelta { probe_done: true, unreached, ..marks.ledger.resolve(&record.ledger) })
+        Some(ExplorationDelta { probe_done: true, ..record.exploration.take_delta() })
     }
 
     /// The job's coverage/cluster report, read off its ledger.
     pub fn report(&self, job: JobId) -> Option<JobReport> {
         let record = self.jobs.get(&job.0)?;
-        let ledger = &record.ledger;
+        let ledger = record.exploration.ledger();
         Some(JobReport {
             id: job,
             name: record.spec.name.clone(),
             state: record.state,
             coverage: JobCoverage {
-                universe: record.cases_total,
+                universe: record.exploration.universe(),
                 executed: ledger.executed_len(),
                 triggered: ledger.triggered_len(),
                 crashes: ledger.crashes() as usize,
                 failures: ledger.failures() as usize,
-                skipped: record.skipped.len(),
+                skipped: record.exploration.unreached_len(),
             },
             clusters: ledger.clusters().to_vec(),
         })
@@ -870,6 +830,36 @@ mod tests {
         assert_eq!(snapshot.state, JobState::Done);
         assert_eq!(snapshot.progress.finished, 5, "each cell counted exactly once");
         assert_eq!(charged(&sched, job), 500_000, "only the acked leases' worker time is charged");
+    }
+
+    #[test]
+    fn a_cell_whose_lease_keeps_expiring_is_skipped() {
+        let mut sched = Scheduler::new(1, Duration::from_secs(10));
+        let base = Instant::now();
+        let job = sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=1)), noop_workload());
+        let mut now = base;
+        for strike in 1..=MAX_JOB_PANICS {
+            let lease = sched
+                .next_lease(now)
+                .unwrap_or_else(|| panic!("strike {strike}: the cell is leased again"));
+            assert_eq!(lease.cells.len(), 1);
+            now += Duration::from_secs(11);
+            assert_eq!(sched.expire(now), 1);
+        }
+        assert!(sched.next_lease(now).is_none(), "no lease after the last strike");
+        let snapshot = sched.snapshot(job).unwrap();
+        assert_eq!(snapshot.state, JobState::Done);
+        assert_eq!((snapshot.pending, snapshot.outstanding, snapshot.progress.skipped), (0, 0, 1));
+        assert_eq!(snapshot.requeued, MAX_JOB_PANICS - 1, "every expiry but the last requeues");
+        let (_, events) = sched.events(job, 0, 64).unwrap();
+        let skipped: Vec<&JobEventKind> = events
+            .iter()
+            .map(|e| &e.kind)
+            .filter(|k| matches!(k, JobEventKind::Skipped { .. }))
+            .collect();
+        assert_eq!(skipped, [&JobEventKind::Skipped { case: "read-c1-r-1-e5".into() }]);
+        let checkpoint = sched.checkpoint(job).unwrap();
+        assert_eq!((checkpoint.frontier.len(), checkpoint.unreached.len()), (0, 1));
     }
 
     #[test]

@@ -114,8 +114,10 @@ impl FabricHandle {
 
     /// Serves the protocol over TCP: one accept loop thread, one thread
     /// per connection, newline-delimited requests until the peer closes.
-    /// Returns a guard that, when dropped, stops the accept loop and shuts
-    /// down every open connection.
+    /// At most [`MAX_CONNECTIONS`] peers are served at once; one more gets
+    /// a single `error` line and its connection closes.  Returns a guard
+    /// that, when dropped, stops the accept loop and shuts down every open
+    /// connection.
     ///
     /// ```no_run
     /// use lfi_fabric::{Fabric, FabricClient};
@@ -149,7 +151,18 @@ impl FabricHandle {
                         break;
                     }
                     match accepted {
-                        Ok((stream, _)) => {
+                        Ok((mut stream, _)) => {
+                            let mut guard =
+                                accept_connections.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                            // Connections whose peers have closed are done;
+                            // forget them so the list tracks live ones only.
+                            guard.retain(|connection| !connection.worker.is_finished());
+                            if guard.len() >= MAX_CONNECTIONS {
+                                let message = format!("the server already serves {MAX_CONNECTIONS} connections");
+                                let _ = writeln!(stream, "{}", Response::Error { message }.encode());
+                                let _ = stream.shutdown(std::net::Shutdown::Write);
+                                continue;
+                            }
                             let handle = handle.clone();
                             // A connection whose stream cannot be cloned or
                             // whose thread fails to spawn drops its stream,
@@ -162,11 +175,6 @@ impl FabricHandle {
                             else {
                                 continue;
                             };
-                            let mut guard =
-                                accept_connections.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                            // Connections whose peers have closed are done;
-                            // forget them so the list tracks live ones only.
-                            guard.retain(|connection| !connection.worker.is_finished());
                             guard.push(Connection { peer, worker });
                         }
                         Err(_) => break,
@@ -184,6 +192,12 @@ impl FabricHandle {
 /// request the repository sends — an exhaustive libc `submit` with its plan
 /// escaped — is well under a tenth of this.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The most TCP peers [`FabricHandle::serve_tcp`] serves at once, each on
+/// its own thread.  A peer over it gets one `error` line and its
+/// connection closes, so no flood of connections makes the server spawn
+/// threads without bound; a slot frees when a served peer closes.
+pub const MAX_CONNECTIONS: usize = 32;
 
 /// One TCP connection: newline-delimited requests answered in order.
 fn serve_connection(handle: &FabricHandle, stream: TcpStream) {
@@ -731,6 +745,8 @@ impl std::fmt::Debug for FabricClient {
 mod tests {
     use super::*;
     use crate::Fabric;
+    use proptest::prelude::*;
+    use std::time::Instant;
 
     #[test]
     fn closed_connections_do_not_accumulate_handles() {
@@ -744,5 +760,101 @@ mod tests {
         // only the last few can still be listed.
         let live = guard.connections.lock().unwrap().len();
         assert!(live <= 8, "{live} connection handles kept after 64 sequential connections");
+    }
+
+    #[test]
+    fn a_peer_over_the_connection_cap_is_refused_until_a_served_one_closes() {
+        let fabric = Fabric::builder().workers(0).build();
+        let guard = fabric.handle().serve_tcp(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+        // A ping answered means the acceptor has registered the connection.
+        let mut served: Vec<FabricClient> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let mut client = FabricClient::tcp(guard.addr()).unwrap();
+                client.ping().unwrap();
+                client
+            })
+            .collect();
+        let refused = TcpStream::connect(guard.addr()).unwrap();
+        // Served, the peer would wait for a request: bound the read so the
+        // test fails instead of hanging.
+        refused.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(refused);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("error message="), "{line:?}");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then the connection closes");
+        served[0].ping().expect("the first peer is still served");
+
+        // Closing a served peer frees its slot once its thread has seen the
+        // close.
+        drop(served.pop());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if FabricClient::tcp(guard.addr()).unwrap().ping().is_ok() {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the closed peer's slot never freed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    /// Request verbs, field keys and escape fragments the parser branches
+    /// on, to splice between arbitrary characters.
+    const TOKENS: &[&str] = &[
+        "ping",
+        "jobs",
+        "submit",
+        "status",
+        "events",
+        "cancel",
+        "pause",
+        "resume",
+        "checkpoint",
+        "drain",
+        " ",
+        "job=",
+        "after=",
+        "max=",
+        "plan=",
+        "name=",
+        "workload=",
+        "weight=",
+        "lease-batch=",
+        "max-cases=",
+        "halt-on-crash=true",
+        "=",
+        "%",
+        "%0",
+        "%zz",
+        "%25",
+        "\n",
+        "\r",
+    ];
+
+    fn fragment() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0..TOKENS.len()).prop_map(|index| TOKENS[index].to_owned()),
+            "[\u{0}-\u{7f}]{0,8}",
+            "[\u{80}-\u{3000}]{0,4}",
+            "[0-9]{15,40}",
+            (0usize..4, 1000usize..20_000).prop_map(|(index, len)| ["a", "9", "%", "\u{0}"][index].repeat(len)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever a peer sends, the server answers with exactly one line
+        /// and never panics.
+        #[test]
+        fn any_request_line_gets_exactly_one_response_line(
+            parts in prop::collection::vec(fragment(), 0..12),
+        ) {
+            let fabric = Fabric::builder().workers(0).build();
+            let line = parts.concat();
+            let response = fabric.handle().handle_line(&line);
+            prop_assert!(!response.is_empty() && !response.contains(['\n', '\r']), "{:?} -> {:?}", line, response);
+        }
     }
 }
