@@ -14,7 +14,7 @@ use lfi_profile::FaultProfile;
 use lfi_scenario::{FaultCell, FaultSpace, Plan};
 
 use crate::ledger::{CellResult, CrashCluster};
-use crate::run::{run_cells, run_session};
+use crate::run::{drain, run_cells};
 use crate::{ExplorationDelta, ExplorationState, ExplorationStore};
 
 /// Name of the injection-free probe case every exploration starts with.
@@ -415,8 +415,7 @@ impl Explorer {
     /// Puts a single cell on the frontier at (at least) `priority`, unless
     /// it already ran or was proven unreachable.  A muted function's cell
     /// joins the frontier too, but waits there until its function is
-    /// unmuted.  Cells a halted batch never ran come back through here with
-    /// their original priority.
+    /// unmuted.
     pub fn raise_cell(&mut self, cell: FaultCell, priority: i32) {
         self.state.raise(cell, priority);
     }
@@ -539,7 +538,7 @@ impl Explorer {
         on_event: &mut dyn FnMut(&CaseEvent) -> bool,
     ) -> CampaignReport {
         let campaign = Campaign::new().case(TestCase::new(PROBE_CASE_NAME, Plan::new())).capture_call_log(true);
-        let (report, _, _) = run_session(campaign.start_arc(Arc::clone(workload)), on_event);
+        let report = drain(campaign.start_arc(Arc::clone(workload)), on_event);
         if let Some(outcome) = report.outcomes.first() {
             let mut counts: HashMap<Symbol, u64> = HashMap::new();
             for &symbol in &outcome.calls {
@@ -623,7 +622,7 @@ impl Explorer {
         on_event: &mut dyn FnMut(&CaseEvent) -> bool,
     ) -> CampaignReport {
         let (halt, parallelism) = (self.config.halt_on_crash, self.config.parallelism);
-        let run = run_cells(cells, workload, None, halt, parallelism, |_| {}, on_event);
+        let run = run_cells(cells, workload, None, halt, parallelism, |_| {}, |event, _| on_event(event));
         // The whole batch is folded in before the frontier policy reacts to
         // any of it, so an escalation never raises a cell this batch ran or
         // vetoed: a pending cell is never executed or unreached, which is

@@ -14,8 +14,7 @@ use crate::ledger::CellResult;
 pub struct CellRun {
     /// The session's report, outcomes in case order.
     pub report: CampaignReport,
-    /// Each executed cell with what the ledger folds for it, observed
-    /// calls included, in case order.
+    /// Each executed cell with what the ledger folds for it, in case order.
     pub outcomes: Vec<(FaultCell, CellResult)>,
     /// Cells whose cases a cancel or a crash halt stopped before they ran.
     pub returned: Vec<FaultCell>,
@@ -30,10 +29,10 @@ pub struct CellRun {
 /// `halt_on_crash` the session stops scheduling at the first crash.
 ///
 /// `on_start` gets the session's cancel handle before any case runs.
-/// Every event streams to `on_event` as it arrives; returning `false`
-/// cancels the session: no further case starts, and a case already running
-/// finishes and still reports.  Each executed cell's result records the
-/// calls its case made to the cell's function.
+/// Every event streams to `on_event` as it arrives, an outcome with its
+/// cell's result, which records the calls the case made to the cell's
+/// function.  Returning `false` cancels the session: no further case
+/// starts, and a case already running finishes and still reports.
 pub fn run_cells(
     cells: &[FaultCell],
     workload: &Arc<dyn Workload>,
@@ -41,12 +40,11 @@ pub fn run_cells(
     halt_on_crash: bool,
     parallelism: usize,
     on_start: impl FnOnce(&CancelHandle),
-    mut on_event: impl FnMut(&CaseEvent) -> bool,
+    mut on_event: impl FnMut(&CaseEvent, Option<&CellResult>) -> bool,
 ) -> CellRun {
-    let cases: Vec<TestCase> = cells
+    let cases = cells
         .iter()
-        .map(|cell| TestCase::new(cell.case_name(), Plan { entries: vec![cell.plan_entry()], seed }))
-        .collect();
+        .map(|cell| TestCase::new(cell.case_name(), Plan { entries: vec![cell.plan_entry()], seed }));
     let mut policy = ExecutionPolicy::run_all();
     if halt_on_crash {
         policy = policy.stop_on_first_crash();
@@ -57,21 +55,30 @@ pub fn run_cells(
         .parallelism(parallelism)
         .start_arc(Arc::clone(workload));
     on_start(&run.cancel_handle());
-    let (report, executed, skipped) = run_session(run, &mut on_event);
-    // Outcomes sit in case order, which is ascending executed-index order.
-    let outcomes = executed
-        .into_iter()
-        .zip(&report.outcomes)
-        .map(|(index, outcome)| {
-            let cell = cells[index];
-            (cell, CellResult { observed_calls: outcome.log.calls_to_sym(cell.function), ..CellResult::of(outcome) })
-        })
-        .collect();
+    // Per case, in case order: its result, or why it was skipped.
+    let mut results: Vec<Option<CellResult>> = vec![None; cells.len()];
+    let mut skipped: Vec<Option<SkipReason>> = vec![None; cells.len()];
+    let report = drain(run, |event| {
+        let result = match event {
+            CaseEvent::Outcome { index, outcome } => {
+                let calls = outcome.log.calls_to_sym(cells[*index].function);
+                Some(&*results[*index].insert(CellResult { observed_calls: calls, ..CellResult::of(outcome) }))
+            }
+            CaseEvent::Skipped { index, reason, .. } => {
+                skipped[*index] = Some(*reason);
+                None
+            }
+            _ => None,
+        };
+        on_event(event, result)
+    });
+    let outcomes = cells.iter().zip(results).filter_map(|(&cell, result)| Some((cell, result?))).collect();
     let (mut returned, mut vetoed) = (Vec::new(), Vec::new());
-    for (index, reason) in skipped {
+    for (&cell, reason) in cells.iter().zip(skipped) {
         match reason {
-            SkipReason::Unhealthy => vetoed.push(cells[index]),
-            SkipReason::Cancelled | SkipReason::CrashHalt => returned.push(cells[index]),
+            Some(SkipReason::Unhealthy) => vetoed.push(cell),
+            Some(SkipReason::Cancelled | SkipReason::CrashHalt) => returned.push(cell),
+            None => {}
         }
     }
     CellRun { report, outcomes, returned, vetoed }
@@ -79,26 +86,12 @@ pub fn run_cells(
 
 /// Drains a session, streaming its events to `on_event` and cancelling it
 /// when `on_event` returns `false` (in-flight cases still finish).
-/// Returns the report with the indices of the executed cases and of the
-/// skipped ones with their reasons, each ascending.
-pub(crate) fn run_session(
-    mut run: CampaignRun,
-    on_event: &mut dyn FnMut(&CaseEvent) -> bool,
-) -> (CampaignReport, Vec<usize>, Vec<(usize, SkipReason)>) {
+pub(crate) fn drain(mut run: CampaignRun, mut on_event: impl FnMut(&CaseEvent) -> bool) -> CampaignReport {
     let cancel = run.cancel_handle();
-    let mut executed = Vec::new();
-    let mut skipped = Vec::new();
     for event in run.by_ref() {
-        match &event {
-            CaseEvent::Outcome { index, .. } => executed.push(*index),
-            CaseEvent::Skipped { index, reason, .. } => skipped.push((*index, *reason)),
-            _ => {}
-        }
         if !on_event(&event) {
             cancel.cancel();
         }
     }
-    executed.sort_unstable();
-    skipped.sort_unstable_by_key(|&(index, _)| index);
-    (run.into_report(), executed, skipped)
+    run.into_report()
 }

@@ -21,44 +21,34 @@ pub struct FrontierCell {
     pub priority: i32,
 }
 
-/// What changed since the last [`ExplorationState::take_delta`], by key;
-/// the keys are resolved to absolute values only when the delta is taken.
-/// A cell leaving the frontier is not marked as such: it left because it
-/// ran, was retired to unreached or had its function pruned, and the delta
-/// records that.  Taking cells and giving them back mark nothing, because
-/// a checkpoint lists a taken cell in its frontier at the same priority.
+/// What changed since the last [`ExplorationState::take_delta`], by key.
+/// A cell leaving the frontier is not marked: the delta records why it
+/// left (it ran, was retired or pruned).  Taking and giving back mark
+/// nothing, since a checkpoint lists a taken cell at the same priority.
 #[derive(Debug, Default)]
 struct Marks {
     /// Cells raised or reweighted.
     frontier: HashSet<FaultCell>,
     unreached: HashSet<FaultCell>,
     pruned_functions: HashSet<Symbol>,
-    /// Newly executed cells (the ledger folds each cell once).
     executed: Vec<FaultCell>,
     /// Functions whose coverage entry changed.
     coverage: HashSet<Symbol>,
-    /// Keys of the clusters created or bumped.
     clusters: HashSet<ClusterKey<'static>>,
 }
 
-/// The state of one exploration of a fault space, whoever drives it: the
-/// pending cells with their priorities, the cells out on a batch or a
-/// lease, the unreached cells and pruned functions, the [`FaultLedger`] of
-/// executed cells, and the marks a delta is taken from.
-///
-/// [`ExplorationState::take`] moves pending cells out; a fold or a retire
-/// ends them, and [`ExplorationState::give_back`] returns them to the front
-/// of the pending queue (a cancelled batch, an expired lease, a dead
-/// worker).  A checkpoint lists out cells in its frontier, so a delta never
-/// removes them.  Which cells to take, and how to react to a result, is
-/// the caller's policy.
+/// The state of one exploration of a fault space, whoever drives it:
+/// pending cells, cells out on a batch or a lease, unreached cells, pruned
+/// functions, the [`FaultLedger`] of executed cells, and the delta marks.
+/// A taken cell is out until a fold or a retire ends it or
+/// [`ExplorationState::give_back`] returns it to the front of the queue.
+/// Which cells to take, and how to react to a result, is the caller's.
 #[derive(Debug, Default)]
 pub struct ExplorationState {
     universe: usize,
     ledger: FaultLedger,
-    /// Pending cells, in the order the caller's selection left them.
     pending: VecDeque<FrontierCell>,
-    /// Cells out on a batch or a lease, with the priority they return at.
+    /// Out cells, with the priority they return at.
     out: HashMap<FaultCell, i32>,
     unreached: HashSet<FaultCell>,
     pruned_functions: HashSet<Symbol>,
@@ -73,9 +63,8 @@ impl ExplorationState {
         Self { universe, pending, ..Self::default() }
     }
 
-    /// The state a snapshot recorded, its frontier pending in the stored
-    /// order (less any cell the snapshot also lists as executed or
-    /// unreached).
+    /// The state a snapshot recorded, its frontier pending in stored order
+    /// (less any cell the snapshot also lists as executed or unreached).
     pub fn from_store(store: &ExplorationStore) -> Self {
         let mut state = Self {
             universe: store.universe,
@@ -93,30 +82,22 @@ impl ExplorationState {
         state
     }
 
-    /// Writes the state's half of a snapshot: the universe, the frontier
-    /// (pending and out cells) in scheduling order — priority descending,
-    /// then the total cell key, the order a delta's fold merges in — the
-    /// unreached cells and pruned functions sorted, and the ledger.  The
-    /// front end fills in its configuration and counters.
+    /// Writes the state's half of a snapshot, the frontier (pending and out
+    /// cells) in the scheduling order a delta's fold merges in; the front
+    /// end fills in its configuration and counters.
     pub fn write_into(&self, store: &mut ExplorationStore) {
         store.frontier = self.frontier().collect();
         store.frontier.sort_by(frontier_order);
-        store.unreached = self.unreached.iter().copied().collect();
-        store.unreached.sort_by_cached_key(FaultCell::sort_key);
-        store.pruned_functions = self.pruned_functions.iter().copied().collect();
-        store.pruned_functions.sort_by_key(|s| s.as_str());
+        store.unreached = sorted(self.unreached.iter().copied(), FaultCell::sort_key);
+        store.pruned_functions = sorted(self.pruned_functions.iter().copied(), |s| s.as_str());
         store.universe = self.universe;
         self.ledger.write_into(store);
     }
 
-    /// Drains everything that changed since the last `take_delta` (or
-    /// since construction) into the frontier and ledger half of an
-    /// [`ExplorationDelta`]; the front end fills in its own counters.
-    ///
-    /// Contract: applying the delta to the snapshot written at the
-    /// previous `take_delta` point reproduces the current snapshot byte for
-    /// byte.  Its size is proportional to what the span touched; taking it
-    /// scans the frontier once, for the touched cells' priorities.
+    /// Drains what changed since the last `take_delta` into the state's half
+    /// of an [`ExplorationDelta`].  Applied to the snapshot written at that
+    /// point, it reproduces the current one byte for byte.  Its size is
+    /// proportional to what the span touched.
     pub fn take_delta(&mut self) -> ExplorationDelta {
         // The fold drops a cell from the frontier when the delta names it
         // executed or unreached, which holds because no frontier cell is.
@@ -125,21 +106,8 @@ impl ExplorationState {
             .all(|f| !self.ledger.is_executed(&f.cell) && !self.unreached.contains(&f.cell)));
         let marks = std::mem::take(&mut self.marks);
         let ledger = &self.ledger;
-        let mut frontier_upsert: Vec<FrontierCell> =
-            self.frontier().filter(|f| marks.frontier.contains(&f.cell)).collect();
-        frontier_upsert.sort_by_cached_key(|f| f.cell.sort_key());
-        let mut unreached: Vec<FaultCell> = marks.unreached.into_iter().collect();
-        unreached.sort_by_cached_key(FaultCell::sort_key);
-        let mut pruned_functions: Vec<Symbol> = marks.pruned_functions.into_iter().collect();
-        pruned_functions.sort_by_key(|s| s.as_str());
-        let mut executed = marks.executed;
-        executed.sort_by_cached_key(FaultCell::sort_key);
-        let mut coverage: Vec<_> = marks
-            .coverage
-            .into_iter()
-            .filter_map(|s| ledger.coverage(s).map(|c| (s, c.clone())))
-            .collect();
-        coverage.sort_by_key(|(s, _)| s.as_str());
+        let upserts = self.frontier().filter(|f| marks.frontier.contains(&f.cell));
+        let coverage = marks.coverage.into_iter().filter_map(|s| ledger.coverage(s).map(|c| (s, c.clone())));
         let touched: BTreeSet<usize> = marks
             .clusters
             .iter()
@@ -149,11 +117,11 @@ impl ExplorationState {
             crash_found: ledger.crashes() > 0,
             cases_executed: ledger.cases(),
             injections_performed: ledger.injections(),
-            frontier_upsert,
-            executed,
-            unreached,
-            pruned_functions,
-            coverage,
+            frontier_upsert: sorted(upserts, |f| f.cell.sort_key()),
+            executed: sorted(marks.executed, FaultCell::sort_key),
+            unreached: sorted(marks.unreached, FaultCell::sort_key),
+            pruned_functions: sorted(marks.pruned_functions, |s| s.as_str()),
+            coverage: sorted(coverage, |(s, _)| s.as_str()),
             clusters: touched.into_iter().map(|index| ledger.clusters()[index].clone()).collect(),
             ..ExplorationDelta::default()
         }
@@ -164,8 +132,6 @@ impl ExplorationState {
         let out = self.out.iter().map(|(&cell, &priority)| FrontierCell { cell, priority });
         self.pending.iter().copied().chain(out)
     }
-
-    // -- accessors ----------------------------------------------------------
 
     /// Cells enumerated for the exploration.
     pub fn universe(&self) -> usize {
@@ -182,14 +148,12 @@ impl ExplorationState {
         self.pending.iter()
     }
 
-    /// The pending cells as one slice, for a selection to reorder before
-    /// it takes a prefix.  Reordering changes no checkpoint.
+    /// The pending cells, for a selection to reorder (no checkpoint changes).
     pub(crate) fn pending_mut(&mut self) -> &mut [FrontierCell] {
         self.pending.make_contiguous()
     }
 
-    /// Cells retired as unreached (executed ones whose injection never
-    /// fired included).
+    /// Cells retired as unreached.
     pub fn unreached_len(&self) -> usize {
         self.unreached.len()
     }
@@ -199,10 +163,8 @@ impl ExplorationState {
         self.pruned_functions.len()
     }
 
-    // -- operations ---------------------------------------------------------
-
     /// Takes up to `n` cells off the front of the pending queue and puts
-    /// them out, until each is folded, retired or given back.
+    /// them out.
     pub fn take(&mut self, n: usize) -> Vec<FaultCell> {
         let taken = self.pending.drain(..n.min(self.pending.len()));
         taken
@@ -231,9 +193,8 @@ impl ExplorationState {
         self.marks.coverage.extend(calls.keys().copied());
     }
 
-    /// Returns out cells to the front of the pending queue, in the given
-    /// order, at the priority each left with (or was raised to while out).
-    /// Cells that are not out are ignored.  Returns how many went back.
+    /// Returns out cells to the front of the pending queue in the given
+    /// order, at their priority; ignores cells not out.  Returns how many.
     pub fn give_back(&mut self, cells: &[FaultCell]) -> usize {
         let mut back = 0;
         for &cell in cells.iter().rev() {
@@ -316,4 +277,11 @@ impl ExplorationState {
             self.marks.frontier.insert(f.cell);
         }
     }
+}
+
+/// `items` in `key` order.
+fn sorted<T, K: Ord>(items: impl IntoIterator<Item = T>, key: impl FnMut(&T) -> K) -> Vec<T> {
+    let mut items: Vec<T> = items.into_iter().collect();
+    items.sort_by_cached_key(key);
+    items
 }

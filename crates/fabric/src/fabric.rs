@@ -12,7 +12,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lfi_controller::{CancelHandle, CaseEvent, Workload, WorkloadRegistry};
-use lfi_explore::{run_cells, CellResult, ExplorationStore};
+use lfi_explore::{run_cells, ExplorationStore};
 use lfi_store::{Journal, Record, StoreError};
 
 use crate::job::{JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
@@ -622,7 +622,7 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
             handle.cancel();
         }
     };
-    let run = run_cells(&cells, &workload, seed, halt_on_crash, 1, attach, |event| {
+    let run = run_cells(&cells, &workload, seed, halt_on_crash, 1, attach, |event, result| {
         events.push(match event {
             CaseEvent::Started { name, .. } => JobEventKind::Started { case: name.clone() },
             CaseEvent::Injection { index, record } => JobEventKind::Injection {
@@ -632,12 +632,12 @@ fn run_lease(inner: &FabricInner, assignment: LeaseAssignment) -> LeaseResult {
                 errno: record.errno,
             },
             CaseEvent::Outcome { outcome, .. } => {
-                let result = CellResult::of(outcome);
+                let result = result.expect("an outcome streams with its cell's result");
                 JobEventKind::Finished {
                     case: outcome.name.clone(),
                     outcome: result.outcome,
                     injections: result.injections as usize,
-                    stack: result.stack,
+                    stack: result.stack.clone(),
                 }
             }
             CaseEvent::Skipped { name, .. } => JobEventKind::Skipped { case: name.clone() },

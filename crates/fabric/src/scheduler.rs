@@ -19,10 +19,11 @@
 //! among the runnable jobs, so it neither jumps the queue for hours nor
 //! waits behind history.  Leases are sized by time too: a job's first
 //! lease is one cell, then as many cells as fit [`LEASE_TARGET`] at the
-//! job's estimate, capped by its lease batch.  A cell whose lease expires
-//! [`MAX_JOB_PANICS`] times is skipped.  None of this is durable — a
-//! recovered job starts with its cost unknown and its strikes cleared,
-//! like a new one.
+//! job's estimate, capped by its lease batch.  Each expiry strikes the
+//! cells of its lease; a cell with [`MAX_JOB_PANICS`] strikes is leased
+//! alone and skipped when that lease expires too.  None of this is
+//! durable — a recovered job starts with its cost unknown and its strikes
+//! cleared, like a new one.
 //!
 //! [`Scheduler::checkpoint`], [`Scheduler::take_delta`] and
 //! [`Scheduler::submit_restored`] run the explorer's store, delta and
@@ -43,7 +44,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lfi_controller::{CancelHandle, ProgressSnapshot, Workload};
-use lfi_explore::{CellResult, ExplorationDelta, ExplorationState, ExplorationStore};
+use lfi_explore::{CellResult, ExplorationDelta, ExplorationState, ExplorationStore, FrontierCell};
 use lfi_scenario::{FaultCell, FaultSpace};
 
 use crate::job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
@@ -190,11 +191,15 @@ impl JobRecord {
 
     /// Cells for the next lease: one while the job's cost is unknown, then
     /// as many as fit [`LEASE_TARGET`] at the estimate, within `1..=cap`.
+    /// A cell struck out by expiries is leased alone, so that the expiry
+    /// which skips it is its own and not a neighbour's.
     fn lease_cells(&self, cap: usize) -> usize {
-        match self.cell_ns {
+        let n = match self.cell_ns {
             None => 1,
             Some(ns) => usize::try_from(nanos(LEASE_TARGET) / ns.max(1)).unwrap_or(usize::MAX).clamp(1, cap),
-        }
+        };
+        let struck = |f: &FrontierCell| self.expiries.get(&f.cell).is_some_and(|&strikes| strikes >= MAX_JOB_PANICS);
+        self.exploration.pending().take(n).position(struck).map_or(n, |at| at.max(1))
     }
 
     /// Removes an outstanding lease, refunding its issue-time charge.
@@ -220,8 +225,13 @@ impl JobRecord {
     }
 
     /// Returns leased cells to the *front* of the frontier, preserving
-    /// their order, and counts the requeue.
+    /// their order, and counts the requeue; once the job is over, skips
+    /// them instead.
     fn requeue_cells(&mut self, cells: &[FaultCell]) {
+        if self.state.is_terminal() {
+            cells.iter().for_each(|&cell| self.exploration.retire(cell));
+            return;
+        }
         let back = self.exploration.give_back(cells);
         if back > 0 {
             self.requeued += back as u64;
@@ -399,15 +409,11 @@ impl Scheduler {
             record.exploration.fold(*cell, outcome);
         }
         result.unhealthy.into_iter().for_each(|cell| record.exploration.retire(cell));
-        if record.state == JobState::Cancelled || record.state == JobState::Failed {
-            result.skipped.into_iter().for_each(|cell| record.exploration.retire(cell));
-        } else if crash_halt {
-            result.skipped.into_iter().for_each(|cell| record.exploration.retire(cell));
+        if crash_halt && !record.state.is_terminal() {
             record.skip_frontier();
             record.set_state(JobState::Done);
-        } else {
-            record.requeue_cells(&result.skipped);
         }
+        record.requeue_cells(&result.skipped);
         record.maybe_complete();
         true
     }
@@ -425,12 +431,8 @@ impl Scheduler {
             return false;
         };
         record.panics += 1;
-        if record.state.is_terminal() {
-            entry.cells.into_iter().for_each(|cell| record.exploration.retire(cell));
-            return true;
-        }
         record.requeue_cells(&entry.cells);
-        if record.panics >= MAX_JOB_PANICS {
+        if record.panics >= MAX_JOB_PANICS && !record.state.is_terminal() {
             record.skip_frontier();
             record.set_state(JobState::Failed);
         }
@@ -440,10 +442,12 @@ impl Scheduler {
 
     /// Expires every lease whose deadline has passed: its cells return to
     /// the front of the owning job's frontier, its charge is refunded, and a
-    /// late ack becomes stale.  A cell whose lease has now expired
-    /// [`MAX_JOB_PANICS`] times is skipped instead of leased again, so a
-    /// case that never returns cannot take the fleet one worker at a time.
-    /// Returns how many leases expired.
+    /// late ack becomes stale.  Every expiry strikes each cell of its lease;
+    /// a cell with [`MAX_JOB_PANICS`] strikes is leased alone, and skipped
+    /// instead of leased again when such a lease expires too, so a case
+    /// that never returns cannot take the fleet one worker at a time while
+    /// the cells leased with it still run.  Returns how many leases
+    /// expired.
     pub fn expire(&mut self, now: Instant) -> usize {
         let mut expired = 0;
         for record in self.jobs.values_mut() {
@@ -458,21 +462,17 @@ impl Scheduler {
                 if let Some(handle) = lease.cancel {
                     handle.cancel();
                 }
-                if record.state.is_terminal() {
-                    lease.cells.into_iter().for_each(|cell| record.exploration.retire(cell));
-                } else {
-                    let (struck, back): (Vec<FaultCell>, Vec<FaultCell>) = lease.cells.into_iter().partition(|cell| {
-                        let strikes = record.expiries.entry(*cell).or_insert(0);
-                        *strikes += 1;
-                        *strikes >= MAX_JOB_PANICS
-                    });
-                    for cell in struck {
+                let alone = lease.cells.len() == 1 && !record.state.is_terminal();
+                for &cell in &lease.cells {
+                    let strikes = record.expiries.entry(cell).or_insert(0);
+                    *strikes += 1;
+                    if alone && *strikes >= MAX_JOB_PANICS {
                         record.events.push(JobEventKind::Skipped { case: cell.case_name() });
                         record.exploration.retire(cell);
                     }
-                    record.requeue_cells(&back);
-                    record.maybe_complete();
                 }
+                record.requeue_cells(&lease.cells);
+                record.maybe_complete();
                 expired += 1;
             }
         }
@@ -860,6 +860,41 @@ mod tests {
         assert_eq!(skipped, [&JobEventKind::Skipped { case: "read-c1-r-1-e5".into() }]);
         let checkpoint = sched.checkpoint(job).unwrap();
         assert_eq!((checkpoint.frontier.len(), checkpoint.unreached.len()), (0, 1));
+    }
+
+    #[test]
+    fn only_the_cell_that_never_returns_is_skipped_from_an_expiring_lease() {
+        let mut sched = Scheduler::new(4, Duration::from_secs(10));
+        let job = sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=8)), noop_workload());
+        let hung = FaultSpace::from_plan(&plan_with_cells("read", 1..=8)).cells()[2];
+        let (mut now, mut expiries, mut sizes) = (Instant::now(), 0, Vec::new());
+        while let Some(lease) = sched.next_lease(now) {
+            sizes.push(lease.cells.len());
+            if lease.cells.contains(&hung) {
+                now += Duration::from_secs(11);
+                assert_eq!(sched.expire(now), 1);
+                expiries += 1;
+            } else {
+                assert!(sched.ack(job, lease.lease, success_result(&lease.cells), busy(&lease.cells)));
+            }
+        }
+        // The probe, then three expiries of the measured lease of 4 around
+        // the hung cell, then each of that lease's cells alone.
+        assert_eq!(sizes, [1, 4, 4, 4, 1, 1, 1, 1, 3]);
+        assert_eq!(expiries, MAX_JOB_PANICS + 1);
+        let snapshot = sched.snapshot(job).unwrap();
+        assert_eq!(snapshot.state, JobState::Done);
+        assert_eq!((snapshot.progress.finished, snapshot.progress.skipped), (7, 1));
+        let checkpoint = sched.checkpoint(job).unwrap();
+        assert_eq!(checkpoint.unreached, [hung]);
+        assert_eq!(checkpoint.executed.len(), 7);
+        let (_, events) = sched.events(job, 0, 256).unwrap();
+        let skipped: Vec<&JobEventKind> = events
+            .iter()
+            .map(|e| &e.kind)
+            .filter(|k| matches!(k, JobEventKind::Skipped { .. }))
+            .collect();
+        assert_eq!(skipped, [&JobEventKind::Skipped { case: hung.case_name() }]);
     }
 
     #[test]
