@@ -9,7 +9,8 @@
 //! * `xml_write`      — the same store serialized as XML (baseline);
 //! * `xml_load`       — format-sniffing load of the XML file (baseline);
 //! * `delta_append`   — one O(delta) journal append (a 32-cell batch);
-//! * `fold_delta`     — the typed append: frame write + in-memory fold;
+//! * `fold_delta`     — applying that delta to the store: the per-delta
+//!   cost of recovering a journal;
 //! * `compact`        — rewriting the journal as one fresh snapshot;
 //! * `fabric_ack_append` — per 8-cell lease of a journaled 10k-cell fabric
 //!   job on one worker: its no-op cases, the scheduler ack, the delta
@@ -32,9 +33,7 @@ use lfi_intern::Symbol;
 use lfi_profile::{ProfileKey, ProfileStore};
 use lfi_runtime::{ExitStatus, Process};
 use lfi_scenario::{FaultCell, Plan};
-use lfi_store::{
-    load_exploration, load_profile_store, save_exploration, save_profile_store, ExplorationJournal, Journal, Record,
-};
+use lfi_store::{load_exploration, load_profile_store, save_exploration, save_profile_store, Journal};
 
 const CORPUS_FUNCTIONS: usize = 10_000;
 const DELTA_BATCH: usize = 32;
@@ -42,7 +41,6 @@ const DELTA_BATCH: usize = 32;
 const FABRIC_CELLS: usize = 10_000;
 const FABRIC_LEASE: usize = 8;
 const FABRIC_RECORDS: usize = 32;
-/// The fabric benches' job size, lease size and journaled leases.
 /// An exploration store shaped like a campaign over the scaled survey
 /// corpus: one frontier cell per profiled function, coverage entries for a
 /// quarter of them.
@@ -149,17 +147,17 @@ fn noop_fabric(workers: usize) -> Fabric {
 
 /// One journaled lease: the delta the fabric appends once `cells` ran
 /// clean with no injection fired, `done` cells having run before them.
-fn lease_record(cells: &[FaultCell], done: usize) -> Record {
+fn lease_delta(cells: &[FaultCell], done: usize) -> ExplorationDelta {
     let mut coverage: Vec<(Symbol, FunctionCoverage)> =
         cells.iter().map(|cell| (cell.function, FunctionCoverage::default())).collect();
     coverage.dedup_by_key(|(function, _)| *function);
-    Record::ExplorationDelta(ExplorationDelta {
+    ExplorationDelta {
         probe_done: true,
         cases_executed: (done + cells.len()) as u64,
         executed: cells.to_vec(),
         coverage,
         ..ExplorationDelta::default()
-    })
+    }
 }
 
 fn bench_store_scale(c: &mut Criterion) {
@@ -228,36 +226,34 @@ fn bench_store_scale(c: &mut Criterion) {
 
     group.bench_function("delta_append", |b| {
         let path = dir.join("append.lfij");
-        // The untyped journal layer: appending one framed delta record is
-        // the pure O(delta) write-ahead cost the CI ratio gates against the
-        // full snapshot write.  (The typed `ExplorationJournal` adds the
-        // in-memory fold on top — covered by `fold_delta` below.)
-        let mut journal = Journal::create(&path, &Record::ExplorationSnapshot(store.clone())).unwrap();
-        let record = Record::ExplorationDelta(delta.clone());
+        // Appending one framed delta record is the pure O(delta)
+        // write-ahead cost the CI ratio gates against the full snapshot
+        // write.  No snapshot is offered, so no append compacts (`compact`
+        // below times that).
+        let mut journal = Journal::create(&path, &store).unwrap();
         b.iter(|| {
-            journal.append(black_box(&record)).unwrap();
+            journal.append(black_box(&delta), || None::<ExplorationStore>).unwrap();
             black_box(())
         })
     });
 
+    let mut folded = store.clone();
     group.bench_function("fold_delta", |b| {
-        // The typed journal's full append: frame write plus folding the
-        // delta into the in-memory state (idempotent, so re-appending the
-        // same batch each iteration is well-defined).
-        let path = dir.join("fold.lfij");
-        let mut journal = ExplorationJournal::create(&path, &store).unwrap().compact_every(u64::MAX);
+        // What recovery pays per journaled delta: applying it to the store
+        // (idempotent, so re-applying the same batch each iteration is
+        // well-defined).
         b.iter(|| {
-            journal.append_delta(black_box(&delta)).unwrap();
+            black_box(&delta).apply(&mut folded);
             black_box(())
         })
     });
 
     group.bench_function("compact", |b| {
         let path = dir.join("compact.lfij");
-        let mut journal = ExplorationJournal::create(&path, &store).unwrap().compact_every(u64::MAX);
-        journal.append_delta(&delta).unwrap();
+        let mut journal = Journal::create(&path, &store).unwrap();
+        journal.append(&delta, || None::<ExplorationStore>).unwrap();
         b.iter(|| {
-            journal.compact().unwrap();
+            journal.compact(black_box(&folded)).unwrap();
             black_box(())
         })
     });
@@ -286,9 +282,13 @@ fn bench_store_scale(c: &mut Criterion) {
         let staged = inert.submit(spec.clone()).unwrap();
         let snapshot = inert.checkpoint(staged).unwrap();
         let cells: Vec<FaultCell> = snapshot.frontier.iter().map(|f| f.cell).collect();
-        let mut journal = Journal::create(&path, &Record::ExplorationSnapshot(snapshot)).unwrap();
+        // No snapshot is offered, so the log keeps all its deltas for the
+        // recovery to fold.
+        let mut journal = Journal::create(&path, &snapshot).unwrap();
         for (index, lease) in cells.chunks(FABRIC_LEASE).take(FABRIC_RECORDS).enumerate() {
-            journal.append(&lease_record(lease, index * FABRIC_LEASE)).unwrap();
+            journal
+                .append(&lease_delta(lease, index * FABRIC_LEASE), || None::<ExplorationStore>)
+                .unwrap();
         }
         drop(journal);
         b.iter_custom(|_| {

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use lfi_controller::{CancelHandle, CaseEvent, Workload, WorkloadRegistry};
 use lfi_explore::{run_cells, ExplorationStore};
-use lfi_store::{Journal, Record, StoreError};
+use lfi_store::{Journal, StoreError};
 
 use crate::job::{JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
 use crate::scheduler::{LeaseAssignment, LeaseResult, Scheduler};
@@ -29,10 +29,6 @@ pub const DEFAULT_LEASE_DEADLINE: Duration = Duration::from_secs(60);
 
 /// How long an idle worker parks before re-checking deadlines and flags.
 const WORKER_PARK: Duration = Duration::from_millis(25);
-
-/// Delta records a job's journal accumulates before an append compacts it
-/// back into a single fresh checkpoint snapshot.
-const JOURNAL_COMPACT_EVERY: u64 = 32;
 
 /// Errors surfaced by fabric requests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,8 +106,8 @@ struct JobJournal {
 }
 
 /// Appends what changed in `job`'s checkpoint since its last append to its
-/// journal, if it has one and anything changed, compacting back to a fresh
-/// checkpoint snapshot every [`JOURNAL_COMPACT_EVERY`] deltas.  Called with
+/// journal, if it has one and anything changed; the journal compacts from
+/// the job's checkpoint when its policy says so.  Called with
 /// the scheduler lock held (see the lock-order note on
 /// [`FabricInner::journals`]) right after every scheduler call that marks a
 /// job — ack, cancel, worker panic, lease expiry — so the change landing in
@@ -128,16 +124,7 @@ fn journal_delta(inner: &FabricInner, sched: &mut Scheduler, job: JobId) {
     if entry.error.is_some() || delta.is_empty() {
         return;
     }
-    let appended = entry.journal.append(&Record::ExplorationDelta(delta)).and_then(|()| {
-        if entry.journal.appended() < JOURNAL_COMPACT_EVERY {
-            return Ok(());
-        }
-        match sched.checkpoint(job) {
-            Some(store) => entry.journal.compact(&Record::ExplorationSnapshot(store)),
-            None => Ok(()),
-        }
-    });
-    if let Err(error) = appended {
+    if let Err(error) = entry.journal.append(&delta, || sched.checkpoint(job)) {
         entry.error = Some(error);
     }
 }
@@ -405,8 +392,8 @@ impl FabricHandle {
     /// lease skipped by a dead worker or an expiry — appends one O(change)
     /// [`ExplorationDelta`](lfi_explore::ExplorationDelta) record, the
     /// record an explorer journals too.  Keeping the job recoverable costs
-    /// the delta, not a full re-checkpoint.  The journal compacts itself
-    /// back to a single fresh snapshot periodically.
+    /// the delta, not a full re-checkpoint.  Every 32 appends the journal
+    /// compacts itself back to one fresh checkpoint snapshot.
     ///
     /// [`FabricHandle::recover_job`] in a later process folds the file
     /// back into an equivalent job.  Journaling from submission (before the
@@ -427,7 +414,7 @@ impl FabricHandle {
         let mut sched = lock(&self.inner.sched);
         let store = sched.checkpoint(job).ok_or(FabricError::UnknownJob { job })?;
         sched.take_delta(job);
-        let journal = Journal::create(path, &Record::ExplorationSnapshot(store))
+        let journal = Journal::create(path, &store)
             .map_err(|error| FabricError::Journal { path: path.to_path_buf(), message: error.to_string() })?;
         lock(&self.inner.journals).insert(job.0, JobJournal { journal, error: None });
         drop(sched);
@@ -454,7 +441,7 @@ impl FabricHandle {
     pub fn recover_job(&self, spec: JobSpec, path: impl AsRef<Path>) -> Result<JobId, FabricError> {
         let path = path.as_ref();
         let workload = self.resolve(&spec)?;
-        let (journal, store) = Journal::open_exploration(path)
+        let (journal, store) = Journal::open(path)
             .map_err(|error| FabricError::Journal { path: path.to_path_buf(), message: error.to_string() })?;
         let mut sched = lock(&self.inner.sched);
         let job = sched.submit_restored(spec, workload, &store);

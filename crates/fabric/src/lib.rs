@@ -33,11 +33,13 @@
 //!   appends one CRC-framed
 //!   [`ExplorationDelta`](lfi_explore::ExplorationDelta) per change — the
 //!   record an explorer journals — so keeping a job recoverable costs the
-//!   delta instead of a full checkpoint per batch, and recovery is the
-//!   explorer's snapshot + delta fold.
+//!   delta instead of a full checkpoint per batch.  It is the explorer's
+//!   [`Journal`](lfi_store::Journal) too: the same compaction every 32
+//!   appends from the job's checkpoint, and the same snapshot + delta fold
+//!   on recovery.
 //! * **A wire protocol** — a line-delimited request/response surface
-//!   ([`Request`]/[`Response`]) served over an in-process duplex transport
-//!   ([`FabricHandle::connect`]) and plain TCP
+//!   ([`Request`]/[`Response`]) served in process on the caller's thread
+//!   ([`FabricHandle::connect`]) and over plain TCP
 //!   ([`FabricHandle::serve_tcp`], request lines bounded by
 //!   [`MAX_LINE_BYTES`], peers by [`MAX_CONNECTIONS`]), so progress
 //!   snapshots and event streams are observable from outside the process.

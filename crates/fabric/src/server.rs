@@ -1,11 +1,10 @@
 //! Serving the wire protocol: request dispatch on a [`FabricHandle`], an
-//! in-process duplex transport, a `std::net::TcpListener` front end, and
-//! the [`FabricClient`] that speaks both.
+//! in-process transport, a `std::net::TcpListener` front end, and the
+//! [`FabricClient`] that speaks both.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -85,8 +84,9 @@ impl FabricHandle {
         .encode()
     }
 
-    /// Connects an in-process duplex client: a service thread owns the
-    /// other end of a channel pair and answers until the client drops.
+    /// Connects an in-process client: each request runs through
+    /// [`FabricHandle::handle_line`] on the caller's thread, so it crosses
+    /// the same encoder and parser as a TCP request, with no socket.
     ///
     /// ```
     /// use lfi_fabric::Fabric;
@@ -96,20 +96,7 @@ impl FabricHandle {
     /// client.ping().unwrap();
     /// ```
     pub fn connect(&self) -> FabricClient {
-        let (request_tx, request_rx) = std::sync::mpsc::channel::<String>();
-        let (response_tx, response_rx) = std::sync::mpsc::channel::<String>();
-        let handle = self.clone();
-        std::thread::Builder::new()
-            .name("lfi-fabric-duplex".into())
-            .spawn(move || {
-                while let Ok(line) = request_rx.recv() {
-                    if response_tx.send(handle.handle_line(&line)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("duplex service thread spawns");
-        FabricClient { transport: Transport::Duplex { tx: request_tx, rx: response_rx } }
+        FabricClient { transport: Transport::InProcess(self.clone()) }
     }
 
     /// Serves the protocol over TCP: one accept loop thread, one thread
@@ -324,10 +311,7 @@ impl std::fmt::Debug for ServerGuard {
 }
 
 enum Transport {
-    Duplex {
-        tx: Sender<String>,
-        rx: Receiver<String>,
-    },
+    InProcess(FabricHandle),
     Tcp {
         reader: BufReader<TcpStream>,
         writer: TcpStream,
@@ -336,9 +320,8 @@ enum Transport {
 
 /// A typed client for the wire protocol, over either transport.
 ///
-/// An in-process duplex client exercises the full protocol without a
-/// socket (an inert `workers(0)` fabric keeps the job deterministically
-/// queued):
+/// An in-process client exercises the full protocol without a socket (an
+/// inert `workers(0)` fabric keeps the job deterministically queued):
 ///
 /// ```
 /// use lfi_controller::FnWorkload;
@@ -403,11 +386,7 @@ impl FabricClient {
     pub fn request(&mut self, request: &Request) -> Result<Response, WireError> {
         let line = request.encode();
         let reply = match &mut self.transport {
-            Transport::Duplex { tx, rx } => {
-                tx.send(line)
-                    .map_err(|_| WireError::Transport { message: "duplex service gone".into() })?;
-                rx.recv().map_err(|_| WireError::Transport { message: "duplex service gone".into() })?
-            }
+            Transport::InProcess(handle) => handle.handle_line(&line),
             Transport::Tcp { reader, writer } => {
                 writer
                     .write_all(format!("{line}\n").as_bytes())
@@ -734,7 +713,7 @@ impl FabricClient {
 impl std::fmt::Debug for FabricClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let transport = match &self.transport {
-            Transport::Duplex { .. } => "duplex",
+            Transport::InProcess(_) => "in-process",
             Transport::Tcp { .. } => "tcp",
         };
         f.debug_struct("FabricClient").field("transport", &transport).finish()

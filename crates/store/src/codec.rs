@@ -20,7 +20,7 @@ use lfi_profile::{
 };
 use lfi_scenario::FaultCell;
 
-use crate::{ProfileEntry, StoreError};
+use crate::StoreError;
 
 /// A bounds-checked read cursor over a borrowed payload: every accessor
 /// validates the bytes remaining first and reports the byte offset (within
@@ -509,34 +509,19 @@ fn get_profile(r: &mut Reader) -> Result<FaultProfile, StoreError> {
     Ok(profile)
 }
 
-fn put_profile_entry(out: &mut BytesMut, entry: &ProfileEntry) {
-    put_string(out, &entry.key.library);
-    put_opt_string(out, entry.key.platform.as_deref());
-    out.put_u64_le(entry.key.code_hash);
-    put_profile(out, &entry.profile);
+fn put_profile_entry(out: &mut BytesMut, key: &ProfileKey, profile: &FaultProfile) {
+    put_string(out, &key.library);
+    put_opt_string(out, key.platform.as_deref());
+    out.put_u64_le(key.code_hash);
+    put_profile(out, profile);
 }
 
-fn get_profile_entry(r: &mut Reader) -> Result<ProfileEntry, StoreError> {
+fn get_profile_entry(r: &mut Reader) -> Result<(ProfileKey, FaultProfile), StoreError> {
     let library = r.string("entry library")?;
     let platform = r.opt_string("entry platform")?;
     let code_hash = r.u64("entry code hash")?;
     let profile = get_profile(r)?;
-    Ok(ProfileEntry { key: ProfileKey { library, platform, code_hash }, profile })
-}
-
-/// Encodes a [`ProfileEntry`] payload (one insertion).
-pub fn encode_profile_entry(entry: &ProfileEntry) -> Vec<u8> {
-    let mut out = BytesMut::with_capacity(128);
-    put_profile_entry(&mut out, entry);
-    out.into()
-}
-
-/// Decodes a [`ProfileEntry`] payload.
-pub fn decode_profile_entry(payload: &[u8]) -> Result<ProfileEntry, StoreError> {
-    let mut r = Reader::new(payload);
-    let entry = get_profile_entry(&mut r)?;
-    r.finish()?;
-    Ok(entry)
+    Ok((ProfileKey { library, platform, code_hash }, profile))
 }
 
 /// Encodes a full [`ProfileStore`] snapshot payload (entries in key order,
@@ -546,10 +531,7 @@ pub fn encode_profile_store(store: &ProfileStore) -> Vec<u8> {
     let mut out = BytesMut::with_capacity(64 + entries.len() * 128);
     out.put_u32_le(entries.len() as u32);
     for (key, profile) in &entries {
-        put_string(&mut out, &key.library);
-        put_opt_string(&mut out, key.platform.as_deref());
-        out.put_u64_le(key.code_hash);
-        put_profile(&mut out, profile);
+        put_profile_entry(&mut out, key, profile);
     }
     out.into()
 }
@@ -615,14 +597,14 @@ pub fn decode_profile_store(payload: &[u8]) -> Result<ProfileStore, StoreError> 
     });
     let store = ProfileStore::new();
     for entry in decoded {
-        let entry = entry.expect("decoding a profile entry never panics")?;
-        store.insert(entry.key, entry.profile);
+        let (key, profile) = entry.expect("decoding a profile entry never panics")?;
+        store.insert(key, profile);
     }
     // The entry the scan could not delimit, and every one after it, decode
     // in order from where the scan stopped, as the sequential loop would.
     for _ in extents.len()..count {
-        let entry = get_profile_entry(&mut r)?;
-        store.insert(entry.key, entry.profile);
+        let (key, profile) = get_profile_entry(&mut r)?;
+        store.insert(key, profile);
     }
     r.finish()?;
     Ok(store)
@@ -638,14 +620,14 @@ mod tests {
         let count = r.count(21, "profile entries")?;
         let store = ProfileStore::new();
         for _ in 0..count {
-            let entry = get_profile_entry(&mut r)?;
-            store.insert(entry.key, entry.profile);
+            let (key, profile) = get_profile_entry(&mut r)?;
+            store.insert(key, profile);
         }
         r.finish()?;
         Ok(store)
     }
 
-    fn entry(library: &str, platform: Option<&str>, code_hash: u64, functions: usize) -> ProfileEntry {
+    fn entry(library: &str, platform: Option<&str>, code_hash: u64, functions: usize) -> (ProfileKey, FaultProfile) {
         let mut profile = FaultProfile::new(library);
         profile.platform = platform.map(str::to_owned);
         for index in 0..functions {
@@ -661,23 +643,20 @@ mod tests {
             function.error_returns.push(ErrorReturn::bare(0));
             profile.push_function(function);
         }
-        ProfileEntry {
-            key: ProfileKey { library: library.to_owned(), platform: profile.platform.clone(), code_hash },
-            profile,
-        }
+        (ProfileKey { library: library.to_owned(), platform: profile.platform.clone(), code_hash }, profile)
     }
 
     /// A snapshot payload holding `entries` in the given order.
-    fn payload_of(entries: &[ProfileEntry]) -> Vec<u8> {
+    fn payload_of(entries: &[(ProfileKey, FaultProfile)]) -> Vec<u8> {
         let mut out = BytesMut::with_capacity(256);
         out.put_u32_le(entries.len() as u32);
-        for entry in entries {
-            put_profile_entry(&mut out, entry);
+        for (key, profile) in entries {
+            put_profile_entry(&mut out, key, profile);
         }
         out.into()
     }
 
-    fn three_entries() -> Vec<ProfileEntry> {
+    fn three_entries() -> Vec<(ProfileKey, FaultProfile)> {
         vec![
             entry("liba.so", Some("Linux/x86"), 0xA, 2),
             entry("libb.so", None, 0xB, 1),
@@ -739,11 +718,11 @@ mod tests {
     fn a_duplicated_key_resolves_to_the_later_entry() {
         let first = entry("liba.so", None, 0xA, 1);
         let mut last = entry("liba.so", None, 0xA, 2);
-        last.profile.functions[0].name = "replaced".to_owned();
+        last.1.functions[0].name = "replaced".to_owned();
         let payload = payload_of(&[first, entry("libb.so", None, 0xB, 1), last.clone()]);
         let store = decode_profile_store(&payload).unwrap();
         assert_eq!(store.len(), 2);
-        assert_eq!(*store.get(&last.key).unwrap(), last.profile);
+        assert_eq!(*store.get(&last.0).unwrap(), last.1);
         assert_agrees(&payload, "duplicated key");
     }
 }

@@ -33,7 +33,7 @@ pub const FRAME_LEN: usize = 9;
 /// what lets a future version extend the set: an old reader stops cleanly
 /// at the first record it does not understand.  The explorer and the
 /// fabric both journal a leading exploration snapshot followed by
-/// exploration deltas; profile stores use the other two kinds.
+/// exploration deltas; a profile store file is one profile snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum RecordKind {
@@ -44,8 +44,8 @@ pub enum RecordKind {
     // Tag 3 held version 1's fabric ack record: retired, never reuse.
     /// A full [`ProfileStore`](lfi_profile::ProfileStore) snapshot.
     ProfileSnapshot = 4,
-    /// A single profile insertion ([`ProfileEntry`](crate::ProfileEntry)).
-    ProfileInsert = 5,
+    // Tag 5 held a single profile insertion that nothing wrote: retired,
+    // never reuse.
 }
 
 impl RecordKind {
@@ -55,8 +55,16 @@ impl RecordKind {
             1 => Some(RecordKind::ExplorationSnapshot),
             2 => Some(RecordKind::ExplorationDelta),
             4 => Some(RecordKind::ProfileSnapshot),
-            5 => Some(RecordKind::ProfileInsert),
             _ => None,
+        }
+    }
+
+    /// The kind's human-readable name, as errors print it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            RecordKind::ExplorationSnapshot => "exploration-snapshot",
+            RecordKind::ExplorationDelta => "exploration-delta",
+            RecordKind::ProfileSnapshot => "profile-snapshot",
         }
     }
 }
@@ -243,11 +251,11 @@ mod tests {
     fn frames_round_trip_and_tears_are_detected() {
         let mut data = Vec::new();
         write_header(&mut data);
-        write_frame(&mut data, RecordKind::ProfileInsert, b"hello");
+        write_frame(&mut data, RecordKind::ProfileSnapshot, b"hello");
         let start = check_header(&data).unwrap();
         match read_frame(&data, start) {
             Frame::Record { kind, payload, next } => {
-                assert_eq!(kind, RecordKind::ProfileInsert);
+                assert_eq!(kind, RecordKind::ProfileSnapshot);
                 assert_eq!(payload, b"hello");
                 assert!(matches!(read_frame(&data, next), Frame::End));
             }
@@ -265,10 +273,15 @@ mod tests {
         let mut rekinded = data.clone();
         rekinded[start] = RecordKind::ExplorationDelta as u8;
         assert!(matches!(read_frame(&rekinded, start), Frame::Torn));
-        // An unknown kind is a clean stop.
-        let mut unknown = data;
-        unknown[start] = 0xEE;
-        assert!(matches!(read_frame(&unknown, start), Frame::Torn));
+        // An unknown kind is a clean stop even under a valid CRC, the
+        // retired tags 3 and 5 included.
+        for tag in [3, 5, 0xEE] {
+            let mut unknown = data.clone();
+            unknown[start] = tag;
+            let crc = crc32(crc32(0, &[tag]), b"hello");
+            unknown[start + 5..start + FRAME_LEN].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(read_frame(&unknown, start), Frame::Torn), "tag {tag}");
+        }
     }
 
     #[test]

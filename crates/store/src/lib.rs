@@ -18,12 +18,13 @@
 //!   sequential scan delimits them, with exactly the sequential loop's
 //!   result: the first failing entry in entry order reports the error
 //!   (see [`decode_profile_store`]).
-//! * **A write-ahead journal** ([`Journal`], [`ExplorationJournal`]) —
-//!   full-snapshot records plus O(delta)
+//! * **One write-ahead exploration journal** ([`Journal`]) — a
+//!   full-snapshot record plus O(delta)
 //!   [`ExplorationDelta`](lfi_explore::ExplorationDelta) records, which the
-//!   explorer's batch loop and the fabric scheduler both append — with
-//!   periodic compaction and torn-tail recovery: a kill mid-append loses at
-//!   most the record being written.
+//!   explorer's batch loop and the fabric scheduler both append — with one
+//!   compaction policy (every 32 appends, from the caller's snapshot) and
+//!   torn-tail recovery: a kill mid-append loses at most the record being
+//!   written.  The journal keeps no copy of the state it records.
 //! * **Format-sniffing file helpers** ([`load_profile_store`],
 //!   [`load_exploration`], …) — load paths accept either format by magic,
 //!   so binary adoption never breaks an XML workflow.
@@ -44,36 +45,14 @@ use std::io::Read;
 use std::path::Path;
 
 use lfi_explore::ExplorationStore;
-use lfi_profile::{FaultProfile, ProfileKey, ProfileStore};
+use lfi_profile::ProfileStore;
 
 pub use codec::{
-    decode_exploration_delta, decode_exploration_store, decode_profile_entry, decode_profile_store,
-    encode_exploration_delta, encode_exploration_store, encode_profile_entry, encode_profile_store,
+    decode_exploration_delta, decode_exploration_store, decode_profile_store, encode_exploration_delta,
+    encode_exploration_store, encode_profile_store,
 };
 pub use error::{StoreError, StoreErrorKind, StoreFormat};
-pub use journal::{ExplorationJournal, Journal, DEFAULT_COMPACT_EVERY};
-
-/// One journaled record — the unit the [`Journal`] appends and recovers.
-#[derive(Debug, Clone)]
-pub enum Record {
-    /// A full exploration snapshot.
-    ExplorationSnapshot(ExplorationStore),
-    /// One exploration step's state changes.
-    ExplorationDelta(lfi_explore::ExplorationDelta),
-    /// A full profile-store snapshot.
-    ProfileSnapshot(ProfileStore),
-    /// One profile insertion.
-    ProfileInsert(ProfileEntry),
-}
-
-/// One profile-store insertion: the key and the profile stored under it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileEntry {
-    /// The store key.
-    pub key: ProfileKey,
-    /// The stored profile.
-    pub profile: FaultProfile,
-}
+pub use journal::Journal;
 
 /// Sniffs the on-disk format of `path` by its magic bytes.
 pub fn sniff_format(path: impl AsRef<Path>) -> Result<StoreFormat, StoreError> {
@@ -118,11 +97,7 @@ fn read_snapshot<T>(
         format::Frame::Record { kind, payload, .. } if kind == expect => decode(payload),
         format::Frame::Record { kind, .. } => Err(StoreError::corrupt(
             start as u64,
-            format!(
-                "expected a {} record, found {}",
-                journal::record_kind_name(expect),
-                journal::record_kind_name(kind)
-            ),
+            format!("expected a {} record, found {}", expect.name(), kind.name()),
         )),
         _ => Err(StoreError::corrupt(start as u64, "damaged or truncated snapshot record")),
     }
@@ -161,30 +136,15 @@ pub fn save_exploration(path: impl AsRef<Path>, store: &ExplorationStore) -> Res
 
 /// Loads an [`ExplorationStore`] from `path`, sniffing the format by
 /// magic.  A binary file may be either a plain snapshot or a full journal
-/// — a journal is recovered (snapshot + durable deltas, torn tail
-/// truncated in memory, the file left untouched).
+/// — a journal is recovered through the same fold as [`Journal::open`]
+/// (snapshot + durable deltas, torn tail truncated in memory, the file
+/// left untouched).
 pub fn load_exploration(path: impl AsRef<Path>) -> Result<ExplorationStore, StoreError> {
     let path = path.as_ref();
     let data = read_file(path)?;
     match sniff_bytes(&data) {
-        StoreFormat::Binary => {
-            journal::durable_records(&data).and_then(|(records, _)| journal::fold_exploration(records))
-        }
+        StoreFormat::Binary => journal::recover(&data).map(|(store, ..)| store),
         StoreFormat::Xml => xml_text(data).and_then(|text| ExplorationStore::from_xml(&text).map_err(StoreError::xml)),
     }
     .map_err(|e| e.with_path(path))
-}
-
-/// Parses an [`ExplorationStore`] from XML text, wrapping failures in a
-/// [`StoreError`] (format context included) instead of a raw
-/// `ProfileError` — the robustness wrapper in-memory callers share with
-/// the file path.
-pub fn exploration_from_xml(text: &str) -> Result<ExplorationStore, StoreError> {
-    ExplorationStore::from_xml(text).map_err(StoreError::xml)
-}
-
-/// Parses a [`ProfileStore`] from XML text, wrapping failures in a
-/// [`StoreError`].
-pub fn profile_store_from_xml(text: &str) -> Result<ProfileStore, StoreError> {
-    ProfileStore::from_xml(text).map_err(StoreError::xml)
 }

@@ -12,7 +12,7 @@ use lfi::isa::Platform;
 use lfi::profiler::ProfilerOptions;
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
-use lfi::store::ExplorationJournal;
+use lfi::store::Journal;
 use lfi::Lfi;
 
 fn setup() -> Process {
@@ -67,16 +67,16 @@ fn main() {
     // creation, then one delta record per batch.
     let writer = FnWorkload::shared("log-writer", setup, workload);
     let mut explorer = lfi.explore(&Exhaustive, &["libc.so.6"]).unwrap().seed(77).batch_size(6);
-    let mut journal = ExplorationJournal::create(&journal_path, &explorer.store()).unwrap();
+    let mut journal = Journal::create(&journal_path, &explorer.store()).unwrap();
     let mut batches = 0u32;
     for _ in 0..3 {
         let report = explorer.step_workload(&writer).expect("the exploration has more than three batches");
-        journal.append_delta(&explorer.take_delta()).unwrap();
+        journal.append(&explorer.take_delta(), || explorer.store()).unwrap();
         batches += 1;
         println!(
             "batch {batches}: {} cases run — journal at {} deltas ({} bytes)",
             report.outcomes.len(),
-            journal.deltas_since_snapshot(),
+            journal.appended(),
             std::fs::metadata(&journal_path).unwrap().len(),
         );
     }
@@ -87,22 +87,21 @@ fn main() {
 
     // Phase 2: a fresh process recovers the journal.  Torn tails would be
     // truncated here; what comes back is exactly the last durable state.
-    let recovered = ExplorationJournal::open(&journal_path).unwrap();
-    assert_eq!(recovered.state(), &durable, "recovery is byte-identical to the pre-kill state");
+    let (mut journal, recovered) = Journal::open(&journal_path).unwrap();
+    assert_eq!(recovered, durable, "recovery is byte-identical to the pre-kill state");
     println!(
         "recovered batch index {} with {} frontier cells pending; {} bytes of journal",
-        recovered.state().batch_index,
-        recovered.state().frontier.len(),
+        recovered.batch_index,
+        recovered.frontier.len(),
         std::fs::metadata(&journal_path).unwrap().len(),
     );
 
     // Phase 3: resume and finish, journaling onward from a compacted base.
-    let mut resumed = lfi.resume_exploration(recovered.state(), &["libc.so.6"]).unwrap();
-    let mut journal = recovered;
-    journal.compact().unwrap();
+    let mut resumed = lfi.resume_exploration(&recovered, &["libc.so.6"]).unwrap();
+    journal.compact(&recovered).unwrap();
     let mut crash_batch = None;
     while let Some(_report) = resumed.step_workload(&writer) {
-        journal.append_delta(&resumed.take_delta()).unwrap();
+        journal.append(&resumed.take_delta(), || resumed.store()).unwrap();
         batches += 1;
         if crash_batch.is_none() && resumed.crash_found() {
             crash_batch = Some(batches);
@@ -119,8 +118,8 @@ fn main() {
 
     // The journal now holds the finished state: one more recovery proves it.
     drop(journal);
-    let final_state = ExplorationJournal::open(&journal_path).unwrap();
-    assert_eq!(final_state.state(), &resumed.store(), "the finished run is durable");
+    let (_, final_state) = Journal::open(&journal_path).unwrap();
+    assert_eq!(final_state, resumed.store(), "the finished run is durable");
     println!(
         "journal recovers the finished exploration: {} bytes on disk",
         std::fs::metadata(&journal_path).unwrap().len()

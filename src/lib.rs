@@ -149,14 +149,14 @@ pub mod rules {
 
 /// The multi-tenant campaign service: named jobs over one shared
 /// work-stealing worker fleet, with crash-safe lease handoff and a
-/// line-delimited wire protocol (in-process duplex or TCP).
+/// line-delimited wire protocol (in process on the caller's thread, or TCP).
 pub mod fabric {
     pub use lfi_fabric::*;
 }
 
-/// Journaled binary persistence: checksummed record files, write-ahead
-/// delta journals with compaction and torn-tail recovery, and
-/// format-sniffing load/save for the profile and exploration stores.
+/// Journaled binary persistence: checksummed record files, the one
+/// write-ahead exploration journal with compaction and torn-tail recovery,
+/// and format-sniffing load/save for the profile and exploration stores.
 pub mod store {
     pub use lfi_store::*;
 }

@@ -63,7 +63,7 @@ use lfi::rules::{Action, CircuitBreaker, ClosedLoop, Condition, JobMonitor, Metr
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
 use lfi::scenario::{FaultAction, FaultCell, FaultSpace, Plan, PlanEntry, Trigger};
-use lfi::store::ExplorationJournal;
+use lfi::store::Journal;
 use lfi::Lfi;
 
 fn reader_process() -> Process {
@@ -205,7 +205,7 @@ fn journal_fabric(plan: &Plan, lease: usize) -> (ExplorationStore, ExplorationSt
     assert_eq!(fabric.journal_error(job), None);
     let live = fabric.checkpoint(job).expect("job exists");
     drop(fabric);
-    let recovered = ExplorationJournal::open(&path).expect("fabric journal recovers").state().clone();
+    let (_, recovered) = Journal::open(&path).expect("fabric journal recovers");
     std::fs::remove_file(&path).ok();
     (live, recovered)
 }
@@ -216,12 +216,12 @@ fn journal_explorer(plan: &Plan, batch: usize) -> (ExplorationStore, Exploration
     let path = journal_path("explorer");
     let workload: Arc<dyn Workload> = FnWorkload::shared("reader", reader_process, read_four);
     let mut explorer = Explorer::new(plan, Vec::new()).escalation(false).batch_size(batch);
-    let mut journal = ExplorationJournal::create(&path, &explorer.store()).expect("journal creates");
+    let mut journal = Journal::create(&path, &explorer.store()).expect("journal creates");
     while explorer.step_workload(&workload).is_some() {
-        journal.append_delta(&explorer.take_delta()).expect("delta appends");
+        journal.append(&explorer.take_delta(), || explorer.store()).expect("delta appends");
     }
     drop(journal);
-    let recovered = ExplorationJournal::open(&path).expect("explorer journal recovers").state().clone();
+    let (_, recovered) = Journal::open(&path).expect("explorer journal recovers");
     std::fs::remove_file(&path).ok();
     (explorer.store(), recovered)
 }
@@ -238,9 +238,9 @@ fn fixed_seed_reruns_write_byte_identical_snapshots_and_journals() {
         let (journal_file, snapshot_file) = (journal_path("rerun"), journal_path("rerun-snapshot"));
         let workload: Arc<dyn Workload> = FnWorkload::shared("reader", reader_process, read_four);
         let mut explorer = Explorer::new(&plan, Vec::new()).seed(3).batch_size(2);
-        let mut journal = ExplorationJournal::create(&journal_file, &explorer.store()).expect("journal creates");
+        let mut journal = Journal::create(&journal_file, &explorer.store()).expect("journal creates");
         while explorer.step_workload(&workload).is_some() {
-            journal.append_delta(&explorer.take_delta()).expect("delta appends");
+            journal.append(&explorer.take_delta(), || explorer.store()).expect("delta appends");
         }
         drop(journal);
         lfi::store::save_exploration(&snapshot_file, &explorer.store()).expect("snapshot saves");
@@ -262,7 +262,7 @@ proptest! {
 
     /// The fabric ≡ explorer oracle, through their journals: a fabric job
     /// and an explorer journal the same record kinds, and both files
-    /// recover through `ExplorationJournal::open` to the same fold, up to
+    /// recover through `Journal::open` to the same fold, up to
     /// the gaps pinned above.
     #[test]
     fn the_fabric_and_the_explorer_journal_the_same_cells_alike(

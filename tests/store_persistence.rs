@@ -12,15 +12,17 @@ use proptest::prelude::*;
 
 use lfi::controller::FnWorkload;
 use lfi::corpus::{build_kernel, build_libc_scaled};
-use lfi::explore::{CrashCluster, ExplorationDelta, ExplorationStore, FrontierCell, FunctionCoverage, OutcomeClass};
+use lfi::explore::{
+    CrashCluster, ExplorationDelta, ExplorationStore, Explorer, FrontierCell, FunctionCoverage, OutcomeClass,
+};
 use lfi::intern::Symbol;
 use lfi::isa::Platform;
 use lfi::profile::{ErrorReturn, FaultProfile, FunctionProfile, ProfileKey, ProfileStore, SideEffect};
 use lfi::profiler::ProfilerOptions;
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::generator::Exhaustive;
-use lfi::scenario::FaultCell;
-use lfi::store::{format, ExplorationJournal, Journal, Record};
+use lfi::scenario::{FaultAction, FaultCell, Plan, PlanEntry, Trigger};
+use lfi::store::{format, Journal};
 use lfi::Lfi;
 
 // ---------------------------------------------------------------------------
@@ -119,6 +121,13 @@ fn delta_two() -> ExplorationDelta {
     }
 }
 
+/// `store` with `delta` applied: the snapshot a journal compacts to after
+/// appending `delta`.
+fn applied(mut store: ExplorationStore, delta: &ExplorationDelta) -> ExplorationStore {
+    delta.apply(&mut store);
+    store
+}
+
 // ---------------------------------------------------------------------------
 // Torn-tail torture: truncate at every byte offset
 // ---------------------------------------------------------------------------
@@ -133,13 +142,13 @@ fn recovery_at_every_truncation_offset_restores_the_last_durable_state() {
     let path = dir.join("torture.lfij");
 
     let s0 = base_store();
-    let mut journal = ExplorationJournal::create(&path, &s0).unwrap();
+    let s1 = applied(s0.clone(), &delta_one());
+    let s2 = applied(s1.clone(), &delta_two());
+    let mut journal = Journal::create(&path, &s0).unwrap();
     let len0 = fs::metadata(&path).unwrap().len();
-    journal.append_delta(&delta_one()).unwrap();
-    let s1 = journal.state().clone();
+    journal.append(&delta_one(), || s1.clone()).unwrap();
     let len1 = fs::metadata(&path).unwrap().len();
-    journal.append_delta(&delta_two()).unwrap();
-    let s2 = journal.state().clone();
+    journal.append(&delta_two(), || s2.clone()).unwrap();
     let len2 = fs::metadata(&path).unwrap().len();
     drop(journal);
     assert!(len0 < len1 && len1 < len2);
@@ -152,8 +161,8 @@ fn recovery_at_every_truncation_offset_restores_the_last_durable_state() {
     let truncated = dir.join("truncated.lfij");
     for cut in 0..=bytes.len() {
         fs::write(&truncated, &bytes[..cut]).unwrap();
-        match ExplorationJournal::open(&truncated) {
-            Ok(recovered) => {
+        match Journal::open(&truncated) {
+            Ok((_, recovered)) => {
                 let cut = cut as u64;
                 assert!(cut >= len0, "a torn leading snapshot must not recover (cut {cut})");
                 let expected = if cut >= len2 {
@@ -163,7 +172,7 @@ fn recovery_at_every_truncation_offset_restores_the_last_durable_state() {
                 } else {
                     &s0
                 };
-                assert_eq!(recovered.state(), expected, "wrong durable state at cut {cut}");
+                assert_eq!(&recovered, expected, "wrong durable state at cut {cut}");
                 // Recovery truncates the torn tail off the file itself.
                 let durable_len = if cut >= len2 {
                     len2
@@ -185,12 +194,12 @@ fn recovery_at_every_truncation_offset_restores_the_last_durable_state() {
     // A journal recovered mid-append stays appendable: re-apply the lost
     // delta and the state catches back up to the pre-kill state.
     fs::write(&truncated, &bytes[..len1 as usize + 3]).unwrap();
-    let mut recovered = ExplorationJournal::open(&truncated).unwrap();
-    assert_eq!(recovered.state(), &s1, "torn second delta rolls back to the first");
-    recovered.append_delta(&delta_two()).unwrap();
-    assert_eq!(recovered.state(), &s2);
-    drop(recovered);
-    assert_eq!(ExplorationJournal::open(&truncated).unwrap().state(), &s2, "re-appended delta is durable");
+    let (mut journal, recovered) = Journal::open(&truncated).unwrap();
+    assert_eq!(recovered, s1, "torn second delta rolls back to the first");
+    assert_eq!(journal.appended(), 1);
+    journal.append(&delta_two(), || s2.clone()).unwrap();
+    drop(journal);
+    assert_eq!(Journal::open(&truncated).unwrap().1, s2, "re-appended delta is durable");
 
     // The sniffing loader recovers the same durable state from a torn file.
     fs::write(&truncated, &bytes[..len2 as usize - 1]).unwrap();
@@ -199,29 +208,62 @@ fn recovery_at_every_truncation_offset_restores_the_last_durable_state() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Compaction folds the journal back to a single snapshot without changing
-/// the recovered state, and the compacted file is smaller than the log it
-/// replaces.
+/// A `libc.so.6` that serves `read`.
+fn reader_process() -> Process {
+    let mut process = Process::new();
+    process.load(NativeLibrary::builder("libc.so.6").function("read", |ctx| ctx.arg(2)).build());
+    process
+}
+
+/// Forty `read`s; the first that fails ends the case.
+fn read_forty(process: &mut Process) -> ExitStatus {
+    for _ in 0..40 {
+        if process.call("read", &[3, 0, 8]).unwrap_or(-1) < 0 {
+            return ExitStatus::Exited(1);
+        }
+    }
+    ExitStatus::Exited(0)
+}
+
+/// The one compaction policy, on an explorer's journal: the 32nd append
+/// since the leading snapshot compacts the journal from the caller's
+/// snapshot into a smaller file, the 33rd starts a new log, and recovery
+/// folds back to the live explorer's store.
 #[test]
 fn compaction_preserves_state_and_shrinks_the_journal() {
     let dir = temp_dir("lfi-store-compact");
     let path = dir.join("compact.lfij");
+    let plan = (1..=40).fold(Plan::new(), |plan, ordinal| {
+        let action = FaultAction::return_value(-1).with_errno(9);
+        plan.entry(PlanEntry { function: "read".into(), trigger: Trigger::on_call(ordinal), action })
+    });
+    let reader = FnWorkload::shared("reader", reader_process, read_forty);
+    let mut explorer = Explorer::new(&plan, Vec::new()).escalation(false).batch_size(1);
 
-    let mut journal = ExplorationJournal::create(&path, &base_store()).unwrap().compact_every(2);
-    journal.append_delta(&delta_one()).unwrap();
-    assert_eq!(journal.deltas_since_snapshot(), 1, "below the threshold: still a log");
-    journal.append_delta(&delta_two()).unwrap();
-    assert_eq!(journal.deltas_since_snapshot(), 0, "threshold reached: compacted");
-    let state = journal.state().clone();
+    let mut journal = Journal::create(&path, &explorer.store()).unwrap();
+    let mut log_len = 0;
+    for append in 1..=33 {
+        assert!(explorer.step_workload(&reader).is_some(), "the exploration has more than 33 batches");
+        if append == 32 {
+            log_len = fs::metadata(&path).unwrap().len();
+        }
+        journal.append(&explorer.take_delta(), || explorer.store()).unwrap();
+        match append {
+            31 => assert_eq!(journal.appended(), 31, "below the threshold: still a log"),
+            32 => {
+                assert_eq!(journal.appended(), 0, "the 32nd append compacts");
+                let compacted_len = fs::metadata(&path).unwrap().len();
+                assert!(compacted_len < log_len, "compacted {compacted_len} bytes, log of 31 deltas {log_len}");
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(journal.appended(), 1, "compaction happened at the 32nd append");
     drop(journal);
 
-    let recovered = ExplorationJournal::open(&path).unwrap();
-    assert_eq!(recovered.state(), &state);
-
-    // The compacted file is exactly header + one snapshot record.
-    let (_, records) = Journal::open(&path).unwrap();
-    assert_eq!(records.len(), 1);
-    assert!(matches!(records[0], Record::ExplorationSnapshot(_)));
+    let (journal, recovered) = Journal::open(&path).unwrap();
+    assert_eq!(recovered, explorer.store());
+    assert_eq!(journal.appended(), 1, "one snapshot and the 33rd delta");
 
     fs::remove_dir_all(&dir).ok();
 }
@@ -234,8 +276,8 @@ fn compaction_preserves_state_and_shrinks_the_journal() {
 fn version_one_files_are_refused_and_left_untouched() {
     let dir = temp_dir("lfi-store-v1");
     let path = dir.join("v1.lfij");
-    let mut journal = ExplorationJournal::create(&path, &base_store()).unwrap();
-    journal.append_delta(&delta_one()).unwrap();
+    let mut journal = Journal::create(&path, &base_store()).unwrap();
+    journal.append(&delta_one(), || applied(base_store(), &delta_one())).unwrap();
     drop(journal);
     let mut bytes = fs::read(&path).unwrap();
     bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
@@ -252,7 +294,6 @@ fn version_one_files_are_refused_and_left_untouched() {
     };
     unsupported(Journal::open(&path).unwrap_err());
     unsupported(lfi::store::load_exploration(&path).unwrap_err());
-    unsupported(ExplorationJournal::open(&path).unwrap_err());
     let fabric = lfi::fabric::Fabric::builder()
         .workers(0)
         .register(FnWorkload::new("reader", setup, workload))
@@ -264,7 +305,7 @@ fn version_one_files_are_refused_and_left_untouched() {
 
     bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
     fs::write(&path, &bytes).unwrap();
-    let error = ExplorationJournal::open(&path).unwrap_err();
+    let error = Journal::open(&path).unwrap_err();
     assert!(matches!(error.kind, lfi::store::StoreErrorKind::UnsupportedVersion { found: 2 }), "{error}");
     assert_eq!(fs::read(&path).unwrap(), bytes, "no reader touched the file");
 
@@ -339,22 +380,26 @@ fn load_errors_name_the_path_and_the_detected_format() {
 }
 
 /// Both exploration readers share one fold: a record of another kind is
-/// the same error, at that record's own byte offset.
+/// the same error, at that record's own byte offset, and the journal that
+/// refuses the file leaves it untouched.
 #[test]
 fn a_foreign_record_is_reported_at_its_offset_by_both_exploration_readers() {
     let dir = temp_dir("lfi-store-foreign");
     let path = dir.join("foreign.lfij");
-    let mut journal = Journal::create(&path, &Record::ExplorationSnapshot(base_store())).unwrap();
-    let foreign_at = fs::metadata(&path).unwrap().len();
-    journal.append(&Record::ProfileSnapshot(small_profile_store())).unwrap();
-    drop(journal);
+    drop(Journal::create(&path, &base_store()).unwrap());
+    let mut bytes = fs::read(&path).unwrap();
+    let foreign_at = bytes.len() as u64;
+    let payload = lfi::store::encode_profile_store(&small_profile_store());
+    format::write_frame(&mut bytes, format::RecordKind::ProfileSnapshot, &payload);
+    fs::write(&path, &bytes).unwrap();
 
     let loaded = lfi::store::load_exploration(&path).unwrap_err();
-    let opened = ExplorationJournal::open(&path).unwrap_err();
+    let opened = Journal::open(&path).unwrap_err();
     for error in [&loaded, &opened] {
         assert_eq!(error.offset, Some(foreign_at));
         assert_eq!(corrupt_message(error), "profile-snapshot record in an exploration journal");
     }
+    assert_eq!(fs::read(&path).unwrap(), bytes, "no reader touched the file");
 
     fs::remove_dir_all(&dir).ok();
 }
@@ -497,27 +542,26 @@ fn journaled_explorer_kill_and_resume_reproduces_the_uninterrupted_run() {
 
     // The journaled run: snapshot at creation, one delta per batch.
     let mut live = build();
-    let mut journal = ExplorationJournal::create(&journal_path, &live.store()).unwrap();
+    let mut journal = Journal::create(&journal_path, &live.store()).unwrap();
     let mut reports = Vec::new();
     for _ in 0..3 {
         reports.push(live.step_workload(&writer).unwrap());
-        journal.append_delta(&live.take_delta()).unwrap();
+        journal.append(&live.take_delta(), || live.store()).unwrap();
     }
-    assert_eq!(journal.deltas_since_snapshot(), 3, "one O(delta) record per batch, no compaction yet");
+    assert_eq!(journal.appended(), 3, "one O(delta) record per batch, no compaction yet");
     let live_store = live.store();
-    assert_eq!(journal.state(), &live_store, "the folded journal state tracks the live explorer exactly");
     drop(journal);
     drop(live); // the kill
 
     // Recovery is byte-identical to the last durable point, through both
-    // the typed journal and the format-sniffing facade loader.
-    let recovered = ExplorationJournal::open(&journal_path).unwrap();
-    assert_eq!(recovered.state(), &live_store);
-    assert_eq!(recovered.state().to_xml(), live_store.to_xml());
-    assert_eq!(&lfi.load_exploration(&journal_path).unwrap(), recovered.state());
+    // the journal and the format-sniffing facade loader.
+    let (_, recovered) = Journal::open(&journal_path).unwrap();
+    assert_eq!(recovered, live_store);
+    assert_eq!(recovered.to_xml(), live_store.to_xml());
+    assert_eq!(lfi.load_exploration(&journal_path).unwrap(), recovered);
 
     // Resuming from the recovered store finishes the run identically.
-    let mut resumed = lfi.resume_exploration(recovered.state(), &["libc.so.6"]).unwrap();
+    let mut resumed = lfi.resume_exploration(&recovered, &["libc.so.6"]).unwrap();
     while let Some(report) = resumed.step_workload(&writer) {
         reports.push(report);
     }
@@ -636,7 +680,7 @@ proptest! {
         let decoded = lfi::store::decode_exploration_store(&lfi::store::encode_exploration_store(&store)).unwrap();
         prop_assert_eq!(&decoded, &store);
         prop_assert_eq!(decoded.to_xml(), xml.clone());
-        prop_assert_eq!(lfi::store::exploration_from_xml(&xml).unwrap(), store);
+        prop_assert_eq!(ExplorationStore::from_xml(&xml).unwrap(), store);
     }
 
     /// XML → binary → XML is byte-identical for arbitrary profile stores.
@@ -652,7 +696,7 @@ proptest! {
         let xml = store.to_xml();
         let decoded = lfi::store::decode_profile_store(&lfi::store::encode_profile_store(&store)).unwrap();
         prop_assert_eq!(decoded.to_xml(), xml.clone());
-        prop_assert_eq!(lfi::store::profile_store_from_xml(&xml).unwrap().to_xml(), xml);
+        prop_assert_eq!(ProfileStore::from_xml(&xml).unwrap().to_xml(), xml);
     }
 
     /// Raw hostile bytes through every decoder: always a `StoreError`,
@@ -662,10 +706,9 @@ proptest! {
         let _ = lfi::store::decode_exploration_store(&bytes);
         let _ = lfi::store::decode_exploration_delta(&bytes);
         let _ = lfi::store::decode_profile_store(&bytes);
-        let _ = lfi::store::decode_profile_entry(&bytes);
         let text = String::from_utf8_lossy(&bytes);
-        let _ = lfi::store::exploration_from_xml(&text);
-        let _ = lfi::store::profile_store_from_xml(&text);
+        let _ = ExplorationStore::from_xml(&text);
+        let _ = ProfileStore::from_xml(&text);
     }
 
     /// Fuzzed prefixes of a *valid* journal file — optionally with one byte
@@ -678,10 +721,10 @@ proptest! {
     ) {
         let mut bytes = Vec::new();
         format::write_header(&mut bytes);
-        let (kind, payload) = Record::ExplorationSnapshot(base_store()).encode();
-        format::write_frame(&mut bytes, kind, &payload);
-        let (kind, payload) = Record::ExplorationDelta(delta_one()).encode();
-        format::write_frame(&mut bytes, kind, &payload);
+        let payload = lfi::store::encode_exploration_store(&base_store());
+        format::write_frame(&mut bytes, format::RecordKind::ExplorationSnapshot, &payload);
+        let payload = lfi::store::encode_exploration_delta(&delta_one());
+        format::write_frame(&mut bytes, format::RecordKind::ExplorationDelta, &payload);
 
         let cut = cut.index(bytes.len() + 1);
         let mut bytes = bytes[..cut].to_vec();
@@ -699,7 +742,6 @@ proptest! {
             prop_assert!(error.to_string().contains("fuzzed.lfij"), "error must name the path: {}", error);
         }
         let _ = lfi::store::load_profile_store(&path);
-        let _ = ExplorationJournal::open(&path);
         let _ = Journal::open(&path);
         fs::remove_dir_all(&dir).ok();
     }
