@@ -133,7 +133,8 @@ pub(crate) fn lock_world(world: &World) -> MutexGuard<'_, SimWorld> {
 /// work (parsing, templating, buffer-pool management, kernel I/O) a real
 /// request performs between library calls.  Without it the simulated requests
 /// would consist almost entirely of library dispatch and the §6.4 overhead
-/// ratios would be meaningless; see EXPERIMENTS.md.
+/// ratios would be meaningless; see `repro table3 table4` (measured timings,
+/// so `tests/golden/repro_quick.txt` leaves them out).
 pub fn service_work(units: u64) {
     let mut acc = 0u64;
     for i in 0..units {

@@ -201,12 +201,6 @@ impl FunctionSpec {
         self
     }
 
-    /// Adds several faults at once.
-    pub fn faults(mut self, faults: impl IntoIterator<Item = FaultSpec>) -> Self {
-        self.faults.extend(faults);
-        self
-    }
-
     /// Adds a dependent call whose result is ignored.
     pub fn plain_call(mut self, callee: impl Into<String>) -> Self {
         self.plain_calls.push(callee.into());

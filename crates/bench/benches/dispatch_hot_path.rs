@@ -7,15 +7,14 @@
 //! negligible" trajectory for this repo; before/after figures for the
 //! interned-symbol refactor are recorded in CHANGES.md.
 
-use std::time::Instant;
-
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use lfi_controller::Injector;
 use lfi_runtime::{NativeLibrary, Process, Symbol};
 use lfi_scenario::{FaultAction, Plan, PlanEntry, Trigger};
 
 /// Calls per timed sample: individual calls are ~100 ns, far below timer
-/// resolution for the shim's 10-sample strategy, so each iteration batches.
+/// resolution for the shim's 10-sample strategy, so each iteration batches
+/// them, and a bench's ns/iter divided by this count is its ns per call.
 const CALLS_PER_ITER: u64 = 100_000;
 
 fn libc() -> NativeLibrary {
@@ -56,16 +55,6 @@ fn run_calls(process: &mut Process) -> i64 {
         acc ^= process.call("read", &[3, 0, (i & 0xff) as i64]).unwrap();
     }
     acc
-}
-
-/// Prints a per-call figure (the shim reports per-iteration means, and one
-/// iteration here is [`CALLS_PER_ITER`] calls).
-fn per_call_summary(label: &str, process: &mut Process) {
-    let start = Instant::now();
-    let acc = run_calls(process);
-    let elapsed = start.elapsed();
-    black_box(acc);
-    println!("{label}: {:.1} ns/call", elapsed.as_secs_f64() * 1e9 / CALLS_PER_ITER as f64);
 }
 
 fn bench_dispatch_hot_path(c: &mut Criterion) {
@@ -109,12 +98,6 @@ fn bench_dispatch_hot_path(c: &mut Criterion) {
     });
 
     group.finish();
-
-    let mut process = Process::new();
-    process.load(libc());
-    per_call_summary("uninstrumented", &mut process);
-    per_call_summary("passthrough   ", &mut intercepted_process(passthrough_plan()).0);
-    per_call_summary("triggered     ", &mut intercepted_process(triggered_plan()).0);
 }
 
 criterion_group!(benches, bench_dispatch_hot_path);

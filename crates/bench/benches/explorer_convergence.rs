@@ -90,10 +90,8 @@ fn bench_explorer_convergence(c: &mut Criterion) {
 
     group.bench_function("exhaustive-to-crash", |b| {
         b.iter(|| {
-            let campaign = lfi.campaign(&Exhaustive, &["libc.so.6"]).unwrap();
-            let report = campaign
-                .policy(lfi_controller::ExecutionPolicy::run_all().stop_on_first_crash())
-                .run_workload(FnWorkload::new("log-writer", setup, workload));
+            let campaign = lfi.campaign(&Exhaustive, &["libc.so.6"]).unwrap().stop_on_first_crash(true);
+            let report = campaign.run_workload(FnWorkload::new("log-writer", setup, workload));
             assert!(report.crashes().count() > 0, "the exhaustive sweep finds the crash too");
             black_box(report.outcomes.len())
         })

@@ -5,7 +5,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lfi_controller::Injector;
-use lfi_core::experiments::{combined_accuracy, heuristics_ablation};
 use lfi_corpus::{build_kernel, build_libc_scaled};
 use lfi_docs::{CombinedProfile, DocParser, DocumentationSet, StylePolicy};
 use lfi_isa::Platform;
@@ -82,12 +81,5 @@ fn bench_indirect_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn report_tables(_c: &mut Criterion) {
-    // Print the ablation and combined-accuracy tables alongside the timing
-    // numbers so `cargo bench` output carries the full story.
-    println!("{}", heuristics_ablation(2009).render());
-    println!("{}", combined_accuracy(2009).render());
-}
-
-criterion_group!(benches, bench_doc_pipeline, bench_arg_constraints, bench_indirect_dispatch, report_tables);
+criterion_group!(benches, bench_doc_pipeline, bench_arg_constraints, bench_indirect_dispatch);
 criterion_main!(benches);

@@ -2,42 +2,29 @@
 //!
 //! This crate hosts:
 //!
-//! * the Criterion benchmarks (`benches/`), one per table or figure of the
-//!   paper's evaluation plus an ablation micro-benchmark of trigger
-//!   evaluation;
+//! * the criterion-shim benches (`benches/`), each timing one mechanism
+//!   that no `repro` table or perfbench workload times on its own:
+//!   interceptor dispatch (`dispatch_hot_path`), the shared profiler cache
+//!   (`profiler_throughput`), case setup (`case_setup`), campaign sessions
+//!   (`campaign_stream`), fabric multiplexing and fairness
+//!   (`fabric_throughput`), the explorer against the exhaustive sweep
+//!   (`explorer_convergence`), the rules layer (`rules_overhead`), the
+//!   store and journal (`store_scale`), and the documentation and
+//!   argument-constraint extensions (`extensions`);
+//! * the `benchdiff` binary (`src/bin/benchdiff.rs`), which checks one
+//!   `cargo bench` run's NDJSON lines against the gate table ([`GATES`],
+//!   [`REQUIRED`]) and prints each bench's ratio to the committed
+//!   `BENCH_BASELINE.json`;
 //! * the `repro` binary (`src/bin/repro.rs`), which prints every table and
-//!   figure in the paper's layout; its output is recorded in EXPERIMENTS.md.
+//!   figure in the paper's layout; `tests/golden/repro_quick.txt` holds the
+//!   output of its deterministic `--quick` tables.
 //!
 //! The heavy lifting lives in [`lfi_core::experiments`]; this crate only adds
 //! timing harnesses and command-line plumbing.
 
 #![forbid(unsafe_code)]
 
-/// Shared helper: a compact one-line summary of an overhead table used by the
-/// benches' console output.
-pub fn summarize_overhead(result: &lfi_core::experiments::OverheadResult) -> String {
-    format!("{} — worst-case overhead {:.1}%", result.title, result.max_overhead_percent())
-}
+mod gates;
+mod json;
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn summary_mentions_the_title() {
-        let result = lfi_core::experiments::OverheadResult {
-            title: "Table X".into(),
-            metric: "seconds".into(),
-            series: vec![(
-                "w".into(),
-                vec![
-                    lfi_core::experiments::OverheadRow { triggers: 0, value: 1.0 },
-                    lfi_core::experiments::OverheadRow { triggers: 10, value: 1.1 },
-                ],
-            )],
-        };
-        let summary = summarize_overhead(&result);
-        assert!(summary.contains("Table X"));
-        assert!(summary.contains("10.0%"));
-    }
-}
+pub use gates::{benchdiff, Gate, GATES, REQUIRED};

@@ -4,8 +4,9 @@
 //! Campaigns are configured through the fluent [`Campaign`] builder: test
 //! cases (hand-made, or derived from a
 //! [`ScenarioGenerator`](lfi_scenario::generator::ScenarioGenerator)),
-//! an [`ExecutionPolicy`], and a parallelism degree for running independent
-//! test cases on worker threads.  Execution is session-based:
+//! whether to stop at the first crash, and a parallelism degree for
+//! running independent test cases on worker threads.  Execution is
+//! session-based:
 //! [`Campaign::start`] hands a [`Workload`] to a worker pool and returns a
 //! streaming [`CampaignRun`] — the one way to observe a running campaign;
 //! the blocking [`Campaign::run_workload`] is a thin collect-into-report
@@ -143,31 +144,6 @@ impl fmt::Display for CampaignReport {
     }
 }
 
-/// When a campaign stops before exhausting its test-case list.
-///
-/// The default policy runs every case.  `stop_on_first_crash` stops the
-/// campaign after the case that triggers it (with `parallelism(n)`, cases
-/// already in flight still finish and are reported).  Case and injection
-/// limits belong to the front ends that size the case list: the explorer's
-/// `injection_budget` and a fabric job's `max_cases`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecutionPolicy {
-    stop_on_first_crash: bool,
-}
-
-impl ExecutionPolicy {
-    /// The default policy: run every test case.
-    pub fn run_all() -> Self {
-        Self::default()
-    }
-
-    /// Stop scheduling new cases once a case crashes.
-    pub fn stop_on_first_crash(mut self) -> Self {
-        self.stop_on_first_crash = true;
-        self
-    }
-}
-
 /// Fluent builder for fault-injection campaigns.
 ///
 /// [`Campaign::start`] turns the builder into a streaming
@@ -175,7 +151,7 @@ impl ExecutionPolicy {
 /// shorthand:
 ///
 /// ```
-/// use lfi_controller::{Campaign, ExecutionPolicy, FnWorkload, TestCase};
+/// use lfi_controller::{Campaign, FnWorkload, TestCase};
 /// use lfi_runtime::{ExitStatus, NativeLibrary, Process};
 /// use lfi_scenario::{FaultAction, Plan, PlanEntry, Trigger};
 ///
@@ -190,7 +166,7 @@ impl ExecutionPolicy {
 /// let report = Campaign::new()
 ///     .case(TestCase::new("baseline", Plan::new()))
 ///     .case(case)
-///     .policy(ExecutionPolicy::run_all())
+///     .stop_on_first_crash(false)
 ///     .parallelism(2)
 ///     .run_workload(FnWorkload::new(
 ///         "echo",
@@ -210,13 +186,13 @@ impl ExecutionPolicy {
 #[derive(Default)]
 pub struct Campaign {
     cases: Vec<TestCase>,
-    policy: ExecutionPolicy,
+    stop_on_first_crash: bool,
     parallelism: usize,
     capture_calls: bool,
 }
 
 impl Campaign {
-    /// An empty campaign (serial, run-all policy, no cases).
+    /// An empty campaign (serial, runs every case, no cases yet).
     pub fn new() -> Self {
         Self::default()
     }
@@ -265,9 +241,13 @@ impl Campaign {
         self
     }
 
-    /// Sets the execution policy (default: run every case).
-    pub fn policy(mut self, policy: ExecutionPolicy) -> Self {
-        self.policy = policy;
+    /// Stops scheduling new cases once a case crashes (default: `false`,
+    /// run every case).  With `parallelism(n)`, cases already in flight
+    /// still finish and are reported.  Case and injection limits belong to
+    /// the front ends that size the case list: the explorer's
+    /// `injection_budget` and a fabric job's `max_cases`.
+    pub fn stop_on_first_crash(mut self, stop: bool) -> Self {
+        self.stop_on_first_crash = stop;
         self
     }
 
@@ -311,7 +291,7 @@ impl Campaign {
         CampaignRun::launch(
             RunConfig {
                 cases: self.cases,
-                stop_on_first_crash: self.policy.stop_on_first_crash,
+                stop_on_first_crash: self.stop_on_first_crash,
                 capture_calls: self.capture_calls,
                 workers,
             },
@@ -331,7 +311,7 @@ impl fmt::Debug for Campaign {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Campaign")
             .field("cases", &self.cases.len())
-            .field("policy", &self.policy)
+            .field("stop_on_first_crash", &self.stop_on_first_crash)
             .field("parallelism", &self.parallelism)
             .field("capture_calls", &self.capture_calls)
             .finish()
@@ -499,16 +479,10 @@ mod tests {
 
     #[test]
     fn stop_on_first_crash_halts_the_campaign() {
-        let report = Campaign::new()
-            .cases(standard_cases())
-            .policy(ExecutionPolicy::run_all().stop_on_first_crash())
-            .run_workload(toy());
+        let report = Campaign::new().cases(standard_cases()).stop_on_first_crash(true).run_workload(toy());
         // standard cases crash only in case 3; a crash-first ordering:
         let crash_first = vec![standard_cases().remove(2), standard_cases().remove(0), standard_cases().remove(1)];
-        let stopped = Campaign::new()
-            .cases(crash_first)
-            .policy(ExecutionPolicy::run_all().stop_on_first_crash())
-            .run_workload(toy());
+        let stopped = Campaign::new().cases(crash_first).stop_on_first_crash(true).run_workload(toy());
         assert_eq!(report.outcomes.len(), 3, "crash in the last case stops nothing");
         assert_eq!(report.cases_skipped, 0);
         assert_eq!(stopped.outcomes.len(), 1, "crash in the first case stops the rest");

@@ -15,9 +15,9 @@
 //!   (§5's start script + workload pair), with the [`FnWorkload`] closure
 //!   adapter and the [`WorkloadRegistry`] for named lookup.
 //! * [`Campaign`] — the fluent campaign builder: test cases (hand-made or
-//!   from a [`lfi_scenario::generator::ScenarioGenerator`]), an
-//!   [`ExecutionPolicy`], and parallel test-case execution over independent
-//!   processes.  [`Campaign::start`] returns a streaming [`CampaignRun`]
+//!   from a [`lfi_scenario::generator::ScenarioGenerator`]), an optional
+//!   stop at the first crash, and parallel test-case execution over
+//!   independent processes.  [`Campaign::start`] returns a streaming [`CampaignRun`]
 //!   session of [`CaseEvent`]s with a [`CancelHandle`] and live
 //!   [`ProgressSnapshot`] counters.  That stream is the one way to observe a
 //!   campaign: closed-loop controllers consume it and cancel through the
@@ -34,7 +34,7 @@ mod session;
 pub mod stubsrc;
 mod workload;
 
-pub use campaign::{Campaign, CampaignReport, ExecutionPolicy, TestCase, TestOutcome};
+pub use campaign::{Campaign, CampaignReport, TestCase, TestOutcome};
 pub use injector::{Injector, INTERCEPTOR_LIBRARY_NAME};
 pub use log::{InjectionRecord, TestLog};
 pub use session::{CampaignRun, CancelHandle, CaseEvent, ProgressSnapshot, SkipReason};
@@ -52,7 +52,6 @@ mod tests {
         assert_send_sync::<CampaignReport>();
         assert_send_sync::<TestCase>();
         assert_send_sync::<Campaign>();
-        assert_send_sync::<ExecutionPolicy>();
         fn assert_send<T: Send>() {}
         // The session handle owns the event receiver, so it is Send (movable
         // to a consumer thread) but not Sync; the cancel handle is both.

@@ -75,7 +75,7 @@ pub enum SkipReason {
     /// [`CancelHandle::cancel`] stopped the run (or the session was dropped
     /// mid-stream).
     Cancelled,
-    /// `ExecutionPolicy::stop_on_first_crash` halted the run after an
+    /// `Campaign::stop_on_first_crash` halted the run after an
     /// earlier case crashed.
     CrashHalt,
     /// The workload's [`Workload::health_check`] vetoed the prepared

@@ -1,8 +1,9 @@
 //! Drivers that regenerate every table and figure of the paper's evaluation
 //! (§6) plus the §3 statistics.  Each driver returns a structured result with
 //! a `render()` method that prints the same rows the paper prints; the
-//! `repro` binary in `lfi-bench` and the Criterion benches both call into
-//! this module, and EXPERIMENTS.md records the outputs.
+//! `repro` binary in `lfi-bench` calls into this module, and
+//! `tests/golden/repro_quick.txt` records the `--quick` output of its
+//! deterministic tables.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -14,7 +15,7 @@ use lfi_apps::apache::{most_called_functions, ApacheServer, RequestKind};
 use lfi_apps::mysql::sysbench::{run_oltp, OltpMode};
 use lfi_apps::mysql::MysqlServer;
 use lfi_apps::{base_process, new_world};
-use lfi_controller::{Campaign, ExecutionPolicy, Injector, TestCase};
+use lfi_controller::{Campaign, Injector, TestCase};
 use lfi_corpus::survey::{DetailChannel, SurveyConfig, TABLE1_EXPECTED};
 use lfi_corpus::{
     build_kernel, build_libc_scaled, build_libpcre, build_table2_corpus, libc_errno_documentation, Table2Entry,
@@ -851,7 +852,7 @@ impl PidginHuntResult {
 fn pidgin_campaign(cases: Vec<TestCase>) -> lfi_controller::CampaignReport {
     Campaign::new()
         .cases(cases)
-        .policy(ExecutionPolicy::run_all().stop_on_first_crash())
+        .stop_on_first_crash(true)
         .run_workload(lfi_apps::PidginLogin::new())
 }
 

@@ -7,8 +7,8 @@
 //! [`ScenarioGenerator`](lfi_scenario::generator::ScenarioGenerator) through
 //! [`Lfi::scenario`], or a ready-to-run campaign through [`Lfi::campaign`].
 //! The [`experiments`] module contains the drivers that regenerate every
-//! table and figure of the paper's evaluation; they are shared by the
-//! `repro` binary and the Criterion benches in `lfi-bench`.
+//! table and figure of the paper's evaluation; the `repro` binary in
+//! `lfi-bench` runs them.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use lfi_controller::{Campaign, CampaignReport, CampaignRun, CancelHandle, CaseEvent, ExecutionPolicy, SkipReason};
+use lfi_controller::{Campaign, CampaignReport, CampaignRun, CancelHandle, CaseEvent, SkipReason};
 use lfi_controller::{TestCase, Workload};
 use lfi_scenario::{FaultCell, Plan};
 
@@ -45,13 +45,9 @@ pub fn run_cells(
     let cases = cells
         .iter()
         .map(|cell| TestCase::new(cell.case_name(), Plan { entries: vec![cell.plan_entry()], seed }));
-    let mut policy = ExecutionPolicy::run_all();
-    if halt_on_crash {
-        policy = policy.stop_on_first_crash();
-    }
     let run = Campaign::new()
         .cases(cases)
-        .policy(policy)
+        .stop_on_first_crash(halt_on_crash)
         .parallelism(parallelism)
         .start_arc(Arc::clone(workload));
     on_start(&run.cancel_handle());

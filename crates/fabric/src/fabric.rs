@@ -24,8 +24,8 @@ use crate::scheduler::{LeaseAssignment, LeaseResult, Scheduler};
 /// many cells (or the job's own [`JobSpec::lease_batch`]).
 pub const DEFAULT_LEASE_BATCH: usize = 8;
 
-/// Default deadline before an unacked lease returns to its job's frontier.
-pub const DEFAULT_LEASE_DEADLINE: Duration = Duration::from_secs(60);
+/// Deadline before an unacked lease returns to its job's frontier.
+const LEASE_DEADLINE: Duration = Duration::from_secs(60);
 
 /// How long an idle worker parks before re-checking deadlines and flags.
 const WORKER_PARK: Duration = Duration::from_millis(25);
@@ -134,24 +134,19 @@ fn journal_delta(inner: &FabricInner, sched: &mut Scheduler, job: JobId) {
 pub struct FabricBuilder {
     workers: usize,
     lease_batch: usize,
-    lease_deadline: Duration,
     registry: WorkloadRegistry,
 }
 
 impl Default for FabricBuilder {
     fn default() -> Self {
-        Self {
-            workers: 2,
-            lease_batch: DEFAULT_LEASE_BATCH,
-            lease_deadline: DEFAULT_LEASE_DEADLINE,
-            registry: WorkloadRegistry::new(),
-        }
+        Self { workers: 2, lease_batch: DEFAULT_LEASE_BATCH, registry: WorkloadRegistry::new() }
     }
 }
 
 impl FabricBuilder {
     /// A builder with the defaults: two workers, lease cap
-    /// [`DEFAULT_LEASE_BATCH`], deadline [`DEFAULT_LEASE_DEADLINE`].
+    /// [`DEFAULT_LEASE_BATCH`].  An unacked lease returns to its job's
+    /// frontier after 60 seconds.
     pub fn new() -> Self {
         Self::default()
     }
@@ -168,13 +163,6 @@ impl FabricBuilder {
     /// their own [`JobSpec::lease_batch`].
     pub fn lease_batch(mut self, cells: usize) -> Self {
         self.lease_batch = cells.max(1);
-        self
-    }
-
-    /// Deadline before an unacked lease is declared lost and its cells
-    /// return to the owning job's frontier.
-    pub fn lease_deadline(mut self, deadline: Duration) -> Self {
-        self.lease_deadline = deadline;
         self
     }
 
@@ -199,7 +187,7 @@ impl FabricBuilder {
     /// Spawns the worker fleet and returns the running fabric.
     pub fn build(self) -> Fabric {
         let inner = Arc::new(FabricInner {
-            sched: Mutex::new(Scheduler::new(self.lease_batch, self.lease_deadline)),
+            sched: Mutex::new(Scheduler::new(self.lease_batch, LEASE_DEADLINE)),
             registry: Mutex::new(self.registry),
             journals: Mutex::new(HashMap::new()),
             work: Condvar::new(),

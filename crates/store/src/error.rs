@@ -100,14 +100,6 @@ impl StoreError {
         }
         self
     }
-
-    /// Attaches the detected format (kept if already set).
-    pub fn with_format(mut self, format: StoreFormat) -> Self {
-        if self.format.is_none() {
-            self.format = Some(format);
-        }
-        self
-    }
 }
 
 impl fmt::Display for StoreError {

@@ -3,7 +3,7 @@
 //! with torn-tail recovery and snapshot-rewrite compaction.
 //!
 //! ```text
-//!   create ──► [header][Snapshot]
+//!   create ──► write [header][Snapshot] to <name>.tmp, fsync, rename, fsync dir
 //!   append ──► [header][Snapshot][Delta][Delta][Delta]...      (O(delta))
 //!   compact ─► write [header][Snapshot'] to <name>.tmp, fsync, rename, fsync dir
 //!   open ───► fold records until the first bad frame, truncate there
@@ -12,10 +12,10 @@
 //! Appends are buffered writes (no per-record fsync) — the CRC framing
 //! makes a torn tail *detectable*, and recovery truncates at the first
 //! record that fails validation, so a kill mid-append loses at most the
-//! record being written, never the records before it.  Compaction goes
-//! through a temp file + atomic rename, and syncs the directory after the
-//! rename, so a kill mid-compaction leaves either the old journal or the
-//! new snapshot, never a mix.
+//! record being written, never the records before it.  Creation and
+//! compaction go through a temp file + atomic rename, and sync the
+//! directory after the rename, so a kill mid-compaction leaves either the
+//! old journal or the new snapshot, never a mix.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -54,12 +54,11 @@ impl std::fmt::Debug for Journal {
 }
 
 impl Journal {
-    /// Creates (or truncates) a journal at `path` holding one snapshot of
-    /// `store`.
+    /// Creates (or replaces) a journal at `path` holding one snapshot of
+    /// `store`, written the way [`Journal::compact`] writes it.
     pub fn create(path: impl AsRef<Path>, store: &ExplorationStore) -> Result<Journal, StoreError> {
         let path = path.as_ref();
         let file = write_snapshot(path, store)?;
-        sync_parent(path)?;
         Ok(Journal { path: path.to_path_buf(), file, appended: 0 })
     }
 
@@ -108,12 +107,9 @@ impl Journal {
     /// Rewrites the journal as one snapshot of `store` (temp file + fsync +
     /// atomic rename + directory fsync), resetting the append counter.
     pub fn compact(&mut self, store: &ExplorationStore) -> Result<(), StoreError> {
-        let tmp = temp_path(&self.path);
-        let file = write_snapshot(&tmp, store)?;
-        std::fs::rename(&tmp, &self.path).map_err(|error| StoreError::io(error).with_path(&self.path))?;
-        self.file = file;
+        self.file = write_snapshot(&self.path, store)?;
         self.appended = 0;
-        sync_parent(&self.path)
+        Ok(())
     }
 
     /// Records appended since the leading snapshot.
@@ -127,36 +123,10 @@ impl Journal {
     }
 }
 
-/// Writes a one-snapshot journal of `store` at `path` and syncs it,
-/// returning the file positioned for appends.
+/// Replaces `path` with a one-snapshot journal of `store` (see
+/// [`crate::write_snapshot`]), returning the file positioned for appends.
 fn write_snapshot(path: &Path, store: &ExplorationStore) -> Result<File, StoreError> {
-    let io = |error| StoreError::io(error).with_path(path);
-    let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(path).map_err(io)?;
-    let payload = codec::encode_exploration_store(store);
-    format::write_single_record(&mut file, RecordKind::ExplorationSnapshot, &payload).map_err(io)?;
-    file.sync_all().map_err(io)?;
-    Ok(file)
-}
-
-/// The temp file a compaction writes before renaming it over `path`: the
-/// file name with `.tmp` appended, so it is never `path` itself (a journal
-/// named `x.tmp` compacts through `x.tmp.tmp`).
-fn temp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Syncs the directory holding `path`, so that a created or renamed entry
-/// survives a crash.
-fn sync_parent(path: &Path) -> Result<(), StoreError> {
-    let dir = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
-    File::open(dir)
-        .and_then(|dir| dir.sync_all())
-        .map_err(|error| StoreError::io(error).with_path(dir))
+    crate::write_snapshot(path, RecordKind::ExplorationSnapshot, &codec::encode_exploration_store(store))
 }
 
 /// The one exploration fold, shared by [`Journal::open`] and
@@ -198,20 +168,4 @@ pub(crate) fn recover(data: &[u8]) -> Result<(ExplorationStore, u64, usize), Sto
     let state = state
         .ok_or_else(|| StoreError::corrupt(format::HEADER_LEN as u64, "no durable exploration snapshot record"))?;
     Ok((state, records - 1, offset))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn the_compaction_temp_file_is_never_the_journal_itself() {
-        for path in ["x.tmp", "dir/x.tmp", "journal", "job.lfij", "/abs/a.b.tmp", ".tmp"] {
-            let path = Path::new(path);
-            let tmp = temp_path(path);
-            assert_ne!(tmp, path);
-            assert_eq!(tmp.parent(), path.parent(), "{tmp:?} stays beside {path:?}");
-        }
-        assert_eq!(temp_path(Path::new("dir/x.tmp")), Path::new("dir/x.tmp.tmp"));
-    }
 }

@@ -40,9 +40,9 @@ mod error;
 pub mod format;
 mod journal;
 
-use std::fs;
+use std::fs::{self, File, OpenOptions};
 use std::io::Read;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use lfi_explore::ExplorationStore;
 use lfi_profile::ProfileStore;
@@ -103,16 +103,47 @@ fn read_snapshot<T>(
     }
 }
 
-/// Writes a single-record binary snapshot file (header + one record).
-fn write_snapshot(path: &Path, kind: format::RecordKind, payload: &[u8]) -> Result<(), StoreError> {
-    fs::File::create(path)
-        .and_then(|mut file| format::write_single_record(&mut file, kind, payload))
-        .map_err(|e| StoreError::io(e).with_path(path))
+/// Replaces `path` with a single-record binary snapshot file (header + one
+/// record): writes `<file name>.tmp`, syncs it, renames it over `path` and
+/// syncs the directory, so a kill or a failed write mid-save leaves either
+/// the old file or the new one, never a mix.  Returns the new file,
+/// positioned after the record for appends.
+pub(crate) fn write_snapshot(path: &Path, kind: format::RecordKind, payload: &[u8]) -> Result<File, StoreError> {
+    let tmp = temp_path(path);
+    let io = |error| StoreError::io(error).with_path(&tmp);
+    let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp).map_err(io)?;
+    format::write_single_record(&mut file, kind, payload).map_err(io)?;
+    file.sync_all().map_err(io)?;
+    fs::rename(&tmp, path).map_err(|error| StoreError::io(error).with_path(path))?;
+    sync_parent(path)?;
+    Ok(file)
 }
 
-/// Saves a [`ProfileStore`] as a binary snapshot file.
+/// The temp file a snapshot is written to before it is renamed over
+/// `path`: the file name with `.tmp` appended, so it is never `path` itself
+/// (`x.tmp` is written through `x.tmp.tmp`).
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
+/// Syncs the directory holding `path`, so that a created or renamed entry
+/// survives a crash.
+fn sync_parent(path: &Path) -> Result<(), StoreError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)
+        .and_then(|dir| dir.sync_all())
+        .map_err(|error| StoreError::io(error).with_path(dir))
+}
+
+/// Saves a [`ProfileStore`] as a binary snapshot file, atomically: a
+/// failed save leaves the previous file at `path` as it was.
 pub fn save_profile_store(path: impl AsRef<Path>, store: &ProfileStore) -> Result<(), StoreError> {
-    write_snapshot(path.as_ref(), format::RecordKind::ProfileSnapshot, &encode_profile_store(store))
+    write_snapshot(path.as_ref(), format::RecordKind::ProfileSnapshot, &encode_profile_store(store)).map(drop)
 }
 
 /// Loads a [`ProfileStore`] from `path`, sniffing the format by magic:
@@ -129,9 +160,10 @@ pub fn load_profile_store(path: impl AsRef<Path>) -> Result<ProfileStore, StoreE
     .map_err(|e| e.with_path(path))
 }
 
-/// Saves an [`ExplorationStore`] as a binary snapshot file.
+/// Saves an [`ExplorationStore`] as a binary snapshot file, atomically: a
+/// failed save leaves the previous file at `path` as it was.
 pub fn save_exploration(path: impl AsRef<Path>, store: &ExplorationStore) -> Result<(), StoreError> {
-    write_snapshot(path.as_ref(), format::RecordKind::ExplorationSnapshot, &encode_exploration_store(store))
+    write_snapshot(path.as_ref(), format::RecordKind::ExplorationSnapshot, &encode_exploration_store(store)).map(drop)
 }
 
 /// Loads an [`ExplorationStore`] from `path`, sniffing the format by
@@ -147,4 +179,20 @@ pub fn load_exploration(path: impl AsRef<Path>) -> Result<ExplorationStore, Stor
         StoreFormat::Xml => xml_text(data).and_then(|text| ExplorationStore::from_xml(&text).map_err(StoreError::xml)),
     }
     .map_err(|e| e.with_path(path))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_snapshot_temp_file_is_never_the_target_itself() {
+        for path in ["x.tmp", "dir/x.tmp", "journal", "job.lfij", "/abs/a.b.tmp", ".tmp"] {
+            let path = Path::new(path);
+            let tmp = temp_path(path);
+            assert_ne!(tmp, path);
+            assert_eq!(tmp.parent(), path.parent(), "{tmp:?} stays beside {path:?}");
+        }
+        assert_eq!(temp_path(Path::new("dir/x.tmp")), Path::new("dir/x.tmp.tmp"));
+    }
 }

@@ -6,9 +6,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lfi::controller::{
-    Campaign, CaseEvent, ExecutionPolicy, FnWorkload, SkipReason, TestCase, Workload, WorkloadRegistry,
-};
+use lfi::controller::{Campaign, CaseEvent, FnWorkload, SkipReason, TestCase, Workload, WorkloadRegistry};
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::{FaultAction, Plan, PlanEntry, Trigger};
 
@@ -93,12 +91,7 @@ fn serial_event_stream_is_byte_identical_across_reruns() {
 
 #[test]
 fn serial_event_stream_is_deterministic_under_stop_on_first_crash() {
-    let build = || {
-        Campaign::new()
-            .cases(mixed_cases(12))
-            .policy(ExecutionPolicy::run_all().stop_on_first_crash())
-            .parallelism(1)
-    };
+    let build = || Campaign::new().cases(mixed_cases(12)).stop_on_first_crash(true).parallelism(1);
     let first = stream_events(build());
     let second = stream_events(build());
     assert_eq!(first, second, "the halt point is part of the deterministic stream");

@@ -379,6 +379,38 @@ fn load_errors_name_the_path_and_the_detected_format() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A save replaces the file at its path instead of rewriting it in place:
+/// a hard link to the old file keeps the old store, the path loads the new
+/// one, and no temp file is left beside them.  An in-place rewrite would
+/// change both names at once, and a kill part-way through it would leave
+/// neither store on disk.
+#[test]
+fn a_save_replaces_the_file_and_leaves_the_old_snapshot_whole() {
+    let dir = temp_dir("lfi-store-replace");
+    let (a, b) = (dir.join("a"), dir.join("b"));
+
+    let old_profiles = small_profile_store();
+    let new_profiles = ProfileStore::new();
+    new_profiles.insert(ProfileKey::new("libc.so", None, 0xC), FaultProfile::new("libc.so"));
+    lfi::store::save_profile_store(&a, &old_profiles).unwrap();
+    fs::hard_link(&a, &b).unwrap();
+    lfi::store::save_profile_store(&a, &new_profiles).unwrap();
+    assert_eq!(lfi::store::load_profile_store(&b).unwrap().to_xml(), old_profiles.to_xml());
+    assert_eq!(lfi::store::load_profile_store(&a).unwrap().to_xml(), new_profiles.to_xml());
+    assert!(!dir.join("a.tmp").exists(), "no temp file remains");
+
+    fs::remove_file(&b).unwrap();
+    let old_store = base_store();
+    let new_store = applied(base_store(), &delta_one());
+    lfi::store::save_exploration(&a, &old_store).unwrap();
+    fs::hard_link(&a, &b).unwrap();
+    lfi::store::save_exploration(&a, &new_store).unwrap();
+    assert_eq!(lfi::store::load_exploration(&b).unwrap(), old_store);
+    assert_eq!(lfi::store::load_exploration(&a).unwrap(), new_store);
+    assert!(!dir.join("a.tmp").exists(), "no temp file remains");
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// Both exploration readers share one fold: a record of another kind is
 /// the same error, at that record's own byte offset, and the journal that
 /// refuses the file leaves it untouched.
