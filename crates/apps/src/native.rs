@@ -262,26 +262,11 @@ pub fn native_libc(world: &World) -> NativeLibrary {
 /// libc through nested calls so interceptors on either layer observe traffic.
 pub fn native_apr(_world: &World) -> NativeLibrary {
     NativeLibrary::builder("libapr-1.so.0")
-        .function("apr_file_read", |ctx| {
-            let args = ctx.args().to_vec();
-            ctx.call("read", &args).unwrap_or(-1)
-        })
-        .function("apr_file_write", |ctx| {
-            let args = ctx.args().to_vec();
-            ctx.call("write", &args).unwrap_or(-1)
-        })
-        .function("apr_socket_send", |ctx| {
-            let args = ctx.args().to_vec();
-            ctx.call("send", &args).unwrap_or(-1)
-        })
-        .function("apr_socket_recv", |ctx| {
-            let args = ctx.args().to_vec();
-            ctx.call("recv", &args).unwrap_or(-1)
-        })
-        .function("apr_palloc", |ctx| {
-            let args = ctx.args().to_vec();
-            ctx.call("malloc", &args).unwrap_or(0)
-        })
+        .function("apr_file_read", |ctx| ctx.forward("read").unwrap_or(-1))
+        .function("apr_file_write", |ctx| ctx.forward("write").unwrap_or(-1))
+        .function("apr_socket_send", |ctx| ctx.forward("send").unwrap_or(-1))
+        .function("apr_socket_recv", |ctx| ctx.forward("recv").unwrap_or(-1))
+        .function("apr_palloc", |ctx| ctx.forward("malloc").unwrap_or(0))
         .constant("apr_pool_create", 0)
         .build()
 }
@@ -289,14 +274,8 @@ pub fn native_apr(_world: &World) -> NativeLibrary {
 /// Builds the small aprutil companion library.
 pub fn native_aprutil(_world: &World) -> NativeLibrary {
     NativeLibrary::builder("libaprutil-1.so.0")
-        .function("apu_palloc", |ctx| {
-            let args = ctx.args().to_vec();
-            ctx.call("malloc", &args).unwrap_or(0)
-        })
-        .function("apu_brigade_write", |ctx| {
-            let args = ctx.args().to_vec();
-            ctx.call("write", &args).unwrap_or(-1)
-        })
+        .function("apu_palloc", |ctx| ctx.forward("malloc").unwrap_or(0))
+        .function("apu_brigade_write", |ctx| ctx.forward("write").unwrap_or(-1))
         .build()
 }
 

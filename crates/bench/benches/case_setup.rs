@@ -45,9 +45,9 @@ fn bench_case_setup(c: &mut Criterion) {
         })
     });
 
-    // The same cycle with per-case interceptor traffic: a preload makes the
-    // library list diverge from the snapshot, so the return path also pays
-    // the library-vector restore and chain-cache clear.
+    // The same cycle with per-case interceptor traffic: the preload builds
+    // an overlay table of the interceptor's symbols, and the return path
+    // drops it again.
     group.bench_function("arena_cycle_preload", |b| {
         let arena = arena();
         arena.prewarm(1);

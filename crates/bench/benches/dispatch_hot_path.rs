@@ -1,20 +1,23 @@
 //! Isolates the per-call cost of interceptor dispatch from workload noise:
 //! one intercepted call on the three interesting paths — uninstrumented
 //! (no interceptor at all), pass-through (a trigger is armed but never
-//! fires), and triggered (a probability-1 fault is applied on every call).
+//! fires), and triggered (a probability-1 fault is applied on every call) —
+//! by name, and the first two again by pre-resolved `Symbol`.
 //!
 //! The numbers from this bench are the §6.4 "interception overhead must be
-//! negligible" trajectory for this repo; before/after figures for the
-//! interned-symbol refactor are recorded in CHANGES.md.
+//! negligible" trajectory for this repo: CI gates `passthrough_presym`
+//! against `uninstrumented_presym` (`interception-vs-bare-dispatch` in
+//! `lfi_bench::GATES`), and CHANGES.md records before/after figures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lfi_controller::Injector;
 use lfi_runtime::{NativeLibrary, Process, Symbol};
 use lfi_scenario::{FaultAction, Plan, PlanEntry, Trigger};
 
-/// Calls per timed sample: individual calls are ~100 ns, far below timer
-/// resolution for the shim's 10-sample strategy, so each iteration batches
-/// them, and a bench's ns/iter divided by this count is its ns per call.
+/// Calls per timed sample: individual calls take tens of nanoseconds, far
+/// below timer resolution for the shim's 10-sample strategy, so each
+/// iteration batches them, and a bench's ns/iter divided by this count is
+/// its ns per call.
 const CALLS_PER_ITER: u64 = 100_000;
 
 fn libc() -> NativeLibrary {
@@ -57,6 +60,14 @@ fn run_calls(process: &mut Process) -> i64 {
     acc
 }
 
+fn run_sym_calls(process: &mut Process, read: Symbol) -> i64 {
+    let mut acc = 0i64;
+    for i in 0..CALLS_PER_ITER {
+        acc ^= process.call_sym(read, &[3, 0, (i & 0xff) as i64]).unwrap();
+    }
+    acc
+}
+
 fn bench_dispatch_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch_hot_path");
 
@@ -84,17 +95,19 @@ fn bench_dispatch_hot_path(c: &mut Criterion) {
 
     // The resolve-once contract end to end: the workload resolves `read` to a
     // Symbol at setup and dispatches by id, so not even the call boundary
-    // hashes a string.
+    // hashes a string.  The pair isolates what the interceptor adds: one
+    // more chain hop and the stub's trigger check.
+    group.bench_function("uninstrumented_presym", |b| {
+        let mut process = Process::new();
+        process.load(libc());
+        let read = Symbol::intern("read");
+        b.iter(|| run_sym_calls(&mut process, read))
+    });
+
     group.bench_function("passthrough_presym", |b| {
         let (mut process, _injector) = intercepted_process(passthrough_plan());
         let read = Symbol::intern("read");
-        b.iter(|| {
-            let mut acc = 0i64;
-            for i in 0..CALLS_PER_ITER {
-                acc ^= process.call_sym(read, &[3, 0, (i & 0xff) as i64]).unwrap();
-            }
-            acc
-        })
+        b.iter(|| run_sym_calls(&mut process, read))
     });
 
     group.finish();

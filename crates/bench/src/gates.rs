@@ -43,7 +43,7 @@ const fn gate(
 
 /// Every ratio gate.  The bars are the acceptance bars measured on full
 /// multi-sample runs, loosened for fast mode's single sample where noted.
-pub const GATES: [Gate; 9] = [
+pub const GATES: [Gate; 10] = [
     // A streaming session costs what the blocking wrapper costs
     // (bar 1.05x; fast-mode noise allowance to 1.25x).
     gate("streaming-vs-blocking", 1.0, "campaign_stream/streaming_report", 1.25, "campaign_stream/blocking_run"),
@@ -84,13 +84,24 @@ pub const GATES: [Gate; 9] = [
         1.0,
         "explorer_convergence/exhaustive-to-crash",
     ),
+    // A pass-through call through a one-cell interceptor costs a small
+    // multiple of a bare call: one more chain hop and the stub's trigger
+    // check (worst of ten fast-mode runs 2.11x; bar 2.6x).
+    gate(
+        "interception-vs-bare-dispatch",
+        1.0,
+        "dispatch_hot_path/passthrough_presym",
+        2.6,
+        "dispatch_hot_path/uninstrumented_presym",
+    ),
 ];
 
 /// Benches a run must contain besides the gated ones.
-pub const REQUIRED: [&str; 15] = [
+pub const REQUIRED: [&str; 16] = [
     "dispatch_hot_path/uninstrumented",
     "dispatch_hot_path/passthrough",
     "dispatch_hot_path/triggered",
+    "dispatch_hot_path/uninstrumented_presym",
     "dispatch_hot_path/passthrough_presym",
     "profiler_throughput/libc-cold",
     "profiler_throughput/libc-warm",

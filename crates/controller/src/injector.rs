@@ -5,10 +5,11 @@
 //! once into per-function slots ([`lfi_scenario::CompiledPlan`]), each
 //! synthesized stub captures its slot index, per-function call counters are
 //! lock-free atomics, and each slot's RNG stream lives behind the slot's own
-//! lock.  A pass-through call takes that lock once, to evaluate its
-//! triggers, and then jumps to the original.  The one injector-wide lock
-//! guards only the injection log, and is taken only when a trigger actually
-//! fires — pass-through traffic on different functions never contends.
+//! lock.  A pass-through call bumps its slot's counter, compares its
+//! triggers, and jumps to the original; it takes the slot's lock only when
+//! a trigger draws randomness (a probability or a random choice), so a
+//! call-ordinal plan never locks at all.  The one injector-wide lock guards
+//! only the injection log, and is taken only when a trigger actually fires.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -213,7 +214,7 @@ impl Injector {
     /// The body shared by every synthesized stub.  Touches no state shared
     /// across functions unless a trigger fires: the slot's atomic counter
     /// (from which the log's intercepted-call total is derived at snapshot
-    /// time) and the slot's RNG lock are all a pass-through call needs.
+    /// time) is all a pass-through call of a plan without randomness needs.
     fn stub_body(&self, slot_index: usize, ctx: &mut CallContext<'_>) -> i64 {
         match self.decide(slot_index, ctx) {
             // No trigger fired: clean up and jump to the original, as the
@@ -224,12 +225,15 @@ impl Injector {
         }
     }
 
-    /// Evaluates the slot's triggers for one intercepted call.  Holds only
-    /// the slot's own lock; calls to other functions proceed in parallel.
+    /// Evaluates the slot's triggers for one intercepted call.  Locks the
+    /// slot's RNG stream at the call's first draw, if any, and holds it to
+    /// the end of the call's evaluation, so each call's draws stay one run
+    /// of the stream in the order the triggers make them; calls to other
+    /// functions proceed in parallel.
     fn decide(&self, slot_index: usize, ctx: &CallContext<'_>) -> Option<Decision> {
         let slot = &self.shared.slots[slot_index];
         let call_number = slot.calls.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut rng = lock(&slot.rng);
+        let mut rng = LazyRng { stream: &slot.rng, guard: None };
 
         // The stack excluding the frame of the intercepted call itself: what
         // the paper's `<stacktrace>` frames are matched against.  Inspected
@@ -318,14 +322,26 @@ impl std::fmt::Debug for Injector {
     }
 }
 
-fn trigger_matches(entry: &CompiledEntry, call_number: u64, caller_stack: &[Symbol], rng: &mut StdRng) -> bool {
+/// A slot's RNG stream, locked at its first use.
+struct LazyRng<'s> {
+    stream: &'s Mutex<StdRng>,
+    guard: Option<MutexGuard<'s, StdRng>>,
+}
+
+impl LazyRng<'_> {
+    fn get(&mut self) -> &mut StdRng {
+        self.guard.get_or_insert_with(|| lock(self.stream))
+    }
+}
+
+fn trigger_matches(entry: &CompiledEntry, call_number: u64, caller_stack: &[Symbol], rng: &mut LazyRng<'_>) -> bool {
     if let Some(n) = entry.inject_at_call {
         if n != call_number {
             return false;
         }
     }
     if let Some(p) = entry.probability {
-        if !rng.gen_bool(p.clamp(0.0, 1.0)) {
+        if !rng.get().gen_bool(p.clamp(0.0, 1.0)) {
             return false;
         }
     }
@@ -340,11 +356,11 @@ fn trigger_matches(entry: &CompiledEntry, call_number: u64, caller_stack: &[Symb
     true
 }
 
-fn resolve_action(entry: &CompiledEntry, rng: &mut StdRng) -> (Option<usize>, Option<i64>, Option<i64>) {
+fn resolve_action(entry: &CompiledEntry, rng: &mut LazyRng<'_>) -> (Option<usize>, Option<i64>, Option<i64>) {
     if entry.random_choices.is_empty() {
         return (None, entry.retval, entry.errno);
     }
-    let index = rng.gen_range(0..entry.random_choices.len());
+    let index = rng.get().gen_range(0..entry.random_choices.len());
     let choice = &entry.random_choices[index];
     let errno = choice
         .side_effects

@@ -22,6 +22,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{OnceLock, RwLock};
 
 /// An interned function or module name.
@@ -124,6 +125,44 @@ impl From<&str> for Symbol {
 impl From<&String> for Symbol {
     fn from(name: &String) -> Symbol {
         Symbol::intern(name)
+    }
+}
+
+/// A `HashMap` keyed by [`Symbol`] that hashes with [`SymbolHasher`]: the
+/// map for per-call symbol lookups, such as a process's dispatch table.
+pub type SymbolMap<V> = HashMap<Symbol, V, BuildHasherDefault<SymbolHasher>>;
+
+/// The hasher of a [`SymbolMap`]: one multiply per key instead of SipHash.
+///
+/// A symbol is a dense id the table hands out, never a value an outside
+/// party picks, so the flooding attacks SipHash guards against do not
+/// apply.  Multiplying by an odd constant keeps the low bits (the bucket)
+/// distinct for consecutive ids and spreads them into the high bits (the
+/// tag the map compares first).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SymbolHasher(u64);
+
+impl SymbolHasher {
+    const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for SymbolHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.mix(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.mix(u64::from(word));
     }
 }
 
@@ -260,6 +299,24 @@ mod tests {
         assert!(format!("{read:?}").contains("lfi_intern_test_read"));
         assert_eq!(Symbol::from("lfi_intern_test_read"), read);
         assert_eq!(Symbol::from(&"lfi_intern_test_read".to_owned()), read);
+    }
+
+    #[test]
+    fn symbol_maps_hash_ids_apart() {
+        let table = SymbolTable::new();
+        let symbols: Vec<Symbol> = (0..1000).map(|i| table.intern(&format!("sym{i}"))).collect();
+        let map: SymbolMap<usize> = symbols.iter().enumerate().map(|(i, &symbol)| (symbol, i)).collect();
+        assert!(symbols.iter().enumerate().all(|(i, symbol)| map[symbol] == i));
+        let hash = |symbol: Symbol| {
+            let mut hasher = SymbolHasher::default();
+            std::hash::Hash::hash(&symbol, &mut hasher);
+            hasher.finish()
+        };
+        // Consecutive ids land in distinct buckets and carry distinct tags.
+        let buckets: std::collections::HashSet<u64> = symbols[..64].iter().map(|&s| hash(s) & 63).collect();
+        let tags: std::collections::HashSet<u64> = symbols[..16].iter().map(|&s| hash(s) >> 57).collect();
+        assert_eq!(buckets.len(), 64);
+        assert!(tags.len() >= 12, "{tags:?}");
     }
 
     #[test]

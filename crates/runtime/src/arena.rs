@@ -4,11 +4,12 @@
 //! A fault-injection campaign runs thousands of short cases, and before this
 //! module existed every case paid a full `Process::new()` + library build in
 //! its `Workload::setup`.  A [`ProcessArena`] amortises that cost: processes
-//! are built once by the arena's builder (library load done, resolution-chain
-//! memos warmed by use), handed out as [`PooledProcess`] guards, and restored
-//! to their recorded [`ProcessSnapshot`] baseline when the guard drops — TLS,
-//! globals, `errno`, call log, call stack and function-pointer table all
-//! return to their built state (see [`Process::restore`] for the determinism
+//! are built once by the arena's builder (library load done, chain table
+//! built at first use and shared with the snapshot), handed out as
+//! [`PooledProcess`] guards, and restored to their recorded
+//! [`ProcessSnapshot`] baseline when the guard drops — TLS, globals,
+//! `errno`, call log, call stack and function-pointer table all return to
+//! their built state (see [`Process::restore`] for the determinism
 //! contract).  The restore runs even when the case panicked mid-run, so a
 //! process can never re-enter the pool dirty.
 //!

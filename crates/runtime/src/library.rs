@@ -1,8 +1,7 @@
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use lfi_intern::Symbol;
+use lfi_intern::{Symbol, SymbolMap};
 
 use crate::CallContext;
 
@@ -23,63 +22,72 @@ pub type NativeFn = Arc<dyn Fn(&mut CallContext<'_>) -> i64 + Send + Sync>;
 ///
 /// Symbol names are interned into the shared [`lfi_intern`] table when the
 /// library is built, so per-call dispatch looks behaviours up by [`Symbol`]
-/// id and never hashes a string.
+/// id and never hashes a string.  A library is immutable once built and is
+/// a handle to shared data: cloning one costs a reference-count bump, and a
+/// process that loads only this library dispatches straight from its table.
 #[derive(Clone)]
-pub struct NativeLibrary {
+pub struct NativeLibrary(Arc<LibraryData>);
+
+struct LibraryData {
     name: String,
-    functions: HashMap<Symbol, NativeFn>,
+    table: ChainTable,
 }
 
 impl NativeLibrary {
     /// Starts building a library with the given name.
     pub fn builder(name: impl Into<String>) -> NativeLibraryBuilder {
-        NativeLibraryBuilder { library: NativeLibrary { name: name.into(), functions: HashMap::new() } }
+        NativeLibraryBuilder { name: name.into(), table: ChainTable::default() }
     }
 
     /// The library's file name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// The behaviour registered for `symbol`, if any.
     pub fn function(&self, symbol: &str) -> Option<&NativeFn> {
-        self.functions.get(&Symbol::lookup(symbol)?)
+        self.function_sym(Symbol::lookup(symbol)?)
     }
 
-    /// The behaviour registered for an interned symbol, if any — the
-    /// string-free lookup the per-call dispatch path uses.
+    /// The behaviour registered for an interned symbol, if any.
     pub fn function_sym(&self, symbol: Symbol) -> Option<&NativeFn> {
-        self.functions.get(&symbol)
+        self.table().chain(symbol).map(|chain| &chain[0])
     }
 
     /// Names of the symbols this library defines, in arbitrary order.
     pub fn symbols(&self) -> impl Iterator<Item = &str> {
-        self.functions.keys().map(|symbol| symbol.as_str())
+        self.table().spans.keys().map(|symbol| symbol.as_str())
     }
 
     /// Interned ids of the symbols this library defines, in arbitrary order.
     pub fn symbol_ids(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.functions.keys().copied()
+        self.table().spans.keys().copied()
     }
 
     /// Number of defined symbols.
     pub fn symbol_count(&self) -> usize {
-        self.functions.len()
+        self.table().spans.len()
+    }
+
+    /// The library's chains: one definition per symbol.
+    pub(crate) fn table(&self) -> &ChainTable {
+        &self.0.table
     }
 }
 
 impl fmt::Debug for NativeLibrary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NativeLibrary")
-            .field("name", &self.name)
-            .field("symbols", &self.functions.len())
+            .field("name", &self.name())
+            .field("symbols", &self.symbol_count())
             .finish()
     }
 }
 
 /// Builder for [`NativeLibrary`].
 pub struct NativeLibraryBuilder {
-    library: NativeLibrary,
+    name: String,
+    table: ChainTable,
 }
 
 impl NativeLibraryBuilder {
@@ -97,7 +105,15 @@ impl NativeLibraryBuilder {
     where
         F: Fn(&mut CallContext<'_>) -> i64 + Send + Sync + 'static,
     {
-        self.library.functions.insert(symbol, Arc::new(behaviour));
+        let behaviour: NativeFn = Arc::new(behaviour);
+        let table = &mut self.table;
+        match table.spans.get(&symbol) {
+            Some(&(start, _)) => table.fns[start as usize] = behaviour,
+            None => {
+                table.spans.insert(symbol, (table.fns.len() as u32, table.fns.len() as u32 + 1));
+                table.fns.push(behaviour);
+            }
+        }
         self
     }
 
@@ -108,13 +124,59 @@ impl NativeLibraryBuilder {
 
     /// Finishes the library.
     pub fn build(self) -> NativeLibrary {
-        self.library
+        NativeLibrary(Arc::new(LibraryData { name: self.name, table: self.table }))
     }
 }
 
 impl fmt::Debug for NativeLibraryBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NativeLibraryBuilder").field("library", &self.library).finish()
+        f.debug_struct("NativeLibraryBuilder")
+            .field("name", &self.name)
+            .field("symbols", &self.table.fns.len())
+            .finish()
+    }
+}
+
+/// Resolution chains by symbol: every definition of a symbol, in resolution
+/// order, as one contiguous run of `fns`.  A library is a table of one-long
+/// chains; a process merges the tables of its libraries (see
+/// [`ChainTable::merge`]).  Only symbols with at least one definition have a
+/// span, so a chain is never empty.
+#[derive(Default)]
+pub(crate) struct ChainTable {
+    fns: Vec<NativeFn>,
+    spans: SymbolMap<(u32, u32)>,
+}
+
+impl ChainTable {
+    /// The definitions of `symbol` in resolution order, if it has any.
+    pub(crate) fn chain(&self, symbol: Symbol) -> Option<&[NativeFn]> {
+        self.spans.get(&symbol).map(|&(start, end)| &self.fns[start as usize..end as usize])
+    }
+
+    /// One table for `tables` in resolution order: a symbol's chain is the
+    /// concatenation of its chains in `tables`, followed by its chain in
+    /// `tail` (which contributes no symbol of its own).
+    pub(crate) fn merge(tables: &[&ChainTable], tail: Option<&ChainTable>) -> ChainTable {
+        let mut defs: Vec<(Symbol, &NativeFn)> = tables
+            .iter()
+            .flat_map(|table| {
+                table.spans.iter().flat_map(|(&symbol, &(start, end))| {
+                    table.fns[start as usize..end as usize].iter().map(move |def| (symbol, def))
+                })
+            })
+            .collect();
+        // A stable sort keeps each symbol's definitions in resolution order.
+        defs.sort_by_key(|&(symbol, _)| symbol);
+        let mut merged = ChainTable { fns: Vec::with_capacity(defs.len()), spans: SymbolMap::default() };
+        for run in defs.chunk_by(|a, b| a.0 == b.0) {
+            let symbol = run[0].0;
+            let start = merged.fns.len() as u32;
+            merged.fns.extend(run.iter().map(|&(_, def)| Arc::clone(def)));
+            merged.fns.extend(tail.and_then(|tail| tail.chain(symbol)).into_iter().flatten().cloned());
+            merged.spans.insert(symbol, (start, merged.fns.len() as u32));
+        }
+        merged
     }
 }
 

@@ -1,9 +1,10 @@
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lfi_intern::Symbol;
 
+use crate::library::ChainTable;
 use crate::{NativeFn, NativeLibrary, RuntimeError};
 
 /// Default bound on the recorded call log (see
@@ -208,41 +209,151 @@ const FNPTR_BASE: u64 = 0x7f00_0000_0000;
 /// library ever defined resolves to nothing without growing the symbol
 /// table), and [`Process::call_sym`] lets callers that resolved the symbol at
 /// setup time (benches, interceptor stubs, tight workload loops) skip even
-/// that hash.  Resolution chains are cached per symbol and invalidated when
-/// the library list changes, so a repeated call allocates nothing for
-/// resolution.
+/// that hash.
+///
+/// A call finds its resolution chain — every definition of the symbol, in
+/// resolution order — with one or two lookups in symbol-keyed tables, and
+/// allocates nothing.  The tables come in two layers:
+///
+/// - the *base*, for the libraries loaded with [`Process::load`]: built once,
+///   at the first resolution after a load, and shared by every clone and
+///   snapshot of the process (a process that loads one library dispatches
+///   straight from that library's own table);
+/// - the *overlay*, for the libraries loaded with [`Process::preload`]: the
+///   full chains of only the symbols they define, built at the preload.  A
+///   symbol the overlay lacks resolves in the base.
+///
+/// A per-case interceptor therefore costs a table the size of the
+/// interceptor, and [`Process::restore`] drops it again without touching the
+/// base.
 ///
 /// Processes are `Send + Sync + Clone`: a clone shares the (immutable)
-/// library behaviours but owns its own state, so independent clones can run
-/// concurrently on different threads — the contract parallel campaign
-/// execution (`lfi-controller`'s `Campaign::parallelism`) builds on.
+/// library behaviours and chain tables but owns its own state, so
+/// independent clones can run concurrently on different threads — the
+/// contract parallel campaign execution (`lfi-controller`'s
+/// `Campaign::parallelism`) builds on.
 #[derive(Clone, Default)]
 pub struct Process {
-    libraries: Vec<Arc<NativeLibrary>>,
+    links: LinkMap,
+    machine: Machine,
+}
+
+/// The libraries of a process in resolution order, and the chain tables a
+/// call resolves in.  Immutable while a call runs: only [`Process::load`],
+/// [`Process::preload`] and [`Process::restore`] change it.
+#[derive(Clone, Default)]
+struct LinkMap {
+    base: Arc<Base>,
+    overlay: Option<Arc<Overlay>>,
+}
+
+/// The libraries loaded with [`Process::load`], in load order, and — when
+/// there are several — their merged chains, built at the first resolution
+/// and shared by every process and snapshot holding this `Arc`.
+#[derive(Default)]
+struct Base {
+    libraries: Vec<NativeLibrary>,
+    merged: OnceLock<ChainTable>,
+}
+
+/// The libraries loaded with [`Process::preload`], most recent first, and
+/// the full chains (their definitions, then the base's) of the symbols they
+/// define.
+struct Overlay {
+    libraries: Vec<NativeLibrary>,
+    chains: ChainTable,
+}
+
+impl LinkMap {
+    /// The resolution chain of `symbol`, or `None` when no library defines
+    /// it.  Never empty.
+    fn chain(&self, symbol: Symbol) -> Option<&[NativeFn]> {
+        if let Some(chain) = self.overlay.as_ref().and_then(|overlay| overlay.chains.chain(symbol)) {
+            return Some(chain);
+        }
+        self.base_chains().chain(symbol)
+    }
+
+    fn base_chains(&self) -> &ChainTable {
+        match self.base.libraries.as_slice() {
+            [library] => library.table(),
+            libraries => self.base.merged.get_or_init(|| {
+                let tables: Vec<&ChainTable> = libraries.iter().map(NativeLibrary::table).collect();
+                ChainTable::merge(&tables, None)
+            }),
+        }
+    }
+
+    fn load(&mut self, library: NativeLibrary) {
+        match Arc::get_mut(&mut self.base) {
+            // No clone or snapshot shares this base: extend it in place.
+            Some(base) => {
+                base.libraries.push(library);
+                base.merged = OnceLock::new();
+            }
+            None => {
+                let mut libraries = self.base.libraries.clone();
+                libraries.push(library);
+                self.base = Arc::new(Base { libraries, merged: OnceLock::new() });
+            }
+        }
+        if let Some(overlay) = self.overlay.take() {
+            // The overlay's chains end in the base's, so they are rebuilt
+            // against the new base.
+            self.set_overlay(overlay.libraries.clone());
+        }
+    }
+
+    fn preload(&mut self, library: NativeLibrary) {
+        let mut libraries = vec![library];
+        if let Some(overlay) = &self.overlay {
+            libraries.extend(overlay.libraries.iter().cloned());
+        }
+        self.set_overlay(libraries);
+    }
+
+    fn set_overlay(&mut self, libraries: Vec<NativeLibrary>) {
+        let tables: Vec<&ChainTable> = libraries.iter().map(NativeLibrary::table).collect();
+        let chains = ChainTable::merge(&tables, Some(self.base_chains()));
+        self.overlay = Some(Arc::new(Overlay { libraries, chains }));
+    }
+
+    /// Whether `self` and `other` hold the same tables, not merely equal
+    /// ones.
+    fn same(&self, other: &LinkMap) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+            && match (&self.overlay, &other.overlay) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            }
+    }
+
+    /// Every library in resolution order.
+    fn libraries(&self) -> impl Iterator<Item = &NativeLibrary> {
+        self.overlay.iter().flat_map(|overlay| &overlay.libraries).chain(&self.base.libraries)
+    }
+}
+
+impl fmt::Debug for LinkMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.libraries().map(NativeLibrary::name)).finish()
+    }
+}
+
+/// The half of a process a call may change: everything but the libraries.
+#[derive(Clone, Default)]
+struct Machine {
     state: ProcessState,
     max_call_depth: usize,
     fnptrs: Vec<Symbol>,
-    /// Memoized resolution chains, rebuilt lazily after every load/preload.
-    chain_cache: HashMap<Symbol, Arc<[NativeFn]>>,
     /// Memoized name→symbol resolutions, so string-keyed calls hash only a
     /// process-local map instead of taking the global table's lock.  Never
     /// needs invalidation: interning is append-only, so a hit can't go stale.
     name_cache: HashMap<String, Symbol>,
 }
 
-impl Process {
-    /// Creates an empty process.
-    pub fn new() -> Self {
-        Self {
-            libraries: Vec::new(),
-            state: ProcessState::default(),
-            max_call_depth: 256,
-            fnptrs: Vec::new(),
-            chain_cache: HashMap::new(),
-            name_cache: HashMap::new(),
-        }
-    }
-
+impl Machine {
     /// Resolves a caller-supplied name to its symbol without growing the
     /// global table (a miss proves no library defines it, since every
     /// definable name was interned at library build time).  Hits are
@@ -257,40 +368,103 @@ impl Process {
         Some(symbol)
     }
 
+    fn call_name(&mut self, links: &LinkMap, name: &str, args: &[i64], depth: usize) -> Result<i64, RuntimeError> {
+        match self.lookup_name(name) {
+            Some(symbol) => self.call(links, symbol, args, depth),
+            None => Err(RuntimeError::UnresolvedSymbol { name: name.to_owned() }),
+        }
+    }
+
+    fn call(&mut self, links: &LinkMap, symbol: Symbol, args: &[i64], depth: usize) -> Result<i64, RuntimeError> {
+        if depth > self.max_call_depth {
+            return Err(RuntimeError::CallDepthExceeded { limit: self.max_call_depth });
+        }
+        let Some(chain) = links.chain(symbol) else {
+            return Err(RuntimeError::UnresolvedSymbol { name: symbol.as_str().to_owned() });
+        };
+        if self.state.call_log_enabled {
+            self.state.record_call(symbol);
+        }
+        self.state.stack.push(symbol);
+        let mut context =
+            CallContext { links, machine: self, symbol, chain, chain_index: 0, args: Args::new(args), depth };
+        let result = chain[0](&mut context);
+        self.state.stack.pop();
+        Ok(result)
+    }
+
+    fn call_ptr(&mut self, links: &LinkMap, ptr: FnPtr, args: &[i64], depth: usize) -> Result<i64, RuntimeError> {
+        match self.fnptr_symbol_id(ptr) {
+            Some(symbol) => self.call(links, symbol, args, depth),
+            None => Err(RuntimeError::InvalidFunctionPointer { value: ptr.0 }),
+        }
+    }
+
+    fn fnptr_name(&mut self, links: &LinkMap, name: &str) -> Result<FnPtr, RuntimeError> {
+        match self.lookup_name(name) {
+            Some(symbol) => self.fnptr(links, symbol),
+            None => Err(RuntimeError::UnresolvedSymbol { name: name.to_owned() }),
+        }
+    }
+
+    fn fnptr(&mut self, links: &LinkMap, symbol: Symbol) -> Result<FnPtr, RuntimeError> {
+        if links.chain(symbol).is_none() {
+            return Err(RuntimeError::UnresolvedSymbol { name: symbol.as_str().to_owned() });
+        }
+        let index = match self.fnptrs.iter().position(|&s| s == symbol) {
+            Some(existing) => existing,
+            None => {
+                self.fnptrs.push(symbol);
+                self.fnptrs.len() - 1
+            }
+        };
+        Ok(FnPtr(FNPTR_BASE + index as u64 * 16))
+    }
+
+    fn fnptr_symbol_id(&self, ptr: FnPtr) -> Option<Symbol> {
+        let index = ptr.0.checked_sub(FNPTR_BASE)? / 16;
+        self.fnptrs.get(index as usize).copied()
+    }
+}
+
+impl Process {
+    /// Creates an empty process.
+    pub fn new() -> Self {
+        Self { machine: Machine { max_call_depth: 256, ..Machine::default() }, ..Self::default() }
+    }
+
     /// Loads a library at the *end* of the resolution order (a normal
     /// `DT_NEEDED` dependency).
     pub fn load(&mut self, library: NativeLibrary) {
-        self.libraries.push(Arc::new(library));
-        self.chain_cache.clear();
+        self.links.load(library);
     }
 
     /// Loads a library at the *front* of the resolution order
     /// (the `LD_PRELOAD` slot used by interceptor libraries).
     pub fn preload(&mut self, library: NativeLibrary) {
-        self.libraries.insert(0, Arc::new(library));
-        self.chain_cache.clear();
+        self.links.preload(library);
     }
 
     /// The libraries currently loaded, in resolution order.
     pub fn loaded_libraries(&self) -> impl Iterator<Item = &str> {
-        self.libraries.iter().map(|library| library.name())
+        self.links.libraries().map(NativeLibrary::name)
     }
 
     /// Shared process state.
     pub fn state(&self) -> &ProcessState {
-        &self.state
+        &self.machine.state
     }
 
     /// Mutable access to shared process state.
     pub fn state_mut(&mut self) -> &mut ProcessState {
-        &mut self.state
+        &mut self.machine.state
     }
 
     /// Enables or disables the dispatch call log — the process-level twin of
     /// [`ProcessState::set_call_log_enabled`], used by campaign drivers that
     /// only hold the process.
     pub fn set_call_log_enabled(&mut self, enabled: bool) {
-        self.state.set_call_log_enabled(enabled);
+        self.machine.state.set_call_log_enabled(enabled);
     }
 
     /// Takes the recorded calls out of the log, resetting it — the
@@ -298,31 +472,18 @@ impl Process {
     /// drivers drain here after each workload run so per-case call streams
     /// never accumulate across cases.
     pub fn drain_call_log(&mut self) -> Vec<Symbol> {
-        self.state.drain_call_log()
+        self.machine.state.drain_call_log()
     }
 
     /// Pushes an application-level stack frame (e.g. `refresh_files`), so that
     /// stack-trace triggers can match application call sites.
     pub fn push_frame(&mut self, frame: impl AsRef<str>) {
-        self.state.stack.push(Symbol::intern(frame.as_ref()));
+        self.machine.state.stack.push(Symbol::intern(frame.as_ref()));
     }
 
     /// Pops the innermost application-level stack frame.
     pub fn pop_frame(&mut self) {
-        self.state.stack.pop();
-    }
-
-    /// The resolution chain for a symbol: every definition in load order,
-    /// memoized per symbol (libraries are immutable between loads, so the
-    /// cached chain stays valid until the next load/preload).
-    fn resolution_chain(&mut self, symbol: Symbol) -> Arc<[NativeFn]> {
-        if let Some(chain) = self.chain_cache.get(&symbol) {
-            return Arc::clone(chain);
-        }
-        let chain: Arc<[NativeFn]> =
-            self.libraries.iter().filter_map(|lib| lib.function_sym(symbol).cloned()).collect();
-        self.chain_cache.insert(symbol, Arc::clone(&chain));
-        chain
+        self.machine.state.stack.pop();
     }
 
     /// Calls a library function by name, dispatching to the first definition
@@ -336,10 +497,7 @@ impl Process {
     /// defines the symbol, and [`RuntimeError::CallDepthExceeded`] on runaway
     /// recursion.
     pub fn call(&mut self, symbol: &str, args: &[i64]) -> Result<i64, RuntimeError> {
-        match self.lookup_name(symbol) {
-            Some(symbol) => self.call_at_depth(symbol, args, 0),
-            None => Err(RuntimeError::UnresolvedSymbol { name: symbol.to_owned() }),
-        }
+        self.machine.call_name(&self.links, symbol, args, 0)
     }
 
     /// Calls a library function by interned symbol — the string-free
@@ -349,7 +507,7 @@ impl Process {
     ///
     /// As for [`Process::call`].
     pub fn call_sym(&mut self, symbol: Symbol, args: &[i64]) -> Result<i64, RuntimeError> {
-        self.call_at_depth(symbol, args, 0)
+        self.machine.call(&self.links, symbol, args, 0)
     }
 
     /// Resolves a symbol to an opaque function pointer — the `dlsym` analogue
@@ -361,10 +519,7 @@ impl Process {
     /// Returns [`RuntimeError::UnresolvedSymbol`] when no loaded library
     /// defines the symbol at resolution time.
     pub fn fnptr(&mut self, symbol: &str) -> Result<FnPtr, RuntimeError> {
-        match self.lookup_name(symbol) {
-            Some(symbol) => self.fnptr_sym(symbol),
-            None => Err(RuntimeError::UnresolvedSymbol { name: symbol.to_owned() }),
-        }
+        self.machine.fnptr_name(&self.links, symbol)
     }
 
     /// Resolves an interned symbol to an opaque function pointer.
@@ -373,14 +528,7 @@ impl Process {
     ///
     /// As for [`Process::fnptr`].
     pub fn fnptr_sym(&mut self, symbol: Symbol) -> Result<FnPtr, RuntimeError> {
-        if self.resolution_chain(symbol).is_empty() {
-            return Err(RuntimeError::UnresolvedSymbol { name: symbol.as_str().to_owned() });
-        }
-        if let Some(existing) = self.fnptrs.iter().position(|&s| s == symbol) {
-            return Ok(FnPtr(FNPTR_BASE + existing as u64 * 16));
-        }
-        self.fnptrs.push(symbol);
-        Ok(FnPtr(FNPTR_BASE + (self.fnptrs.len() as u64 - 1) * 16))
+        self.machine.fnptr(&self.links, symbol)
     }
 
     /// The symbol a function pointer refers to, if it was produced by
@@ -392,8 +540,7 @@ impl Process {
     /// The interned symbol a function pointer refers to, if it was produced
     /// by [`Process::fnptr`].
     pub fn fnptr_symbol_id(&self, ptr: FnPtr) -> Option<Symbol> {
-        let index = ptr.0.checked_sub(FNPTR_BASE)? / 16;
-        self.fnptrs.get(index as usize).copied()
+        self.machine.fnptr_symbol_id(ptr)
     }
 
     /// Calls through a function pointer.  The pointer is resolved back to its
@@ -408,14 +555,7 @@ impl Process {
     /// produced by [`Process::fnptr`], plus any error the resolved call can
     /// produce.
     pub fn call_ptr(&mut self, ptr: FnPtr, args: &[i64]) -> Result<i64, RuntimeError> {
-        self.call_ptr_at_depth(ptr, args, 0)
-    }
-
-    fn call_ptr_at_depth(&mut self, ptr: FnPtr, args: &[i64], depth: usize) -> Result<i64, RuntimeError> {
-        let Some(symbol) = self.fnptr_symbol_id(ptr) else {
-            return Err(RuntimeError::InvalidFunctionPointer { value: ptr.0 });
-        };
-        self.call_at_depth(symbol, args, depth)
+        self.machine.call_ptr(&self.links, ptr, args, 0)
     }
 
     /// Records the process's complete observable state — loaded libraries
@@ -423,14 +563,14 @@ impl Process {
     /// and its configuration, and the function-pointer table — as a baseline
     /// for [`Process::restore`].
     ///
-    /// Libraries are captured by reference (they are immutable once built),
-    /// so a snapshot is cheap to take and to hold.
+    /// Libraries and their chain tables are captured by reference (they are
+    /// immutable once built), so a snapshot is cheap to take and to hold.
     pub fn snapshot(&self) -> ProcessSnapshot {
         ProcessSnapshot {
-            libraries: self.libraries.clone(),
-            state: self.state.clone(),
-            max_call_depth: self.max_call_depth,
-            fnptrs: self.fnptrs.clone(),
+            links: self.links.clone(),
+            state: self.machine.state.clone(),
+            max_call_depth: self.machine.max_call_depth,
+            fnptrs: self.machine.fnptrs.clone(),
         }
     }
 
@@ -442,47 +582,28 @@ impl Process {
     /// when the snapshot was taken: the same libraries resolve in the same
     /// order, every TLS/global slot, `errno`, the call stack, the call log
     /// (contents, capacity, enablement, dropped-call counter) and the
-    /// function-pointer table hold the values they held then.  Internal
-    /// memo caches are performance-only and never observable: the resolution
-    /// chain cache is invalidated if the library list changed (and kept warm
-    /// otherwise, which is what makes an arena checkout cheap), and the
-    /// name→symbol cache survives because interning is append-only, so a hit
-    /// can never go stale.  A campaign may therefore interleave restored and
-    /// freshly built processes in any order without affecting a fixed-seed
-    /// run's outcome — the contract `ProcessArena` and parallel campaign
-    /// execution build on.
+    /// function-pointer table hold the values they held then.
+    ///
+    /// The chain tables come back by reference, not by rebuilding: the
+    /// snapshot holds the base table it was taken with (built once and
+    /// shared, so an arena checkout finds it warm) and the overlay it was
+    /// taken with — usually none, so a per-case interceptor preloaded since
+    /// is simply dropped.  The name→symbol cache survives because interning
+    /// is append-only, so a hit can never go stale.  None of these is
+    /// observable: a campaign may interleave restored and freshly built
+    /// processes in any order without affecting a fixed-seed run's outcome —
+    /// the contract `ProcessArena` and parallel campaign execution build on.
     ///
     /// State held *outside* the process — e.g. a simulated world captured by
     /// library closures — is not covered; pair `restore` with a workload
     /// reset hook (see `ProcessArena`) for that.
     pub fn restore(&mut self, snapshot: &ProcessSnapshot) {
-        let libraries_unchanged = self.libraries.len() == snapshot.libraries.len()
-            && self.libraries.iter().zip(&snapshot.libraries).all(|(a, b)| Arc::ptr_eq(a, b));
-        if !libraries_unchanged {
-            self.libraries = snapshot.libraries.clone();
-            self.chain_cache.clear();
+        if !self.links.same(&snapshot.links) {
+            self.links = snapshot.links.clone();
         }
-        self.state = snapshot.state.clone();
-        self.max_call_depth = snapshot.max_call_depth;
-        self.fnptrs.clone_from(&snapshot.fnptrs);
-    }
-
-    fn call_at_depth(&mut self, symbol: Symbol, args: &[i64], depth: usize) -> Result<i64, RuntimeError> {
-        if depth > self.max_call_depth {
-            return Err(RuntimeError::CallDepthExceeded { limit: self.max_call_depth });
-        }
-        let chain = self.resolution_chain(symbol);
-        if chain.is_empty() {
-            return Err(RuntimeError::UnresolvedSymbol { name: symbol.as_str().to_owned() });
-        }
-        if self.state.call_log_enabled {
-            self.state.record_call(symbol);
-        }
-        self.state.stack.push(symbol);
-        let mut context = CallContext { process: self, symbol, chain, chain_index: 0, args: args.to_vec(), depth };
-        let result = context.invoke_current();
-        self.state.stack.pop();
-        result
+        self.machine.state = snapshot.state.clone();
+        self.machine.max_call_depth = snapshot.max_call_depth;
+        self.machine.fnptrs.clone_from(&snapshot.fnptrs);
     }
 }
 
@@ -491,7 +612,7 @@ impl Process {
 /// the determinism contract.
 #[derive(Debug, Clone)]
 pub struct ProcessSnapshot {
-    libraries: Vec<Arc<NativeLibrary>>,
+    links: LinkMap,
     state: ProcessState,
     max_call_depth: usize,
     fnptrs: Vec<Symbol>,
@@ -500,31 +621,76 @@ pub struct ProcessSnapshot {
 impl fmt::Debug for Process {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Process")
-            .field("libraries", &self.libraries)
-            .field("state", &self.state)
-            .field("max_call_depth", &self.max_call_depth)
-            .field("fnptrs", &self.fnptrs)
-            .field("cached_chains", &self.chain_cache.len())
+            .field("libraries", &self.links)
+            .field("state", &self.machine.state)
+            .field("max_call_depth", &self.machine.max_call_depth)
+            .field("fnptrs", &self.machine.fnptrs)
             .finish()
+    }
+}
+
+/// Arguments a call holds without allocating; more spill to a `Vec`.
+const INLINE_ARGS: usize = 6;
+
+/// A call's arguments: inline up to [`INLINE_ARGS`] of them, on the heap
+/// beyond.  Inline slots past `len` are always zero, so growing `len`
+/// extends with zeros.
+enum Args {
+    Inline { len: usize, values: [i64; INLINE_ARGS] },
+    Spilled(Vec<i64>),
+}
+
+impl Args {
+    fn new(args: &[i64]) -> Self {
+        if args.len() > INLINE_ARGS {
+            return Args::Spilled(args.to_vec());
+        }
+        let mut values = [0; INLINE_ARGS];
+        values[..args.len()].copy_from_slice(args);
+        Args::Inline { len: args.len(), values }
+    }
+
+    fn as_slice(&self) -> &[i64] {
+        match self {
+            Args::Inline { len, values } => &values[..*len],
+            Args::Spilled(values) => values,
+        }
+    }
+
+    fn set(&mut self, index: usize, value: i64) {
+        match self {
+            Args::Inline { len, values } if index < INLINE_ARGS => {
+                *len = (*len).max(index + 1);
+                values[index] = value;
+            }
+            Args::Inline { len, values } => {
+                let mut spilled = values[..*len].to_vec();
+                spilled.resize(index + 1, 0);
+                spilled[index] = value;
+                *self = Args::Spilled(spilled);
+            }
+            Args::Spilled(values) => {
+                if values.len() <= index {
+                    values.resize(index + 1, 0);
+                }
+                values[index] = value;
+            }
+        }
     }
 }
 
 /// The view a library behaviour gets of the call it is servicing.
 pub struct CallContext<'p> {
-    process: &'p mut Process,
+    links: &'p LinkMap,
+    machine: &'p mut Machine,
     symbol: Symbol,
-    chain: Arc<[NativeFn]>,
+    chain: &'p [NativeFn],
     chain_index: usize,
-    args: Vec<i64>,
+    args: Args,
     depth: usize,
 }
 
 impl CallContext<'_> {
-    fn invoke_current(&mut self) -> Result<i64, RuntimeError> {
-        let handler = self.chain[self.chain_index].clone();
-        Ok(handler(self))
-    }
-
     /// The name of the intercepted symbol.
     pub fn symbol(&self) -> &'static str {
         self.symbol.as_str()
@@ -537,41 +703,38 @@ impl CallContext<'_> {
 
     /// The call arguments (possibly already modified by an interceptor).
     pub fn args(&self) -> &[i64] {
-        &self.args
+        self.args.as_slice()
     }
 
     /// The `index`-th argument, or 0 when absent.
     pub fn arg(&self, index: usize) -> i64 {
-        self.args.get(index).copied().unwrap_or(0)
+        self.args().get(index).copied().unwrap_or(0)
     }
 
     /// Overwrites the `index`-th argument (extending with zeros if needed), as
     /// the scenario language's `<modify>` element requires.
     pub fn set_arg(&mut self, index: usize, value: i64) {
-        if self.args.len() <= index {
-            self.args.resize(index + 1, 0);
-        }
-        self.args[index] = value;
+        self.args.set(index, value);
     }
 
     /// Current `errno`.
     pub fn errno(&self) -> i64 {
-        self.process.state.errno()
+        self.machine.state.errno()
     }
 
     /// Sets `errno`.
     pub fn set_errno(&mut self, value: i64) {
-        self.process.state.set_errno(value);
+        self.machine.state.set_errno(value);
     }
 
     /// Shared process state.
     pub fn state(&mut self) -> &mut ProcessState {
-        &mut self.process.state
+        &mut self.machine.state
     }
 
     /// The current call stack, innermost frame last (includes this call).
     pub fn stack(&self) -> &[Symbol] {
-        self.process.state.stack()
+        self.machine.state.stack()
     }
 
     /// Invokes the next definition of the same symbol in the resolution chain
@@ -583,13 +746,14 @@ impl CallContext<'_> {
     /// Returns [`RuntimeError::ChainExhausted`] when there is no further
     /// definition (the interceptor was loaded without the original library).
     pub fn call_next(&mut self) -> Result<i64, RuntimeError> {
-        if self.chain_index + 1 >= self.chain.len() {
+        let chain = self.chain;
+        let Some(next) = chain.get(self.chain_index + 1) else {
             return Err(RuntimeError::ChainExhausted { name: self.symbol.as_str().to_owned() });
-        }
+        };
         self.chain_index += 1;
-        let result = self.invoke_current();
+        let result = next(self);
         self.chain_index -= 1;
-        result
+        Ok(result)
     }
 
     /// Makes a fresh call to another library function (a nested call with its
@@ -599,10 +763,7 @@ impl CallContext<'_> {
     ///
     /// Propagates resolution and recursion errors from the nested call.
     pub fn call(&mut self, symbol: &str, args: &[i64]) -> Result<i64, RuntimeError> {
-        match self.process.lookup_name(symbol) {
-            Some(symbol) => self.process.call_at_depth(symbol, args, self.depth + 1),
-            None => Err(RuntimeError::UnresolvedSymbol { name: symbol.to_owned() }),
-        }
+        self.machine.call_name(self.links, symbol, args, self.depth + 1)
     }
 
     /// Makes a fresh call to another library function by interned symbol.
@@ -611,7 +772,28 @@ impl CallContext<'_> {
     ///
     /// As for [`CallContext::call`].
     pub fn call_sym(&mut self, symbol: Symbol, args: &[i64]) -> Result<i64, RuntimeError> {
-        self.process.call_at_depth(symbol, args, self.depth + 1)
+        self.machine.call(self.links, symbol, args, self.depth + 1)
+    }
+
+    /// Makes a fresh call to another library function with this call's
+    /// (possibly modified) arguments, without copying them — what a wrapper
+    /// such as APR's `apr_file_read` does with `read`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CallContext::call`].
+    pub fn forward(&mut self, symbol: &str) -> Result<i64, RuntimeError> {
+        self.machine.call_name(self.links, symbol, self.args.as_slice(), self.depth + 1)
+    }
+
+    /// Makes a fresh call through a function pointer with this call's
+    /// (possibly modified) arguments, without copying them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CallContext::call_ptr`].
+    pub fn forward_ptr(&mut self, ptr: FnPtr) -> Result<i64, RuntimeError> {
+        self.machine.call_ptr(self.links, ptr, self.args.as_slice(), self.depth + 1)
     }
 
     /// Resolves a symbol to a function pointer (see [`Process::fnptr`]).
@@ -621,7 +803,7 @@ impl CallContext<'_> {
     /// Returns [`RuntimeError::UnresolvedSymbol`] when the symbol is not
     /// defined by any loaded library.
     pub fn fnptr(&mut self, symbol: &str) -> Result<FnPtr, RuntimeError> {
-        self.process.fnptr(symbol)
+        self.machine.fnptr_name(self.links, symbol)
     }
 
     /// Makes a fresh call through a function pointer (see
@@ -632,7 +814,7 @@ impl CallContext<'_> {
     /// Returns [`RuntimeError::InvalidFunctionPointer`] for values not
     /// produced by [`Process::fnptr`], plus any error from the resolved call.
     pub fn call_ptr(&mut self, ptr: FnPtr, args: &[i64]) -> Result<i64, RuntimeError> {
-        self.process.call_ptr_at_depth(ptr, args, self.depth + 1)
+        self.machine.call_ptr(self.links, ptr, args, self.depth + 1)
     }
 }
 
@@ -640,7 +822,7 @@ impl std::fmt::Debug for CallContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CallContext")
             .field("symbol", &self.symbol)
-            .field("args", &self.args)
+            .field("args", &self.args())
             .field("chain_len", &self.chain.len())
             .field("chain_index", &self.chain_index)
             .finish()
@@ -661,8 +843,7 @@ mod tests {
             })
             .function("checked_read", |ctx| {
                 // A libc function calling another libc function.
-                let args = ctx.args().to_vec();
-                let n = ctx.call("read", &args).unwrap_or(-1);
+                let n = ctx.forward("read").unwrap_or(-1);
                 if n < 0 {
                     ctx.set_errno(5);
                 }
@@ -881,8 +1062,7 @@ mod tests {
                     // Resolve and call `read` through a pointer from inside a
                     // library behaviour (depth-tracked nested call).
                     let ptr = ctx.fnptr("read").unwrap();
-                    let args = ctx.args().to_vec();
-                    ctx.call_ptr(ptr, &args).unwrap_or(-1)
+                    ctx.forward_ptr(ptr).unwrap_or(-1)
                 })
                 .build(),
         );
@@ -924,6 +1104,161 @@ mod tests {
         }
         // The template never ran anything.
         assert!(template.state().call_log().is_empty());
+    }
+
+    /// A library whose `echo` returns a digest of every argument it got, in
+    /// order, and `count` their number.
+    fn echo() -> NativeLibrary {
+        NativeLibrary::builder("libecho.so")
+            .function("echo", |ctx| ctx.args().iter().fold(0, |acc, &arg| acc * 31 + arg))
+            .function("count", |ctx| ctx.args().len() as i64)
+            .build()
+    }
+
+    fn digest(args: &[i64]) -> i64 {
+        args.iter().fold(0, |acc, &arg| acc * 31 + arg)
+    }
+
+    #[test]
+    fn more_arguments_than_fit_inline_reach_the_original_intact() {
+        let mut process = Process::new();
+        process.load(echo());
+        process.preload(NativeLibrary::builder("pass.so").function("echo", |ctx| ctx.call_next().unwrap()).build());
+        let args: Vec<i64> = (1..=9).collect();
+        assert_eq!(process.call("echo", &args).unwrap(), digest(&args));
+        assert_eq!(process.call("count", &args).unwrap(), 9);
+        assert_eq!(process.call("count", &[]).unwrap(), 0);
+    }
+
+    #[test]
+    fn set_arg_past_the_inline_arguments_extends_with_zeros() {
+        let mut process = Process::new();
+        process.load(echo());
+        process.preload(
+            NativeLibrary::builder("widen.so")
+                .function("echo", |ctx| {
+                    ctx.set_arg(8, 5);
+                    assert_eq!(ctx.args(), [1, 2, 0, 0, 0, 0, 0, 0, 5]);
+                    assert_eq!(ctx.arg(7), 0);
+                    assert_eq!(ctx.arg(9), 0);
+                    ctx.call_next().unwrap()
+                })
+                .function("count", |ctx| {
+                    ctx.set_arg(3, 7);
+                    ctx.call_next().unwrap()
+                })
+                .build(),
+        );
+        assert_eq!(process.call("echo", &[1, 2]).unwrap(), digest(&[1, 2, 0, 0, 0, 0, 0, 0, 5]));
+        assert_eq!(process.call("count", &[1]).unwrap(), 4);
+    }
+
+    #[test]
+    fn load_and_preload_after_calls_change_resolution() {
+        let mut process = Process::new();
+        process.load(libc());
+        assert!(process.call("echo", &[1]).is_err());
+        assert_eq!(process.call("getpid", &[]).unwrap(), 1234);
+        process.load(echo());
+        assert_eq!(process.call("echo", &[1]).unwrap(), 1);
+        // A later load shadows nothing: the first definition still wins.
+        process.load(NativeLibrary::builder("late.so").constant("getpid", 1).constant("late", 3).build());
+        assert_eq!(process.call("getpid", &[]).unwrap(), 1234);
+        assert_eq!(process.call("late", &[]).unwrap(), 3);
+        process.preload(NativeLibrary::builder("first.so").constant("getpid", 7).build());
+        assert_eq!(process.call("getpid", &[]).unwrap(), 7);
+        // A load after a preload reaches calls of symbols the preload
+        // defines, through its chain.
+        process.preload(
+            NativeLibrary::builder("next.so")
+                .function("fresh", |ctx| ctx.call_next().map_or(-1, |v| v + 1))
+                .build(),
+        );
+        assert_eq!(process.call("fresh", &[]).unwrap(), -1);
+        process.load(NativeLibrary::builder("fresh.so").constant("fresh", 40).build());
+        assert_eq!(process.call("fresh", &[]).unwrap(), 41);
+        assert_eq!(
+            process.loaded_libraries().collect::<Vec<_>>(),
+            ["next.so", "first.so", "libc.so.6", "libecho.so", "late.so", "fresh.so"]
+        );
+    }
+
+    #[test]
+    fn a_clone_that_preloads_leaves_the_original_alone() {
+        let mut original = Process::new();
+        original.load(libc());
+        assert_eq!(original.call("read", &[3, 0, 64]).unwrap(), 64);
+        let mut clone = original.clone();
+        clone.preload(NativeLibrary::builder("fail.so").constant("read", -1).build());
+        assert_eq!(clone.call("read", &[3, 0, 64]).unwrap(), -1);
+        assert_eq!(original.call("read", &[3, 0, 64]).unwrap(), 64);
+        assert_eq!(original.loaded_libraries().collect::<Vec<_>>(), ["libc.so.6"]);
+    }
+
+    #[test]
+    fn restore_after_preload_drops_the_interceptor_and_keeps_the_base() {
+        let mut process = Process::new();
+        process.load(libc());
+        let baseline = process.snapshot();
+        for round in 0..3 {
+            process.preload(NativeLibrary::builder("fail.so").constant("read", -round - 1).build());
+            assert_eq!(process.call("read", &[3, 0, 64]).unwrap(), -round - 1);
+            assert_eq!(process.call("getpid", &[]).unwrap(), 1234);
+            process.restore(&baseline);
+            assert_eq!(process.loaded_libraries().collect::<Vec<_>>(), ["libc.so.6"]);
+            assert_eq!(process.call("read", &[3, 0, 64]).unwrap(), 64);
+            assert_eq!(process.call("checked_read", &[3, 0, 8]).unwrap(), 8);
+        }
+        // A snapshot with an interceptor restores it.
+        process.preload(NativeLibrary::builder("fail.so").constant("read", -9).build());
+        let intercepted = process.snapshot();
+        process.restore(&baseline);
+        process.restore(&intercepted);
+        assert_eq!(process.call("read", &[3, 0, 64]).unwrap(), -9);
+    }
+
+    #[test]
+    fn the_call_depth_limit_admits_exactly_max_depth_nested_calls() {
+        let mut process = Process::new();
+        process.load(
+            NativeLibrary::builder("librec.so")
+                .function("dive", |ctx| {
+                    let depth = ctx.state().global("librec.so", 0) + 1;
+                    ctx.state().set_global("librec.so", 0, depth);
+                    match ctx.call("dive", &[]) {
+                        Ok(value) => value,
+                        Err(RuntimeError::CallDepthExceeded { limit }) => limit as i64,
+                        Err(_) => -1,
+                    }
+                })
+                .build(),
+        );
+        assert_eq!(process.call("dive", &[]).unwrap(), 256);
+        // Depths 0 through 256 ran; the call at depth 257 was refused.
+        assert_eq!(process.state().global("librec.so", 0), 257);
+        assert!(process.state().stack().is_empty());
+    }
+
+    #[test]
+    fn forwarding_passes_the_current_arguments_to_another_symbol() {
+        let mut process = Process::new();
+        process.load(echo());
+        process.load(
+            NativeLibrary::builder("libwrap.so")
+                .function("wrap", |ctx| {
+                    ctx.set_arg(1, 10);
+                    ctx.forward("echo").unwrap()
+                })
+                .function("wrap_missing", |ctx| match ctx.forward("never_defined_by_any_library") {
+                    Err(RuntimeError::UnresolvedSymbol { name }) => name.len() as i64,
+                    _ => -1,
+                })
+                .build(),
+        );
+        process.state_mut().set_call_log_enabled(true);
+        assert_eq!(process.call("wrap", &[1, 2, 3, 4, 5, 6, 7]).unwrap(), digest(&[1, 10, 3, 4, 5, 6, 7]));
+        assert_eq!(process.state().call_log_names(), ["wrap", "echo"]);
+        assert_eq!(process.call("wrap_missing", &[]).unwrap(), "never_defined_by_any_library".len() as i64);
     }
 
     #[test]
