@@ -22,7 +22,7 @@ use lfi_scenario::generator::ScenarioGenerator;
 use lfi_scenario::Plan;
 
 use crate::session::RunConfig;
-use crate::{CampaignRun, ProgressSnapshot, TestLog, Workload};
+use crate::{CampaignRun, TestLog, Workload};
 
 /// One fault-injection test case: a name and the scenario to apply.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,8 +70,10 @@ impl TestOutcome {
     }
 }
 
-/// The report produced by a campaign: one outcome per executed test case,
-/// plus an account of the scheduled cases that never ran.
+/// The report produced by a campaign, folded from its session's event
+/// stream: one outcome per executed test case, plus an account of the
+/// scheduled cases that never ran.  Every scheduled case is one or the
+/// other, so `outcomes.len() + cases_skipped` is the scheduled case count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignReport {
     /// Outcomes, in test-case order.
@@ -79,14 +81,6 @@ pub struct CampaignReport {
     /// Scheduled cases that never executed: the run was cancelled, halted by
     /// `stop_on_first_crash`, or a case failed its workload's health check.
     pub cases_skipped: usize,
-    /// The run's final execution counters.  On a cleanly drained run these
-    /// agree with the outcome list; on a run that ended via cancellation
-    /// (or a dropped consumer) they also count the work of cases whose
-    /// events were never delivered — in particular
-    /// [`ProgressSnapshot::injections`] is the authoritative injection
-    /// total for partial runs, which is what [`CampaignReport::to_text`]
-    /// reports.
-    pub progress: ProgressSnapshot,
 }
 
 impl CampaignReport {
@@ -101,13 +95,9 @@ impl CampaignReport {
         self.outcomes.iter().filter(|o| !o.status.is_crash() && !o.status.is_success())
     }
 
-    /// Total number of injections across the campaign: the sum over the
-    /// delivered outcomes, or the run's progress counter when that is
-    /// larger (a cancelled/abandoned run performs injections whose outcome
-    /// events are never delivered).
+    /// Total number of injections across the campaign's outcomes.
     pub fn total_injections(&self) -> usize {
-        let delivered: usize = self.outcomes.iter().map(TestOutcome::injection_count).sum();
-        delivered.max(self.progress.injections)
+        self.outcomes.iter().map(TestOutcome::injection_count).sum()
     }
 
     /// Renders the campaign report as text (the "test log" of Figure 1).
@@ -551,7 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn start_streams_events_and_reports_progress() {
+    fn start_streams_events_that_fold_into_the_report() {
         let mut run = Campaign::new().cases(standard_cases()).start(toy());
         assert_eq!(run.case_count(), 3);
         let events: Vec<CaseEvent> = run.by_ref().collect();
@@ -562,14 +552,11 @@ mod tests {
         assert!(matches!(&events[3], CaseEvent::Injection { index: 1, .. }));
         assert!(events.iter().all(|e| !matches!(e, CaseEvent::Skipped { .. })));
         assert_eq!(events[2].index(), 1);
-        let progress = run.progress();
-        assert_eq!(progress.finished, 3);
-        assert_eq!(progress.crashes, 1);
-        assert_eq!(progress.injections, 2);
-        assert_eq!(progress.skipped, 0);
+        assert_eq!(events.iter().filter(|e| matches!(e, CaseEvent::Injection { .. })).count(), 2);
         assert!(format!("{run:?}").contains("cases: 3"));
         let report = run.into_report();
         assert_eq!(report.outcomes.len(), 3);
+        assert_eq!((report.crashes().count(), report.total_injections(), report.cases_skipped), (1, 2, 0));
         assert_eq!(report, Campaign::new().cases(standard_cases()).run_workload(toy()));
     }
 

@@ -40,9 +40,6 @@ pub struct Injector {
 }
 
 struct InjectorShared {
-    /// The authored plan, kept for [`Injector::intercepted_functions`] and
-    /// report rendering; the hot path runs on the compiled slots below.
-    plan: Plan,
     seed: u64,
     /// One slot per intercepted function, in first-appearance order; stubs
     /// index this directly (the slot index is baked into each stub at
@@ -127,12 +124,15 @@ impl Injector {
                 rng: Mutex::new(StdRng::seed_from_u64(slot_seed(seed, index))),
             })
             .collect();
-        Self { shared: Arc::new(InjectorShared { plan, seed, slots, log: Mutex::new(Vec::new()) }) }
+        Self { shared: Arc::new(InjectorShared { seed, slots, log: Mutex::new(Vec::new()) }) }
     }
 
-    /// The functions this injector will intercept.
+    /// The functions this injector will intercept, sorted by name.
     pub fn intercepted_functions(&self) -> Vec<String> {
-        self.shared.plan.intercepted_functions().into_iter().map(str::to_owned).collect()
+        let mut names: Vec<String> =
+            self.shared.slots.iter().map(|slot| slot.function.symbol.as_str().to_owned()).collect();
+        names.sort_unstable();
+        names
     }
 
     /// Synthesizes the interceptor library: one stub per function named in the
@@ -178,11 +178,6 @@ impl Injector {
         calls_per_function.sort_unstable_by_key(|(symbol, _)| symbol.as_str());
         let intercepted_calls = calls_per_function.iter().map(|(_, count)| count).sum();
         TestLog { injections, intercepted_calls, calls_per_function }
-    }
-
-    /// The replay script distilled from the log so far (§5.2).
-    pub fn replay_plan(&self) -> Plan {
-        self.log().replay_plan()
     }
 
     /// Resets call counters, RNG streams and the log, keeping the plan (used
@@ -316,7 +311,7 @@ impl std::fmt::Debug for Injector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Injector")
             .field("functions", &self.shared.slots.len())
-            .field("entries", &self.shared.plan.len())
+            .field("entries", &self.shared.slots.iter().map(|slot| slot.function.entries.len()).sum::<usize>())
             .field("seed", &self.shared.seed)
             .finish()
     }
@@ -587,7 +582,7 @@ mod tests {
         });
         let (mut process, injector) = process_with(plan);
         let original: Vec<i64> = (0..40).map(|_| process.call("read", &[3, 0, 32]).unwrap()).collect();
-        let replay = injector.replay_plan();
+        let replay = injector.log().replay_plan();
 
         let (mut process2, injector2) = process_with(replay);
         let replayed: Vec<i64> = (0..40).map(|_| process2.call("read", &[3, 0, 32]).unwrap()).collect();
@@ -621,6 +616,21 @@ mod tests {
         assert_eq!(process.call("read", &[3, 0, 8]).unwrap(), 8);
         assert_eq!(libc_injector.log().injection_count(), 1);
         assert_eq!(apr_injector.log().injection_count(), 1);
+    }
+
+    #[test]
+    fn intercepted_functions_and_debug_read_the_compiled_slots() {
+        let entry = |function: &str| PlanEntry {
+            function: function.into(),
+            trigger: Trigger::on_call(1),
+            action: FaultAction::return_value(-1),
+        };
+        let plan = Plan::new().with_seed(5).entry(entry("write")).entry(entry("read")).entry(entry("write"));
+        let injector = Injector::new(plan.clone());
+        assert_eq!(injector.intercepted_functions(), plan.intercepted_functions());
+        assert_eq!(injector.intercepted_functions(), vec!["read", "write"]);
+        let debug = format!("{injector:?}");
+        assert!(debug.contains("functions: 2") && debug.contains("entries: 3") && debug.contains("seed: 5"), "{debug}");
     }
 
     #[test]

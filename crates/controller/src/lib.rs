@@ -18,10 +18,10 @@
 //!   from a [`lfi_scenario::generator::ScenarioGenerator`]), an optional
 //!   stop at the first crash, and parallel test-case execution over
 //!   independent processes.  [`Campaign::start`] returns a streaming [`CampaignRun`]
-//!   session of [`CaseEvent`]s with a [`CancelHandle`] and live
-//!   [`ProgressSnapshot`] counters.  That stream is the one way to observe a
-//!   campaign: closed-loop controllers consume it and cancel through the
-//!   handle.  The blocking `run*` entry points are thin wrappers over it.
+//!   session of [`CaseEvent`]s with a [`CancelHandle`].  That stream is the
+//!   one way to observe a campaign: closed-loop controllers consume it and
+//!   cancel through the handle, and the [`CampaignReport`] is folded from
+//!   it.  The blocking `run*` entry points are thin wrappers over it.
 //! * [`stubsrc`] — the generated C stub text, for parity with the paper's
 //!   Figure 3 pipeline.
 #![forbid(unsafe_code)]
@@ -37,7 +37,7 @@ mod workload;
 pub use campaign::{Campaign, CampaignReport, TestCase, TestOutcome};
 pub use injector::{Injector, INTERCEPTOR_LIBRARY_NAME};
 pub use log::{InjectionRecord, TestLog};
-pub use session::{CampaignRun, CancelHandle, CaseEvent, ProgressSnapshot, SkipReason};
+pub use session::{CampaignRun, CancelHandle, CaseEvent, SkipReason};
 pub use workload::{FnWorkload, Workload, WorkloadRegistry};
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! [`Campaign::start`]: crate::Campaign::start
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -88,12 +88,6 @@ const REASON_NONE: u8 = 0;
 const REASON_CANCELLED: u8 = 1;
 const REASON_CRASH: u8 = 2;
 
-// Per-case scheduling states.
-const STATE_PENDING: u8 = 0;
-const STATE_RUNNING: u8 = 1;
-const STATE_DONE: u8 = 2;
-const STATE_SKIPPED: u8 = 3;
-
 /// A clonable handle that cancels a [`CampaignRun`]: no further case is
 /// claimed, cases already in flight finish and are reported, and every
 /// never-executed case surfaces as a `Skipped` event (and in
@@ -124,7 +118,7 @@ impl CancelHandle {
     /// True once the run is stopping (for any reason, not only
     /// cancellation).
     pub fn is_stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::Acquire)
+        self.shared.is_stopping()
     }
 }
 
@@ -134,40 +128,15 @@ impl std::fmt::Debug for CancelHandle {
     }
 }
 
-/// The five execution counters of a run as one plain value — what a status
-/// RPC or a progress line wants.  [`CampaignRun::progress`] reads them from
-/// shared atomics, safe to poll from any thread while the run streams (the
-/// denominator is [`CampaignRun::case_count`]); aggregators (like the
-/// `lfi-fabric` job service) fold per-lease runs into one of these.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProgressSnapshot {
-    /// Cases a worker has claimed so far.
-    pub started: usize,
-    /// Cases that ran to an outcome.
-    pub finished: usize,
-    /// Cases skipped (health-check vetoes plus never-claimed cases counted
-    /// once the stream drains).
-    pub skipped: usize,
-    /// Finished cases whose workload crashed.
-    pub crashes: usize,
-    /// Injections performed across all finished cases.
-    pub injections: usize,
-}
-
 /// State shared between the session handle, its workers and cancel handles.
+/// Cases are claimed in index order, so the cases no worker ever claimed are
+/// exactly `min(next, cases.len())..cases.len()`.
 struct RunShared {
     cases: Vec<TestCase>,
     stop_on_first_crash: bool,
     capture_calls: bool,
     next: AtomicUsize,
-    stop: AtomicBool,
     stop_reason: AtomicU8,
-    states: Vec<AtomicU8>,
-    started: AtomicUsize,
-    finished: AtomicUsize,
-    skipped: AtomicUsize,
-    crashes: AtomicUsize,
-    injections: AtomicUsize,
 }
 
 impl RunShared {
@@ -177,7 +146,10 @@ impl RunShared {
         let _ = self
             .stop_reason
             .compare_exchange(REASON_NONE, reason, Ordering::AcqRel, Ordering::Acquire);
-        self.stop.store(true, Ordering::Release);
+    }
+
+    fn is_stopping(&self) -> bool {
+        self.stop_reason.load(Ordering::Acquire) != REASON_NONE
     }
 
     fn skip_reason(&self) -> SkipReason {
@@ -190,16 +162,11 @@ impl RunShared {
     /// Claims the next case for execution, or `None` once the run is
     /// stopping or every case has been claimed.
     fn claim(&self) -> Option<usize> {
-        if self.stop.load(Ordering::Acquire) {
+        if self.is_stopping() {
             return None;
         }
         let index = self.next.fetch_add(1, Ordering::Relaxed);
-        if index >= self.cases.len() {
-            return None;
-        }
-        self.states[index].store(STATE_RUNNING, Ordering::Release);
-        self.started.fetch_add(1, Ordering::AcqRel);
-        Some(index)
+        (index < self.cases.len()).then_some(index)
     }
 
     fn started_event(&self, index: usize) -> CaseEvent {
@@ -217,9 +184,10 @@ pub(crate) struct RunConfig {
 }
 
 /// A running campaign session: iterate it for incremental [`CaseEvent`]s,
-/// poll [`CampaignRun::progress`], cancel through a
-/// [`CampaignRun::cancel_handle`], and collapse the remainder into a
-/// [`CampaignReport`] with [`CampaignRun::into_report`].
+/// cancel through a [`CampaignRun::cancel_handle`], and collapse the
+/// remainder into a [`CampaignReport`] with [`CampaignRun::into_report`].
+/// The event stream is the session's only record: the report is folded
+/// from it.
 ///
 /// # Event ordering contract
 ///
@@ -277,15 +245,12 @@ pub(crate) struct RunConfig {
 /// once, and a stopped run yields no further `Started` events — so a
 /// controller keyed on the event sequence can never double-apply a
 /// decision.  Cancellation composes with the ordering contract above: the
-/// final report still accounts for every scheduled case, and
-/// [`CampaignReport::progress`] carries the authoritative execution
-/// counters even when the consumer stopped reading before the stream
-/// drained.
+/// final report still accounts for every scheduled case, even when the
+/// consumer stopped reading before the stream drained.
 pub struct CampaignRun {
     shared: Arc<RunShared>,
     driver: Driver,
     slots: Vec<Option<TestOutcome>>,
-    skipped: usize,
     pending: VecDeque<CaseEvent>,
 }
 
@@ -312,18 +277,11 @@ impl CampaignRun {
     pub(crate) fn launch(config: RunConfig, workload: Arc<dyn Workload>) -> CampaignRun {
         let case_count = config.cases.len();
         let shared = Arc::new(RunShared {
-            states: (0..case_count).map(|_| AtomicU8::new(STATE_PENDING)).collect(),
             cases: config.cases,
             stop_on_first_crash: config.stop_on_first_crash,
             capture_calls: config.capture_calls,
             next: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
             stop_reason: AtomicU8::new(REASON_NONE),
-            started: AtomicUsize::new(0),
-            finished: AtomicUsize::new(0),
-            skipped: AtomicUsize::new(0),
-            crashes: AtomicUsize::new(0),
-            injections: AtomicUsize::new(0),
         });
         let driver = if config.workers <= 1 {
             Driver::Inline { workload, claimed: None }
@@ -348,29 +306,12 @@ impl CampaignRun {
                 .collect();
             Driver::Pooled { receiver, workers }
         };
-        CampaignRun {
-            shared,
-            driver,
-            slots: (0..case_count).map(|_| None).collect(),
-            skipped: 0,
-            pending: VecDeque::new(),
-        }
+        CampaignRun { shared, driver, slots: (0..case_count).map(|_| None).collect(), pending: VecDeque::new() }
     }
 
     /// A handle that cancels the run from anywhere (clonable, sendable).
     pub fn cancel_handle(&self) -> CancelHandle {
         CancelHandle { shared: Arc::clone(&self.shared) }
-    }
-
-    /// Live progress counters (readable while the run streams).
-    pub fn progress(&self) -> ProgressSnapshot {
-        ProgressSnapshot {
-            started: self.shared.started.load(Ordering::Acquire),
-            finished: self.shared.finished.load(Ordering::Acquire),
-            skipped: self.shared.skipped.load(Ordering::Acquire),
-            crashes: self.shared.crashes.load(Ordering::Acquire),
-            injections: self.shared.injections.load(Ordering::Acquire),
-        }
     }
 
     /// Number of scheduled cases.
@@ -380,8 +321,10 @@ impl CampaignRun {
 
     /// Drains every remaining event and collapses the session into the
     /// blocking report: outcomes in case order plus the skipped-case count.
-    /// Undelivered events are absorbed by value — the blocking wrappers
-    /// never pay the retain-and-yield clone the iterator path needs.
+    /// Every scheduled case ends as an outcome or a skip, so the skips are
+    /// the slots left empty.  Undelivered events are absorbed by value — the
+    /// blocking wrappers never pay the retain-and-yield clone the iterator
+    /// path needs.
     ///
     /// # Panics
     ///
@@ -397,30 +340,23 @@ impl CampaignRun {
             }
             self.step();
         }
-        let progress = self.progress();
-        CampaignReport {
-            outcomes: std::mem::take(&mut self.slots).into_iter().flatten().collect(),
-            cases_skipped: self.skipped,
-            progress,
-        }
+        let slots = std::mem::take(&mut self.slots);
+        let cases_skipped = slots.iter().filter(|slot| slot.is_none()).count();
+        CampaignReport { outcomes: slots.into_iter().flatten().collect(), cases_skipped }
     }
 
     /// Folds a delivered event into the session-side report state (the
     /// iterator path, which must also yield the event to the consumer).
     fn absorb(&mut self, event: &CaseEvent) {
-        match event {
-            CaseEvent::Outcome { index, outcome } => self.slots[*index] = Some(outcome.clone()),
-            CaseEvent::Skipped { .. } => self.skipped += 1,
-            _ => {}
+        if let CaseEvent::Outcome { index, outcome } = event {
+            self.slots[*index] = Some(outcome.clone());
         }
     }
 
     /// [`CampaignRun::absorb`] by value: outcomes move into their slots.
     fn absorb_owned(&mut self, event: CaseEvent) {
-        match event {
-            CaseEvent::Outcome { index, outcome } => self.slots[index] = Some(outcome),
-            CaseEvent::Skipped { .. } => self.skipped += 1,
-            _ => {}
+        if let CaseEvent::Outcome { index, outcome } = event {
+            self.slots[index] = Some(outcome);
         }
     }
 
@@ -465,15 +401,14 @@ impl CampaignRun {
             }
         }
         let reason = self.shared.skip_reason();
-        for (index, state) in self.shared.states.iter().enumerate() {
-            if state.load(Ordering::Acquire) == STATE_PENDING {
-                self.shared.skipped.fetch_add(1, Ordering::AcqRel);
-                self.pending.push_back(CaseEvent::Skipped {
-                    index,
-                    name: self.shared.cases[index].name.clone(),
-                    reason,
-                });
-            }
+        let cases = &self.shared.cases;
+        // Nothing claims any more: the workers were joined above (a join
+        // orders their claims before this load), and a serial run claims on
+        // this thread.  A stopped claim never bumps `next`, so every case
+        // below it ran or was vetoed.
+        let unclaimed = self.shared.next.load(Ordering::Acquire).min(cases.len());
+        for (index, case) in cases.iter().enumerate().skip(unclaimed) {
+            self.pending.push_back(CaseEvent::Skipped { index, name: case.name.clone(), reason });
         }
     }
 }
@@ -516,10 +451,7 @@ impl Drop for CampaignRun {
 
 impl std::fmt::Debug for CampaignRun {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CampaignRun")
-            .field("cases", &self.shared.cases.len())
-            .field("progress", &self.progress())
-            .finish()
+        f.debug_struct("CampaignRun").field("cases", &self.shared.cases.len()).finish()
     }
 }
 
@@ -566,8 +498,6 @@ fn run_case(
         process.set_call_log_enabled(true);
     }
     if !workload.health_check(&mut process) {
-        shared.states[index].store(STATE_SKIPPED, Ordering::Release);
-        shared.skipped.fetch_add(1, Ordering::AcqRel);
         return emit(vec![CaseEvent::Skipped { index, name: case.name.clone(), reason: SkipReason::Unhealthy }]);
     }
     let status = workload.run(&mut process);
@@ -579,19 +509,11 @@ fn run_case(
     // pollute the case's record.
     workload.teardown(&mut process);
     let replay = log.replay_plan();
-    let injections = log.injection_count();
     let outcome = TestOutcome { name: case.name.clone(), status, log, replay, calls, calls_dropped };
-    let crashed = outcome.status.is_crash();
-    shared.injections.fetch_add(injections, Ordering::AcqRel);
-    if crashed {
-        shared.crashes.fetch_add(1, Ordering::AcqRel);
-    }
-    shared.states[index].store(STATE_DONE, Ordering::Release);
-    shared.finished.fetch_add(1, Ordering::AcqRel);
     // The stop decision happens before the events ship, so in a serial
     // session no further case can slip in ahead of the halt (deterministic
     // streams).
-    if shared.stop_on_first_crash && crashed {
+    if shared.stop_on_first_crash && outcome.status.is_crash() {
         shared.halt(REASON_CRASH);
     }
     let mut burst: Vec<CaseEvent> = Vec::with_capacity(outcome.log.injections.len() + 1);
@@ -628,9 +550,10 @@ mod tests {
     fn an_inline_step_either_claims_or_runs_the_claimed_case() {
         let mut run = start(2, 1);
         assert!(matches!(run.next(), Some(CaseEvent::Started { index: 0, .. })));
-        assert_eq!((run.progress().started, run.progress().finished), (1, 0), "claimed, not yet run");
+        let claimed = |run: &CampaignRun| run.shared.next.load(Ordering::Relaxed);
+        assert_eq!((claimed(&run), run.slots[0].is_some()), (1, false), "claimed, not yet run");
         assert!(matches!(run.next(), Some(CaseEvent::Outcome { index: 0, .. })));
-        assert_eq!(run.progress().finished, 1);
+        assert_eq!((claimed(&run), run.slots[0].is_some()), (1, true));
         let report = run.into_report();
         assert_eq!(report.outcomes.len(), 2);
         assert!(report.outcomes.iter().all(|o| o.status.is_success()));

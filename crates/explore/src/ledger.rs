@@ -40,12 +40,19 @@ impl OutcomeClass {
     }
 
     /// Parses the [`fmt::Display`] form back (used by the XML store).
+    /// `exit:0` is no class: [`OutcomeClass::of`] files exit 0 as
+    /// [`OutcomeClass::Success`], so no run produces `Failure(0)`.
     pub fn parse(text: &str) -> Option<Self> {
         match text {
             "success" => Some(OutcomeClass::Success),
             "crash:SIGABRT" => Some(OutcomeClass::Crash(Signal::Abort)),
             "crash:SIGSEGV" => Some(OutcomeClass::Crash(Signal::Segv)),
-            _ => text.strip_prefix("exit:")?.parse().ok().map(OutcomeClass::Failure),
+            _ => text
+                .strip_prefix("exit:")?
+                .parse()
+                .ok()
+                .filter(|&code| code != 0)
+                .map(OutcomeClass::Failure),
         }
     }
 }
@@ -420,6 +427,9 @@ mod tests {
             assert_eq!(OutcomeClass::parse(&class.to_string()), Some(class));
         }
         assert_eq!(OutcomeClass::parse("melted"), None);
+        for never_produced in ["exit:0", "exit:-0", "exit:+0"] {
+            assert_eq!(OutcomeClass::parse(never_produced), None, "{never_produced}");
+        }
         assert_eq!(OutcomeClass::of(ExitStatus::Exited(0)), OutcomeClass::Success);
         assert_eq!(OutcomeClass::of(ExitStatus::Exited(7)), OutcomeClass::Failure(7));
         assert!(OutcomeClass::of(ExitStatus::Crashed(Signal::Segv)).is_crash());

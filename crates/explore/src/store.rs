@@ -417,5 +417,8 @@ mod tests {
         // An unknown outcome class.
         let bad = sample_store().to_xml().replace("crash:SIGSEGV", "melted");
         assert!(ExplorationStore::from_xml(&bad).is_err());
+        // A failure class no run produces: exit 0 is success.
+        let bad = sample_store().to_xml().replace("crash:SIGSEGV", "exit:0");
+        assert!(ExplorationStore::from_xml(&bad).is_err());
     }
 }

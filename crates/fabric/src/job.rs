@@ -4,7 +4,6 @@
 
 use std::fmt;
 
-use lfi_controller::ProgressSnapshot;
 use lfi_explore::{CrashCluster, OutcomeClass};
 use lfi_intern::Symbol;
 use lfi_scenario::Plan;
@@ -235,6 +234,25 @@ pub enum JobEventKind {
         /// How many cells went back.
         cells: usize,
     },
+}
+
+/// A job's five execution counters as one plain value — what a status RPC
+/// or a progress line wants.  The fabric builds it from the job's
+/// [`FaultLedger`](lfi_explore::FaultLedger) and lease bookkeeping when a
+/// [`JobSnapshot`] is taken; a campaign session keeps no such counters (its
+/// event stream is its record).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProgressSnapshot {
+    /// Cells handed to workers (re-issued leases count again).
+    pub started: usize,
+    /// Cells executed to an outcome (the ledger's executed cells).
+    pub finished: usize,
+    /// Cells retired without an outcome (the exploration's unreached cells).
+    pub skipped: usize,
+    /// Executed cells whose workload crashed.
+    pub crashes: usize,
+    /// Injections performed across the executed cells.
+    pub injections: usize,
 }
 
 /// A point-in-time view of one job, cheap to take while the fleet runs.

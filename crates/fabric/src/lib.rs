@@ -88,7 +88,9 @@ mod server;
 mod wire;
 
 pub use fabric::{Fabric, FabricBuilder, FabricError, FabricHandle, DEFAULT_LEASE_BATCH};
-pub use job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
+pub use job::{
+    JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState, ProgressSnapshot,
+};
 pub use server::{FabricClient, ServerGuard, MAX_CONNECTIONS, MAX_LINE_BYTES};
 pub use wire::{escape, unescape, Request, Response, WireError};
 

@@ -43,11 +43,13 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lfi_controller::{CancelHandle, ProgressSnapshot, Workload};
+use lfi_controller::{CancelHandle, Workload};
 use lfi_explore::{CellResult, ExplorationDelta, ExplorationState, ExplorationStore, FrontierCell};
 use lfi_scenario::{FaultCell, FaultSpace};
 
-use crate::job::{JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState};
+use crate::job::{
+    JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState, ProgressSnapshot,
+};
 
 /// How many events a job's ring buffer retains before the oldest fall off.
 const EVENT_BUFFER_CAP: usize = 4096;

@@ -558,7 +558,7 @@ impl Response {
                         cases: count("cases")?,
                         pending: count("pending")?,
                         outstanding: count("outstanding")?,
-                        progress: lfi_controller::ProgressSnapshot {
+                        progress: crate::ProgressSnapshot {
                             started: count("started")?,
                             finished: count("finished")?,
                             skipped: count("skipped")?,
@@ -599,7 +599,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lfi_controller::ProgressSnapshot;
+    use crate::ProgressSnapshot;
     use lfi_runtime::Signal;
     use lfi_scenario::{FaultAction, PlanEntry, Trigger};
 
@@ -746,5 +746,6 @@ mod tests {
         assert!(Response::parse("events job=1 next=0 list=0").is_err(), "event without kind");
         assert!(Response::parse("events job=1 next=0 list=0,warp").is_err());
         assert!(Response::parse("events job=1 next=0 list=0,finished,a,melted,1").is_err());
+        assert!(Response::parse("events job=1 next=0 list=0,finished,a,exit%3A0,1").is_err(), "no run exits 0 failing");
     }
 }

@@ -715,6 +715,19 @@ mod tests {
     }
 
     #[test]
+    fn outcome_classes_no_run_produces_are_corrupt() {
+        for (text, valid) in [("exit:3", true), ("crash:SIGSEGV", true), ("exit:0", false), ("melted", false)] {
+            let mut out = BytesMut::with_capacity(16);
+            put_string(&mut out, text);
+            let payload: Vec<u8> = out.into();
+            match get_outcome(&mut Reader::new(&payload)) {
+                Ok(outcome) => assert!(valid && outcome.to_string() == text, "{text} decoded to {outcome}"),
+                Err(error) => assert!(!valid && error.to_string().contains("unknown outcome class"), "{text}: {error}"),
+            }
+        }
+    }
+
+    #[test]
     fn a_duplicated_key_resolves_to_the_later_entry() {
         let first = entry("liba.so", None, 0xA, 1);
         let mut last = entry("liba.so", None, 0xA, 2);

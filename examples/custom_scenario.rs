@@ -86,5 +86,5 @@ fn main() {
     println!("read returned {full} then {short} (argument modified in flight)");
 
     println!("\n== injection log ==\n{}", injector.log().to_text());
-    println!("== replay script ==\n{}", injector.replay_plan().to_xml());
+    println!("== replay script ==\n{}", injector.log().replay_plan().to_xml());
 }

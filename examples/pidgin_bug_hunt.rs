@@ -58,11 +58,11 @@ fn main() {
             }
         }
     }
-    let progress = run.progress();
     let report = run.into_report();
     println!(
         "hunted with {} login attempts ({} scheduled cases skipped after cancelling)",
-        progress.finished, report.cases_skipped
+        report.outcomes.len(),
+        report.cases_skipped
     );
     let Some(crash) = first_crash else {
         println!("no crash in 100 attempts (unexpected — the bug should be found quickly)");

@@ -108,21 +108,19 @@ fn main() {
             CaseEvent::Skipped { index, name, reason } => println!("  case {index} skipped ({reason:?}): {name}"),
         }
     }
-    let progress = run.progress();
-    println!("progress: {}/{} finished, {} injections", progress.finished, run.case_count(), progress.injections);
-
+    let case_count = run.case_count();
     let report = run.into_report();
+    println!("progress: {}/{case_count} finished, {} injections", report.outcomes.len(), report.total_injections());
     println!("== campaign report ==\n{}", report.to_text());
     let first_failure = report.failures().next().cloned();
     if let Some(outcome) = first_failure {
         println!("== replay script for {} ==\n{}", outcome.name, outcome.replay.to_xml());
     }
 
-    // --- Step 6: cancellation keeps the counters honest ---------------------
-    // A run cancelled mid-flight may have delivered few (or no) outcome
-    // events, but the report's progress snapshot still carries the
-    // authoritative injection count — `to_text` and `total_injections`
-    // surface it even when the outcome list is short.
+    // --- Step 6: a cancelled run still accounts for every case --------------
+    // Cancelling stops claiming cases; the case in flight finishes, and
+    // `into_report` folds its outcome from the events the consumer never
+    // read.  Every case that was never claimed counts as skipped.
     let runtime = NativeLibrary::builder("libdemo.so")
         .function("demo_read", |ctx| ctx.arg(2))
         .constant("demo_alloc", 0x4000)
@@ -142,7 +140,7 @@ fn main() {
                     _ => ExitStatus::Exited(1),
                 },
             ));
-    let cancel = run.cancel_handle();
+    let (cancel, case_count) = (run.cancel_handle(), run.case_count());
     for event in run.by_ref() {
         if matches!(event, CaseEvent::Injection { .. }) {
             cancel.cancel();
@@ -151,10 +149,12 @@ fn main() {
     }
     let cancelled = run.into_report();
     println!(
-        "== cancelled run ==\n{} outcome(s) delivered, yet the report counts {} injection(s):",
+        "== cancelled run ==\n{} outcome(s) and {} skipped case(s) of {case_count}, {} injection(s):",
         cancelled.outcomes.len(),
+        cancelled.cases_skipped,
         cancelled.total_injections()
     );
     println!("{}", cancelled.to_text());
-    assert!(cancelled.total_injections() >= 1, "the progress snapshot survives cancellation");
+    assert!(cancelled.total_injections() >= 1, "the in-flight case's outcome survives cancellation");
+    assert_eq!(cancelled.outcomes.len() + cancelled.cases_skipped, case_count);
 }

@@ -130,20 +130,32 @@ fn cancellation_mid_run_leaves_a_consistent_report_at_any_parallelism() {
             workload,
         ));
         let cancel = run.cancel_handle();
-        // Consume events until a handful of outcomes arrived, then cancel.
-        let mut outcomes_seen = 0;
+        // Cancel once a handful of outcomes arrived, and read the stream to
+        // its end.
+        let (mut outcome_indices, mut skipped_indices) = (Vec::new(), Vec::new());
         for event in run.by_ref() {
-            if matches!(event, CaseEvent::Outcome { .. }) {
-                outcomes_seen += 1;
-                if outcomes_seen == 3 {
-                    cancel.cancel();
-                    break;
+            match event {
+                CaseEvent::Outcome { index, .. } => {
+                    outcome_indices.push(index);
+                    if outcome_indices.len() == 3 {
+                        cancel.cancel();
+                    }
                 }
+                CaseEvent::Skipped { index, .. } => skipped_indices.push(index),
+                _ => {}
             }
         }
+        // The stream ends every scheduled case exactly once, as an outcome
+        // or as a skip: the claim counter's never-claimed tail and the
+        // claimed cases partition 0..total.
+        let mut ended: Vec<usize> = outcome_indices.iter().chain(&skipped_indices).copied().collect();
+        ended.sort_unstable();
+        assert_eq!(ended, (0..total).collect::<Vec<_>>(), "parallelism({workers})");
         let report = run.into_report();
-        // Consistency: every scheduled case is either an outcome or skipped,
-        // outcomes stay in case order, and nothing is double-counted.
+        // Consistency: the report is the stream's fold, outcomes stay in
+        // case order, and nothing is double-counted.
+        assert_eq!(report.outcomes.len(), outcome_indices.len(), "parallelism({workers})");
+        assert_eq!(report.cases_skipped, skipped_indices.len(), "parallelism({workers})");
         assert_eq!(report.outcomes.len() + report.cases_skipped, total, "parallelism({workers})");
         assert!(report.outcomes.len() >= 3, "parallelism({workers}) reported the in-flight outcomes");
         assert!(report.cases_skipped > 0, "parallelism({workers}) skipped the tail");
@@ -317,19 +329,21 @@ fn registry_workloads_drive_streaming_sessions() {
 }
 
 #[test]
-fn progress_counters_track_the_stream() {
+fn the_report_counts_what_the_stream_delivered() {
     let mut run = Campaign::new()
         .cases(mixed_cases(12))
         .start(FnWorkload::new("mixed-reader", setup, workload));
     assert_eq!(run.case_count(), 12);
-    for _ in run.by_ref() {}
-    let progress = run.progress();
-    assert_eq!(progress.started, 12);
-    assert_eq!(progress.finished, 12);
-    assert_eq!(progress.skipped, 0);
-    assert_eq!(progress.crashes, 3, "cases 3, 7 and 11 crash");
+    let events: Vec<CaseEvent> = run.by_ref().collect();
+    let count = |matches: fn(&CaseEvent) -> bool| events.iter().filter(|e| matches(e)).count();
+    assert_eq!(count(|e| matches!(e, CaseEvent::Started { .. })), 12);
+    assert_eq!(count(|e| matches!(e, CaseEvent::Skipped { .. })), 0);
+    let crashes = count(|e| matches!(e, CaseEvent::Outcome { outcome, .. } if outcome.status.is_crash()));
+    assert_eq!(crashes, 3, "cases 3, 7 and 11 crash");
     let report = run.into_report();
-    assert_eq!(progress.injections, report.total_injections());
+    assert_eq!((report.outcomes.len(), report.cases_skipped), (count(|e| matches!(e, CaseEvent::Outcome { .. })), 0));
+    assert_eq!(report.crashes().count(), crashes);
+    assert_eq!(report.total_injections(), count(|e| matches!(e, CaseEvent::Injection { .. })));
 }
 
 #[test]

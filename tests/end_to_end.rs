@@ -83,7 +83,7 @@ fn profile_scenario_inject_log_replay_pipeline() {
     assert!(log.injection_count() >= injected_failures);
 
     // The replay script reproduces exactly the same observable behaviour.
-    let replay = injector.replay_plan();
+    let replay = injector.log().replay_plan();
     let replay_injector = Injector::new(replay);
     let mut process2 = Process::new();
     process2.load(demo_runtime());

@@ -208,7 +208,7 @@ fn exhaustive_scenario_injects_through_function_pointers() {
     assert!(injector.log().injection_count() >= 2);
 
     // The replay script reproduces the same injections for pointer calls.
-    let replay = injector.replay_plan();
+    let replay = injector.log().replay_plan();
     assert!(!replay.is_empty());
     let replay_xml = replay.to_xml();
     assert_eq!(Plan::from_xml(&replay_xml).unwrap(), replay);

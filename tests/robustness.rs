@@ -116,7 +116,7 @@ fn empty_and_degenerate_plans_are_harmless() {
     let library = injector.synthesize_interceptor();
     assert_eq!(library.symbol_count(), 0);
     assert!(injector.log().injections.is_empty());
-    assert!(injector.replay_plan().is_empty());
+    assert!(injector.log().replay_plan().is_empty());
 
     // Trigger-load generation with no functions or no triggers is empty.
     assert!(TriggerLoad::new(Vec::<String>::new(), 100, 1).generate(&[]).is_empty());
