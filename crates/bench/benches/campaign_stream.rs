@@ -7,8 +7,11 @@
 //!   collects the event stream into a report;
 //! * `streaming_report` — `Campaign::start(...).into_report()`, the same
 //!   path spelled out;
-//! * `streaming_drain` — `Campaign::start` with the events consumed one by
-//!   one on the session side (what a progress UI or the explorer does).
+//! * `streaming_drain` — `Campaign::start` with the events taken one by
+//!   one from the iterator (what a progress UI that keeps events does);
+//! * `callback_drain` — `Campaign::start` consumed with
+//!   `CampaignRun::drain`, each event lent to a counting callback (what the
+//!   explorer and the fabric do).
 //!
 //! The acceptance bar for the session redesign is that the streaming paths
 //! stay within a few percent of the blocking baseline: the per-case cost
@@ -62,26 +65,22 @@ fn cases() -> Vec<TestCase> {
         .collect()
 }
 
+/// One case of the hand-rolled serial loop: preload the case's
+/// interceptor, run the workload, take the log and its replay plan.
+fn run_inline(process: &mut Process, case: TestCase) {
+    let injector = Injector::new(case.plan);
+    process.preload(injector.synthesize_interceptor());
+    let status = workload(process);
+    let log = injector.log();
+    black_box((log.replay_plan(), log, status));
+}
+
 fn bench_campaign_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign_stream");
     group.sample_size(10);
 
     group.bench_function("inline_loop", |b| {
-        b.iter(|| {
-            let mut outcomes = 0usize;
-            for case in cases() {
-                let mut process = setup();
-                let injector = Injector::new(case.plan.clone());
-                process.preload(injector.synthesize_interceptor());
-                let status = workload(&mut process);
-                let log = injector.log();
-                black_box(log.replay_plan());
-                black_box(log);
-                black_box(status);
-                outcomes += 1;
-            }
-            black_box(outcomes)
-        })
+        b.iter(|| black_box(cases().into_iter().map(|case| run_inline(&mut setup(), case)).count()))
     });
 
     group.bench_function("inline_loop_arena", |b| {
@@ -90,21 +89,7 @@ fn bench_campaign_stream(c: &mut Criterion) {
         // cases — the per-case floor.
         let arena = ProcessArena::new(setup);
         arena.prewarm(1);
-        b.iter(|| {
-            let mut outcomes = 0usize;
-            for case in cases() {
-                let mut process = arena.checkout();
-                let injector = Injector::new(case.plan.clone());
-                process.preload(injector.synthesize_interceptor());
-                let status = workload(&mut process);
-                let log = injector.log();
-                black_box(log.replay_plan());
-                black_box(log);
-                black_box(status);
-                outcomes += 1;
-            }
-            black_box(outcomes)
-        })
+        b.iter(|| black_box(cases().into_iter().map(|case| run_inline(&mut arena.checkout(), case)).count()))
     });
 
     group.bench_function("blocking_run", |b| {
@@ -140,6 +125,21 @@ fn bench_campaign_stream(c: &mut Criterion) {
             }
             assert_eq!(outcomes, CASES);
             black_box(outcomes)
+        })
+    });
+
+    group.bench_function("callback_drain", |b| {
+        b.iter(|| {
+            let run = Campaign::new().cases(cases()).start(FnWorkload::new("dispatch-corpus", setup, workload));
+            let mut outcomes = 0usize;
+            let report = run.drain(|event| {
+                if matches!(event, CaseEvent::Outcome { .. }) {
+                    outcomes += 1;
+                }
+                true
+            });
+            assert_eq!((outcomes, report.outcomes.len()), (CASES, CASES));
+            black_box(report.total_injections())
         })
     });
 

@@ -43,10 +43,11 @@ const fn gate(
 
 /// Every ratio gate.  The bars are the acceptance bars measured on full
 /// multi-sample runs, loosened for fast mode's single sample where noted.
-pub const GATES: [Gate; 10] = [
-    // A streaming session costs what the blocking wrapper costs
-    // (bar 1.05x; fast-mode noise allowance to 1.25x).
+pub const GATES: [Gate; 11] = [
+    // A streaming session, collapsed or drained through a callback, costs
+    // what the blocking wrapper costs (bar 1.05x; noise allowance to 1.25x).
     gate("streaming-vs-blocking", 1.0, "campaign_stream/streaming_report", 1.25, "campaign_stream/blocking_run"),
+    gate("callback-drain-vs-blocking", 1.0, "campaign_stream/callback_drain", 1.25, "campaign_stream/blocking_run"),
     // A serial session costs what the hand-rolled per-case loop costs
     // (bar 1.05x; noise allowance to 1.25x).
     gate("session-vs-inline-loop", 1.0, "campaign_stream/blocking_run", 1.25, "campaign_stream/inline_loop"),
@@ -97,7 +98,7 @@ pub const GATES: [Gate; 10] = [
 ];
 
 /// Benches a run must contain besides the gated ones.
-pub const REQUIRED: [&str; 16] = [
+pub const REQUIRED: [&str; 17] = [
     "dispatch_hot_path/uninstrumented",
     "dispatch_hot_path/passthrough",
     "dispatch_hot_path/triggered",
@@ -110,6 +111,7 @@ pub const REQUIRED: [&str; 16] = [
     "profiler_throughput/profile_all-warm",
     "explorer_convergence/store-roundtrip",
     "campaign_stream/streaming_drain",
+    "campaign_stream/callback_drain",
     "store_scale/fold_delta",
     "store_scale/compact",
     "store_scale/fabric_ack_append",

@@ -72,7 +72,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One injection in compact form: slot/entry/choice indices instead of
 /// names, stack frames as symbols.  No strings are allocated when this is
 /// recorded; names are resolved when the log is materialized.
-#[derive(Clone)]
 struct RawInjection {
     slot: u32,
     entry: u32,
@@ -112,6 +111,11 @@ impl Injector {
     /// fast path).  The random seed is taken from the plan (or 0 when
     /// absent) so runs are reproducible.
     pub fn new(plan: Plan) -> Self {
+        Self::compile(&plan)
+    }
+
+    /// [`Injector::new`] from a borrowed plan, which compiling only reads.
+    pub(crate) fn compile(plan: &Plan) -> Self {
         let seed = plan.seed.unwrap_or(0);
         let compiled = plan.compile();
         let slots = compiled
@@ -161,11 +165,10 @@ impl Injector {
     /// total is the sum of the per-slot counters, so taking a snapshot is
     /// the only place the shards are read together.
     pub fn log(&self) -> TestLog {
-        // Snapshot the compact records first (symbol-vec memcpys) so the log
-        // lock is not held across the string-allocating materialization —
-        // concurrently triggered stubs only ever wait for the memcpy.
-        let raw = lock(&self.shared.log).clone();
-        let injections = raw.iter().map(|record| self.materialize(record)).collect();
+        // Materialized under the log lock, with no copy of the raw log:
+        // functions and frames stay symbols, so a stub that fires meanwhile
+        // waits only for the records' stack and side-effect copies.
+        let injections = lock(&self.shared.log).iter().map(|record| self.materialize(record)).collect();
         let mut calls_per_function: Vec<(Symbol, u64)> = self
             .shared
             .slots

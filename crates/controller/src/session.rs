@@ -183,11 +183,12 @@ pub(crate) struct RunConfig {
     pub workers: usize,
 }
 
-/// A running campaign session: iterate it for incremental [`CaseEvent`]s,
-/// cancel through a [`CampaignRun::cancel_handle`], and collapse the
-/// remainder into a [`CampaignReport`] with [`CampaignRun::into_report`].
-/// The event stream is the session's only record: the report is folded
-/// from it.
+/// A running campaign session: lend its [`CaseEvent`]s to a callback with
+/// [`CampaignRun::drain`], or iterate it to keep them, cancel through a
+/// [`CampaignRun::cancel_handle`], and collapse the remainder into a
+/// [`CampaignReport`] with [`CampaignRun::into_report`].  The event stream
+/// is the session's only record: the report is folded from it, by move on
+/// the `drain` path and from a clone of each outcome an iterator yields.
 ///
 /// # Event ordering contract
 ///
@@ -215,7 +216,7 @@ pub(crate) struct RunConfig {
 /// pool of `lfi-campaign-*` worker threads that stream bursts over a
 /// bounded channel, so a slow consumer paces the workers instead of
 /// buffering unboundedly.  Either way a panicking [`Workload`] hook
-/// surfaces to the caller of `next()` or [`CampaignRun::into_report`].
+/// surfaces to the caller of `next()` or [`CampaignRun::drain`].
 ///
 /// # Cancellation contract
 ///
@@ -319,45 +320,44 @@ impl CampaignRun {
         self.shared.cases.len()
     }
 
-    /// Drains every remaining event and collapses the session into the
-    /// blocking report: outcomes in case order plus the skipped-case count.
-    /// Every scheduled case ends as an outcome or a skip, so the skips are
-    /// the slots left empty.  Undelivered events are absorbed by value — the
-    /// blocking wrappers never pay the retain-and-yield clone the iterator
-    /// path needs.
+    /// [`CampaignRun::drain`] with a callback that reads nothing.
+    pub fn into_report(self) -> CampaignReport {
+        self.drain(|_| true)
+    }
+
+    /// Runs the session to its end and collapses it into the blocking
+    /// report: outcomes in case order plus the skipped-case count (the
+    /// slots left empty, since every case ends as an outcome or a skip).
+    /// Each remaining event is lent to `on_event` as an iterator would
+    /// yield it, then moved into the report.  Returning `false` cancels the
+    /// run like [`CancelHandle::cancel`]: no further case starts, and the
+    /// events still to come (a running case's burst, the `Skipped` tail)
+    /// reach `on_event` all the same.
     ///
     /// # Panics
     ///
     /// Re-raises a panicking [`Workload`] hook, whether it ran on this
     /// thread (serial sessions) or on a worker thread.
-    pub fn into_report(mut self) -> CampaignReport {
-        loop {
-            while let Some(event) = self.pending.pop_front() {
-                self.absorb_owned(event);
+    pub fn drain(mut self, mut on_event: impl FnMut(&CaseEvent) -> bool) -> CampaignReport {
+        while let Some(event) = self.pop() {
+            if !on_event(&event) {
+                self.shared.halt(REASON_CANCELLED);
             }
-            if matches!(self.driver, Driver::Drained) {
-                break;
+            if let CaseEvent::Outcome { index, outcome } = event {
+                self.slots[index] = Some(outcome);
             }
-            self.step();
         }
         let slots = std::mem::take(&mut self.slots);
         let cases_skipped = slots.iter().filter(|slot| slot.is_none()).count();
         CampaignReport { outcomes: slots.into_iter().flatten().collect(), cases_skipped }
     }
 
-    /// Folds a delivered event into the session-side report state (the
-    /// iterator path, which must also yield the event to the consumer).
-    fn absorb(&mut self, event: &CaseEvent) {
-        if let CaseEvent::Outcome { index, outcome } = event {
-            self.slots[*index] = Some(outcome.clone());
+    /// The next event, stepping the session until one is queued.
+    fn pop(&mut self) -> Option<CaseEvent> {
+        while self.pending.is_empty() && !matches!(self.driver, Driver::Drained) {
+            self.step();
         }
-    }
-
-    /// [`CampaignRun::absorb`] by value: outcomes move into their slots.
-    fn absorb_owned(&mut self, event: CaseEvent) {
-        if let CaseEvent::Outcome { index, outcome } = event {
-            self.slots[index] = Some(outcome);
-        }
+        self.pending.pop_front()
     }
 
     /// Queues the next burst of events, or finishes the run when no case is
@@ -417,12 +417,10 @@ impl Iterator for CampaignRun {
     type Item = CaseEvent;
 
     fn next(&mut self) -> Option<CaseEvent> {
-        while self.pending.is_empty() && !matches!(self.driver, Driver::Drained) {
-            self.step();
-        }
-        let event = self.pending.pop_front();
-        if let Some(event) = &event {
-            self.absorb(event);
+        let event = self.pop();
+        // The report keeps its own copy of an outcome the consumer takes.
+        if let Some(CaseEvent::Outcome { index, outcome }) = &event {
+            self.slots[*index] = Some(outcome.clone());
         }
         event
     }
@@ -492,7 +490,7 @@ fn run_case(
 ) -> bool {
     let case = &shared.cases[index];
     let mut process = workload.setup(case);
-    let injector = Injector::new(case.plan.clone());
+    let injector = Injector::compile(&case.plan);
     process.preload(injector.synthesize_interceptor());
     if shared.capture_calls {
         process.set_call_log_enabled(true);

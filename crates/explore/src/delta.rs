@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 
-use lfi_intern::Symbol;
+use lfi_intern::{Symbol, SymbolSet};
 use lfi_scenario::FaultCell;
 
 use crate::ledger::{cluster_slot, CrashCluster, FunctionCoverage};
@@ -97,7 +97,7 @@ impl ExplorationDelta {
         let upserts = self.frontier_upsert.iter().map(|entry| entry.cell);
         let dropped: HashSet<FaultCell> = self.executed.iter().chain(&self.unreached).copied().chain(upserts).collect();
         if !dropped.is_empty() || !self.pruned_functions.is_empty() {
-            let pruned: HashSet<Symbol> = self.pruned_functions.iter().copied().collect();
+            let pruned: SymbolSet = self.pruned_functions.iter().copied().collect();
             store
                 .frontier
                 .retain(|entry| !dropped.contains(&entry.cell) && !pruned.contains(&entry.cell.function));

@@ -1,7 +1,6 @@
 //! The [`Explorer`]: the generate → run → observe → refine loop.
 
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -9,12 +8,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use lfi_controller::{Campaign, CampaignReport, CaseEvent, TestCase, Workload};
-use lfi_intern::Symbol;
+use lfi_intern::{Symbol, SymbolMap, SymbolSet};
 use lfi_profile::FaultProfile;
 use lfi_scenario::{FaultCell, FaultSpace, Plan};
 
 use crate::ledger::{CellResult, CrashCluster};
-use crate::run::{drain, run_cells};
+use crate::run::run_cells;
 use crate::{ExplorationDelta, ExplorationState, ExplorationStore};
 
 /// Name of the injection-free probe case every exploration starts with.
@@ -146,7 +145,7 @@ pub struct Explorer {
     escalation_enabled: bool,
     /// Muted functions: their frontier cells stay pending but no batch
     /// selects them until [`Explorer::unmute`].
-    muted: HashSet<Symbol>,
+    muted: SymbolSet,
 }
 
 impl Explorer {
@@ -174,7 +173,7 @@ impl Explorer {
             batch_index: 0,
             probe_done: false,
             escalation_enabled: true,
-            muted: HashSet::new(),
+            muted: SymbolSet::default(),
         }
     }
 
@@ -204,7 +203,7 @@ impl Explorer {
             batch_index: store.batch_index,
             probe_done: store.probe_done,
             escalation_enabled: true,
-            muted: HashSet::new(),
+            muted: SymbolSet::default(),
         }
     }
 
@@ -538,9 +537,9 @@ impl Explorer {
         on_event: &mut dyn FnMut(&CaseEvent) -> bool,
     ) -> CampaignReport {
         let campaign = Campaign::new().case(TestCase::new(PROBE_CASE_NAME, Plan::new())).capture_call_log(true);
-        let report = drain(campaign.start_arc(Arc::clone(workload)), on_event);
+        let report = campaign.start_arc(Arc::clone(workload)).drain(on_event);
         if let Some(outcome) = report.outcomes.first() {
-            let mut counts: HashMap<Symbol, u64> = HashMap::new();
+            let mut counts: SymbolMap<u64> = SymbolMap::default();
             for &symbol in &outcome.calls {
                 *counts.entry(symbol).or_insert(0) += 1;
             }

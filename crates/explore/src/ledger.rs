@@ -3,11 +3,11 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 use lfi_controller::TestOutcome;
-use lfi_intern::Symbol;
+use lfi_intern::{Symbol, SymbolMap};
 use lfi_runtime::{ExitStatus, Signal};
 use lfi_scenario::FaultCell;
 
@@ -210,7 +210,7 @@ pub(crate) fn sort_clusters(clusters: &mut [CrashCluster]) {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultLedger {
     executed: HashSet<FaultCell>,
-    coverage: HashMap<Symbol, FunctionCoverage>,
+    coverage: SymbolMap<FunctionCoverage>,
     /// A flat map in cluster key order.
     clusters: Vec<CrashCluster>,
     cases: u64,
@@ -299,8 +299,8 @@ impl FaultLedger {
     }
 
     /// Folds an injection-free baseline case: counts it and raises each
-    /// function's observed call depth to what the case's call log showed.
-    pub fn apply_probe(&mut self, calls: &HashMap<Symbol, u64>) {
+    /// function's observed call depth to its call count in `calls`.
+    pub fn apply_probe(&mut self, calls: &SymbolMap<u64>) {
         self.cases += 1;
         for (&symbol, &count) in calls {
             let coverage = self.coverage.entry(symbol).or_default();
@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn the_store_round_trip_is_lossless() {
         let mut ledger = FaultLedger::default();
-        ledger.apply_probe(&HashMap::from([(Symbol::intern("read"), 4)]));
+        ledger.apply_probe(&[(Symbol::intern("read"), 4)].into_iter().collect());
         ledger.apply(cell(2, 5), &failed(&["main", "read"]));
         ledger.apply(cell(6, 5), &CellResult { injections: 0, observed_calls: 4, ..failed(&[]) });
         let mut store = ExplorationStore::default();

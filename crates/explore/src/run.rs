@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use lfi_controller::{Campaign, CampaignReport, CampaignRun, CancelHandle, CaseEvent, SkipReason};
+use lfi_controller::{Campaign, CampaignReport, CancelHandle, CaseEvent, SkipReason};
 use lfi_controller::{TestCase, Workload};
 use lfi_scenario::{FaultCell, Plan};
 
@@ -54,7 +54,7 @@ pub fn run_cells(
     // Per case, in case order: its result, or why it was skipped.
     let mut results: Vec<Option<CellResult>> = vec![None; cells.len()];
     let mut skipped: Vec<Option<SkipReason>> = vec![None; cells.len()];
-    let report = drain(run, |event| {
+    let report = run.drain(|event| {
         let result = match event {
             CaseEvent::Outcome { index, outcome } => {
                 let calls = outcome.log.calls_to_sym(cells[*index].function);
@@ -78,16 +78,4 @@ pub fn run_cells(
         }
     }
     CellRun { report, outcomes, returned, vetoed }
-}
-
-/// Drains a session, streaming its events to `on_event` and cancelling it
-/// when `on_event` returns `false` (in-flight cases still finish).
-pub(crate) fn drain(mut run: CampaignRun, mut on_event: impl FnMut(&CaseEvent) -> bool) -> CampaignReport {
-    let cancel = run.cancel_handle();
-    for event in run.by_ref() {
-        if !on_event(&event) {
-            cancel.cancel();
-        }
-    }
-    run.into_report()
 }

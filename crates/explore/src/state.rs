@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-use lfi_intern::Symbol;
+use lfi_intern::{Symbol, SymbolMap, SymbolSet};
 use lfi_scenario::FaultCell;
 
 use crate::delta::frontier_order;
@@ -30,10 +30,10 @@ struct Marks {
     /// Cells raised or reweighted.
     frontier: HashSet<FaultCell>,
     unreached: HashSet<FaultCell>,
-    pruned_functions: HashSet<Symbol>,
+    pruned_functions: SymbolSet,
     executed: Vec<FaultCell>,
     /// Functions whose coverage entry changed.
-    coverage: HashSet<Symbol>,
+    coverage: SymbolSet,
     clusters: HashSet<ClusterKey<'static>>,
 }
 
@@ -51,7 +51,7 @@ pub struct ExplorationState {
     /// Out cells, with the priority they return at.
     out: HashMap<FaultCell, i32>,
     unreached: HashSet<FaultCell>,
-    pruned_functions: HashSet<Symbol>,
+    pruned_functions: SymbolSet,
     marks: Marks,
 }
 
@@ -188,7 +188,7 @@ impl ExplorationState {
 
     /// Folds an injection-free baseline case that made `calls` calls per
     /// function (see [`FaultLedger::apply_probe`]).
-    pub(crate) fn fold_probe(&mut self, calls: &HashMap<Symbol, u64>) {
+    pub(crate) fn fold_probe(&mut self, calls: &SymbolMap<u64>) {
         self.ledger.apply_probe(calls);
         self.marks.coverage.extend(calls.keys().copied());
     }

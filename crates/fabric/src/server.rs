@@ -101,10 +101,11 @@ impl FabricHandle {
 
     /// Serves the protocol over TCP: one accept loop thread, one thread
     /// per connection, newline-delimited requests until the peer closes.
-    /// At most [`MAX_CONNECTIONS`] peers are served at once; one more gets
-    /// a single `error` line and its connection closes.  Returns a guard
-    /// that, when dropped, stops the accept loop and shuts down every open
-    /// connection.
+    /// Each line but a blank one gets one response line (`error` if it is
+    /// no request, or not UTF-8).  At most [`MAX_CONNECTIONS`] peers are
+    /// served at once; one more gets a single `error` line and its
+    /// connection closes.  Returns a guard that, when dropped, stops the
+    /// accept loop and shuts down every open connection.
     ///
     /// ```no_run
     /// use lfi_fabric::{Fabric, FabricClient};
@@ -211,16 +212,19 @@ fn serve_connection(handle: &FabricHandle, stream: TcpStream) {
             let _ = std::io::copy(&mut reader.take(MAX_LINE_BYTES as u64), &mut std::io::sink());
             break;
         }
-        let Ok(line) = std::str::from_utf8(&line) else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = handle.handle_line(line);
+        let response = match std::str::from_utf8(&line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => handle.handle_line(line),
+            Err(_) => Response::Error { message: "request line is not UTF-8".into() }.encode(),
+        };
         if writer.write_all(response.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
             break;
         }
         let _ = writer.flush();
     }
+    // The guard holds a clone of the stream, so dropping ours leaves it
+    // open: shut it down, or a peer that half-closed never sees the end.
+    let _ = writer.shutdown(std::net::Shutdown::Both);
 }
 
 /// One served TCP connection: a handle on its stream, to shut it down from
@@ -819,6 +823,70 @@ mod tests {
             "[0-9]{15,40}",
             (0usize..4, 1000usize..20_000).prop_map(|(index, len)| ["a", "9", "%", "\u{0}"][index].repeat(len)),
         ]
+    }
+
+    /// A request line's raw bytes, newline excluded: parser tokens spliced
+    /// with arbitrary bytes, invalid UTF-8 and blank lines included.
+    fn byte_line() -> impl Strategy<Value = Vec<u8>> {
+        let part = prop_oneof![fragment().prop_map(String::into_bytes), prop::collection::vec(0u8..=255, 0..16)];
+        prop::collection::vec(part, 0..6)
+            .prop_map(|parts| parts.concat().into_iter().filter(|&byte| byte != b'\n').collect())
+    }
+
+    /// How many response lines the server owes for `lines`: one for each
+    /// line but a blank one.
+    fn answered(lines: &[Vec<u8>]) -> usize {
+        lines
+            .iter()
+            .filter(|line| std::str::from_utf8(line).map_or(true, |text| !text.trim().is_empty()))
+            .count()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever bytes a TCP peer sends, every request line gets exactly
+        /// one response line, in order, and the server never panics.  A line
+        /// over [`MAX_LINE_BYTES`] (inserted at `oversized_at` when that
+        /// falls among the lines) gets an `error` line, and then the
+        /// connection closes without answering what followed it.
+        #[test]
+        fn any_byte_lines_over_tcp_get_one_response_line_each(
+            lines in prop::collection::vec(byte_line(), 0..8),
+            oversized_at in 0usize..16,
+        ) {
+            let fabric = Fabric::builder().workers(0).build();
+            let guard = fabric.handle().serve_tcp(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+            let mut stream = TcpStream::connect(guard.addr()).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            let cut = oversized_at.min(lines.len());
+            let mut sent: Vec<u8> = lines[..cut].iter().flat_map(|line| line.iter().chain(b"\n")).copied().collect();
+            if cut < lines.len() {
+                sent.extend(std::iter::repeat_n(b'a', MAX_LINE_BYTES + 1).chain(*b"\n"));
+                sent.extend(lines[cut..].iter().flat_map(|line| line.iter().chain(b"\n")));
+            }
+            stream.write_all(&sent).unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+
+            let mut reader = BufReader::new(stream);
+            let mut responses = Vec::new();
+            loop {
+                let mut response = Vec::new();
+                if reader.read_until(b'\n', &mut response).unwrap() == 0 {
+                    break;
+                }
+                prop_assert!(response.pop() == Some(b'\n'), "an unterminated response {:?}", response);
+                responses.push(String::from_utf8(response).unwrap());
+            }
+            let answered = answered(&lines[..cut]);
+            prop_assert!(responses.iter().all(|r| !r.is_empty() && !r.contains('\r')), "{:?}", responses);
+            if cut < lines.len() {
+                prop_assert_eq!(responses.len(), answered + 1, "{:?}", responses);
+                prop_assert!(responses[answered].starts_with("error message="), "{:?}", responses[answered]);
+            } else {
+                prop_assert_eq!(responses.len(), answered, "{:?}", responses);
+            }
+        }
     }
 
     proptest! {

@@ -20,7 +20,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{OnceLock, RwLock};
@@ -131,6 +131,12 @@ impl From<&String> for Symbol {
 /// A `HashMap` keyed by [`Symbol`] that hashes with [`SymbolHasher`]: the
 /// map for per-call symbol lookups, such as a process's dispatch table.
 pub type SymbolMap<V> = HashMap<Symbol, V, BuildHasherDefault<SymbolHasher>>;
+
+/// A `HashSet` of [`Symbol`]s hashed like a [`SymbolMap`].  Sets keyed on
+/// fault cells or crash clusters stay on SipHash: their ordinals, errnos
+/// and stacks can come from a plan sent over the wire, whose sender could
+/// pick values that collide under [`SymbolHasher`].
+pub type SymbolSet = HashSet<Symbol, BuildHasherDefault<SymbolHasher>>;
 
 /// The hasher of a [`SymbolMap`]: one multiply per key instead of SipHash.
 ///

@@ -1,12 +1,14 @@
 //! Integration coverage for the streaming campaign session: `CaseEvent`
 //! ordering and determinism, mid-run cancellation at several parallelism
-//! degrees, the Workload hook contract, and the blocking wrappers'
-//! equivalence with the stream they wrap.
+//! degrees, the Workload hook contract, and the equivalence of the blocking
+//! wrappers and the callback drain with the stream they wrap.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lfi::controller::{Campaign, CaseEvent, FnWorkload, SkipReason, TestCase, Workload, WorkloadRegistry};
+use lfi::controller::{
+    Campaign, CampaignReport, CaseEvent, FnWorkload, SkipReason, TestCase, Workload, WorkloadRegistry,
+};
 use lfi::runtime::{ExitStatus, NativeLibrary, Process, Signal};
 use lfi::scenario::{FaultAction, Plan, PlanEntry, Trigger};
 
@@ -247,6 +249,98 @@ fn blocking_run_equals_the_collected_stream() {
         })
         .collect();
     assert_eq!(outcomes, blocking.outcomes);
+}
+
+/// Runs `campaign` by iterating it, cancelling whenever `keep` returns
+/// `false` for an event; returns every event and the report.
+fn iterated(campaign: Campaign, mut keep: impl FnMut(&CaseEvent) -> bool) -> (Vec<CaseEvent>, CampaignReport) {
+    let mut run = campaign.start(FnWorkload::new("mixed-reader", setup, workload));
+    let cancel = run.cancel_handle();
+    let mut events = Vec::new();
+    for event in run.by_ref() {
+        if !keep(&event) {
+            cancel.cancel();
+        }
+        events.push(event);
+    }
+    (events, run.into_report())
+}
+
+/// [`iterated`] through `CampaignRun::drain`, with `keep` as its callback.
+fn drained(campaign: Campaign, mut keep: impl FnMut(&CaseEvent) -> bool) -> (Vec<CaseEvent>, CampaignReport) {
+    let mut events = Vec::new();
+    let report = campaign.start(FnWorkload::new("mixed-reader", setup, workload)).drain(|event| {
+        events.push(event.clone());
+        keep(event)
+    });
+    (events, report)
+}
+
+/// A callback that returns `false` at the `k`-th event it sees (0-based)
+/// and `true` at every other.
+fn cancel_at(k: usize) -> impl FnMut(&CaseEvent) -> bool {
+    let mut seen = 0;
+    move |_| {
+        seen += 1;
+        seen != k + 1
+    }
+}
+
+/// Asserts the per-case ordering contract over a stream of `total` cases:
+/// a case that ran emits `Started`, its `Injection`s and one `Outcome`; a
+/// vetoed one `Started` then `Skipped`; an unclaimed one a lone `Skipped`.
+/// Every case ends exactly once.
+fn assert_per_case_order(events: &[CaseEvent], total: usize) {
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Seen {
+        Nothing,
+        Started,
+        Ended,
+    }
+    let mut seen = vec![Seen::Nothing; total];
+    for event in events {
+        let case = &mut seen[event.index()];
+        *case = match (event, *case) {
+            (CaseEvent::Started { .. }, Seen::Nothing) => Seen::Started,
+            (CaseEvent::Injection { .. }, Seen::Started) => Seen::Started,
+            (CaseEvent::Outcome { .. }, Seen::Started) => Seen::Ended,
+            (CaseEvent::Skipped { .. }, Seen::Nothing | Seen::Started) => Seen::Ended,
+            (event, state) => panic!("{event:?} after {state:?}"),
+        };
+    }
+    assert!(seen.iter().all(|&case| case == Seen::Ended), "{seen:?}");
+}
+
+#[test]
+fn a_drained_session_folds_the_report_its_iteration_folds() {
+    let total = 24;
+    for halt in [false, true] {
+        let serial = || Campaign::new().cases(mixed_cases(total)).stop_on_first_crash(halt).parallelism(1);
+        // Serially, the callback sees the very events the iterator yields,
+        // and a cancel at any event stops both at the same case.
+        let (events, report) = iterated(serial(), |_| true);
+        assert_eq!(drained(serial(), |_| true), (events.clone(), report.clone()), "halt {halt}");
+        assert_per_case_order(&events, total);
+        for k in 0..events.len() {
+            let (events, report) = iterated(serial(), cancel_at(k));
+            assert_eq!(drained(serial(), cancel_at(k)), (events.clone(), report), "halt {halt}, cancel at {k}");
+            assert_per_case_order(&events, total);
+        }
+        if halt {
+            assert!(report.cases_skipped > 0, "the crash halt skipped the tail");
+        } else {
+            // Four workers complete cases in any order, but fold the same
+            // report, and each case's events keep their order.
+            let (events, pooled) = drained(serial().parallelism(4), |_| true);
+            assert_eq!(pooled, report);
+            assert_eq!(iterated(serial().parallelism(4), |_| true).1, report);
+            assert_per_case_order(&events, total);
+            // A cancel at four workers ends every case once, too.
+            let (events, cancelled) = drained(serial().parallelism(4), cancel_at(10));
+            assert_per_case_order(&events, total);
+            assert_eq!(cancelled.outcomes.len() + cancelled.cases_skipped, total);
+        }
+    }
 }
 
 /// Shared hook counters, cloneable into the per-run workload objects.
