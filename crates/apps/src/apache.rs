@@ -119,16 +119,6 @@ pub mod ab {
         pub fn completion_seconds(&self) -> f64 {
             self.elapsed.as_secs_f64()
         }
-
-        /// Requests per second.
-        pub fn requests_per_second(&self) -> f64 {
-            let secs = self.completion_seconds();
-            if secs == 0.0 {
-                0.0
-            } else {
-                self.requests as f64 / secs
-            }
-        }
     }
 
     /// Runs `requests` requests of the given kind against the server.
@@ -213,7 +203,6 @@ mod tests {
         assert_eq!(report.requests, 200);
         assert_eq!(report.completed, 200);
         assert!(report.completion_seconds() >= 0.0);
-        assert!(report.requests_per_second() > 0.0);
     }
 
     #[test]

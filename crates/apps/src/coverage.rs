@@ -22,33 +22,28 @@ impl CoverageMap {
     }
 
     /// Registers a block (idempotent).
-    pub fn register(&mut self, module: &str, block: &str) {
+    pub(crate) fn register(&mut self, module: &str, block: &str) {
         self.blocks.entry(module.to_owned()).or_default().insert(block.to_owned());
     }
 
     /// Marks a block as executed, registering it if needed.
-    pub fn hit(&mut self, module: &str, block: &str) {
+    pub(crate) fn hit(&mut self, module: &str, block: &str) {
         self.register(module, block);
         self.hit.entry(module.to_owned()).or_default().insert(block.to_owned());
     }
 
-    /// Forgets which blocks were hit but keeps the registry.
-    pub fn reset_hits(&mut self) {
-        self.hit.clear();
-    }
-
     /// Total number of registered blocks.
-    pub fn total_blocks(&self) -> usize {
+    pub(crate) fn total_blocks(&self) -> usize {
         self.blocks.values().map(BTreeSet::len).sum()
     }
 
     /// Number of blocks hit.
-    pub fn hit_blocks(&self) -> usize {
+    pub(crate) fn hit_blocks(&self) -> usize {
         self.hit.values().map(BTreeSet::len).sum()
     }
 
     /// Overall coverage, in [0, 1].
-    pub fn overall(&self) -> f64 {
+    pub(crate) fn overall(&self) -> f64 {
         ratio(self.hit_blocks(), self.total_blocks())
     }
 
@@ -57,26 +52,6 @@ impl CoverageMap {
         let total = self.blocks.get(module).map_or(0, BTreeSet::len);
         let hit = self.hit.get(module).map_or(0, BTreeSet::len);
         ratio(hit, total)
-    }
-
-    /// Names of the registered modules.
-    pub fn modules(&self) -> impl Iterator<Item = &str> {
-        self.blocks.keys().map(String::as_str)
-    }
-
-    /// Merges the hits of another run into this one (e.g. accumulating
-    /// coverage over many test cases).
-    pub fn absorb(&mut self, other: &CoverageMap) {
-        for (module, blocks) in &other.blocks {
-            for block in blocks {
-                self.register(module, block);
-            }
-        }
-        for (module, blocks) in &other.hit {
-            for block in blocks {
-                self.hit(module, block);
-            }
-        }
     }
 }
 
@@ -111,28 +86,6 @@ mod tests {
         assert!((map.module("parser") - 0.5).abs() < 1e-9);
         assert_eq!(map.module("ibuf"), 0.0);
         assert_eq!(map.module("missing"), 0.0);
-        assert_eq!(map.modules().count(), 2);
         assert!(map.to_string().contains("1/3"));
-    }
-
-    #[test]
-    fn hits_reset_but_registry_remains() {
-        let mut map = CoverageMap::new();
-        map.hit("m", "b");
-        map.reset_hits();
-        assert_eq!(map.total_blocks(), 1);
-        assert_eq!(map.hit_blocks(), 0);
-    }
-
-    #[test]
-    fn absorb_unions_hits() {
-        let mut a = CoverageMap::new();
-        a.hit("m", "b1");
-        a.register("m", "b2");
-        let mut b = CoverageMap::new();
-        b.hit("m", "b2");
-        a.absorb(&b);
-        assert_eq!(a.hit_blocks(), 2);
-        assert_eq!(a.total_blocks(), 2);
     }
 }

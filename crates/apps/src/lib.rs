@@ -8,7 +8,7 @@
 //! the LFI controller can interpose on their library calls exactly as the
 //! real tool interposes on the real programs:
 //!
-//! * [`native`] — the "original" libc/APR the applications link against,
+//! * `native` — the "original" libc/APR the applications link against,
 //!   backed by a shared in-memory world;
 //! * [`pidgin`] — the IM client with the unchecked-pipe-write resolver bug;
 //! * [`mysql`] — the storage engine, its test suite with basic-block
@@ -22,17 +22,17 @@
 //!   lookup.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod apache;
 pub mod coverage;
 pub mod mysql;
-pub mod native;
+pub(crate) mod native;
 pub mod pidgin;
 pub mod workloads;
 
 pub use apache::{ApacheServer, RequestKind};
 pub use coverage::CoverageMap;
 pub use mysql::{MysqlServer, SuiteReport};
-pub use native::{base_process, native_libc, new_world, service_work, SimWorld, World};
-pub use pidgin::PidginApp;
-pub use workloads::{ApacheLoad, MysqlSuite, PidginLogin};
+pub use native::{base_process, new_world, SimWorld, World};
+pub use workloads::{MysqlSuite, PidginLogin};

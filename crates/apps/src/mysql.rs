@@ -21,7 +21,7 @@ const FLUSH_WORK: u64 = 90_000;
 /// except `replication`; error-handling blocks only run when a library call
 /// fails, which regular testing never provokes — that is the coverage gap LFI
 /// closes.
-pub const MODULES: &[(&str, usize, usize)] = &[
+pub(crate) const MODULES: &[(&str, usize, usize)] = &[
     ("parser", 40, 8),
     ("optimizer", 30, 6),
     ("executor", 48, 14),
@@ -32,7 +32,7 @@ pub const MODULES: &[(&str, usize, usize)] = &[
 ];
 
 /// Result of one SQL operation: `Ok(rows)` or a fatal signal.
-pub type QueryResult = Result<i64, Signal>;
+pub(crate) type QueryResult = Result<i64, Signal>;
 
 /// The report produced by a test-suite run.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,7 +132,7 @@ impl MysqlServer {
 
     /// SELECT: allocate a result buffer, look the row up, send it to the
     /// client.
-    pub fn point_select(&mut self, process: &mut Process, key: i64) -> QueryResult {
+    pub(crate) fn point_select(&mut self, process: &mut Process, key: i64) -> QueryResult {
         service_work(SELECT_WORK);
         self.hit_ok("parser", 14, 28);
         self.hit_ok("optimizer", 0, 18);
@@ -158,7 +158,7 @@ impl MysqlServer {
     }
 
     /// UPDATE: read the page, rewrite it and append to the redo log.
-    pub fn update(&mut self, process: &mut Process, key: i64, value: i64) -> QueryResult {
+    pub(crate) fn update(&mut self, process: &mut Process, key: i64, value: i64) -> QueryResult {
         service_work(UPDATE_WORK);
         self.hit_ok("parser", 28, 40);
         self.hit_ok("optimizer", 18, 30);
@@ -183,7 +183,7 @@ impl MysqlServer {
     }
 
     /// FLUSH: fsync the redo log through the insert-buffer merge path.
-    pub fn flush(&mut self, process: &mut Process) -> QueryResult {
+    pub(crate) fn flush(&mut self, process: &mut Process) -> QueryResult {
         service_work(FLUSH_WORK);
         self.hit_ok("innodb_ibuf", 0, 22);
         self.hit_ok("innodb", 40, 56);
@@ -198,7 +198,7 @@ impl MysqlServer {
     }
 
     /// Serve one client round-trip (exercises the network module).
-    pub fn serve_client(&mut self, process: &mut Process) -> QueryResult {
+    pub(crate) fn serve_client(&mut self, process: &mut Process) -> QueryResult {
         self.hit_ok("net", 15, 30);
         let received = process.call("recv", &[self.client_fd]).unwrap_or(-1);
         if received < 0 && process.state().errno() != 11 {

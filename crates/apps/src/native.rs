@@ -40,28 +40,21 @@ impl SimWorld {
     }
 
     /// Creates a world with an explicit heap limit, in bytes.
-    pub fn with_heap_limit(limit: i64) -> Self {
+    pub(crate) fn with_heap_limit(limit: i64) -> Self {
         Self { streams: HashMap::new(), next_fd: 3, heap_used: 0, heap_limit: limit, next_ptr: 0x1000, fsyncs: 0 }
     }
 
     /// Opens a fresh stream and returns its descriptor.
-    pub fn open_stream(&mut self) -> i64 {
+    pub(crate) fn open_stream(&mut self) -> i64 {
         let fd = self.next_fd;
         self.next_fd += 1;
         self.streams.insert(fd, VecDeque::new());
         fd
     }
 
-    /// Pre-populates a stream with values (e.g. a file's contents).
-    pub fn push_data(&mut self, fd: i64, values: &[i64]) {
-        if let Some(stream) = self.streams.get_mut(&fd) {
-            stream.extend(values.iter().copied());
-        }
-    }
-
     /// Appends one value to a stream; returns false when the descriptor is
     /// unknown.
-    pub fn write_value(&mut self, fd: i64, value: i64) -> bool {
+    pub(crate) fn write_value(&mut self, fd: i64, value: i64) -> bool {
         match self.streams.get_mut(&fd) {
             Some(stream) => {
                 stream.push_back(value);
@@ -72,23 +65,18 @@ impl SimWorld {
     }
 
     /// Pops the next value from a stream.
-    pub fn read_value(&mut self, fd: i64) -> Option<i64> {
+    pub(crate) fn read_value(&mut self, fd: i64) -> Option<i64> {
         self.streams.get_mut(&fd)?.pop_front()
     }
 
-    /// Number of values currently buffered in a stream.
-    pub fn stream_len(&self, fd: i64) -> usize {
-        self.streams.get(&fd).map_or(0, VecDeque::len)
-    }
-
     /// Closes a stream; returns false when the descriptor is unknown.
-    pub fn close_stream(&mut self, fd: i64) -> bool {
+    pub(crate) fn close_stream(&mut self, fd: i64) -> bool {
         self.streams.remove(&fd).is_some()
     }
 
     /// Attempts to allocate `size` bytes; returns 0 (a null pointer) when the
     /// heap limit would be exceeded, like `malloc` under memory pressure.
-    pub fn allocate(&mut self, size: i64) -> i64 {
+    pub(crate) fn allocate(&mut self, size: i64) -> i64 {
         if size < 0 || self.heap_used.saturating_add(size) > self.heap_limit {
             return 0;
         }
@@ -102,11 +90,6 @@ impl SimWorld {
     /// sizes; callers pass what they allocated).
     pub fn release(&mut self, size: i64) {
         self.heap_used = (self.heap_used - size).max(0);
-    }
-
-    /// Bytes currently allocated.
-    pub fn heap_used(&self) -> i64 {
-        self.heap_used
     }
 
     /// Returns the world to its just-created state (no streams, empty heap,
@@ -135,7 +118,7 @@ pub(crate) fn lock_world(world: &World) -> MutexGuard<'_, SimWorld> {
 /// would consist almost entirely of library dispatch and the §6.4 overhead
 /// ratios would be meaningless; see `repro table3 table4` (measured timings,
 /// so `tests/golden/repro_quick.txt` leaves them out).
-pub fn service_work(units: u64) {
+pub(crate) fn service_work(units: u64) {
     let mut acc = 0u64;
     for i in 0..units {
         acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(i));
@@ -149,7 +132,7 @@ pub fn new_world() -> World {
 }
 
 /// Builds the native libc backed by `world`.
-pub fn native_libc(world: &World) -> NativeLibrary {
+pub(crate) fn native_libc(world: &World) -> NativeLibrary {
     let w = |world: &World| Arc::clone(world);
     NativeLibrary::builder("libc.so.6")
         .function("open", {
@@ -260,7 +243,7 @@ pub fn native_libc(world: &World) -> NativeLibrary {
 
 /// Builds the native APR libraries used by the Apache simulation; they wrap
 /// libc through nested calls so interceptors on either layer observe traffic.
-pub fn native_apr(_world: &World) -> NativeLibrary {
+pub(crate) fn native_apr(_world: &World) -> NativeLibrary {
     NativeLibrary::builder("libapr-1.so.0")
         .function("apr_file_read", |ctx| ctx.forward("read").unwrap_or(-1))
         .function("apr_file_write", |ctx| ctx.forward("write").unwrap_or(-1))
@@ -272,7 +255,7 @@ pub fn native_apr(_world: &World) -> NativeLibrary {
 }
 
 /// Builds the small aprutil companion library.
-pub fn native_aprutil(_world: &World) -> NativeLibrary {
+pub(crate) fn native_aprutil(_world: &World) -> NativeLibrary {
     NativeLibrary::builder("libaprutil-1.so.0")
         .function("apu_palloc", |ctx| ctx.forward("malloc").unwrap_or(0))
         .function("apu_brigade_write", |ctx| ctx.forward("write").unwrap_or(-1))
@@ -320,7 +303,7 @@ mod tests {
         assert_eq!(p2, 0);
         process.call("free", &[p1, 512]).unwrap();
         assert_ne!(process.call("malloc", &[600]).unwrap(), 0);
-        assert_eq!(lock_world(&world).heap_used(), 600);
+        assert_eq!(lock_world(&world).heap_used, 600);
     }
 
     #[test]
@@ -339,8 +322,8 @@ mod tests {
     fn world_stream_utilities() {
         let mut world = SimWorld::new();
         let fd = world.open_stream();
-        world.push_data(fd, &[1, 2, 3]);
-        assert_eq!(world.stream_len(fd), 3);
+        assert!(world.write_value(fd, 1));
+        assert!(world.write_value(fd, 2));
         assert_eq!(world.read_value(fd), Some(1));
         assert!(!world.write_value(999, 1));
         assert_eq!(world.read_value(999), None);

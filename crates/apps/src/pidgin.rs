@@ -23,14 +23,14 @@ const ADDR_PAYLOAD: i64 = 0xC0A8_0101_0000;
 
 /// The simulated Pidgin client.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PidginApp {
+pub(crate) struct PidginApp {
     /// Number of host names the login sequence resolves.
     pub dns_requests: usize,
 }
 
 impl PidginApp {
     /// A client whose login resolves the default number of host names.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { dns_requests: 4 }
     }
 
@@ -84,7 +84,7 @@ impl PidginApp {
     /// let the parent consume the responses.  The pipe lives in the shared
     /// [`SimWorld`](crate::SimWorld) the process's native libc was built
     /// over, so the process is all the state the login needs.
-    pub fn login(&self, process: &mut Process) -> ExitStatus {
+    pub(crate) fn login(&self, process: &mut Process) -> ExitStatus {
         let pipe = match process.call("pipe", &[]) {
             Ok(fd) if fd >= 0 => fd,
             _ => return ExitStatus::Exited(1),

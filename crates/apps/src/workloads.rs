@@ -51,13 +51,13 @@ pub struct PidginLogin {
 }
 
 impl PidginLogin {
-    /// The default login (4 resolutions, like [`PidginApp::new`]).
+    /// The default login (4 resolutions, the Pidgin app's default).
     pub fn new() -> Self {
         Self::with_dns_requests(PidginApp::new().dns_requests)
     }
 
     /// A login resolving `dns_requests` host names.
-    pub fn with_dns_requests(dns_requests: usize) -> Self {
+    pub(crate) fn with_dns_requests(dns_requests: usize) -> Self {
         Self { dns_requests, arena: app_arena(false) }
     }
 }
@@ -140,7 +140,7 @@ impl Workload for MysqlSuite {
 /// The §6.4 Apache + AB load: a burst of requests of one kind, failing the
 /// case when any request fails.
 #[derive(Debug, Clone)]
-pub struct ApacheLoad {
+pub(crate) struct ApacheLoad {
     name: String,
     /// The request flavour (static HTML or PHP).
     pub kind: RequestKind,
@@ -152,7 +152,7 @@ pub struct ApacheLoad {
 impl ApacheLoad {
     /// A load of `requests` requests of the given kind.  The workload name
     /// is derived from the kind (`apache-static` / `apache-php`).
-    pub fn new(kind: RequestKind, requests: u64) -> Self {
+    pub(crate) fn new(kind: RequestKind, requests: u64) -> Self {
         let name = match kind {
             RequestKind::StaticHtml => "apache-static".to_owned(),
             RequestKind::Php => "apache-php".to_owned(),

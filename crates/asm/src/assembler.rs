@@ -2,7 +2,7 @@ use lfi_isa::{Cond, Inst, Loc, Operand};
 
 /// A forward-referenceable position in a function being assembled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Label(usize);
+pub(crate) struct Label(usize);
 
 /// A tiny label-based assembler for one SimISA function body.
 ///
@@ -10,23 +10,8 @@ pub struct Label(usize);
 /// them while lowering multi-path functions is error prone, so the compiler
 /// emits through this assembler and lets it patch the targets once all labels
 /// are bound.
-///
-/// ```
-/// use lfi_asm::FnAsm;
-/// use lfi_isa::{Cond, Inst, Loc, Operand, Reg};
-///
-/// let mut asm = FnAsm::new();
-/// let done = asm.declare_label();
-/// asm.push(Inst::Cmp { a: Loc::Arg(0), b: Operand::Imm(0) });
-/// asm.jmp_cond(Cond::Eq, done);
-/// asm.push(Inst::MovImm { dst: Loc::Reg(Reg(0)), imm: 1 });
-/// asm.bind(done);
-/// asm.push(Inst::Ret);
-/// let body = asm.finish();
-/// assert_eq!(body.len(), 4);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct FnAsm {
+pub(crate) struct FnAsm {
     insts: Vec<Inst>,
     labels: Vec<Option<u32>>,
     fixups: Vec<(usize, Label)>,
@@ -34,12 +19,12 @@ pub struct FnAsm {
 
 impl FnAsm {
     /// Creates an empty assembler.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Declares a label that can be jumped to before it is bound.
-    pub fn declare_label(&mut self) -> Label {
+    pub(crate) fn declare_label(&mut self) -> Label {
         self.labels.push(None);
         Label(self.labels.len() - 1)
     }
@@ -49,62 +34,41 @@ impl FnAsm {
     /// # Panics
     ///
     /// Panics if the label was already bound; that is a bug in the caller.
-    pub fn bind(&mut self, label: Label) {
+    pub(crate) fn bind(&mut self, label: Label) {
         let slot = &mut self.labels[label.0];
         assert!(slot.is_none(), "label bound twice");
         *slot = Some(self.insts.len() as u32);
     }
 
-    /// Current instruction index (where the next instruction will land).
-    pub fn here(&self) -> u32 {
-        self.insts.len() as u32
-    }
-
     /// Emits an instruction verbatim.
-    pub fn push(&mut self, inst: Inst) {
+    pub(crate) fn push(&mut self, inst: Inst) {
         self.insts.push(inst);
     }
 
-    /// Emits an unconditional jump to `label`.
-    pub fn jmp(&mut self, label: Label) {
-        self.fixups.push((self.insts.len(), label));
-        self.insts.push(Inst::Jmp { target: u32::MAX });
-    }
-
     /// Emits a conditional jump to `label`.
-    pub fn jmp_cond(&mut self, cond: Cond, label: Label) {
+    pub(crate) fn jmp_cond(&mut self, cond: Cond, label: Label) {
         self.fixups.push((self.insts.len(), label));
         self.insts.push(Inst::JmpCond { cond, target: u32::MAX });
     }
 
     /// Emits `cmp a, b`.
-    pub fn cmp(&mut self, a: Loc, b: impl Into<Operand>) {
+    pub(crate) fn cmp(&mut self, a: Loc, b: impl Into<Operand>) {
         self.insts.push(Inst::Cmp { a, b: b.into() });
     }
 
     /// Emits `mov dst, imm`.
-    pub fn mov_imm(&mut self, dst: Loc, imm: i64) {
+    pub(crate) fn mov_imm(&mut self, dst: Loc, imm: i64) {
         self.insts.push(Inst::MovImm { dst, imm });
     }
 
     /// Emits `mov dst, src`.
-    pub fn mov(&mut self, dst: Loc, src: Loc) {
+    pub(crate) fn mov(&mut self, dst: Loc, src: Loc) {
         self.insts.push(Inst::Mov { dst, src });
     }
 
     /// Emits `ret`.
-    pub fn ret(&mut self) {
+    pub(crate) fn ret(&mut self) {
         self.insts.push(Inst::Ret);
-    }
-
-    /// Number of instructions emitted so far.
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
-
-    /// Returns true if nothing has been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
     }
 
     /// Resolves all label references and returns the finished body.
@@ -113,11 +77,11 @@ impl FnAsm {
     ///
     /// Panics if a referenced label was never bound; that is a bug in the
     /// caller (the compiler), not a recoverable condition.
-    pub fn finish(mut self) -> Vec<Inst> {
+    pub(crate) fn finish(mut self) -> Vec<Inst> {
         for (index, label) in self.fixups {
             let target = self.labels[label.0].expect("jump to an unbound label");
             match &mut self.insts[index] {
-                Inst::Jmp { target: t } | Inst::JmpCond { target: t, .. } => *t = target,
+                Inst::JmpCond { target: t, .. } => *t = target,
                 other => unreachable!("fixup recorded for non-jump instruction {other:?}"),
             }
         }
@@ -139,13 +103,13 @@ mod tests {
         asm.cmp(Loc::Arg(0), 0i64);
         asm.jmp_cond(Cond::Eq, exit);
         asm.push(Inst::Nop);
-        asm.jmp(loop_top);
+        asm.jmp_cond(Cond::Ne, loop_top);
         asm.bind(exit);
         asm.mov_imm(Loc::Reg(Reg(0)), 0);
         asm.ret();
         let body = asm.finish();
         assert_eq!(body[1], Inst::JmpCond { cond: Cond::Eq, target: 4 });
-        assert_eq!(body[3], Inst::Jmp { target: 0 });
+        assert_eq!(body[3], Inst::JmpCond { cond: Cond::Ne, target: 0 });
     }
 
     #[test]
@@ -162,20 +126,18 @@ mod tests {
     fn unbound_label_panics_at_finish() {
         let mut asm = FnAsm::new();
         let l = asm.declare_label();
-        asm.jmp(l);
+        asm.jmp_cond(Cond::Eq, l);
         let _ = asm.finish();
     }
 
     #[test]
     fn helpers_emit_expected_instructions() {
         let mut asm = FnAsm::new();
-        assert!(asm.is_empty());
         asm.mov_imm(Loc::Reg(Reg(1)), 5);
         asm.mov(Loc::Reg(Reg(2)), Loc::Reg(Reg(1)));
         asm.ret();
-        assert_eq!(asm.len(), 3);
-        assert_eq!(asm.here(), 3);
         let body = asm.finish();
+        assert_eq!(body.len(), 3);
         assert_eq!(body[0], Inst::MovImm { dst: Loc::Reg(Reg(1)), imm: 5 });
         assert_eq!(body[1], Inst::Mov { dst: Loc::Reg(Reg(2)), src: Loc::Reg(Reg(1)) });
         assert_eq!(body[2], Inst::Ret);

@@ -3,7 +3,8 @@ use std::collections::HashMap;
 use lfi_isa::{Cond, Inst, Loc, Operand, Platform, Reg};
 use lfi_objfile::{ObjectBuilder, SharedObject, Storage, SymbolId};
 
-use crate::{ErrorMechanism, FaultSpec, FnAsm, FunctionSpec, LibrarySpec, SideEffectSpec};
+use crate::assembler::FnAsm;
+use crate::{ErrorMechanism, FaultSpec, FunctionSpec, LibrarySpec, SideEffectSpec};
 
 /// Offset of the hidden function-pointer slot used by indirect-call faults.
 const FNPTR_SLOT_OFFSET: u32 = 0x0f00;

@@ -30,12 +30,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod assembler;
 mod compile;
 mod spec;
 
-pub use assembler::{FnAsm, Label};
 pub use compile::{CompiledFunction, CompiledLibrary, ExpectedOutcome, LibraryCompiler, PathInfo};
 pub use spec::{ErrorMechanism, FaultSpec, FunctionSpec, LibrarySpec, SideEffectSpec};
 
@@ -50,7 +50,6 @@ mod tests {
         assert_send_sync::<LibrarySpec>();
         assert_send_sync::<FunctionSpec>();
         assert_send_sync::<CompiledLibrary>();
-        assert_send_sync::<FnAsm>();
     }
 
     #[test]

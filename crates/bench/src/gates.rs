@@ -1,14 +1,16 @@
 //! The one benchmark gate table and its checker.
 //!
 //! `cargo bench --workspace` with `LFI_BENCH_JSON=<file>` makes every bench
-//! append one NDJSON line (`{"bench":"group/label","ns_per_iter":…,…}`, see
+//! append one NDJSON line (`{"bench":"group/label",…,"median_ns":…,…}`, see
 //! the criterion shim).  [`benchdiff`] reads those lines and checks them
 //! against [`GATES`] and [`REQUIRED`]; it also prints each bench's ratio to
 //! the committed `BENCH_BASELINE.json`, which informs and never gates.
 //!
-//! A gate compares `ns_per_iter`.  A gated bench must emit exactly one line
-//! per run, except on a gate with `rounds`, whose benches emit one line per
-//! round and are compared by their minima.
+//! A gate compares `median_ns`, the median of a bench's timed samples, so one
+//! preempted sample cannot move it the way it moves their mean
+//! (`ns_per_iter`).  A gated bench must emit exactly one line per run, except
+//! on a gate with `rounds`, whose benches emit one line per round and are
+//! compared by the minimum of their medians.
 
 use crate::json::Json;
 
@@ -125,7 +127,7 @@ pub const REQUIRED: [&str; 17] = [
 /// line or baseline is a failure.
 pub fn benchdiff(ndjson: &str, baseline: &str) -> Result<String, String> {
     let mut report = Vec::new();
-    // Per bench name, in first-seen order: its `ns_per_iter` values.
+    // Per bench name, in first-seen order: its `median_ns` values.
     let mut runs: Vec<(String, Vec<f64>)> = Vec::new();
     for (number, line) in ndjson.lines().enumerate().filter(|(_, line)| !line.trim().is_empty()) {
         match bench_line(line) {
@@ -195,12 +197,12 @@ pub fn benchdiff(ndjson: &str, baseline: &str) -> Result<String, String> {
     }
 }
 
-/// One NDJSON line's bench name and `ns_per_iter`.
+/// One NDJSON line's bench name and `median_ns`.
 fn bench_line(line: &str) -> Result<(String, f64), String> {
     let value = Json::parse(line)?;
     let bench = value.get("bench").and_then(Json::as_str).ok_or("no string `bench` field")?;
-    match value.get("ns_per_iter").and_then(Json::as_f64) {
+    match value.get("median_ns").and_then(Json::as_f64) {
         Some(ns) if ns.is_finite() && ns > 0.0 => Ok((bench.to_owned(), ns)),
-        _ => Err("no positive `ns_per_iter` field".to_owned()),
+        _ => Err("no positive `median_ns` field".to_owned()),
     }
 }

@@ -5,7 +5,7 @@
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     /// A number.
     Num(f64),
     /// A string, unescaped.
@@ -17,7 +17,7 @@ pub enum Json {
 impl Json {
     /// Parses one JSON document; anything after it but whitespace is an
     /// error.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    pub(crate) fn parse(text: &str) -> Result<Json, String> {
         let mut reader = Reader { text, pos: 0 };
         let value = reader.value()?;
         reader.skip_space();
@@ -29,7 +29,7 @@ impl Json {
 
     /// The field `key` of an object (`None` for a missing key or a
     /// non-object).
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(name, _)| name == key).map(|(_, value)| value),
             _ => None,
@@ -37,7 +37,7 @@ impl Json {
     }
 
     /// The number this value holds, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(value) => Some(*value),
             _ => None,
@@ -45,7 +45,7 @@ impl Json {
     }
 
     /// The string this value holds, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(value) => Some(value),
             _ => None,

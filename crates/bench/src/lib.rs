@@ -23,6 +23,7 @@
 //! timing harnesses and command-line plumbing.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod gates;
 mod json;

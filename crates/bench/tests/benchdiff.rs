@@ -118,10 +118,18 @@ fn passing_run() -> Vec<(String, f64)> {
 }
 
 fn ndjson(lines: &[(String, f64)]) -> String {
+    ndjson_with_means(lines, |_, median| median)
+}
+
+/// The NDJSON of `lines`, each value a median, with the mean
+/// (`ns_per_iter`) and max each line carries set by `mean`.
+fn ndjson_with_means(lines: &[(String, f64)], mean: impl Fn(&str, f64) -> f64) -> String {
     lines
         .iter()
-        .map(|(bench, ns)| {
-            format!("{{\"bench\":\"{bench}\",\"ns_per_iter\":{ns:.1},\"min_ns\":{ns:.1},\"median_ns\":{ns:.1},\"max_ns\":{ns:.1},\"iterations\":1}}\n")
+        .map(|(bench, median)| {
+            let mean = mean(bench, *median);
+            let max = mean.max(*median);
+            format!("{{\"bench\":\"{bench}\",\"ns_per_iter\":{mean:.1},\"min_ns\":{median:.1},\"median_ns\":{median:.1},\"max_ns\":{max:.1},\"iterations\":1}}\n")
         })
         .collect()
 }
@@ -182,6 +190,28 @@ fn each_gate_fails_alone_and_is_named() {
     }
 }
 
+/// A gate reads each line's median: a numerator whose mean breaks the bar
+/// (one slow sample) passes while its median holds, and fails once its
+/// median breaks the bar.
+#[test]
+fn gates_compare_medians_not_means() {
+    let gate = GATES.iter().find(|gate| gate.name == "streaming-vs-blocking").unwrap();
+    let run = passing_run();
+    let den = run.iter().find(|(bench, _)| bench == gate.denominator).unwrap().1;
+    let bar = den * gate.den_factor / gate.num_factor;
+    let slow_mean = |bench: &str, median: f64| if bench == gate.numerator { bar * 1.5 } else { median };
+    let (ok, report) = run_benchdiff("slow-mean.ndjson", &ndjson_with_means(&run, slow_mean));
+    assert!(ok, "a mean over the bar failed a median under it:\n{report}");
+
+    let run: Vec<_> = run
+        .into_iter()
+        .map(|(bench, ns)| if bench == gate.numerator { (bench, bar * 1.01) } else { (bench, ns) })
+        .collect();
+    let (ok, report) = run_benchdiff("slow-median.ndjson", &ndjson_with_means(&run, |_, median| median * 0.5));
+    assert!(!ok, "a median over the bar passed:\n{report}");
+    assert!(report.contains(&format!("FAIL {}", gate.name)), "{report}");
+}
+
 #[test]
 fn rounds_compare_minima_and_other_gated_benches_appear_once() {
     // One slow round of `active` does not fail the gate: its minimum does.
@@ -215,9 +245,10 @@ fn a_missing_bench_or_a_malformed_line_fails_loudly() {
     let good = ndjson(&passing_run());
     for (bad, error) in [
         ("{\"bench\":\"x/y\",\"ns_per_iter\":", "unexpected end of input"),
-        ("{\"bench\":\"x/y\"}", "no positive `ns_per_iter` field"),
-        ("{\"ns_per_iter\":5.0}", "no string `bench` field"),
-        ("{\"bench\":\"x/y\",\"ns_per_iter\":-1}", "no positive `ns_per_iter` field"),
+        ("{\"bench\":\"x/y\"}", "no positive `median_ns` field"),
+        ("{\"median_ns\":5.0}", "no string `bench` field"),
+        ("{\"bench\":\"x/y\",\"median_ns\":-1}", "no positive `median_ns` field"),
+        ("{\"bench\":\"x/y\",\"ns_per_iter\":5.0}", "no positive `median_ns` field"),
         ("not json", "expected a value"),
     ] {
         let text = format!("{good}{bad}\n");

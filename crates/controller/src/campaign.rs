@@ -493,7 +493,7 @@ mod tests {
         }
         assert_eq!(report.outcomes[0].calls.len(), 2, "baseline: read + malloc");
         // The per-function call totals ride along in the test log.
-        assert_eq!(report.outcomes[1].log.calls_to("read"), 1);
+        assert_eq!(report.outcomes[1].log.calls_to_sym(Symbol::intern("read")), 1);
         // Without capture the stream stays empty.
         let quiet = Campaign::new().cases(standard_cases()).run_workload(toy());
         assert!(quiet.outcomes.iter().all(|o| o.calls.is_empty() && o.calls_dropped == 0));

@@ -25,7 +25,7 @@ use lfi_scenario::{CompiledEntry, CompiledFunction, CompiledSideEffect, Plan};
 use crate::{InjectionRecord, TestLog};
 
 /// Name given to synthesized interceptor libraries.
-pub const INTERCEPTOR_LIBRARY_NAME: &str = "liblfi_interceptor.so";
+pub(crate) const INTERCEPTOR_LIBRARY_NAME: &str = "liblfi_interceptor.so";
 
 /// The injection engine: owns the fault scenario (compiled to symbol-keyed
 /// per-function slots), the per-function call counters (the `call_count`

@@ -26,6 +26,7 @@
 //!   Figure 3 pipeline.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod campaign;
 mod injector;
@@ -35,7 +36,7 @@ pub mod stubsrc;
 mod workload;
 
 pub use campaign::{Campaign, CampaignReport, TestCase, TestOutcome};
-pub use injector::{Injector, INTERCEPTOR_LIBRARY_NAME};
+pub use injector::Injector;
 pub use log::{InjectionRecord, TestLog};
 pub use session::{CampaignRun, CancelHandle, CaseEvent, SkipReason};
 pub use workload::{FnWorkload, Workload, WorkloadRegistry};

@@ -38,7 +38,7 @@ impl InjectionRecord {
     }
 
     /// The call stack resolved to names, innermost frame last.
-    pub fn stack_names(&self) -> Vec<&'static str> {
+    pub(crate) fn stack_names(&self) -> Vec<&'static str> {
         self.stack.iter().map(|frame| frame.as_str()).collect()
     }
 }
@@ -69,22 +69,8 @@ impl TestLog {
         self.injections.len()
     }
 
-    /// The injections performed on one function.
-    pub fn injections_for<'a>(&'a self, function: &str) -> impl Iterator<Item = &'a InjectionRecord> + 'a {
-        let symbol = Symbol::lookup(function);
-        self.injections.iter().filter(move |r| Some(r.function) == symbol)
-    }
-
     /// How many intercepted calls reached `function` during the run (0 when
     /// the function was never called, or not intercepted at all).
-    pub fn calls_to(&self, function: &str) -> u64 {
-        let Some(symbol) = Symbol::lookup(function) else {
-            return 0;
-        };
-        self.calls_to_sym(symbol)
-    }
-
-    /// Symbol-keyed twin of [`TestLog::calls_to`].
     pub fn calls_to_sym(&self, function: Symbol) -> u64 {
         self.calls_per_function
             .iter()
@@ -216,20 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn per_function_filtering() {
-        let log = sample_log();
-        assert_eq!(log.injections_for("read").count(), 1);
-        assert_eq!(log.injections_for("close_never_seen").count(), 0);
-        assert_eq!(log.injection_count(), 2);
-    }
-
-    #[test]
     fn per_function_call_totals() {
         let log = sample_log();
-        assert_eq!(log.calls_to("read"), 30);
-        assert_eq!(log.calls_to("write"), 10);
         assert_eq!(log.calls_to_sym(Symbol::intern("read")), 30);
-        assert_eq!(log.calls_to("close_never_seen"), 0);
-        assert_eq!(log.calls_to("never-even-interned-\u{1}"), 0);
+        assert_eq!(log.calls_to_sym(Symbol::intern("write")), 10);
+        assert_eq!(log.calls_to_sym(Symbol::intern("close_never_seen")), 0);
+        assert_eq!(log.injection_count(), 2);
     }
 }

@@ -117,7 +117,7 @@ impl CancelHandle {
 
     /// True once the run is stopping (for any reason, not only
     /// cancellation).
-    pub fn is_stopping(&self) -> bool {
+    pub(crate) fn is_stopping(&self) -> bool {
         self.shared.is_stopping()
     }
 }

@@ -269,7 +269,7 @@ pub struct CombinedAccuracyResult {
 
 impl CombinedAccuracyResult {
     /// Aggregate accuracy over the whole corpus for each source.
-    pub fn aggregate(&self) -> (AccuracyReport, AccuracyReport, AccuracyReport) {
+    pub(crate) fn aggregate(&self) -> (AccuracyReport, AccuracyReport, AccuracyReport) {
         let mut static_only = AccuracyReport::default();
         let mut documentation_only = AccuracyReport::default();
         let mut combined = AccuracyReport::default();
@@ -543,7 +543,7 @@ pub fn argument_dependence(exports: usize) -> ArgDependenceResult {
 // ---------------------------------------------------------------------------
 
 /// The trigger counts used by the paper's overhead experiments.
-pub const TRIGGER_COUNTS: &[usize] = &[0, 10, 100, 500, 1000];
+pub(crate) const TRIGGER_COUNTS: &[usize] = &[0, 10, 100, 500, 1000];
 
 /// One measured cell of Table 3 or 4.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -632,7 +632,7 @@ fn apache_profiles() -> Vec<FaultProfile> {
 /// repetitions is reported, which suppresses host-side noise (allocator
 /// growth, page faults, scheduling) that would otherwise dwarf the small
 /// trigger-evaluation overhead the experiment is trying to expose.
-pub const OVERHEAD_REPS: usize = 3;
+pub(crate) const OVERHEAD_REPS: usize = 3;
 
 /// Table 3: Apache + AB completion time for `requests` requests, for both
 /// workloads and every trigger count.

@@ -11,6 +11,7 @@
 //! `lfi-bench` runs them.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod experiments;
 mod facade;

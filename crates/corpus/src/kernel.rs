@@ -14,7 +14,7 @@ use lfi_objfile::SharedObject;
 /// One system call: its number, name and the errno values its handler can
 /// produce (positive errno values; the handler returns their negation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyscallSpec {
+pub(crate) struct SyscallSpec {
     /// System call number.
     pub num: u32,
     /// Conventional name (e.g. `read`).
@@ -28,7 +28,7 @@ pub struct SyscallSpec {
 /// Error sets follow the Linux man pages closely enough for the doc-mismatch
 /// experiments: `close` (syscall 3) can fail with EBADF, EINTR *and* EIO even
 /// though BSD documentation only lists the first two (§3.3).
-pub const SYSCALL_TABLE: &[SyscallSpec] = &[
+pub(crate) const SYSCALL_TABLE: &[SyscallSpec] = &[
     SyscallSpec { num: 0, name: "read", errors: &[9, 4, 5, 11, 14, 22] },
     SyscallSpec { num: 1, name: "write", errors: &[9, 4, 5, 11, 14, 22, 28, 32] },
     SyscallSpec { num: 2, name: "open", errors: &[13, 17, 2, 24, 23, 12, 20, 28] },
@@ -57,13 +57,8 @@ pub const SYSCALL_TABLE: &[SyscallSpec] = &[
 ];
 
 /// Looks up a system call by conventional name.
-pub fn syscall_by_name(name: &str) -> Option<&'static SyscallSpec> {
+pub(crate) fn syscall_by_name(name: &str) -> Option<&'static SyscallSpec> {
     SYSCALL_TABLE.iter().find(|s| s.name == name)
-}
-
-/// Looks up a system call by number.
-pub fn syscall_by_num(num: u32) -> Option<&'static SyscallSpec> {
-    SYSCALL_TABLE.iter().find(|s| s.num == num)
 }
 
 /// Builds the kernel image for a platform: one exported `sys_<num>` function
@@ -88,9 +83,7 @@ mod tests {
     #[test]
     fn table_lookups() {
         assert_eq!(syscall_by_name("close").unwrap().num, 3);
-        assert_eq!(syscall_by_num(3).unwrap().name, "close");
         assert!(syscall_by_name("frobnicate").is_none());
-        assert!(syscall_by_num(9999).is_none());
         // Numbers are unique.
         let mut nums: Vec<u32> = SYSCALL_TABLE.iter().map(|s| s.num).collect();
         nums.sort_unstable();

@@ -18,6 +18,7 @@
 //! * [`truth`] — documentation and execution ground-truth bookkeeping.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod kernel;
 pub mod libc;
@@ -25,8 +26,8 @@ pub mod named;
 pub mod survey;
 pub mod truth;
 
-pub use kernel::{build_kernel, syscall_by_name, syscall_by_num, SyscallSpec, SYSCALL_TABLE};
-pub use libc::{build_apr, build_aprutil, build_libc, build_libc_scaled, libc_errno_documentation, libc_errno_truth};
+pub use kernel::build_kernel;
+pub use libc::{build_libc_scaled, libc_errno_documentation, libc_errno_truth};
 pub use named::{build_libpcre, build_table2_corpus, build_table2_library, Table2Entry, TABLE2};
 pub use survey::{survey_corpus, survey_profiles, DetailChannel, SurveyConfig, Table1Cell, TABLE1_EXPECTED};
-pub use truth::{error_map, CorpusLibrary, ErrorCodeMap};
+pub use truth::{error_map, CorpusLibrary};

@@ -14,17 +14,6 @@ use crate::truth::{error_map, CorpusLibrary, ErrorCodeMap};
 /// paper quotes for GNU libc in §6.4.
 pub const LIBC_EXPORTS: usize = 1535;
 
-/// Number of exported functions in the corpus libapr + libaprutil ("a little
-/// over 1,000 functions" in §6.4).
-pub const APR_EXPORTS: usize = 640;
-/// See [`APR_EXPORTS`].
-pub const APRUTIL_EXPORTS: usize = 410;
-
-/// Builds the corpus libc at full scale (1535 exports).
-pub fn build_libc(platform: Platform) -> CorpusLibrary {
-    build_libc_scaled(platform, LIBC_EXPORTS)
-}
-
 /// Builds a smaller libc with the same named functions but fewer synthetic
 /// filler exports — used by tests that do not need the full 1535 functions.
 pub fn build_libc_scaled(platform: Platform, exports: usize) -> CorpusLibrary {
@@ -134,16 +123,6 @@ pub fn build_aprutil_scaled(platform: Platform, exports: usize) -> CorpusLibrary
     build_prefixed_library("libaprutil-1.so.0", "apu", platform, exports)
 }
 
-/// Builds the full-scale libapr.
-pub fn build_apr(platform: Platform) -> CorpusLibrary {
-    build_apr_scaled(platform, APR_EXPORTS)
-}
-
-/// Builds the full-scale libaprutil.
-pub fn build_aprutil(platform: Platform) -> CorpusLibrary {
-    build_aprutil_scaled(platform, APRUTIL_EXPORTS)
-}
-
 fn build_prefixed_library(library: &str, prefix: &str, platform: Platform, exports: usize) -> CorpusLibrary {
     let mut spec = LibrarySpec::new(library, platform).dependency("libc.so.6");
     let mut documentation = ErrorCodeMap::new();
@@ -186,7 +165,7 @@ mod tests {
     #[test]
     fn scaled_libc_has_the_requested_export_count() {
         let libc = build_libc_scaled(Platform::LinuxX86, 120);
-        assert_eq!(libc.export_count(), 120);
+        assert_eq!(libc.compiled.object.export_count(), 120);
         assert!(libc.compiled.object.symbol_by_name("read").is_some());
         assert!(libc.compiled.object.symbol_by_name("malloc").is_some());
         assert!(libc.compiled.object.validate().is_ok());
@@ -195,7 +174,6 @@ mod tests {
     #[test]
     fn full_scale_constants_match_the_paper() {
         assert_eq!(LIBC_EXPORTS, 1535);
-        const { assert!(APR_EXPORTS + APRUTIL_EXPORTS > 1000) };
     }
 
     #[test]
@@ -234,8 +212,8 @@ mod tests {
     fn apr_libraries_scale_and_carry_named_entry_points() {
         let apr = build_apr_scaled(Platform::LinuxX86, 60);
         let aprutil = build_aprutil_scaled(Platform::LinuxX86, 40);
-        assert_eq!(apr.export_count(), 60);
-        assert_eq!(aprutil.export_count(), 40);
+        assert_eq!(apr.compiled.object.export_count(), 60);
+        assert_eq!(aprutil.compiled.object.export_count(), 40);
         assert!(apr.compiled.object.symbol_by_name("apr_file_read").is_some());
         assert!(aprutil.compiled.object.symbol_by_name("apu_palloc").is_some());
     }

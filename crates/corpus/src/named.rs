@@ -416,7 +416,7 @@ mod tests {
     fn blueprint_reproduces_the_requested_counts_for_a_small_library() {
         let entry = libdmx_entry();
         let library = build_table2_library(&entry, 42);
-        assert_eq!(library.export_count(), entry.exports);
+        assert_eq!(library.compiled.object.export_count(), entry.exports);
         let report = score_profile(&profile(&library), &library.documentation);
         assert_eq!(report.true_positives, entry.true_positives);
         assert_eq!(report.false_negatives, entry.false_negatives);
@@ -437,7 +437,7 @@ mod tests {
     #[test]
     fn libpcre_scores_84_percent_against_execution_truth() {
         let library = build_libpcre(7);
-        assert_eq!(library.export_count(), 20);
+        assert_eq!(library.compiled.object.export_count(), 20);
         let report = score_profile(&profile(&library), &library.execution_truth);
         assert_eq!(report.true_positives, 52);
         assert_eq!(report.false_negatives, 10);

@@ -14,7 +14,7 @@ use lfi_asm::CompiledLibrary;
 
 /// Per-function error-code map, structurally identical to
 /// `lfi_profiler::GroundTruth`.
-pub type ErrorCodeMap = BTreeMap<String, BTreeSet<i64>>;
+pub(crate) type ErrorCodeMap = BTreeMap<String, BTreeSet<i64>>;
 
 /// A corpus library: the compiled binary plus its documentation and execution
 /// ground truth.
@@ -32,17 +32,6 @@ impl CorpusLibrary {
     /// The library's file name.
     pub fn name(&self) -> &str {
         self.compiled.object.name()
-    }
-
-    /// Number of exported functions.
-    pub fn export_count(&self) -> usize {
-        self.compiled.object.export_count()
-    }
-
-    /// Error codes documented but not actually returnable (doc errors), per
-    /// function.
-    pub fn documented_but_impossible(&self) -> ErrorCodeMap {
-        difference(&self.documentation, &self.execution_truth)
     }
 
     /// Error codes actually returnable but missing from the documentation —
@@ -92,10 +81,10 @@ mod tests {
             execution_truth: error_map(&[("close", &[-1, -2])]),
         };
         assert_eq!(library.name(), "libdoc.so");
-        assert_eq!(library.export_count(), 1);
+        assert_eq!(library.compiled.object.export_count(), 1);
         let undocumented = library.undocumented_behaviour();
         assert_eq!(undocumented.get("close").unwrap(), &BTreeSet::from([-2]));
-        let impossible = library.documented_but_impossible();
+        let impossible = difference(&library.documentation, &library.execution_truth);
         assert!(impossible.contains_key("close_range"));
         assert!(!impossible.contains_key("close"));
     }

@@ -208,11 +208,6 @@ impl Cfg {
         &self.predecessors[id.0]
     }
 
-    /// Blocks that end the function.
-    pub fn exit_blocks(&self) -> impl Iterator<Item = &BasicBlock> {
-        self.blocks.iter().filter(|b| b.is_exit)
-    }
-
     /// Blocks reachable from the entry along recovered edges.  Blocks only
     /// reachable through indirect jumps are *not* included, matching the
     /// incompleteness the paper accepts.
@@ -292,9 +287,9 @@ mod tests {
         assert_eq!(cfg.blocks().len(), 3);
         let entry = cfg.entry().unwrap();
         assert_eq!(cfg.block(entry).successors.len(), 2);
-        assert_eq!(cfg.exit_blocks().count(), 2);
+        assert_eq!(cfg.blocks().iter().filter(|b| b.is_exit).count(), 2);
         // Both exits have the entry as (transitive) predecessor.
-        for exit in cfg.exit_blocks() {
+        for exit in cfg.blocks().iter().filter(|b| b.is_exit) {
             assert_eq!(cfg.predecessors(exit.id), &[entry]);
         }
     }

@@ -173,7 +173,7 @@ mod tests {
         let dis = Disassembler::new().disassemble_object(&demo_object()).unwrap();
         let branchy = dis.function("branchy").unwrap();
         assert_eq!(branchy.cfg.blocks().len(), 3);
-        assert_eq!(branchy.cfg.exit_blocks().count(), 2);
+        assert_eq!(branchy.cfg.blocks().iter().filter(|b| b.is_exit).count(), 2);
         assert!(branchy.code_size > 0);
     }
 

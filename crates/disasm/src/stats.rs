@@ -31,7 +31,7 @@ pub struct CodeStats {
 
 impl CodeStats {
     /// Accumulates statistics for one function body.
-    pub fn absorb_function(&mut self, insts: &[Inst]) {
+    pub(crate) fn absorb_function(&mut self, insts: &[Inst]) {
         self.functions += 1;
         self.instructions += insts.len();
         for inst in insts {

@@ -75,20 +75,6 @@ impl ManPage {
         self
     }
 
-    /// Adds an errno constant to the ERRORS section.
-    #[must_use]
-    pub fn with_errno(mut self, errno: i64) -> Self {
-        self.errnos.insert(errno);
-        self
-    }
-
-    /// Adds a documented-but-impossible error return value.
-    #[must_use]
-    pub fn with_spurious_return(mut self, value: i64) -> Self {
-        self.spurious_returns.insert(value);
-        self
-    }
-
     /// Sets the RETURN VALUE phrasing style.
     #[must_use]
     pub fn with_style(mut self, style: ReturnValueStyle) -> Self {
@@ -97,7 +83,7 @@ impl ManPage {
     }
 
     /// Renders the page as man-page-like text.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("NAME\n");
         out.push_str(&format!("       {} - {}\n\n", self.function, self.description));
@@ -259,7 +245,8 @@ mod tests {
 
     #[test]
     fn enumerated_page_lists_every_value() {
-        let page = ManPage::new("libc.so.6", "close").with_error_return(-1).with_errno(9).with_errno(5);
+        let mut page = ManPage::new("libc.so.6", "close").with_error_return(-1);
+        page.errnos.extend([9, 5]);
         let text = page.render();
         assert!(text.contains("On error, close() returns -1."));
         assert!(text.contains("EBADF"));
@@ -287,7 +274,8 @@ mod tests {
 
     #[test]
     fn unknown_errno_values_render_with_a_numeric_fallback() {
-        let page = ManPage::new("libx.so", "f").with_errno(9999);
+        let mut page = ManPage::new("libx.so", "f");
+        page.errnos.insert(9999);
         assert!(page.render().contains("E9999"));
     }
 
@@ -299,7 +287,8 @@ mod tests {
 
     #[test]
     fn spurious_values_are_rendered_like_genuine_ones() {
-        let page = ManPage::new("libx.so", "f").with_error_return(-1).with_spurious_return(-77);
+        let mut page = ManPage::new("libx.so", "f").with_error_return(-1);
+        page.spurious_returns.insert(-77);
         let text = page.render();
         assert!(text.contains("returns -1"));
         assert!(text.contains("returns -77"));

@@ -139,13 +139,6 @@ impl DocParser {
         DocParser::default()
     }
 
-    /// Makes unknown errno constants a hard error.
-    #[must_use]
-    pub fn strict(mut self) -> Self {
-        self.strict_errno = true;
-        self
-    }
-
     /// Parses a whole manual that was rendered with
     /// [`DocumentationSet::render`](crate::manpage::DocumentationSet::render).
     pub fn parse_set(&self, library: &str, text: &str) -> Result<ParsedDocumentation, DocError> {
@@ -272,7 +265,8 @@ mod tests {
 
     #[test]
     fn enumerated_values_round_trip() {
-        let page = ManPage::new("libc.so.6", "close").with_error_return(-1).with_errno(9).with_errno(5);
+        let mut page = ManPage::new("libc.so.6", "close").with_error_return(-1);
+        page.errnos.extend([9, 5]);
         let parsed = parse_one(&page);
         assert_eq!(parsed.function, "close");
         assert_eq!(parsed.error_returns, BTreeSet::from([-1]));
@@ -299,7 +293,9 @@ mod tests {
     #[test]
     fn cross_references_are_recorded_and_resolved() {
         let mut set = DocumentationSet::new("libc.so.6");
-        set.push(ManPage::new("libc.so.6", "link").with_error_return(-1).with_errno(13));
+        let mut link = ManPage::new("libc.so.6", "link").with_error_return(-1);
+        link.errnos.insert(13);
+        set.push(link);
         set.push(ManPage::new("libc.so.6", "linkat").with_style(ReturnValueStyle::CrossReference("link".into())));
         let mut parsed = DocParser::new().parse_set("libc.so.6", &set.render()).unwrap();
         assert_eq!(parsed.page("linkat").unwrap().cross_references, vec!["link".to_owned()]);
@@ -341,13 +337,14 @@ mod tests {
     fn strict_parser_rejects_unknown_errno_names() {
         let text = "MANPAGE f\nNAME\n       f - x\n\nRETURN VALUE\n       On error, f() returns -1.\n\nERRORS\n       EFROBNICATE    bogus.\n";
         assert!(DocParser::new().parse_page(text).is_ok());
-        let error = DocParser::new().strict().parse_page(text).unwrap_err();
+        let error = DocParser { strict_errno: true }.parse_page(text).unwrap_err();
         assert!(matches!(error, DocError::UnknownErrno { .. }));
     }
 
     #[test]
     fn numeric_fallback_errno_names_parse_back() {
-        let page = ManPage::new("libx.so", "f").with_errno(9999);
+        let mut page = ManPage::new("libx.so", "f");
+        page.errnos.insert(9999);
         let parsed = parse_one(&page);
         assert!(parsed.errnos.contains(&9999));
     }
@@ -356,7 +353,8 @@ mod tests {
     fn spurious_values_are_parsed_as_documented() {
         // The parser has no way to know a documented value is impossible;
         // that is exactly why combined profiles can contain false positives.
-        let page = ManPage::new("libx.so", "f").with_error_return(-1).with_spurious_return(-1001);
+        let mut page = ManPage::new("libx.so", "f").with_error_return(-1);
+        page.spurious_returns.insert(-1001);
         let parsed = parse_one(&page);
         assert_eq!(parsed.error_returns, BTreeSet::from([-1001, -1]));
     }

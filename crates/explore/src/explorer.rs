@@ -17,13 +17,13 @@ use crate::run::run_cells;
 use crate::{ExplorationDelta, ExplorationState, ExplorationStore};
 
 /// Name of the injection-free probe case every exploration starts with.
-pub const PROBE_CASE_NAME: &str = "probe-baseline";
+pub(crate) const PROBE_CASE_NAME: &str = "probe-baseline";
 
 /// Default number of fault cells per batch.
-pub const DEFAULT_BATCH_SIZE: usize = 16;
+pub(crate) const DEFAULT_BATCH_SIZE: usize = 16;
 
 /// Priority of a frontier cell that sits next to an observed crash.
-pub const ESCALATED: i32 = 100;
+pub(crate) const ESCALATED: i32 = 100;
 
 /// Priority of a frontier cell whose ordinal lies beyond the call depth the
 /// probe run observed for its function (kept, but visited last: an injection
@@ -258,8 +258,8 @@ impl Explorer {
         self
     }
 
-    /// Sets how many cells each batch runs (default
-    /// [`DEFAULT_BATCH_SIZE`]; clamped to at least 1).
+    /// Sets how many cells each batch runs (default 16; clamped to at
+    /// least 1).
     pub fn batch_size(mut self, cells: usize) -> Self {
         self.config.batch_size = cells.max(1);
         self
@@ -321,7 +321,7 @@ impl Explorer {
     }
 
     /// Injections performed so far.
-    pub fn injections_performed(&self) -> u64 {
+    pub(crate) fn injections_performed(&self) -> u64 {
         self.state.ledger().injections()
     }
 
@@ -374,9 +374,8 @@ impl Explorer {
     /// The crash-adjacent neighborhood of a cell: the neighbouring call
     /// ordinals with the same fault, plus every sibling (retval, errno) pair
     /// the profiles list for the function at the same ordinal.  This is the
-    /// candidate set the built-in escalation heuristic raises; exposed so
-    /// external policies can reuse (or filter) it.
-    pub fn adjacent_cells(&self, cell: FaultCell) -> Vec<FaultCell> {
+    /// candidate set the built-in escalation heuristic raises.
+    pub(crate) fn adjacent_cells(&self, cell: FaultCell) -> Vec<FaultCell> {
         let mut candidates: Vec<FaultCell> = Vec::new();
         if cell.call_ordinal > 1 {
             candidates.push(FaultCell { call_ordinal: cell.call_ordinal - 1, ..cell });
@@ -401,8 +400,9 @@ impl Explorer {
         candidates
     }
 
-    /// Raises every [`Explorer::adjacent_cells`] neighbour of `cell` onto
-    /// the frontier at the escalated priority — the built-in crash heuristic
+    /// Raises every crash-adjacent neighbour of `cell` (the neighbouring
+    /// call ordinals with the same fault, and every sibling (retval, errno)
+    /// pair at the same ordinal) onto the frontier at the escalated priority — the built-in crash heuristic
     /// as an externally drivable action (rule engines call this for
     /// `EscalateSiblings` decisions).
     pub fn escalate_cell(&mut self, cell: FaultCell) {

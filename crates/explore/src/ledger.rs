@@ -224,7 +224,7 @@ impl FaultLedger {
     /// (in the key order [`ExplorationStore::clusters`] keeps), and the case
     /// and injection counters.  Crash and failure counts are the sizes of
     /// the crash and failure clusters.
-    pub fn from_store(store: &ExplorationStore) -> Self {
+    pub(crate) fn from_store(store: &ExplorationStore) -> Self {
         let clusters = store.clusters.clone();
         let count = |crash: bool| clusters.iter().filter(|c| c.is_crash() == crash).map(|c| c.count).sum();
         Self {
@@ -240,7 +240,7 @@ impl FaultLedger {
 
     /// Writes the ledger's half of a snapshot: executed cells and coverage
     /// sorted by name, clusters in key order, and the counters.
-    pub fn write_into(&self, store: &mut ExplorationStore) {
+    pub(crate) fn write_into(&self, store: &mut ExplorationStore) {
         store.executed = self.executed.iter().copied().collect();
         store.executed.sort_by_cached_key(FaultCell::sort_key);
         store.coverage = self.coverage.iter().map(|(s, c)| (*s, c.clone())).collect();
@@ -255,7 +255,7 @@ impl FaultLedger {
     /// ledger has already seen changes nothing.  A new cell joins the
     /// executed set, the counters and its function's coverage entry, and a
     /// new non-success cell creates or bumps its cluster.
-    pub fn apply(&mut self, cell: FaultCell, result: &CellResult) -> bool {
+    pub(crate) fn apply(&mut self, cell: FaultCell, result: &CellResult) -> bool {
         if !self.executed.insert(cell) {
             return false;
         }
@@ -300,7 +300,7 @@ impl FaultLedger {
 
     /// Folds an injection-free baseline case: counts it and raises each
     /// function's observed call depth to its call count in `calls`.
-    pub fn apply_probe(&mut self, calls: &SymbolMap<u64>) {
+    pub(crate) fn apply_probe(&mut self, calls: &SymbolMap<u64>) {
         self.cases += 1;
         for (&symbol, &count) in calls {
             let coverage = self.coverage.entry(symbol).or_default();
@@ -309,7 +309,7 @@ impl FaultLedger {
     }
 
     /// True once `cell` has been folded in.
-    pub fn is_executed(&self, cell: &FaultCell) -> bool {
+    pub(crate) fn is_executed(&self, cell: &FaultCell) -> bool {
         self.executed.contains(cell)
     }
 

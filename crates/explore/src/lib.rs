@@ -56,6 +56,7 @@
 //!   — see the determinism contract on [`Explorer`].
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod delta;
 mod explorer;
@@ -65,7 +66,7 @@ mod state;
 mod store;
 
 pub use delta::ExplorationDelta;
-pub use explorer::{CoverageSummary, ExplorationReport, Explorer, DEFAULT_BATCH_SIZE, ESCALATED, PROBE_CASE_NAME};
+pub use explorer::{CoverageSummary, ExplorationReport, Explorer};
 pub use ledger::{CellResult, ClusterKey, CrashCluster, FaultLedger, FunctionCoverage, OutcomeClass};
 pub use run::{run_cells, CellRun};
 pub use state::{ExplorationState, FrontierCell};

@@ -22,7 +22,7 @@ use crate::scheduler::{LeaseAssignment, LeaseResult, Scheduler};
 /// job's first lease is one cell, later ones as many cells as fit a few
 /// milliseconds at the job's measured per-cell cost — and never exceed this
 /// many cells (or the job's own [`JobSpec::lease_batch`]).
-pub const DEFAULT_LEASE_BATCH: usize = 8;
+pub(crate) const DEFAULT_LEASE_BATCH: usize = 8;
 
 /// Deadline before an unacked lease returns to its job's frontier.
 const LEASE_DEADLINE: Duration = Duration::from_secs(60);
@@ -129,24 +129,21 @@ fn journal_delta(inner: &FabricInner, sched: &mut Scheduler, job: JobId) {
     }
 }
 
-/// Builder for a [`Fabric`]: fleet size, lease parameters and the shared
-/// workload registry.
+/// Builder for a [`Fabric`]: fleet size and the shared workload registry.
 pub struct FabricBuilder {
     workers: usize,
-    lease_batch: usize,
     registry: WorkloadRegistry,
 }
 
 impl Default for FabricBuilder {
     fn default() -> Self {
-        Self { workers: 2, lease_batch: DEFAULT_LEASE_BATCH, registry: WorkloadRegistry::new() }
+        Self { workers: 2, registry: WorkloadRegistry::new() }
     }
 }
 
 impl FabricBuilder {
-    /// A builder with the defaults: two workers, lease cap
-    /// [`DEFAULT_LEASE_BATCH`].  An unacked lease returns to its job's
-    /// frontier after 60 seconds.
+    /// A builder with the defaults: two workers.  An unacked lease returns
+    /// to its job's frontier after 60 seconds.
     pub fn new() -> Self {
         Self::default()
     }
@@ -156,13 +153,6 @@ impl FabricBuilder {
     /// staging work to hand to another fabric.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Default cap on cells per (time-sized) lease for jobs that do not set
-    /// their own [`JobSpec::lease_batch`].
-    pub fn lease_batch(mut self, cells: usize) -> Self {
-        self.lease_batch = cells.max(1);
         self
     }
 
@@ -187,7 +177,7 @@ impl FabricBuilder {
     /// Spawns the worker fleet and returns the running fabric.
     pub fn build(self) -> Fabric {
         let inner = Arc::new(FabricInner {
-            sched: Mutex::new(Scheduler::new(self.lease_batch, LEASE_DEADLINE)),
+            sched: Mutex::new(Scheduler::new(DEFAULT_LEASE_BATCH, LEASE_DEADLINE)),
             registry: Mutex::new(self.registry),
             journals: Mutex::new(HashMap::new()),
             work: Condvar::new(),
@@ -274,11 +264,6 @@ pub struct FabricHandle {
 }
 
 impl FabricHandle {
-    /// Registers a workload with the fabric's shared registry.
-    pub fn register(&self, workload: impl Workload + 'static) {
-        lock(&self.inner.registry).register(workload);
-    }
-
     /// Registers an already-shared workload.
     pub fn register_arc(&self, workload: Arc<dyn Workload>) {
         lock(&self.inner.registry).register_arc(workload);
@@ -461,20 +446,15 @@ impl FabricHandle {
         lock(&self.inner.sched).reports()
     }
 
-    /// The ids of every submitted job, in order.
-    pub fn job_ids(&self) -> Vec<JobId> {
-        lock(&self.inner.sched).job_ids()
-    }
-
     /// Flags the fabric as draining: workers finish every runnable job and
     /// then exit.  The [`Fabric`] owner joins them via [`Fabric::drain`];
     /// wire-protocol clients trigger this through the `drain` request.
-    pub fn begin_drain(&self) {
+    pub(crate) fn begin_drain(&self) {
         self.inner.draining.store(true, Ordering::Release);
         self.inner.notify();
     }
 
-    /// True once [`FabricHandle::begin_drain`] was called.
+    /// True once a drain began ([`Fabric::drain`] or a `drain` request).
     pub fn is_draining(&self) -> bool {
         self.inner.draining.load(Ordering::Acquire)
     }

@@ -113,8 +113,8 @@ pub struct JobSpec {
     /// work pending, a weight-2 job gets twice the worker time of a
     /// weight-1 job, however the two jobs' per-cell costs compare.
     pub weight: u32,
-    /// Cap on cells per lease; `None` uses the fabric's default
-    /// ([`DEFAULT_LEASE_BATCH`](crate::DEFAULT_LEASE_BATCH)).  Within the
+    /// Cap on cells per lease; `None` uses the fabric's default of 8.
+    /// Within the
     /// cap, leases are sized by time: one cell first, then as many as fit a
     /// few milliseconds at the job's measured per-cell cost.
     pub lease_batch: Option<usize>,
@@ -319,13 +319,6 @@ pub struct JobReport {
     /// [`CrashCluster`](lfi_explore::CrashCluster) (function, stack,
     /// outcome class), in key order.
     pub clusters: Vec<CrashCluster>,
-}
-
-impl JobReport {
-    /// The clusters that are signal deaths.
-    pub fn crash_clusters(&self) -> impl Iterator<Item = &CrashCluster> {
-        self.clusters.iter().filter(|c| c.is_crash())
-    }
 }
 
 #[cfg(test)]

@@ -80,6 +80,7 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod fabric;
 mod job;
@@ -87,7 +88,7 @@ mod scheduler;
 mod server;
 mod wire;
 
-pub use fabric::{Fabric, FabricBuilder, FabricError, FabricHandle, DEFAULT_LEASE_BATCH};
+pub use fabric::{Fabric, FabricBuilder, FabricError, FabricHandle};
 pub use job::{
     JobCoverage, JobEvent, JobEventKind, JobId, JobReport, JobSnapshot, JobSpec, JobState, ProgressSnapshot,
 };

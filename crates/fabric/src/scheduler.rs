@@ -259,7 +259,7 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    pub fn new(default_lease_batch: usize, lease_deadline: Duration) -> Self {
+    pub(crate) fn new(default_lease_batch: usize, lease_deadline: Duration) -> Self {
         Self {
             jobs: BTreeMap::new(),
             next_job: 1,
@@ -272,7 +272,7 @@ impl Scheduler {
     /// Admits a job: takes the plan's [`FaultSpace`] — the same cells, in
     /// the same order, as an explorer's universe — truncates it at
     /// `max_cases`, and queues it.
-    pub fn submit(&mut self, spec: JobSpec, workload: Arc<dyn Workload>) -> JobId {
+    pub(crate) fn submit(&mut self, spec: JobSpec, workload: Arc<dyn Workload>) -> JobId {
         let space = FaultSpace::from_plan(&spec.plan);
         let cases = spec.max_cases.unwrap_or(usize::MAX).min(space.len());
         self.admit(spec, workload, ExplorationState::new(&space.cells()[..cases], cases))
@@ -281,7 +281,12 @@ impl Scheduler {
     /// Admits a job resuming from a checkpoint: the store's frontier (in
     /// its scheduling order) is the pending work, its ledger and skipped
     /// cells carry over, and later acks fold into that ledger.
-    pub fn submit_restored(&mut self, spec: JobSpec, workload: Arc<dyn Workload>, store: &ExplorationStore) -> JobId {
+    pub(crate) fn submit_restored(
+        &mut self,
+        spec: JobSpec,
+        workload: Arc<dyn Workload>,
+        store: &ExplorationStore,
+    ) -> JobId {
         self.admit(spec, workload, ExplorationState::from_store(store))
     }
 
@@ -330,7 +335,7 @@ impl Scheduler {
     /// fairness that keeps a sweep of slow cells from starving a smoke job
     /// of fast ones.  The lease is sized by time and charged at the job's
     /// per-cell estimate.
-    pub fn next_lease(&mut self, now: Instant) -> Option<LeaseAssignment> {
+    pub(crate) fn next_lease(&mut self, now: Instant) -> Option<LeaseAssignment> {
         let id = self
             .jobs
             .iter()
@@ -365,7 +370,7 @@ impl Scheduler {
     /// of letting it finish as a zombie.  Returns `false` — and fires
     /// nothing — when the lease is already stale; the caller should cancel
     /// its own run.
-    pub fn attach_cancel(&mut self, job: JobId, lease: u64, handle: CancelHandle) -> bool {
+    pub(crate) fn attach_cancel(&mut self, job: JobId, lease: u64, handle: CancelHandle) -> bool {
         let Some(record) = self.jobs.get_mut(&job.0) else {
             return false;
         };
@@ -390,7 +395,7 @@ impl Scheduler {
     /// already expired and was re-issued — is discarded wholesale (returns
     /// `false`), which is what makes re-execution safe: only the ack that
     /// still holds the lease counts.
-    pub fn ack(&mut self, job: JobId, lease: u64, result: LeaseResult, busy: Duration) -> bool {
+    pub(crate) fn ack(&mut self, job: JobId, lease: u64, result: LeaseResult, busy: Duration) -> bool {
         let Some(record) = self.jobs.get_mut(&job.0) else {
             return false;
         };
@@ -425,7 +430,7 @@ impl Scheduler {
     /// refunded — nothing the dead worker half-did was acked, so nothing
     /// can be double-counted.  A job that kills its workers repeatedly is
     /// marked `Failed`.
-    pub fn requeue_panic(&mut self, job: JobId, lease: u64) -> bool {
+    pub(crate) fn requeue_panic(&mut self, job: JobId, lease: u64) -> bool {
         let Some(record) = self.jobs.get_mut(&job.0) else {
             return false;
         };
@@ -450,7 +455,7 @@ impl Scheduler {
     /// that never returns cannot take the fleet one worker at a time while
     /// the cells leased with it still run.  Returns how many leases
     /// expired.
-    pub fn expire(&mut self, now: Instant) -> usize {
+    pub(crate) fn expire(&mut self, now: Instant) -> usize {
         let mut expired = 0;
         for record in self.jobs.values_mut() {
             let lapsed: Vec<u64> = record
@@ -486,7 +491,7 @@ impl Scheduler {
     /// lease-skipped and join the skipped set at ack).  Idempotent — like
     /// [`CancelHandle::cancel`], a repeat or a cancel of a terminal job
     /// changes nothing.
-    pub fn cancel(&mut self, job: JobId) -> Option<JobState> {
+    pub(crate) fn cancel(&mut self, job: JobId) -> Option<JobState> {
         let record = self.jobs.get_mut(&job.0)?;
         if record.state.is_terminal() {
             return Some(record.state);
@@ -502,7 +507,7 @@ impl Scheduler {
     }
 
     /// Pauses a job: outstanding leases finish, no new lease is issued.
-    pub fn pause(&mut self, job: JobId) -> Option<JobState> {
+    pub(crate) fn pause(&mut self, job: JobId) -> Option<JobState> {
         let record = self.jobs.get_mut(&job.0)?;
         if matches!(record.state, JobState::Queued | JobState::Running) {
             record.set_state(JobState::Paused);
@@ -512,7 +517,7 @@ impl Scheduler {
 
     /// Resumes a paused job, lifted to the current virtual time so the
     /// time it sat paused is not banked as a claim on the whole fleet.
-    pub fn resume(&mut self, job: JobId) -> Option<JobState> {
+    pub(crate) fn resume(&mut self, job: JobId) -> Option<JobState> {
         let floor = self.vtime_floor();
         let record = self.jobs.get_mut(&job.0)?;
         if record.state == JobState::Paused {
@@ -523,7 +528,7 @@ impl Scheduler {
         Some(record.state)
     }
 
-    pub fn snapshot(&self, job: JobId) -> Option<JobSnapshot> {
+    pub(crate) fn snapshot(&self, job: JobId) -> Option<JobSnapshot> {
         let record = self.jobs.get(&job.0)?;
         Some(JobSnapshot {
             id: job,
@@ -545,15 +550,15 @@ impl Scheduler {
         })
     }
 
-    pub fn snapshots(&self) -> Vec<JobSnapshot> {
+    pub(crate) fn snapshots(&self) -> Vec<JobSnapshot> {
         self.jobs.keys().filter_map(|id| self.snapshot(JobId(*id))).collect()
     }
 
-    pub fn state(&self, job: JobId) -> Option<JobState> {
+    pub(crate) fn state(&self, job: JobId) -> Option<JobState> {
         self.jobs.get(&job.0).map(|record| record.state)
     }
 
-    pub fn events(&self, job: JobId, from: u64, max: usize) -> Option<(u64, Vec<JobEvent>)> {
+    pub(crate) fn events(&self, job: JobId, from: u64, max: usize) -> Option<(u64, Vec<JobEvent>)> {
         self.jobs.get(&job.0).map(|record| record.events.read(from, max))
     }
 
@@ -564,7 +569,7 @@ impl Scheduler {
     /// depend on ack order, so a run interrupted by worker deaths or a
     /// checkpoint/restore checkpoints byte-identically to an uninterrupted
     /// one.
-    pub fn checkpoint(&self, job: JobId) -> Option<ExplorationStore> {
+    pub(crate) fn checkpoint(&self, job: JobId) -> Option<ExplorationStore> {
         let record = self.jobs.get(&job.0)?;
         let mut store = ExplorationStore {
             seed: record.spec.plan.seed.unwrap_or(0),
@@ -583,13 +588,13 @@ impl Scheduler {
     /// since admission) into one [`ExplorationDelta`].  Contract: applying
     /// it to the [`Scheduler::checkpoint`] taken at the previous call
     /// reproduces the current checkpoint byte for byte.
-    pub fn take_delta(&mut self, job: JobId) -> Option<ExplorationDelta> {
+    pub(crate) fn take_delta(&mut self, job: JobId) -> Option<ExplorationDelta> {
         let record = self.jobs.get_mut(&job.0)?;
         Some(ExplorationDelta { probe_done: true, ..record.exploration.take_delta() })
     }
 
     /// The job's coverage/cluster report, read off its ledger.
-    pub fn report(&self, job: JobId) -> Option<JobReport> {
+    pub(crate) fn report(&self, job: JobId) -> Option<JobReport> {
         let record = self.jobs.get(&job.0)?;
         let ledger = record.exploration.ledger();
         Some(JobReport {
@@ -608,17 +613,13 @@ impl Scheduler {
         })
     }
 
-    pub fn reports(&self) -> Vec<JobReport> {
+    pub(crate) fn reports(&self) -> Vec<JobReport> {
         self.jobs.keys().filter_map(|id| self.report(JobId(*id))).collect()
-    }
-
-    pub fn job_ids(&self) -> Vec<JobId> {
-        self.jobs.keys().map(|id| JobId(*id)).collect()
     }
 
     /// True when no job can make further progress: every job terminal (or
     /// paused with nothing in flight) and no lease outstanding.
-    pub fn quiescent(&self) -> bool {
+    pub(crate) fn quiescent(&self) -> bool {
         self.jobs.values().all(|record| {
             (record.state.is_terminal() || record.state == JobState::Paused) && record.outstanding.is_empty()
         })
@@ -627,7 +628,7 @@ impl Scheduler {
     /// Fires the cancel handle of every outstanding lease (fabric
     /// shutdown), so in-flight campaign runs stop at their next case
     /// boundary.
-    pub fn cancel_outstanding(&mut self) {
+    pub(crate) fn cancel_outstanding(&mut self) {
         for record in self.jobs.values_mut() {
             for lease in record.outstanding.values() {
                 if let Some(handle) = &lease.cancel {

@@ -68,15 +68,7 @@ impl FabricHandle {
     /// Parses one request line and renders the response line — the whole
     /// server side of the protocol in one call.  A malformed line becomes
     /// an `error` response, never a dropped connection.
-    ///
-    /// ```
-    /// use lfi_fabric::Fabric;
-    ///
-    /// let fabric = Fabric::builder().workers(0).build();
-    /// assert_eq!(fabric.handle().handle_line("ping\n"), "pong");
-    /// assert!(fabric.handle().handle_line("warp").starts_with("error message="));
-    /// ```
-    pub fn handle_line(&self, line: &str) -> String {
+    pub(crate) fn handle_line(&self, line: &str) -> String {
         match Request::parse(line.trim_end()) {
             Ok(request) => self.handle_request(request),
             Err(error) => Response::Error { message: error.to_string() },
@@ -84,8 +76,8 @@ impl FabricHandle {
         .encode()
     }
 
-    /// Connects an in-process client: each request runs through
-    /// [`FabricHandle::handle_line`] on the caller's thread, so it crosses
+    /// Connects an in-process client: each request runs through the
+    /// server's line handler on the caller's thread, so it crosses
     /// the same encoder and parser as a TCP request, with no socket.
     ///
     /// ```
@@ -730,6 +722,13 @@ mod tests {
     use crate::Fabric;
     use proptest::prelude::*;
     use std::time::Instant;
+
+    #[test]
+    fn a_line_gets_one_response_line() {
+        let fabric = Fabric::builder().workers(0).build();
+        assert_eq!(fabric.handle().handle_line("ping\n"), "pong");
+        assert!(fabric.handle().handle_line("warp").starts_with("error message="));
+    }
 
     #[test]
     fn closed_connections_do_not_accumulate_handles() {

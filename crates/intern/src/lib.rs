@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -247,7 +248,7 @@ impl SymbolTable {
     }
 
     /// The name of `symbol`, or `None` when this table did not create it.
-    pub fn try_resolve(&self, symbol: Symbol) -> Option<&'static str> {
+    pub(crate) fn try_resolve(&self, symbol: Symbol) -> Option<&'static str> {
         let inner = self.inner.read().unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.names.get(symbol.index()).copied()
     }

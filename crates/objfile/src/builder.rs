@@ -1,6 +1,6 @@
 use lfi_isa::{encode, Inst, Platform};
 
-use crate::{DataSymbol, FunctionCode, FunctionSig, ReturnType, SharedObject, Storage, Symbol, SymbolDef, SymbolId};
+use crate::{DataSymbol, FunctionCode, FunctionSig, ReturnType, SharedObject, Storage, Symbol, SymbolDef};
 
 /// Incrementally constructs a [`SharedObject`].
 ///
@@ -100,17 +100,6 @@ impl ObjectBuilder {
         self
     }
 
-    /// The symbol id the *next* added symbol will receive.  Useful when a
-    /// function body needs to call a symbol added later.
-    pub fn next_symbol_id(&self) -> SymbolId {
-        SymbolId(self.symbols.len() as u32)
-    }
-
-    /// The symbol id of a previously added symbol, by name.
-    pub fn symbol_id(&self, name: &str) -> Option<SymbolId> {
-        self.symbols.iter().position(|s| s.name == name).map(|i| SymbolId(i as u32))
-    }
-
     /// Finishes the object.
     pub fn build(self) -> SharedObject {
         let object = SharedObject {
@@ -133,18 +122,6 @@ mod tests {
     use lfi_isa::{Loc, Reg};
 
     #[test]
-    fn builder_assigns_sequential_symbol_ids() {
-        let mut builder = ObjectBuilder::new("lib.so", Platform::LinuxX86);
-        assert_eq!(builder.next_symbol_id(), SymbolId(0));
-        builder = builder.import("malloc", None);
-        assert_eq!(builder.next_symbol_id(), SymbolId(1));
-        builder = builder.export("f", vec![Inst::Ret]);
-        assert_eq!(builder.symbol_id("malloc"), Some(SymbolId(0)));
-        assert_eq!(builder.symbol_id("f"), Some(SymbolId(1)));
-        assert_eq!(builder.symbol_id("missing"), None);
-    }
-
-    #[test]
     fn built_object_round_trips_code() {
         let body = vec![Inst::MovImm { dst: Loc::Reg(Reg(0)), imm: 7 }, Inst::Ret];
         let obj = ObjectBuilder::new("lib.so", Platform::LinuxX86).export("seven", body.clone()).build();
@@ -160,7 +137,7 @@ mod tests {
             .data_symbol("errno", 0x2000, Storage::Tls)
             .build();
         assert_eq!(obj.dependencies(), &["libc.so.1".to_owned(), "libm.so.1".to_owned()]);
-        assert_eq!(obj.data_symbols().len(), 1);
+        assert_eq!(obj.data_symbols.len(), 1);
         assert_eq!(obj.platform(), Platform::SolarisSparc);
     }
 }

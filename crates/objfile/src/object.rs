@@ -1,4 +1,3 @@
-use std::collections::HashMap;
 use std::fmt;
 
 use lfi_isa::Platform;
@@ -131,11 +130,6 @@ impl SharedObject {
         &self.dependencies
     }
 
-    /// Named data slots (globals and TLS variables such as `errno`).
-    pub fn data_symbols(&self) -> &[DataSymbol] {
-        &self.data_symbols
-    }
-
     /// The data symbol covering `offset`, if any.
     pub fn data_symbol_at(&self, offset: u32) -> Option<&DataSymbol> {
         self.data_symbols.iter().find(|d| d.offset == offset)
@@ -150,11 +144,6 @@ impl SharedObject {
     /// paper's §6.2 is dominated by this quantity.
     pub fn code_size(&self) -> usize {
         self.functions.iter().map(FunctionCode::size).sum()
-    }
-
-    /// Whether local symbol names have been removed.
-    pub fn is_stripped(&self) -> bool {
-        self.stripped
     }
 
     /// A 64-bit content fingerprint of the object
@@ -200,16 +189,6 @@ impl SharedObject {
             }
         }
         Ok(())
-    }
-
-    /// Builds a map from symbol name to id for every named symbol.
-    pub fn name_index(&self) -> HashMap<&str, SymbolId> {
-        self.symbols
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.name.is_empty())
-            .map(|(i, s)| (s.name.as_str(), SymbolId(i as u32)))
-            .collect()
     }
 }
 
@@ -278,7 +257,7 @@ mod tests {
     fn stripping_removes_local_names_only() {
         let obj = demo_object();
         let stripped = obj.stripped();
-        assert!(stripped.is_stripped());
+        assert!(stripped.stripped);
         assert!(stripped.symbol_by_name("helper").is_none());
         assert!(stripped.symbol_by_name("fail").is_some());
         // The code is still there, just unnamed.
@@ -315,14 +294,5 @@ mod tests {
         let text = obj.to_string();
         assert!(text.contains("libdemo.so"));
         assert!(text.contains("1 exports"));
-    }
-
-    #[test]
-    fn name_index_covers_named_symbols() {
-        let obj = demo_object();
-        let idx = obj.name_index();
-        assert!(idx.contains_key("fail"));
-        assert!(idx.contains_key("malloc"));
-        assert_eq!(idx.len(), 3);
     }
 }

@@ -265,7 +265,7 @@ mod tests {
         let obj = demo().stripped();
         let parsed = SharedObject::from_bytes(&obj.to_bytes()).unwrap();
         assert_eq!(obj, parsed);
-        assert!(parsed.is_stripped());
+        assert!(parsed.stripped);
     }
 
     #[test]

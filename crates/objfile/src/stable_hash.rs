@@ -11,7 +11,7 @@
 pub const OFFSET_BASIS: u64 = 0xcbf29ce484222325;
 
 /// The FNV-1a 64-bit prime.
-pub const PRIME: u64 = 0x100000001b3;
+pub(crate) const PRIME: u64 = 0x100000001b3;
 
 /// Folds `bytes` into `hash` (FNV-1a).  Start from [`OFFSET_BASIS`] and
 /// chain calls to hash a composite value.

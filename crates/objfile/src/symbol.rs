@@ -95,14 +95,6 @@ impl Symbol {
     pub fn is_defined(&self) -> bool {
         matches!(self.def, SymbolDef::Defined { .. })
     }
-
-    /// Returns the index of this symbol's code, if defined here.
-    pub fn func_index(&self) -> Option<u32> {
-        match self.def {
-            SymbolDef::Defined { func_index, .. } => Some(func_index),
-            SymbolDef::Import { .. } => None,
-        }
-    }
 }
 
 impl fmt::Display for Symbol {
@@ -163,8 +155,6 @@ mod tests {
         assert!(exported.is_export() && exported.is_defined());
         assert!(!local.is_export() && local.is_defined());
         assert!(!import.is_export() && !import.is_defined());
-        assert_eq!(exported.func_index(), Some(0));
-        assert_eq!(import.func_index(), None);
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl FunctionProfile {
 
     /// Number of injectable faults: one per (return value, side-effect
     /// alternative) pair, or one per bare return value.
-    pub fn fault_count(&self) -> usize {
+    pub(crate) fn fault_count(&self) -> usize {
         self.error_returns.iter().map(|e| e.side_effects.len().max(1)).sum()
     }
 }
@@ -186,7 +186,7 @@ impl FaultProfile {
 
     /// Builds the `<profile>` element, for callers that embed profiles in a
     /// larger document (e.g. [`crate::ProfileStore`]).
-    pub fn to_xml_element(&self) -> XmlElement {
+    pub(crate) fn to_xml_element(&self) -> XmlElement {
         let mut root = XmlElement::new("profile").attr("library", &self.library);
         if let Some(platform) = &self.platform {
             root = root.attr("platform", platform);
@@ -226,7 +226,7 @@ impl FaultProfile {
     ///
     /// Returns [`ProfileError::Schema`] or [`ProfileError::InvalidNumber`] if
     /// the element does not follow the profile schema.
-    pub fn from_xml_element(root: &XmlElement) -> Result<FaultProfile, ProfileError> {
+    pub(crate) fn from_xml_element(root: &XmlElement) -> Result<FaultProfile, ProfileError> {
         if root.name != "profile" {
             return Err(ProfileError::schema(format!("expected <profile>, found <{}>", root.name)));
         }

@@ -44,9 +44,7 @@ impl ProfileKey {
 /// Invalidation is the producer's job, and how much to invalidate depends on
 /// how profiles were produced: the facade conservatively [`clear`]s the whole
 /// store whenever its library set or kernel image changes, because its
-/// profiles embed cross-library import resolution.  Producers whose profiles
-/// are per-library facts can use the finer-grained
-/// [`ProfileStore::invalidate_library`] instead.
+/// profiles embed cross-library import resolution.
 ///
 /// [`clear`]: ProfileStore::clear
 ///
@@ -100,17 +98,6 @@ impl ProfileStore {
         let mut entries = self.entries.write().unwrap_or_else(std::sync::PoisonError::into_inner);
         entries.insert(key, Arc::clone(&profile));
         profile
-    }
-
-    /// Drops every entry for the named library.  This is the right hook only
-    /// when stored profiles are per-library facts; profiles that embed
-    /// cross-library analysis (the facade's do) need [`ProfileStore::clear`]
-    /// when the library set changes.  Returns how many entries were dropped.
-    pub fn invalidate_library(&self, library: &str) -> usize {
-        let mut entries = self.entries.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let before = entries.len();
-        entries.retain(|key, _| key.library != library);
-        before - entries.len()
     }
 
     /// Number of stored profiles.
@@ -236,13 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_is_by_library_name() {
+    fn clear_drops_every_entry_and_the_counters() {
         let store = ProfileStore::new();
         store.insert(key("liba.so", 1), profile("liba.so"));
-        store.insert(key("liba.so", 2), profile("liba.so"));
         store.insert(key("libb.so", 3), profile("libb.so"));
-        assert_eq!(store.invalidate_library("liba.so"), 2);
-        assert_eq!(store.len(), 1);
         assert!(store.get(&key("libb.so", 3)).is_some());
         store.clear();
         assert!(store.is_empty());

@@ -66,7 +66,7 @@ impl fmt::Display for AccuracyReport {
 }
 
 /// Extracts the per-function error-code sets found by the profiler.
-pub fn profile_error_sets(profile: &FaultProfile) -> GroundTruth {
+pub(crate) fn profile_error_sets(profile: &FaultProfile) -> GroundTruth {
     profile.functions.iter().map(|f| (f.name.clone(), f.error_values())).collect()
 }
 

@@ -146,7 +146,7 @@ impl AnalysisDb {
 
     /// Creates an empty database sharing an existing disassembly cache
     /// (disassembly is content-addressed, so sharing is always sound).
-    pub fn with_disasm_cache(disasm: Arc<DisasmCache>) -> Self {
+    pub(crate) fn with_disasm_cache(disasm: Arc<DisasmCache>) -> Self {
         Self {
             disasm,
             resolutions: std::array::from_fn(|_| RwLock::new(HashMap::new())),
@@ -220,17 +220,17 @@ impl AnalysisDb {
 
     /// Resolution-memo hits (including kernel syscall memo hits) since the
     /// database was created or last [cleared](AnalysisDb::clear).
-    pub fn resolution_hits(&self) -> u64 {
+    pub(crate) fn resolution_hits(&self) -> u64 {
         self.resolution_hits.load(Ordering::Relaxed)
     }
 
     /// Resolution-memo misses — i.e. inter-procedural analyses actually run.
-    pub fn resolution_misses(&self) -> u64 {
+    pub(crate) fn resolution_misses(&self) -> u64 {
         self.resolution_misses.load(Ordering::Relaxed)
     }
 
     /// Number of memoized function resolutions.
-    pub fn resolutions_cached(&self) -> usize {
+    pub(crate) fn resolutions_cached(&self) -> usize {
         self.resolutions
             .iter()
             .map(|s| s.read().unwrap_or_else(std::sync::PoisonError::into_inner).len())
@@ -238,7 +238,7 @@ impl AnalysisDb {
     }
 
     /// Number of memoized kernel syscall error sets.
-    pub fn kernel_entries_cached(&self) -> usize {
+    pub(crate) fn kernel_entries_cached(&self) -> usize {
         self.kernel_errors.read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
     }
 

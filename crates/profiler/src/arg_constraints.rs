@@ -69,7 +69,7 @@ impl fmt::Display for ArgConstraint {
 /// Constraints for one function: error value → the argument constraints that
 /// must *all* hold for the value to be returned.  Values with no inferred
 /// constraint (unconditional error returns) are not present.
-pub type FunctionArgConstraints = BTreeMap<i64, Vec<ArgConstraint>>;
+pub(crate) type FunctionArgConstraints = BTreeMap<i64, Vec<ArgConstraint>>;
 
 /// Runs the argument-constraint inference over one function.
 ///
@@ -80,7 +80,7 @@ pub type FunctionArgConstraints = BTreeMap<i64, Vec<ArgConstraint>>;
 /// complete — error values steered by computed conditions, memory state or
 /// callee behaviour simply get no constraint, mirroring how the paper scopes
 /// this as future work rather than a soundness requirement.
-pub fn analyze_arg_constraints(cfg: &Cfg, abi: &Abi) -> FunctionArgConstraints {
+pub(crate) fn analyze_arg_constraints(cfg: &Cfg, abi: &Abi) -> FunctionArgConstraints {
     let analysis = analyze_returns(cfg, abi);
     let mut per_value: BTreeMap<i64, Vec<BTreeSet<ArgConstraint>>> = BTreeMap::new();
     for origin in &analysis.origins {

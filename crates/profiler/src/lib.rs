@@ -8,7 +8,7 @@
 //!
 //! 1. disassemble the library and build a CFG per function (`lfi-disasm`);
 //! 2. run a *reverse constant propagation* from every write to the ABI return
-//!    location that precedes a `ret` ([`analyze_returns`]);
+//!    location that precedes a `ret` (the `return_codes` module);
 //! 3. recursively resolve calls to dependent functions, following imports
 //!    into other registered libraries and system calls into the kernel image
 //!    ([`Profiler`]);
@@ -28,6 +28,7 @@
 //! paper's §6.3 does.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod accuracy;
 mod analysis_db;
@@ -40,12 +41,10 @@ mod side_effects;
 
 pub use accuracy::{score_profile, score_sets, AccuracyReport, GroundTruth};
 pub use analysis_db::AnalysisDb;
-pub use arg_constraints::{analyze_arg_constraints, ArgConstraint, FunctionArgConstraints};
+pub use arg_constraints::ArgConstraint;
 pub use error::ProfilerError;
 pub use interproc::{LibraryProfileReport, Profiler, ProfilingStats};
 pub use options::ProfilerOptions;
-pub use return_codes::{analyze_returns, ReturnAnalysis, ValueOrigin};
-pub use side_effects::{classify_side_effects, side_effects_in_block, RawSideEffect, RawSideTarget, RawSideValue};
 
 #[cfg(test)]
 mod tests {

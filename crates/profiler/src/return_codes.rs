@@ -16,7 +16,7 @@ use lfi_isa::{Abi, Inst, Loc};
 
 /// Where a value that reaches the return location comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ValueOrigin {
+pub(crate) enum ValueOrigin {
     /// An immediate constant assigned at the given instruction.
     Const {
         /// The constant value.
@@ -56,7 +56,7 @@ pub enum ValueOrigin {
 
 /// The result of the intra-procedural analysis for one function.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReturnAnalysis {
+pub(crate) struct ReturnAnalysis {
     /// Every origin that can reach the return location at some `ret`.
     pub origins: BTreeSet<ValueOrigin>,
     /// The longest chain of location-to-location propagations observed while
@@ -66,7 +66,7 @@ pub struct ReturnAnalysis {
 
 impl ReturnAnalysis {
     /// The constant return values found, in ascending order.
-    pub fn constants(&self) -> Vec<i64> {
+    pub(crate) fn constants(&self) -> Vec<i64> {
         let mut values: Vec<i64> = self
             .origins
             .iter()
@@ -79,24 +79,10 @@ impl ReturnAnalysis {
         values.dedup();
         values
     }
-
-    /// True if any origin is a direct call (requiring recursive resolution).
-    pub fn has_callee_returns(&self) -> bool {
-        self.origins.iter().any(|o| matches!(o, ValueOrigin::CalleeReturn { .. }))
-    }
-
-    /// True if some value reaching the return location could not be resolved
-    /// (indirect call, argument, or unknown) — a potential false-negative
-    /// source.
-    pub fn has_unresolved(&self) -> bool {
-        self.origins.iter().any(|o| {
-            matches!(o, ValueOrigin::IndirectCallReturn { .. } | ValueOrigin::Argument { .. } | ValueOrigin::Unknown)
-        })
-    }
 }
 
 /// Runs the reverse constant propagation over one function.
-pub fn analyze_returns(cfg: &Cfg, abi: &Abi) -> ReturnAnalysis {
+pub(crate) fn analyze_returns(cfg: &Cfg, abi: &Abi) -> ReturnAnalysis {
     let mut analysis = ReturnAnalysis::default();
     let reachable = cfg.reachable_blocks();
     let return_loc = abi.return_loc();
@@ -233,11 +219,23 @@ mod tests {
         analyze_returns(&Cfg::build(insts), &abi())
     }
 
+    /// True if any origin is a direct call (requiring recursive resolution).
+    fn has_callee_returns(analysis: &ReturnAnalysis) -> bool {
+        analysis.origins.iter().any(|o| matches!(o, ValueOrigin::CalleeReturn { .. }))
+    }
+
+    /// True if some value reaching the return location could not be resolved.
+    fn has_unresolved(analysis: &ReturnAnalysis) -> bool {
+        analysis.origins.iter().any(|o| {
+            matches!(o, ValueOrigin::IndirectCallReturn { .. } | ValueOrigin::Argument { .. } | ValueOrigin::Unknown)
+        })
+    }
+
     #[test]
     fn single_constant_return() {
         let analysis = analyze(vec![Inst::MovImm { dst: ret_loc(), imm: -1 }, Inst::Ret]);
         assert_eq!(analysis.constants(), vec![-1]);
-        assert!(!analysis.has_unresolved());
+        assert!(!has_unresolved(&analysis));
     }
 
     #[test]
@@ -259,7 +257,7 @@ mod tests {
         assert_eq!(analysis.constants(), vec![0, 5]);
         assert!(analysis.max_propagation_hops >= 1);
         // The uninitialized-local path also reaches the return (unknown).
-        assert!(analysis.has_unresolved());
+        assert!(has_unresolved(&analysis));
     }
 
     #[test]
@@ -284,7 +282,7 @@ mod tests {
     fn callee_and_syscall_origins_are_reported() {
         let insts = vec![Inst::Call { sym: 7 }, Inst::Ret];
         let analysis = analyze(insts);
-        assert!(analysis.has_callee_returns());
+        assert!(has_callee_returns(&analysis));
         assert!(analysis.origins.iter().any(|o| matches!(o, ValueOrigin::CalleeReturn { sym: 7, .. })));
 
         let insts = vec![Inst::Syscall { num: 3 }, Inst::Ret];
@@ -296,7 +294,7 @@ mod tests {
     fn indirect_call_is_unresolvable() {
         let insts = vec![Inst::CallIndirect { loc: Loc::Reg(Reg(5)) }, Inst::Ret];
         let analysis = analyze(insts);
-        assert!(analysis.has_unresolved());
+        assert!(has_unresolved(&analysis));
         assert!(analysis.origins.iter().any(|o| matches!(o, ValueOrigin::IndirectCallReturn { .. })));
     }
 
@@ -309,7 +307,7 @@ mod tests {
         ];
         let analysis = analyze(insts);
         assert!(analysis.constants().is_empty());
-        assert!(analysis.has_unresolved());
+        assert!(has_unresolved(&analysis));
     }
 
     #[test]
@@ -326,7 +324,7 @@ mod tests {
         let reg_case = vec![Inst::MovImm { dst: ret_loc(), imm: -7 }, Inst::Call { sym: 1 }, Inst::Ret];
         let analysis = analyze(reg_case);
         // The call's own return value is what reaches the return location.
-        assert!(analysis.has_callee_returns());
+        assert!(has_callee_returns(&analysis));
         assert!(analysis.constants().is_empty());
 
         let stack_case = vec![
@@ -354,7 +352,7 @@ mod tests {
     fn void_function_reports_unknown_only() {
         let analysis = analyze(vec![Inst::Nop, Inst::Ret]);
         assert!(analysis.constants().is_empty());
-        assert!(analysis.has_unresolved());
+        assert!(has_unresolved(&analysis));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use lfi_profile::{SideEffect, SideEffectKind};
 
 /// The value stored by a side-effecting write, before kernel resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RawSideValue {
+pub(crate) enum RawSideValue {
     /// A compile-time constant.
     Const(i64),
     /// The raw result of the given system call.
@@ -33,7 +33,7 @@ pub enum RawSideValue {
 /// A side-effecting write found in a block, before classification against the
 /// library's data layout is folded into a [`SideEffect`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawSideEffect {
+pub(crate) struct RawSideEffect {
     /// Where the write goes.
     pub target: RawSideTarget,
     /// What is written.
@@ -42,7 +42,7 @@ pub struct RawSideEffect {
 
 /// The destination of a side-effecting write.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RawSideTarget {
+pub(crate) enum RawSideTarget {
     /// A slot in the module's data image (global or TLS, per the data layout).
     ModuleData {
         /// Offset within the module data image.
@@ -67,7 +67,7 @@ enum RegState {
 }
 
 /// Scans one basic block for side-effecting writes.
-pub fn side_effects_in_block(cfg: &Cfg, block: BlockId, abi: &Abi) -> Vec<RawSideEffect> {
+pub(crate) fn side_effects_in_block(cfg: &Cfg, block: BlockId, abi: &Abi) -> Vec<RawSideEffect> {
     let mut states: HashMap<Reg, RegState> = HashMap::new();
     let mut effects = Vec::new();
     let return_reg = abi.return_reg();
@@ -150,7 +150,7 @@ pub fn side_effects_in_block(cfg: &Cfg, block: BlockId, abi: &Abi) -> Vec<RawSid
 /// Turns raw side effects into profile-level [`SideEffect`]s, resolving
 /// module-data offsets against the library's data layout and syscall-derived
 /// values against the kernel's error set for that syscall.
-pub fn classify_side_effects(
+pub(crate) fn classify_side_effects(
     raw: &[RawSideEffect],
     object: &SharedObject,
     kernel_errors: &dyn Fn(u32) -> Vec<i64>,

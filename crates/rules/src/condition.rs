@@ -32,7 +32,7 @@ pub enum Cmp {
 
 impl Cmp {
     /// Applies the comparison.
-    pub fn apply(self, lhs: f64, rhs: f64) -> bool {
+    pub(crate) fn apply(self, lhs: f64, rhs: f64) -> bool {
         match self {
             Cmp::Lt => lhs < rhs,
             Cmp::Le => lhs <= rhs,
@@ -95,8 +95,7 @@ pub enum Metric {
     OutcomeEntropy,
     /// Finished cases per event over the trailing window (always global).
     CaseRate {
-        /// Trailing window, in events (clamped to
-        /// [`HISTORY_WINDOW`](crate::HISTORY_WINDOW)).
+        /// Trailing window, in events (clamped to the 256-sample history).
         window: u64,
     },
     /// Injections per event over the trailing window (always global).
@@ -170,13 +169,8 @@ pub struct EvalContext<'a> {
 
 impl<'a> EvalContext<'a> {
     /// A global-scope context over `state`.
-    pub fn global(state: &'a CampaignState) -> Self {
+    pub(crate) fn global(state: &'a CampaignState) -> Self {
         EvalContext { state, symbol: None, stats: None, machine: None }
-    }
-
-    /// A per-symbol context over `state`.
-    pub fn scoped(state: &'a CampaignState, symbol: Symbol) -> Self {
-        EvalContext { state, symbol: Some(symbol), stats: state.symbol(symbol), machine: None }
     }
 
     fn without_symbol(self) -> Self {
@@ -368,7 +362,7 @@ impl Condition {
     }
 
     /// Evaluates the condition in `ctx`.
-    pub fn eval(&self, ctx: EvalContext<'_>) -> bool {
+    pub(crate) fn eval(&self, ctx: EvalContext<'_>) -> bool {
         match self {
             Condition::Always => true,
             Condition::All(children) => children.iter().all(|c| c.eval(ctx)),
@@ -477,6 +471,11 @@ mod tests {
         state.fold_finished(planned_cell(&outcome), &CellResult::of(&outcome));
     }
 
+    /// A per-symbol context over `state`.
+    fn scoped(state: &CampaignState, symbol: Symbol) -> EvalContext<'_> {
+        EvalContext { state, symbol: Some(symbol), stats: state.symbol(symbol), machine: None }
+    }
+
     #[test]
     fn thresholds_scope_by_symbol() {
         let mut state = CampaignState::new();
@@ -485,10 +484,10 @@ mod tests {
 
         let want_crashes = Condition::at_least(Metric::Crashes, 2.0);
         assert!(want_crashes.eval(EvalContext::global(&state)));
-        assert!(want_crashes.eval(EvalContext::scoped(&state, Symbol::intern("read"))));
-        assert!(!want_crashes.eval(EvalContext::scoped(&state, Symbol::intern("write"))));
+        assert!(want_crashes.eval(scoped(&state, Symbol::intern("read"))));
+        assert!(!want_crashes.eval(scoped(&state, Symbol::intern("write"))));
         // Global combinator strips the symbol scope.
-        assert!(want_crashes.clone().global().eval(EvalContext::scoped(&state, Symbol::intern("write"))));
+        assert!(want_crashes.clone().global().eval(scoped(&state, Symbol::intern("write"))));
 
         let combined = want_crashes
             .clone()

@@ -133,12 +133,6 @@ impl ClosedLoop {
             }
         }
     }
-
-    /// Consumes the driver, returning the explorer (e.g. to snapshot its
-    /// [`store`](Explorer::store)).
-    pub fn into_explorer(self) -> Explorer {
-        self.explorer
-    }
 }
 
 impl std::fmt::Debug for ClosedLoop {

@@ -265,8 +265,6 @@ struct Fired {
 /// change masks for the skip-unchanged-guards fast path.
 #[derive(Debug, Clone)]
 struct CompiledMachine {
-    /// State names; index 0 is the initial state.
-    names: Vec<String>,
     /// Per state: `(transition index, target state index)` in declaration
     /// order.
     by_state: Vec<Vec<(usize, usize)>>,
@@ -305,7 +303,7 @@ impl CompiledMachine {
             masks[from] |= machine.transitions[index].when.change_mask();
         }
         let counts = vec![0; names.len()];
-        CompiledMachine { names, by_state, masks, counts, fresh: 0 }
+        CompiledMachine { by_state, masks, counts, fresh: 0 }
     }
 }
 
@@ -795,7 +793,7 @@ impl RuleEngine {
     }
 
     /// Mutable access to the sink (drivers add their own gauges).
-    pub fn sink_mut(&mut self) -> &mut MetricsSink {
+    pub(crate) fn sink_mut(&mut self) -> &mut MetricsSink {
         &mut self.sink
     }
 
@@ -815,22 +813,13 @@ impl RuleEngine {
         self.sink.gauge("campaign/crash_clusters", &[], state.crash_clusters() as f64);
         self.sink.gauge("campaign/outcome_entropy", &[], state.outcome_entropy());
     }
-
-    /// The machine state of `(machine_name, symbol_name)`, if the instance
-    /// exists.
-    pub fn machine_state(&self, machine: &str, symbol: &str) -> Option<&str> {
-        let index = self.set.machines.iter().position(|m| m.name == machine)?;
-        let symbol = Symbol::lookup(symbol)?;
-        let instance = self.instances[index].iter().find(|(s, _)| *s == symbol).map(|(_, i)| i)?;
-        Some(&self.compiled[index].names[instance.state])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::condition::{Cmp, Metric};
-    use crate::machine::{CircuitBreaker, BREAKER_CLOSED, BREAKER_OPEN};
+    use crate::machine::CircuitBreaker;
     use lfi_controller::{InjectionRecord, TestLog};
     use lfi_runtime::{ExitStatus, Signal};
     use lfi_scenario::Plan;
@@ -926,14 +915,13 @@ mod tests {
         let set = RuleSet::new().machine(CircuitBreaker::tripping_after(2).cooldown(1000));
         let mut engine = RuleEngine::new(set);
         crash_case(&mut engine, "close", Signal::Segv);
-        assert_eq!(engine.machine_state("circuit-breaker", "close"), Some(BREAKER_CLOSED));
+        assert!(engine.decisions().is_empty());
         assert!(!engine.is_muted("close"));
         // Same (symbol, stack, class) → same cluster → still closed.
         crash_case(&mut engine, "close", Signal::Segv);
-        assert_eq!(engine.machine_state("circuit-breaker", "close"), Some(BREAKER_CLOSED));
+        assert!(engine.decisions().is_empty());
         // A second distinct cluster (different signal) trips it.
         crash_case(&mut engine, "close", Signal::Abort);
-        assert_eq!(engine.machine_state("circuit-breaker", "close"), Some(BREAKER_OPEN));
         assert!(engine.is_muted("close"));
         assert_eq!(engine.sink().counter("breaker/tripped", &[("symbol", "close")]), Some(1.0));
         let log = engine.decision_log();
@@ -985,9 +973,11 @@ mod tests {
         );
         let mut engine = RuleEngine::new(set);
         crash_case(&mut engine, "read", Signal::Segv);
-        assert_eq!(engine.machine_state("chain", "read"), Some("B"));
+        // A->B has no action, so it leaves no decision.
+        assert!(engine.decisions().is_empty());
         engine.started();
-        assert_eq!(engine.machine_state("chain", "read"), Some("C"), "{}", engine.decision_log());
+        assert_eq!(engine.decisions().len(), 1, "{}", engine.decision_log());
+        assert_eq!(engine.decisions()[0].source, "machine/chain:B->C");
         assert_eq!(engine.decisions()[0].event_seq, 4);
     }
 
@@ -1004,9 +994,8 @@ mod tests {
         let read = record("read", 1, 5);
         engine.started();
         engine.injection(read.function);
-        assert_eq!(engine.machine_state("relay", "read"), Some("B"));
+        assert!(engine.decisions().is_empty());
         finish(&mut engine, &outcome(ExitStatus::Exited(0), vec![read]));
-        assert_eq!(engine.machine_state("relay", "read"), Some("C"), "{}", engine.decision_log());
         let log = engine.decision_log();
         assert!(log.contains("evt=3 src=machine/relay:B->C sym=read"), "{log}");
     }

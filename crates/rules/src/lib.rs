@@ -62,6 +62,7 @@
 //! pinned-contract style as `Explorer` and `snapshot`/`restore`.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod condition;
 pub mod driver;
@@ -75,6 +76,6 @@ pub use condition::{Cmp, Condition, EvalContext, MachineContext, Metric};
 pub use driver::ClosedLoop;
 pub use engine::{Action, Decision, Rule, RuleEngine, RuleScope, RuleSet};
 pub use fabric::JobMonitor;
-pub use machine::{CircuitBreaker, StateMachine, Transition, BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN};
+pub use machine::{CircuitBreaker, StateMachine, Transition};
 pub use metrics::{HistogramPoint, MetricKind, MetricPoint, MetricsSink};
-pub use state::{CampaignState, Sample, SymbolStats, HISTORY_WINDOW};
+pub use state::{CampaignState, Sample, SymbolStats};

@@ -90,11 +90,11 @@ pub struct CircuitBreaker {
 }
 
 /// `Closed` state name.
-pub const BREAKER_CLOSED: &str = "Closed";
+pub(crate) const BREAKER_CLOSED: &str = "Closed";
 /// `Open` state name.
-pub const BREAKER_OPEN: &str = "Open";
+pub(crate) const BREAKER_OPEN: &str = "Open";
 /// `HalfOpen` state name.
-pub const BREAKER_HALF_OPEN: &str = "HalfOpen";
+pub(crate) const BREAKER_HALF_OPEN: &str = "HalfOpen";
 
 impl Default for CircuitBreaker {
     fn default() -> Self {

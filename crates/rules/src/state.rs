@@ -23,29 +23,29 @@ use lfi_scenario::FaultCell;
 pub mod change {
     /// `events_seen` advanced (every fold; also covers the history-window
     /// slide that windowed rates and `EventsInState` read).
-    pub const EVENTS: u16 = 1 << 0;
+    pub(crate) const EVENTS: u16 = 1 << 0;
     /// `cases_started` moved.
-    pub const CASES_STARTED: u16 = 1 << 1;
+    pub(crate) const CASES_STARTED: u16 = 1 << 1;
     /// `cases_finished` moved.
-    pub const CASES_FINISHED: u16 = 1 << 2;
+    pub(crate) const CASES_FINISHED: u16 = 1 << 2;
     /// `cases_skipped` moved.
-    pub const CASES_SKIPPED: u16 = 1 << 3;
+    pub(crate) const CASES_SKIPPED: u16 = 1 << 3;
     /// A success outcome landed (global, and thus any attributed symbol).
-    pub const SUCCESSES: u16 = 1 << 4;
+    pub(crate) const SUCCESSES: u16 = 1 << 4;
     /// A failure outcome landed.
-    pub const FAILURES: u16 = 1 << 5;
+    pub(crate) const FAILURES: u16 = 1 << 5;
     /// A crash outcome landed.
-    pub const CRASHES: u16 = 1 << 6;
+    pub(crate) const CRASHES: u16 = 1 << 6;
     /// An injection was performed.
-    pub const INJECTIONS: u16 = 1 << 7;
+    pub(crate) const INJECTIONS: u16 = 1 << 7;
     /// A new non-success cluster was keyed.
-    pub const CLUSTERS: u16 = 1 << 8;
+    pub(crate) const CLUSTERS: u16 = 1 << 8;
     /// A new crash-class cluster was keyed.
-    pub const CRASH_CLUSTERS: u16 = 1 << 9;
+    pub(crate) const CRASH_CLUSTERS: u16 = 1 << 9;
     /// The distinct-outcome set grew (globally or for any symbol).
-    pub const DISTINCT: u16 = 1 << 10;
+    pub(crate) const DISTINCT: u16 = 1 << 10;
     /// The outcome-class distribution (entropy) shifted.
-    pub const ENTROPY: u16 = 1 << 11;
+    pub(crate) const ENTROPY: u16 = 1 << 11;
     /// Every bit — forces evaluation on any fold.
     pub const ALL: u16 = (1 << 12) - 1;
 }
@@ -54,7 +54,7 @@ pub mod change {
 ///
 /// Rates and rate-of-change conditions can look back at most this many
 /// events; longer windows are clamped.
-pub const HISTORY_WINDOW: usize = 256;
+pub(crate) const HISTORY_WINDOW: usize = 256;
 
 /// One history sample, pushed after every folded event, so window metrics
 /// can difference "now" against "`window` events ago".
@@ -159,7 +159,7 @@ impl CampaignState {
     }
 
     /// Folds a case start; returns the [`change`] bits it moved.
-    pub fn fold_started(&mut self) -> u16 {
+    pub(crate) fn fold_started(&mut self) -> u16 {
         self.cases_started += 1;
         self.advance();
         change::EVENTS | change::CASES_STARTED
@@ -167,7 +167,7 @@ impl CampaignState {
 
     /// Folds an injection into `function`; returns the [`change`] bits it
     /// moved.
-    pub fn fold_injection(&mut self, function: Symbol) -> u16 {
+    pub(crate) fn fold_injection(&mut self, function: Symbol) -> u16 {
         self.injections += 1;
         self.track(function).injections += 1;
         self.advance();
@@ -179,7 +179,7 @@ impl CampaignState {
     /// joins the cluster [`CellResult::cluster_key`] names, and counts
     /// toward the cell's function when its injection fired.  Returns the
     /// [`change`] bits it moved.
-    pub fn fold_finished(&mut self, cell: Option<FaultCell>, result: &CellResult) -> u16 {
+    pub(crate) fn fold_finished(&mut self, cell: Option<FaultCell>, result: &CellResult) -> u16 {
         let mut changed = change::EVENTS | change::CASES_FINISHED | change::ENTROPY;
         self.cases_finished += 1;
         let class = result.outcome;
@@ -242,7 +242,7 @@ impl CampaignState {
     }
 
     /// Folds a skipped case; returns the [`change`] bits it moved.
-    pub fn fold_skipped(&mut self) -> u16 {
+    pub(crate) fn fold_skipped(&mut self) -> u16 {
         self.cases_skipped += 1;
         self.advance();
         change::EVENTS | change::CASES_SKIPPED
@@ -275,14 +275,14 @@ impl CampaignState {
     }
 
     /// Distinct outcome classes seen so far.
-    pub fn distinct_outcomes(&self) -> u64 {
+    pub(crate) fn distinct_outcomes(&self) -> u64 {
         self.outcome_counts.len() as u64
     }
 
     /// Shannon entropy (bits) of the outcome-class distribution — the
     /// "are we still learning anything new?" signal.  0.0 until two
     /// distinct classes exist.
-    pub fn outcome_entropy(&self) -> f64 {
+    pub(crate) fn outcome_entropy(&self) -> f64 {
         let total: u64 = self.outcome_counts.values().sum();
         if total == 0 {
             return 0.0;
@@ -312,31 +312,31 @@ impl CampaignState {
     }
 
     /// Cases finished per event over the trailing `window` events.
-    pub fn case_rate(&self, window: u64) -> f64 {
+    pub(crate) fn case_rate(&self, window: u64) -> f64 {
         let span = (window.max(1) as usize).min(HISTORY_WINDOW).min(self.history.len().max(1));
         (self.cases_finished - self.sample_back(window).cases_finished) as f64 / span as f64
     }
 
     /// Injections per event over the trailing `window` events.
-    pub fn injection_rate(&self, window: u64) -> f64 {
+    pub(crate) fn injection_rate(&self, window: u64) -> f64 {
         let span = (window.max(1) as usize).min(HISTORY_WINDOW).min(self.history.len().max(1));
         (self.injections - self.sample_back(window).injections) as f64 / span as f64
     }
 
     /// Crashes per event over the trailing `window` events.
-    pub fn crash_rate(&self, window: u64) -> f64 {
+    pub(crate) fn crash_rate(&self, window: u64) -> f64 {
         let span = (window.max(1) as usize).min(HISTORY_WINDOW).min(self.history.len().max(1));
         (self.crashes - self.sample_back(window).crashes) as f64 / span as f64
     }
 
     /// The history sample `window` events ago (public for rate-of-change
     /// evaluation).
-    pub fn lookback(&self, window: u64) -> Sample {
+    pub(crate) fn lookback(&self, window: u64) -> Sample {
         self.sample_back(window)
     }
 
     /// Per-symbol rollup for `symbol`, if any event mentioned it.
-    pub fn symbol(&self, symbol: Symbol) -> Option<&SymbolStats> {
+    pub(crate) fn symbol(&self, symbol: Symbol) -> Option<&SymbolStats> {
         self.by_symbol.get(&symbol).map(|&index| &self.stats[index])
     }
 
@@ -348,13 +348,13 @@ impl CampaignState {
 
     /// Number of tracked symbols (symbols are never forgotten, so this is
     /// monotone over the event stream).
-    pub fn symbol_count(&self) -> usize {
+    pub(crate) fn symbol_count(&self) -> usize {
         self.stats.len()
     }
 
     /// All tracked symbols with their rollups, in name order — the
     /// deterministic iteration order per-symbol rules evaluate in.
-    pub fn symbols(&self) -> impl Iterator<Item = (Symbol, &SymbolStats)> {
+    pub(crate) fn symbols(&self) -> impl Iterator<Item = (Symbol, &SymbolStats)> {
         self.order.iter().map(move |&(symbol, index)| (symbol, &self.stats[index]))
     }
 

@@ -128,7 +128,7 @@ pub struct ProcessArena {
 
 impl ProcessArena {
     /// Default bound on idle pooled processes.
-    pub const DEFAULT_MAX_POOLED: usize = 32;
+    pub(crate) const DEFAULT_MAX_POOLED: usize = 32;
 
     /// An arena building processes with `builder`.  The builder may return a
     /// bare [`Process`] or a [`PreparedProcess`] carrying a reset hook.
@@ -142,7 +142,7 @@ impl ProcessArena {
 
     /// An arena keeping at most `max_pooled` idle processes; returns beyond
     /// the bound drop the process instead of pooling it.
-    pub fn with_max_pooled<R, F>(max_pooled: usize, builder: F) -> Self
+    pub(crate) fn with_max_pooled<R, F>(max_pooled: usize, builder: F) -> Self
     where
         F: Fn() -> R + Send + Sync + 'static,
         R: Into<PreparedProcess>,
@@ -191,7 +191,7 @@ impl ProcessArena {
     }
 
     /// Number of idle processes currently in the pool.
-    pub fn pooled(&self) -> usize {
+    pub(crate) fn pooled(&self) -> usize {
         self.inner.pool.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
@@ -235,15 +235,8 @@ pub struct PooledProcess {
 }
 
 impl PooledProcess {
-    /// Detaches the process from its arena: the process is returned as-is
-    /// and will *not* be restored or pooled.
-    pub fn into_inner(mut self) -> Process {
-        self.home = None;
-        self.process.take().expect("process present until drop")
-    }
-
     /// True when dropping this guard returns the process to an arena.
-    pub fn is_pooled(&self) -> bool {
+    pub(crate) fn is_pooled(&self) -> bool {
         self.home.is_some()
     }
 }
@@ -295,7 +288,7 @@ impl Drop for PooledProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NativeLibrary;
+    use crate::{NativeLibrary, Symbol};
 
     fn libc() -> NativeLibrary {
         NativeLibrary::builder("libc.so.6")
@@ -325,7 +318,7 @@ mod tests {
             assert_eq!(process.state().errno(), 0);
             process.call("read", &[3, 0, 64]).unwrap();
             process.state_mut().set_errno(7);
-            process.state_mut().set_tls("libc.so.6", 0x10, 9);
+            process.state_mut().set_tls_sym(Symbol::intern("libc.so.6"), 0x10, 9);
         }
         let stats = arena.stats();
         assert_eq!(stats.builds, 1);
@@ -385,13 +378,6 @@ mod tests {
         assert!(!detached.is_pooled());
         drop(detached);
         assert_eq!(arena.pooled(), 0);
-
-        let checked_out = arena.checkout();
-        assert!(checked_out.is_pooled());
-        let process = checked_out.into_inner();
-        drop(process);
-        assert_eq!(arena.pooled(), 0, "into_inner detaches from the pool");
-        assert_eq!(arena.stats().builds, 1);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod arena;
 mod error;
@@ -31,7 +32,7 @@ mod status;
 pub use arena::{ArenaStats, PooledProcess, PreparedProcess, ProcessArena};
 pub use error::RuntimeError;
 pub use lfi_intern::{Symbol, SymbolTable};
-pub use library::{NativeFn, NativeLibrary, NativeLibraryBuilder};
+pub use library::{NativeLibrary, NativeLibraryBuilder};
 pub use process::{CallContext, FnPtr, Process, ProcessSnapshot, ProcessState, DEFAULT_CALL_LOG_CAPACITY};
 pub use status::{ExitStatus, Signal};
 

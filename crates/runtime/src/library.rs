@@ -12,7 +12,7 @@ use crate::CallContext;
 /// the process's `errno`/TLS/global state, the call stack, and the ability to
 /// invoke the next definition of the same symbol in the resolution chain
 /// (`dlsym(RTLD_NEXT)` in the paper's stubs).
-pub type NativeFn = Arc<dyn Fn(&mut CallContext<'_>) -> i64 + Send + Sync>;
+pub(crate) type NativeFn = Arc<dyn Fn(&mut CallContext<'_>) -> i64 + Send + Sync>;
 
 /// A loadable library: a name plus the behaviours of the symbols it defines.
 ///
@@ -52,16 +52,6 @@ impl NativeLibrary {
     /// The behaviour registered for an interned symbol, if any.
     pub fn function_sym(&self, symbol: Symbol) -> Option<&NativeFn> {
         self.table().chain(symbol).map(|chain| &chain[0])
-    }
-
-    /// Names of the symbols this library defines, in arbitrary order.
-    pub fn symbols(&self) -> impl Iterator<Item = &str> {
-        self.table().spans.keys().map(|symbol| symbol.as_str())
-    }
-
-    /// Interned ids of the symbols this library defines, in arbitrary order.
-    pub fn symbol_ids(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.table().spans.keys().copied()
     }
 
     /// Number of defined symbols.
@@ -196,10 +186,9 @@ mod tests {
         assert!(lib.function("read").is_some());
         assert!(lib.function("write_never_interned_here").is_none());
         assert!(lib.function_sym(Symbol::intern("read")).is_some());
-        let mut symbols: Vec<&str> = lib.symbols().collect();
+        let mut symbols: Vec<&str> = lib.table().spans.keys().map(|symbol| symbol.as_str()).collect();
         symbols.sort_unstable();
         assert_eq!(symbols, vec!["getpid", "read"]);
-        assert_eq!(lib.symbol_ids().count(), 2);
         assert!(format!("{lib:?}").contains("libc.so.6"));
     }
 }

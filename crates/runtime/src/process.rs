@@ -4,8 +4,8 @@ use std::sync::{Arc, OnceLock};
 
 use lfi_intern::Symbol;
 
-use crate::library::ChainTable;
-use crate::{NativeFn, NativeLibrary, RuntimeError};
+use crate::library::{ChainTable, NativeFn};
+use crate::{NativeLibrary, RuntimeError};
 
 /// Default bound on the recorded call log (see
 /// [`ProcessState::set_call_log_capacity`]): generous enough for every
@@ -54,7 +54,7 @@ impl ProcessState {
     }
 
     /// Sets `errno`.
-    pub fn set_errno(&mut self, value: i64) {
+    pub(crate) fn set_errno(&mut self, value: i64) {
         self.errno = value;
     }
 
@@ -64,13 +64,8 @@ impl ProcessState {
     }
 
     /// Reads a TLS slot of an interned module (0 if never written).
-    pub fn tls_sym(&self, module: Symbol, offset: u32) -> i64 {
+    pub(crate) fn tls_sym(&self, module: Symbol, offset: u32) -> i64 {
         *self.tls.get(&(module, offset)).unwrap_or(&0)
-    }
-
-    /// Writes a TLS slot of a module.
-    pub fn set_tls(&mut self, module: &str, offset: u32, value: i64) {
-        self.set_tls_sym(Symbol::intern(module), offset, value);
     }
 
     /// Writes a TLS slot of an interned module — the allocation-free path
@@ -85,13 +80,8 @@ impl ProcessState {
     }
 
     /// Reads a global slot of an interned module (0 if never written).
-    pub fn global_sym(&self, module: Symbol, offset: u32) -> i64 {
+    pub(crate) fn global_sym(&self, module: Symbol, offset: u32) -> i64 {
         *self.globals.get(&(module, offset)).unwrap_or(&0)
-    }
-
-    /// Writes a global slot of a module.
-    pub fn set_global(&mut self, module: &str, offset: u32, value: i64) {
-        self.set_global_sym(Symbol::intern(module), offset, value);
     }
 
     /// Writes a global slot of an interned module.
@@ -100,13 +90,8 @@ impl ProcessState {
     }
 
     /// The current call stack, innermost frame last.
-    pub fn stack(&self) -> &[Symbol] {
+    pub(crate) fn stack(&self) -> &[Symbol] {
         &self.stack
-    }
-
-    /// The current call stack resolved to names, innermost frame last.
-    pub fn stack_names(&self) -> Vec<&'static str> {
-        self.stack.iter().map(|frame| frame.as_str()).collect()
     }
 
     /// When enabled, every dispatched library call is appended to
@@ -184,13 +169,6 @@ impl ProcessState {
 /// function being called".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FnPtr(u64);
-
-impl FnPtr {
-    /// The raw pointer value (useful for storing in simulated memory or logs).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
 
 /// Base value of simulated function-pointer handles, chosen to resemble a
 /// shared-library load address.
@@ -522,27 +500,6 @@ impl Process {
         self.machine.fnptr_name(&self.links, symbol)
     }
 
-    /// Resolves an interned symbol to an opaque function pointer.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Process::fnptr`].
-    pub fn fnptr_sym(&mut self, symbol: Symbol) -> Result<FnPtr, RuntimeError> {
-        self.machine.fnptr(&self.links, symbol)
-    }
-
-    /// The symbol a function pointer refers to, if it was produced by
-    /// [`Process::fnptr`].
-    pub fn fnptr_symbol(&self, ptr: FnPtr) -> Option<&'static str> {
-        self.fnptr_symbol_id(ptr).map(Symbol::as_str)
-    }
-
-    /// The interned symbol a function pointer refers to, if it was produced
-    /// by [`Process::fnptr`].
-    pub fn fnptr_symbol_id(&self, ptr: FnPtr) -> Option<Symbol> {
-        self.machine.fnptr_symbol_id(ptr)
-    }
-
     /// Calls through a function pointer.  The pointer is resolved back to its
     /// symbol *now*, at call time, and the call then goes through the regular
     /// resolution chain — so interceptors synthesized by the controller apply
@@ -691,16 +648,6 @@ pub struct CallContext<'p> {
 }
 
 impl CallContext<'_> {
-    /// The name of the intercepted symbol.
-    pub fn symbol(&self) -> &'static str {
-        self.symbol.as_str()
-    }
-
-    /// The interned id of the intercepted symbol.
-    pub fn symbol_id(&self) -> Symbol {
-        self.symbol
-    }
-
     /// The call arguments (possibly already modified by an interceptor).
     pub fn args(&self) -> &[i64] {
         self.args.as_slice()
@@ -784,16 +731,6 @@ impl CallContext<'_> {
     /// As for [`CallContext::call`].
     pub fn forward(&mut self, symbol: &str) -> Result<i64, RuntimeError> {
         self.machine.call_name(self.links, symbol, self.args.as_slice(), self.depth + 1)
-    }
-
-    /// Makes a fresh call through a function pointer with this call's
-    /// (possibly modified) arguments, without copying them.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CallContext::call_ptr`].
-    pub fn forward_ptr(&mut self, ptr: FnPtr) -> Result<i64, RuntimeError> {
-        self.machine.call_ptr(self.links, ptr, self.args.as_slice(), self.depth + 1)
     }
 
     /// Resolves a symbol to a function pointer (see [`Process::fnptr`]).
@@ -938,7 +875,7 @@ mod tests {
             .collect();
         assert_eq!(frames, vec!["refresh_files", "checked_read", "read"]);
         assert!(process.state().stack().is_empty());
-        assert!(process.state().stack_names().is_empty());
+        assert!(process.state().stack.is_empty());
     }
 
     #[test]
@@ -1016,11 +953,11 @@ mod tests {
         // The program obtains the pointer *before* the interceptor is loaded,
         // the way a long-lived callback table would.
         let read_ptr = process.fnptr("read").unwrap();
-        let getpid_ptr = process.fnptr_sym(Symbol::intern("getpid")).unwrap();
+        let getpid_ptr = process.fnptr("getpid").unwrap();
         assert_ne!(read_ptr, getpid_ptr);
         assert_eq!(process.fnptr("read").unwrap(), read_ptr, "same symbol yields the same pointer");
-        assert_eq!(process.fnptr_symbol(read_ptr), Some("read"));
-        assert_eq!(process.fnptr_symbol_id(read_ptr), Some(Symbol::intern("read")));
+        assert_eq!(process.machine.fnptr_symbol_id(read_ptr).map(Symbol::as_str), Some("read"));
+        assert_eq!(process.machine.fnptr_symbol_id(read_ptr), Some(Symbol::intern("read")));
         assert_eq!(process.call_ptr(read_ptr, &[3, 0, 64]).unwrap(), 64);
 
         // Loading an interceptor afterwards still affects indirect calls,
@@ -1049,7 +986,7 @@ mod tests {
             process.call_ptr(bogus, &[]),
             Err(RuntimeError::InvalidFunctionPointer { value: 0xdead_beef })
         ));
-        assert_eq!(process.fnptr_symbol(bogus), None);
+        assert_eq!(process.machine.fnptr_symbol_id(bogus).map(Symbol::as_str), None);
     }
 
     #[test]
@@ -1062,7 +999,7 @@ mod tests {
                     // Resolve and call `read` through a pointer from inside a
                     // library behaviour (depth-tracked nested call).
                     let ptr = ctx.fnptr("read").unwrap();
-                    ctx.forward_ptr(ptr).unwrap_or(-1)
+                    ctx.call_ptr(ptr, &[1, 0, 32]).unwrap_or(-1)
                 })
                 .build(),
         );
@@ -1074,8 +1011,8 @@ mod tests {
         let mut process = Process::new();
         process.load(libc());
         let ptr = process.fnptr("getpid").unwrap();
-        assert!(ptr.raw() >= 0x7f00_0000_0000);
-        assert_eq!(process.fnptr_symbol(ptr), Some("getpid"));
+        assert!(ptr.0 >= 0x7f00_0000_0000);
+        assert_eq!(process.machine.fnptr_symbol_id(ptr).map(Symbol::as_str), Some("getpid"));
     }
 
     #[test]
@@ -1224,7 +1161,7 @@ mod tests {
             NativeLibrary::builder("librec.so")
                 .function("dive", |ctx| {
                     let depth = ctx.state().global("librec.so", 0) + 1;
-                    ctx.state().set_global("librec.so", 0, depth);
+                    ctx.state().set_global_sym(Symbol::intern("librec.so"), 0, depth);
                     match ctx.call("dive", &[]) {
                         Ok(value) => value,
                         Err(RuntimeError::CallDepthExceeded { limit }) => limit as i64,
@@ -1264,8 +1201,8 @@ mod tests {
     #[test]
     fn tls_and_global_state_are_per_module() {
         let mut process = Process::new();
-        process.state_mut().set_tls("libc.so.6", 0x12fff4, 9);
-        process.state_mut().set_global("libapp.so", 0x10, 3);
+        process.state_mut().set_tls_sym(Symbol::intern("libc.so.6"), 0x12fff4, 9);
+        process.state_mut().set_global_sym(Symbol::intern("libapp.so"), 0x10, 3);
         assert_eq!(process.state().tls("libc.so.6", 0x12fff4), 9);
         assert_eq!(process.state().tls("libm_never_written.so", 0x12fff4), 0);
         assert_eq!(process.state().global("libapp.so", 0x10), 3);

@@ -5,7 +5,7 @@
 //! simulated process's `errno` slot (Linux x86 numbering).
 
 /// Name/value pairs for the errno constants the scenario language accepts.
-pub const ERRNO_TABLE: &[(&str, i64)] = &[
+pub(crate) const ERRNO_TABLE: &[(&str, i64)] = &[
     ("EPERM", 1),
     ("ENOENT", 2),
     ("ESRCH", 3),
@@ -74,7 +74,7 @@ pub fn errno_name(value: i64) -> Option<&'static str> {
 
 /// Parses an errno written either symbolically (`"EBADF"`) or numerically
 /// (`"9"`).
-pub fn parse_errno(text: &str) -> Option<i64> {
+pub(crate) fn parse_errno(text: &str) -> Option<i64> {
     errno_value(text).or_else(|| text.parse::<i64>().ok())
 }
 

@@ -32,12 +32,12 @@ pub enum ScenarioError {
 
 impl ScenarioError {
     /// Convenience constructor for schema violations.
-    pub fn schema(message: impl Into<String>) -> Self {
+    pub(crate) fn schema(message: impl Into<String>) -> Self {
         ScenarioError::Schema { message: message.into() }
     }
 
     /// Convenience constructor for number-parse failures.
-    pub fn invalid_number(field: impl Into<String>, text: impl Into<String>) -> Self {
+    pub(crate) fn invalid_number(field: impl Into<String>, text: impl Into<String>) -> Self {
         ScenarioError::InvalidNumber { field: field.into(), text: text.into() }
     }
 }

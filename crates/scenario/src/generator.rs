@@ -208,11 +208,6 @@ impl Random {
         Ok(Random { probability: validated_probability(probability)?, seed })
     }
 
-    /// The per-call injection probability.
-    pub fn probability(&self) -> f64 {
-        self.probability
-    }
-
     /// The seed recorded in generated plans (drives the controller's RNG).
     pub fn seed(&self) -> u64 {
         self.seed
@@ -605,12 +600,12 @@ mod tests {
         let plan = Exhaustive.generate(&[demo_profile()]);
         // close: 2 errno alternatives; read: 2 bare codes; malloc: 1; getpid: none.
         assert_eq!(plan.len(), 5);
-        let close_entries: Vec<_> = plan.entries_for("close").collect();
+        let close_entries: Vec<_> = plan.entries.iter().filter(|e| e.function == "close").collect();
         assert_eq!(close_entries[0].trigger.inject_at_call, Some(1));
         assert_eq!(close_entries[1].trigger.inject_at_call, Some(2));
         assert_eq!(close_entries[0].action.side_effects[0].value, 9);
         assert_eq!(close_entries[1].action.side_effects[0].value, 5);
-        assert!(plan.entries_for("getpid").next().is_none());
+        assert!(!plan.entries.iter().any(|e| e.function == "getpid"));
         assert!(!plan.entries.iter().any(|e| e.action.call_original));
         assert_eq!(Exhaustive.name(), "exhaustive");
         assert!(Exhaustive.description().contains("exhaustive"));
@@ -619,7 +614,7 @@ mod tests {
     #[test]
     fn random_has_one_entry_per_faulty_function_and_validates_probability() {
         let generator = Random::new(0.1, 7).unwrap();
-        assert_eq!(generator.probability(), 0.1);
+        assert_eq!(generator.probability, 0.1);
         assert_eq!(generator.seed(), 7);
         let plan = generator.generate(&[demo_profile()]);
         assert_eq!(plan.len(), 3);
@@ -685,7 +680,7 @@ mod tests {
         assert_eq!(allowed.intercepted_functions(), vec!["read"]);
 
         let denied = Filtered::new(Exhaustive).deny(["close"]).generate(std::slice::from_ref(&profile));
-        assert!(denied.entries_for("close").next().is_none());
+        assert!(!denied.entries.iter().any(|e| e.function == "close"));
         assert_eq!(denied.len(), all.len() - 2);
 
         let capped = Filtered::new(Exhaustive).max_entries(2).generate(std::slice::from_ref(&profile));

@@ -195,11 +195,6 @@ impl Plan {
         self.entries.is_empty()
     }
 
-    /// The entries that intercept a given function.
-    pub fn entries_for<'a>(&'a self, function: &'a str) -> impl Iterator<Item = &'a PlanEntry> + 'a {
-        self.entries.iter().filter(move |e| e.function == function)
-    }
-
     /// The set of function names this plan intercepts.
     pub fn intercepted_functions(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.entries.iter().map(|e| e.function.as_str()).collect();
@@ -485,13 +480,5 @@ mod tests {
         let xml = plan.to_xml();
         assert!(xml.contains("errno=\"12345\""));
         assert_eq!(Plan::from_xml(&xml).unwrap(), plan);
-    }
-
-    #[test]
-    fn entries_for_filters_by_function() {
-        let plan = paper_plan();
-        assert_eq!(plan.entries_for("readdir").count(), 1);
-        assert_eq!(plan.entries_for("missing").count(), 0);
-        assert!(!plan.is_empty());
     }
 }

@@ -31,7 +31,7 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    pub fn new(payload: &'a [u8]) -> Self {
+    pub(crate) fn new(payload: &'a [u8]) -> Self {
         Self::at(payload, 0)
     }
 
@@ -42,7 +42,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Offset of the next unread byte.
-    pub fn offset(&self) -> u64 {
+    pub(crate) fn offset(&self) -> u64 {
         self.pos as u64
     }
 
@@ -65,23 +65,23 @@ impl<'a> Reader<'a> {
         Ok(self.take(N, what)?.try_into().expect("take returns exactly N bytes"))
     }
 
-    pub fn u8(&mut self, what: &str) -> Result<u8, StoreError> {
+    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, StoreError> {
         Ok(self.take(1, what)?[0])
     }
 
-    pub fn u32(&mut self, what: &str) -> Result<u32, StoreError> {
+    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, StoreError> {
         Ok(u32::from_le_bytes(self.array(what)?))
     }
 
-    pub fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
+    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
         Ok(u64::from_le_bytes(self.array(what)?))
     }
 
-    pub fn i64(&mut self, what: &str) -> Result<i64, StoreError> {
+    pub(crate) fn i64(&mut self, what: &str) -> Result<i64, StoreError> {
         Ok(i64::from_le_bytes(self.array(what)?))
     }
 
-    pub fn flag(&mut self, what: &str) -> Result<bool, StoreError> {
+    pub(crate) fn flag(&mut self, what: &str) -> Result<bool, StoreError> {
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -89,18 +89,18 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub fn opt_u64(&mut self, what: &str) -> Result<Option<u64>, StoreError> {
+    pub(crate) fn opt_u64(&mut self, what: &str) -> Result<Option<u64>, StoreError> {
         Ok(if self.flag(what)? { Some(self.u64(what)?) } else { None })
     }
 
-    pub fn opt_i64(&mut self, what: &str) -> Result<Option<i64>, StoreError> {
+    pub(crate) fn opt_i64(&mut self, what: &str) -> Result<Option<i64>, StoreError> {
         Ok(if self.flag(what)? { Some(self.i64(what)?) } else { None })
     }
 
     /// A collection count, sanity-bounded by the bytes actually remaining
     /// (each element needs at least `min_element` bytes), so a hostile
     /// length can never trigger a huge allocation.
-    pub fn count(&mut self, min_element: usize, what: &str) -> Result<usize, StoreError> {
+    pub(crate) fn count(&mut self, min_element: usize, what: &str) -> Result<usize, StoreError> {
         let count = self.u32(what)? as usize;
         if count.saturating_mul(min_element.max(1)) > self.remaining() {
             return Err(StoreError::corrupt(self.offset() - 4, format!("impossible {what} count {count}")));
@@ -121,20 +121,20 @@ impl<'a> Reader<'a> {
         self.take(len, what).map(drop)
     }
 
-    pub fn string(&mut self, what: &str) -> Result<String, StoreError> {
+    pub(crate) fn string(&mut self, what: &str) -> Result<String, StoreError> {
         Ok(self.str(what)?.to_owned())
     }
 
-    pub fn opt_string(&mut self, what: &str) -> Result<Option<String>, StoreError> {
+    pub(crate) fn opt_string(&mut self, what: &str) -> Result<Option<String>, StoreError> {
         Ok(if self.flag(what)? { Some(self.string(what)?) } else { None })
     }
 
-    pub fn symbol(&mut self, what: &str) -> Result<Symbol, StoreError> {
+    pub(crate) fn symbol(&mut self, what: &str) -> Result<Symbol, StoreError> {
         Ok(Symbol::intern(self.str(what)?))
     }
 
     /// The payload must be fully consumed — trailing garbage is corruption.
-    pub fn finish(self) -> Result<(), StoreError> {
+    pub(crate) fn finish(self) -> Result<(), StoreError> {
         if self.remaining() != 0 {
             return Err(StoreError::corrupt(self.offset(), "trailing bytes after record payload"));
         }

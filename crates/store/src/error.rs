@@ -64,12 +64,12 @@ pub struct StoreError {
 
 impl StoreError {
     /// An IO failure with no location context yet.
-    pub fn io(error: io::Error) -> Self {
+    pub(crate) fn io(error: io::Error) -> Self {
         Self { path: None, offset: None, format: None, kind: StoreErrorKind::Io(error) }
     }
 
     /// A corruption failure at a byte offset.
-    pub fn corrupt(offset: u64, message: impl Into<String>) -> Self {
+    pub(crate) fn corrupt(offset: u64, message: impl Into<String>) -> Self {
         Self {
             path: None,
             offset: Some(offset),
@@ -79,7 +79,7 @@ impl StoreError {
     }
 
     /// A version-mismatch failure.
-    pub fn unsupported_version(found: u16) -> Self {
+    pub(crate) fn unsupported_version(found: u16) -> Self {
         Self {
             path: None,
             offset: None,
@@ -89,12 +89,12 @@ impl StoreError {
     }
 
     /// An XML parse failure.
-    pub fn xml(error: ProfileError) -> Self {
+    pub(crate) fn xml(error: ProfileError) -> Self {
         Self { path: None, offset: None, format: Some(StoreFormat::Xml), kind: StoreErrorKind::Xml(error) }
     }
 
     /// Attaches the file path (kept if already set).
-    pub fn with_path(mut self, path: impl AsRef<Path>) -> Self {
+    pub(crate) fn with_path(mut self, path: impl AsRef<Path>) -> Self {
         if self.path.is_none() {
             self.path = Some(path.as_ref().to_path_buf());
         }

@@ -34,6 +34,7 @@
 //! round-trips byte-identically.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod codec;
 mod error;

@@ -68,6 +68,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use lfi_core::Lfi;
 

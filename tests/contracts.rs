@@ -45,6 +45,7 @@
 //! live store, byte for byte), never runs a cell of a function muted when
 //! its batch started, and replays identically.
 
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,7 +55,7 @@ use proptest::prelude::*;
 use lfi::asm::{FaultSpec, FunctionSpec, LibraryCompiler, LibrarySpec};
 use lfi::controller::{CampaignReport, FnWorkload, Workload};
 use lfi::explore::{ExplorationStore, Explorer, FunctionCoverage};
-use lfi::fabric::{Fabric, JobSpec, JobState};
+use lfi::fabric::{Fabric, FabricClient, JobSpec, JobState};
 use lfi::intern::Symbol;
 use lfi::isa::Platform;
 use lfi::profile::FaultProfile;
@@ -112,11 +113,10 @@ fn explore(plan: &Plan, batch: usize) -> ExplorationStore {
 fn run_fabric(plan: &Plan, lease: usize, workers: usize) -> ExplorationStore {
     let fabric = Fabric::builder()
         .workers(workers)
-        .lease_batch(lease)
         .register(FnWorkload::new("reader", reader_process, read_four))
         .build();
     let job = fabric
-        .submit(JobSpec::new("contract", "reader", plan.clone()))
+        .submit(JobSpec::new("contract", "reader", plan.clone()).lease_batch(lease))
         .expect("workload registered");
     assert_eq!(fabric.wait_job(job, Duration::from_secs(60)), Some(JobState::Done));
     fabric.checkpoint(job).expect("job exists")
@@ -194,11 +194,10 @@ fn journal_fabric(plan: &Plan, lease: usize) -> (ExplorationStore, ExplorationSt
     let path = journal_path("fabric");
     let fabric = Fabric::builder()
         .workers(1)
-        .lease_batch(lease)
         .register(FnWorkload::new("reader", reader_process, read_four))
         .build();
     let job = fabric
-        .submit(JobSpec::new("contract", "reader", plan.clone()))
+        .submit(JobSpec::new("contract", "reader", plan.clone()).lease_batch(lease))
         .expect("workload registered");
     fabric.journal_job(job, &path).expect("journal attaches");
     assert_eq!(fabric.wait_job(job, Duration::from_secs(60)), Some(JobState::Done));
@@ -329,12 +328,32 @@ fn the_rules_count_the_clusters_the_ledger_counts() {
         .submit(JobSpec::new("oracle", "wrapped-reader", plan))
         .expect("workload registered");
     assert_eq!(fabric.wait_job(job, Duration::from_secs(60)), Some(JobState::Done));
-    let mut monitor = JobMonitor::new(fabric.connect(), job, RuleSet::new());
-    while monitor.poll(64) > 0 {}
+    // Folds the job's whole event stream; returns the monitor and how many
+    // events it folded.
+    let fold = |client: FabricClient| {
+        let mut monitor = JobMonitor::new(client, job, RuleSet::new());
+        let mut events = 0;
+        loop {
+            match monitor.poll(64) {
+                0 => break (monitor, events),
+                folded => events += folded,
+            }
+        }
+    };
+    let (monitor, events) = fold(fabric.connect());
     let report = fabric.report(job).expect("job exists");
     let job_state = monitor.engine().state();
     assert_eq!(job_state.clusters(), report.clusters.len() as u64, "the monitor counts the job's report");
     assert_eq!(job_state.crash_clusters(), crashes(&report.clusters));
+
+    // The same stream read over the wire, from a server on loopback.
+    let guard = fabric.serve_tcp(TcpListener::bind("127.0.0.1:0").expect("bind")).expect("server thread");
+    let (tcp_monitor, tcp_events) = fold(FabricClient::tcp(guard.addr()).expect("connect"));
+    assert!(events > 0);
+    assert_eq!(tcp_events, events, "the TCP monitor folds every event the in-process one folds");
+    let tcp_state = tcp_monitor.engine().state();
+    assert_eq!(tcp_state.clusters(), job_state.clusters());
+    assert_eq!(tcp_state.crash_clusters(), job_state.crash_clusters());
 
     assert_eq!((ledger.len(), report.clusters.len()), (2, 2), "one cluster per call site");
 }

@@ -136,9 +136,9 @@ fn killed_worker_loses_no_cell_and_double_counts_none() {
     // lease goes unacked, its cells return to the frontier, and the job
     // still completes.
     let run_to_completion = |armed: bool| {
-        let fabric = Fabric::builder().workers(1).lease_batch(4).register(flaky_reader(armed, 5)).build();
+        let fabric = Fabric::builder().workers(1).register(flaky_reader(armed, 5)).build();
         let job = fabric
-            .submit(JobSpec::new("handoff", "flaky-reader", read_plan(4, &[5, 9, 11])))
+            .submit(JobSpec::new("handoff", "flaky-reader", read_plan(4, &[5, 9, 11])).lease_batch(4))
             .expect("workload registered");
         assert_eq!(fabric.wait_job(job, Duration::from_secs(60)), Some(JobState::Done));
         let snapshot = fabric.status(job).expect("job exists");
