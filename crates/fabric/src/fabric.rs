@@ -148,7 +148,13 @@ impl FabricBuilder {
         Self::default()
     }
 
-    /// Size of the shared worker fleet.  `0` builds an inert fabric that
+    /// Size of the shared worker fleet.  A fleet of `n ≥ 1` workers also
+    /// runs one *short lane*: a thread that leases only while all `n`
+    /// workers are inside a lease, and then only a job with no lease out
+    /// whose cells are estimated under a few milliseconds, or the one-cell
+    /// probe of a job whose cost is still unknown.  So a small job never
+    /// waits for a worker to leave a long cell, and the lane never runs a
+    /// job beside a worker.  `0` builds an inert fabric, with no lane, that
     /// accepts and checkpoints jobs but executes nothing — useful for
     /// staging work to hand to another fabric.
     pub fn workers(mut self, workers: usize) -> Self {
@@ -174,10 +180,11 @@ impl FabricBuilder {
         self
     }
 
-    /// Spawns the worker fleet and returns the running fabric.
+    /// Spawns the worker fleet (and, unless it is empty, the short lane)
+    /// and returns the running fabric.
     pub fn build(self) -> Fabric {
         let inner = Arc::new(FabricInner {
-            sched: Mutex::new(Scheduler::new(DEFAULT_LEASE_BATCH, LEASE_DEADLINE)),
+            sched: Mutex::new(Scheduler::new(DEFAULT_LEASE_BATCH, LEASE_DEADLINE, self.workers)),
             registry: Mutex::new(self.registry),
             journals: Mutex::new(HashMap::new()),
             work: Condvar::new(),
@@ -185,16 +192,18 @@ impl FabricBuilder {
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         });
+        let spawn = |seat, name| {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || worker_loop(&inner, seat))
+                .expect("fabric worker thread spawns")
+        };
         let workers = (0..self.workers)
-            .map(|worker| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("lfi-fabric-{worker}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("fabric worker thread spawns")
-            })
+            .map(|worker| spawn(Seat::Worker, format!("lfi-fabric-{worker}")))
             .collect();
-        Fabric { handle: FabricHandle { inner }, workers }
+        let lane = (self.workers > 0).then(|| spawn(Seat::Lane, "lfi-fabric-lane".to_owned()));
+        Fabric { handle: FabricHandle { inner }, workers, lane }
     }
 }
 
@@ -204,6 +213,7 @@ impl FabricBuilder {
 pub struct Fabric {
     handle: FabricHandle,
     workers: Vec<JoinHandle<()>>,
+    lane: Option<JoinHandle<()>>,
 }
 
 impl Fabric {
@@ -223,7 +233,7 @@ impl Fabric {
     /// order.
     pub fn drain(mut self) -> Vec<JobReport> {
         self.handle.begin_drain();
-        for worker in self.workers.drain(..) {
+        for worker in self.workers.drain(..).chain(self.lane.take()) {
             let _ = worker.join();
         }
         lock(&self.handle.inner.sched).reports()
@@ -235,7 +245,7 @@ impl Drop for Fabric {
         self.handle.inner.shutdown.store(true, Ordering::Release);
         lock(&self.handle.inner.sched).cancel_outstanding();
         self.handle.inner.notify();
-        for worker in self.workers.drain(..) {
+        for worker in self.workers.drain(..).chain(self.lane.take()) {
             let _ = worker.join();
         }
     }
@@ -515,12 +525,21 @@ impl fmt::Debug for FabricHandle {
     }
 }
 
-/// One worker of the fleet: pull a lease from any runnable job, run it as a
+/// Which leases a fleet thread takes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Seat {
+    /// A regular worker: the next lease of any leasable job.
+    Worker,
+    /// The short lane: only short leases, while every worker is busy.
+    Lane,
+}
+
+/// One thread of the fleet: pull a lease for its seat, run it as a
 /// single-threaded campaign, and ack it with the wall time it took, which
 /// is what the job is charged (or, if the workload killed us, let the
 /// scheduler requeue the lease).  The `catch_unwind` is the crash-safety
 /// boundary: a panicking workload takes down its lease, never the fleet.
-fn worker_loop(inner: &FabricInner) {
+fn worker_loop(inner: &FabricInner, seat: Seat) {
     loop {
         let assignment = {
             let mut sched = lock(&inner.sched);
@@ -533,7 +552,15 @@ fn worker_loop(inner: &FabricInner) {
                     let journaled: Vec<u64> = lock(&inner.journals).keys().copied().collect();
                     journaled.into_iter().for_each(|job| journal_delta(inner, &mut sched, JobId(job)));
                 }
-                if let Some(assignment) = sched.next_lease(Instant::now()) {
+                let next = match seat {
+                    Seat::Worker => sched.next_lease(Instant::now()),
+                    Seat::Lane => sched.next_lane_lease(Instant::now()),
+                };
+                if let Some(assignment) = next {
+                    if seat == Seat::Worker && sched.fleet_busy() {
+                        // The last free worker is now busy: wake the lane.
+                        inner.work.notify_all();
+                    }
                     break assignment;
                 }
                 if inner.draining.load(Ordering::Acquire) && sched.quiescent() {

@@ -18,7 +18,11 @@
 //!   few milliseconds at the job's measured cost, capped by
 //!   [`JobSpec::lease_batch`].  Each lease runs on the existing
 //!   [`Campaign`](lfi_controller::Campaign) machinery as a serial session —
-//!   the fleet is the parallelism.
+//!   the fleet is the parallelism.  A job of unknown cost has one lease
+//!   out until its first cell acks, and a short lane beside the workers
+//!   serves short jobs while every worker is inside a lease
+//!   ([`FabricBuilder::workers`]), so a small job never waits for a long
+//!   cell to end.
 //! * **Crash-safe handoff** — a lease not acked within its deadline (the
 //!   worker panicked, hung, or the process was killed) returns to the
 //!   job's frontier; late acks are discarded wholesale, so no cell is ever

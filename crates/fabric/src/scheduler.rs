@@ -10,20 +10,32 @@
 //!
 //! Fairness is by worker time, not by cell count — per-cell costs of real
 //! tenants differ by orders of magnitude.  Each job carries a charge: a
-//! lease is charged `cells × the job's per-cell estimate` when issued, and
-//! trued up to the worker time it actually took when acked (the estimate
-//! becomes that time per executed cell).  A lease that comes back unacked
-//! (expiry, worker panic) is refunded.  The runnable job with the smallest
-//! charge per unit of [`JobSpec::weight`] gets the next lease, and a job
-//! admitted into a running fabric starts at the smallest settled charge
-//! among the runnable jobs, so it neither jumps the queue for hours nor
-//! waits behind history.  Leases are sized by time too: a job's first
+//! lease is charged `cells × the job's per-cell estimate` when issued
+//! (nothing while the cost is unknown), and trued up to the worker time it
+//! actually took when acked (the estimate becomes that time per executed
+//! cell).  A lease that comes back unacked (expiry, worker panic) is
+//! refunded.  The runnable job with the smallest charge per unit of
+//! [`JobSpec::weight`] gets the next lease, and a job admitted into a
+//! running fabric starts at the smallest settled charge among the runnable
+//! jobs, so it neither jumps the queue for hours nor waits behind history.  Leases are sized by time too: a job's first
 //! lease is one cell, then as many cells as fit [`LEASE_TARGET`] at the
 //! job's estimate, capped by its lease batch.  Each expiry strikes the
 //! cells of its lease; a cell with [`MAX_JOB_PANICS`] strikes is leased
 //! alone and skipped when that lease expires too.  None of this is
 //! durable — a recovered job starts with its cost unknown and its strikes
 //! cleared, like a new one.
+//!
+//! Two rules keep a short job from queueing behind long cells, since a
+//! case cannot be preempted once it runs.  A job whose per-cell cost is
+//! unknown has one lease out at most: its probe acks before any seat
+//! leases it again, so no second worker walks blind into a cell of
+//! unknown length.  And besides its regular workers the fleet has one
+//! *short lane*, a seat that leases only while every regular worker is
+//! inside a lease, only a job with no lease out, and only a job whose
+//! per-cell estimate is under [`LEASE_TARGET`] or whose probe this is.
+//! A job the lane holds is the lane's alone until it acks, so the lane
+//! adds no parallelism to any job.  The lane picks by the same fairness
+//! key and is charged like any worker.
 //!
 //! [`Scheduler::checkpoint`], [`Scheduler::take_delta`] and
 //! [`Scheduler::submit_restored`] run the explorer's store, delta and
@@ -35,9 +47,9 @@
 //! under the fabric's one mutex, takes `now` (and, for acks, the measured
 //! busy time) as a parameter, so expiry and fairness are unit-testable
 //! without sleeping, and never blocks.  Workers live in `fabric.rs`;
-//! everything they do against shared state funnels through here as three
-//! calls: [`Scheduler::next_lease`], [`Scheduler::ack`],
-//! [`Scheduler::requeue_panic`].
+//! everything they do against shared state funnels through here:
+//! [`Scheduler::next_lease`] (the lane's [`Scheduler::next_lane_lease`]),
+//! then [`Scheduler::ack`] or [`Scheduler::requeue_panic`].
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -62,12 +74,6 @@ const MAX_JOB_PANICS: u64 = 3;
 /// long enough to amortize the lease round trip over cheap cells, short
 /// enough that a tenant waiting behind it is served within milliseconds.
 const LEASE_TARGET: Duration = Duration::from_millis(5);
-
-/// What a cell is charged at issue while its job's cost is still unknown
-/// (its first lease is out).  Small against any real cell, yet nonzero, so
-/// a second worker prefers another job's probe over a second one of this
-/// job; the ack replaces it with the measured time.
-const UNKNOWN_CELL_CHARGE: Duration = Duration::from_millis(1);
 
 /// A duration in whole nanoseconds, saturating.
 fn nanos(duration: Duration) -> u64 {
@@ -167,6 +173,18 @@ impl JobRecord {
         matches!(self.state, JobState::Queued | JobState::Running) && self.exploration.pending().len() > 0
     }
 
+    /// Runnable, and not waiting on its probe: a job of unknown cost has at
+    /// most one lease out.
+    fn leasable(&self) -> bool {
+        self.runnable() && (self.cell_ns.is_some() || self.outstanding.is_empty())
+    }
+
+    /// Leasable by the lane: no lease out, and its cells short or its cost
+    /// unknown (this lease is its probe).
+    fn short(&self) -> bool {
+        self.runnable() && self.outstanding.is_empty() && self.cell_ns.is_none_or(|ns| ns < nanos(LEASE_TARGET))
+    }
+
     fn weight(&self) -> u64 {
         u64::from(self.spec.weight.max(1))
     }
@@ -256,16 +274,26 @@ pub(crate) struct Scheduler {
     next_lease: u64,
     lease_deadline: Duration,
     default_lease_batch: usize,
+    /// The fleet's regular workers.
+    workers: usize,
+    /// How many of them are inside a lease: an expired lease still holds
+    /// its worker until the stale ack.
+    busy: usize,
+    /// The lane's lease, from issue until the lane comes back.
+    lane: Option<u64>,
 }
 
 impl Scheduler {
-    pub(crate) fn new(default_lease_batch: usize, lease_deadline: Duration) -> Self {
+    pub(crate) fn new(default_lease_batch: usize, lease_deadline: Duration, workers: usize) -> Self {
         Self {
             jobs: BTreeMap::new(),
             next_job: 1,
             next_lease: 1,
             lease_deadline,
             default_lease_batch: default_lease_batch.max(1),
+            workers,
+            busy: 0,
+            lane: None,
         }
     }
 
@@ -330,22 +358,57 @@ impl Scheduler {
             .unwrap_or(0)
     }
 
-    /// Issues the next lease, picking the runnable job with the smallest
-    /// weighted worker-time charge (ties to the lowest id) — the per-job
-    /// fairness that keeps a sweep of slow cells from starving a smoke job
-    /// of fast ones.  The lease is sized by time and charged at the job's
+    /// Issues the next lease to a regular worker, picking the leasable job
+    /// with the smallest weighted worker-time charge (ties to the lowest
+    /// id) — the per-job fairness that keeps a sweep of slow cells from
+    /// starving a smoke job of fast ones.  A job the lane holds is not
+    /// leasable.  The lease is sized by time and charged at the job's
     /// per-cell estimate.
     pub(crate) fn next_lease(&mut self, now: Instant) -> Option<LeaseAssignment> {
-        let id = self
-            .jobs
+        let lane = self.lane;
+        let id =
+            self.pick(|record| record.leasable() && lane.is_none_or(|lease| !record.outstanding.contains_key(&lease)))?;
+        let assignment = self.issue(id, now);
+        self.busy += 1;
+        Some(assignment)
+    }
+
+    /// Issues the next lease to the short lane: only while every regular
+    /// worker is inside a lease, and only of a job with no lease out whose
+    /// cells are estimated under [`LEASE_TARGET`] or whose probe this is.
+    /// Picks by the same key as [`Scheduler::next_lease`].
+    pub(crate) fn next_lane_lease(&mut self, now: Instant) -> Option<LeaseAssignment> {
+        if !self.fleet_busy() || self.lane.is_some() {
+            return None;
+        }
+        let id = self.pick(JobRecord::short)?;
+        let assignment = self.issue(id, now);
+        self.lane = Some(assignment.lease);
+        Some(assignment)
+    }
+
+    /// Whether every regular worker is inside a lease, so the lane may
+    /// lease.
+    pub(crate) fn fleet_busy(&self) -> bool {
+        self.busy >= self.workers
+    }
+
+    /// The eligible job with the smallest deficit, ties to the lowest id.
+    fn pick(&self, eligible: impl Fn(&JobRecord) -> bool) -> Option<u64> {
+        self.jobs
             .iter()
-            .filter(|(_, record)| record.runnable())
+            .filter(|(_, record)| eligible(record))
             .min_by_key(|(id, record)| (record.deficit(), **id))
-            .map(|(id, _)| *id)?;
+            .map(|(id, _)| *id)
+    }
+
+    /// Leases job `id`'s next cells, charged at its per-cell estimate (a
+    /// probe, whose cost is unknown, is charged at its ack).
+    fn issue(&mut self, id: u64, now: Instant) -> LeaseAssignment {
         let record = self.jobs.get_mut(&id).expect("picked job exists");
         let batch = record.lease_cells(record.spec.lease_batch.unwrap_or(self.default_lease_batch).max(1));
         let cells = record.exploration.take(batch);
-        let charge_ns = record.cell_ns.unwrap_or(nanos(UNKNOWN_CELL_CHARGE)).saturating_mul(cells.len() as u64);
+        let charge_ns = record.cell_ns.unwrap_or(0).saturating_mul(cells.len() as u64);
         record.started += cells.len() as u64;
         record.charged_ns = record.charged_ns.saturating_add(charge_ns);
         record.set_state(JobState::Running);
@@ -355,14 +418,25 @@ impl Scheduler {
             lease,
             OutstandingLease { cells: cells.clone(), charge_ns, deadline: now + self.lease_deadline, cancel: None },
         );
-        Some(LeaseAssignment {
+        LeaseAssignment {
             job: JobId(id),
             lease,
             cells,
             workload: Arc::clone(&record.workload),
             seed: record.spec.plan.seed,
             halt_on_crash: record.spec.halt_on_crash,
-        })
+        }
+    }
+
+    /// The seat that ran `lease` is free again, whether or not the lease
+    /// still counts.  Each lease comes back once; the count saturates only
+    /// so that a repeated stale ack cannot wrap it.
+    fn vacate(&mut self, lease: u64) {
+        if self.lane == Some(lease) {
+            self.lane = None;
+        } else {
+            self.busy = self.busy.saturating_sub(1);
+        }
     }
 
     /// Attaches the campaign run's cancel handle to a lease, so a job
@@ -396,6 +470,7 @@ impl Scheduler {
     /// `false`), which is what makes re-execution safe: only the ack that
     /// still holds the lease counts.
     pub(crate) fn ack(&mut self, job: JobId, lease: u64, result: LeaseResult, busy: Duration) -> bool {
+        self.vacate(lease);
         let Some(record) = self.jobs.get_mut(&job.0) else {
             return false;
         };
@@ -431,6 +506,7 @@ impl Scheduler {
     /// can be double-counted.  A job that kills its workers repeatedly is
     /// marked `Failed`.
     pub(crate) fn requeue_panic(&mut self, job: JobId, lease: u64) -> bool {
+        self.vacate(lease);
         let Some(record) = self.jobs.get_mut(&job.0) else {
             return false;
         };
@@ -719,7 +795,7 @@ mod tests {
 
     #[test]
     fn deficit_fairness_alternates_between_equal_weight_jobs() {
-        let mut sched = Scheduler::new(4, Duration::from_secs(60));
+        let mut sched = Scheduler::new(4, Duration::from_secs(60), 1);
         let now = Instant::now();
         let big = sched.submit(JobSpec::new("big", "noop", plan_with_cells("read", 1..=100)), noop_workload());
         let small = sched.submit(JobSpec::new("small", "noop", plan_with_cells("write", 1..=8)), noop_workload());
@@ -736,7 +812,7 @@ mod tests {
     fn weighted_jobs_get_proportional_worker_time() {
         // The weight-2 job's cells cost three times as much: fairness is by
         // worker time, so it gets 2/3 of the time, not 2/3 of the cells.
-        let mut sched = Scheduler::new(2, Duration::from_secs(60));
+        let mut sched = Scheduler::new(2, Duration::from_secs(60), 1);
         let now = Instant::now();
         let light = sched.submit(JobSpec::new("light", "noop", plan_with_cells("read", 1..=400)), noop_workload());
         let heavy =
@@ -758,7 +834,7 @@ mod tests {
 
     #[test]
     fn cheap_job_behind_an_expensive_one_gets_every_lease_until_it_catches_up() {
-        let mut sched = Scheduler::new(8, Duration::from_secs(60));
+        let mut sched = Scheduler::new(8, Duration::from_secs(60), 1);
         let now = Instant::now();
         let expensive = sched.submit(JobSpec::new("slow", "noop", plan_with_cells("read", 1..=16)), noop_workload());
         let cheap = sched.submit(JobSpec::new("fast", "noop", plan_with_cells("write", 1..=40)), noop_workload());
@@ -788,7 +864,7 @@ mod tests {
             (micros(10), Some(3), 3),
             (micros(20_000), None, 1),
         ] {
-            let mut sched = Scheduler::new(8, Duration::from_secs(60));
+            let mut sched = Scheduler::new(8, Duration::from_secs(60), 1);
             let mut spec = JobSpec::new("job", "noop", plan_with_cells("read", 1..=40));
             if let Some(cap) = cap {
                 spec = spec.lease_batch(cap);
@@ -800,8 +876,110 @@ mod tests {
     }
 
     #[test]
+    fn a_short_job_runs_on_the_lane_while_every_worker_is_inside_a_long_lease() {
+        const WORKERS: usize = 2;
+        let long_cell = LEASE_TARGET * 100;
+        let mut sched = Scheduler::new(8, Duration::from_secs(60), WORKERS);
+        let start = Instant::now();
+        let long = sched.submit(JobSpec::new("long", "noop", plan_with_cells("read", 1..=40)), noop_workload());
+        assert!(sched.next_lane_lease(start).is_none(), "the lane waits while a worker is free");
+        run_next(&mut sched, start, |_| long_cell).unwrap();
+        // Every regular worker goes inside a long lease; none acks below.
+        let held: Vec<LeaseAssignment> = (0..WORKERS).map(|_| sched.next_lease(start).unwrap()).collect();
+        assert!(held.iter().all(|lease| lease.job == long && lease.cells.len() == 1));
+        assert!(sched.next_lane_lease(start).is_none(), "the long job is neither short nor free");
+
+        let short = sched.submit(JobSpec::new("short", "noop", plan_with_cells("write", 1..=20)), noop_workload());
+        let admitted = charged(&sched, short);
+        let (mut now, mut sizes) = (start, Vec::new());
+        while let Some(lease) = sched.next_lane_lease(now) {
+            assert_eq!(lease.job, short);
+            sizes.push(lease.cells.len());
+            now += busy(&lease.cells);
+            assert!(sched.ack(lease.job, lease.lease, success_result(&lease.cells), busy(&lease.cells)));
+        }
+        assert_eq!(sizes, [1, 8, 8, 3], "a probe, then leases sized like any worker's");
+        assert_eq!(sched.state(short), Some(JobState::Done));
+        assert!(now < start + long_cell, "done before the long leases could return");
+        assert_eq!(charged(&sched, short) - admitted, nanos(CELL) * 20, "the lane is charged like a worker");
+        assert_eq!(sched.snapshot(long).unwrap().outstanding, WORKERS);
+        for lease in held {
+            assert!(sched.ack(lease.job, lease.lease, success_result(&lease.cells), long_cell));
+        }
+        // With the workers back, a fresh short job waits for one of them.
+        let late = sched.submit(JobSpec::new("late", "noop", plan_with_cells("open", 1..=4)), noop_workload());
+        assert!(sched.next_lane_lease(now).is_none(), "the lane idles once a worker is free");
+        assert_eq!(sched.state(late), Some(JobState::Queued));
+    }
+
+    #[test]
+    fn a_job_of_unknown_cost_has_one_lease_out_until_its_probe_acks() {
+        let mut sched = Scheduler::new(8, Duration::from_secs(60), 2);
+        let now = Instant::now();
+        let first = sched.submit(JobSpec::new("first", "noop", plan_with_cells("read", 1..=16)), noop_workload());
+        let second = sched.submit(JobSpec::new("second", "noop", plan_with_cells("write", 1..=8)), noop_workload());
+        // Two workers and the lane: each fresh job issues its probe, and
+        // then nothing, however many seats ask.
+        let probe = sched.next_lease(now).unwrap();
+        assert_eq!((probe.job, probe.cells.len()), (first, 1));
+        let other = sched.next_lease(now).unwrap();
+        assert_eq!((other.job, other.cells.len()), (second, 1), "the second worker takes the other job's probe");
+        assert!(sched.next_lease(now).is_none(), "no blind second lease");
+        assert!(sched.next_lane_lease(now).is_none());
+        // A probe returned unacked leaves the cost unknown: the job issues
+        // one probe again, and again only one.
+        assert!(sched.requeue_panic(first, probe.lease));
+        let probe = sched.next_lease(now).unwrap();
+        assert_eq!((probe.job, probe.cells.len()), (first, 1));
+        assert!(sched.next_lease(now).is_none());
+        // Once the probe acks, the job's cost is known and any worker may
+        // lease it beside another.
+        assert!(sched.ack(first, probe.lease, success_result(&probe.cells), busy(&probe.cells)));
+        let sizes: Vec<(JobId, usize)> = (0..2)
+            .map(|_| sched.next_lease(now).map(|lease| (lease.job, lease.cells.len())).unwrap())
+            .collect();
+        assert_eq!(sizes, [(first, 8), (first, 7)]);
+    }
+
+    #[test]
+    fn the_lane_takes_no_held_job_and_no_long_one() {
+        let mut sched = Scheduler::new(8, Duration::from_secs(60), 1);
+        let now = Instant::now();
+        let held = sched.submit(JobSpec::new("held", "noop", plan_with_cells("read", 1..=40)), noop_workload());
+        let long = sched.submit(JobSpec::new("long", "noop", plan_with_cells("write", 1..=40)), noop_workload());
+        let probe_cost = |job: JobId| if job == long { LEASE_TARGET } else { LEASE_TARGET / 100 };
+        assert_eq!(run_next(&mut sched, now, probe_cost), Some((held, 1)));
+        assert_eq!(run_next(&mut sched, now, probe_cost), Some((long, 1)));
+        assert_eq!(sched.jobs[&long.0].cell_ns, Some(nanos(LEASE_TARGET)), "estimated at the target exactly");
+
+        // The one worker holds the short job: the lane takes neither it nor
+        // the long job, whose estimate is not under the target.
+        let worker = sched.next_lease(now).unwrap();
+        assert_eq!(worker.job, held);
+        assert!(sched.next_lane_lease(now).is_none());
+
+        // A short job the lane holds is the lane's alone until it acks,
+        // though its charge is the smallest.
+        let short = sched.submit(JobSpec::new("short", "noop", plan_with_cells("open", 1..=40)), noop_workload());
+        let probe = sched.next_lane_lease(now).unwrap();
+        assert_eq!((probe.job, probe.cells.len()), (short, 1));
+        assert!(sched.ack(short, probe.lease, success_result(&probe.cells), busy(&probe.cells)));
+        let lane = sched.next_lane_lease(now).unwrap();
+        assert_eq!((lane.job, lane.cells.len()), (short, 8));
+        assert!(sched.ack(held, worker.lease, success_result(&worker.cells), Duration::from_millis(10)));
+        assert!(charged(&sched, short) < charged(&sched, long));
+        let worker = sched.next_lease(now).unwrap();
+        assert_eq!(worker.job, long, "a worker does not lease the job the lane holds");
+        assert!(sched.next_lane_lease(now).is_none(), "the lane holds one lease at a time");
+
+        // Back from its lease, the lane serves the short job again.
+        assert!(sched.ack(short, lane.lease, success_result(&lane.cells), busy(&lane.cells)));
+        assert_eq!(sched.next_lane_lease(now).unwrap().job, short);
+    }
+
+    #[test]
     fn expired_lease_requeues_cells_and_late_ack_is_stale() {
-        let mut sched = Scheduler::new(4, Duration::from_secs(10));
+        let mut sched = Scheduler::new(4, Duration::from_secs(10), 1);
         let base = Instant::now();
         let job = sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=5)), noop_workload());
         // The one-cell probe measures the job's cost; the next lease is
@@ -837,7 +1015,7 @@ mod tests {
 
     #[test]
     fn a_cell_whose_lease_keeps_expiring_is_skipped() {
-        let mut sched = Scheduler::new(1, Duration::from_secs(10));
+        let mut sched = Scheduler::new(1, Duration::from_secs(10), 1);
         let base = Instant::now();
         let job = sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=1)), noop_workload());
         let mut now = base;
@@ -867,7 +1045,7 @@ mod tests {
 
     #[test]
     fn only_the_cell_that_never_returns_is_skipped_from_an_expiring_lease() {
-        let mut sched = Scheduler::new(4, Duration::from_secs(10));
+        let mut sched = Scheduler::new(4, Duration::from_secs(10), 1);
         let job = sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=8)), noop_workload());
         let hung = FaultSpace::from_plan(&plan_with_cells("read", 1..=8)).cells()[2];
         let (mut now, mut expiries, mut sizes) = (Instant::now(), 0, Vec::new());
@@ -902,12 +1080,12 @@ mod tests {
 
     #[test]
     fn expired_and_panicked_leases_refund_their_charge() {
-        let mut sched = Scheduler::new(4, Duration::from_secs(10));
+        let mut sched = Scheduler::new(4, Duration::from_secs(10), 1);
         let base = Instant::now();
         let job = sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=12)), noop_workload());
-        // An unknown-cost probe is charged the placeholder, then refunded.
+        // An unknown-cost probe is charged nothing until it acks.
         let probe = sched.next_lease(base).unwrap();
-        assert_eq!(charged(&sched, job), nanos(UNKNOWN_CELL_CHARGE));
+        assert_eq!(charged(&sched, job), 0);
         assert!(sched.requeue_panic(job, probe.lease));
         assert_eq!(charged(&sched, job), 0);
 
@@ -933,7 +1111,7 @@ mod tests {
 
     #[test]
     fn late_job_starts_at_the_current_virtual_time() {
-        let mut sched = Scheduler::new(4, Duration::from_secs(60));
+        let mut sched = Scheduler::new(4, Duration::from_secs(60), 1);
         let now = Instant::now();
         let first = sched.submit(JobSpec::new("first", "noop", plan_with_cells("read", 1..=8)), noop_workload());
         assert_eq!(charged(&sched, first), 0, "an empty fabric starts at zero");
@@ -967,7 +1145,7 @@ mod tests {
 
     #[test]
     fn repeated_panics_fail_the_job() {
-        let mut sched = Scheduler::new(4, Duration::from_secs(60));
+        let mut sched = Scheduler::new(4, Duration::from_secs(60), 1);
         let now = Instant::now();
         let job = sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=4)), noop_workload());
         for round in 0..MAX_JOB_PANICS {
@@ -992,7 +1170,7 @@ mod tests {
 
     #[test]
     fn cancel_skips_pending_and_is_idempotent() {
-        let mut sched = Scheduler::new(2, Duration::from_secs(60));
+        let mut sched = Scheduler::new(2, Duration::from_secs(60), 1);
         let now = Instant::now();
         let job = sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=6)), noop_workload());
         let lease = sched.next_lease(now).unwrap();
@@ -1010,7 +1188,7 @@ mod tests {
 
     #[test]
     fn pause_withholds_leases_and_resume_restores_them() {
-        let mut sched = Scheduler::new(2, Duration::from_secs(60));
+        let mut sched = Scheduler::new(2, Duration::from_secs(60), 1);
         let now = Instant::now();
         let job = sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=4)), noop_workload());
         assert_eq!(sched.pause(job), Some(JobState::Paused));
@@ -1022,7 +1200,7 @@ mod tests {
 
     #[test]
     fn crash_halt_completes_job_and_skips_remainder() {
-        let mut sched = Scheduler::new(2, Duration::from_secs(60));
+        let mut sched = Scheduler::new(2, Duration::from_secs(60), 1);
         let now = Instant::now();
         let job =
             sched.submit(JobSpec::new("job", "noop", plan_with_cells("read", 1..=6)).halt_on_crash(), noop_workload());
@@ -1040,7 +1218,7 @@ mod tests {
 
     #[test]
     fn checkpoint_restores_into_equivalent_job() {
-        let mut sched = Scheduler::new(4, Duration::from_secs(60));
+        let mut sched = Scheduler::new(4, Duration::from_secs(60), 1);
         let now = Instant::now();
         let spec = JobSpec::new("sweep", "noop", plan_with_cells("read", 1..=12));
         let job = sched.submit(spec.clone(), noop_workload());
@@ -1060,7 +1238,7 @@ mod tests {
         drop(second);
 
         // A fresh scheduler resumes from the checkpoint and finishes.
-        let mut resumed = Scheduler::new(4, Duration::from_secs(60));
+        let mut resumed = Scheduler::new(4, Duration::from_secs(60), 1);
         let job2 = resumed.submit_restored(spec, noop_workload(), &reloaded);
         let mut acked = 0;
         while let Some(lease) = resumed.next_lease(now) {
@@ -1087,7 +1265,7 @@ mod tests {
                 assert!(sched.ack(job, lease.lease, failure_result(&lease.cells), busy(&lease.cells)));
             }
         };
-        let mut clean = Scheduler::new(4, Duration::from_secs(60));
+        let mut clean = Scheduler::new(4, Duration::from_secs(60), 1);
         let job = clean.submit(spec.clone(), noop_workload());
         finish(&mut clean, job);
         let expected = clean.checkpoint(job).unwrap();
@@ -1097,14 +1275,15 @@ mod tests {
 
         // c1 goes out on lease and stays there while c2 is acked, then the
         // job is checkpointed and restored.
-        let mut live = Scheduler::new(4, Duration::from_secs(60));
+        let mut live = Scheduler::new(4, Duration::from_secs(60), 1);
         let job = live.submit(spec.clone(), noop_workload());
+        live.jobs.get_mut(&job.0).unwrap().cell_ns = Some(nanos(LEASE_TARGET));
         let c1 = live.next_lease(now).unwrap();
         let c2 = live.next_lease(now).unwrap();
         assert_eq!((c1.cells[0].call_ordinal, c2.cells.len(), c2.cells[0].call_ordinal), (1, 1, 2));
         assert!(live.ack(job, c2.lease, failure_result(&c2.cells), busy(&c2.cells)));
         let snapshot = live.checkpoint(job).unwrap();
-        let mut restored = Scheduler::new(4, Duration::from_secs(60));
+        let mut restored = Scheduler::new(4, Duration::from_secs(60), 1);
         let job2 = restored.submit_restored(spec, noop_workload(), &snapshot);
         finish(&mut restored, job2);
         assert_eq!(restored.checkpoint(job2).unwrap().to_xml(), expected.to_xml());
@@ -1116,6 +1295,8 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Call {
         Lease,
+        /// A lease for the lane of a one-worker fleet.
+        Lane,
         /// Ack a lease: its first `.1` cells (mod its size + 1) ran, with
         /// outcomes salted by `.2`; the rest come back skipped.
         Ack(usize, usize, u64),
@@ -1131,6 +1312,7 @@ mod tests {
         prop_oneof![
             Just(Call::Lease),
             Just(Call::Lease),
+            Just(Call::Lane),
             (0usize..3, 0usize..=8, 0u64..4).prop_map(|(lease, ran, salt)| Call::Ack(lease, ran, salt)),
             (0usize..3, Just(8usize), 0u64..4).prop_map(|(lease, ran, salt)| Call::Ack(lease, ran, salt)),
             (0usize..4).prop_map(Call::Stale),
@@ -1158,13 +1340,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Any interleaving of leases, acks (all run, partly or wholly
-        /// skipped, stale), expiries, worker panics, cancel and
-        /// pause/resume, with up to three leases in flight, keeps the delta
-        /// contract after every call: the first checkpoint plus every delta
-        /// taken equals the live checkpoint byte for byte, and restoring
-        /// that fold checkpoints equal to the live job with its cost unknown
-        /// and nothing charged.
+        /// Any interleaving of worker and lane leases, acks (all run, partly
+        /// or wholly skipped, stale), expiries, worker panics, cancel and
+        /// pause/resume, with up to three leases in flight, keeps the lease
+        /// rules and the delta contract after every call.  No job of
+        /// unknown cost has a second lease out, and a job the lane holds
+        /// has no other.  The first checkpoint plus every delta taken
+        /// equals the live checkpoint byte for byte, and restoring that
+        /// fold checkpoints equal to the live job with its cost unknown and
+        /// nothing charged.
         #[test]
         fn deltas_fold_to_the_live_checkpoint_after_every_call(
             reads in 1u64..=6,
@@ -1180,7 +1364,7 @@ mod tests {
                 spec = spec.halt_on_crash();
             }
             let base = Instant::now();
-            let mut sched = Scheduler::new(4, Duration::from_secs(60));
+            let mut sched = Scheduler::new(4, Duration::from_secs(60), 1);
             let job = sched.submit(spec.clone(), noop_workload());
             let mut shadow = sched.checkpoint(job).unwrap();
             let mut leases: Vec<(u64, Vec<FaultCell>)> = Vec::new();
@@ -1193,7 +1377,12 @@ mod tests {
                             leases.push((lease.lease, lease.cells));
                         }
                     }
-                    Call::Lease => {}
+                    Call::Lane if leases.len() < 3 => {
+                        if let Some(lease) = sched.next_lane_lease(now) {
+                            leases.push((lease.lease, lease.cells));
+                        }
+                    }
+                    Call::Lease | Call::Lane => {}
                     Call::Ack(index, ran, salt) if !leases.is_empty() => {
                         let (lease, cells) = leases.remove(index % leases.len());
                         let ran = ran % (cells.len() + 1);
@@ -1230,10 +1419,15 @@ mod tests {
                     }
                     Call::Ack(..) | Call::Stale(_) | Call::Panic(_) => {}
                 }
+                let record = &sched.jobs[&job.0];
+                prop_assert!(record.cell_ns.is_some() || record.outstanding.len() <= 1, "a blind second lease");
+                if sched.lane.is_some_and(|lane| record.outstanding.contains_key(&lane)) {
+                    prop_assert_eq!(record.outstanding.len(), 1, "the lane shares its job");
+                }
                 let live = sched.checkpoint(job).unwrap().to_xml();
                 sched.take_delta(job).unwrap().apply(&mut shadow);
                 prop_assert_eq!(&shadow.to_xml(), &live, "snapshot + deltas after {:?}", call);
-                let mut restored = Scheduler::new(4, Duration::from_secs(60));
+                let mut restored = Scheduler::new(4, Duration::from_secs(60), 1);
                 let id = restored.submit_restored(spec.clone(), noop_workload(), &shadow);
                 prop_assert_eq!(&restored.checkpoint(id).unwrap().to_xml(), &live, "restored after {:?}", call);
                 prop_assert_eq!((charged(&restored, id), restored.jobs[&id.0].cell_ns), (0, None));
@@ -1244,7 +1438,7 @@ mod tests {
 
     #[test]
     fn empty_plan_job_is_immediately_done() {
-        let mut sched = Scheduler::new(4, Duration::from_secs(60));
+        let mut sched = Scheduler::new(4, Duration::from_secs(60), 1);
         let job = sched.submit(JobSpec::new("empty", "noop", Plan::new()), noop_workload());
         assert_eq!(sched.state(job), Some(JobState::Done));
         assert!(sched.next_lease(Instant::now()).is_none());

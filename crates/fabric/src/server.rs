@@ -179,8 +179,21 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// threads without bound; a slot frees when a served peer closes.
 pub const MAX_CONNECTIONS: usize = 32;
 
-/// One TCP connection: newline-delimited requests answered in order.
+/// How long a served TCP peer may send nothing before its connection
+/// closes, as at the end of its stream, so that idle peers cannot hold
+/// every one of the [`MAX_CONNECTIONS`] slots for good.  Minutes, far over
+/// any pause of a peer that polls.
+#[cfg(not(test))]
+const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+#[cfg(test)]
+const IDLE_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// One TCP connection: newline-delimited requests answered in order, until
+/// the peer closes or sends nothing for [`IDLE_TIMEOUT`].
 fn serve_connection(handle: &FabricHandle, stream: TcpStream) {
+    if stream.set_read_timeout(Some(IDLE_TIMEOUT)).is_err() {
+        return;
+    }
     let Ok(mut writer) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
@@ -766,19 +779,50 @@ mod tests {
         assert!(line.starts_with("error message="), "{line:?}");
         line.clear();
         assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then the connection closes");
-        served[0].ping().expect("the first peer is still served");
+        // Every served peer speaks again, so none can time out as idle
+        // before `fresh + IDLE_TIMEOUT`.
+        let fresh = Instant::now();
+        served
+            .iter_mut()
+            .for_each(|client| client.ping().expect("every served peer is still served"));
 
         // Closing a served peer frees its slot once its thread has seen the
-        // close.
+        // close, well before any idle timeout could free one.
         drop(served.pop());
-        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let answered = FabricClient::tcp(guard.addr()).unwrap().ping().is_ok();
+            assert!(fresh.elapsed() < IDLE_TIMEOUT, "the closed peer's slot did not free before the idle timeout");
+            if answered {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn idle_peers_time_out_and_free_their_slots() {
+        let fabric = Fabric::builder().workers(0).build();
+        let guard = fabric.handle().serve_tcp(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+        // Every slot goes to a peer that pings once and then sends nothing.
+        let mut idle: Vec<FabricClient> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let mut client = FabricClient::tcp(guard.addr()).unwrap();
+                client.ping().unwrap();
+                client
+            })
+            .collect();
+        assert!(FabricClient::tcp(guard.addr()).unwrap().ping().is_err(), "every slot is taken");
+        // Once the idle timeout passes, a new peer is served.
+        let started = Instant::now();
+        std::thread::sleep(IDLE_TIMEOUT);
         loop {
             if FabricClient::tcp(guard.addr()).unwrap().ping().is_ok() {
                 break;
             }
-            assert!(Instant::now() < deadline, "the closed peer's slot never freed");
+            assert!(started.elapsed() < IDLE_TIMEOUT + Duration::from_secs(10), "idle peers kept every slot");
             std::thread::sleep(Duration::from_millis(10));
         }
+        assert!(idle[0].ping().is_err(), "the idle peer's connection closed");
     }
 
     /// Request verbs, field keys and escape fragments the parser branches

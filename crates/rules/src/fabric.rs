@@ -6,7 +6,7 @@
 //! or a remote campaign service ([`FabricClient::tcp`]).
 
 use lfi_explore::CellResult;
-use lfi_fabric::{FabricClient, JobEvent, JobEventKind, JobId};
+use lfi_fabric::{FabricClient, JobEvent, JobEventKind, JobId, WireError};
 use lfi_intern::Symbol;
 use lfi_scenario::FaultCell;
 
@@ -20,9 +20,9 @@ use crate::engine::{Action, Decision, RuleEngine, RuleSet};
 /// carries, so the engine keys clusters as the job's
 /// [`FaultLedger`](lfi_explore::FaultLedger) does.  The monitor then applies
 /// any `Pause`/`Cancel` decisions through the client and refreshes the
-/// `job/*` status gauges in the engine's sink.  Transport errors read as an
-/// empty page, so a monitor degrades to read-nothing/apply-nothing instead
-/// of panicking.
+/// `job/*` status gauges in the engine's sink.  A failed page read is the
+/// caller's error to see, so a broken transport never reads as a stream
+/// that is caught up.
 ///
 /// Determinism note: the job event stream is already serialized (dense
 /// `seq`), so rule evaluation order is exact regardless of poll timing —
@@ -65,11 +65,14 @@ impl JobMonitor {
 
     /// Pulls up to `max` events, folds them, applies control decisions,
     /// and refreshes status gauges.  Returns how many events were folded;
-    /// `0` means the cursor is at the stream head (or the job is unknown).
-    pub fn poll(&mut self, max: usize) -> usize {
-        let Ok((next, events)) = self.client.events(self.job, self.cursor, max) else {
-            return 0;
-        };
+    /// `Ok(0)` means the cursor is at the stream head.
+    ///
+    /// # Errors
+    ///
+    /// The [`WireError`] of the page read when the transport fails or the
+    /// server refuses it (an unknown job); nothing is folded then.
+    pub fn poll(&mut self, max: usize) -> Result<usize, WireError> {
+        let (next, events) = self.client.events(self.job, self.cursor, max)?;
         self.cursor = next;
         let folded = events.len();
         let before = self.engine.decisions().len();
@@ -102,7 +105,7 @@ impl JobMonitor {
             sink.gauge("job/clusters", &[], snapshot.clusters as f64);
         }
         self.engine.export_vitals();
-        folded
+        Ok(folded)
     }
 
     /// Folds one wire event into the engine.

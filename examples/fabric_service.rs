@@ -158,7 +158,7 @@ fn main() {
     let count = Action::EmitMetric { name: "writer/crashes".into(), value: 1.0 };
     let set = RuleSet::new().rule(Rule::global("count-crashes", crash_landed, [count]));
     let mut monitor = JobMonitor::new(FabricClient::tcp(guard.addr()).expect("connect"), writer, set);
-    while monitor.poll(64) > 0 {}
+    while monitor.poll(64).expect("the server answers") > 0 {}
     let engine = monitor.engine();
     println!(
         "writer-sweep monitor: {} decisions over {} events, {} crashes in {} clusters",

@@ -334,7 +334,7 @@ fn the_rules_count_the_clusters_the_ledger_counts() {
         let mut monitor = JobMonitor::new(client, job, RuleSet::new());
         let mut events = 0;
         loop {
-            match monitor.poll(64) {
+            match monitor.poll(64).expect("the server answers") {
                 0 => break (monitor, events),
                 folded => events += folded,
             }

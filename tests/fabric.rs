@@ -1,9 +1,9 @@
 //! Integration coverage for the campaign fabric: crash-safe lease handoff
 //! under a mid-batch worker death, worker-time fairness across unequal
-//! tenants, the wire protocol over both transports, the bound on wire
-//! lines, server shutdown with peers still connected, journal recovery of
-//! killed and cancelled jobs, and checkpoint/restore of a half-finished job
-//! into a fresh fabric.
+//! tenants, the short lane beside a busy worker, the wire protocol over
+//! both transports, the bound on wire lines, server shutdown with peers
+//! and monitors still connected, journal recovery of killed and cancelled
+//! jobs, and checkpoint/restore of a half-finished job into a fresh fabric.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -215,6 +215,80 @@ fn small_tenants_are_not_starved_by_large_ones() {
     assert_eq!(report.coverage.executed + report.coverage.skipped, 1000, "every cell accounted for");
 }
 
+/// The reader, napping `nap` in each case; `peak` records the most of its
+/// cases that ran at once.
+fn napping_reader(
+    name: &str,
+    nap: Duration,
+    peak: &Arc<AtomicUsize>,
+) -> FnWorkload<impl Fn() -> Process + Send + Sync, impl Fn(&mut Process) -> ExitStatus + Send + Sync> {
+    let running = AtomicUsize::new(0);
+    let peak = Arc::clone(peak);
+    FnWorkload::new(name, reader_process, move |process: &mut Process| {
+        peak.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+        std::thread::sleep(nap);
+        running.fetch_sub(1, Ordering::SeqCst);
+        read_four(process)
+    })
+}
+
+#[test]
+fn a_one_worker_fabric_serves_a_short_job_on_its_lane_and_never_runs_a_job_twice_at_once() {
+    // The only worker parks inside the long job's probe; the short job
+    // still completes, on the lane.  Then two more tenants and the long job
+    // share the worker and the lane, and no job ever has two cases running.
+    let (long, hold) = held_reader("long-reader", 0);
+    let peaks: Vec<Arc<AtomicUsize>> = (0..3).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+    let fabric = Fabric::builder()
+        .workers(1)
+        .register(long)
+        .register(napping_reader("short-reader", Duration::from_micros(100), &peaks[0]))
+        .register(napping_reader("mid-reader", Duration::from_millis(1), &peaks[1]))
+        .register(napping_reader("fine-reader", Duration::from_micros(200), &peaks[2]))
+        .build();
+    let long = fabric
+        .submit(JobSpec::new("long", "long-reader", read_plan(10, &[5, 9])))
+        .expect("workload registered");
+    hold.wait_parked();
+    let short = fabric
+        .submit(JobSpec::new("short", "short-reader", read_plan(16, &[5, 9])))
+        .expect("workload registered");
+    assert_eq!(fabric.wait_job(short, Duration::from_secs(60)), Some(JobState::Done));
+    assert_eq!(fabric.status(long).expect("job exists").progress.finished, 0, "the worker is still parked");
+    hold.release();
+
+    let others = [("mid", "mid-reader", 30), ("fine", "fine-reader", 60)].map(|(name, workload, cells)| {
+        fabric
+            .submit(JobSpec::new(name, workload, read_plan(cells, &[5])))
+            .expect("workload registered")
+    });
+    for job in [long].into_iter().chain(others) {
+        assert_eq!(fabric.wait_job(job, Duration::from_secs(60)), Some(JobState::Done));
+    }
+    let peaks: Vec<usize> = peaks.iter().map(|peak| peak.load(Ordering::SeqCst)).collect();
+    assert_eq!(peaks, [1, 1, 1], "the most cases of one job that ran at once");
+}
+
+#[test]
+fn an_inert_fabric_runs_nothing() {
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counted = {
+        let runs = Arc::clone(&runs);
+        FnWorkload::new("reader", reader_process, move |process: &mut Process| {
+            runs.fetch_add(1, Ordering::SeqCst);
+            read_four(process)
+        })
+    };
+    let fabric = Fabric::builder().workers(0).register(counted).build();
+    let job = fabric
+        .submit(JobSpec::new("staged", "reader", read_plan(4, &[5])))
+        .expect("workload registered");
+    assert_eq!(fabric.wait_job(job, Duration::from_millis(200)), Some(JobState::Queued));
+    assert_eq!(runs.load(Ordering::SeqCst), 0);
+    let snapshot = fabric.status(job).expect("job exists");
+    assert_eq!((snapshot.pending, snapshot.outstanding, snapshot.progress.started), (4, 0, 0));
+}
+
 #[test]
 fn cheap_tenant_is_served_by_worker_time_not_cell_count() {
     // One worker.  The first tenant's cells each hold it for ~20 ms; a
@@ -373,6 +447,26 @@ fn dropping_the_server_guard_closes_connected_peers() {
         .expect("the guard drops while a peer is connected");
     dropper.join().expect("dropping the guard does not panic");
     assert!(client.ping().is_err(), "the server closed the connection");
+}
+
+#[test]
+fn a_monitor_whose_server_is_gone_gets_an_error_not_an_empty_page() {
+    let fabric = Fabric::builder()
+        .workers(0)
+        .register(FnWorkload::new("reader", reader_process, read_four))
+        .build();
+    let job = fabric
+        .submit(JobSpec::new("watched", "reader", read_plan(2, &[5])))
+        .expect("workload registered");
+    let guard = fabric
+        .serve_tcp(std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port"))
+        .expect("server");
+    let mut monitor = JobMonitor::new(FabricClient::tcp(guard.addr()).expect("connect"), job, RuleSet::new());
+    assert_eq!(monitor.poll(64), Ok(1), "the job's queued state");
+    assert_eq!(monitor.poll(64), Ok(0), "then the stream head");
+    drop(guard);
+    assert!(monitor.poll(64).is_err(), "a closed connection is no stream head");
+    assert_eq!(monitor.cursor(), 1);
 }
 
 #[test]
@@ -608,7 +702,7 @@ fn a_job_monitor_controls_its_job_and_names_the_crashing_cell() {
             )
             .rule(Rule::global("control", Condition::at_least(Metric::Crashes, 1.0), [control]).once());
         let mut monitor = JobMonitor::new(fabric.connect(), job, set);
-        while monitor.poll(64) > 0 {}
+        while monitor.poll(64).expect("the in-process client answers") > 0 {}
         let state = fabric.status(job).expect("job exists").state;
         hold.release();
         (state, monitor.engine().decision_log())
